@@ -155,7 +155,7 @@ class AprioriPartitioner:
                 "colocation_fraction": self.colocation_fraction(),
             }
         return make_result(
-            self, self.method, self.k, self.part, diagnostics,
+            self.method, self.k, self.part, diagnostics,
             ledger, fit_span,
         )
 

@@ -140,7 +140,7 @@ class MCMLDTPartitioner:
             tracer.count("reshape_moved", diag.reshape_moved)
         self.part = part
         return make_result(
-            self, self.method, self.k, part, vars(diag), ledger, fit_span
+            self.method, self.k, part, vars(diag), ledger, fit_span
         )
 
     def _reshape(

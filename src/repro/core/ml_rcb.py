@@ -117,7 +117,7 @@ class MLRCBPartitioner:
         self.contact_ids = cn.copy()
         self.last_upd_comm = 0
         return make_result(
-            self, self.method, self.k, self.part_fe, diagnostics,
+            self.method, self.k, self.part_fe, diagnostics,
             ledger, fit_span,
         )
 

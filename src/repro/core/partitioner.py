@@ -7,19 +7,10 @@ one :class:`Partitioner` protocol whose ``fit`` returns a
 :class:`PartitionResult`: the partition labels plus the run artefacts
 (diagnostics, communication ledger, tracer spans) that previously had
 to be fished out of per-class attributes.
-
-Compatibility: ``fit`` used to return the partitioner itself, and a
-lot of code chains ``Partitioner(k).fit(snap).part`` (or
-``.part_fe`` / ``.build_descriptors(...)``).  :class:`PartitionResult`
-therefore proxies unknown public attributes to the partitioner that
-produced it, emitting a :class:`DeprecationWarning` — existing callers
-keep working one release while they migrate to ``result.labels`` (or
-to keeping their own reference to the partitioner).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
 
@@ -73,24 +64,6 @@ class PartitionDiagnostics(Mapping[str, Any]):
         return f"PartitionDiagnostics({inner})"
 
 
-#: attribute names owned by PartitionResult itself (everything else a
-#: caller touches is proxied to the source partitioner, deprecated)
-_RESULT_FIELDS = frozenset(
-    {"method", "k", "labels", "diagnostics", "ledger", "spans", "_source"}
-)
-
-
-def _deprecated_proxy_warning(name: str) -> None:
-    warnings.warn(
-        f"accessing {name!r} through the PartitionResult returned by "
-        "fit() is deprecated; use the result fields (labels, "
-        "diagnostics, ledger, spans) or keep your own reference to "
-        "the partitioner",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(eq=False)
 class PartitionResult:
     """What one ``fit`` produced.
@@ -114,37 +87,6 @@ class PartitionResult:
     diagnostics: PartitionDiagnostics
     ledger: CommLedger = field(default_factory=CommLedger)
     spans: Optional[Span] = None
-    _source: Optional[Any] = None
-
-    # -- deprecation shim: legacy chained-fit attribute access ---------
-    def __getattr__(self, name: str) -> Any:
-        src = self.__dict__.get("_source")
-        if src is not None and not name.startswith("_"):
-            try:
-                value = getattr(src, name)
-            except AttributeError:
-                pass
-            else:
-                _deprecated_proxy_warning(name)
-                return value
-        raise AttributeError(
-            f"PartitionResult has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in _RESULT_FIELDS:
-            object.__setattr__(self, name, value)
-            return
-        src = self.__dict__.get("_source")
-        if (
-            src is not None
-            and not name.startswith("_")
-            and hasattr(src, name)
-        ):
-            _deprecated_proxy_warning(name)
-            setattr(src, name, value)
-            return
-        object.__setattr__(self, name, value)
 
 
 @runtime_checkable
@@ -173,7 +115,6 @@ class Partitioner(Protocol):
 
 
 def make_result(
-    source: Any,
     method: str,
     k: int,
     labels: np.ndarray,
@@ -191,5 +132,4 @@ def make_result(
         diagnostics=PartitionDiagnostics(diag_values),
         ledger=ledger if ledger is not None else CommLedger(),
         spans=spans,
-        _source=source,
     )

@@ -24,7 +24,7 @@ MetaValue = Union[str, int, float, bool, None]
 PathLike = Union[str, Path]
 
 #: counters the fault-tolerant runtime emits (chaos harness, supervised
-#: process backend, driver step recovery — docs/FAULT_TOLERANCE.md)
+#: sessions, driver step recovery — docs/FAULT_TOLERANCE.md)
 RECOVERY_COUNTERS = (
     "faults_injected",
     "step_retries",
@@ -35,9 +35,8 @@ RECOVERY_COUNTERS = (
     "step_recoveries",
 )
 
-#: counters the distributed tcp backend emits (coordinator traffic and
-#: elastic-membership churn — docs/PARALLELISM.md "Distributed
-#: backend")
+#: counters supervised sessions emit on the process and tcp backends
+#: (coordinator traffic and pool churn — docs/PARALLELISM.md)
 DISTRIBUTED_COUNTERS = (
     "bytes_sent",
     "bytes_recv",

@@ -19,7 +19,6 @@ from repro.runtime.backends import (
     SpmdContext,
     SpmdSession,
     ThreadBackend,
-    make_backend,
     resolve_backend,
     set_default_backend,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SpmdContext",
     "SpmdSession",
     "ThreadBackend",
-    "make_backend",
     "resolve_backend",
     "set_default_backend",
     "spmd_run",

@@ -23,18 +23,18 @@ from repro.runtime.backends.base import (
     backend_names,
     build_backend,
     default_workers,
-    make_backend,
     register_backend,
     resolve_backend,
     set_default_backend,
     unregister_backend,
 )
-from repro.runtime.backends.process import ProcessBackend, SupervisorConfig
+from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.backends.sentinel import (
     SentinelBackend,
     SharedStateMutationError,
 )
 from repro.runtime.backends.serial import SerialBackend
+from repro.runtime.backends.supervised import SupervisorConfig
 from repro.runtime.backends.tcp import TCPBackend
 from repro.runtime.backends.thread import ThreadBackend
 
@@ -62,7 +62,6 @@ __all__ = [
     "backend_names",
     "build_backend",
     "default_workers",
-    "make_backend",
     "register_backend",
     "resolve_backend",
     "set_default_backend",

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import importlib
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -84,9 +83,9 @@ WORKERS_ENV = "REPRO_WORKERS"
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #: execution backend the ``chaos`` backend wraps (default ``process``)
 CHAOS_INNER_ENV = "REPRO_CHAOS_INNER"
-#: per-superstep deadline (seconds) for the supervised process backend
+#: per-superstep deadline (seconds) for the supervised (process/tcp) backends
 STEP_DEADLINE_ENV = "REPRO_STEP_DEADLINE"
-#: per-superstep retry budget for the supervised process backend
+#: per-superstep retry budget for the supervised (process/tcp) backends
 MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 
 class BackendError(RuntimeError):
@@ -683,26 +682,6 @@ def build_backend(
         )
     parsed.typed_options(entry.spec_schema or {})
     return entry.resolve()(parsed)
-
-
-def make_backend(
-    spec: Union[str, Backend], workers: Optional[int] = None
-) -> Backend:
-    """Deprecated alias of :func:`build_backend`.
-
-    .. deprecated:: PR 10
-       The hardcoded backend chain is gone; use
-       :func:`build_backend` (or :func:`resolve_backend` for the full
-       precedence), and :func:`register_backend` to add backends.
-    """
-    warnings.warn(
-        "make_backend() is deprecated; use build_backend()/"
-        "resolve_backend(), and register_backend() to add backends "
-        "(repro.runtime.backends registry)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_backend(spec, workers)
 
 
 # ----------------------------------------------------------------------

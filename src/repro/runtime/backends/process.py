@@ -1,243 +1,63 @@
-"""Process-pool backend: real parallel ranks with shared-memory arrays.
+"""Process-pool backend: the pipe transport + shared-memory arrays.
 
 The backend owns a persistent pool of worker processes (created lazily,
-reused across sessions so per-step runs amortise startup).  A session
-distributes its ``shared`` mapping once: NumPy arrays are placed in
-:mod:`multiprocessing.shared_memory` segments and attached zero-copy in
-every worker; everything else rides along pickled.  Across sessions
-with the same array layout (the driver's step loop), the backend
-reuses the previous session's segment **plan** — values are copied
-into the existing segments, names stay stable, and workers re-attach
-from a local cache instead of mmap-ing anew (:class:`_SharedPlan`).  Each superstep then
-ships only the function reference, the small ``arg``, and the ranks'
-pending inbox messages over the worker pipes (length-prefixed, chunked
-pickle frames), and ships back per-rank results, queued sends, ledger
-records, and span trees.
+reused across sessions so per-step runs amortise startup).  Its
+sessions are :class:`~repro.runtime.backends.supervised.SupervisedSession`s
+— supervision, recovery and the worker command loop live in
+:mod:`repro.runtime.backends.supervised`; this module supplies only
+what is specific to the transport:
 
-Determinism: workers never talk to each other — all routing and ledger
-replay happens in the parent in rank order
-(:meth:`repro.runtime.backends.base.SpmdSession._merge`), so results
-are bit-identical to :class:`~repro.runtime.backends.serial.SerialBackend`.
+* the **peer**: a forked worker behind a duplex pipe carrying
+  ``repro.wire/1`` messages (length-prefixed, chunked frames, NumPy
+  arrays out-of-band);
+* the **pool**: ``workers`` fixed slots — a lost worker is terminated
+  (escalating to kill) and a fresh one forked into the same slot;
+* **shared memory**: a session's ``shared`` mapping is distributed
+  once — NumPy arrays are placed in
+  :mod:`multiprocessing.shared_memory` segments and attached zero-copy
+  in every worker; everything else rides along pickled.  Across
+  sessions with the same array layout (the driver's step loop), the
+  backend reuses the previous session's segment **plan** — values are
+  copied into the existing segments, names stay stable, and workers
+  re-attach from a local cache instead of mmap-ing anew
+  (:class:`_SharedPlan`).
 
-Superstep functions must be picklable (module-level ``def``s).  A
-session whose *first* superstep is not picklable falls back to
-in-process serial execution with a :class:`RuntimeWarning` instead of
-failing — closures keep working everywhere, they just never leave the
-process.
-
-Supervision: every superstep dispatch runs under a
-:class:`SupervisorConfig` policy — an optional per-step deadline, a
-worker heartbeat timeout, and a bounded retry budget with exponential
-backoff.  When a worker dies (or blows the deadline) mid-step, the
-session kills and respawns the lost workers, resets the survivors, and
-deterministically *replays* the session's successful step history into
-the fresh pool before retrying the failed step, so recovery is
-invisible in the results.  When the retry budget is exhausted the
-session degrades to in-process serial execution (``RuntimeWarning``;
-ledger accounting preserved) — or raises :class:`BackendError` when
-``degrade`` is off.  See ``docs/FAULT_TOLERANCE.md``.
+Each superstep then ships only the function reference, the small
+``arg``, and the ranks' pending inbox messages over the worker pipes,
+and ships back per-rank results, queued sends, ledger records, and
+span trees.  Superstep functions must be picklable (module-level
+``def``s); see :class:`SupervisedSession` for the in-process fallback.
 """
 
 from __future__ import annotations
 
 import atexit
-import copy
-import itertools
-import os
-import pickle
-import time
-import traceback
-import warnings
-from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
 from multiprocessing.context import BaseContext
 from multiprocessing.process import BaseProcess
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.obs.tracer import Span, TracerBase
-from repro.runtime.backends.base import (
-    MAX_RETRIES_ENV,
-    STEP_DEADLINE_ENV,
-    Backend,
-    BackendError,
-    BackendSpec,
-    Message,
-    RankOutcome,
-    SpmdSession,
-    StepFn,
-    default_workers,
-    run_rank_step,
+from repro.runtime.backends.base import BackendSpec
+from repro.runtime.backends.supervised import (
+    Peer,
+    PeerTimeout,
+    SupervisedBackend,
+    SupervisorConfig,
+    serve_commands,
 )
 from repro.runtime.backends.wire import pipe_recv, pipe_send
-from repro.runtime.ledger import CommLedger
-
-#: pipe frames are sent in chunks of this many bytes
-CHUNK_BYTES = 1 << 24
 
 #: (key, shm segment name, dtype str, shape) describing one shared array
 ArraySpec = Tuple[str, str, str, Tuple[int, ...]]
 
-
-# ----------------------------------------------------------------------
-# supervision policy
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Supervision policy for the process backend's worker pool.
-
-    ``step_deadline_s``
-        Wall-clock budget for one superstep dispatch; a worker that has
-        not replied when it expires is treated as hung and respawned.
-        ``None`` (the default) waits forever.
-    ``heartbeat_timeout_s``
-        How long health checks and survivor resets wait for a reply
-        before declaring a worker unresponsive.
-    ``max_retries``
-        How many times a failed superstep is retried (with the lost
-        workers respawned and the session history replayed) before the
-        session gives up.
-    ``backoff_base_s`` / ``backoff_factor``
-        Exponential backoff between retries: the first retry sleeps
-        ``backoff_base_s``, each further retry multiplies the delay.
-    ``shutdown_grace_s`` / ``kill_grace_s``
-        Shutdown escalation budget: graceful join, then ``terminate``
-        with another ``shutdown_grace_s`` join, then ``kill``.
-    ``degrade``
-        After the retry budget is exhausted: ``True`` degrades the
-        session to in-process serial execution (``RuntimeWarning``,
-        ledger accounting preserved); ``False`` raises
-        :class:`BackendError`.
-    """
-
-    step_deadline_s: Optional[float] = None
-    heartbeat_timeout_s: float = 2.0
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    shutdown_grace_s: float = 5.0
-    kill_grace_s: float = 1.0
-    degrade: bool = True
-
-    def __post_init__(self) -> None:
-        if self.step_deadline_s is not None and self.step_deadline_s <= 0:
-            raise ValueError("step_deadline_s must be positive or None")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("invalid backoff configuration")
-
-    @classmethod
-    def from_env(cls) -> "SupervisorConfig":
-        """Policy from ``$REPRO_STEP_DEADLINE`` / ``$REPRO_MAX_RETRIES``
-        (unset variables keep the defaults)."""
-        kwargs: Dict[str, Any] = {}
-        deadline = os.environ.get(STEP_DEADLINE_ENV)
-        if deadline:
-            try:
-                value = float(deadline)
-            except ValueError:
-                raise ValueError(
-                    f"invalid ${STEP_DEADLINE_ENV}={deadline!r}; "
-                    "expected seconds as a float"
-                ) from None
-            kwargs["step_deadline_s"] = value if value > 0 else None
-        retries = os.environ.get(MAX_RETRIES_ENV)
-        if retries:
-            try:
-                kwargs["max_retries"] = max(0, int(retries))
-            except ValueError:
-                raise ValueError(
-                    f"invalid ${MAX_RETRIES_ENV}={retries!r}; "
-                    "expected an integer"
-                ) from None
-        return cls(**kwargs)
-
-
-def _disarm_step(fn: StepFn) -> StepFn:
-    """Strip a one-shot fault wrapper (the chaos harness's
-    ``ChaosStep``) so retries and history replays run the plain
-    superstep — injected faults fire on the first attempt only."""
-    disarm = getattr(fn, "disarm", None)
-    if callable(disarm):
-        return disarm()  # type: ignore[no-any-return]
-    return fn
-
-
-class _WorkerLoss(Exception):
-    """Internal: one dispatch lost workers (died or blew the deadline)."""
-
-    def __init__(
-        self, dead: List["_WorkerHandle"], hung: List["_WorkerHandle"]
-    ) -> None:
-        self.dead = dead
-        self.hung = hung
-        names = [w.proc.name for w in dead + hung]
-        super().__init__(f"lost worker(s): {', '.join(names)}")
-
-
-# ----------------------------------------------------------------------
-# chunked pipe transport (``repro.wire/1`` framing)
-# ----------------------------------------------------------------------
-
-
-def _send_msg(conn: Connection, obj: Any) -> int:
-    """Send ``obj`` as one ``repro.wire/1`` message: NumPy array
-    payloads travel as raw out-of-band frames instead of passing
-    through the pickler as opaque blobs.  Returns bytes sent."""
-    return pipe_send(conn, obj, CHUNK_BYTES)
-
-
-def _recv_msg(conn: Connection) -> Any:
-    """Receive one wire message (:func:`_recv_msg_counted` also
-    reports the byte count)."""
-    obj, _nbytes = pipe_recv(conn)
-    return obj
-
-
-def _recv_msg_counted(conn: Connection) -> Tuple[Any, int]:
-    """Receive one wire message, returning ``(object, bytes_read)``."""
-    return pipe_recv(conn)
-
-
 # ----------------------------------------------------------------------
 # shared-memory array distribution
 # ----------------------------------------------------------------------
-
-
-def _pack_shared(
-    shared: Mapping[str, Any],
-) -> Tuple[Dict[str, Any], List[ArraySpec], List[SharedMemory]]:
-    """Split ``shared`` into inline values and shared-memory arrays.
-
-    Returns ``(inline, specs, segments)``; the caller owns the segments
-    and must close+unlink them when the session ends.  If the platform
-    refuses shared memory the arrays degrade to inline pickling.
-    """
-    inline: Dict[str, Any] = {}
-    specs: List[ArraySpec] = []
-    segments: List[SharedMemory] = []
-    for key, value in shared.items():
-        if isinstance(value, np.ndarray) and value.nbytes > 0:
-            try:
-                seg = SharedMemory(create=True, size=value.nbytes)
-            except OSError:
-                inline[key] = value
-                continue
-            view: np.ndarray = np.ndarray(
-                value.shape, dtype=value.dtype, buffer=seg.buf
-            )
-            view[...] = value
-            specs.append((key, seg.name, value.dtype.str, value.shape))
-            segments.append(seg)
-        else:
-            inline[key] = value
-    return inline, specs, segments
 
 
 class _SharedPlan:
@@ -376,134 +196,49 @@ def _attach_shared(
 # ----------------------------------------------------------------------
 
 
-class _WorkerSessionState:
-    """Everything a worker holds for one open session."""
-
-    __slots__ = ("shared", "segments", "states", "size", "trace", "cached")
-
-    def __init__(
-        self,
-        shared: Dict[str, Any],
-        segments: List[SharedMemory],
-        size: int,
-        trace: bool,
-        cached: bool,
-    ) -> None:
-        self.shared = shared
-        self.segments = segments
-        self.states: Dict[int, Dict[str, Any]] = {}
-        self.size = size
-        self.trace = trace
-        self.cached = cached
-
-    def release(self) -> None:
-        self.states.clear()
-        if not self.cached:
-            # cached attachments belong to the worker's attachment
-            # cache and outlive the session (plan reuse)
-            for seg in self.segments:
-                seg.close()
-        self.segments = []
-
-
 def _worker_main(conn: Connection) -> None:
-    """Command loop of one pool worker (runs in the child process)."""
-    sessions: Dict[int, _WorkerSessionState] = {}
+    """One pool worker (runs in the child process): serve commands
+    from the pipe, attaching shared arrays from their segments."""
     attach_cache: Dict[str, SharedMemory] = {}
     unregister_shared = not _tracker_inherited()
-    while True:
-        try:
-            msg = _recv_msg(conn)
-        except (EOFError, OSError):
-            break
-        tag = msg[0]
-        if tag == "shutdown":
-            break
-        reply: Tuple[str, Any]
-        try:
-            if tag == "ping":
-                reply = ("ok", "pong")
-            elif tag == "open":
-                _, sid, size, inline, specs, trace, cached = msg
-                shared, segments = _attach_shared(
-                    inline,
-                    specs,
-                    unregister_shared,
-                    attach_cache if cached else None,
-                )
-                sessions[sid] = _WorkerSessionState(
-                    shared, segments, size, trace, cached
-                )
-                reply = ("ok", None)
-            elif tag == "replay":
-                # deterministic state reconstruction after a respawn:
-                # re-execute the session's successful step history for
-                # this worker's ranks, discarding the outcomes (they
-                # were already merged when the steps first succeeded)
-                _, sid, entries = msg
-                sess = sessions[sid]
-                for fn, arg, tasks in entries:
-                    for rank, inbox in tasks:
-                        state = sess.states.setdefault(rank, {})
-                        run_rank_step(
-                            fn, arg, rank, sess.size, sess.shared,
-                            state, inbox, False,
-                        )
-                reply = ("ok", None)
-            elif tag == "step":
-                _, sid, fn, arg, tasks = msg
-                sess = sessions[sid]
-                outs = []
-                for rank, inbox in tasks:
-                    state = sess.states.setdefault(rank, {})
-                    out = run_rank_step(
-                        fn, arg, rank, sess.size, sess.shared, state,
-                        inbox, sess.trace,
-                    )
-                    outs.append(
-                        (
-                            rank,
-                            out.value,
-                            out.sends,
-                            out.records,
-                            out.spans.to_dict()
-                            if out.spans is not None
-                            else None,
-                        )
-                    )
-                reply = ("ok", outs)
-            elif tag == "close":
-                _, sid = msg
-                closing = sessions.pop(sid, None)
-                if closing is not None:
-                    closing.release()
-                reply = ("ok", None)
-            else:
-                reply = ("err", f"unknown command {tag!r}")
-        except BaseException:
-            reply = ("err", traceback.format_exc())
-        try:
-            _send_msg(conn, reply)
-        except (BrokenPipeError, OSError):  # parent is gone
-            break
-    for sess in sessions.values():
-        sess.release()
+
+    def attach(
+        payload: Any,
+    ) -> Tuple[Mapping[str, Any], Callable[[], None]]:
+        inline, specs, cached = payload
+        shared, segments = _attach_shared(
+            inline,
+            specs,
+            unregister_shared,
+            attach_cache if cached else None,
+        )
+
+        def release() -> None:
+            # cached attachments belong to the worker's attachment
+            # cache and outlive the session (plan reuse)
+            if not cached:
+                for seg in segments:
+                    seg.close()
+
+        return shared, release
+
+    serve_commands(
+        lambda: pipe_recv(conn)[0],
+        lambda reply: pipe_send(conn, reply),
+        attach,
+    )
     for seg in attach_cache.values():
         seg.close()
     conn.close()
 
 
-class _WorkerHandle:
+class _WorkerHandle(Peer):
     """Parent-side handle to one pooled worker process."""
 
     def __init__(
-        self,
-        ctx: BaseContext,
-        index: int,
-        sink: Optional["ProcessBackend"] = None,
+        self, ctx: BaseContext, index: int, backend: "ProcessBackend"
     ) -> None:
         self.index = index
-        self.sink = sink
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.proc: BaseProcess = ctx.Process(
             target=_worker_main,
@@ -514,468 +249,43 @@ class _WorkerHandle:
         self.proc.start()
         child_conn.close()
         self.conn = parent_conn
+        super().__init__(self.proc.name, backend)
 
-    def send(self, msg: Any) -> None:
-        try:
-            nbytes = _send_msg(self.conn, msg)
-        except (BrokenPipeError, OSError) as exc:
-            raise BackendError(
-                f"worker {self.proc.name} is gone "
-                f"(exitcode={self.proc.exitcode})"
-            ) from exc
-        if self.sink is not None:
-            self.sink.bytes_sent += nbytes
+    def _write(self, msg: Any) -> int:
+        return pipe_send(self.conn, msg)
 
-    def poll(self, timeout: Optional[float]) -> bool:
-        """Whether a reply is readable within ``timeout`` seconds
-        (a dead worker reads as readable — ``recv`` surfaces it)."""
-        try:
-            return bool(self.conn.poll(timeout))
-        except (EOFError, OSError):
-            return True
+    def _read(self, timeout: Optional[float]) -> Tuple[Any, int]:
+        if timeout is not None and not self.conn.poll(timeout):
+            raise PeerTimeout()
+        return pipe_recv(self.conn)
 
-    def recv(self) -> Tuple[str, Any]:
-        try:
-            reply, nbytes = _recv_msg_counted(self.conn)
-        except (EOFError, OSError) as exc:
-            raise BackendError(
-                f"worker {self.proc.name} died "
-                f"(exitcode={self.proc.exitcode})"
-            ) from exc
-        if self.sink is not None:
-            self.sink.bytes_recv += nbytes
-        if not isinstance(reply, tuple) or len(reply) != 2:
-            raise BackendError(f"malformed worker reply: {reply!r}")
-        return reply
+    def _status(self) -> str:
+        return f" (exitcode={self.proc.exitcode})"
 
     def ping(self, timeout: float) -> bool:
-        """Request/reply heartbeat (only valid between supersteps)."""
-        if not self.proc.is_alive():
-            return False
-        try:
-            _send_msg(self.conn, ("ping",))
-        except (BrokenPipeError, OSError):
-            return False
-        if not self.poll(timeout):
-            return False
-        try:
-            tag, payload = self.recv()
-        except BackendError:
-            return False
-        return tag == "ok" and payload == "pong"
+        return self.proc.is_alive() and super().ping(timeout)
 
-    def stop(self, grace: float = 5.0, kill_grace: float = 1.0) -> None:
+    def stop(self) -> None:
         """Graceful shutdown, escalating join → terminate → kill."""
         try:
-            _send_msg(self.conn, ("shutdown",))
-        except (BrokenPipeError, OSError):
+            self._write(("shutdown",))
+        except OSError:
             pass
-        self.proc.join(timeout=grace)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=grace)
-            if self.proc.is_alive():  # pragma: no cover - wedged worker
-                self.proc.kill()
-                self.proc.join(timeout=kill_grace)
-        self.conn.close()
+        self.proc.join(timeout=self.backend.supervisor.shutdown_grace_s)
+        self.destroy()
 
-    def destroy(self, grace: float = 1.0, kill_grace: float = 1.0) -> None:
-        """Forcible teardown for a dead or hung worker (no shutdown
-        handshake — the command loop may never read it)."""
+    def destroy(self) -> None:
+        cfg = self.backend.supervisor
         try:
             self.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
         if self.proc.is_alive():
             self.proc.terminate()
-            self.proc.join(timeout=grace)
+            self.proc.join(timeout=cfg.shutdown_grace_s)
             if self.proc.is_alive():  # pragma: no cover - wedged worker
                 self.proc.kill()
-                self.proc.join(timeout=kill_grace)
-
-
-# ----------------------------------------------------------------------
-# session
-# ----------------------------------------------------------------------
-
-
-class ProcessSession(SpmdSession):
-    """Session whose ranks execute on the backend's worker pool.
-
-    The session goes *remote* lazily at the first superstep: if that
-    step's ``(fn, arg)`` cannot be pickled, the whole session falls
-    back to in-process serial execution (with a warning) — per-rank
-    state has not left the process yet, so the downgrade is safe.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        ledger: Optional[CommLedger],
-        tracer: Optional[TracerBase],
-        shared: Optional[Mapping[str, Any]],
-        backend: "ProcessBackend",
-        sid: int,
-    ) -> None:
-        super().__init__(size, ledger, tracer)
-        self._backend = backend
-        self._sid = sid
-        self._shared_input: Mapping[str, Any] = (
-            dict(shared) if shared else {}
-        )
-        self._trace = bool(getattr(self.tracer, "enabled", False))
-        self._mode = "pending"  # -> "remote" | "local" | "failed"
-        self._owners: List[Tuple[_WorkerHandle, List[int]]] = []
-        self._segments: List[SharedMemory] = []
-        self._plan: Optional[_SharedPlan] = None
-        self._local_states: List[Dict[str, Any]] = []
-        # (disarmed fn, arg, per-rank inbox copies) of every successful
-        # step — replayed into respawned workers to rebuild rank state
-        self._history: List[
-            Tuple[StepFn, Any, List[List[Message]]]
-        ] = []
-        self._inline: Dict[str, Any] = {}
-        self._specs: List[ArraySpec] = []
-
-    # -- local fallback ------------------------------------------------
-    def _run_local(
-        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
-    ) -> List[RankOutcome]:
-        return [
-            run_rank_step(
-                fn, arg, rank, self.size, self._shared_input,
-                self._local_states[rank], inboxes[rank], self._trace,
-            )
-            for rank in range(self.size)
-        ]
-
-    def _fall_back_local(self, fn: StepFn, reason: BaseException) -> None:
-        warnings.warn(
-            f"process backend: superstep {getattr(fn, '__qualname__', fn)!r} "
-            f"is not picklable ({reason}); the session falls back to "
-            "in-process serial execution. Use module-level superstep "
-            "functions to run on the worker pool.",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        self._mode = "local"
-        self._local_states = [{} for _ in range(self.size)]
-
-    # -- remote path ---------------------------------------------------
-    def _map_owners(self) -> None:
-        handles = self._backend._ensure_pool()
-        used = min(len(handles), self.size)
-        self._owners = [
-            (
-                handles[w],
-                [r for r in range(self.size) if r % used == w],
-            )
-            for w in range(used)
-        ]
-
-    def _open_remote(self) -> None:
-        self._map_owners()
-        inline, specs, plan, segments = (
-            self._backend._acquire_shared_plan(self._shared_input)
-        )
-        self._inline, self._specs = inline, specs
-        self._plan = plan
-        self._segments = segments
-        open_msg = ("open", self._sid, self.size, inline, specs,
-                    self._trace, plan is not None)
-        for worker, _ranks in self._owners:
-            worker.send(open_msg)
-        self._collect_acks("open")
-        self._mode = "remote"
-
-    def _collect_acks(self, what: str) -> None:
-        errors: List[str] = []
-        for worker, _ranks in self._owners:
-            tag, payload = worker.recv()
-            if tag != "ok":
-                errors.append(str(payload))
-        if errors:
-            raise BackendError(
-                f"{what} failed on {len(errors)} worker(s):\n"
-                + "\n".join(errors)
-            )
-
-    def _run_step(
-        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
-    ) -> List[RankOutcome]:
-        if self._mode == "failed":
-            raise BackendError(
-                "session lost its workers and cannot continue"
-            )
-        if self._mode == "local":
-            return self._run_local(fn, arg, inboxes)
-        try:
-            pickle.dumps((fn, arg), protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            if self._mode == "pending":
-                self._fall_back_local(fn, exc)
-                return self._run_local(fn, arg, inboxes)
-            raise BackendError(
-                "superstep function/argument is not picklable and the "
-                "session already has remote per-rank state; use "
-                "module-level superstep functions"
-            ) from exc
-        if self._mode == "pending":
-            self._open_remote()
-        cfg = self._backend.supervisor
-        attempt = 0
-        delay = cfg.backoff_base_s
-        while True:
-            try:
-                outcomes = self._dispatch(fn, arg, inboxes)
-            except _WorkerLoss as loss:
-                attempt += 1
-                if attempt > cfg.max_retries:
-                    if cfg.degrade:
-                        self._degrade(loss)
-                        return self._run_local(fn, arg, inboxes)
-                    self._abandon_remote(loss)
-                    raise BackendError(
-                        f"superstep lost "
-                        f"{len(loss.dead) + len(loss.hung)} worker(s) "
-                        f"({loss}) and the retry budget "
-                        f"({cfg.max_retries}) is exhausted"
-                    ) from None
-                with self.tracer.span("recovery"):
-                    self.tracer.count("step_retries", 1)
-                    self.tracer.count("worker_deaths", len(loss.dead))
-                    self.tracer.count(
-                        "deadline_timeouts", len(loss.hung)
-                    )
-                    self._recover(loss)
-                    time.sleep(delay)
-                delay *= cfg.backoff_factor
-                # injected one-shot faults (chaos harness) fire on the
-                # first attempt only — retries run the plain superstep
-                fn = _disarm_step(fn)
-                continue
-            self._history.append(
-                (
-                    _disarm_step(fn),
-                    arg,
-                    [list(box) for box in inboxes],
-                )
-            )
-            return outcomes
-
-    def _dispatch(
-        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
-    ) -> List[RankOutcome]:
-        """One dispatch attempt: send the step to every owner, collect
-        replies under the deadline, classify losses."""
-        cfg = self._backend.supervisor
-        dead: List[_WorkerHandle] = []
-        hung: List[_WorkerHandle] = []
-        pending: List[_WorkerHandle] = []
-        for worker, ranks in self._owners:
-            tasks = [(r, inboxes[r]) for r in ranks]
-            try:
-                worker.send(("step", self._sid, fn, arg, tasks))
-            except BackendError:
-                dead.append(worker)
-                continue
-            pending.append(worker)
-        deadline = (
-            time.monotonic() + cfg.step_deadline_s
-            if cfg.step_deadline_s is not None
-            else None
-        )
-        by_rank: Dict[int, RankOutcome] = {}
-        errors: List[str] = []
-        for worker in pending:
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-                if not worker.poll(remaining):
-                    hung.append(worker)
-                    continue
-            try:
-                tag, payload = worker.recv()
-            except BackendError:
-                dead.append(worker)
-                continue
-            if tag != "ok":
-                errors.append(str(payload))
-                continue
-            for rank, value, sends, records, span_dict in payload:
-                spans = (
-                    Span.from_dict(span_dict)
-                    if span_dict is not None
-                    else None
-                )
-                by_rank[rank] = RankOutcome(value, sends, records, spans)
-        if dead or hung:
-            raise _WorkerLoss(dead, hung)
-        if errors:
-            # the superstep itself raised — an application bug, not a
-            # worker loss; retrying would fail identically
-            raise BackendError(
-                f"superstep failed on {len(errors)} worker(s):\n"
-                + "\n".join(errors)
-            )
-        return [by_rank[rank] for rank in range(self.size)]
-
-    # -- recovery ------------------------------------------------------
-    def _reset_survivor(self, worker: _WorkerHandle) -> bool:
-        """Drop the session's state on a surviving worker so the replay
-        can rebuild it from scratch; False marks the worker lost too."""
-        cfg = self._backend.supervisor
-        try:
-            worker.send(("close", self._sid))
-        except BackendError:
-            return False
-        if not worker.poll(cfg.heartbeat_timeout_s):
-            return False
-        try:
-            tag, _payload = worker.recv()
-        except BackendError:
-            return False
-        return tag == "ok"
-
-    def _recover(self, loss: _WorkerLoss) -> None:
-        """Respawn lost workers and deterministically rebuild the whole
-        session (open + history replay) on the refreshed pool."""
-        lost: Set[_WorkerHandle] = set(loss.dead) | set(loss.hung)
-        for worker, _ranks in self._owners:
-            if worker not in lost and not self._reset_survivor(worker):
-                lost.add(worker)
-        for worker in lost:
-            self._backend._respawn(worker)
-        self.tracer.count("worker_respawns", len(lost))
-        self._map_owners()
-        open_msg = ("open", self._sid, self.size, self._inline,
-                    self._specs, self._trace, self._plan is not None)
-        for worker, _ranks in self._owners:
-            worker.send(open_msg)
-        self._collect_acks("recovery re-open")
-        for worker, ranks in self._owners:
-            entries = [
-                (
-                    hist_fn,
-                    hist_arg,
-                    [(r, list(hist_inboxes[r])) for r in ranks],
-                )
-                for hist_fn, hist_arg, hist_inboxes in self._history
-            ]
-            worker.send(("replay", self._sid, entries))
-        self._collect_acks("recovery replay")
-
-    def _rebuild_local_states(self) -> None:
-        """In-process replay of the step history (outcomes discarded —
-        their ledger/span contributions were merged when the steps
-        first succeeded)."""
-        self._local_states = [{} for _ in range(self.size)]
-        for hist_fn, hist_arg, hist_inboxes in self._history:
-            for rank in range(self.size):
-                run_rank_step(
-                    hist_fn, hist_arg, rank, self.size,
-                    self._shared_input, self._local_states[rank],
-                    list(hist_inboxes[rank]), False,
-                )
-
-    def _teardown_remote(self, loss: _WorkerLoss) -> None:
-        """Respawn the lost workers (the pool stays healthy for other
-        sessions), reset the survivors, release the shared segments."""
-        lost: Set[_WorkerHandle] = set(loss.dead) | set(loss.hung)
-        for worker in lost:
-            self._backend._respawn(worker)
-        for worker, _ranks in self._owners:
-            if worker not in lost:
-                self._reset_survivor(worker)
-        self._release_segments()
-        self._owners = []
-
-    def _degrade(self, loss: _WorkerLoss) -> None:
-        cfg = self._backend.supervisor
-        warnings.warn(
-            f"process backend: {len(loss.dead) + len(loss.hung)} "
-            f"worker(s) unrecoverable after {cfg.max_retries} "
-            "retr(y/ies); the session degrades to in-process serial "
-            "execution.",
-            RuntimeWarning,
-            stacklevel=6,
-        )
-        with self.tracer.span("recovery"):
-            self.tracer.count("worker_deaths", len(loss.dead))
-            self.tracer.count("deadline_timeouts", len(loss.hung))
-            self.tracer.count("worker_respawns",
-                              len(loss.dead) + len(loss.hung))
-            self.tracer.count("ranks_degraded", self.size)
-            self._teardown_remote(loss)
-            self._mode = "local"
-            self._rebuild_local_states()
-
-    def _abandon_remote(self, loss: _WorkerLoss) -> None:
-        with self.tracer.span("recovery"):
-            self.tracer.count("worker_deaths", len(loss.dead))
-            self.tracer.count("deadline_timeouts", len(loss.hung))
-            self.tracer.count("worker_respawns",
-                              len(loss.dead) + len(loss.hung))
-            self._teardown_remote(loss)
-            self._mode = "failed"
-
-    # -- rollback hooks (chaos harness) --------------------------------
-    def _state_snapshot(self) -> Any:
-        if self._mode == "local":
-            return ("local", copy.deepcopy(self._local_states))
-        return (self._mode, None)
-
-    def _state_restore(self, snapshot: Any) -> None:
-        kind, payload = snapshot
-        if self._mode == "local":
-            if kind == "local":
-                self._local_states = payload
-            else:
-                # the session went local mid-attempt (degrade or pickle
-                # fallback); rebuild rank state from the step history
-                self._rebuild_local_states()
-            return
-        if self._mode == "failed":
-            raise BackendError(
-                "session lost its workers and cannot roll back"
-            )
-        # pending/remote: a failed attempt never commits worker state
-        # (recovery replays the successful history), nothing to restore
-
-    # ------------------------------------------------------------------
-    def _release_segments(self) -> None:
-        if self._plan is not None:
-            # plan-backed segments stay alive (and keep their names)
-            # for the next session with the same layout
-            self._backend._release_shared_plan(self._plan)
-            self._plan = None
-        for seg in self._segments:
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._segments = []
-
-    def _close(self) -> None:
-        try:
-            if self._mode == "remote":
-                alive = []
-                for worker, _ranks in self._owners:
-                    try:
-                        worker.send(("close", self._sid))
-                        alive.append(worker)
-                    except BackendError:
-                        pass
-                for worker in alive:
-                    try:
-                        worker.recv()
-                    except BackendError:
-                        pass
-        finally:
-            self._release_segments()
-            self._local_states = []
-            self._owners = []
-            self._history = []
+                self.proc.join(timeout=cfg.kill_grace_s)
 
 
 # ----------------------------------------------------------------------
@@ -983,11 +293,13 @@ class ProcessSession(SpmdSession):
 # ----------------------------------------------------------------------
 
 
-class ProcessBackend(Backend):
+class ProcessBackend(SupervisedBackend):
     """Persistent ``multiprocessing`` worker pool backend (supervised:
     see :class:`SupervisorConfig`)."""
 
     name = "process"
+    peer_noun = "worker"
+    pool_noun = "worker pool"
 
     def __init__(
         self,
@@ -995,15 +307,7 @@ class ProcessBackend(Backend):
         start_method: Optional[str] = None,
         supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.supervisor = (
-            supervisor if supervisor is not None
-            else SupervisorConfig.from_env()
-        )
+        super().__init__(workers, supervisor)
         if start_method is None:
             # fork (where available) keeps pool startup in the low
             # milliseconds, which is what lets per-step sessions win
@@ -1014,18 +318,15 @@ class ProcessBackend(Backend):
                 start_method = None
         self._ctx = get_context(start_method)
         self._pool: Optional[List[_WorkerHandle]] = None
-        self._sids = itertools.count()
         self._atexit_registered = False
         self._shared_plan: Optional[_SharedPlan] = None
         #: shared-memory segments created / reused across sessions
         #: (plan reuse — ROADMAP item 1 transfer-cost attack)
         self.shm_creates = 0
         self.shm_reuses = 0
-        #: parent-side ``repro.wire/1`` pipe traffic
-        self.bytes_sent = 0
-        self.bytes_recv = 0
 
-    def _ensure_pool(self) -> List[_WorkerHandle]:
+    # -- the pool ------------------------------------------------------
+    def members(self) -> List[Peer]:
         if self._pool is None:
             self._pool = [
                 _WorkerHandle(self._ctx, i, self)
@@ -1034,40 +335,33 @@ class ProcessBackend(Backend):
             if not self._atexit_registered:
                 atexit.register(self.close)
                 self._atexit_registered = True
-        return self._pool
+        return list(self._pool)
 
-    def _respawn(self, handle: _WorkerHandle) -> _WorkerHandle:
-        """Replace a dead/hung worker with a fresh one at the same pool
-        slot (the old process is terminated, escalating to kill)."""
-        cfg = self.supervisor
-        handle.destroy(cfg.shutdown_grace_s, cfg.kill_grace_s)
-        fresh = _WorkerHandle(self._ctx, handle.index, self)
-        pool = self._ensure_pool()
-        for slot, existing in enumerate(pool):
-            if existing is handle:
-                pool[slot] = fresh
-                break
-        else:  # pragma: no cover - handle already rotated out
-            pool[handle.index % len(pool)] = fresh
-        return fresh
+    def replace(self, lost: Set[Peer]) -> int:
+        """Fork a fresh worker into the slot of every lost one (the old
+        process is terminated, escalating to kill).  Handles another
+        session already rotated out of the pool need nothing."""
+        replaced = 0
+        pool = self._pool or []
+        for slot, worker in enumerate(pool):
+            if worker in lost:
+                worker.destroy()
+                pool[slot] = _WorkerHandle(self._ctx, worker.index, self)
+                replaced += 1
+        self.reconnects += replaced
+        return replaced
 
     # -- shared-memory plan cache --------------------------------------
-    def _acquire_shared_plan(
+    def pack_shared(
         self, shared: Mapping[str, Any]
-    ) -> Tuple[
-        Dict[str, Any],
-        List[ArraySpec],
-        Optional["_SharedPlan"],
-        List[SharedMemory],
-    ]:
-        """Shared-memory distribution for one session, reusing the
-        cached plan when the array layout is unchanged.
-
-        Returns ``(inline, specs, plan, owned_segments)``: exactly one
-        of ``plan`` (backend-cached, stable segment names) and
-        ``owned_segments`` (session-owned legacy path, unlinked at
-        session close) carries the arrays.
-        """
+    ) -> Tuple[Any, Callable[[], None]]:
+        """``open`` payload ``(inline values, array specs, cached)``:
+        the arrays travel as shared-memory segment names, attached
+        worker-side by :func:`_worker_main`'s ``attach`` hook.  The
+        cached plan is reused when the array layout is unchanged;
+        otherwise the segments are either cached as the new plan
+        (stable names for the next session) or owned by this session
+        and unlinked at its release."""
         inline, arrays, layout = _shared_layout(shared)
         plan = self._shared_plan
         if (
@@ -1079,9 +373,10 @@ class ProcessBackend(Backend):
                 view[...] = value
             plan.in_use = True
             self.shm_reuses += len(plan.segments)
-            return inline, list(plan.specs), plan, []
-        if not arrays:
-            return inline, [], None, []
+            return (
+                (inline, list(plan.specs), True),
+                partial(self._release_shared_plan, plan),
+            )
         specs: List[ArraySpec] = []
         segments: List[SharedMemory] = []
         views: List[np.ndarray] = []
@@ -1089,15 +384,10 @@ class ProcessBackend(Backend):
             try:
                 seg = SharedMemory(create=True, size=value.nbytes)
             except OSError:
-                # platform refuses shared memory: retire the partial
-                # plan and degrade to the uncached path, which inlines
-                # whatever cannot get a segment
-                for built in segments:
-                    built.close()
-                    built.unlink()
-                legacy = _pack_shared(shared)
-                self.shm_creates += len(legacy[2])
-                return legacy[0], legacy[1], None, legacy[2]
+                # the platform refuses shared memory: this array rides
+                # along pickled, and the partial layout is not cached
+                inline[key] = value
+                continue
             view: np.ndarray = np.ndarray(
                 value.shape, dtype=value.dtype, buffer=seg.buf
             )
@@ -1106,18 +396,25 @@ class ProcessBackend(Backend):
             segments.append(seg)
             views.append(view)
         self.shm_creates += len(segments)
-        if plan is not None and plan.in_use:
-            # another live session holds the cached plan: hand these
-            # segments to the session to own (no caching)
-            return inline, specs, None, segments
+        fresh = _SharedPlan(layout, specs, segments, views)
+        if (
+            not segments
+            or len(segments) < len(arrays)
+            or (plan is not None and plan.in_use)
+        ):
+            # nothing worth caching, or another live session holds the
+            # cached plan: this session owns the segments
+            return (inline, specs, False), fresh.unlink
         if plan is not None:
             plan.unlink()  # layout changed: retire the stale plan
-        fresh = _SharedPlan(layout, specs, segments, views)
         fresh.in_use = True
         self._shared_plan = fresh
-        return inline, list(specs), fresh, []
+        return (
+            (inline, list(specs), True),
+            partial(self._release_shared_plan, fresh),
+        )
 
-    def _release_shared_plan(self, plan: "_SharedPlan") -> None:
+    def _release_shared_plan(self, plan: _SharedPlan) -> None:
         """A session finished with ``plan``: keep it cached for the
         next matching session (unlink only if it was displaced)."""
         if plan is self._shared_plan:
@@ -1125,37 +422,13 @@ class ProcessBackend(Backend):
         else:  # pragma: no cover - displaced while in use
             plan.unlink()
 
-    def health_check(
-        self, timeout: Optional[float] = None
-    ) -> Dict[str, bool]:
-        """Heartbeat every pooled worker (request/reply ping; only
-        valid between supersteps).  Returns ``{worker name: alive}``."""
-        if timeout is None:
-            timeout = self.supervisor.heartbeat_timeout_s
-        return {
-            worker.proc.name: worker.ping(timeout)
-            for worker in self._ensure_pool()
-        }
-
-    def open_session(
-        self,
-        size: int,
-        ledger: Optional[CommLedger] = None,
-        tracer: Optional[TracerBase] = None,
-        shared: Optional[Mapping[str, Any]] = None,
-    ) -> SpmdSession:
-        return ProcessSession(
-            size, ledger, tracer, shared, self, next(self._sids)
-        )
-
     def close(self) -> None:
         if self._shared_plan is not None:
             self._shared_plan.unlink()
             self._shared_plan = None
         if self._pool is not None:
-            cfg = self.supervisor
             for worker in self._pool:
-                worker.stop(cfg.shutdown_grace_s, cfg.kill_grace_s)
+                worker.stop()
             self._pool = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -1165,3 +438,4 @@ class ProcessBackend(Backend):
 def process_from_spec(spec: BackendSpec) -> ProcessBackend:
     """Registry factory for ``process``."""
     return ProcessBackend(workers=spec.workers)
+

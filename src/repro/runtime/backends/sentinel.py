@@ -12,7 +12,7 @@ attribute path, instead of letting the race silently corrupt a later
 step.
 
 The sentinel is opt-in (``REPRO_BACKEND=sentinel`` or
-``make_backend("sentinel")``) and meant for tests/CI: fingerprinting
+``build_backend("sentinel")``) and meant for tests/CI: fingerprinting
 hashes array bytes, so it is far too slow for production runs.  With
 ``enabled=False`` the backend degrades to a plain
 :class:`~repro.runtime.backends.thread.ThreadBackend` session with

@@ -1,0 +1,940 @@
+"""Supervised SPMD sessions over a pool of remote peers.
+
+The ``process`` and ``tcp`` backends run a session's ranks on *peers* —
+pooled worker processes behind pipes, or agents behind sockets — that
+all speak the same ``repro.wire/1`` commands (``open`` / ``step`` /
+``replay`` / ``close`` / ``ping`` / ``shutdown``).  Everything that
+does not depend on the transport lives here, once:
+
+* :class:`SupervisedSession` — the coordinator-side state machine
+  (``pending`` → ``remote`` | ``local`` | ``failed``): lazy open,
+  deadline dispatch with dead/hung classification, replacement of lost
+  peers + deterministic history replay, retry with backoff, degradation
+  to in-process serial execution, mid-run adoption of new peers, and
+  the rollback hooks of the chaos harness;
+* :func:`serve_commands` — the peer-side command loop;
+* :class:`SupervisorConfig` — the supervision policy.
+
+A transport supplies a :class:`Peer` (how one message is written and
+read) and a :class:`SupervisedBackend` (the pool: ``members`` /
+``replace`` / ``joined`` / ``pack_shared``).  See
+``docs/FAULT_TOLERANCE.md`` ("Supervised sessions").
+
+Determinism: peers never talk to each other — all routing and ledger
+replay happens in the coordinator in rank order
+(:meth:`repro.runtime.backends.base.SpmdSession._merge`), so results
+are bit-identical to :class:`~repro.runtime.backends.serial.SerialBackend`.
+"""
+
+from __future__ import annotations
+
+import copy
+import itertools
+import os
+import pickle
+import time
+import traceback
+import warnings
+from dataclasses import dataclass
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
+
+from repro.obs.tracer import Span, TracerBase
+from repro.runtime.backends.base import (
+    MAX_RETRIES_ENV,
+    STEP_DEADLINE_ENV,
+    Backend,
+    BackendError,
+    Message,
+    RankOutcome,
+    SpmdSession,
+    StepFn,
+    default_workers,
+    run_rank_step,
+)
+from repro.runtime.backends.wire import WireError
+from repro.runtime.ledger import CommLedger
+
+# ----------------------------------------------------------------------
+# supervision policy
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SupervisorConfig:
+    """Supervision policy for a pool of remote peers.
+
+    ``step_deadline_s``
+        Wall-clock budget for one superstep dispatch; a peer that has
+        not replied when it expires is treated as hung and replaced.
+        ``None`` (the default) waits forever.
+    ``heartbeat_timeout_s``
+        How long health checks, survivor resets and the close handshake
+        wait for a reply before declaring a peer unresponsive.
+    ``max_retries``
+        How many times a failed superstep is retried (with the lost
+        peers replaced and the session history replayed) before the
+        session gives up.
+    ``backoff_base_s`` / ``backoff_factor``
+        Exponential backoff between retries: the first retry sleeps
+        ``backoff_base_s``, each further retry multiplies the delay.
+    ``shutdown_grace_s`` / ``kill_grace_s``
+        Shutdown escalation budget: graceful join, then ``terminate``
+        with another ``shutdown_grace_s`` join, then ``kill``.
+    ``degrade``
+        After the retry budget is exhausted: ``True`` degrades the
+        session to in-process serial execution (``RuntimeWarning``,
+        ledger accounting preserved); ``False`` raises
+        :class:`BackendError`.
+    """
+
+    step_deadline_s: Optional[float] = None
+    heartbeat_timeout_s: float = 2.0
+    max_retries: int = 2
+    backoff_base_s: float = 0.05
+    backoff_factor: float = 2.0
+    shutdown_grace_s: float = 5.0
+    kill_grace_s: float = 1.0
+    degrade: bool = True
+
+    def __post_init__(self) -> None:
+        if self.step_deadline_s is not None and self.step_deadline_s <= 0:
+            raise ValueError("step_deadline_s must be positive or None")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
+            raise ValueError("invalid backoff configuration")
+
+    @classmethod
+    def from_env(cls) -> "SupervisorConfig":
+        """Policy from ``$REPRO_STEP_DEADLINE`` / ``$REPRO_MAX_RETRIES``
+        (unset variables keep the defaults)."""
+        kwargs: Dict[str, Any] = {}
+        deadline = os.environ.get(STEP_DEADLINE_ENV)
+        if deadline:
+            try:
+                value = float(deadline)
+            except ValueError:
+                raise ValueError(
+                    f"invalid ${STEP_DEADLINE_ENV}={deadline!r}; "
+                    "expected seconds as a float"
+                ) from None
+            kwargs["step_deadline_s"] = value if value > 0 else None
+        retries = os.environ.get(MAX_RETRIES_ENV)
+        if retries:
+            try:
+                kwargs["max_retries"] = max(0, int(retries))
+            except ValueError:
+                raise ValueError(
+                    f"invalid ${MAX_RETRIES_ENV}={retries!r}; "
+                    "expected an integer"
+                ) from None
+        return cls(**kwargs)
+
+
+def _disarm_step(fn: StepFn) -> StepFn:
+    """Strip a one-shot fault wrapper (the chaos harness's
+    ``ChaosStep``) so retries and history replays run the plain
+    superstep — injected faults fire on the first attempt only."""
+    disarm = getattr(fn, "disarm", None)
+    if callable(disarm):
+        return disarm()  # type: ignore[no-any-return]
+    return fn
+
+
+# ----------------------------------------------------------------------
+# peers and pools: what a transport supplies
+# ----------------------------------------------------------------------
+
+
+class PeerTimeout(Exception):
+    """A peer did not reply within the deadline."""
+
+
+class PeerLoss(Exception):
+    """One exchange lost peers (died, or blew the deadline)."""
+
+    def __init__(self, dead: List["Peer"], hung: List["Peer"]) -> None:
+        self.dead = dead
+        self.hung = hung
+        lost = dead + hung
+        super().__init__(
+            f"lost {lost[0].noun}(s): "
+            + ", ".join(peer.name for peer in lost)
+        )
+
+    @property
+    def peers(self) -> Set["Peer"]:
+        return set(self.dead) | set(self.hung)
+
+
+class _StepUndecodable(Exception):
+    """Internal: peers could not decode the superstep message (the
+    function's module is not importable on the peer side)."""
+
+
+class Peer:
+    """Coordinator-side handle to one remote peer.
+
+    A transport implements :meth:`_write` and :meth:`_read` (one
+    ``repro.wire/1`` message each way); the handle turns transport
+    failures into :class:`BackendError`, validates the reply shape and
+    accounts the traffic on its backend.
+    """
+
+    def __init__(self, name: str, backend: "SupervisedBackend") -> None:
+        self.name = name
+        self.backend = backend
+
+    @property
+    def noun(self) -> str:
+        """What the backend calls its peers in messages."""
+        return self.backend.peer_noun
+
+    def _write(self, msg: Any) -> int:
+        """Write one message; returns bytes written (raises
+        ``OSError`` on a broken peer)."""
+        raise NotImplementedError
+
+    def _read(self, timeout: Optional[float]) -> Tuple[Any, int]:
+        """Read one message within ``timeout`` seconds (``None`` waits
+        forever); returns ``(object, bytes_read)``.  Raises
+        :class:`PeerTimeout` on deadline and ``EOFError`` / ``OSError``
+        / ``WireError`` on a broken peer."""
+        raise NotImplementedError
+
+    def _status(self) -> str:
+        """Extra detail for "peer is gone" messages."""
+        return ""
+
+    def stop(self) -> None:
+        """Graceful shutdown: tell the peer to exit, close the
+        channel."""
+        raise NotImplementedError
+
+    def destroy(self) -> None:
+        """Forcible teardown of a dead or hung peer (no shutdown
+        handshake — its command loop may never read it)."""
+        raise NotImplementedError
+
+    def send(self, msg: Any) -> int:
+        try:
+            nbytes = self._write(msg)
+        except OSError as exc:
+            raise BackendError(
+                f"{self.noun} {self.name} is gone{self._status()}"
+            ) from exc
+        self.backend.bytes_sent += nbytes
+        return nbytes
+
+    def recv(self, timeout: Optional[float] = None) -> Tuple[str, Any]:
+        """One ``(tag, payload)`` reply (raises :class:`PeerTimeout`
+        on deadline, :class:`BackendError` on a dead peer)."""
+        try:
+            reply, nbytes = self._read(timeout)
+        except (EOFError, OSError, WireError) as exc:
+            raise BackendError(
+                f"{self.noun} {self.name} died{self._status()}"
+            ) from exc
+        self.backend.bytes_recv += nbytes
+        if (
+            not isinstance(reply, tuple)
+            or len(reply) != 2
+            or not isinstance(reply[0], str)
+        ):
+            raise BackendError(f"malformed {self.noun} reply: {reply!r}")
+        return reply[0], reply[1]
+
+    def ping(self, timeout: float) -> bool:
+        """Request/reply heartbeat (only valid between supersteps)."""
+        try:
+            self.send(("ping",))
+            tag, payload = self.recv(timeout)
+        except (BackendError, PeerTimeout):
+            return False
+        return tag == "ok" and payload == "pong"
+
+
+def _nothing_to_release() -> None:
+    pass
+
+
+class SupervisedBackend(Backend):
+    """A backend whose sessions run on a pool of remote peers.
+
+    Subclasses are the *transport*: they create the peers and answer
+    the four questions a :class:`SupervisedSession` asks of its pool.
+    """
+
+    #: how messages name one peer and the pool
+    peer_noun = "peer"
+    pool_noun = "peer pool"
+
+    def __init__(
+        self,
+        workers: Optional[int],
+        supervisor: Optional[SupervisorConfig],
+    ) -> None:
+        if workers is None:
+            workers = default_workers()
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+        self.supervisor = (
+            supervisor if supervisor is not None
+            else SupervisorConfig.from_env()
+        )
+        #: coordinator-side ``repro.wire/1`` traffic and pool churn
+        self.bytes_sent = 0
+        self.bytes_recv = 0
+        self.reconnects = 0
+        self._sids = itertools.count()
+
+    # -- the pool interface --------------------------------------------
+    def members(self) -> List[Peer]:
+        """The live pool in slot order, brought up first if need be
+        (raises :class:`BackendError` when there is nobody)."""
+        raise NotImplementedError
+
+    def replace(self, lost: Set[Peer]) -> int:
+        """Tear down ``lost`` peers and refill their slots; returns how
+        many replacements joined the pool."""
+        raise NotImplementedError
+
+    def joined(self) -> List[Peer]:
+        """Peers that joined the pool since the last call (a pool of
+        fixed membership never has any)."""
+        return []
+
+    def pack_shared(
+        self, shared: Mapping[str, Any]
+    ) -> Tuple[Any, Callable[[], None]]:
+        """Prepare a session's ``shared`` mapping for shipping: returns
+        the ``open`` payload (decoded peer-side by the ``attach`` hook
+        of :func:`serve_commands`) and a release callback the session
+        calls when it leaves the pool."""
+        return dict(shared), _nothing_to_release
+
+    # ------------------------------------------------------------------
+    def _connected(self) -> List[Peer]:
+        """The peers :meth:`health_check` pings."""
+        return self.members()
+
+    def health_check(
+        self, timeout: Optional[float] = None
+    ) -> Dict[str, bool]:
+        """Heartbeat every connected peer (request/reply ping; only
+        valid between supersteps).  Returns ``{peer name: alive}``."""
+        if timeout is None:
+            timeout = self.supervisor.heartbeat_timeout_s
+        return {
+            peer.name: peer.ping(timeout) for peer in self._connected()
+        }
+
+    def open_session(
+        self,
+        size: int,
+        ledger: Optional[CommLedger] = None,
+        tracer: Optional[TracerBase] = None,
+        shared: Optional[Mapping[str, Any]] = None,
+    ) -> SpmdSession:
+        return SupervisedSession(
+            size, ledger, tracer, shared, self, next(self._sids)
+        )
+
+
+# ----------------------------------------------------------------------
+# session (coordinator side)
+# ----------------------------------------------------------------------
+
+
+class SupervisedSession(SpmdSession):
+    """Session whose ranks execute on the backend's peer pool.
+
+    The session goes *remote* lazily at the first superstep: if that
+    step's ``(fn, arg)`` cannot be pickled (or the peers cannot decode
+    it), the whole session falls back to in-process serial execution
+    with a warning — per-rank state has not left the process yet, so
+    the downgrade is safe.  Every later exchange with the pool — open,
+    step, replay — classifies unresponsive peers as dead or hung and
+    feeds one retry loop: replace the lost peers, rebuild the session
+    by deterministic history replay, retry; degrade to local execution
+    (or fail) when the retry budget runs out.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        ledger: Optional[CommLedger],
+        tracer: Optional[TracerBase],
+        shared: Optional[Mapping[str, Any]],
+        pool: SupervisedBackend,
+        sid: int,
+    ) -> None:
+        super().__init__(size, ledger, tracer)
+        self._pool = pool
+        self._sid = sid
+        self._shared_input: Mapping[str, Any] = (
+            dict(shared) if shared else {}
+        )
+        self._trace = bool(getattr(self.tracer, "enabled", False))
+        self._mode = "pending"  # -> "remote" | "local" | "failed"
+        self._owners: List[Tuple[Peer, List[int]]] = []
+        self._rank_owner: Dict[int, str] = {}
+        # what ``open`` ships for ``shared`` and how to give it back
+        # (set by the first open, cleared when the session leaves)
+        self._open_payload: Any = None
+        self._release_shared: Optional[Callable[[], None]] = None
+        self._local_states: List[Dict[str, Any]] = []
+        # (disarmed fn, arg, per-rank inbox copies) of every successful
+        # step — replayed into fresh peers to rebuild rank state
+        self._history: List[
+            Tuple[StepFn, Any, List[List[Message]]]
+        ] = []
+
+    # -- local execution -----------------------------------------------
+    def _run_local(
+        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
+    ) -> List[RankOutcome]:
+        return [
+            run_rank_step(
+                fn, arg, rank, self.size, self._shared_input,
+                self._local_states[rank], inboxes[rank], self._trace,
+            )
+            for rank in range(self.size)
+        ]
+
+    def _fall_back_local(self, fn: StepFn, reason: object) -> None:
+        pool = self._pool
+        warnings.warn(
+            f"{pool.name} backend: superstep "
+            f"{getattr(fn, '__qualname__', fn)!r} "
+            f"is not picklable ({reason}); the session falls back to "
+            "in-process serial execution. Use module-level superstep "
+            f"functions to run on the {pool.pool_noun}.",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        self._mode = "local"
+        self._local_states = [{} for _ in range(self.size)]
+
+    def _rebuild_local_states(self) -> None:
+        """In-process replay of the step history (outcomes discarded —
+        their ledger/span contributions were merged when the steps
+        first succeeded)."""
+        self._local_states = [{} for _ in range(self.size)]
+        for hist_fn, hist_arg, hist_inboxes in self._history:
+            for rank in range(self.size):
+                run_rank_step(
+                    hist_fn, hist_arg, rank, self.size,
+                    self._shared_input, self._local_states[rank],
+                    list(hist_inboxes[rank]), False,
+                )
+
+    # -- talking to the pool -------------------------------------------
+    def _exchange(
+        self,
+        what: str,
+        message_for: Callable[[List[int]], Any],
+        timeout: Optional[float],
+        skip: AbstractSet[Peer] = frozenset(),
+    ) -> Tuple[List[Any], int]:
+        """Send ``message_for(ranks)`` to every owner outside ``skip``,
+        then read every reply under one shared deadline.  Every owner
+        is drained before anything is raised, so a survivor never keeps
+        a stale reply in its channel.  Unresponsive owners raise
+        :class:`PeerLoss` (dead or hung), an error reply
+        :class:`BackendError`; otherwise returns the reply payloads in
+        owner order and the bytes sent."""
+        dead: List[Peer] = []
+        hung: List[Peer] = []
+        waiting: List[Peer] = []
+        sent = 0
+        for peer, ranks in self._owners:
+            if peer in skip:
+                continue
+            try:
+                sent += peer.send(message_for(ranks))
+            except BackendError:
+                dead.append(peer)
+                continue
+            waiting.append(peer)
+        deadline = (
+            None if timeout is None else time.monotonic() + timeout
+        )
+        replies: List[Tuple[str, Any]] = []
+        for peer in waiting:
+            remaining = (
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                replies.append(peer.recv(remaining))
+            except PeerTimeout:
+                hung.append(peer)
+            except BackendError:
+                dead.append(peer)
+        if dead or hung:
+            raise PeerLoss(dead, hung)
+        errors = [str(p) for tag, p in replies if tag == "err"]
+        if errors:
+            # the command itself raised — an application bug, not a
+            # peer loss; retrying would fail identically
+            raise BackendError(
+                f"{what} failed on {len(errors)} "
+                f"{self._pool.peer_noun}(s):\n" + "\n".join(errors)
+            )
+        for tag, payload in replies:
+            if tag != "ok":  # "err-decode"
+                raise _StepUndecodable(str(payload))
+        return [payload for _tag, payload in replies], sent
+
+    def _drop_remote_state(self, skip: AbstractSet[Peer]) -> Set[Peer]:
+        """Close the session on every owner outside ``skip``, bounded
+        by the heartbeat timeout; returns the owners that did not
+        acknowledge (lost as well, as far as a rebuild goes)."""
+        try:
+            self._exchange(
+                "close",
+                lambda ranks: ("close", self._sid),
+                self._pool.supervisor.heartbeat_timeout_s,
+                skip,
+            )
+        except PeerLoss as loss:
+            return loss.peers
+        except BackendError:
+            pass  # an owner that answers with an error is still in step
+        return set()
+
+    def _map_owners(self) -> int:
+        """Spread the ranks round-robin over the pool's members;
+        returns how many ranks changed owner."""
+        peers = self._pool.members()
+        used = min(len(peers), self.size)
+        self._owners = [
+            (
+                peers[w],
+                [r for r in range(self.size) if r % used == w],
+            )
+            for w in range(used)
+        ]
+        previous = self._rank_owner
+        self._rank_owner = {
+            rank: peer.name
+            for peer, ranks in self._owners
+            for rank in ranks
+        }
+        return sum(
+            1
+            for rank, owner in previous.items()
+            if self._rank_owner.get(rank) != owner
+        )
+
+    def _establish(self, lost: Set[Peer]) -> int:
+        """(Re)build the session on the pool — the one path behind the
+        first open, recovery and adoption: quiesce the surviving
+        owners, replace ``lost`` peers, re-map the ranks, open, and
+        replay the history so every owner's per-rank state is
+        indistinguishable from having been there all along.  A peer
+        lost on the way raises :class:`PeerLoss`.  Returns the number
+        of ranks that changed owner."""
+        lost = lost | self._drop_remote_state(lost)
+        if lost:
+            self.tracer.count("worker_respawns", len(lost))
+            self.tracer.count("reconnects", self._pool.replace(lost))
+        migrated = self._map_owners()
+        self._exchange(
+            "open",
+            lambda ranks: (
+                "open", self._sid, self.size, self._open_payload,
+                self._trace,
+            ),
+            None,
+        )
+        if self._history:
+            self._exchange(
+                "replay",
+                lambda ranks: (
+                    "replay",
+                    self._sid,
+                    [
+                        (
+                            hist_fn,
+                            hist_arg,
+                            [(r, list(hist_inboxes[r])) for r in ranks],
+                        )
+                        for hist_fn, hist_arg, hist_inboxes
+                        in self._history
+                    ],
+                ),
+                None,
+            )
+        self._mode = "remote"
+        return migrated
+
+    def _join_pool(self) -> None:
+        """Before a step's first attempt: open the session on the pool
+        (first step), or adopt peers that joined since the last step."""
+        if self._mode == "pending":
+            if self._release_shared is None:
+                self._open_payload, self._release_shared = (
+                    self._pool.pack_shared(self._shared_input)
+                )
+            self._establish(set())
+            return
+        fresh = self._pool.joined()
+        if fresh:
+            migrated = self._establish(set())
+            with self.tracer.span("distributed"):
+                self.tracer.count("agents_joined", len(fresh))
+                self.tracer.count("ranks_migrated", migrated)
+
+    def _leave_pool(self) -> None:
+        self._owners = []
+        self._rank_owner = {}
+        self._open_payload = None
+        if self._release_shared is not None:
+            self._release_shared()
+            self._release_shared = None
+
+    # -- supersteps ----------------------------------------------------
+    def _run_step(
+        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
+    ) -> List[RankOutcome]:
+        noun = self._pool.peer_noun
+        if self._mode == "failed":
+            raise BackendError(
+                f"session lost its {noun}s and cannot continue"
+            )
+        if self._mode == "local":
+            return self._run_local(fn, arg, inboxes)
+        try:
+            pickle.dumps((fn, arg), protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            if self._mode == "pending":
+                self._fall_back_local(fn, exc)
+                return self._run_local(fn, arg, inboxes)
+            raise BackendError(
+                "superstep function/argument is not picklable and the "
+                "session already has remote per-rank state; use "
+                "module-level superstep functions"
+            ) from exc
+        cfg = self._pool.supervisor
+        loss: Optional[PeerLoss] = None
+        attempt = 0
+        delay = cfg.backoff_base_s
+        while True:
+            try:
+                if loss is None:
+                    self._join_pool()
+                else:
+                    try:
+                        with self.tracer.span("recovery"):
+                            self.tracer.count("step_retries", 1)
+                            self._count_loss(loss)
+                            migrated = self._establish(loss.peers)
+                            self.tracer.count("ranks_migrated", migrated)
+                            time.sleep(delay)
+                    except BackendError as exc:
+                        # the pool could not be rebuilt (e.g. every
+                        # agent is gone and nobody reconnected)
+                        return self._surrender(
+                            loss, fn, arg, inboxes, exc
+                        )
+                    delay *= cfg.backoff_factor
+                    # injected one-shot faults (chaos harness) fire on
+                    # the first attempt only — retries run the plain
+                    # superstep
+                    fn = _disarm_step(fn)
+                outcomes = self._dispatch(fn, arg, inboxes)
+            except _StepUndecodable as exc:
+                if self._history:
+                    raise BackendError(
+                        f"{noun}s cannot decode the superstep (its "
+                        f"module is not importable on the {noun} hosts) "
+                        "and the session already has remote per-rank "
+                        f"state:\n{exc}"
+                    ) from None
+                # nothing committed remotely yet: run in-process
+                self._drop_remote_state(set())
+                self._leave_pool()
+                self._fall_back_local(
+                    fn, f"its module is not importable on the {noun} hosts"
+                )
+                return self._run_local(fn, arg, inboxes)
+            except PeerLoss as exc:
+                loss = exc
+                attempt += 1
+                if attempt <= cfg.max_retries:
+                    continue
+                return self._surrender(
+                    loss, fn, arg, inboxes,
+                    BackendError(
+                        f"superstep lost {len(loss.peers)} {noun}(s) "
+                        f"({loss}) and the retry budget "
+                        f"({cfg.max_retries}) is exhausted"
+                    ),
+                )
+            self._history.append(
+                (
+                    _disarm_step(fn),
+                    arg,
+                    [list(box) for box in inboxes],
+                )
+            )
+            return outcomes
+
+    def _dispatch(
+        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
+    ) -> List[RankOutcome]:
+        """One dispatch attempt: ship the step to every owner, collect
+        the replies under the step deadline, account the traffic."""
+        received_before = self._pool.bytes_recv
+        payloads, sent = self._exchange(
+            "superstep",
+            lambda ranks: (
+                "step", self._sid, fn, arg,
+                [(r, inboxes[r]) for r in ranks],
+            ),
+            self._pool.supervisor.step_deadline_s,
+        )
+        by_rank: Dict[int, RankOutcome] = {}
+        for payload in payloads:
+            for rank, value, sends, records, span_dict in payload:
+                spans = (
+                    Span.from_dict(span_dict)
+                    if span_dict is not None
+                    else None
+                )
+                by_rank[rank] = RankOutcome(value, sends, records, spans)
+        with self.tracer.span("distributed"):
+            self.tracer.count("bytes_sent", sent)
+            self.tracer.count(
+                "bytes_recv", self._pool.bytes_recv - received_before
+            )
+        return [by_rank[rank] for rank in range(self.size)]
+
+    # -- giving up -----------------------------------------------------
+    def _count_loss(self, loss: PeerLoss) -> None:
+        self.tracer.count("worker_deaths", len(loss.dead))
+        self.tracer.count("deadline_timeouts", len(loss.hung))
+
+    def _surrender(
+        self,
+        loss: PeerLoss,
+        fn: StepFn,
+        arg: Any,
+        inboxes: List[List[Message]],
+        error: BackendError,
+    ) -> List[RankOutcome]:
+        """The retry budget is exhausted (or the pool is beyond
+        rebuilding): leave the pool healthy for other sessions, then
+        finish the step in-process (``degrade``) or fail the session
+        with ``error``."""
+        pool = self._pool
+        cfg = pool.supervisor
+        if cfg.degrade:
+            warnings.warn(
+                f"{pool.name} backend: {len(loss.peers)} "
+                f"{pool.peer_noun}(s) unrecoverable after "
+                f"{cfg.max_retries} retr(y/ies); the session degrades "
+                "to in-process serial execution.",
+                RuntimeWarning,
+                stacklevel=6,
+            )
+        with self.tracer.span("recovery"):
+            self._count_loss(loss)
+            lost = loss.peers
+            self.tracer.count("worker_respawns", len(lost))
+            self.tracer.count("reconnects", pool.replace(lost))
+            self._drop_remote_state(lost)
+            self._leave_pool()
+            if cfg.degrade:
+                self.tracer.count("ranks_degraded", self.size)
+                self._mode = "local"
+                self._rebuild_local_states()
+            else:
+                self._mode = "failed"
+        if cfg.degrade:
+            return self._run_local(fn, arg, inboxes)
+        raise error from None
+
+    # -- rollback hooks (chaos harness) --------------------------------
+    def _state_snapshot(self) -> Any:
+        if self._mode == "local":
+            return ("local", copy.deepcopy(self._local_states))
+        return (self._mode, None)
+
+    def _state_restore(self, snapshot: Any) -> None:
+        kind, payload = snapshot
+        if self._mode == "local":
+            if kind == "local":
+                self._local_states = payload
+            else:
+                # the session went local mid-attempt (degrade or pickle
+                # fallback); rebuild rank state from the step history
+                self._rebuild_local_states()
+            return
+        if self._mode == "failed":
+            raise BackendError(
+                f"session lost its {self._pool.peer_noun}s and cannot "
+                "roll back"
+            )
+        # pending/remote: a failed attempt never commits peer state
+        # (recovery replays the successful history), nothing to restore
+
+    # ------------------------------------------------------------------
+    def _close(self) -> None:
+        try:
+            self._drop_remote_state(set())
+        finally:
+            self._leave_pool()
+            self._local_states = []
+            self._history = []
+
+
+# ----------------------------------------------------------------------
+# command loop (peer side)
+# ----------------------------------------------------------------------
+
+#: peer-side hook rebuilding a session's ``shared`` mapping from the
+#: ``open`` payload: ``attach(payload) -> (shared, release)``
+AttachFn = Callable[[Any], Tuple[Mapping[str, Any], Callable[[], None]]]
+
+
+def attach_inline(
+    payload: Any,
+) -> Tuple[Mapping[str, Any], Callable[[], None]]:
+    """The :data:`AttachFn` matching the default
+    :meth:`SupervisedBackend.pack_shared` (the mapping itself)."""
+    return dict(payload), _nothing_to_release
+
+
+class _ServedSession:
+    """Everything a peer holds for one open session."""
+
+    __slots__ = ("shared", "release", "states", "size", "trace")
+
+    def __init__(
+        self,
+        shared: Mapping[str, Any],
+        release: Callable[[], None],
+        size: int,
+        trace: bool,
+    ) -> None:
+        self.shared = shared
+        self.release = release
+        self.states: Dict[int, Dict[str, Any]] = {}
+        self.size = size
+        self.trace = trace
+
+    def run(
+        self, fn: StepFn, arg: Any, tasks: List[Tuple[int, List[Message]]],
+        trace: bool,
+    ) -> List[RankOutcome]:
+        return [
+            run_rank_step(
+                fn, arg, rank, self.size, self.shared,
+                self.states.setdefault(rank, {}), inbox, trace,
+            )
+            for rank, inbox in tasks
+        ]
+
+
+def serve_commands(
+    recv: Callable[[], Any],
+    send: Callable[[Any], Any],
+    attach: AttachFn,
+) -> None:
+    """Command loop of one peer (runs in the worker/agent process).
+
+    ``recv()`` returns the next decoded message and ``send(reply)``
+    writes one; both raise ``EOFError`` / ``OSError`` / ``WireError``
+    once the coordinator is gone, which ends the loop, as does a
+    ``shutdown`` command.  The caller closes the channel.
+    """
+    sessions: Dict[int, _ServedSession] = {}
+    while True:
+        try:
+            msg = recv()
+        except (EOFError, OSError, WireError):
+            break
+        except Exception:
+            # the frames were fully consumed but the payload would not
+            # unpickle (typically: the superstep's module is not
+            # importable on this host) — the stream is still at a
+            # message boundary, so report and keep serving
+            try:
+                send(("err-decode", traceback.format_exc()))
+                continue
+            except OSError:  # pragma: no cover - coordinator gone
+                break
+        tag = msg[0]
+        if tag == "shutdown":
+            break
+        reply: Tuple[str, Any]
+        try:
+            if tag == "ping":
+                reply = ("ok", "pong")
+            elif tag == "open":
+                _, sid, size, payload, trace = msg
+                shared, release = attach(payload)
+                sessions[sid] = _ServedSession(
+                    shared, release, size, trace
+                )
+                reply = ("ok", None)
+            elif tag == "replay":
+                # deterministic state reconstruction after a respawn /
+                # adoption: re-execute the session's successful step
+                # history for this peer's ranks, discarding the
+                # outcomes (they were already merged when the steps
+                # first succeeded)
+                _, sid, entries = msg
+                for fn, arg, tasks in entries:
+                    sessions[sid].run(fn, arg, tasks, False)
+                reply = ("ok", None)
+            elif tag == "step":
+                _, sid, fn, arg, tasks = msg
+                sess = sessions[sid]
+                reply = (
+                    "ok",
+                    [
+                        (
+                            rank,
+                            out.value,
+                            out.sends,
+                            out.records,
+                            out.spans.to_dict()
+                            if out.spans is not None
+                            else None,
+                        )
+                        for (rank, _inbox), out in zip(
+                            tasks, sess.run(fn, arg, tasks, sess.trace)
+                        )
+                    ],
+                )
+            elif tag == "close":
+                _, sid = msg
+                closing = sessions.pop(sid, None)
+                if closing is not None:
+                    closing.release()
+                reply = ("ok", None)
+            else:
+                reply = ("err", f"unknown command {tag!r}")
+        except BaseException:
+            reply = ("err", traceback.format_exc())
+        try:
+            send(reply)
+        except OSError:  # the coordinator is gone
+            break
+    for sess in sessions.values():
+        sess.release()

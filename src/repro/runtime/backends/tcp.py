@@ -1,33 +1,32 @@
-"""Distributed TCP backend: SPMD ranks on remote worker agents.
+"""Distributed TCP backend: the socket transport + an elastic agent fleet.
 
 The backend is a *coordinator*: it listens on a TCP socket, worker
 *agents* (the ``repro-agent`` console script, or ``python -m
 repro.runtime.backends.tcp``) dial in, and every superstep is shipped
 to the connected agents as a ``repro.wire/1`` message
 (:mod:`repro.runtime.backends.wire` — framed pickle with NumPy arrays
-as raw zero-copy frames).  Agents never talk to each other: results,
-queued sends, and ledger records come back to the coordinator, which
-merges them **in rank order**
-(:meth:`repro.runtime.backends.base.SpmdSession._merge`) — so a run on
-two agents across two hosts is bit-identical to
-:class:`~repro.runtime.backends.serial.SerialBackend`, the same
-guarantee every in-process backend gives.
+as raw zero-copy frames).  Its sessions are
+:class:`~repro.runtime.backends.supervised.SupervisedSession`s —
+supervision, recovery and the agent command loop live in
+:mod:`repro.runtime.backends.supervised`, shared with the process
+backend, so a run on two agents across two hosts is bit-identical to
+:class:`~repro.runtime.backends.serial.SerialBackend`.  This module
+supplies only what is specific to the transport: the socket channel,
+the hello/welcome handshake, the roster and the ``repro-agent`` entry
+point.
 
 Membership is *elastic*:
 
 * ranks are multiplexed over however many agents are connected
   (``rank % len(agents)``), so a session of 8 ranks runs fine on 2
   agents;
-* agents that join mid-run are adopted at the next superstep boundary
-  — the coordinator replays the session's successful step history into
-  them so their per-rank state is indistinguishable from having been
-  there all along;
-* agents that die (or blow the per-step deadline of the shared
-  :class:`~repro.runtime.backends.process.SupervisorConfig` policy)
-  are detected by the dead/hung classification of the dispatch loop,
-  replaced (locally spawned agents are respawned at the same roster
-  slot), and the session is rebuilt by deterministic history replay —
-  the recovery machinery of the process backend, over sockets.
+* agents that join mid-run are handed to the session at the next
+  superstep boundary (:meth:`TCPBackend.joined`), which replays its
+  history into them;
+* agents that die (or blow the per-step deadline) are dropped from the
+  roster and replaced (:meth:`TCPBackend.replace` — locally spawned
+  agents are respawned at the same roster slot; the roster shrinks for
+  slots nobody refills).
 
 Spawn modes: a loopback spec (``tcp://127.0.0.1:0:2``) spawns its own
 local agent processes by default (self-contained, used by tests/CI);
@@ -44,32 +43,25 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import copy
+import dataclasses
 import itertools
 import os
-import pickle
 import socket
 import subprocess
 import sys
 import threading
 import time
-import traceback
-import warnings
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs.tracer import Span, TracerBase
-from repro.runtime.backends.base import (
-    Backend,
-    BackendError,
-    BackendSpec,
-    Message,
-    RankOutcome,
-    SpmdSession,
-    StepFn,
-    default_workers,
-    run_rank_step,
+from repro.runtime.backends.base import BackendError, BackendSpec
+from repro.runtime.backends.supervised import (
+    Peer,
+    PeerTimeout,
+    SupervisedBackend,
+    SupervisorConfig,
+    attach_inline,
+    serve_commands,
 )
-from repro.runtime.backends.process import SupervisorConfig, _disarm_step
 from repro.runtime.backends.wire import (
     WIRE_SCHEMA,
     WireError,
@@ -77,7 +69,7 @@ from repro.runtime.backends.wire import (
     read_stream,
     write_stream,
 )
-from repro.runtime.ledger import CommLedger
+
 
 #: how long the coordinator waits for an accepted connection to finish
 #: its hello/welcome handshake
@@ -97,27 +89,6 @@ _AGENT_BOOTSTRAP = (
 #: harness identifies "am I a worker?" by this prefix, so ``kill``
 #: faults fire inside agents exactly like inside pooled workers
 AGENT_NAME_PREFIX = "repro-spmd-agent"
-
-
-class _AgentTimeout(Exception):
-    """Internal: an agent did not reply within the deadline."""
-
-
-class _StepUndecodable(Exception):
-    """Internal: agents could not decode the superstep message (the
-    function's module is not importable on the agent side)."""
-
-
-class _AgentLoss(Exception):
-    """Internal: one dispatch lost agents (died or blew the deadline)."""
-
-    def __init__(
-        self, dead: List["_AgentHandle"], hung: List["_AgentHandle"]
-    ) -> None:
-        self.dead = dead
-        self.hung = hung
-        names = [a.name for a in dead + hung]
-        super().__init__(f"lost agent(s): {', '.join(names)}")
 
 
 # ----------------------------------------------------------------------
@@ -140,14 +111,14 @@ class _Channel:
     def recv(self, timeout: Optional[float] = None) -> Tuple[Any, int]:
         """Read one wire message; returns ``(object, bytes_read)``.
 
-        Raises :class:`_AgentTimeout` when ``timeout`` expires, and
+        Raises :class:`PeerTimeout` when ``timeout`` expires, and
         ``EOFError``/``OSError``/``WireError`` on a broken peer.
         """
         self._sock.settimeout(timeout)
         try:
             return read_stream(self._read_exact)
         except socket.timeout:
-            raise _AgentTimeout() from None
+            raise PeerTimeout() from None
 
     def _read_exact(self, n: int) -> bytes:
         buf = bytearray(n)
@@ -176,50 +147,20 @@ class _Channel:
 # ----------------------------------------------------------------------
 
 
-class _AgentHandle:
+class _AgentHandle(Peer):
     """Coordinator-side handle to one connected worker agent."""
 
     def __init__(
         self, backend: "TCPBackend", chan: _Channel, name: str
     ) -> None:
-        self.backend = backend
+        super().__init__(name, backend)
         self.chan = chan
-        self.name = name
 
-    def send(self, msg: Any) -> int:
-        try:
-            n = self.chan.send(msg)
-        except OSError as exc:
-            raise BackendError(f"agent {self.name} is gone") from exc
-        self.backend.bytes_sent += n
-        return n
+    def _write(self, msg: Any) -> int:
+        return self.chan.send(msg)
 
-    def recv(self, timeout: Optional[float] = None) -> Tuple[str, Any]:
-        """One ``(tag, payload)`` reply (raises :class:`_AgentTimeout`
-        on deadline, :class:`BackendError` on a dead agent)."""
-        try:
-            reply, n = self.chan.recv(timeout)
-        except _AgentTimeout:
-            raise
-        except (EOFError, OSError, WireError) as exc:
-            raise BackendError(f"agent {self.name} died") from exc
-        self.backend.bytes_recv += n
-        if (
-            not isinstance(reply, tuple)
-            or len(reply) != 2
-            or not isinstance(reply[0], str)
-        ):
-            raise BackendError(f"malformed agent reply: {reply!r}")
-        return reply[0], reply[1]
-
-    def ping(self, timeout: float) -> bool:
-        """Request/reply heartbeat (only valid between supersteps)."""
-        try:
-            self.send(("ping",))
-            tag, payload = self.recv(timeout)
-        except (BackendError, _AgentTimeout):
-            return False
-        return tag == "ok" and payload == "pong"
+    def _read(self, timeout: Optional[float]) -> Tuple[Any, int]:
+        return self.chan.recv(timeout)
 
     def stop(self) -> None:
         """Graceful shutdown: tell the agent to exit, close the
@@ -240,10 +181,12 @@ class _AgentHandle:
 # ----------------------------------------------------------------------
 
 
-class TCPBackend(Backend):
+class TCPBackend(SupervisedBackend):
     """Coordinator of a distributed agent fleet (see module doc)."""
 
     name = "tcp"
+    peer_noun = "agent"
+    pool_noun = "agent fleet"
 
     def __init__(
         self,
@@ -254,10 +197,7 @@ class TCPBackend(Backend):
         supervisor: Optional[SupervisorConfig] = None,
         accept_timeout: float = ACCEPT_TIMEOUT_S,
     ) -> None:
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(workers, supervisor)
         if spawn is None:
             spawn = (
                 "local"
@@ -270,25 +210,15 @@ class TCPBackend(Backend):
             )
         self.host = host
         self.port = port
-        self.workers = workers
         self.spawn = spawn
-        self.supervisor = (
-            supervisor if supervisor is not None
-            else SupervisorConfig.from_env()
-        )
         self.accept_timeout = accept_timeout
-        #: distributed traffic/recovery counters (coordinator-wide)
-        self.bytes_sent = 0
-        self.bytes_recv = 0
-        self.reconnects = 0
         self._server: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
-        self._roster: List[_AgentHandle] = []
-        self._pending: List[_AgentHandle] = []
+        self._roster: List[Peer] = []
+        self._pending: List[Peer] = []
         self._spawned: List["subprocess.Popen[bytes]"] = []
         self._agent_ids = itertools.count()
-        self._sids = itertools.count()
         self._closing = False
         self._atexit_registered = False
 
@@ -346,7 +276,7 @@ class TCPBackend(Backend):
         except WireVersionError as exc:
             self._reject(chan, str(exc))
             return
-        except (_AgentTimeout, EOFError, OSError, WireError):
+        except (PeerTimeout, EOFError, OSError, WireError):
             chan.close()
             return
         self.bytes_recv += n
@@ -449,9 +379,15 @@ class TCPBackend(Backend):
                 f"`repro-agent --connect HOST:PORT`"
             )
 
-    def _ensure_members(self) -> None:
-        """Bring the fleet up: spawn local agents (if configured) and
-        wait for the membership target."""
+    def _connected(self) -> List[Peer]:
+        with self._lock:
+            return list(self._roster)
+
+    # -- the pool ------------------------------------------------------
+    def members(self) -> List[Peer]:
+        """Bring the fleet up — spawn local agents (if configured),
+        wait for the membership target, adopt whoever connected — and
+        return the roster."""
         self._ensure_server()
         if self.spawn == "local":
             self._reap_spawned()
@@ -464,29 +400,18 @@ class TCPBackend(Backend):
             for _ in range(self.workers - have):
                 self._spawn_agent()
         self._wait_for_members(minimum=1, want=self.workers)
-        self._adopt_pending()
+        self.joined()
+        return self._connected()
 
-    def _adopt_pending(self) -> List[_AgentHandle]:
-        """Move newly connected agents into the roster (filling
-        vacated slots first, then appending)."""
+    def joined(self) -> List[Peer]:
+        """Move newly connected agents into the roster."""
         with self._lock:
-            fresh = self._pending
+            fresh: List[Peer] = list(self._pending)
             self._pending = []
-            adopted = list(fresh)
-            for agent in fresh:
-                for slot, existing in enumerate(self._roster):
-                    if existing is None:  # pragma: no cover - safety
-                        self._roster[slot] = agent
-                        break
-                else:
-                    self._roster.append(agent)
-            return adopted
+            self._roster.extend(fresh)
+            return fresh
 
-    def _roster_snapshot(self) -> List[_AgentHandle]:
-        with self._lock:
-            return list(self._roster)
-
-    def _replace_lost(self, lost: Set[_AgentHandle]) -> int:
+    def replace(self, lost: Set[Peer]) -> int:
         """Drop lost agents from the roster, respawn local
         replacements, and adopt whatever reconnects into the vacated
         slots (respawn-at-slot).  Returns the number of adopted
@@ -514,36 +439,11 @@ class TCPBackend(Backend):
             self._pending = []
             for slot, agent in zip(slots, fresh):
                 self._roster[slot] = agent
-            for agent in fresh[len(slots):]:
-                self._roster.append(agent)
+            self._roster.extend(fresh[len(slots):])
             for slot in reversed(slots[len(fresh):]):
                 del self._roster[slot]
             self.reconnects += len(fresh)
             return len(fresh)
-
-    # -- public API ----------------------------------------------------
-    def health_check(
-        self, timeout: Optional[float] = None
-    ) -> Dict[str, bool]:
-        """Heartbeat every connected agent (request/reply ping; only
-        valid between supersteps).  Returns ``{agent name: alive}``."""
-        if timeout is None:
-            timeout = self.supervisor.heartbeat_timeout_s
-        return {
-            agent.name: agent.ping(timeout)
-            for agent in self._roster_snapshot()
-        }
-
-    def open_session(
-        self,
-        size: int,
-        ledger: Optional[CommLedger] = None,
-        tracer: Optional[TracerBase] = None,
-        shared: Optional[Mapping[str, Any]] = None,
-    ) -> SpmdSession:
-        return TCPSession(
-            size, ledger, tracer, shared, self, next(self._sids)
-        )
 
     def close(self) -> None:
         self._closing = True
@@ -579,459 +479,6 @@ class TCPBackend(Backend):
         )
 
 
-# ----------------------------------------------------------------------
-# session
-# ----------------------------------------------------------------------
-
-
-class TCPSession(SpmdSession):
-    """Session whose ranks execute on the coordinator's agent fleet.
-
-    Mirrors :class:`~repro.runtime.backends.process.ProcessSession`:
-    lazily goes *remote* at the first superstep (unpicklable steps fall
-    back to in-process serial with a warning), dispatches under the
-    supervision policy, classifies losses into dead/hung, recovers by
-    respawn + deterministic history replay, and degrades to local
-    execution when the retry budget runs out.  On top of that it adopts
-    newly joined agents at superstep boundaries (elastic membership).
-    """
-
-    def __init__(
-        self,
-        size: int,
-        ledger: Optional[CommLedger],
-        tracer: Optional[TracerBase],
-        shared: Optional[Mapping[str, Any]],
-        backend: TCPBackend,
-        sid: int,
-    ) -> None:
-        super().__init__(size, ledger, tracer)
-        self._backend = backend
-        self._sid = sid
-        self._shared_input: Mapping[str, Any] = (
-            dict(shared) if shared else {}
-        )
-        self._trace = bool(getattr(self.tracer, "enabled", False))
-        self._mode = "pending"  # -> "remote" | "local" | "failed"
-        self._owners: List[Tuple[_AgentHandle, List[int]]] = []
-        self._rank_owner: Dict[int, str] = {}
-        self._local_states: List[Dict[str, Any]] = []
-        # (disarmed fn, arg, per-rank inbox copies) of every successful
-        # step — replayed into fresh agents to rebuild rank state
-        self._history: List[
-            Tuple[StepFn, Any, List[List[Message]]]
-        ] = []
-
-    # -- local fallback ------------------------------------------------
-    def _run_local(
-        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
-    ) -> List[RankOutcome]:
-        return [
-            run_rank_step(
-                fn, arg, rank, self.size, self._shared_input,
-                self._local_states[rank], inboxes[rank], self._trace,
-            )
-            for rank in range(self.size)
-        ]
-
-    def _fall_back_local(self, fn: StepFn, reason: BaseException) -> None:
-        warnings.warn(
-            f"tcp backend: superstep {getattr(fn, '__qualname__', fn)!r} "
-            f"is not picklable ({reason}); the session falls back to "
-            "in-process serial execution. Use module-level superstep "
-            "functions to run on the agent fleet.",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        self._mode = "local"
-        self._local_states = [{} for _ in range(self.size)]
-
-    # -- remote path ---------------------------------------------------
-    def _map_owners(self) -> None:
-        agents = self._backend._roster_snapshot()
-        if not agents:
-            raise BackendError("tcp backend: no connected agents")
-        used = min(len(agents), self.size)
-        self._owners = [
-            (
-                agents[w],
-                [r for r in range(self.size) if r % used == w],
-            )
-            for w in range(used)
-        ]
-        self._rank_owner = {
-            rank: agent.name
-            for agent, ranks in self._owners
-            for rank in ranks
-        }
-
-    def _send_open(self) -> None:
-        open_msg = (
-            "open", self._sid, self.size, dict(self._shared_input),
-            self._trace,
-        )
-        for agent, _ranks in self._owners:
-            agent.send(open_msg)
-        self._collect_acks("open")
-
-    def _send_replay(self) -> None:
-        for agent, ranks in self._owners:
-            entries = [
-                (
-                    hist_fn,
-                    hist_arg,
-                    [(r, list(hist_inboxes[r])) for r in ranks],
-                )
-                for hist_fn, hist_arg, hist_inboxes in self._history
-            ]
-            agent.send(("replay", self._sid, entries))
-        self._collect_acks("replay")
-
-    def _open_remote(self) -> None:
-        self._backend._ensure_members()
-        self._map_owners()
-        self._send_open()
-        self._mode = "remote"
-
-    def _collect_acks(self, what: str) -> None:
-        errors: List[str] = []
-        for agent, _ranks in self._owners:
-            try:
-                tag, payload = agent.recv(None)
-            except BackendError as exc:
-                errors.append(str(exc))
-                continue
-            if tag != "ok":
-                errors.append(str(payload))
-        if errors:
-            raise BackendError(
-                f"{what} failed on {len(errors)} agent(s):\n"
-                + "\n".join(errors)
-            )
-
-    def _adopt_new_members(self) -> None:
-        """Superstep-boundary adoption of agents that joined mid-run:
-        reset the fleet, re-map ranks over the grown roster, re-open,
-        and replay the whole history so the newcomers are
-        indistinguishable from founding members."""
-        fresh = self._backend._adopt_pending()
-        if not fresh:
-            return
-        for agent, _ranks in self._owners:
-            self._reset_survivor(agent)
-        previous = dict(self._rank_owner)
-        self._map_owners()
-        migrated = sum(
-            1
-            for rank, owner in previous.items()
-            if self._rank_owner.get(rank) != owner
-        )
-        self._send_open()
-        self._send_replay()
-        with self.tracer.span("distributed"):
-            self.tracer.count("agents_joined", len(fresh))
-            self.tracer.count("ranks_migrated", migrated)
-
-    def _run_step(
-        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
-    ) -> List[RankOutcome]:
-        if self._mode == "failed":
-            raise BackendError(
-                "session lost its agents and cannot continue"
-            )
-        if self._mode == "local":
-            return self._run_local(fn, arg, inboxes)
-        try:
-            pickle.dumps((fn, arg), protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            if self._mode == "pending":
-                self._fall_back_local(fn, exc)
-                return self._run_local(fn, arg, inboxes)
-            raise BackendError(
-                "superstep function/argument is not picklable and the "
-                "session already has remote per-rank state; use "
-                "module-level superstep functions"
-            ) from exc
-        if self._mode == "pending":
-            self._open_remote()
-        else:
-            self._adopt_new_members()
-        cfg = self._backend.supervisor
-        attempt = 0
-        delay = cfg.backoff_base_s
-        while True:
-            try:
-                outcomes, sent, received = self._dispatch(
-                    fn, arg, inboxes
-                )
-            except _StepUndecodable as exc:
-                if self._history:
-                    raise BackendError(
-                        "agents cannot decode the superstep (its "
-                        "module is not importable on the agent hosts) "
-                        "and the session already has remote per-rank "
-                        f"state:\n{exc}"
-                    ) from None
-                # nothing committed remotely yet: run in-process
-                for agent, _ranks in self._owners:
-                    self._reset_survivor(agent)
-                self._owners = []
-                self._rank_owner = {}
-                self._fall_back_local(
-                    fn,
-                    RuntimeError(
-                        "its module is not importable on the agent "
-                        "hosts"
-                    ),
-                )
-                return self._run_local(fn, arg, inboxes)
-            except _AgentLoss as loss:
-                attempt += 1
-                if attempt > cfg.max_retries:
-                    if cfg.degrade:
-                        self._degrade(loss)
-                        return self._run_local(fn, arg, inboxes)
-                    self._abandon_remote(loss)
-                    raise BackendError(
-                        f"superstep lost "
-                        f"{len(loss.dead) + len(loss.hung)} agent(s) "
-                        f"({loss}) and the retry budget "
-                        f"({cfg.max_retries}) is exhausted"
-                    ) from None
-                try:
-                    with self.tracer.span("recovery"):
-                        self.tracer.count("step_retries", 1)
-                        self.tracer.count("worker_deaths", len(loss.dead))
-                        self.tracer.count(
-                            "deadline_timeouts", len(loss.hung)
-                        )
-                        self._recover(loss)
-                        time.sleep(delay)
-                except BackendError:
-                    # the fleet could not be rebuilt (e.g. every agent
-                    # is gone and nobody reconnected)
-                    if cfg.degrade:
-                        self._degrade(loss)
-                        return self._run_local(fn, arg, inboxes)
-                    self._mode = "failed"
-                    raise
-                delay *= cfg.backoff_factor
-                # injected one-shot faults (chaos harness) fire on the
-                # first attempt only — retries run the plain superstep
-                fn = _disarm_step(fn)
-                continue
-            self._history.append(
-                (
-                    _disarm_step(fn),
-                    arg,
-                    [list(box) for box in inboxes],
-                )
-            )
-            with self.tracer.span("distributed"):
-                self.tracer.count("bytes_sent", sent)
-                self.tracer.count("bytes_recv", received)
-            return outcomes
-
-    def _dispatch(
-        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
-    ) -> Tuple[List[RankOutcome], int, int]:
-        """One dispatch attempt: ship the step to every owner, collect
-        replies under the deadline, classify losses.  Returns the
-        rank-ordered outcomes plus the step's traffic volume."""
-        cfg = self._backend.supervisor
-        dead: List[_AgentHandle] = []
-        hung: List[_AgentHandle] = []
-        pending: List[_AgentHandle] = []
-        sent = 0
-        received = 0
-        before_recv = self._backend.bytes_recv
-        for agent, ranks in self._owners:
-            tasks = [(r, inboxes[r]) for r in ranks]
-            try:
-                sent += agent.send(("step", self._sid, fn, arg, tasks))
-            except BackendError:
-                dead.append(agent)
-                continue
-            pending.append(agent)
-        deadline = (
-            time.monotonic() + cfg.step_deadline_s
-            if cfg.step_deadline_s is not None
-            else None
-        )
-        by_rank: Dict[int, RankOutcome] = {}
-        errors: List[str] = []
-        undecodable: List[str] = []
-        for agent in pending:
-            remaining: Optional[float] = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            try:
-                tag, payload = agent.recv(remaining)
-            except _AgentTimeout:
-                hung.append(agent)
-                continue
-            except BackendError:
-                dead.append(agent)
-                continue
-            if tag == "err-decode":
-                undecodable.append(str(payload))
-                continue
-            if tag != "ok":
-                errors.append(str(payload))
-                continue
-            for rank, value, sends, records, span_dict in payload:
-                spans = (
-                    Span.from_dict(span_dict)
-                    if span_dict is not None
-                    else None
-                )
-                by_rank[rank] = RankOutcome(value, sends, records, spans)
-        received = self._backend.bytes_recv - before_recv
-        if dead or hung:
-            raise _AgentLoss(dead, hung)
-        if undecodable and not errors:
-            raise _StepUndecodable(undecodable[0])
-        if errors:
-            # the superstep itself raised — an application bug, not an
-            # agent loss; retrying would fail identically
-            raise BackendError(
-                f"superstep failed on {len(errors)} agent(s):\n"
-                + "\n".join(errors)
-            )
-        return (
-            [by_rank[rank] for rank in range(self.size)],
-            sent,
-            received,
-        )
-
-    # -- recovery ------------------------------------------------------
-    def _reset_survivor(self, agent: _AgentHandle) -> bool:
-        """Drop the session's state on a surviving agent so the replay
-        can rebuild it from scratch; False marks the agent lost too."""
-        cfg = self._backend.supervisor
-        try:
-            agent.send(("close", self._sid))
-            tag, _payload = agent.recv(cfg.heartbeat_timeout_s)
-        except (BackendError, _AgentTimeout):
-            return False
-        return tag == "ok"
-
-    def _recover(self, loss: _AgentLoss) -> None:
-        """Replace lost agents and deterministically rebuild the whole
-        session (open + history replay) on the refreshed fleet."""
-        lost: Set[_AgentHandle] = set(loss.dead) | set(loss.hung)
-        for agent, _ranks in self._owners:
-            if agent not in lost and not self._reset_survivor(agent):
-                lost.add(agent)
-        replaced = self._backend._replace_lost(lost)
-        self.tracer.count("worker_respawns", len(lost))
-        self.tracer.count("reconnects", replaced)
-        previous = dict(self._rank_owner)
-        self._map_owners()
-        migrated = sum(
-            1
-            for rank, owner in previous.items()
-            if self._rank_owner.get(rank) != owner
-        )
-        self.tracer.count("ranks_migrated", migrated)
-        self._send_open()
-        self._send_replay()
-
-    def _rebuild_local_states(self) -> None:
-        """In-process replay of the step history (outcomes discarded —
-        their ledger/span contributions were merged when the steps
-        first succeeded)."""
-        self._local_states = [{} for _ in range(self.size)]
-        for hist_fn, hist_arg, hist_inboxes in self._history:
-            for rank in range(self.size):
-                run_rank_step(
-                    hist_fn, hist_arg, rank, self.size,
-                    self._shared_input, self._local_states[rank],
-                    list(hist_inboxes[rank]), False,
-                )
-
-    def _teardown_remote(self, loss: _AgentLoss) -> None:
-        lost: Set[_AgentHandle] = set(loss.dead) | set(loss.hung)
-        self._backend._replace_lost(lost)
-        for agent, _ranks in self._owners:
-            if agent not in lost:
-                self._reset_survivor(agent)
-        self._owners = []
-        self._rank_owner = {}
-
-    def _degrade(self, loss: _AgentLoss) -> None:
-        cfg = self._backend.supervisor
-        warnings.warn(
-            f"tcp backend: {len(loss.dead) + len(loss.hung)} "
-            f"agent(s) unrecoverable after {cfg.max_retries} "
-            "retr(y/ies); the session degrades to in-process serial "
-            "execution.",
-            RuntimeWarning,
-            stacklevel=6,
-        )
-        with self.tracer.span("recovery"):
-            self.tracer.count("worker_deaths", len(loss.dead))
-            self.tracer.count("deadline_timeouts", len(loss.hung))
-            self.tracer.count("ranks_degraded", self.size)
-            self._teardown_remote(loss)
-            self._mode = "local"
-            self._rebuild_local_states()
-
-    def _abandon_remote(self, loss: _AgentLoss) -> None:
-        with self.tracer.span("recovery"):
-            self.tracer.count("worker_deaths", len(loss.dead))
-            self.tracer.count("deadline_timeouts", len(loss.hung))
-            self._teardown_remote(loss)
-            self._mode = "failed"
-
-    # -- rollback hooks (chaos harness) --------------------------------
-    def _state_snapshot(self) -> Any:
-        if self._mode == "local":
-            return ("local", copy.deepcopy(self._local_states))
-        return (self._mode, None)
-
-    def _state_restore(self, snapshot: Any) -> None:
-        kind, payload = snapshot
-        if self._mode == "local":
-            if kind == "local":
-                self._local_states = payload
-            else:
-                # the session went local mid-attempt (degrade or pickle
-                # fallback); rebuild rank state from the step history
-                self._rebuild_local_states()
-            return
-        if self._mode == "failed":
-            raise BackendError(
-                "session lost its agents and cannot roll back"
-            )
-        # pending/remote: a failed attempt never commits agent state
-        # (recovery replays the successful history), nothing to restore
-
-    # ------------------------------------------------------------------
-    def _close(self) -> None:
-        try:
-            if self._mode == "remote":
-                alive: List[_AgentHandle] = []
-                for agent, _ranks in self._owners:
-                    try:
-                        agent.send(("close", self._sid))
-                        alive.append(agent)
-                    except BackendError:
-                        pass
-                for agent in alive:
-                    try:
-                        agent.recv(
-                            self._backend.supervisor.heartbeat_timeout_s
-                        )
-                    except (BackendError, _AgentTimeout):
-                        pass
-        finally:
-            self._local_states = []
-            self._owners = []
-            self._rank_owner = {}
-            self._history = []
-
-
 def tcp_from_spec(spec: BackendSpec) -> TCPBackend:
     """Registry factory for ``tcp`` (URI form:
     ``tcp://host:port:workers?deadline=30&spawn=external``)."""
@@ -1052,19 +499,8 @@ def tcp_from_spec(spec: BackendSpec) -> TCPBackend:
         overrides["heartbeat_timeout_s"] = float(opts["heartbeat"])
     if "retries" in opts:
         overrides["max_retries"] = max(0, int(opts["retries"]))
-    base = SupervisorConfig.from_env()
-    supervisor = (
-        SupervisorConfig(
-            **{
-                **{
-                    f.name: getattr(base, f.name)
-                    for f in base.__dataclass_fields__.values()
-                },
-                **overrides,
-            }
-        )
-        if overrides
-        else base
+    supervisor = dataclasses.replace(
+        SupervisorConfig.from_env(), **overrides
     )
     return TCPBackend(
         host=spec.host or "127.0.0.1",
@@ -1081,105 +517,6 @@ def tcp_from_spec(spec: BackendSpec) -> TCPBackend:
 # ----------------------------------------------------------------------
 # worker agent (remote side)
 # ----------------------------------------------------------------------
-
-
-class _AgentSessionState:
-    """Everything an agent holds for one open session."""
-
-    __slots__ = ("shared", "states", "size", "trace")
-
-    def __init__(
-        self, shared: Dict[str, Any], size: int, trace: bool
-    ) -> None:
-        self.shared = shared
-        self.states: Dict[int, Dict[str, Any]] = {}
-        self.size = size
-        self.trace = trace
-
-
-def _serve(chan: _Channel) -> None:
-    """Command loop of one worker agent (runs in the agent process)."""
-    sessions: Dict[int, _AgentSessionState] = {}
-    while True:
-        try:
-            msg, _n = chan.recv(None)
-        except (EOFError, OSError, WireError):
-            break
-        except Exception:
-            # the frames were fully consumed but the payload would not
-            # unpickle (typically: the superstep's module is not
-            # importable on this host) — the stream is still at a
-            # message boundary, so report and keep serving
-            try:
-                chan.send(("err-decode", traceback.format_exc()))
-                continue
-            except OSError:  # pragma: no cover - coordinator gone
-                break
-        tag = msg[0]
-        if tag == "shutdown":
-            break
-        reply: Tuple[str, Any]
-        try:
-            if tag == "ping":
-                reply = ("ok", "pong")
-            elif tag == "open":
-                _, sid, size, shared, trace = msg
-                sessions[sid] = _AgentSessionState(
-                    dict(shared), size, trace
-                )
-                reply = ("ok", None)
-            elif tag == "replay":
-                # deterministic state reconstruction after a respawn /
-                # adoption: re-execute the session's successful step
-                # history for this agent's ranks, discarding the
-                # outcomes (they were already merged when the steps
-                # first succeeded)
-                _, sid, entries = msg
-                sess = sessions[sid]
-                for fn, arg, tasks in entries:
-                    for rank, inbox in tasks:
-                        state = sess.states.setdefault(rank, {})
-                        run_rank_step(
-                            fn, arg, rank, sess.size, sess.shared,
-                            state, inbox, False,
-                        )
-                reply = ("ok", None)
-            elif tag == "step":
-                _, sid, fn, arg, tasks = msg
-                sess = sessions[sid]
-                outs = []
-                for rank, inbox in tasks:
-                    state = sess.states.setdefault(rank, {})
-                    out = run_rank_step(
-                        fn, arg, rank, sess.size, sess.shared, state,
-                        inbox, sess.trace,
-                    )
-                    outs.append(
-                        (
-                            rank,
-                            out.value,
-                            out.sends,
-                            out.records,
-                            out.spans.to_dict()
-                            if out.spans is not None
-                            else None,
-                        )
-                    )
-                reply = ("ok", outs)
-            elif tag == "close":
-                _, sid = msg
-                sessions.pop(sid, None)
-                reply = ("ok", None)
-            else:
-                reply = ("err", f"unknown command {tag!r}")
-        except BaseException:
-            reply = ("err", traceback.format_exc())
-        try:
-            chan.send(reply)
-        except OSError:  # coordinator is gone
-            break
-    sessions.clear()
-    chan.close()
 
 
 def _connect(
@@ -1271,7 +608,7 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
         )
         reply, _n = chan.recv(HANDSHAKE_TIMEOUT_S)
     except (
-        _AgentTimeout, EOFError, OSError, WireError,
+        PeerTimeout, EOFError, OSError, WireError,
     ) as exc:
         print(
             f"repro-agent: handshake with {args.connect} failed: {exc}",
@@ -1292,7 +629,8 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
     for entry in reply[1].get("sys_path", []):
         if entry not in sys.path:
             sys.path.append(entry)
-    _serve(chan)
+    serve_commands(lambda: chan.recv(None)[0], chan.send, attach_inline)
+    chan.close()
     return 0
 
 

@@ -199,8 +199,8 @@ class ChaosStep:
     rank never half-mutates its state.
 
     ``__wrapped__`` / ``disarm()`` let the sentinel backend, the SPMD
-    linter, and the process backend's retry/replay machinery reach the
-    plain superstep underneath.
+    linter, and the supervised session's retry/replay machinery reach
+    the plain superstep underneath.
     """
 
     def __init__(

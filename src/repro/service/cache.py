@@ -128,7 +128,6 @@ def _detach(result: PartitionResult) -> PartitionResult:
         else:
             diag[key] = value
     return make_result(
-        source=None,
         method=result.method,
         k=result.k,
         labels=labels,
@@ -280,7 +279,6 @@ class ResultCache:
             return None
         labels.setflags(write=False)
         return make_result(
-            source=None,
             method=method,
             k=k,
             labels=labels,

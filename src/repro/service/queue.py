@@ -8,7 +8,7 @@ request's ``deadline_s``) that is checked both before a worker starts
 the job and while it retries, so stale work is dropped as ``expired``
 rather than executed late.
 
-Retries reuse the :class:`~repro.runtime.backends.process.SupervisorConfig`
+Retries reuse the :class:`~repro.runtime.backends.supervised.SupervisorConfig`
 semantics verbatim — ``max_retries`` attempts after the first, with
 exponential backoff ``backoff_base_s * backoff_factor**n`` — via the
 standalone :class:`RetryPolicy` so the service and the SPMD runtime

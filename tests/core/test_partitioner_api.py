@@ -2,8 +2,8 @@
 
 The contract under test: every partitioning strategy implements one
 ``fit(snapshot, tracer=, ledger=) -> PartitionResult`` API, and the
-result's deprecation shim keeps the legacy chained style
-(``Partitioner(k).fit(snap).part``) working — loudly.
+result is a plain record — the legacy chained style
+(``Partitioner(k).fit(snap).part``) is gone, not proxied.
 """
 
 import numpy as np
@@ -79,28 +79,8 @@ class TestDiagnostics:
 
 
 class TestDeprecationShim:
-    def test_chained_part(self, snap):
-        with pytest.deprecated_call(match="'part'"):
-            part = MCMLDTPartitioner(K).fit(snap).part
-        assert isinstance(part, np.ndarray)
-
-    def test_chained_part_fe(self, snap):
-        with pytest.deprecated_call(match="'part_fe'"):
-            MLRCBPartitioner(K).fit(snap).part_fe
-
-    def test_chained_method_call(self, snap):
-        result = MCMLDTPartitioner(K).fit(snap)
-        with pytest.deprecated_call(match="'build_descriptors'"):
-            tree, leaf_of = result.build_descriptors(snap)
-        assert tree.n_nodes > 0
-
-    def test_chained_setattr_proxies_to_source(self, snap):
-        pt = MCMLDTPartitioner(K)
-        result = pt.fit(snap)
-        new = result.labels.copy()
-        with pytest.deprecated_call(match="'part'"):
-            result.part = new
-        assert pt.part is new
+    """The attribute proxy to the source partitioner is gone; these pin
+    that a result is a plain record (class name kept for stable ids)."""
 
     def test_result_fields_never_warn(self, snap, recwarn):
         result = AprioriPartitioner(K).fit(snap)

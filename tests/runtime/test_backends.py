@@ -25,7 +25,7 @@ from repro.runtime.backends import (
     SerialBackend,
     SpmdSession,
     ThreadBackend,
-    make_backend,
+    build_backend,
     resolve_backend,
     set_default_backend,
 )
@@ -77,23 +77,23 @@ def _all_backends():
 
 class TestResolution:
     def test_make_backend_names(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread"), ThreadBackend)
-        assert isinstance(make_backend("process"), ProcessBackend)
+        assert isinstance(build_backend("serial"), SerialBackend)
+        assert isinstance(build_backend("thread"), ThreadBackend)
+        assert isinstance(build_backend("process"), ProcessBackend)
 
     def test_make_backend_spec_with_workers(self):
-        be = make_backend("process:3")
+        be = build_backend("process:3")
         assert be.workers == 3
 
     def test_make_backend_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu")
+            build_backend("gpu")
 
     def test_make_backend_bad_workers(self):
         with pytest.raises(ValueError, match="worker count"):
-            make_backend("process:0")
+            build_backend("process:0")
         with pytest.raises(ValueError, match="invalid worker count"):
-            make_backend("thread:lots")
+            build_backend("thread:lots")
 
     def test_resolve_passthrough_and_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -103,15 +103,15 @@ class TestResolution:
 
     def test_make_backend_instance_passthrough(self):
         """Regression: an already-constructed backend instance must
-        pass through ``make_backend`` untouched (it used to crash with
+        pass through ``build_backend`` untouched (it used to crash with
         an AttributeError on ``spec.partition``), so a pooled backend
         can be reused across jobs without re-resolving precedence or
         spinning up a second pool."""
         be = ThreadBackend(workers=1)
         try:
-            assert make_backend(be) is be
+            assert build_backend(be) is be
             # workers is ignored for instances — no hidden re-pooling
-            assert make_backend(be, workers=7) is be
+            assert build_backend(be, workers=7) is be
             assert resolve_backend(be, workers=7) is be
         finally:
             be.close()
@@ -122,7 +122,7 @@ class TestResolution:
         new backend."""
         be = ThreadBackend(workers=1)
         try:
-            resolved = {id(resolve_backend(make_backend(be)))
+            resolved = {id(resolve_backend(build_backend(be)))
                         for _ in range(5)}
             assert resolved == {id(be)}
         finally:
@@ -304,6 +304,13 @@ class TestBackendProtocol:
         assert env_before is None or env_before.split(":")[0] in BACKEND_NAMES
 
 
+def _segment_names(session):
+    """Shared-memory segment names in a session's ``open`` payload
+    (``(inline, specs, cached)`` on the process backend)."""
+    _inline, specs, _cached = session._open_payload
+    return tuple(name for _key, name, _dtype, _shape in specs)
+
+
 class TestSharedPlanReuse:
     """The backend reuses its shared-memory plan across sessions with
     the same array layout (the driver's step loop), so segments are
@@ -329,7 +336,7 @@ class TestSharedPlanReuse:
                     total = float(shared["values"].sum())
                     assert sum(out) == total
                     names.append(
-                        tuple(n for _k, n, _d, _s in sess._specs)
+                        _segment_names(sess)
                     )
             assert len(names[0]) == 2
             assert names[0] == names[1] == names[2]
@@ -340,12 +347,12 @@ class TestSharedPlanReuse:
         with ProcessBackend(workers=2) as be:
             with be.open_session(2, shared=self._step_shared(0)) as s1:
                 s1.step(_sum_shared, 1.0)
-                first = tuple(n for _k, n, _d, _s in s1._specs)
+                first = _segment_names(s1)
             changed = {"values": np.arange(4, dtype=np.float64)}
             with be.open_session(2, shared=changed) as s2:
                 out = s2.step(_sum_shared, 1.0)
                 assert sum(out) == 6.0
-                second = tuple(n for _k, n, _d, _s in s2._specs)
+                second = _segment_names(s2)
             assert set(first).isdisjoint(second)
             assert be.shm_reuses == 0
 
@@ -359,8 +366,8 @@ class TestSharedPlanReuse:
                 with be.open_session(2, shared=shared) as s2:
                     out = s2.step(_sum_shared, 1.0)
                     assert sum(out) == float(shared["values"].sum())
-                    n1 = {n for _k, n, _d, _s in s1._specs}
-                    n2 = {n for _k, n, _d, _s in s2._specs}
+                    n1 = set(_segment_names(s1))
+                    n2 = set(_segment_names(s2))
                     assert n1.isdisjoint(n2)
 
     def test_plan_survives_worker_recovery(self):
@@ -369,7 +376,7 @@ class TestSharedPlanReuse:
         with ProcessBackend(workers=2) as be:
             with be.open_session(2, shared=self._step_shared(0)) as s1:
                 s1.step(_sum_shared, 1.0)
-                names = tuple(n for _k, n, _d, _s in s1._specs)
+                names = _segment_names(s1)
                 victim = be._pool[0]
                 victim.proc.terminate()
                 victim.proc.join(timeout=5)
@@ -379,4 +386,4 @@ class TestSharedPlanReuse:
                 )
             with be.open_session(2, shared=self._step_shared(1)) as s2:
                 s2.step(_sum_shared, 1.0)
-                assert tuple(n for _k, n, _d, _s in s2._specs) == names
+                assert _segment_names(s2) == names

@@ -16,10 +16,11 @@ from repro.obs.tracer import Tracer
 from repro.runtime.backends import (
     CHAOS_INNER_ENV,
     FAULT_PLAN_ENV,
+    ProcessBackend,
     SerialBackend,
-    make_backend,
+    SupervisorConfig,
+    build_backend,
 )
-from repro.runtime.backends.process import ProcessBackend, SupervisorConfig
 from repro.runtime.executor import spmd_run
 from repro.runtime.faults import (
     ChaosBackend,
@@ -132,7 +133,7 @@ class TestChaosBackendConstruction:
     def test_make_backend_chaos(self, monkeypatch):
         monkeypatch.setenv(CHAOS_INNER_ENV, "serial")
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        be = make_backend("chaos")
+        be = build_backend("chaos")
         assert isinstance(be, ChaosBackend)
         be.close()
 

@@ -18,7 +18,6 @@ from repro.runtime.backends import (
     BackendSpec,
     backend_names,
     build_backend,
-    make_backend,
     register_backend,
     resolve_backend,
     unregister_backend,
@@ -188,11 +187,6 @@ class TestRegistry:
         backend = SerialBackend()
         assert build_backend(backend) is backend
         assert resolve_backend(backend) is backend
-
-    def test_make_backend_shim_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="build_backend"):
-            backend = make_backend("serial")
-        assert isinstance(backend, SerialBackend)
 
 
 class TestEnvResolution:

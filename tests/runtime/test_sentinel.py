@@ -14,7 +14,7 @@ from repro.runtime.backends import (
     BACKEND_NAMES,
     SentinelBackend,
     SharedStateMutationError,
-    make_backend,
+    build_backend,
 )
 from repro.runtime.backends.sentinel import _fingerprint, _function_roots
 from repro.runtime.backends.thread import ThreadSession
@@ -58,7 +58,7 @@ class TestBackendPlumbing:
         assert "sentinel" in BACKEND_NAMES
 
     def test_make_backend_spec(self):
-        be = make_backend("sentinel:3")
+        be = build_backend("sentinel:3")
         assert isinstance(be, SentinelBackend)
         assert be.workers == 3 and be.enabled
         be.close()

@@ -1,35 +1,74 @@
-"""Tests for the supervised process backend.
+"""Tests for supervised sessions (the process and tcp transports).
 
-The contract under test: worker death or hang at any superstep is
-invisible in the results — the supervisor respawns and replays, and
-when the pool is beyond saving it degrades to in-process serial
-execution (warning, never wrong answers).
+The contract under test: peer death or hang at any superstep — or
+between sessions — is invisible in the results: the supervisor replaces
+the lost peers and replays, and when the pool is beyond saving it
+degrades to in-process serial execution (warning, never wrong answers).
+
+The ``*Cases`` classes are the transport-parametrised suite: each is
+instantiated once per transport — here for ``process``, in
+``test_tcp.py`` for ``tcp`` (subclasses rather than
+``pytest.mark.parametrize`` so the test ids of the two pre-merge suites
+stay stable).
 """
 
 import multiprocessing
 import os
+import signal
+import sys
+import threading
 import time
-import warnings
+import types
 
 import pytest
 
+from repro.obs.report import RunReport
 from repro.obs.tracer import Tracer
 from repro.runtime.backends import (
     MAX_RETRIES_ENV,
     STEP_DEADLINE_ENV,
     BackendError,
+    ProcessBackend,
     SerialBackend,
     SupervisorConfig,
+    TCPBackend,
+    build_backend,
 )
-from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.executor import spmd_run
+from repro.runtime.faults import ChaosBackend
 from repro.runtime.ledger import CommLedger
+
+ACCEPT_TIMEOUT = 30.0  # generous: CI machines can be slow to fork
+
+
+def pool_backend(transport, **supervisor):
+    """A two-peer backend on ``transport`` with fast test timings."""
+    supervisor.setdefault("backoff_base_s", 0.01)
+    supervisor.setdefault("shutdown_grace_s", 1.0)
+    cfg = SupervisorConfig(**supervisor)
+    if transport == "process":
+        return ProcessBackend(workers=2, supervisor=cfg)
+    return TCPBackend(
+        workers=2, supervisor=cfg, accept_timeout=ACCEPT_TIMEOUT
+    )
+
+
+def kill_one_peer(backend):
+    """SIGKILL the first pooled peer and wait until it is gone."""
+    if isinstance(backend, ProcessBackend):
+        proc = backend._pool[0].proc
+        proc.kill()
+        proc.join(timeout=5)
+    else:
+        proc = backend._spawned[0]
+        proc.kill()
+        proc.wait(timeout=5)
 
 
 # ----------------------------------------------------------------------
 # module-level supersteps.  Faulty behaviour is gated on actually being
-# in a pool worker, so the degraded (in-process) replay runs clean and,
-# critically, never kills the pytest process itself.
+# in a pool worker / agent, so the degraded (in-process) replay runs
+# clean and, critically, never kills the pytest process itself.
 # ----------------------------------------------------------------------
 
 
@@ -40,6 +79,10 @@ def _in_pool_worker():
 def _bump(ctx):
     ctx.state["n"] = ctx.state.get("n", 0) + 1
     ctx.send((ctx.rank + 1) % ctx.size, ctx.state["n"], phase="p", items=1)
+
+
+def _bump_step(ctx, arg):
+    _bump(ctx)
 
 
 def _die_once_rank1(ctx):
@@ -86,11 +129,6 @@ def _counter_totals(tracer):
     return totals
 
 
-# ----------------------------------------------------------------------
-# recovery paths
-# ----------------------------------------------------------------------
-
-
 STEPS = (_bump, _die_once_rank1, _report)
 
 
@@ -98,24 +136,27 @@ def _reference(steps):
     return _run(SerialBackend(), steps, shared={"marker": os.devnull})
 
 
-class TestRespawn:
+# ----------------------------------------------------------------------
+# the transport-parametrised suite
+# ----------------------------------------------------------------------
+
+
+class RespawnCases:
+    transport = None
+
     def test_kill_mid_run_matches_serial(self, tmp_path):
-        """Rank 1's worker dies once mid-step; the supervisor respawns
+        """Rank 1's peer dies once mid-step; the supervisor replaces
         it, replays history, retries, and the run is bit-identical."""
         ref_results, ref_ledger = _reference(STEPS)
         tracer = Tracer()
-        backend = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(
-                max_retries=2, backoff_base_s=0.01
-            ),
-        )
+        backend = pool_backend(self.transport, max_retries=2)
         try:
             results, ledger = _run(
                 backend, STEPS,
                 shared={"marker": str(tmp_path / "died")},
                 tracer=tracer,
             )
+            assert backend.reconnects >= 1
         finally:
             backend.close()
         assert results == ref_results
@@ -124,6 +165,7 @@ class TestRespawn:
         counters = _counter_totals(tracer)
         assert counters.get("worker_deaths", 0) >= 1
         assert counters.get("worker_respawns", 0) >= 1
+        assert counters.get("reconnects", 0) >= 1
         assert counters.get("step_retries", 0) >= 1
         assert "ranks_degraded" not in counters
 
@@ -132,12 +174,7 @@ class TestRespawn:
         survives the respawn (the recovery replays history)."""
         steps = (_bump, _bump, _die_once_rank1, _report)
         ref_results, _ = _reference(steps)
-        backend = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(
-                max_retries=2, backoff_base_s=0.01
-            ),
-        )
+        backend = pool_backend(self.transport, max_retries=2)
         try:
             results, _ = _run(
                 backend, steps, shared={"marker": str(tmp_path / "died")}
@@ -150,50 +187,89 @@ class TestRespawn:
 
     def test_hang_blows_deadline_and_recovers(self, tmp_path):
         """A hung rank trips the per-step deadline and is treated like
-        a death: respawn, replay, retry — well before the hang ends."""
-        ref_results, _ = _reference((_bump, _hang_once_rank0, _report))
+        a death: replace, replay, retry — well before the hang ends."""
+        steps = (_bump, _hang_once_rank0, _report)
+        ref_results, _ = _reference(steps)
         tracer = Tracer()
-        backend = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(
-                step_deadline_s=0.5, max_retries=2, backoff_base_s=0.01
-            ),
+        backend = pool_backend(
+            self.transport, step_deadline_s=1.5, max_retries=2
         )
         start = time.monotonic()
         try:
             results, _ = _run(
-                backend, (_bump, _hang_once_rank0, _report),
+                backend, steps,
                 shared={"marker": str(tmp_path / "hung")},
                 tracer=tracer,
             )
         finally:
             backend.close()
         assert results == ref_results
-        assert time.monotonic() - start < 15.0  # not the 30 s hang
+        assert time.monotonic() - start < 20.0  # not the 30 s hang
         counters = _counter_totals(tracer)
         assert counters.get("deadline_timeouts", 0) >= 1
         assert counters.get("worker_respawns", 0) >= 1
 
+    def test_killed_agent_respawned_bit_identical(self):
+        """A chaos-plan kill inside a peer surfaces in the run report's
+        recovery and distributed totals, and nowhere else."""
+        ref_results, ref_ledger = _reference((_bump, _bump, _report))
+        inner = pool_backend(self.transport)
+        chaos = ChaosBackend(plan="kill@1.1", inner=inner, workers=2)
+        tracer = Tracer()
+        try:
+            results, ledger = _run(
+                chaos, (_bump, _bump, _report), tracer=tracer
+            )
+            assert inner.reconnects >= 1
+        finally:
+            chaos.close()
+        assert results == ref_results
+        assert ledger.summary() == ref_ledger.summary()
+        report = RunReport.from_run(tracer, ledger)
+        recovery = report.recovery_totals()
+        assert recovery["worker_deaths"] >= 1
+        assert recovery["step_retries"] >= 1
+        assert report.distributed_totals()["reconnects"] >= 1
 
-class TestDegrade:
+    def test_hung_agent_hits_deadline_and_recovers(self):
+        ref_results, _ = _reference((_bump, _bump, _report))
+        inner = pool_backend(
+            self.transport, step_deadline_s=1.5, heartbeat_timeout_s=2.0
+        )
+        chaos = ChaosBackend(plan="hang@1.0:60", inner=inner, workers=2)
+        tracer = Tracer()
+        try:
+            results, _ledger = _run(
+                chaos, (_bump, _bump, _report), tracer=tracer
+            )
+            assert inner.reconnects >= 1
+        finally:
+            chaos.close()
+        assert results == ref_results
+        report = RunReport.from_run(tracer, CommLedger())
+        assert report.recovery_totals()["deadline_timeouts"] >= 1
+
+
+class DegradeCases:
+    transport = None
+
     def test_persistent_failure_degrades_to_serial(self):
         """When retries are exhausted the session warns and finishes
         in-process — same results, ledger accounting preserved."""
-        ref_results, ref_ledger = _reference((_bump, _die_always_rank1,
-                                              _report))
+        steps = (_bump, _die_always_rank1, _report)
+        ref_results, ref_ledger = _reference(steps)
         tracer = Tracer()
-        backend = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(
-                max_retries=1, backoff_base_s=0.01, degrade=True
-            ),
+        backend = pool_backend(
+            self.transport, max_retries=1, degrade=True
         )
         try:
             with pytest.warns(RuntimeWarning, match="degrades"):
-                results, ledger = _run(
-                    backend, (_bump, _die_always_rank1, _report),
-                    tracer=tracer,
-                )
+                results, ledger = _run(backend, steps, tracer=tracer)
+            # the pool was left healthy for the next session
+            assert all(backend.health_check().values())
+            assert _run(backend, (_bump, _report))[0] == _reference(
+                (_bump, _report)
+            )[0]
         finally:
             backend.close()
         assert results == ref_results
@@ -202,17 +278,110 @@ class TestDegrade:
         assert counters.get("ranks_degraded") == 3
 
     def test_degrade_disabled_raises(self):
-        backend = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(
-                max_retries=0, backoff_base_s=0.01, degrade=False
-            ),
+        backend = pool_backend(
+            self.transport, max_retries=0, degrade=False
         )
         try:
-            with pytest.raises(BackendError, match="worker"):
+            with pytest.raises(
+                BackendError, match=f"lost 1 {backend.peer_noun}"
+            ):
                 _run(backend, (_bump, _die_always_rank1, _report))
         finally:
             backend.close()
+
+
+def _ghost_step(monkeypatch):
+    """A superstep that pickles by reference in this process but whose
+    module no peer can import."""
+    module = types.ModuleType("repro_test_ghost_steps")
+    exec("def step(ctx, arg):\n    return ctx.rank * arg\n", module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    return module.step
+
+
+class FallbackCases:
+    transport = None
+
+    def test_unpicklable_superstep_falls_back_with_warning(self):
+        backend = pool_backend(self.transport)
+        secret = 7
+
+        def closure_step(ctx, arg):
+            return ctx.rank * secret  # closure: not picklable by ref
+
+        try:
+            with backend.open_session(3) as session:
+                with pytest.warns(RuntimeWarning, match="not picklable"):
+                    values = session.step(closure_step)
+            assert values == [0, 7, 14]
+        finally:
+            backend.close()
+
+    def test_undecodable_superstep_falls_back_with_warning(
+        self, monkeypatch
+    ):
+        """The step pickles here but the peers cannot import its
+        module: nothing is committed remotely yet, so the session runs
+        in-process — and the pool stays usable."""
+        backend = pool_backend(self.transport)
+        try:
+            backend.members()  # the peers exist before the module does
+            step = _ghost_step(monkeypatch)
+            with backend.open_session(3) as session:
+                with pytest.warns(RuntimeWarning, match="not importable"):
+                    assert session.step(step, 7) == [0, 7, 14]
+                assert session.step(step, 2) == [0, 2, 4]
+            assert all(backend.health_check().values())
+            assert _run(backend, (_bump, _report))[0] == _reference(
+                (_bump, _report)
+            )[0]
+        finally:
+            backend.close()
+
+
+class TestRespawn(RespawnCases):
+    transport = "process"
+
+
+class TestDegrade(DegradeCases):
+    transport = "process"
+
+
+class TestLocalFallback(FallbackCases):
+    transport = "process"
+
+
+# ----------------------------------------------------------------------
+# regression: a peer lost while the pool is idle
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["process:2", "tcp://127.0.0.1:0:2"])
+def test_peer_dead_between_sessions_is_replaced(spec):
+    """The driver opens one session per contact step, so a peer that
+    dies between two sessions (idle-time OOM kill) must be replaced by
+    the next session's open — the same loss → replace → retry path as
+    a step — not fail its first superstep."""
+    steps = (_bump, _bump, _report)
+    ref_results, ref_ledger = _reference(steps)
+    backend = build_backend(spec)
+    tracer = Tracer()
+    try:
+        assert _run(backend, steps)[0] == ref_results
+        kill_one_peer(backend)
+        results, ledger = _run(backend, steps, tracer=tracer)
+    finally:
+        backend.close()
+    assert results == ref_results
+    assert ledger.phases == ref_ledger.phases
+    counters = _counter_totals(tracer)
+    assert counters.get("worker_respawns", 0) >= 1
+    assert "ranks_degraded" not in counters
+
+
+# ----------------------------------------------------------------------
+# process-pool health and shutdown
+# ----------------------------------------------------------------------
 
 
 class TestHealthCheck:
@@ -222,7 +391,7 @@ class TestHealthCheck:
             _run(backend, (_bump, _report))  # spin the pool up
             health = backend.health_check(timeout=2.0)
             assert health and all(health.values())
-            backend._ensure_pool()[0].proc.terminate()
+            backend.members()[0].proc.terminate()
             time.sleep(0.2)
             health = backend.health_check(timeout=2.0)
             assert not all(health.values())
@@ -237,9 +406,33 @@ class TestHealthCheck:
         )
         try:
             _run(backend, (_bump, _report))
-            backend._ensure_pool()[0].proc.kill()
+            backend.members()[0].proc.kill()
         finally:
             backend.close()  # must not hang or raise
+
+    def test_session_close_with_stopped_worker_is_bounded(self):
+        """A SIGSTOPped worker never acknowledges ``close``; the
+        handshake gives up after the heartbeat timeout instead of
+        hanging the caller."""
+        cfg = SupervisorConfig(
+            heartbeat_timeout_s=0.5, shutdown_grace_s=1.0,
+            kill_grace_s=0.5,
+        )
+        backend = ProcessBackend(workers=2, supervisor=cfg)
+        session = backend.open_session(3)
+        victim = None
+        try:
+            session.step(_bump_step)
+            victim = backend.members()[0].proc
+            os.kill(victim.pid, signal.SIGSTOP)
+            closer = threading.Thread(target=session.close, daemon=True)
+            closer.start()
+            closer.join(cfg.heartbeat_timeout_s + cfg.shutdown_grace_s)
+            assert not closer.is_alive(), "session.close() hung"
+        finally:
+            if victim is not None:
+                victim.kill()  # SIGKILL also ends a stopped process
+            backend.close()
 
 
 class TestSupervisorConfig:

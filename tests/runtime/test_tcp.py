@@ -6,8 +6,10 @@ killed, hang past the deadline, or join mid-run — must produce
 results, ledgers, and merge order bit-identical to
 :class:`SerialBackend`.  On top of that the suite pins the
 ``repro.wire/1`` handshake (version/schema rejection), elastic
-membership accounting, the external ``repro-agent`` entry point, and
-the local fallback for unpicklable supersteps.
+membership accounting and the external ``repro-agent`` entry point.
+Recovery, degradation and the local fallback are the transport-
+parametrised suite of ``test_supervised.py``, instantiated here for
+``tcp``.
 """
 
 import os
@@ -22,7 +24,6 @@ import pytest
 from repro.obs.report import RunReport
 from repro.obs.tracer import Tracer
 from repro.runtime.backends import SerialBackend, build_backend
-from repro.runtime.backends.process import SupervisorConfig
 from repro.runtime.backends.tcp import (
     AGENT_NAME_PREFIX,
     TCPBackend,
@@ -35,8 +36,8 @@ from repro.runtime.backends.wire import (
     write_stream,
 )
 from repro.runtime.executor import spmd_run
-from repro.runtime.faults import ChaosBackend
 from repro.runtime.ledger import CommLedger
+from tests.runtime import test_supervised as supervised
 
 ACCEPT_TIMEOUT = 30.0  # generous: CI machines can be slow to fork
 
@@ -248,47 +249,20 @@ class TestHandshake:
 
 
 # ----------------------------------------------------------------------
-# fault tolerance over sockets
+# fault tolerance over sockets: the supervised suite on this transport
 # ----------------------------------------------------------------------
 
 
-class TestRecovery:
-    def test_killed_agent_respawned_bit_identical(self):
-        expected, expected_ledger = _serial_baseline()
-        inner = _tcp_backend(workers=2)
-        chaos = ChaosBackend(plan="kill@1.1", inner=inner, workers=2)
-        tracer = Tracer()
-        try:
-            results, ledger = _run_pipeline(chaos, tracer=tracer)
-            assert results == expected
-            assert ledger.summary() == expected_ledger.summary()
-            assert inner.reconnects >= 1
-        finally:
-            chaos.close()
-        report = RunReport.from_run(tracer, ledger)
-        recovery = report.recovery_totals()
-        assert recovery["worker_deaths"] >= 1
-        assert recovery["step_retries"] >= 1
-        assert report.distributed_totals()["reconnects"] >= 1
+class TestRecovery(supervised.RespawnCases):
+    transport = "tcp"
 
-    def test_hung_agent_hits_deadline_and_recovers(self):
-        expected, _ = _serial_baseline()
-        inner = _tcp_backend(
-            workers=2,
-            supervisor=SupervisorConfig(
-                step_deadline_s=1.5, heartbeat_timeout_s=2.0
-            ),
-        )
-        chaos = ChaosBackend(plan="hang@1.0:60", inner=inner, workers=2)
-        tracer = Tracer()
-        try:
-            results, _ledger = _run_pipeline(chaos, tracer=tracer)
-            assert results == expected
-            assert inner.reconnects >= 1
-        finally:
-            chaos.close()
-        report = RunReport.from_run(tracer, CommLedger())
-        assert report.recovery_totals()["deadline_timeouts"] >= 1
+
+class TestDegrade(supervised.DegradeCases):
+    transport = "tcp"
+
+
+class TestLocalFallback(supervised.FallbackCases):
+    transport = "tcp"
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +308,7 @@ class TestElasticMembership:
                     results.append(
                         session.step(partial(call_without_arg, fn))
                     )
-                assert len(backend._roster_snapshot()) == 2
+                assert len(backend._connected()) == 2
         finally:
             backend.close()
         assert results == expected
@@ -400,9 +374,16 @@ class TestExternalAgents:
         with pytest.raises(SystemExit):
             agent_main(["--connect", "no-port-here"])
 
-    def test_agent_main_reports_unreachable_coordinator(self):
+    def test_agent_main_reports_unreachable_coordinator(self, monkeypatch):
+        import multiprocessing
+
         from repro.runtime.backends.tcp import agent_main
 
+        # agent_main renames its process to the worker prefix; undo it
+        # here or every later "am I a pool worker?" check in this
+        # pytest process (chaos kills, the supervised suite) says yes
+        me = multiprocessing.current_process()
+        monkeypatch.setattr(me, "name", me.name)
         # a bound-but-unaccepting port refuses quickly on loopback
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -412,32 +393,3 @@ class TestExternalAgents:
             ["--connect", f"127.0.0.1:{port}", "--retries", "0"]
         )
         assert rc == 1
-
-
-# ----------------------------------------------------------------------
-# local fallback
-# ----------------------------------------------------------------------
-
-
-class TestLocalFallback:
-    def test_unpicklable_superstep_falls_back_with_warning(self):
-        backend = _tcp_backend(workers=2)
-        secret = 7
-
-        def closure_step(ctx):
-            return ctx.rank * secret  # closure: not picklable by ref
-
-        try:
-            ledger = CommLedger()
-            with backend.open_session(3, ledger=ledger) as session:
-                from functools import partial
-
-                from repro.runtime.backends.base import call_without_arg
-
-                with pytest.warns(RuntimeWarning, match="not picklable"):
-                    values = session.step(
-                        partial(call_without_arg, closure_step)
-                    )
-            assert values == [0, 7, 14]
-        finally:
-            backend.close()
