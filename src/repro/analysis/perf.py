@@ -94,6 +94,10 @@ SPAN_MODULE_HINTS: Dict[str, Tuple[str, ...]] = {
     "initial": ("repro.partition.initial",),
     "refine": ("repro.partition",),
     "refine-G'": ("repro.partition",),
+    "absorb": ("repro.partition.fragments", "repro.graph.ops"),
+    "rebalance": ("repro.partition.refine_kway", "repro.partition.balance"),
+    "greedy": ("repro.partition.refine_kway",),
+    "fm": ("repro.partition.refine_kway_fm",),
     "collapse": ("repro.partition.fragments",),
     "dtree-induce": ("repro.dtree",),
     "update": ("repro.dtree", "repro.partition.repartition"),

@@ -40,6 +40,9 @@ from repro.graph.ops import contract, induced_subgraph
 from repro.obs.tracer import (
     SPAN_COLLAPSE,
     SPAN_DTREE_INDUCE,
+    SPAN_FM,
+    SPAN_GREEDY,
+    SPAN_REBALANCE,
     SPAN_REFINE_GPRIME,
     TracerBase,
     ensure_tracer,
@@ -194,13 +197,18 @@ class MCMLDTPartitioner:
             )
 
         with tracer.span(SPAN_REFINE_GPRIME):
-            leaf_part, _ = rebalance_kway(
-                gprime, leaf_part, self.k, p.options
-            )
-            leaf_part = greedy_kway_refine(
-                gprime, leaf_part, self.k, p.options
-            )
-            leaf_part = kway_fm_refine(gprime, leaf_part, self.k, p.options)
+            with tracer.span(SPAN_REBALANCE):
+                leaf_part, _ = rebalance_kway(
+                    gprime, leaf_part, self.k, p.options
+                )
+            with tracer.span(SPAN_GREEDY):
+                leaf_part = greedy_kway_refine(
+                    gprime, leaf_part, self.k, p.options
+                )
+            with tracer.span(SPAN_FM):
+                leaf_part = kway_fm_refine(
+                    gprime, leaf_part, self.k, p.options
+                )
 
         new_part = part.copy()
         new_part[used] = leaf_part[leaf_idx]

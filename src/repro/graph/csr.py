@@ -89,6 +89,25 @@ class CSRGraph:
         :meth:`neighbors`."""
         return self.adjwgt[self.xadj[v] : self.xadj[v + 1]]
 
+    def incident_edges(
+        self, vertices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`neighbors` for a vertex set.
+
+        Returns ``(owner, edges)``: ``edges`` indexes ``adjncy`` /
+        ``adjwgt`` and lists every adjacency entry of ``vertices[0]``,
+        then of ``vertices[1]``, … (CSR order within a vertex);
+        ``owner[e]`` is the position in ``vertices`` that entry
+        ``edges[e]`` belongs to.
+        """
+        starts = self.xadj[vertices]
+        degs = self.xadj[vertices + 1] - starts
+        owner = np.repeat(np.arange(len(vertices), dtype=np.int64), degs)
+        # entry e of vertex i sits at starts[i] + (e - first entry of i)
+        first = np.cumsum(degs) - degs
+        edges = np.arange(len(owner), dtype=np.int64) + (starts - first)[owner]
+        return owner, edges
+
     def iter_edges(self) -> Iterator[Tuple[int, int, int]]:
         """Yield each undirected edge once as ``(u, v, w)`` with ``u < v``.
 

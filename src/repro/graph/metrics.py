@@ -75,9 +75,16 @@ def max_load_imbalance(graph: CSRGraph, part: np.ndarray, k: int) -> float:
     return float(load_imbalance(graph, part, k).max())
 
 
+def external_degree(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
+    """Per vertex, the number of adjacency entries that lead into
+    another partition, ``int64[n]``."""
+    part = np.asarray(part, dtype=np.int64)
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    cut = part[src] != part[graph.adjncy]
+    return np.bincount(src[cut], minlength=n)
+
+
 def boundary_vertices(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
     """Vertices with at least one neighbour in another partition."""
-    part = np.asarray(part, dtype=np.int64)
-    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
-    cut = part[src] != part[graph.adjncy]
-    return np.unique(src[cut])
+    return np.flatnonzero(external_degree(graph, part))

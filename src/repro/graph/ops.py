@@ -8,9 +8,10 @@ leaf-collapse step that builds the refinement graph ``G'`` (paper
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from repro.graph.csr import CSRGraph
 
@@ -86,30 +87,17 @@ def induced_subgraph(
 def connected_components(graph: CSRGraph) -> np.ndarray:
     """Label connected components; returns ``int64[n]`` of component ids.
 
-    Iterative BFS over the CSR arrays (no recursion, no networkx) so it
-    scales to the full nodal graphs.
+    Components are numbered in order of their lowest vertex id (the
+    order a sweep over ``range(n)`` first meets them), which is what
+    :func:`scipy.sparse.csgraph.connected_components` produces.
     """
     n = graph.num_vertices
-    comp = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for seed in range(n):
-        if comp[seed] >= 0:
-            continue
-        frontier = np.array([seed], dtype=np.int64)
-        comp[seed] = current
-        while len(frontier):
-            nxt = []
-            for v in frontier:
-                nbrs = graph.neighbors(v)
-                fresh = nbrs[comp[nbrs] < 0]
-                comp[fresh] = current
-                if len(fresh):
-                    nxt.append(np.unique(fresh))
-            frontier = (
-                np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
-            )
-        current += 1
-    return comp
+    adjacency = csr_matrix(
+        (np.ones(len(graph.adjncy), dtype=np.int8), graph.adjncy, graph.xadj),
+        shape=(n, n),
+    )
+    _, comp = csgraph.connected_components(adjacency, directed=False)
+    return comp.astype(np.int64)
 
 
 def largest_component(graph: CSRGraph) -> Tuple[CSRGraph, np.ndarray]:

@@ -29,6 +29,11 @@ Number = Union[int, float]
 SPAN_COARSEN = "coarsen"
 SPAN_INITIAL = "initial"
 SPAN_REFINE = "refine"
+#: stages of the k-way repair/polish, children of ``refine``/``refine-G'``
+SPAN_ABSORB = "absorb"
+SPAN_REBALANCE = "rebalance"
+SPAN_GREEDY = "greedy"
+SPAN_FM = "fm"
 SPAN_DTREE_INDUCE = "dtree-induce"
 SPAN_COLLAPSE = "collapse"
 SPAN_REFINE_GPRIME = "refine-G'"

@@ -113,6 +113,13 @@ class BalanceTracker:
     weights and bounds as plain Python lists (ncon is 1–2 in practice)
     and answers move queries in O(ncon) with no allocation. Semantics
     match :func:`violation` exactly (asserted by tests).
+
+    The ``*_many`` queries answer the same questions for a whole batch
+    of vertex weights against every destination at once. They perform
+    the scalar methods' floating-point operations in the scalar
+    methods' order, so ``delta_move_many(src, w)[i, d] ==
+    delta_move(src, d, w[i])`` holds with ``==``: a caller may switch
+    between the two forms without changing which move wins a tie.
     """
 
     def __init__(
@@ -129,6 +136,8 @@ class BalanceTracker:
         ]
         self.pw = [row[:] for row in pwgts.tolist()]
         self.allowed = [row[:] for row in allowed.tolist()]
+        # immutable array twin of the bounds for the *_many queries
+        self._allowed_arr = allowed
         self._viol = [self._violation_row(p) for p in range(self.k)]
         self.total = sum(self._viol)
 
@@ -185,6 +194,42 @@ class BalanceTracker:
             if inv[j] > 0.0 and pw_d[j] + vwgt[j] > al_d[j]:
                 return False
         return True
+
+    def fits_many(self, vwgts: np.ndarray) -> np.ndarray:
+        """:meth:`fits` for every row of ``vwgts`` (shape ``(m, ncon)``)
+        against every destination: boolean ``(m, k)``."""
+        pw, allowed = self.pwgts_array(), self._allowed_arr
+        over = np.zeros((len(vwgts), self.k), dtype=bool)
+        for j, inv in enumerate(self._inv_scale):
+            if inv > 0.0:
+                over |= pw[:, j] + vwgts[:, j, None] > allowed[:, j]
+        return ~over
+
+    def has_slack(self, j: int) -> np.ndarray:
+        """Which partitions sit strictly below their bound in
+        constraint ``j``: boolean ``(k,)``."""
+        return self.pwgts_array()[:, j] < self._allowed_arr[:, j]
+
+    def delta_move_many(self, src: int, vwgts: np.ndarray) -> np.ndarray:
+        """:meth:`delta_move` out of ``src`` for every row of ``vwgts``
+        (shape ``(m, ncon)``) into every destination: float ``(m, k)``.
+
+        A term the scalar sum skips (excess ≤ 0) is added as zero
+        here, which leaves a non-negative running sum bit-for-bit
+        unchanged.
+        """
+        pw, allowed = self.pwgts_array(), self._allowed_arr
+        viol = np.asarray(self._viol)
+        after = np.zeros((len(vwgts), self.k), dtype=np.float64)
+        for j, inv in enumerate(self._inv_scale):
+            if inv <= 0.0:
+                continue
+            w = vwgts[:, j]
+            e_s = pw[src, j] - w - allowed[src, j]
+            after += (np.maximum(e_s, 0.0) * inv)[:, None]
+            e_d = pw[:, j] + w[:, None] - allowed[:, j]
+            after += np.maximum(e_d, 0.0) * inv
+        return after - (viol[src] + viol)
 
     def apply_move(self, src: int, dst: int, vwgt) -> None:
         """Commit a move and update cached violations."""

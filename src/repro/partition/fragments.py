@@ -85,23 +85,20 @@ def absorb_fragments(
             if len(groups) <= 1:
                 continue
             for frag in groups[1:]:
-                # edge weight from the fragment into each partition
-                conn: dict = {}
-                for v in frag:
-                    nbrs = graph.neighbors(int(v))
-                    wts = graph.edge_weights_of(int(v))
-                    for u, w in zip(nbrs, wts):
-                        q = int(part[u])
-                        if q != p:
-                            conn[q] = conn.get(q, 0) + int(w)
-                if not conn:
+                # edge weight from the fragment into each foreign
+                # partition, heaviest first; ties keep the order in
+                # which the fragment's adjacency meets the partitions
+                _, edges = graph.incident_edges(frag)
+                edges = edges[part[graph.adjncy[edges]] != p]
+                if len(edges) == 0:
                     continue  # body-isolated fragment; nothing adjacent
+                nbr_part = part[graph.adjncy[edges]]
+                conn = np.bincount(nbr_part, weights=graph.adjwgt[edges])
+                met, first_met = np.unique(nbr_part, return_index=True)
+                ranked = met[np.lexsort((first_met, -conn[met]))].tolist()
                 frag_w = graph.vwgts[frag].sum(axis=0)
-                ranked = sorted(
-                    conn.items(), key=lambda kv: kv[1], reverse=True
-                )
                 chosen = None
-                for dst, _w in ranked:
+                for dst in ranked:
                     if tracker.fits(dst, frag_w.tolist()):
                         chosen = dst
                         break
@@ -114,9 +111,9 @@ def absorb_fragments(
                             small = False
                             break
                     if small:
-                        chosen = ranked[0][0]
+                        chosen = ranked[0]
                 if chosen is None:
-                    dst = ranked[0][0]
+                    dst = ranked[0]
                     if tracker.delta_move(p, dst, frag_w.tolist()) < -1e-12:
                         chosen = dst
                 if chosen is None:

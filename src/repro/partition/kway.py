@@ -13,7 +13,15 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.obs.tracer import SPAN_REFINE, TracerBase, ensure_tracer
+from repro.obs.tracer import (
+    SPAN_ABSORB,
+    SPAN_FM,
+    SPAN_GREEDY,
+    SPAN_REBALANCE,
+    SPAN_REFINE,
+    TracerBase,
+    ensure_tracer,
+)
 from repro.partition.config import PartitionOptions
 from repro.partition.fragments import absorb_fragments
 from repro.partition.recursive import recursive_bisection
@@ -51,15 +59,22 @@ def partition_kway(
         # rebalancing/refinement can strand new islands. Each round
         # ends feasible: absorb is the only step allowed to overload,
         # and rebalance_kway runs right after it.
-        with tracer.span(SPAN_REFINE):
+        span = tracer.span
+        with span(SPAN_REFINE):
             for _round in range(2):
-                part, moved = absorb_fragments(graph, part, k, options)
-                part, rebal_moved = rebalance_kway(graph, part, k, options)
-                part = greedy_kway_refine(graph, part, k, options)
+                with span(SPAN_ABSORB):
+                    part, moved = absorb_fragments(graph, part, k, options)
+                with span(SPAN_REBALANCE):
+                    part, rebal_moved = rebalance_kway(
+                        graph, part, k, options
+                    )
+                with span(SPAN_GREEDY):
+                    part = greedy_kway_refine(graph, part, k, options)
                 tracer.count("rebalance_moves", rebal_moved)
                 if moved == 0:
                     break
             # hill-climbing FM polish (escapes the greedy loop's local
             # minima; feasibility-preserving)
-            part = kway_fm_refine(graph, part, k, options)
+            with span(SPAN_FM):
+                part = kway_fm_refine(graph, part, k, options)
     return part

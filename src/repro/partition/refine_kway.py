@@ -19,8 +19,12 @@ Two related loops over boundary vertices:
   implements the diffusion step of the repartitioner.
 
 Both loops track balance with
-:class:`~repro.partition.balance.BalanceTracker`, so a move query is
-O(ncon) without allocations.
+:class:`~repro.partition.balance.BalanceTracker`. The greedy sweep
+asks it one move at a time (O(ncon), no allocation); the rebalancer
+scores a whole candidate × destination table per move through the
+tracker's array queries and keeps its boundary incrementally, so a
+move costs one O(n) mask plus O(deg + candidates · k) array work
+rather than a rescan of every edge.
 """
 
 from __future__ import annotations
@@ -30,7 +34,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.metrics import boundary_vertices, partition_weights
+from repro.graph.metrics import (
+    boundary_vertices,
+    external_degree,
+    partition_weights,
+)
 from repro.partition.balance import BalanceTracker, target_weights
 from repro.partition.config import PartitionOptions
 from repro.utils.rng import as_rng
@@ -112,6 +120,47 @@ def greedy_kway_refine(
     return part
 
 
+def _best_rebalance_move(
+    graph: CSRGraph,
+    part: np.ndarray,
+    k: int,
+    tracker: BalanceTracker,
+    cand: np.ndarray,
+    p_star: int,
+    j_star: int,
+) -> Optional[Tuple[int, int]]:
+    """Score every ``cand`` × destination move out of ``p_star`` at
+    once; returns the ``(v, dst)`` with the lexicographically smallest
+    ``(violation delta, cut loss, v, dst)``, or ``None`` when no move
+    lowers the violation."""
+    m = len(cand)
+    # conn[i, q]: edge weight from cand[i] into partition q
+    owner, edges = graph.incident_edges(cand)
+    cell = owner * k + part[graph.adjncy[edges]]
+    conn = np.bincount(
+        cell, weights=graph.adjwgt[edges], minlength=m * k
+    ).reshape(m, k)
+    adjacent = np.bincount(cell, minlength=m * k).reshape(m, k) > 0
+
+    # adjacent partitions first, but also any partition with spare
+    # capacity overall or slack in the binding constraint: when every
+    # neighbouring partition is itself overweight, balance can only be
+    # restored by a "teleport" move that a later refinement pass
+    # cleans up
+    vw = graph.vwgts[cand]
+    open_dst = adjacent | tracker.fits_many(vw) | tracker.has_slack(j_star)
+    open_dst[:, p_star] = False
+    dv = tracker.delta_move_many(p_star, vw)
+    dv[~open_dst | (dv >= -1e-12)] = np.inf
+    best = dv.min()
+    if best == np.inf:
+        return None
+    rows, dsts = np.nonzero(dv == best)
+    cut_loss = conn[rows, p_star] - conn[rows, dsts]
+    pick = np.lexsort((dsts, cand[rows], cut_loss))[0]
+    return int(cand[rows[pick]]), int(dsts[pick])
+
+
 def rebalance_kway(
     graph: CSRGraph,
     part: np.ndarray,
@@ -128,70 +177,59 @@ def rebalance_kway(
     move targets the worst (partition, constraint) excess; at most
     ``sample_cap`` candidate vertices are scored per move to bound the
     per-move cost on huge boundaries.
+
+    One move costs O(n) mask work plus O(deg + candidates × k) scoring:
+    the per-vertex external-neighbour count that defines the boundary
+    is kept incrementally (only the moved vertex and its neighbours
+    change), and the candidate × destination table is scored in one
+    batch by :func:`_best_rebalance_move`.
     """
     options = options or PartitionOptions()
     part = np.asarray(part, dtype=np.int64)
     tracker = _make_tracker(graph, part, k, options.ubfactor, fracs)
-    vwgts_arr = graph.vwgts
-    vwgts = vwgts_arr.tolist()
+    vwgts = graph.vwgts
+    carries = vwgts > 0
     if max_moves is None:
         max_moves = 4 * graph.num_vertices
     rng = as_rng(options.seed)
+    ext = external_degree(graph, part)
 
     n_moved = 0
-    stall = 0
+    stall = 0  # consecutive candidate samples that held no useful move
     while n_moved < max_moves and tracker.total > 1e-12 and stall < k + 2:
         worst = tracker.worst()
         if worst is None:
             break
         p_star, j_star = worst
-        bnd = boundary_vertices(graph, part)
-        cand = bnd[part[bnd] == p_star]
         # the binding constraint only shrinks by exporting weight in it
-        cand = cand[vwgts_arr[cand, j_star] > 0]
+        carriers = (part == p_star) & carries[:, j_star]
+        cand = np.flatnonzero(carriers & (ext > 0))
         if len(cand) == 0:
-            wide = np.nonzero(
-                (part == p_star) & (vwgts_arr[:, j_star] > 0)
-            )[0]
-            cand = wide
+            cand = np.flatnonzero(carriers)
         if len(cand) == 0:
-            stall += 1  # nothing movable carries this constraint
-            continue
-        if len(cand) > sample_cap:
+            break  # nothing movable carries this constraint
+        sampled = len(cand) > sample_cap
+        if sampled:
             cand = rng.choice(cand, size=sample_cap, replace=False)
 
-        best = None  # (delta, cut_loss, v, dst)
-        for v in cand:
-            v = int(v)
-            conn = _neighbor_partition_weights(graph, part, v)
-            own = conn.get(p_star, 0)
-            vw = vwgts[v]
-            # adjacent partitions first, but also any partition with
-            # spare capacity overall or slack in the binding constraint:
-            # when every neighbouring partition is itself overweight,
-            # balance can only be restored by a "teleport" move that a
-            # later refinement pass cleans up
-            dsts = set(conn)
-            for d in range(k):
-                if tracker.fits(d, vw) or (
-                    tracker.pw[d][j_star] < tracker.allowed[d][j_star]
-                ):
-                    dsts.add(d)
-            dsts.discard(p_star)
-            for dst in dsts:
-                dv = tracker.delta_move(p_star, dst, vw)
-                if dv >= -1e-12:
-                    continue
-                cut_loss = own - conn.get(dst, 0)
-                key = (dv, cut_loss, v, dst)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            stall += 1
+        move = _best_rebalance_move(
+            graph, part, k, tracker, cand, p_star, j_star
+        )
+        if move is None:
+            if not sampled:
+                break  # every candidate was scored; the state is final
+            stall += 1  # another draw may still hold an improving move
             continue
         stall = 0
-        _, _, v, dst = best
+        v, dst = move
         part[v] = dst
-        tracker.apply_move(p_star, dst, vwgts[v])
+        tracker.apply_move(p_star, dst, vwgts[v].tolist())
         n_moved += 1
+        # v's neighbours gain (in p_star) or lose (in dst) one external
+        # entry each; v itself is recounted against its new partition
+        nbrs = graph.neighbors(v)
+        nbr_part = part[nbrs]
+        gained = (nbr_part == p_star).astype(np.int64)
+        np.add.at(ext, nbrs, gained - (nbr_part == dst))
+        ext[v] = np.count_nonzero(nbr_part != dst)
     return part, n_moved

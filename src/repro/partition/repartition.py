@@ -32,12 +32,6 @@ class RepartitionResult:
     part: np.ndarray
     n_moved: int
 
-    @property
-    def overlap(self) -> int:
-        """Alias documenting intent: vertices kept = n - n_moved (filled
-        in by the caller who knows n)."""
-        return -self.n_moved
-
 
 def diffusion_repartition(
     graph: CSRGraph,

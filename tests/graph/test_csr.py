@@ -53,6 +53,18 @@ class TestBasics:
         wts = g.edge_weights_of(1)
         assert len(nbrs) == len(wts)
 
+    def test_incident_edges_concatenates_rows(self):
+        g = grid_graph(5, 4)
+        for verts in ([7, 0, 19, 7], [3], []):
+            verts = np.array(verts, dtype=np.int64)
+            owner, edges = g.incident_edges(verts)
+            assert g.adjncy[edges].tolist() == [
+                int(u) for v in verts for u in g.neighbors(v)
+            ]
+            assert owner.tolist() == [
+                i for i, v in enumerate(verts) for _ in g.neighbors(v)
+            ]
+
 
 class TestValidate:
     def test_valid_graph_passes(self):

@@ -10,6 +10,7 @@ from repro.graph.build import from_edge_list, grid_graph
 from repro.graph.metrics import (
     boundary_vertices,
     edge_cut,
+    external_degree,
     load_imbalance,
     max_load_imbalance,
     partition_weights,
@@ -126,3 +127,12 @@ class TestBoundary:
     def test_no_boundary_when_uncut(self):
         g = grid_graph(3, 3)
         assert len(boundary_vertices(g, np.zeros(9, dtype=int))) == 0
+
+    def test_external_degree_counts_foreign_neighbours(self):
+        g = grid_graph(5, 4)
+        part = np.random.default_rng(0).integers(0, 3, size=20)
+        ext = external_degree(g, part)
+        assert ext.tolist() == [
+            int(np.count_nonzero(part[g.neighbors(v)] != part[v]))
+            for v in range(20)
+        ]

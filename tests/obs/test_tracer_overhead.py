@@ -50,3 +50,21 @@ class TestTracingChangesNothing:
         # wall-time consistency: no span outlives its parent
         for path, span in root.walk():
             assert span.total_s + 1e-9 >= span.children_s, path
+
+    def test_traced_fit_splits_refine_into_stages(self, small_sequence):
+        tracer = Tracer()
+        params = MCMLDTParams(options=PartitionOptions(seed=3))
+        MCMLDTPartitioner(5, params).fit(small_sequence[0], tracer=tracer)
+        root = tracer.finish()
+        refine = root.find("fit/partition/refine")
+        assert list(refine.children) == ["absorb", "rebalance", "greedy", "fm"]
+        # one absorb/rebalance/greedy per repair round, one FM polish
+        rounds = refine.children["absorb"].n_calls
+        assert 1 <= rounds <= 2
+        assert refine.children["rebalance"].n_calls == rounds
+        assert refine.children["greedy"].n_calls == rounds
+        assert refine.children["fm"].n_calls == 1
+        # the move counter stays on `refine`, where reports read it
+        assert "rebalance_moves" in refine.counters
+        gprime = root.find("fit/refine-G'")
+        assert list(gprime.children) == ["rebalance", "greedy", "fm"]

@@ -130,3 +130,65 @@ class TestBalanceTracker:
         tracker = BalanceTracker(np.array([[10.0], [10.0]]), targets, 1.05)
         assert tracker.fits(0, [0.4])
         assert not tracker.fits(0, [2.0])
+
+
+class TestBalanceTrackerArrayQueries:
+    """The ``*_many`` queries must equal the scalar ones with ``==``:
+    the rebalancer breaks ties on the exact float."""
+
+    def _case(self, seed, k, ncon, zero_column):
+        rng = np.random.default_rng(seed)
+        pwgts = rng.integers(0, 60, size=(k, ncon))
+        vwgts = rng.integers(0, 9, size=(17, ncon))
+        if seed % 2:
+            # fractional weights: every sum rounds, so a different
+            # operation order shows up in the last bit
+            pwgts = pwgts + rng.random((k, ncon))
+            vwgts = vwgts + rng.random((17, ncon))
+        if zero_column:
+            pwgts[:, -1] = 0
+            vwgts[:, -1] = 0
+        # uneven fractions: bounds that are not exact in binary either
+        fracs = rng.random(k) + 0.2
+        fracs /= fracs.sum()
+        totals = pwgts.sum(axis=0)
+        tracker = BalanceTracker(
+            pwgts, np.outer(fracs, totals), 1.0 + 0.3 * rng.random()
+        )
+        return rng, tracker, vwgts
+
+    def _assert_queries_equal(self, tracker, vwgts):
+        rows = vwgts.tolist()
+        fits = tracker.fits_many(vwgts)
+        assert fits.shape == (len(rows), tracker.k) and fits.dtype == bool
+        for d in range(tracker.k):
+            assert fits[:, d].tolist() == [tracker.fits(d, w) for w in rows]
+        for j in range(tracker.ncon):
+            assert tracker.has_slack(j).tolist() == [
+                tracker.pw[d][j] < tracker.allowed[d][j]
+                for d in range(tracker.k)
+            ]
+        for src in range(tracker.k):
+            delta = tracker.delta_move_many(src, vwgts)
+            assert delta.shape == (len(rows), tracker.k)
+            for d in range(tracker.k):
+                assert delta[:, d].tolist() == [
+                    tracker.delta_move(src, d, w) for w in rows
+                ]
+
+    @pytest.mark.parametrize(
+        "ncon, zero_column",
+        [(1, False), (2, False), (2, True), (3, False), (3, True)],
+    )
+    @pytest.mark.parametrize("k", [2, 7, 32])
+    def test_equal_to_scalar_queries(self, k, ncon, zero_column):
+        for seed in range(4):
+            _, tracker, vwgts = self._case(seed, k, ncon, zero_column)
+            self._assert_queries_equal(tracker, vwgts)
+
+    def test_equal_after_moves(self):
+        rng, tracker, vwgts = self._case(9, 6, 2, False)
+        for row in vwgts.tolist():
+            src, dst = rng.choice(6, size=2, replace=False)
+            tracker.apply_move(int(src), int(dst), row)
+            self._assert_queries_equal(tracker, vwgts)
