@@ -30,7 +30,7 @@ from repro.geometry.bbox import element_bboxes
 from repro.obs.tracer import Tracer
 from repro.runtime.backends import build_backend
 
-from .conftest import record, register_backend_result, strong_options
+from .conftest import record, register_result, strong_options
 
 K = 4  # ranks
 WORKERS = 4
@@ -95,7 +95,8 @@ def _run_backend(benchmark, scene, name):
         for path, span in tracer.root.walk()
         if "global-search" in path
     }
-    register_backend_result(
+    register_result(
+        "backends",
         name,
         best_s=round(best, 6),
         mean_s=round(sum(timings) / len(timings), 6),

@@ -15,8 +15,8 @@ The smoke-level regression guard: when the compiled tier is genuinely
 active (numba importable, no fallback), the contact-search kernels must
 not be slower compiled than pure on warm repeat runs.  Where numba is
 absent the tier falls back per kernel, timings converge by
-construction, and the artifact's ``platform_note`` documents the cap
-instead of failing the bench.
+construction, and each result's ``compiled_active`` /
+``fallback_reason`` documents the cap instead of failing the bench.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pytest
 from repro.kernels import declared_kernels, kernel_dispatchers
 from repro.runtime import compiled as rc
 
-from .conftest import register_kernel_result
+from .conftest import register_result
 
 ROUNDS = 5
 
@@ -127,7 +127,8 @@ def test_kernel_pure_vs_compiled(name):
         assert np.array_equal(w, g)
 
     speedup = round(pure_best / compiled_best, 3) if compiled_best else None
-    register_kernel_result(
+    register_result(
+        "kernels",
         name,
         pure_best_s=round(pure_best, 6),
         compiled_best_s=round(compiled_best, 6),

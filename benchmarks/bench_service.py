@@ -26,7 +26,7 @@ from repro.service.client import ServiceClient
 from repro.service.engine import EngineConfig
 from repro.service.http import ServerThread
 
-from .conftest import record, register_service_result
+from .conftest import record, register_result
 
 #: a mid-size scene: big enough that a fit dominates transport, small
 #: enough to keep the bench quick
@@ -70,7 +70,8 @@ def test_cold_vs_cached_latency(benchmark, server):
         f"{ratio:.1%} of cold {cold_s * 1e3:.1f}ms (must be < 10%)"
     )
 
-    register_service_result(
+    register_result(
+        "service",
         "cold_vs_cached",
         cold_s=round(cold_s, 6),
         cached_s=round(cached_s, 6),
@@ -113,7 +114,8 @@ def test_coalesced_throughput(benchmark, server):
     assert all(r["labels"] == baseline for r in results)
 
     throughput = COALESCED_CLIENTS / wall_s
-    register_service_result(
+    register_result(
+        "service",
         "coalesced_throughput",
         clients=COALESCED_CLIENTS,
         wall_s=round(wall_s, 6),

@@ -31,7 +31,7 @@ from repro.runtime.ledger import CommLedger
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
 
-from .conftest import record, register_tcp_result, strong_options
+from .conftest import record, register_result, strong_options
 
 K = 4  # ranks
 WORKERS = 2
@@ -97,7 +97,8 @@ def test_tcp_contact_search(benchmark, scene):
         "tcp backend diverged from the serial reference"
     )
     assert ledger.summary() == expected_ledger.summary()
-    register_tcp_result(
+    register_result(
+        "tcp",
         "contact_search",
         best_s=round(best, 6),
         mean_s=round(sum(timings) / len(timings), 6),
@@ -147,7 +148,8 @@ def test_tcp_step_dispatch_overhead(benchmark, scene):
         backend.close()
 
     per_step_ms = elapsed / steps * 1e3
-    register_tcp_result(
+    register_result(
+        "tcp",
         "step_dispatch",
         steps=steps,
         per_step_ms=round(per_step_ms, 4),

@@ -21,147 +21,35 @@ from repro.partition.config import PartitionOptions
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
 
-#: results registered by ``bench_backends`` during the session; when
-#: non-empty, ``pytest_sessionfinish`` summarises them into
-#: ``BENCH_backends.json`` at the repo root (uploaded from CI)
-BACKEND_RESULTS: dict = {}
+#: report name → {measurement name: payload}, registered by the bench
+#: modules during the session; every non-empty report is written to
+#: ``BENCH_<report>.json`` at the repo root when the session ends (CI
+#: uploads them as artefacts — none is committed; the numbers of
+#: record are the bench spine's, ``benchmarks/spine``)
+RESULTS: dict = {}
 
-_BACKEND_REPORT = Path(__file__).resolve().parent.parent / (
-    "BENCH_backends.json"
-)
-
-
-def register_backend_result(backend: str, **payload) -> None:
-    """Record one backend's measured contact-search run for the
-    end-of-session ``BENCH_backends.json`` report."""
-    BACKEND_RESULTS[backend] = payload
+_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-#: per-kernel pure-vs-compiled timings registered by ``bench_kernels``;
-#: summarised into ``BENCH_kernels.json`` at session end (CI artifact)
-KERNEL_RESULTS: dict = {}
-
-_KERNEL_REPORT = Path(__file__).resolve().parent.parent / (
-    "BENCH_kernels.json"
-)
-
-
-def register_kernel_result(kernel: str, **payload) -> None:
-    """Record one kernel's pure-vs-compiled measurement for the
-    end-of-session ``BENCH_kernels.json`` report."""
-    KERNEL_RESULTS[kernel] = payload
-
-
-#: service latency/throughput measurements registered by
-#: ``bench_service``; summarised into ``BENCH_service.json`` at session
-#: end (CI artifact)
-SERVICE_RESULTS: dict = {}
-
-_SERVICE_REPORT = Path(__file__).resolve().parent.parent / (
-    "BENCH_service.json"
-)
-
-
-def register_service_result(name: str, **payload) -> None:
-    """Record one service measurement (cold/cached latency, coalesced
-    throughput) for the end-of-session ``BENCH_service.json`` report."""
-    SERVICE_RESULTS[name] = payload
-
-
-def _write_service_report(session) -> None:
-    cold = SERVICE_RESULTS.get("cold_vs_cached", {})
-    ratio = None
-    if cold.get("cold_s") and cold.get("cached_s"):
-        ratio = round(cold["cached_s"] / cold["cold_s"], 5)
-    report = {
-        "schema": "repro.bench-service/1",
-        "cpu_count": os.cpu_count(),
-        "results": SERVICE_RESULTS,
-        "cached_over_cold_ratio": ratio,
-    }
-    _SERVICE_REPORT.write_text(json.dumps(report, indent=2) + "\n")
-    rep = session.config.pluginmanager.get_plugin("terminalreporter")
-    if rep is not None:
-        rep.write_line(f"service report written to {_SERVICE_REPORT}")
-
-
-def _write_kernel_report(session) -> None:
-    from repro.runtime.compiled import numba_available
-
-    compiled_active = numba_available()
-    report = {
-        "schema": "repro.bench-kernels/1",
-        "cpu_count": os.cpu_count(),
-        "numba_available": compiled_active,
-        "platform_note": (
-            "compiled tier active (numba jit)"
-            if compiled_active
-            else (
-                "numba is not installed on this platform: the compiled "
-                "tier falls back per kernel to the pure NumPy path, so "
-                "compiled timings equal pure dispatch timings and no "
-                "speedup is expected (the >=1.5x contact-search target "
-                "applies only where numba is importable)"
-            )
-        ),
-        "results": KERNEL_RESULTS,
-    }
-    _KERNEL_REPORT.write_text(json.dumps(report, indent=2) + "\n")
-    rep = session.config.pluginmanager.get_plugin("terminalreporter")
-    if rep is not None:
-        rep.write_line(f"kernel report written to {_KERNEL_REPORT}")
-
-
-#: distributed-backend measurements registered by ``bench_tcp``;
-#: summarised into ``BENCH_tcp.json`` at session end (CI artifact)
-TCP_RESULTS: dict = {}
-
-_TCP_REPORT = Path(__file__).resolve().parent.parent / "BENCH_tcp.json"
-
-
-def register_tcp_result(name: str, **payload) -> None:
-    """Record one distributed-backend measurement (search run or
-    superstep dispatch overhead) for the end-of-session
-    ``BENCH_tcp.json`` report."""
-    TCP_RESULTS[name] = payload
-
-
-def _write_tcp_report(session) -> None:
-    report = {
-        "schema": "repro.bench-tcp/1",
-        "cpu_count": os.cpu_count(),
-        "results": TCP_RESULTS,
-    }
-    _TCP_REPORT.write_text(json.dumps(report, indent=2) + "\n")
-    rep = session.config.pluginmanager.get_plugin("terminalreporter")
-    if rep is not None:
-        rep.write_line(f"tcp report written to {_TCP_REPORT}")
+def register_result(report: str, name: str, **payload) -> None:
+    """Record one measurement for the end-of-session
+    ``BENCH_<report>.json`` report."""
+    RESULTS.setdefault(report, {})[name] = payload
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if SERVICE_RESULTS:
-        _write_service_report(session)
-    if KERNEL_RESULTS:
-        _write_kernel_report(session)
-    if TCP_RESULTS:
-        _write_tcp_report(session)
-    if not BACKEND_RESULTS:
-        return
-    serial = BACKEND_RESULTS.get("serial", {})
-    process = BACKEND_RESULTS.get("process", {})
-    speedup = None
-    if serial.get("best_s") and process.get("best_s"):
-        speedup = round(serial["best_s"] / process["best_s"], 3)
-    report = {
-        "schema": "repro.bench-backends/1",
-        "cpu_count": os.cpu_count(),
-        "results": BACKEND_RESULTS,
-        "process_speedup_vs_serial": speedup,
-    }
-    _BACKEND_REPORT.write_text(json.dumps(report, indent=2) + "\n")
     rep = session.config.pluginmanager.get_plugin("terminalreporter")
-    if rep is not None:
-        rep.write_line(f"backend report written to {_BACKEND_REPORT}")
+    for report, results in RESULTS.items():
+        path = _REPO_ROOT / f"BENCH_{report}.json"
+        document = {
+            "schema": f"repro.bench-{report}/2",
+            "cpu_count": os.cpu_count(),
+            "results": results,
+        }
+        path.write_text(json.dumps(document, indent=2) + "\n")
+        if rep is not None:
+            rep.write_line(f"{report} report written to {path}")
+
 
 # partition counts for the headline comparison. The paper used 25 and
 # 100 on a mesh ~9× larger; since partition interface effects scale

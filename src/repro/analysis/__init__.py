@@ -8,29 +8,32 @@ vectorised.  This package machine-checks those contracts with a small
 AST-walking lint engine so they cannot silently rot as the system
 grows (see ``docs/STATIC_ANALYSIS.md`` for the rule catalogue).
 
-On top of the per-file rules sits a project-level *dataflow pass*
-(:mod:`repro.analysis.dataflow` + :mod:`repro.analysis.spmd`) that
-locates every superstep handed to the SPMD runtime and proves it
-race-free, picklable, and deterministic (SPMD001–003, DET001,
-FLOAT001); its findings are validated dynamically by the race
+One :class:`LintEngine` drives every rule: it parses the target set
+once and runs *file rules* over each file and *project rules* over
+the one shared dataflow index (:mod:`repro.analysis.dataflow`), which
+is built only when a selected rule asks for it.
+
+The ``spmd`` family (:mod:`repro.analysis.spmd`, ``repro-lint
+--spmd``) locates every superstep handed to the SPMD runtime and
+proves it race-free, picklable, and deterministic (SPMD001–003,
+DET001, FLOAT001); its findings are validated dynamically by the race
 sentinel backend (:mod:`repro.runtime.backends.sentinel`).
 
-The third layer is performance-oriented (``repro-lint --perf``): the
-opt-in PERF rule family (:mod:`repro.analysis.perf`) finds the
-scalar-Python hot loops that block vectorisation — ranked by measured
-span self-times when a ``--trace-json`` run-report is supplied — and
-the kernel-purity certifier (:mod:`repro.analysis.kernelcheck`)
-proves every ``@repro.kernels.kernel``-marked function jit-compilable,
-emitting the ``repro.kernel-audit/1`` registry.  Pre-existing findings
-burn down through a committed baseline
-(:mod:`repro.analysis.baseline`) instead of blanket suppressions.
+The ``perf`` family is performance-oriented (``repro-lint --perf``):
+the PERF rules (:mod:`repro.analysis.perf`) find the scalar-Python hot
+loops that block vectorisation — ranked by measured span self-times
+when a ``--trace-json`` run-report is supplied — and the kernel-purity
+certifier (:mod:`repro.analysis.kernelcheck`, KERN001) proves every
+``@repro.kernels.kernel``-marked function jit-compilable, emitting the
+``repro.kernel-audit/1`` registry.  Pre-existing findings burn down
+through a committed baseline (:mod:`repro.analysis.baseline`) instead
+of blanket suppressions.
 
-The fourth layer (``repro-lint --service``) guards the async service
-seams: coroutine safety (:mod:`repro.analysis.asynccheck`:
+The ``service`` family (``repro-lint --service``) guards the async
+service seams: coroutine safety (:mod:`repro.analysis.asynccheck`:
 ASYNC001–003, TIME001), the job state-machine verifier
 (:mod:`repro.analysis.statemachine`: SM001/SM002), and the
-trust-boundary taint pass (:mod:`repro.analysis.boundary`: TRUST001),
-driven by :mod:`repro.analysis.servicecheck`.
+trust-boundary taint pass (:mod:`repro.analysis.boundary`: TRUST001).
 
 Run it as ``repro-lint --spmd src/repro`` or ``repro-contact lint``.
 """
@@ -40,9 +43,11 @@ from repro.analysis.engine import (
     FileContext,
     LintEngine,
     LintRule,
+    Project,
     all_rules,
     build_file_context,
     get_rule,
+    load_project,
     register_rule,
 )
 from repro.analysis.reporters import (
@@ -51,16 +56,20 @@ from repro.analysis.reporters import (
     format_sarif,
     format_statistics,
 )
-from repro.analysis import rules as _rules  # noqa: F401  (registers rules)
-from repro.analysis.spmd import SpmdAnalyzer  # noqa: F401  (registers rules)
-from repro.analysis.perf import PerfAnalyzer  # noqa: F401  (registers rules)
+
+# importing the rule modules registers their rules
+from repro.analysis import (  # noqa: F401
+    asynccheck,
+    boundary,
+    perf,
+    rules,
+    spmd,
+    statemachine,
+)
 from repro.analysis.kernelcheck import (  # noqa: F401  (registers KERN001)
     KernelAudit,
     audit_paths,
     validate_kernel_audit,
-)
-from repro.analysis.servicecheck import (  # noqa: F401  (registers rules)
-    ServiceAnalyzer,
 )
 
 __all__ = [
@@ -68,15 +77,14 @@ __all__ = [
     "FileContext",
     "LintEngine",
     "LintRule",
-    "SpmdAnalyzer",
-    "PerfAnalyzer",
-    "ServiceAnalyzer",
+    "Project",
     "KernelAudit",
     "audit_paths",
     "validate_kernel_audit",
     "all_rules",
     "build_file_context",
     "get_rule",
+    "load_project",
     "register_rule",
     "format_human",
     "format_json",

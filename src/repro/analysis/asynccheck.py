@@ -6,10 +6,11 @@ event loop must never execute blocking I/O or acquire a thread lock
 (every such call stalls *all* in-flight requests), every coroutine
 must be awaited or scheduled, and state shared between the loop and
 the executor threads needs a lock or a single-writer discipline.
-This module checks those conventions statically, reusing the dataflow
-summaries of :mod:`repro.analysis.dataflow` plus a light class-aware
-call resolver (attribute types recovered from ``self.x = Cls()``
-assignments, parameter annotations, and return annotations):
+This module checks those conventions statically as *project rules*
+over the engine's shared dataflow index
+(:mod:`repro.analysis.dataflow`), plus a light typed call resolver
+(attribute types recovered from the index's ``self.x = Cls()`` facts,
+parameter annotations, and return annotations):
 
 ========  ===========================================================
 ASYNC001  blocking call (file/socket I/O, ``time.sleep``,
@@ -51,18 +52,17 @@ from typing import (
 
 from repro.analysis.dataflow import (
     CallSite,
+    ClassSummary,
     FunctionSummary,
     ModuleSummary,
     ProjectIndex,
-    _resolve_captures,
-    _ScopeVisitor,
     dotted_parts,
     dotted_text,
 )
 from repro.analysis.engine import (
     Diagnostic,
-    FileContext,
     LintRule,
+    Project,
     register_rule,
 )
 
@@ -71,7 +71,6 @@ __all__ = [
     "BLOCKING_METHOD_TAILS",
     "ClassInfo",
     "ServiceProject",
-    "ServiceRule",
     "build_service_project",
     "expanded_call_name",
     "scope_walk",
@@ -180,7 +179,7 @@ def _parent_map(root: ast.AST) -> Dict[int, ast.AST]:
 
 
 # ----------------------------------------------------------------------
-# class-aware layer on top of the dataflow summaries
+# typed layer on top of the dataflow summaries
 # ----------------------------------------------------------------------
 
 
@@ -190,94 +189,42 @@ class ClassInfo:
 
     module: str
     name: str
-    #: bare method name → summary (dataflow walks class bodies in the
-    #: enclosing scope, so methods land in ``top_level_functions``)
-    methods: Dict[str, FunctionSummary] = field(default_factory=dict)
+    #: bare method name → summary (the index's own map)
+    methods: Dict[str, FunctionSummary]
     #: ``self.x`` attributes assigned a ``threading.Lock``/``RLock``
     lock_attrs: Set[str] = field(default_factory=set)
     #: ``self.x`` attribute → (module, class) of its resolved type
     attr_types: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
 
+#: (module, qualname) → (function, the root it was reached from)
+_Closure = Dict[Tuple[str, str], Tuple[FunctionSummary, FunctionSummary]]
+
+
 @dataclass
 class ServiceProject:
-    """Everything the service rules inspect about one analysed tree."""
+    """Everything the service rules inspect about one analysed tree,
+    plus the typed name resolution they share."""
 
     index: ProjectIndex
-    #: path → parsed file context (suppressions and anchoring)
-    contexts: Dict[str, FileContext]
-    #: authoritative (module, qualname) → summary map.  The dataflow
-    #: index walks class bodies in module scope, so two classes with a
-    #: same-named method collide there; methods are re-summarised here
-    #: under ``Class.method`` qualnames instead.
-    functions: Dict[Tuple[str, str], FunctionSummary] = field(
-        default_factory=dict
-    )
-    #: id(fn node) → authoritative summary, to canonicalise whatever
-    #: the index resolver returns
-    by_node: Dict[int, FunctionSummary] = field(default_factory=dict)
     #: (module, name) → class info, for every module-level class
     classes: Dict[Tuple[str, str], ClassInfo] = field(default_factory=dict)
-    #: (module, qualname) → owning class name (methods only)
-    owner_class: Dict[Tuple[str, str], str] = field(default_factory=dict)
-    #: every ``async def`` in definition order
-    coroutines: List[FunctionSummary] = field(default_factory=list)
-    #: loop context: coroutines plus resolvable sync callees; the value
-    #: is the coroutine root each function was first reached from
-    loop_functions: Dict[Tuple[str, str], FunctionSummary] = field(
-        default_factory=dict
-    )
+    #: loop context: coroutines plus resolvable sync callees, keyed
+    #: (module, qualname); the value is the function and the coroutine
+    #: root it was first reached from
+    loop_functions: _Closure = field(default_factory=dict)
     #: executor context: run_in_executor / Thread targets + closure
-    executor_functions: Dict[Tuple[str, str], FunctionSummary] = field(
-        default_factory=dict
-    )
+    executor_functions: _Closure = field(default_factory=dict)
 
-    def summary_of(self, key: Tuple[str, str]) -> Optional[FunctionSummary]:
-        return self.functions.get(key)
-
-    def canonical(self, fn: FunctionSummary) -> FunctionSummary:
-        """The authoritative summary for the same function node."""
-        return self.by_node.get(id(fn.node), fn)
-
-    def class_of(self, fn: FunctionSummary) -> Optional[ClassInfo]:
-        name = self.owner_class.get((fn.module, fn.qualname))
-        if name is None:
-            return None
-        return self.classes.get((fn.module, name))
-
-    def in_loop(self, fn: FunctionSummary) -> bool:
-        return (fn.module, fn.qualname) in self.loop_functions
-
-    def in_executor(self, fn: FunctionSummary) -> bool:
-        return (fn.module, fn.qualname) in self.executor_functions
-
-
-def _annotation_class_name(node: Optional[ast.AST]) -> Optional[str]:
-    """Class name out of an annotation, unwrapping ``Optional[...]``
-    and one-element ``Union``-like subscripts; ``None`` when opaque."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(node, (ast.Name, ast.Attribute)):
-        return dotted_text(node)
-    if isinstance(node, ast.Subscript):
-        head = dotted_text(node.value)
-        if head is not None and head.rsplit(".", 1)[-1] == "Optional":
-            return _annotation_class_name(node.slice)
-    return None
-
-
-class _Resolver:
-    """Typed name resolution shared by every service rule."""
-
+    #: bound on the type-inference recursion (aliases of aliases …)
     _DEPTH = 6
 
-    def __init__(self, project: ServiceProject) -> None:
-        self.project = project
+    def class_of(self, fn: FunctionSummary) -> Optional[ClassInfo]:
+        """The class whose ``self`` ``fn`` sees (methods and the
+        functions nested in them)."""
+        if fn.owner is None:
+            return None
+        return self.classes.get((fn.module, fn.owner))
 
     # -- classes -------------------------------------------------------
     def resolve_class(
@@ -287,22 +234,22 @@ class _Resolver:
         ``module`` → its :class:`ClassInfo`, or ``None``."""
         if name is None:
             return None
-        summary = self.project.index.modules.get(module)
+        summary = self.index.modules.get(module)
         if summary is None:
             return None
         parts = name.split(".")
         if len(parts) == 1:
-            info = self.project.classes.get((module, name))
+            info = self.classes.get((module, name))
             if info is not None:
                 return info
             target = summary.imports.get(name)
             if target is not None:
                 mod, _, cls = target.rpartition(".")
-                return self.project.classes.get((mod, cls))
+                return self.classes.get((mod, cls))
             return None
         target = summary.imports.get(parts[0])
         if target is not None and len(parts) == 2:
-            return self.project.classes.get((target, parts[1]))
+            return self.classes.get((target, parts[1]))
         return None
 
     # -- expression types ----------------------------------------------
@@ -367,14 +314,14 @@ class _Resolver:
         if depth > self._DEPTH or not parts:
             return None
         if parts[0] in ("self", "cls"):
-            info = self.project.class_of(fn)
+            info = self.class_of(fn)
         else:
             info = self.name_class(fn, parts[0], depth + 1)
         for attr in parts[1:]:
             if info is None:
                 return None
             typed = info.attr_types.get(attr)
-            info = self.project.classes.get(typed) if typed else None
+            info = self.classes.get(typed) if typed else None
         return info
 
     # -- call targets --------------------------------------------------
@@ -390,9 +337,9 @@ class _Resolver:
         annotation types)."""
         if name is None:
             return []
-        direct = self.project.index._resolve_from(fn, name)
+        direct = self.index.resolve_call(fn, name)
         if direct is not None:
-            return [self.project.canonical(direct)]
+            return [direct]
         parts = name.split(".")
         if len(parts) < 2 or not follow_types:
             return []
@@ -416,6 +363,25 @@ class _Resolver:
         return []
 
 
+def _annotation_class_name(node: Optional[ast.AST]) -> Optional[str]:
+    """Class name out of an annotation, unwrapping ``Optional[...]``
+    and one-element ``Union``-like subscripts; ``None`` when opaque."""
+    if node is None:
+        return None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return dotted_text(node)
+    if isinstance(node, ast.Subscript):
+        head = dotted_text(node.value)
+        if head is not None and head.rsplit(".", 1)[-1] == "Optional":
+            return _annotation_class_name(node.slice)
+    return None
+
+
 # ----------------------------------------------------------------------
 # project construction
 # ----------------------------------------------------------------------
@@ -430,111 +396,42 @@ def _is_lock_factory(summary: ModuleSummary, value: ast.AST) -> bool:
     return expanded_call_name(summary, name) in _THREAD_LOCK_FACTORIES
 
 
-def _resummarize_class(
-    summary: ModuleSummary, cls: ast.ClassDef
-) -> Dict[str, FunctionSummary]:
-    """Fresh summaries for one class body, qualified ``Class.method``.
-
-    The shared index walks class bodies in module scope, so methods of
-    different classes with the same name overwrite each other there;
-    running the scope visitor per class keeps each method's summary
-    (and its nested functions) intact.
-    """
-    temp = ModuleSummary(
-        module=summary.module, path=summary.path, tree=summary.tree
-    )
-    temp.imports = dict(summary.imports)
-    temp.module_bindings = dict(summary.module_bindings)
-    temp.top_level_functions = set(summary.top_level_functions)
-    visitor = _ScopeVisitor(temp)
-    for child in cls.body:
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            visitor.visit(child)
-    _resolve_captures(temp)
-    out: Dict[str, FunctionSummary] = {}
-    for qualname, fn in temp.functions.items():
-        fn.qualname = f"{cls.name}.{qualname}"
-        out[qualname] = fn
-    return out
-
-
-def _collect_classes(
-    index: ProjectIndex, project: ServiceProject
-) -> None:
-    """Build the authoritative function map, :class:`ClassInfo`
-    records, and the method-owner map."""
+def _collect_classes(index: ProjectIndex, project: ServiceProject) -> None:
+    """Build the :class:`ClassInfo` records: the index's methods plus
+    the attribute types and lock attributes the resolver derives from
+    its ``self.x = …`` facts."""
+    found: List[Tuple[ClassInfo, ClassSummary]] = []
     for module in sorted(index.modules):
-        summary = index.modules[module]
-        for fn in summary.functions.values():
-            key = (fn.module, fn.qualname)
-            project.functions[key] = fn
-            project.by_node[id(fn.node)] = fn
-        for stmt in summary.tree.body:
-            if not isinstance(stmt, ast.ClassDef):
+        for cls in index.modules[module].classes.values():
+            if "." in cls.qualname:
+                continue  # nested/local classes cannot be named from outside
+            info = ClassInfo(module, cls.qualname, cls.methods)
+            project.classes[(module, cls.qualname)] = info
+            found.append((info, cls))
+
+    # every class is registered before any type is resolved, so
+    # annotations resolve across modules
+    for info, cls in found:
+        summary = index.modules[info.module]
+        for attr, value, annotation, method in cls.attr_assigns:
+            if value is not None and _is_lock_factory(summary, value):
+                info.lock_attrs.add(attr)
                 continue
-            info = ClassInfo(module=summary.module, name=stmt.name)
-            resummarized = _resummarize_class(summary, stmt)
-            for qualname, fn in resummarized.items():
-                # drop the collision-prone bare entry for this node …
-                stale = project.by_node.get(id(fn.node))
-                if stale is not None:
-                    project.functions.pop(
-                        (stale.module, stale.qualname), None
-                    )
-                # … and install the Class.method-qualified summary
-                project.functions[(fn.module, fn.qualname)] = fn
-                project.by_node[id(fn.node)] = fn
-                project.owner_class[(fn.module, fn.qualname)] = stmt.name
-                if "." not in qualname:  # direct method, not nested
-                    info.methods[fn.name] = fn
-            project.classes[(summary.module, stmt.name)] = info
-
-    # second pass: attribute types and lock attributes (needs every
-    # class registered first so annotations resolve across modules)
-    resolver = _Resolver(project)
-    for (module, _name), info in project.classes.items():
-        summary = index.modules[module]
-        for method in info.methods.values():
-            for node in scope_walk(method.node):
-                target: Optional[ast.AST] = None
-                value: Optional[ast.AST] = None
-                annotation: Optional[ast.AST] = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign):
-                    target, value = node.target, node.value
-                    annotation = node.annotation
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                attr = target.attr
-                if value is not None and _is_lock_factory(summary, value):
-                    info.lock_attrs.add(attr)
-                    continue
-                typed: Optional[ClassInfo] = None
-                if annotation is not None:
-                    typed = resolver.resolve_class(
-                        module, _annotation_class_name(annotation)
-                    )
-                if typed is None and value is not None:
-                    typed = resolver.expr_class(method, value)
-                if typed is not None and attr not in info.attr_types:
-                    info.attr_types[attr] = (typed.module, typed.name)
-
-
-def _iter_functions(project: ServiceProject) -> Iterator[FunctionSummary]:
-    for key in sorted(project.functions):
-        yield project.functions[key]
+            typed: Optional[ClassInfo] = None
+            if annotation is not None:
+                typed = project.resolve_class(
+                    info.module, _annotation_class_name(annotation)
+                )
+            if typed is None and value is not None:
+                typed = project.expr_class(method, value)
+            if typed is not None and attr not in info.attr_types:
+                info.attr_types[attr] = (typed.module, typed.name)
 
 
 def _close_over(
     project: ServiceProject,
-    resolver: _Resolver,
     roots: Iterable[Tuple[FunctionSummary, FunctionSummary]],
-    out: Dict[Tuple[str, str], FunctionSummary],
+    out: _Closure,
 ) -> None:
     """Reachability over *synchronous* callees: coroutines met along
     the way are their own roots, so the walk stops at them."""
@@ -544,36 +441,31 @@ def _close_over(
         key = (fn.module, fn.qualname)
         if key in out:
             continue
-        out[key] = root
+        out[key] = (fn, root)
         for call in fn.calls:
-            for target in resolver.resolve_call_targets(fn, call.name):
+            for target in project.resolve_call_targets(fn, call.name):
                 if isinstance(target.node, ast.AsyncFunctionDef):
                     continue
                 if (target.module, target.qualname) not in out:
                     stack.append((target, root))
 
 
-def build_service_project(
-    index: ProjectIndex, contexts: Dict[str, FileContext]
-) -> ServiceProject:
-    """Classify every function as loop / executor / neither context."""
-    project = ServiceProject(index=index, contexts=contexts)
+def build_service_project(source: Project) -> ServiceProject:
+    """Classify every function as loop / executor / neither context
+    (the service family's view of the shared index)."""
+    index = source.index
+    project = ServiceProject(index=index)
     _collect_classes(index, project)
-    resolver = _Resolver(project)
 
-    for fn in _iter_functions(project):
-        if isinstance(fn.node, ast.AsyncFunctionDef):
-            project.coroutines.append(fn)
-
-    _close_over(
-        project,
-        resolver,
-        ((fn, fn) for fn in project.coroutines),
-        project.loop_functions,
-    )
+    coroutines = [
+        (fn, fn)
+        for fn in index.functions()
+        if isinstance(fn.node, ast.AsyncFunctionDef)
+    ]
+    _close_over(project, coroutines, project.loop_functions)
 
     executor_roots: List[Tuple[FunctionSummary, FunctionSummary]] = []
-    for fn in _iter_functions(project):
+    for fn in index.functions():
         if not isinstance(
             fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
         ):
@@ -599,47 +491,15 @@ def build_service_project(
                         expr = kw.value
             if expr is None:
                 continue
-            for target in resolver.resolve_callable_expr(fn, expr):
+            for target in project.resolve_callable_expr(fn, expr):
                 executor_roots.append((target, target))
-    _close_over(
-        project, resolver, executor_roots, project.executor_functions
-    )
+    _close_over(project, executor_roots, project.executor_functions)
     return project
 
 
 # ----------------------------------------------------------------------
 # rule machinery
 # ----------------------------------------------------------------------
-
-
-class ServiceRule(LintRule):
-    """Base for the project-level service correctness rules.
-
-    The per-file :meth:`check` is a no-op; the
-    :class:`~repro.analysis.servicecheck.ServiceAnalyzer` drives
-    :meth:`project_check` with a shared :class:`ServiceProject`.
-    """
-
-    opt_in = True
-
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        return ()
-
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def fn_diag(
-        self, fn: FunctionSummary, node: ast.AST, message: str
-    ) -> Diagnostic:
-        return Diagnostic(
-            path=fn.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            code=self.code,
-            message=message,
-        )
 
 
 def _is_lockish(project: ServiceProject, fn: FunctionSummary, expr: ast.AST) -> bool:
@@ -731,7 +591,7 @@ def _blocking_reason(
 
 
 @register_rule
-class BlockingCallRule(ServiceRule):
+class BlockingCallRule(LintRule):
     """ASYNC001 — blocking call reached from coroutine context.
 
     A blocking call anywhere in the synchronous closure of a coroutine
@@ -741,17 +601,14 @@ class BlockingCallRule(ServiceRule):
     """
 
     code = "ASYNC001"
+    family = "service"
     name = "async-blocking-call"
     description = "blocking call reached from coroutine context"
 
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_service_project)
         for key in sorted(project.loop_functions):
-            fn = project.summary_of(key)
-            if fn is None:
-                continue
-            root = project.loop_functions[key]
+            fn, root = project.loop_functions[key]
             via = (
                 ""
                 if root is fn
@@ -760,7 +617,7 @@ class BlockingCallRule(ServiceRule):
             for call in fn.calls:
                 reason = _blocking_reason(project, fn, call)
                 if reason is not None:
-                    yield self.fn_diag(
+                    yield self.diag(
                         fn,
                         call.node,
                         f"blocking call {reason} on the event loop"
@@ -781,7 +638,7 @@ class BlockingCallRule(ServiceRule):
                         continue  # tracer spans etc., not bare locks
                     if _is_lockish(project, fn, expr):
                         name = dotted_text(expr) or "<lock>"
-                        yield self.fn_diag(
+                        yield self.diag(
                             fn,
                             node,
                             f"thread-lock acquisition 'with {name}:' "
@@ -797,7 +654,7 @@ class BlockingCallRule(ServiceRule):
 
 
 @register_rule
-class UnawaitedCoroutineRule(ServiceRule):
+class UnawaitedCoroutineRule(LintRule):
     """ASYNC002 — a coroutine call whose result is discarded.
 
     ``coro()`` as a bare statement builds a coroutine object and drops
@@ -806,14 +663,13 @@ class UnawaitedCoroutineRule(ServiceRule):
     """
 
     code = "ASYNC002"
+    family = "service"
     name = "async-unawaited-coroutine"
     description = "coroutine called but never awaited or scheduled"
 
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
-        resolver = _Resolver(project)
-        for fn in _iter_functions(project):
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_service_project)
+        for fn in project.index.functions():
             if not isinstance(
                 fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):
@@ -827,12 +683,12 @@ class UnawaitedCoroutineRule(ServiceRule):
                 name = dotted_text(call.func)
                 if name is None:
                     continue
-                targets = resolver.resolve_call_targets(fn, name)
+                targets = project.resolve_call_targets(fn, name)
                 if len(targets) != 1 or not isinstance(
                     targets[0].node, ast.AsyncFunctionDef
                 ):
                     continue
-                yield self.fn_diag(
+                yield self.diag(
                     fn,
                     call,
                     f"coroutine '{targets[0].name}' is called but the "
@@ -847,7 +703,7 @@ class UnawaitedCoroutineRule(ServiceRule):
 
 
 @register_rule
-class CrossContextStateRule(ServiceRule):
+class CrossContextStateRule(LintRule):
     """ASYNC003 — unlocked state mutated from both contexts.
 
     Coroutines all run on the loop thread, so loop-only mutation needs
@@ -857,6 +713,7 @@ class CrossContextStateRule(ServiceRule):
     """
 
     code = "ASYNC003"
+    family = "service"
     name = "async-cross-context-state"
     description = (
         "state mutated from both coroutine and executor context "
@@ -868,15 +725,15 @@ class CrossContextStateRule(ServiceRule):
     def _mutation_sites(
         self,
         project: ServiceProject,
-        keys: Iterable[Tuple[str, str]],
+        closure: _Closure,
     ) -> Dict[Tuple[str, str, str], List["CrossContextStateRule._Site"]]:
-        """(module, class-or-'', attr) → mutation sites in ``keys``."""
+        """(module, class-or-'', attr) → mutation sites in ``closure``."""
         sites: Dict[
             Tuple[str, str, str], List[CrossContextStateRule._Site]
         ] = {}
-        for key in sorted(keys):
-            fn = project.summary_of(key)
-            if fn is None or not isinstance(
+        for key in sorted(closure):
+            fn = closure[key][0]
+            if not isinstance(
                 fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):
                 continue
@@ -909,9 +766,8 @@ class CrossContextStateRule(ServiceRule):
                 )
         return sites
 
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_service_project)
         loop_sites = self._mutation_sites(
             project, project.loop_functions
         )
@@ -932,7 +788,7 @@ class CrossContextStateRule(ServiceRule):
                 if anchor in emitted:
                     continue
                 emitted.add(anchor)
-                yield self.fn_diag(
+                yield self.diag(
                     fn,
                     node,
                     f"'{shown}' ({module}.{cls or attr}) is mutated "
@@ -990,7 +846,7 @@ def _mentions_deadline(expr: ast.AST) -> bool:
 
 
 @register_rule
-class WallClockDeadlineRule(ServiceRule):
+class WallClockDeadlineRule(LintRule):
     """TIME001 — ``time.time()`` feeding deadline/backoff arithmetic.
 
     Wall clocks jump (NTP, DST, manual adjustment); a deadline or
@@ -1000,30 +856,21 @@ class WallClockDeadlineRule(ServiceRule):
     """
 
     code = "TIME001"
+    family = "service"
     name = "wall-clock-deadline"
     description = (
         "wall-clock time.time() used in deadline/backoff arithmetic"
     )
 
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
+    def project_check(self, project: Project) -> Iterator[Diagnostic]:
         for module in sorted(project.index.modules):
             summary = project.index.modules[module]
-            # project.functions holds the collision-corrected method
-            # summaries (Class.method qualnames), unlike the raw index
-            fn_by_node = {
-                id(f.node): f
-                for (mod, _), f in project.functions.items()
-                if mod == module
-            }
             yield from self._check_scope(
-                project, summary, None, summary.tree, fn_by_node
+                summary, None, summary.tree, summary.by_node()
             )
 
     def _check_scope(
         self,
-        project: ServiceProject,
         summary: ModuleSummary,
         fn: Optional[FunctionSummary],
         root: ast.AST,
@@ -1034,7 +881,7 @@ class WallClockDeadlineRule(ServiceRule):
             child_fn = fn_by_node.get(id(node))
             if child_fn is not None and node is not root:
                 yield from self._check_scope(
-                    project, summary, child_fn, node, fn_by_node
+                    summary, child_fn, node, fn_by_node
                 )
                 continue
             if not isinstance(node, ast.Call):
@@ -1047,16 +894,11 @@ class WallClockDeadlineRule(ServiceRule):
                 continue
             offense = self._offending_use(summary, fn, parents, node)
             if offense is not None:
-                yield Diagnostic(
-                    path=summary.path,
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    code=self.code,
-                    message=(
-                        f"wall-clock time.time() {offense} — use "
-                        "time.monotonic() for deadline/backoff "
-                        "arithmetic"
-                    ),
+                yield self.diag(
+                    summary,
+                    node,
+                    f"wall-clock time.time() {offense} — use "
+                    "time.monotonic() for deadline/backoff arithmetic",
                 )
 
     @staticmethod

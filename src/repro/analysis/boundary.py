@@ -30,11 +30,15 @@ from repro.analysis.dataflow import (
     ModuleSummary,
     dotted_text,
 )
-from repro.analysis.engine import Diagnostic, register_rule
+from repro.analysis.engine import (
+    Diagnostic,
+    LintRule,
+    Project,
+    register_rule,
+)
 from repro.analysis.asynccheck import (
     ServiceProject,
-    ServiceRule,
-    _Resolver,
+    build_service_project,
     expanded_call_name,
 )
 
@@ -91,26 +95,22 @@ _FOLLOW_DEPTH = 8
 
 
 @register_rule
-class TrustBoundaryRule(ServiceRule):
+class TrustBoundaryRule(LintRule):
     """TRUST001 — unvalidated request data reaches a dangerous sink."""
 
     code = "TRUST001"
+    family = "service"
     name = "trust-boundary-taint"
     description = (
         "HTTP request data reaches a filesystem/subprocess/np.load "
         "sink without passing a repro.service.schemas validator"
     )
 
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_service_project)
         checker = _TaintChecker(project)
-        # project.functions holds the collision-corrected method
-        # summaries (Class.method qualnames), unlike the raw index
-        for (module, _qualname), fn in sorted(project.functions.items()):
-            if not module.startswith(_SCOPE_PREFIX):
-                continue
-            if isinstance(
+        for fn in project.index.functions():
+            if fn.module.startswith(_SCOPE_PREFIX) and isinstance(
                 fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):
                 checker.analyze(fn, frozenset())
@@ -122,7 +122,6 @@ class _TaintChecker:
 
     def __init__(self, project: ServiceProject) -> None:
         self.project = project
-        self.resolver = _Resolver(project)
         self.findings: List[Diagnostic] = []
         self._memo: Set[Tuple[str, str, FrozenSet[str]]] = set()
 
@@ -162,7 +161,7 @@ class _TaintChecker:
         expanded = expanded_call_name(summary, name)
         if expanded.startswith(f"{_SCOPE_PREFIX}.schemas.validate"):
             return True
-        for target in self.resolver.resolve_call_targets(fn, name):
+        for target in self.project.resolve_call_targets(fn, name):
             if target.module.endswith(".schemas") and target.name.startswith(
                 "validate"
             ):
@@ -265,7 +264,7 @@ class _FunctionRun:
         name = dotted_text(call.func)
         if name is None:
             return
-        targets = self.checker.resolver.resolve_call_targets(self.fn, name)
+        targets = self.checker.project.resolve_call_targets(self.fn, name)
         for target in targets:
             if not target.module.startswith(_SCOPE_PREFIX):
                 continue

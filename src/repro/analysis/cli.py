@@ -14,18 +14,22 @@ Examples::
     repro-lint --statistics src/repro
     repro-lint --list-rules
 
-With no paths the installed ``repro`` package is linted.  ``--spmd``
-adds the project-level dataflow pass (SPMD001–003, DET001, FLOAT001 —
-see ``docs/STATIC_ANALYSIS.md``); it analyses every target file as one
-program, so pass the whole tree.  ``--perf`` adds the opt-in PERF
-family plus the kernel-purity certifier (KERN001); ``--service`` adds
-the async/service correctness pass (ASYNC001-003, TIME001, SM001/002,
-TRUST001 — also whole-program, so pass the full tree); ``--trace-json``
-takes a ``repro.run-report/1`` artifact and ranks the findings by
-measured span self-time; ``--baseline`` subtracts a committed
-baseline so only *new* findings fail.  Exit status: 0 when clean, 1
-when diagnostics were found, 2 on usage errors (unknown rule code,
-nonexistent path, malformed baseline or trace).
+With no paths the installed ``repro`` package is linted.  Every flag
+below selects rule families of the one engine, which parses the
+target set once whatever the combination.  ``--spmd`` adds the SPMD
+project rules (SPMD001–003, DET001, FLOAT001 — see
+``docs/STATIC_ANALYSIS.md``); they analyse every target file as one
+program, so pass the whole tree.  ``--perf`` adds the PERF family plus
+the kernel-purity certifier (KERN001); ``--service`` adds the
+async/service correctness rules (ASYNC001-003, TIME001, SM001/002,
+TRUST001 — also whole-program, so pass the full tree); ``--select``
+names the exact codes to run instead, from any family;
+``--trace-json`` takes a ``repro.run-report/1`` artifact and ranks the
+findings by measured span self-time; ``--baseline`` subtracts a
+committed baseline so only *new* findings fail.  Exit status: 0 when
+clean, 1 when diagnostics were found, 2 on usage errors (unknown rule
+code, nonexistent path, two target files that map to one module name,
+malformed baseline or trace).
 """
 
 from __future__ import annotations
@@ -41,21 +45,16 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.engine import LintEngine, all_rules
-from repro.analysis.kernelcheck import audit_paths
-from repro.analysis.perf import (
-    PerfAnalyzer,
-    load_self_times,
-    rank_diagnostics,
-)
+from repro.analysis.dataflow import ModuleCollisionError
+from repro.analysis.engine import LintEngine, all_rules, load_project
+from repro.analysis.kernelcheck import audit_project
+from repro.analysis.perf import load_self_times, rank_diagnostics
 from repro.analysis.reporters import (
     format_human,
     format_json,
     format_sarif,
     format_statistics,
 )
-from repro.analysis.servicecheck import ServiceAnalyzer
-from repro.analysis.spmd import SpmdAnalyzer
 
 
 def _split_codes(value: str) -> List[str]:
@@ -197,48 +196,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         paths = [str(Path(repro.__file__).parent)]
 
-    try:
-        engine = LintEngine(select=args.select, ignore=args.ignore)
-    except KeyError as exc:
-        print(f"repro-lint: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    run_perf = args.perf or args.kernel_audit is not None
+    families = ["core"]
+    families += [f for f in ("spmd", "service") if getattr(args, f)]
+    if args.perf or args.kernel_audit is not None:
+        families.append("perf")
 
     try:
-        diagnostics = engine.lint_paths(paths, exclude=args.exclude)
-        if args.spmd:
-            analyzer = SpmdAnalyzer(
-                select=args.select, ignore=args.ignore
-            )
-            diagnostics = sorted(
-                set(diagnostics)
-                | set(analyzer.analyze_paths(paths, exclude=args.exclude))
-            )
-        if args.service:
-            service = ServiceAnalyzer(
-                select=args.select, ignore=args.ignore
-            )
-            diagnostics = sorted(
-                set(diagnostics)
-                | set(service.analyze_paths(paths, exclude=args.exclude))
-            )
-        if run_perf:
-            try:
-                perf = PerfAnalyzer(
-                    select=args.select, ignore=args.ignore
-                )
-            except KeyError as exc:
-                print(f"repro-lint: {exc.args[0]}", file=sys.stderr)
-                return 2
-            extra = set(perf.analyze_paths(paths, exclude=args.exclude))
-            audit = audit_paths(paths, exclude=args.exclude)
-            extra |= set(audit.diagnostics())
-            diagnostics = sorted(set(diagnostics) | extra)
-            if args.kernel_audit is not None:
-                audit.save(args.kernel_audit)
-    except FileNotFoundError as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
+        engine = LintEngine(
+            select=args.select, ignore=args.ignore, families=families
+        )
+        project = load_project(paths, exclude=args.exclude)
+        diagnostics = engine.lint_project(project)
+        if args.kernel_audit is not None:
+            project.view(audit_project).save(args.kernel_audit)
+    except (KeyError, FileNotFoundError, ModuleCollisionError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"repro-lint: {message}", file=sys.stderr)
         return 2
 
     if args.write_baseline is not None:

@@ -13,13 +13,18 @@ summaries:
   be found), module-level reads, every call site, and every mutation
   of a name (assignment, augmented assignment, subscript/attribute
   store, deletion, or a call of a known mutating method).
+* :class:`ClassSummary` — one class statement: its methods (each a
+  :class:`FunctionSummary` qualified ``Class.method``, so same-named
+  methods of different classes never collide) and every
+  ``self.attr = value`` statement found in them.
 * :class:`ModuleSummary` — one parsed file: its functions (keyed by
-  qualified name), import aliases, module-level bindings, and the
-  session-variable names used to recognise ``session.step`` call
-  sites.
+  qualified name), classes, import aliases, module-level bindings,
+  and the session-variable names used to recognise ``session.step``
+  call sites.
 * :class:`ProjectIndex` — the whole analysed file set, with name
-  resolution (local functions, ``from m import f``, ``m.f`` through
-  import aliases) and transitive reachability over the call graph.
+  resolution (local functions, ``Class.method``, ``from m import f``,
+  ``m.f`` through import aliases) and transitive reachability over
+  the call graph.
 
 The analysis is deliberately conservative where Python is dynamic:
 names that cannot be resolved are skipped, never guessed, so the SPMD
@@ -34,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -137,6 +141,9 @@ class FunctionSummary:
     name: str
     node: ast.AST  # FunctionDef | AsyncFunctionDef | Lambda
     parent: Optional["FunctionSummary"] = None
+    #: qualified name of the class whose ``self`` this function sees —
+    #: set on methods and inherited by the functions nested in them
+    owner: Optional[str] = None
     params: Set[str] = field(default_factory=set)
     #: names bound inside this scope (assignments, loop/with targets,
     #: imports, nested def/class statements, comprehension targets)
@@ -177,14 +184,34 @@ class FunctionSummary:
 
 
 @dataclass
+class ClassSummary:
+    """One class statement: its methods and ``self`` attribute facts."""
+
+    #: ``Job``, ``Outer.Inner`` or ``make.<locals>.Local``
+    qualname: str
+    #: bare method name → summary (a later ``def`` of the same name
+    #: replaces an earlier one, as it does at runtime)
+    methods: Dict[str, FunctionSummary] = field(default_factory=dict)
+    #: every single-target ``self.attr = value`` / ``self.attr: ann
+    #: [= value]`` statement in a method body, in source order:
+    #: (attr, value, annotation, method)
+    attr_assigns: List[
+        Tuple[str, Optional[ast.AST], Optional[ast.AST], FunctionSummary]
+    ] = field(default_factory=list)
+
+
+@dataclass
 class ModuleSummary:
     """Everything the project index knows about one parsed file."""
 
     module: str
     path: str
     tree: ast.Module
-    #: qualified name (``outer.<locals>.step``) → summary
+    #: qualified name (``outer.<locals>.step``, ``Job.transition``) →
+    #: summary
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
+    #: qualified class name → summary
+    classes: Dict[str, ClassSummary] = field(default_factory=dict)
     #: local alias → dotted target (``np`` → ``numpy``,
     #: ``induce_pure_tree`` → ``repro.dtree.induction.induce_pure_tree``)
     imports: Dict[str, str] = field(default_factory=dict)
@@ -196,6 +223,19 @@ class ModuleSummary:
     #: ``with``-bound from an ``open_session(...)`` call)
     session_names: Set[str] = field(default_factory=set)
 
+    def lookup(self, name: str) -> Optional[FunctionSummary]:
+        """A module-level function ``f`` or a method ``Cls.m`` of a
+        class in this module, by dotted name."""
+        if name in self.top_level_functions:
+            return self.functions.get(name)
+        cls, _, method = name.rpartition(".")
+        info = self.classes.get(cls)
+        return info.methods.get(method) if info is not None else None
+
+    def by_node(self) -> Dict[int, FunctionSummary]:
+        """``id(def/lambda node)`` → its summary."""
+        return {id(fn.node): fn for fn in self.functions.values()}
+
 
 class _ScopeVisitor(ast.NodeVisitor):
     """Build :class:`FunctionSummary` records for one module."""
@@ -203,6 +243,10 @@ class _ScopeVisitor(ast.NodeVisitor):
     def __init__(self, summary: ModuleSummary) -> None:
         self.summary = summary
         self.stack: List[Optional[FunctionSummary]] = [None]  # None = module
+        #: classes lexically enclosing the current statement, innermost
+        #: last (reset inside a function body: a nested def is not a
+        #: method of the class its enclosing method belongs to)
+        self.classes: List[ClassSummary] = []
         self._anon = 0
 
     # -- helpers -------------------------------------------------------
@@ -247,18 +291,32 @@ class _ScopeVisitor(ast.NodeVisitor):
             Mutation(chain=chain, kind=kind, node=node, method=method)
         )
 
+    def _qualify(self, name: str) -> str:
+        """``name`` qualified like ``__qualname__`` at this point."""
+        if self.classes:
+            return f"{self.classes[-1].qualname}.{name}"
+        parent = self.current
+        if parent is not None:
+            return f"{parent.qualname}.<locals>.{name}"
+        return name
+
     def _enter_function(
         self, node: ast.AST, name: str, args: ast.arguments
     ) -> FunctionSummary:
         parent = self.current
-        prefix = f"{parent.qualname}.<locals>." if parent is not None else ""
+        cls = self.classes[-1] if self.classes else None
         fn = FunctionSummary(
             module=self.summary.module,
             path=self.summary.path,
-            qualname=f"{prefix}{name}",
+            qualname=self._qualify(name),
             name=name,
             node=node,
             parent=parent,
+            owner=(
+                cls.qualname
+                if cls is not None
+                else parent.owner if parent is not None else None
+            ),
         )
         for a in (
             list(args.posonlyargs)
@@ -271,19 +329,24 @@ class _ScopeVisitor(ast.NodeVisitor):
         if args.kwarg is not None:
             fn.params.add(args.kwarg.arg)
         self.summary.functions[fn.qualname] = fn
-        if parent is None:
+        if cls is not None:
+            if not isinstance(node, ast.Lambda):
+                cls.methods[name] = fn
+        elif parent is None:
             self.summary.top_level_functions.add(name)
         return fn
 
+    def _visit_body(self, fn: FunctionSummary, body: Iterable[ast.AST]) -> None:
+        self.stack.append(fn)
+        enclosing, self.classes = self.classes, []
+        for node in body:
+            self.visit(node)
+        self.classes = enclosing
+        self.stack.pop()
+
     # -- scope-introducing nodes ---------------------------------------
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function_def(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._function_def(node)
-
-    def _function_def(
-        self, node: "Union[ast.FunctionDef, ast.AsyncFunctionDef]"
+    def visit_FunctionDef(
+        self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
     ) -> None:
         self._bind(node.name, node)
         for dec in node.decorator_list:
@@ -292,29 +355,53 @@ class _ScopeVisitor(ast.NodeVisitor):
             d for d in node.args.kw_defaults if d is not None
         ]:
             self.visit(default)
-        fn = self._enter_function(node, node.name, node.args)
-        self.stack.append(fn)
-        for stmt in node.body:
-            self.visit(stmt)
-        self.stack.pop()
+        self._visit_body(
+            self._enter_function(node, node.name, node.args), node.body
+        )
+
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._anon += 1
-        fn = self._enter_function(node, f"<lambda-{self._anon}>", node.args)
-        self.stack.append(fn)
-        self.visit(node.body)
-        self.stack.pop()
+        self._visit_body(
+            self._enter_function(node, f"<lambda-{self._anon}>", node.args),
+            [node.body],
+        )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._bind(node.name, node)
-        # class bodies are walked in the enclosing scope; method `self`
-        # state is out of scope for this analysis
         for dec in node.decorator_list:
             self.visit(dec)
         for base in node.bases:
             self.visit(base)
+        cls = ClassSummary(qualname=self._qualify(node.name))
+        self.summary.classes[cls.qualname] = cls
+        # the body's *bindings* land in the enclosing scope (class
+        # attributes are visible to the rules as that scope's names);
+        # its defs are qualified and registered as the class's methods
+        self.classes.append(cls)
         for stmt in node.body:
             self.visit(stmt)
+        self.classes.pop()
+
+    def _record_self_attr(
+        self,
+        target: ast.AST,
+        value: Optional[ast.AST],
+        annotation: Optional[ast.AST],
+    ) -> None:
+        fn = self.current
+        if (
+            fn is None
+            or fn.owner is None
+            or not isinstance(target, ast.Attribute)
+            or not isinstance(target.value, ast.Name)
+            or target.value.id != "self"
+        ):
+            return
+        cls = self.summary.classes[fn.owner]
+        if cls.methods.get(fn.name) is fn:  # a method, not a def nested in one
+            cls.attr_assigns.append((target.attr, value, annotation, fn))
 
     # -- bindings ------------------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -327,8 +414,11 @@ class _ScopeVisitor(ast.NodeVisitor):
             elif isinstance(target, ast.Name):
                 self._record_mutation(target, "assign", node)
         self._scan_session_assignment(node.targets, node.value)
+        if len(node.targets) == 1:
+            self._record_self_attr(node.targets[0], node.value, None)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._record_self_attr(node.target, node.value, node.annotation)
         if node.value is not None:
             self.visit(node.value)
             self._bind_target(node.target, node.value)
@@ -355,25 +445,15 @@ class _ScopeVisitor(ast.NodeVisitor):
         self.visit(node.value)
         self._bind(node.target.id, node.value)
 
-    def visit_For(self, node: ast.For) -> None:
-        self._loop(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._loop(node)
-
-    def _loop(self, node: "Union[ast.For, ast.AsyncFor]") -> None:
+    def visit_For(self, node: Union[ast.For, ast.AsyncFor]) -> None:
         self.visit(node.iter)
         self._bind_target(node.target, None)
         for stmt in node.body + node.orelse:
             self.visit(stmt)
 
-    def visit_With(self, node: ast.With) -> None:
-        self._with(node)
+    visit_AsyncFor = visit_For
 
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._with(node)
-
-    def _with(self, node: "Union[ast.With, ast.AsyncWith]") -> None:
+    def visit_With(self, node: Union[ast.With, ast.AsyncWith]) -> None:
         for item in node.items:
             self.visit(item.context_expr)
             if item.optional_vars is not None:
@@ -383,6 +463,8 @@ class _ScopeVisitor(ast.NodeVisitor):
                 )
         for stmt in node.body:
             self.visit(stmt)
+
+    visit_AsyncWith = visit_With
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.name:
@@ -511,13 +593,28 @@ def summarize_module(module: str, path: str, tree: ast.Module) -> ModuleSummary:
     return summary
 
 
+class ModuleCollisionError(ValueError):
+    """Two target files map to one dotted module name."""
+
+
 class ProjectIndex:
-    """The analysed file set: summaries plus cross-module resolution."""
+    """The analysed file set: summaries plus cross-module resolution.
+
+    Module names key everything, so two files claiming one name raise
+    :class:`ModuleCollisionError` instead of one silently replacing
+    the other.
+    """
 
     def __init__(self, modules: Sequence[ModuleSummary]) -> None:
-        self.modules: Dict[str, ModuleSummary] = {
-            m.module: m for m in modules
-        }
+        self.modules: Dict[str, ModuleSummary] = {}
+        for m in modules:
+            other = self.modules.setdefault(m.module, m)
+            if other is not m:
+                raise ModuleCollisionError(
+                    f"module {m.module!r} maps to two files: "
+                    f"{other.path} and {m.path} — lint them separately "
+                    f"or --exclude one"
+                )
 
     @classmethod
     def build(
@@ -532,33 +629,27 @@ class ProjectIndex:
     def resolve_function(
         self, module: str, name: str
     ) -> Optional[FunctionSummary]:
-        """Resolve a dotted callee ``name`` seen in ``module`` to a
-        module-level function summary in the index, or ``None``."""
+        """Resolve a dotted callee ``name`` seen in ``module`` to the
+        summary of a module-level function or of a ``Class.method`` in
+        the index, or ``None``."""
         summary = self.modules.get(module)
         if summary is None:
             return None
         head, _, rest = name.partition(".")
-        if not rest:
-            if head in summary.top_level_functions:
-                return summary.functions.get(head)
-            target = summary.imports.get(head)
-            if target is not None:
-                target_mod, _, target_fn = target.rpartition(".")
-                if target_mod and target_fn:
-                    other = self.modules.get(target_mod)
-                    if other and target_fn in other.top_level_functions:
-                        return other.functions.get(target_fn)
-            return None
-        # dotted: resolve the head through the import table
+        if head in summary.top_level_functions or head in summary.classes:
+            return summary.lookup(name)
         target = summary.imports.get(head)
         if target is None:
             return None
         other = self.modules.get(target)
-        if other is None or "." in rest:
+        if other is None:
+            # ``from lib import f`` / ``from lib import Cls``
+            target_mod, _, leaf = target.rpartition(".")
+            other = self.modules.get(target_mod)
+            rest = f"{leaf}.{rest}" if rest else leaf
+        if other is None or not rest:
             return None
-        if rest in other.top_level_functions:
-            return other.functions.get(rest)
-        return None
+        return other.lookup(rest)
 
     def reachable(
         self, roots: Iterable[FunctionSummary]
@@ -577,20 +668,22 @@ class ProjectIndex:
             order.append(fn)
             # nested functions called by bare name resolve locally first
             for call in fn.calls:
-                target = self._resolve_from(fn, call.name)
+                target = self.resolve_call(fn, call.name)
                 if target is not None:
                     stack.append(target)
         return order
 
-    def _resolve_from(
+    def resolve_call(
         self, caller: FunctionSummary, name: str
     ) -> Optional[FunctionSummary]:
+        """Resolve a dotted callee seen inside ``caller``: like
+        :meth:`resolve_function`, but a nested sibling or child
+        function shadows module scope."""
         summary = self.modules.get(caller.module)
         if summary is None:
             return None
         head, _, rest = name.partition(".")
         if not rest:
-            # a nested sibling or child function shadows module scope
             scope: Optional[FunctionSummary] = caller
             while scope is not None:
                 candidate = summary.functions.get(
@@ -601,7 +694,10 @@ class ProjectIndex:
                 scope = scope.parent
         return self.resolve_function(caller.module, name)
 
-
-def iter_functions(summary: ModuleSummary) -> Iterator[FunctionSummary]:
-    """All function summaries of a module in definition order."""
-    return iter(summary.functions.values())
+    def functions(self) -> List[FunctionSummary]:
+        """Every function summary, in (module, qualname) order."""
+        return [
+            self.modules[module].functions[qualname]
+            for module in sorted(self.modules)
+            for qualname in sorted(self.modules[module].functions)
+        ]

@@ -1,11 +1,20 @@
-"""Pluggable AST lint engine.
+"""Pluggable AST lint engine — the only driver of every rule family.
 
-A :class:`LintRule` inspects one parsed file (a :class:`FileContext`)
-and yields :class:`Diagnostic` records.  Rules register themselves in a
-module-level registry via :func:`register_rule`; the
-:class:`LintEngine` parses each target file once, runs every selected
-rule over it, and filters out diagnostics silenced by
-``# repro-lint: disable=CODE`` comments.
+A :class:`LintRule` is one of two kinds.  A *file rule* overrides
+:meth:`~LintRule.check` and inspects one parsed file (a
+:class:`FileContext`); a *project rule* overrides
+:meth:`~LintRule.project_check` and inspects the whole target set (a
+:class:`Project`).  Rules register themselves in a
+module-level registry via :func:`register_rule` and belong to a
+``family`` (``core`` runs by default; ``spmd``, ``service`` and
+``perf`` are what the ``repro-lint`` flags of the same name add).
+
+:func:`load_project` walks the target paths and parses each file
+exactly once; the :class:`Project` builds its one dataflow
+:class:`~repro.analysis.dataflow.ProjectIndex` the first time a
+project rule asks for it (a run of file rules never does); the
+:class:`LintEngine` runs every selected rule and filters out
+diagnostics silenced by ``# repro-lint: disable=CODE`` comments.
 
 Suppression grammar (comments only — strings never suppress):
 
@@ -23,8 +32,12 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -34,8 +47,17 @@ from typing import (
     Set,
     Tuple,
     Type,
+    TypeVar,
     Union,
 )
+
+from repro.analysis.dataflow import (
+    FunctionSummary,
+    ModuleSummary,
+    ProjectIndex,
+)
+
+_T = TypeVar("_T")
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable|disable-file)\s*=\s*"
@@ -103,12 +125,64 @@ class FileContext:
         return False
 
 
+@dataclass
+class Project:
+    """The parsed target set of one run, shared by every rule.
+
+    Holds what was parsed once — the file contexts and the E999
+    diagnostics of the files that did not parse — plus what is derived
+    from it on demand: the dataflow index and each rule family's own
+    view of it (superstep sites, loop/executor closure, kernel audit).
+    """
+
+    contexts: List[FileContext] = field(default_factory=list)
+    syntax_errors: List[Diagnostic] = field(default_factory=list)
+    _views: Dict[Callable[..., Any], Any] = field(
+        default_factory=dict, repr=False
+    )
+
+    def add_source(self, source: str, module: str, path: str) -> None:
+        """Parse ``source`` into the project (E999 when it does not)."""
+        try:
+            self.contexts.append(
+                build_file_context(source, module=module, path=path)
+            )
+        except SyntaxError as exc:
+            self.syntax_errors.append(
+                Diagnostic(
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=exc.offset or 1,
+                    code=SYNTAX_ERROR_CODE,
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
+
+    @cached_property
+    def index(self) -> ProjectIndex:
+        """The dataflow index of every parsed file, built on first use;
+        raises :class:`~repro.analysis.dataflow.ModuleCollisionError`
+        (a ``ValueError``) when two files map to one module name."""
+        return ProjectIndex.build(
+            (ctx.module, ctx.path, ctx.tree) for ctx in self.contexts
+        )
+
+    def view(self, build: Callable[["Project"], _T]) -> _T:
+        """``build(self)``, computed once per project — how the rules
+        of one family share their derived view of the index."""
+        if build not in self._views:
+            self._views[build] = build(self)
+        return self._views[build]  # type: ignore[no-any-return]
+
+
 class LintRule:
     """Base class for lint rules.
 
     Subclasses set ``code`` (e.g. ``"ARR001"``), ``name`` and
-    ``description`` and implement :meth:`check`.  ``modules`` optionally
-    restricts the rule to dotted-module prefixes (empty = every file).
+    ``description`` and override :meth:`check` (a file rule) or
+    :meth:`project_check` (a project rule).  ``modules`` optionally
+    restricts a file rule to dotted-module prefixes (empty = every
+    file).
     """
 
     code: str = ""
@@ -116,10 +190,11 @@ class LintRule:
     description: str = ""
     #: dotted module-name prefixes this rule applies to ((), = all files)
     modules: Tuple[str, ...] = ()
-    #: opt-in rules stay out of the default engine run; they execute
-    #: only when explicitly ``--select``-ed or driven by a dedicated
-    #: pass (the PERF family runs under ``repro-lint --perf``)
-    opt_in: bool = False
+    #: ``core`` rules make up the default engine run; any other family
+    #: runs only when asked for — by an explicit ``--select`` or by the
+    #: ``repro-lint`` flag named after it (``--spmd`` / ``--service`` /
+    #: ``--perf``)
+    family: str = "core"
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule should run on ``ctx`` (module scoping)."""
@@ -131,15 +206,24 @@ class LintRule:
         )
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        """Yield diagnostics for ``ctx``; override in subclasses."""
-        raise NotImplementedError
+        """Yield diagnostics for one file; file rules override this."""
+        return ()
+
+    def project_check(self, project: Project) -> Iterable[Diagnostic]:
+        """Yield diagnostics for the whole target set, called once per
+        run; project rules override this."""
+        return ()
 
     def diag(
-        self, ctx: FileContext, node: ast.AST, message: Optional[str] = None
+        self,
+        where: Union[FileContext, FunctionSummary, ModuleSummary],
+        node: ast.AST,
+        message: Optional[str] = None,
     ) -> Diagnostic:
-        """Build a diagnostic anchored at ``node`` (1-based column)."""
+        """Build a diagnostic anchored at ``node`` (1-based column) in
+        the file ``where`` belongs to."""
         return Diagnostic(
-            path=ctx.path,
+            path=where.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             code=self.code,
@@ -160,9 +244,13 @@ def register_rule(cls: Type[LintRule]) -> Type[LintRule]:
     return cls
 
 
-def all_rules() -> List[LintRule]:
-    """Registered rules sorted by code."""
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
+def all_rules(family: Optional[str] = None) -> List[LintRule]:
+    """Registered rules sorted by code (of one ``family`` when given)."""
+    return [
+        _REGISTRY[code]
+        for code in sorted(_REGISTRY)
+        if family is None or _REGISTRY[code].family == family
+    ]
 
 
 def get_rule(code: str) -> LintRule:
@@ -177,17 +265,26 @@ def module_name_for(path: Union[str, Path]) -> str:
     source checkouts (``src/repro/graph/csr.py``) and test fixtures
     mimicking the package layout (``fixtures/repro/graph/bad.py``)
     resolve to ``repro.graph.…`` and trigger module-scoped rules.
+    Elsewhere the name is qualified by the enclosing packages (the
+    directories holding an ``__init__.py``), so ``tests/graph/test_io.py``
+    and ``tests/mesh/test_io.py`` are two modules, not one.
     """
+    directory = Path(path).parent
     parts = list(Path(path).with_suffix("").parts)
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
+        directory = directory.parent
     for anchor in ("repro", "src"):
         if anchor in parts:
             idx = len(parts) - 1 - parts[::-1].index(anchor)
             if anchor == "src":
                 idx += 1
             return ".".join(parts[idx:])
-    return ".".join(parts[-1:])
+    depth = 1
+    while depth < len(parts) and (directory / "__init__.py").is_file():
+        depth += 1
+        directory = directory.parent
+    return ".".join(parts[-depth:])
 
 
 def _collect_suppressions(
@@ -255,30 +352,71 @@ def build_file_context(
     )
 
 
+def _iter_target_files(
+    paths: Iterable[Union[str, Path]],
+    exclude: Sequence[str] = (),
+) -> Iterator[Path]:
+    """The ``*.py`` files under ``paths`` (files or, recursively,
+    directories) in sorted order, minus hidden directories and the
+    ``exclude`` globs; a missing path raises ``FileNotFoundError``."""
+    for raw in paths:
+        p = Path(raw)
+        if p.is_dir():
+            for f in sorted(p.rglob("*.py")):
+                if any(part.startswith(".") for part in f.parts):
+                    continue
+                if _excluded(f, exclude):
+                    continue
+                yield f
+        elif p.is_file():
+            if not _excluded(p, exclude):
+                yield p
+        else:
+            raise FileNotFoundError(f"no such file or directory: {p}")
+
+
+def load_project(
+    paths: Iterable[Union[str, Path]],
+    exclude: Sequence[str] = (),
+) -> Project:
+    """Read and parse the target set — once, for every rule.
+
+    ``exclude`` holds ``fnmatch`` glob patterns matched against the
+    POSIX form of each candidate path (fixture trees that seed
+    deliberate violations are excluded this way in CI)."""
+    project = Project()
+    for f in _iter_target_files(paths, exclude):
+        project.add_source(
+            f.read_text(encoding="utf-8"),
+            module=module_name_for(f),
+            path=str(f),
+        )
+    return project
+
+
 class LintEngine:
     """Run a set of rules over files, directories, or raw source.
 
-    ``select``/``ignore`` narrow the rule set by code; by default every
-    registered rule runs.
+    ``families`` names the rule families of the run (default: ``core``
+    alone); ``select`` instead names the exact rule codes, from any
+    family; ``ignore`` drops codes from either.
     """
 
     def __init__(
         self,
-        rules: Optional[Sequence[LintRule]] = None,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
+        families: Sequence[str] = ("core",),
     ) -> None:
-        chosen = list(rules) if rules is not None else all_rules()
+        chosen = all_rules()
         if select is not None:
             wanted = set(select)
             unknown = wanted - {r.code for r in chosen}
             if unknown:
                 raise KeyError(f"unknown rule code(s): {sorted(unknown)}")
             chosen = [r for r in chosen if r.code in wanted]
-        elif rules is None:
-            # a default run skips opt-in families; an explicit --select
-            # (handled above) may still pull them in one by one
-            chosen = [r for r in chosen if not r.opt_in]
+        else:
+            chosen = [r for r in chosen if r.family in families]
         if ignore is not None:
             dropped = set(ignore)
             chosen = [r for r in chosen if r.code not in dropped]
@@ -287,6 +425,23 @@ class LintEngine:
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
+    def lint_project(self, project: Project) -> List[Diagnostic]:
+        """Run the selected rules over an already-parsed target set;
+        returns sorted, de-duplicated, unsuppressed diagnostics."""
+        by_path = {ctx.path: ctx for ctx in project.contexts}
+        found: Set[Diagnostic] = set(project.syntax_errors)
+        for rule in self.rules:
+            per_file = (
+                rule.check(ctx)
+                for ctx in project.contexts
+                if rule.applies_to(ctx)
+            )
+            for d in chain(*per_file, rule.project_check(project)):
+                ctx = by_path.get(d.path)
+                if ctx is None or not ctx.is_suppressed(d.line, d.code):
+                    found.add(d)
+        return sorted(found)
+
     def lint_source(
         self,
         source: str,
@@ -294,71 +449,19 @@ class LintEngine:
         path: str = "<string>",
     ) -> List[Diagnostic]:
         """Lint a source string (unit-test friendly)."""
-        try:
-            ctx = build_file_context(source, module=module, path=path)
-        except SyntaxError as exc:
-            return [
-                Diagnostic(
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 1,
-                    code=SYNTAX_ERROR_CODE,
-                    message=f"syntax error: {exc.msg}",
-                )
-            ]
-        found: List[Diagnostic] = []
-        for rule in self.rules:
-            if not rule.applies_to(ctx):
-                continue
-            for d in rule.check(ctx):
-                if not ctx.is_suppressed(d.line, d.code):
-                    found.append(d)
-        return sorted(found)
+        project = Project()
+        project.add_source(source, module=module, path=path)
+        return self.lint_project(project)
 
-    def lint_file(
-        self, path: Union[str, Path], module: Optional[str] = None
-    ) -> List[Diagnostic]:
-        """Lint one file; ``module`` overrides the inferred name."""
-        p = Path(path)
-        source = p.read_text(encoding="utf-8")
-        return self.lint_source(
-            source,
-            module=module if module is not None else module_name_for(p),
-            path=str(p),
-        )
+    def lint_file(self, path: Union[str, Path]) -> List[Diagnostic]:
+        """Lint one file."""
+        return self.lint_paths([path])
 
     def lint_paths(
         self,
         paths: Iterable[Union[str, Path]],
         exclude: Sequence[str] = (),
     ) -> List[Diagnostic]:
-        """Lint files and (recursively) directories; returns sorted
-        diagnostics.  Missing paths raise ``FileNotFoundError``.
-        ``exclude`` holds ``fnmatch`` glob patterns matched against the
-        POSIX form of each candidate path (fixture trees that seed
-        deliberate violations are excluded this way in CI)."""
-        found: List[Diagnostic] = []
-        for f in self._iter_target_files(paths, exclude):
-            found.extend(self.lint_file(f))
-        return sorted(found)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _iter_target_files(
-        paths: Iterable[Union[str, Path]],
-        exclude: Sequence[str] = (),
-    ) -> Iterator[Path]:
-        for raw in paths:
-            p = Path(raw)
-            if p.is_dir():
-                for f in sorted(p.rglob("*.py")):
-                    if any(part.startswith(".") for part in f.parts):
-                        continue
-                    if _excluded(f, exclude):
-                        continue
-                    yield f
-            elif p.is_file():
-                if not _excluded(p, exclude):
-                    yield p
-            else:
-                raise FileNotFoundError(f"no such file or directory: {p}")
+        """Lint files and (recursively) directories as one program;
+        see :func:`load_project` for ``paths`` and ``exclude``."""
+        return self.lint_project(load_project(paths, exclude))

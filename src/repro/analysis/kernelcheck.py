@@ -4,9 +4,10 @@ The compiled-path plan (ROADMAP open item 1) only works if the hot
 functions behind the kernel seam (:mod:`repro.kernels`) stay inside
 the subset of Python a jit compiler accepts.  This pass proves it
 statically: every function marked ``@kernel`` is located syntactically,
-closed over the project call graph
-(:class:`~repro.analysis.dataflow.ProjectIndex` — helpers a kernel
-calls must be pure too), and checked against the purity contract:
+closed over the call graph of the engine's shared
+:class:`~repro.analysis.dataflow.ProjectIndex` (helpers a kernel
+calls — functions and ``Class.method`` s alike — must be pure too),
+and checked against the purity contract:
 
 =================  ===================================================
 closure-capture    no closure over enclosing mutable state
@@ -22,10 +23,10 @@ nested-def         no nested functions or lambdas (closures again)
 
 The result is the machine-readable **kernel registry**
 (``repro.kernel-audit/1``): one entry per declared kernel, certified or
-not, each blocker carrying ``file:line``.  ``repro-lint --perf`` emits
-a KERN001 diagnostic per blocker of an uncertified kernel, so a
-declared kernel that regresses fails CI — the certify-before-compile
-workflow of ``docs/STATIC_ANALYSIS.md``.
+not, each blocker carrying ``file:line``.  The KERN001 project rule
+(``repro-lint --perf``) emits one diagnostic per blocker of an
+uncertified kernel, so a declared kernel that regresses fails CI —
+the certify-before-compile workflow of ``docs/STATIC_ANALYSIS.md``.
 
 The analysis is conservative in the same direction as the SPMD pass:
 calls it cannot resolve inside the index are assumed pure (numpy is
@@ -44,9 +45,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -58,11 +57,9 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.engine import (
     Diagnostic,
-    FileContext,
-    LintEngine,
     LintRule,
-    build_file_context,
-    module_name_for,
+    Project,
+    load_project,
     register_rule,
 )
 
@@ -99,17 +96,17 @@ _TRACER_RECEIVERS = frozenset({"tracer", "ctx", "ledger", "session"})
 class KernelPurityRule(LintRule):
     """KERN001 — declared kernel violates the purity contract.
 
-    Registered for reporter metadata (SARIF rule table, ``--list-rules``)
-    only; the certifier below emits the diagnostics.
+    One diagnostic per blocker in the project's kernel audit
+    (:func:`audit_project`).
     """
 
     code = "KERN001"
+    family = "perf"
     name = "kernel-purity"
     description = "declared @kernel function is not certifiable"
-    opt_in = True
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        return iter(())
+    def project_check(self, project: Project) -> Iterable[Diagnostic]:
+        return project.view(audit_project).diagnostics()
 
 
 @dataclass(frozen=True)
@@ -336,12 +333,10 @@ def _decorator_resolves_to_kernel(
     return ".".join([head, *parts[1:]]) == KERNEL_DECORATOR
 
 
-def find_declared_kernels(
-    index: ProjectIndex,
-) -> List[Tuple[FunctionSummary, ModuleSummary]]:
+def find_declared_kernels(index: ProjectIndex) -> List[FunctionSummary]:
     """Every module-level function marked ``@kernel`` in the index,
     in (module, name) order."""
-    found: List[Tuple[FunctionSummary, ModuleSummary]] = []
+    found: List[FunctionSummary] = []
     for summary in sorted(
         index.modules.values(), key=lambda s: s.module
     ):
@@ -353,7 +348,7 @@ def find_declared_kernels(
                 _decorator_resolves_to_kernel(dec, summary)
                 for dec in fn.node.decorator_list
             ):
-                found.append((fn, summary))
+                found.append(fn)
     return found
 
 
@@ -526,9 +521,7 @@ def _check_call(
         )
 
 
-def certify_kernel(
-    index: ProjectIndex, fn: FunctionSummary, summary: ModuleSummary
-) -> KernelEntry:
+def certify_kernel(index: ProjectIndex, fn: FunctionSummary) -> KernelEntry:
     """Certify one declared kernel (closing over its callees)."""
     entry = KernelEntry(
         name=fn.name,
@@ -539,9 +532,7 @@ def certify_kernel(
     )
     blockers: List[Blocker] = []
     for reached in index.reachable([fn]):
-        reached_summary = index.modules.get(reached.module)
-        if reached_summary is None:  # pragma: no cover - index invariant
-            continue
+        reached_summary = index.modules[reached.module]
         blockers.extend(_check_scope(reached, reached_summary, fn))
         blockers.extend(_check_body(reached, reached_summary, fn))
     entry.blockers = sorted(
@@ -551,14 +542,13 @@ def certify_kernel(
     return entry
 
 
-def audit_contexts(contexts: Sequence[FileContext]) -> KernelAudit:
-    """Build the kernel audit for already-parsed file contexts."""
-    index = ProjectIndex.build(
-        (ctx.module, ctx.path, ctx.tree) for ctx in contexts
-    )
+def audit_project(project: Project) -> KernelAudit:
+    """Certify every kernel declared in the project (the certifier's
+    view of the shared index)."""
+    index = project.index
     audit = KernelAudit()
-    for fn, summary in find_declared_kernels(index):
-        audit.kernels.append(certify_kernel(index, fn, summary))
+    for fn in find_declared_kernels(index):
+        audit.kernels.append(certify_kernel(index, fn))
     return audit
 
 
@@ -566,26 +556,15 @@ def audit_paths(
     paths: Iterable[Union[str, Path]],
     exclude: Sequence[str] = (),
 ) -> KernelAudit:
-    """Parse the target set and certify every declared kernel (files
-    with syntax errors are skipped — the engine reports E999)."""
-    contexts: List[FileContext] = []
-    for f in LintEngine._iter_target_files(paths, exclude):
-        source = Path(f).read_text(encoding="utf-8")
-        try:
-            contexts.append(
-                build_file_context(
-                    source, module=module_name_for(f), path=str(f)
-                )
-            )
-        except SyntaxError:
-            continue
-    return audit_contexts(contexts)
+    """Certify every kernel declared under ``paths`` (files with
+    syntax errors are skipped — the engine reports E999)."""
+    return load_project(paths, exclude).view(audit_project)
 
 
 def audit_source(
     source: str, module: str = "<string>", path: str = "<string>"
 ) -> KernelAudit:
     """Single-source convenience wrapper (unit tests)."""
-    return audit_contexts(
-        [build_file_context(source, module=module, path=path)]
-    )
+    project = Project()
+    project.add_source(source, module=module, path=path)
+    return project.view(audit_project)

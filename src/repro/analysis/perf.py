@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -51,14 +50,11 @@ from typing import (
 from repro.analysis.engine import (
     Diagnostic,
     FileContext,
-    LintEngine,
     LintRule,
-    all_rules,
-    build_file_context,
     module_name_for,
     register_rule,
 )
-from repro.analysis.rules import _is_test_module, dotted_name
+from repro.analysis.rules import dotted_name, is_test_module
 
 #: the numeric stack — the only modules the PERF family inspects
 #: (analysis/obs/runtime walk ASTs and message queues, not arrays)
@@ -278,11 +274,11 @@ class _ArrayEvidence:
 class PerfRule(LintRule):
     """Base for the opt-in PERF family: numeric modules, no tests."""
 
-    opt_in = True
+    family = "perf"
     modules = PERF_MODULES
 
     def applies_to(self, ctx: FileContext) -> bool:
-        if _is_test_module(ctx.module):
+        if is_test_module(ctx.module):
             return False
         return super().applies_to(ctx)
 
@@ -589,11 +585,6 @@ class MathUfuncRule(PerfRule):
         return names
 
 
-def perf_rules() -> List[PerfRule]:
-    """The registered PERF rules, sorted by code."""
-    return [r for r in all_rules() if isinstance(r, PerfRule)]
-
-
 # ----------------------------------------------------------------------
 # profile-guided ranking
 # ----------------------------------------------------------------------
@@ -642,10 +633,6 @@ def module_hotness(self_times: Dict[str, float]) -> Dict[str, HotSpot]:
     return hot
 
 
-def _module_of_path(path: str) -> str:
-    return module_name_for(path)
-
-
 def hotness_of(module: str, hot: Dict[str, HotSpot]) -> Optional[HotSpot]:
     """The hottest :class:`HotSpot` whose module prefix covers
     ``module`` (``None`` when the profile never touched it)."""
@@ -671,7 +658,7 @@ def rank_diagnostics(
     hot = module_hotness(self_times)
     keyed: List[Tuple[float, Diagnostic]] = []
     for d in diagnostics:
-        spot = hotness_of(_module_of_path(d.path), hot)
+        spot = hotness_of(module_name_for(d.path), hot)
         if spot is not None and spot.self_ms > 0:
             annotated = replace(
                 d,
@@ -685,48 +672,3 @@ def rank_diagnostics(
             keyed.append((0.0, d))
     keyed.sort(key=lambda pair: (-pair[0], pair[1]))
     return [d for _ms, d in keyed]
-
-
-# ----------------------------------------------------------------------
-# analyzer entry point
-# ----------------------------------------------------------------------
-
-
-class PerfAnalyzer:
-    """Run the PERF family (and nothing else) over files/directories.
-
-    A thin driver over :class:`LintEngine` with the opt-in rule set
-    forced on; ``select``/``ignore`` narrow by code exactly like the
-    engine (unknown codes are the CLI's concern).
-    """
-
-    def __init__(
-        self,
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
-    ) -> None:
-        chosen: List[PerfRule] = perf_rules()
-        if select is not None:
-            wanted = set(select)
-            chosen = [r for r in chosen if r.code in wanted]
-        if ignore is not None:
-            dropped = set(ignore)
-            chosen = [r for r in chosen if r.code not in dropped]
-        self.engine = LintEngine(rules=chosen)
-
-    def analyze_paths(
-        self,
-        paths: Iterable[Union[str, Path]],
-        exclude: Sequence[str] = (),
-    ) -> List[Diagnostic]:
-        """Lint the target set with the PERF rules only."""
-        return self.engine.lint_paths(paths, exclude=exclude)
-
-    def analyze_source(
-        self,
-        source: str,
-        module: str = "<string>",
-        path: str = "<string>",
-    ) -> List[Diagnostic]:
-        """Single-source convenience wrapper (unit tests)."""
-        return self.engine.lint_source(source, module=module, path=path)

@@ -16,7 +16,7 @@ LOOP001   hot-path modules must not loop over ``xadj``/``adjncy``
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.analysis.engine import (
     Diagnostic,
@@ -102,7 +102,7 @@ def _callee_tail(node: ast.Call) -> Optional[str]:
     return name.rsplit(".", 1)[-1]
 
 
-def _is_test_module(module: str) -> bool:
+def is_test_module(module: str) -> bool:
     """Test and benchmark modules: exempt from library-only rules.
 
     Benchmarks count — they assert their own results and seed their own
@@ -205,7 +205,7 @@ class CentralRngRule(LintRule):
     def applies_to(self, ctx: FileContext) -> bool:
         # tests/benchmarks construct their own seeded generators on
         # purpose; the centralisation contract binds library code only
-        return ctx.module != RNG_MODULE and not _is_test_module(ctx.module)
+        return ctx.module != RNG_MODULE and not is_test_module(ctx.module)
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
@@ -247,7 +247,7 @@ class NoBareAssertRule(LintRule):
     description = "bare assert in library code (stripped under python -O)"
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return not _is_test_module(ctx.module)
+        return not is_test_module(ctx.module)
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
@@ -335,10 +335,3 @@ class VectorisedHotPathRule(LintRule):
             if isinstance(node, ast.Attribute) and node.attr in self._CSR_NAMES:
                 return True
         return False
-
-
-def iter_rule_docs() -> Iterable[Tuple[str, str, str]]:
-    """(code, name, one-line description) for every rule in this module."""
-    from repro.analysis.engine import all_rules
-
-    return [(r.code, r.name, r.description) for r in all_rules()]

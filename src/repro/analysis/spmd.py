@@ -8,12 +8,13 @@ pool, and keep every value that feeds a send or reduction
 deterministic.  This module checks those contracts statically.
 
 Unlike the per-file rules of :mod:`repro.analysis.rules`, the SPMD
-family is a *project-level* pass: :class:`SpmdAnalyzer` parses the
-whole target set, finds every superstep handed to ``spmd_run`` or
-``session.step`` (direct references, lambdas, ``functools.partial``
-and :class:`~repro.runtime.faults.ChaosStep` wrappers, and nested
-functions), closes over the call graph, and runs the rules over the
-reachable rank code:
+family consists of *project rules*: :func:`build_spmd_project` reads
+the engine's shared dataflow index, finds every superstep handed to
+``spmd_run`` or ``session.step`` (direct references, ``Class.method``
+references, lambdas, ``functools.partial`` and
+:class:`~repro.runtime.faults.ChaosStep` wrappers, and nested
+functions) and closes over the call graph; the rules run over the
+reachable rank code (``repro-lint --spmd``):
 
 ========  ===========================================================
 SPMD001   superstep mutates a captured or global mutable (thread race)
@@ -34,19 +35,8 @@ cannot prove reaches a rank).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.dataflow import (
     FunctionSummary,
@@ -57,12 +47,8 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.engine import (
     Diagnostic,
-    FileContext,
-    LintEngine,
     LintRule,
-    all_rules,
-    build_file_context,
-    module_name_for,
+    Project,
     register_rule,
 )
 
@@ -108,37 +94,29 @@ _NONPICKLABLE_FACTORIES = {
 
 
 @dataclass
-class SuperstepSite:
-    """One superstep function plus where it was handed to the runtime."""
-
-    fn: FunctionSummary
-    site: ast.AST
-    site_module: str
-    site_path: str
-
-
-@dataclass
 class SpmdProject:
     """Everything the SPMD rules inspect about one analysed tree."""
 
     index: ProjectIndex
-    #: path → parsed file context (for suppressions and anchoring)
-    contexts: Dict[str, FileContext]
-    supersteps: List[SuperstepSite] = field(default_factory=list)
+    #: every function handed to the runtime as a superstep, once
+    supersteps: List[FunctionSummary]
     #: supersteps plus everything they transitively call (deduplicated)
-    rank_functions: List[FunctionSummary] = field(default_factory=list)
+    rank_functions: List[FunctionSummary]
     #: functions that register supersteps (``session.step``/``spmd_run``
     #: call sites) — the merge side of the determinism contract
-    coordinators: List[FunctionSummary] = field(default_factory=list)
+    coordinators: List[FunctionSummary]
 
     def module_of(self, fn: FunctionSummary) -> ModuleSummary:
         return self.index.modules[fn.module]
 
+    def contract_functions(self) -> List[FunctionSummary]:
+        """Rank code, then the coordinators — the two sides of the
+        determinism contract — each function once."""
+        both = self.rank_functions + self.coordinators
+        return list({(fn.module, fn.qualname): fn for fn in both}.values())
+
     def is_superstep(self, fn: FunctionSummary) -> bool:
-        return any(
-            s.fn.module == fn.module and s.fn.qualname == fn.qualname
-            for s in self.supersteps
-        )
+        return any(step is fn for step in self.supersteps)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +129,7 @@ def _iter_calls_with_scope(
 ) -> Iterator[Tuple[ast.Call, Optional[FunctionSummary]]]:
     """Every call expression in the module, paired with its enclosing
     function summary (``None`` at module level)."""
-    fn_by_node = {id(f.node): f for f in summary.functions.values()}
+    fn_by_node = summary.by_node()
 
     def rec(
         node: ast.AST, scope: Optional[FunctionSummary]
@@ -160,8 +138,7 @@ def _iter_calls_with_scope(
             child_scope = fn_by_node.get(id(child), scope)
             if isinstance(child, ast.Call):
                 yield child, scope
-            for item in rec(child, child_scope):
-                yield item
+            yield from rec(child, child_scope)
 
     return rec(summary.tree, None)
 
@@ -259,77 +236,32 @@ def _step_exprs_of_call(
     return []
 
 
-def build_project(
-    index: ProjectIndex, contexts: Dict[str, FileContext]
-) -> SpmdProject:
-    """Locate supersteps, close over the call graph, find coordinators."""
-    project = SpmdProject(index=index, contexts=contexts)
-    roots: List[FunctionSummary] = []
-    seen_roots: Set[Tuple[str, str]] = set()
-    coord_seen: Set[Tuple[str, str]] = set()
+def build_spmd_project(source: Project) -> SpmdProject:
+    """Locate supersteps, close over the call graph, find coordinators
+    (the SPMD family's view of the shared index)."""
+    index = source.index
+    supersteps: Dict[Tuple[str, str], FunctionSummary] = {}
+    coordinators: Dict[Tuple[str, str], FunctionSummary] = {}
     for summary in index.modules.values():
         for call, scope in _iter_calls_with_scope(summary):
             exprs = _step_exprs_of_call(call, summary, scope)
-            if not exprs:
-                continue
-            if scope is not None:
-                key = (scope.module, scope.qualname)
-                if key not in coord_seen:
-                    coord_seen.add(key)
-                    project.coordinators.append(scope)
+            if exprs and scope is not None:
+                coordinators.setdefault((scope.module, scope.qualname), scope)
             for expr in exprs:
                 fn = _resolve_step_expr(index, summary, scope, expr)
-                if fn is None:
-                    continue
-                project.supersteps.append(
-                    SuperstepSite(
-                        fn=fn,
-                        site=expr,
-                        site_module=summary.module,
-                        site_path=summary.path,
-                    )
-                )
-                key = (fn.module, fn.qualname)
-                if key not in seen_roots:
-                    seen_roots.add(key)
-                    roots.append(fn)
-    project.rank_functions = index.reachable(roots)
-    return project
+                if fn is not None:
+                    supersteps.setdefault((fn.module, fn.qualname), fn)
+    return SpmdProject(
+        index=index,
+        supersteps=list(supersteps.values()),
+        rank_functions=index.reachable(supersteps.values()),
+        coordinators=list(coordinators.values()),
+    )
 
 
 # ----------------------------------------------------------------------
 # rule machinery
 # ----------------------------------------------------------------------
-
-
-class SpmdRule(LintRule):
-    """Base for project-level SPMD rules.
-
-    The per-file :meth:`check` is a no-op (these rules need the whole
-    project); :class:`SpmdAnalyzer` drives :meth:`project_check`.
-    """
-
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        return ()
-
-    def project_check(self, project: SpmdProject) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def fn_diag(
-        self, fn: FunctionSummary, node: ast.AST, message: str
-    ) -> Diagnostic:
-        return Diagnostic(
-            path=fn.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            code=self.code,
-            message=message,
-        )
-
-
-def spmd_rules() -> List[SpmdRule]:
-    """The registered project-level rules, sorted by code."""
-    return [r for r in all_rules() if isinstance(r, SpmdRule)]
 
 
 def _ctx_param(fn: FunctionSummary) -> Optional[str]:
@@ -356,7 +288,7 @@ def _alias_chain(
 
 
 @register_rule
-class SharedMutationRule(SpmdRule):
+class SharedMutationRule(LintRule):
     """SPMD001 — rank code mutates state shared across ranks.
 
     On :class:`~repro.runtime.backends.thread.ThreadBackend` every rank
@@ -367,17 +299,19 @@ class SharedMutationRule(SpmdRule):
     """
 
     code = "SPMD001"
+    family = "spmd"
     name = "spmd-shared-mutation"
     description = "superstep mutates captured/global state (thread race)"
 
-    def project_check(self, project: SpmdProject) -> Iterator[Diagnostic]:
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_spmd_project)
         for fn in project.rank_functions:
             ctx_name = _ctx_param(fn)
             is_step = project.is_superstep(fn)
             for mut in fn.mutations:
                 reason = self._classify(fn, mut, ctx_name, is_step)
                 if reason is not None:
-                    yield self.fn_diag(
+                    yield self.diag(
                         fn,
                         mut.node,
                         f"rank code mutates {mut.describe()} — {reason}; "
@@ -435,7 +369,7 @@ class SharedMutationRule(SpmdRule):
 
 
 @register_rule
-class RankRngRule(SpmdRule):
+class RankRngRule(LintRule):
     """SPMD002 — module-level RNG inside rank code.
 
     ``np.random.*`` and ``random.*`` draw from interpreter-global
@@ -446,16 +380,18 @@ class RankRngRule(SpmdRule):
     """
 
     code = "SPMD002"
+    family = "spmd"
     name = "spmd-rank-rng"
     description = "module-level RNG (np.random/random) in rank code"
 
-    def project_check(self, project: SpmdProject) -> Iterator[Diagnostic]:
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_spmd_project)
         for fn in project.rank_functions:
             summary = project.module_of(fn)
             for call in fn.calls:
                 hit = self._rng_call(call.name, summary)
                 if hit:
-                    yield self.fn_diag(
+                    yield self.diag(
                         fn,
                         call.node,
                         f"{call.name}(...) draws from the {hit} stream — "
@@ -480,7 +416,7 @@ class RankRngRule(SpmdRule):
 
 
 @register_rule
-class NonPicklableCaptureRule(SpmdRule):
+class NonPicklableCaptureRule(LintRule):
     """SPMD003 — superstep closure captures a non-picklable object.
 
     The process backend pickles ``(fn, arg)`` per step; when that
@@ -491,13 +427,13 @@ class NonPicklableCaptureRule(SpmdRule):
     """
 
     code = "SPMD003"
+    family = "spmd"
     name = "spmd-nonpicklable-capture"
     description = "superstep captures a provably non-picklable object"
 
-    def project_check(self, project: SpmdProject) -> Iterator[Diagnostic]:
-        reported: Set[Tuple[str, str, str]] = set()
-        for site in project.supersteps:
-            fn = site.fn
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_spmd_project)
+        for fn in project.supersteps:
             if fn.parent is None:
                 continue  # module-level functions capture nothing
             summary = project.module_of(fn)
@@ -506,11 +442,7 @@ class NonPicklableCaptureRule(SpmdRule):
                 kind = self._nonpicklable_kind(binding, fn, summary)
                 if kind is None:
                     continue
-                key = (fn.module, fn.qualname, name)
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield self.fn_diag(
+                yield self.diag(
                     fn,
                     fn.node,
                     f"superstep captures {name!r} ({kind}) — pickling "
@@ -582,7 +514,7 @@ def _is_unordered_expr(
 
 
 @register_rule
-class RankDeterminismRule(SpmdRule):
+class RankDeterminismRule(LintRule):
     """DET001 — nondeterminism sources in rank or coordinator code.
 
     Wall-clock reads, OS entropy, iteration over a ``set`` (hash order
@@ -593,19 +525,14 @@ class RankDeterminismRule(SpmdRule):
     """
 
     code = "DET001"
+    family = "spmd"
     name = "rank-determinism"
     description = "nondeterminism source in rank/coordinator code"
 
-    def project_check(self, project: SpmdProject) -> Iterator[Diagnostic]:
-        seen: Set[Tuple[str, str]] = set()
-        for fn in project.rank_functions + project.coordinators:
-            key = (fn.module, fn.qualname)
-            if key in seen:
-                continue
-            seen.add(key)
-            summary = project.module_of(fn)
-            for d in self._check_fn(fn, summary):
-                yield d
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_spmd_project)
+        for fn in project.contract_functions():
+            yield from self._check_fn(fn, project.module_of(fn))
 
     def _check_fn(
         self, fn: FunctionSummary, summary: ModuleSummary
@@ -613,7 +540,7 @@ class RankDeterminismRule(SpmdRule):
         for call in fn.calls:
             reason = self._det_call(call.name, summary)
             if reason:
-                yield self.fn_diag(
+                yield self.diag(
                     fn,
                     call.node,
                     f"{call.name}(...) is {reason} — rank/coordinator "
@@ -627,7 +554,7 @@ class RankDeterminismRule(SpmdRule):
                         and isinstance(kw.value, ast.Name)
                         and kw.value.id == "id"
                     ):
-                        yield self.fn_diag(
+                        yield self.diag(
                             fn,
                             call.node,
                             "ordering by id() depends on allocation "
@@ -642,7 +569,7 @@ class RankDeterminismRule(SpmdRule):
             if target is not None and _is_unordered_expr(
                 target, fn, summary
             ):
-                yield self.fn_diag(
+                yield self.diag(
                     fn,
                     target,
                     "iterating a set in rank/coordinator code — hash "
@@ -672,7 +599,7 @@ class RankDeterminismRule(SpmdRule):
 
 
 @register_rule
-class OrderedFloatFoldRule(SpmdRule):
+class OrderedFloatFoldRule(LintRule):
     """FLOAT001 — float accumulation over an unordered container.
 
     Float addition is not associative; summing a ``set`` (or, in rank
@@ -683,23 +610,20 @@ class OrderedFloatFoldRule(SpmdRule):
     """
 
     code = "FLOAT001"
+    family = "spmd"
     name = "ordered-float-fold"
     description = "float accumulation over an unordered container"
 
     _SUM_NAMES = frozenset({"sum", "math.fsum", "fsum", "np.sum", "numpy.sum"})
 
-    def project_check(self, project: SpmdProject) -> Iterator[Diagnostic]:
+    def project_check(self, source: Project) -> Iterator[Diagnostic]:
+        project = source.view(build_spmd_project)
         rank_keys = {
             (fn.module, fn.qualname) for fn in project.rank_functions
         }
-        seen: Set[Tuple[str, str]] = set()
-        for fn in project.rank_functions + project.coordinators:
-            key = (fn.module, fn.qualname)
-            if key in seen:
-                continue
-            seen.add(key)
+        for fn in project.contract_functions():
             summary = project.module_of(fn)
-            in_rank = key in rank_keys
+            in_rank = (fn.module, fn.qualname) in rank_keys
             for call in fn.calls:
                 if call.name not in self._SUM_NAMES:
                     continue
@@ -708,7 +632,7 @@ class OrderedFloatFoldRule(SpmdRule):
                 arg = call.node.args[0]
                 reason = self._unordered_reason(arg, fn, summary, in_rank)
                 if reason:
-                    yield self.fn_diag(
+                    yield self.diag(
                         fn,
                         call.node,
                         f"{call.name}(...) folds floats over {reason} — "
@@ -741,86 +665,3 @@ class OrderedFloatFoldRule(SpmdRule):
             if in_rank and values_call(it):
                 return "dict.values() (arrival-order insertion)"
         return None
-
-
-# ----------------------------------------------------------------------
-# analyzer entry point
-# ----------------------------------------------------------------------
-
-
-class SpmdAnalyzer:
-    """Run the project-level SPMD pass over files and directories.
-
-    ``select``/``ignore`` narrow the rule set by code exactly like
-    :class:`~repro.analysis.engine.LintEngine` (unknown codes are the
-    caller's concern — the CLI validates them against the full
-    registry first).
-    """
-
-    def __init__(
-        self,
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
-    ) -> None:
-        chosen: List[SpmdRule] = spmd_rules()
-        if select is not None:
-            wanted = set(select)
-            chosen = [r for r in chosen if r.code in wanted]
-        if ignore is not None:
-            dropped = set(ignore)
-            chosen = [r for r in chosen if r.code not in dropped]
-        self.rules: List[SpmdRule] = chosen
-
-    # ------------------------------------------------------------------
-    def analyze_contexts(
-        self, contexts: Sequence[FileContext]
-    ) -> List[Diagnostic]:
-        """Run the pass over already-parsed file contexts."""
-        if not self.rules:
-            return []
-        by_path = {ctx.path: ctx for ctx in contexts}
-        index = ProjectIndex.build(
-            (ctx.module, ctx.path, ctx.tree) for ctx in contexts
-        )
-        project = build_project(index, by_path)
-        found: List[Diagnostic] = []
-        for rule in self.rules:
-            for d in rule.project_check(project):
-                ctx = by_path.get(d.path)
-                if ctx is not None and ctx.is_suppressed(d.line, d.code):
-                    continue
-                found.append(d)
-        return sorted(set(found))
-
-    def analyze_paths(
-        self,
-        paths: Iterable[Union[str, Path]],
-        exclude: Sequence[str] = (),
-    ) -> List[Diagnostic]:
-        """Parse the target set and run the pass (syntax errors are
-        skipped here — the per-file engine already reports E999)."""
-        contexts: List[FileContext] = []
-        for f in LintEngine._iter_target_files(paths, exclude):
-            source = Path(f).read_text(encoding="utf-8")
-            try:
-                contexts.append(
-                    build_file_context(
-                        source,
-                        module=module_name_for(f),
-                        path=str(f),
-                    )
-                )
-            except SyntaxError:
-                continue
-        return self.analyze_contexts(contexts)
-
-    def analyze_source(
-        self,
-        source: str,
-        module: str = "<string>",
-        path: str = "<string>",
-    ) -> List[Diagnostic]:
-        """Single-source convenience wrapper (unit tests)."""
-        return self.analyze_contexts(
-            [build_file_context(source, module=module, path=path)]
-        )

@@ -40,14 +40,16 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.analysis.dataflow import (
     FunctionSummary,
     ModuleSummary,
+    ProjectIndex,
     dotted_text,
 )
-from repro.analysis.engine import Diagnostic, register_rule
-from repro.analysis.asynccheck import (
-    ServiceProject,
-    ServiceRule,
-    scope_walk,
+from repro.analysis.engine import (
+    Diagnostic,
+    LintRule,
+    Project,
+    register_rule,
 )
+from repro.analysis.asynccheck import scope_walk
 
 __all__ = [
     "TransitionTable",
@@ -151,9 +153,10 @@ def _table_from_binding(
     return table if table.edges else None
 
 
-def collect_tables(project: ServiceProject) -> List[TransitionTable]:
+def collect_tables(project: Project) -> List[TransitionTable]:
     """Every ``*_TRANSITIONS`` table in the indexed modules, with its
-    companion ``*_TERMINAL`` declaration attached when present."""
+    companion ``*_TERMINAL`` declaration attached when present (the
+    state-machine rules' view of the shared index)."""
     tables: List[TransitionTable] = []
     for module in sorted(project.index.modules):
         summary = project.index.modules[module]
@@ -176,7 +179,7 @@ def collect_tables(project: ServiceProject) -> List[TransitionTable]:
 
 
 def _candidate_tables(
-    project: ServiceProject,
+    index: ProjectIndex,
     tables: List[TransitionTable],
     module: str,
 ) -> List[TransitionTable]:
@@ -184,7 +187,7 @@ def _candidate_tables(
     own = [t for t in tables if t.module == module]
     if own:
         return own
-    summary = project.index.modules.get(module)
+    summary = index.modules.get(module)
     if summary is not None:
         imported_mods = set()
         for target in summary.imports.values():
@@ -197,20 +200,19 @@ def _candidate_tables(
 
 
 @register_rule
-class TransitionTableRule(ServiceRule):
+class TransitionTableRule(LintRule):
     """SM002 — the transition table itself violates an invariant."""
 
     code = "SM002"
+    family = "service"
     name = "state-machine-table"
     description = (
         "transition table is malformed (dangling edge, unreachable "
         "state, or inconsistent terminal declaration)"
     )
 
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
-        for table in collect_tables(project):
+    def project_check(self, project: Project) -> Iterator[Diagnostic]:
+        for table in project.view(collect_tables):
             yield from self._check_table(table)
 
     def _diag(
@@ -278,7 +280,7 @@ class TransitionTableRule(ServiceRule):
 
 
 @register_rule
-class TransitionCallRule(ServiceRule):
+class TransitionCallRule(LintRule):
     """SM001 — a literal ``.transition(...)`` site is not a legal edge.
 
     Single literal calls are checked against the table's state set and
@@ -290,21 +292,20 @@ class TransitionCallRule(ServiceRule):
     """
 
     code = "SM001"
+    family = "service"
     name = "state-machine-call"
     description = (
         "literal .transition(...) call site is not a legal edge of "
         "the transition table"
     )
 
-    def project_check(
-        self, project: ServiceProject
-    ) -> Iterator[Diagnostic]:
-        tables = collect_tables(project)
+    def project_check(self, project: Project) -> Iterator[Diagnostic]:
+        tables = project.view(collect_tables)
         if not tables:
             return
         for module in sorted(project.index.modules):
             summary = project.index.modules[module]
-            candidates = _candidate_tables(project, tables, module)
+            candidates = _candidate_tables(project.index, tables, module)
             if not candidates:
                 continue
             for fn in summary.functions.values():
@@ -353,14 +354,14 @@ class TransitionCallRule(ServiceRule):
                 continue
             state = call.node.args[0].value
             if all(state not in t.states() for t in tables):
-                yield self.fn_diag(
+                yield self.diag(
                     fn,
                     call.node,
                     f".transition({state!r}): '{state}' is not a "
                     f"state of {self._table_names(tables)}",
                 )
             elif all(t.in_degree(state) == 0 for t in tables):
-                yield self.fn_diag(
+                yield self.diag(
                     fn,
                     call.node,
                     f".transition({state!r}): no edge of "
@@ -387,7 +388,7 @@ class TransitionCallRule(ServiceRule):
                         for t in tables
                     )
                 ):
-                    yield self.fn_diag(
+                    yield self.diag(
                         fn,
                         cur[2],
                         f"consecutive transitions '{prev[1]}' -> "

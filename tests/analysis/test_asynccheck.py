@@ -9,11 +9,11 @@ from repro.analysis.asynccheck import (
     scope_walk,
 )
 from repro.analysis.dataflow import summarize_module
-from repro.analysis.servicecheck import ServiceAnalyzer
+from repro.analysis.engine import LintEngine
 
 
 def _analyze(source, select=None, module="repro.service.app"):
-    return ServiceAnalyzer(select=select).analyze_source(
+    return LintEngine(select=select, families=("service",)).lint_source(
         textwrap.dedent(source), module=module, path=f"{module}.py"
     )
 
@@ -330,8 +330,6 @@ class TestAnalyzerSurface:
         assert _codes(_analyze(source, select=["TIME001"])) == ["TIME001"]
 
     def test_service_rules_are_opt_in(self):
-        from repro.analysis.engine import LintEngine
-
         diags = LintEngine().lint_source(
             "import time\n\nasync def h():\n    time.sleep(1)\n",
             module="repro.service.app",

@@ -2,12 +2,11 @@
 
 import textwrap
 
-from repro.analysis.engine import build_file_context
-from repro.analysis.servicecheck import ServiceAnalyzer
+from repro.analysis.engine import LintEngine, Project, build_file_context
 
 
 def _analyze(source, module="repro.service.handlers"):
-    return ServiceAnalyzer(select=["TRUST001"]).analyze_source(
+    return LintEngine(select=["TRUST001"]).lint_source(
         textwrap.dedent(source), module=module, path=f"{module}.py"
     )
 
@@ -224,8 +223,8 @@ class TestScope:
             module="repro.service.worker",
             path="repro/service/worker.py",
         )
-        diags = ServiceAnalyzer(select=["TRUST001"]).analyze_contexts(
-            [handler, worker]
+        diags = LintEngine(select=["TRUST001"]).lint_project(
+            Project([handler, worker])
         )
         assert [d.code for d in diags] == ["TRUST001"]
         assert diags[0].path == "repro/service/worker.py"

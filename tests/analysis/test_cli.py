@@ -38,6 +38,21 @@ class TestExitCodes:
         assert lint_main([str(FIXTURES / "nope")]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_two_files_for_one_module_exit_two(self, tmp_path, capsys):
+        """A project rule must not silently analyse only the last of
+        two files that claim one module name."""
+        for root in ("a", "b"):
+            pkg = tmp_path / root / "repro" / "service"
+            pkg.mkdir(parents=True)
+            (pkg / "app.py").write_text("x = 1\n")
+        assert lint_main(["--service", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "repro.service.app" in err
+        assert str(tmp_path / "a" / "repro" / "service" / "app.py") in err
+        assert str(tmp_path / "b" / "repro" / "service" / "app.py") in err
+        # file rules never consult the index, so a plain run still works
+        assert lint_main([str(tmp_path)]) == 0
+
 
 class TestOptions:
     def test_select_narrows_output(self, capsys):

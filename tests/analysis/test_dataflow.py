@@ -2,6 +2,9 @@
 
 import ast
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.dataflow import (
     ProjectIndex,
@@ -192,3 +195,120 @@ class TestProjectIndex:
         names = {fn.qualname for fn in reached}
         assert "root.<locals>.helper" in names
         assert "helper" not in names
+
+
+class TestClassAwareIndex:
+    SOURCE = """
+        import threading
+
+        class A:
+            def __init__(self, peer: "B"):
+                self.lock = threading.Lock()
+                self.peer = peer
+
+            def run(self):
+                def inner():
+                    return 1
+                return inner()
+
+        class B:
+            def run(self):
+                return 2
+
+            class Inner:
+                def run(self):
+                    return 3
+
+        def run():
+            return 4
+    """
+
+    def test_same_named_methods_do_not_collide(self):
+        s = summarize(self.SOURCE)
+        assert sorted(s.functions) == [
+            "A.__init__",
+            "A.run",
+            "A.run.<locals>.inner",
+            "B.Inner.run",
+            "B.run",
+            "run",
+        ]
+        assert s.top_level_functions == {"run"}
+        assert s.classes["A"].methods["run"] is s.functions["A.run"]
+        assert s.classes["B.Inner"].methods["run"] is s.functions["B.Inner.run"]
+
+    def test_owner_is_inherited_by_nested_functions(self):
+        s = summarize(self.SOURCE)
+        assert s.functions["A.run"].owner == "A"
+        assert s.functions["A.run.<locals>.inner"].owner == "A"
+        assert s.functions["B.Inner.run"].owner == "B.Inner"
+        assert s.functions["run"].owner is None
+
+    def test_self_attribute_assignments_are_recorded(self):
+        s = summarize(self.SOURCE)
+        init = s.functions["A.__init__"]
+        facts = s.classes["A"].attr_assigns
+        assert [(attr, method) for attr, _, _, method in facts] == [
+            ("lock", init),
+            ("peer", init),
+        ]
+        assert isinstance(facts[0][1], ast.Call)
+
+    def test_class_method_reference_resolves(self):
+        lib = summarize(self.SOURCE, "lib", "lib.py")
+        app = summarize(
+            "from lib import A\nimport lib\n\ndef go():\n    A.run(None)\n",
+            "app",
+            "app.py",
+        )
+        index = ProjectIndex([lib, app])
+        assert index.resolve_function("lib", "B.run").qualname == "B.run"
+        assert index.resolve_function("app", "A.run").qualname == "A.run"
+        assert index.resolve_function("app", "lib.B.run").qualname == "B.run"
+        # a bare name never resolves to a method
+        assert index.resolve_function("lib", "run").qualname == "run"
+        assert index.resolve_function("lib", "__init__") is None
+
+    def test_two_files_for_one_module_fail_closed(self):
+        one = summarize("x = 1\n", "repro.service.app", "a/repro/service/app.py")
+        two = summarize("x = 2\n", "repro.service.app", "b/repro/service/app.py")
+        with pytest.raises(ValueError) as err:
+            ProjectIndex([one, two])
+        assert "a/repro/service/app.py" in str(err.value)
+        assert "b/repro/service/app.py" in str(err.value)
+
+    def test_one_summary_per_def_in_the_installed_package(self):
+        import repro
+        from repro.analysis.engine import load_project
+
+        project = load_project([Path(repro.__file__).parent])
+        assert not project.syntax_errors
+        for ctx in project.contexts:
+            defs = {
+                id(node)
+                for node in ast.walk(ctx.tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            summarised = {
+                id(fn.node)
+                for fn in project.index.modules[ctx.module].functions.values()
+                if not isinstance(fn.node, ast.Lambda)
+            }
+            assert summarised == defs, ctx.path
+
+    def test_shadowed_methods_reach_the_spmd_and_kernel_passes(self):
+        """Only the *first* class of each same-named pair in the
+        fixture is at fault; a bare-name index sees only the second."""
+        from repro.analysis.engine import LintEngine
+
+        fixture = (
+            Path(__file__).parent / "shadow_fixtures" / "shadowed_methods.py"
+        )
+        diags = LintEngine(select=["SPMD001", "KERN001"]).lint_paths([fixture])
+        lines = fixture.read_text().splitlines()
+        seeded = {
+            (code, 1 + next(i for i, l in enumerate(lines) if f"# {code}:" in l))
+            for code in ("SPMD001", "KERN001")
+        }
+        assert seeded <= {(d.code, d.line) for d in diags}
+        assert any("reached via helper scale()" in d.message for d in diags)

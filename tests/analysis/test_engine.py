@@ -132,6 +132,22 @@ class TestModuleNames:
     def test_unanchored_path_uses_basename(self):
         assert module_name_for("/tmp/scratch/thing.py") == "thing"
 
+    def test_unanchored_path_is_qualified_by_its_packages(self, tmp_path):
+        for pkg in ("suite", "suite/graph", "suite/mesh"):
+            (tmp_path / pkg).mkdir()
+            (tmp_path / pkg / "__init__.py").write_text("")
+        (tmp_path / "suite" / "graph" / "test_io.py").write_text("")
+        (tmp_path / "suite" / "mesh" / "test_io.py").write_text("")
+        assert module_name_for(
+            tmp_path / "suite" / "graph" / "test_io.py"
+        ) == "suite.graph.test_io"
+        assert module_name_for(
+            tmp_path / "suite" / "mesh" / "test_io.py"
+        ) == "suite.mesh.test_io"
+        assert module_name_for(
+            tmp_path / "suite" / "mesh" / "__init__.py"
+        ) == "suite.mesh"
+
 
 class TestDiscovery:
     def test_fixture_tree_yields_expected_codes(self):
@@ -163,6 +179,61 @@ class TestDiscovery:
     def test_diagnostics_are_sorted(self):
         diags = LintEngine().lint_paths([FIXTURES])
         assert diags == sorted(diags)
+
+
+class TestOneParseOneIndex:
+    ALL_FAMILIES = ("core", "spmd", "service", "perf")
+
+    def _tree(self, tmp_path):
+        (tmp_path / "steps.py").write_text(
+            "ACC = []\n\n"
+            "def _step(ctx):\n    ACC.append(1)\n\n"
+            "def run():\n    spmd_run(2, [_step])\n"
+        )
+        (tmp_path / "app.py").write_text(
+            "import time\n\nasync def handler():\n    time.sleep(1)\n"
+        )
+        (tmp_path / "plain.py").write_text("x = 1\n")
+        return 3
+
+    def test_every_family_together_parses_each_file_once(
+        self, tmp_path, monkeypatch
+    ):
+        import ast
+
+        n_files = self._tree(tmp_path)
+        calls = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            calls.append(1)
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        diags = LintEngine(families=self.ALL_FAMILIES).lint_paths([tmp_path])
+        assert len(calls) == n_files
+        assert {"SPMD001", "ASYNC001"} <= {d.code for d in diags}
+
+    def test_file_rules_alone_never_build_the_index(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis.dataflow import ProjectIndex
+
+        self._tree(tmp_path)
+        built = []
+        real_build = ProjectIndex.build.__func__
+
+        def counting_build(cls, sources):
+            built.append(1)
+            return real_build(cls, sources)
+
+        monkeypatch.setattr(
+            ProjectIndex, "build", classmethod(counting_build)
+        )
+        assert LintEngine().lint_paths([tmp_path]) == []
+        assert built == []
+        LintEngine(families=self.ALL_FAMILIES).lint_paths([tmp_path])
+        assert built == [1]  # one index for every project rule
 
 
 class TestSyntaxErrors:

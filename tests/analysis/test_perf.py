@@ -14,15 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.kernelcheck import audit_paths
+from repro.analysis.engine import LintEngine, all_rules
 from repro.analysis.perf import (
     SPAN_MODULE_HINTS,
     HotSpot,
-    PerfAnalyzer,
+    PerfRule,
     hotness_of,
     load_self_times,
     module_hotness,
-    perf_rules,
     rank_diagnostics,
 )
 from repro.analysis.reporters import as_json_payload, as_sarif_payload
@@ -32,8 +31,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def analyze(source, module="repro.core.m", path="m.py", **kwargs):
-    analyzer = PerfAnalyzer(**kwargs)
-    return analyzer.analyze_source(
+    engine = LintEngine(families=("perf",), **kwargs)
+    return engine.lint_source(
         textwrap.dedent(source), module=module, path=path
     )
 
@@ -248,10 +247,11 @@ class TestSelectIgnore:
         assert codes(self.SRC, ignore=["PERF002"]) == ["PERF001"]
 
     def test_rules_registered(self):
-        assert [r.code for r in perf_rules()] == [
+        perf = [r for r in all_rules("perf") if isinstance(r, PerfRule)]
+        assert [r.code for r in perf] == [
             "PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
         ]
-        assert all(r.opt_in for r in perf_rules())
+        assert not set(perf) & set(LintEngine().rules)
 
 
 class TestProfileRanking:
@@ -328,10 +328,7 @@ class TestProfileRanking:
 
 class TestGoldenFixtures:
     def _normalized(self):
-        diags = sorted(
-            set(PerfAnalyzer().analyze_paths([FIXDIR]))
-            | set(audit_paths([FIXDIR]).diagnostics())
-        )
+        diags = LintEngine(families=("perf",)).lint_paths([FIXDIR])
         return sorted(
             dataclasses.replace(d, path=Path(d.path).name) for d in diags
         )
@@ -363,9 +360,8 @@ class TestGoldenFixtures:
         from repro.analysis.baseline import apply_baseline, load_baseline
 
         root = Path(__file__).resolve().parents[2]
-        diags = sorted(
-            set(PerfAnalyzer().analyze_paths([root / "src" / "repro"]))
-            | set(audit_paths([root / "src" / "repro"]).diagnostics())
+        diags = LintEngine(families=("perf",)).lint_paths(
+            [root / "src" / "repro"]
         )
         # the committed baseline records repo-relative paths (CI lints
         # from the repo root); normalise before subtracting

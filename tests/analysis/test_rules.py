@@ -227,13 +227,14 @@ class TestRuleMetadata:
         )
 
     def test_opt_in_rules_skipped_by_default(self):
-        # the PERF, KERN and service families are opt-in: a default
-        # engine run must not include them, an explicit --select must
+        # only the core family runs by default: the SPMD, PERF/KERN and
+        # service families must be asked for, by family or by --select
         from repro.analysis.engine import LintEngine, all_rules
 
         default_codes = {r.code for r in LintEngine().rules}
-        opt_in = {r.code for r in all_rules() if r.opt_in}
+        opt_in = {r.code for r in all_rules() if r.family != "core"}
         assert opt_in == {
+            "SPMD001", "SPMD002", "SPMD003", "DET001", "FLOAT001",
             "PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
             "KERN001",
             "ASYNC001", "ASYNC002", "ASYNC003", "TIME001",

@@ -1,11 +1,11 @@
-"""Service pass driver: fixtures, goldens, and the self-clean gate."""
+"""Service rule family: fixtures, goldens, and the self-clean gate."""
 
 import dataclasses
 import json
 from pathlib import Path
 
+from repro.analysis.engine import LintEngine, all_rules
 from repro.analysis.reporters import as_json_payload, as_sarif_payload
-from repro.analysis.servicecheck import ServiceAnalyzer, service_rules
 
 FIXDIR = Path(__file__).parent / "service_fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -19,23 +19,24 @@ SERVICE_CODES = (
 
 class TestRegistry:
     def test_every_issue_rule_is_registered(self):
-        assert {r.code for r in service_rules()} == set(SERVICE_CODES)
+        assert {r.code for r in all_rules("service")} == set(SERVICE_CODES)
 
     def test_service_rules_are_opt_in(self):
-        assert all(r.opt_in for r in service_rules())
+        assert not {r.code for r in LintEngine().rules} & set(SERVICE_CODES)
 
     def test_select_and_ignore_narrow_the_rule_set(self):
         assert [
-            r.code for r in ServiceAnalyzer(select=["SM001"]).rules
+            r.code for r in LintEngine(select=["SM001"]).rules
         ] == ["SM001"]
-        assert "TRUST001" not in {
-            r.code for r in ServiceAnalyzer(ignore=["TRUST001"]).rules
-        }
+        narrowed = LintEngine(ignore=["TRUST001"], families=("service",))
+        assert {r.code for r in narrowed.rules} == (
+            set(SERVICE_CODES) - {"TRUST001"}
+        )
 
 
 class TestGoldenFixtures:
     def _normalized(self):
-        diags = ServiceAnalyzer().analyze_paths([FIXDIR])
+        diags = LintEngine(families=("service",)).lint_paths([FIXDIR])
         return sorted(
             dataclasses.replace(d, path=Path(d.path).name) for d in diags
         )
@@ -95,7 +96,7 @@ class TestRealTree:
         """Acceptance: zero service diagnostics on src+tests+benchmarks
         (the fixture packages deliberately seed findings and are
         excluded, exactly as CI runs the pass)."""
-        diags = ServiceAnalyzer().analyze_paths(
+        diags = LintEngine(families=("service",)).lint_paths(
             [ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks"],
             exclude=["*/analysis/*fixtures/*"],
         )

@@ -11,17 +11,16 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis.engine import LintEngine
+from repro.analysis.engine import LintEngine, all_rules
 from repro.analysis.reporters import as_json_payload, as_sarif_payload
-from repro.analysis.spmd import SpmdAnalyzer, spmd_rules
 
 FIXDIR = Path(__file__).parent / "spmd_fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def analyze(source, module="m", path="m.py", select=None, ignore=None):
-    analyzer = SpmdAnalyzer(select=select, ignore=ignore)
-    return analyzer.analyze_source(
+    engine = LintEngine(select=select, ignore=ignore, families=("spmd",))
+    return engine.lint_source(
         textwrap.dedent(source), module=module, path=path
     )
 
@@ -278,7 +277,7 @@ class TestFLOAT001:
 
 class TestAnalyzerPlumbing:
     def test_rules_registered(self):
-        assert [r.code for r in spmd_rules()] == [
+        assert [r.code for r in all_rules("spmd")] == [
             "DET001",
             "FLOAT001",
             "SPMD001",
@@ -330,16 +329,13 @@ class TestAnalyzerPlumbing:
             "def _step(ctx):\n    ACC.append(1)\n\n"
             "def run():\n    spmd_run(2, [_step])\n"
         )
-        diags = SpmdAnalyzer().analyze_paths([tmp_path])
-        assert [d.code for d in diags] == ["SPMD001"]
+        diags = LintEngine(families=("spmd",)).lint_paths([tmp_path])
+        assert [d.code for d in diags] == ["E999", "SPMD001"]
 
 
 class TestFixtureGoldens:
     def _normalized(self):
-        diags = sorted(
-            set(LintEngine().lint_paths([FIXDIR]))
-            | set(SpmdAnalyzer().analyze_paths([FIXDIR]))
-        )
+        diags = LintEngine(families=("core", "spmd")).lint_paths([FIXDIR])
         return sorted(
             dataclasses.replace(d, path=Path(d.path).name) for d in diags
         )
@@ -371,4 +367,4 @@ class TestFixtureGoldens:
 
     def test_real_tree_is_spmd_clean(self):
         src_root = Path(__file__).resolve().parents[2] / "src" / "repro"
-        assert SpmdAnalyzer().analyze_paths([src_root]) == []
+        assert LintEngine(families=("spmd",)).lint_paths([src_root]) == []

@@ -13,7 +13,7 @@ import textwrap
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.servicecheck import ServiceAnalyzer
+from repro.analysis.engine import LintEngine, Project, build_file_context
 from repro.service.queue import _TERMINAL, _TRANSITIONS, Job
 
 
@@ -27,14 +27,14 @@ def _render_table(transitions, terminal):
 
 
 def _analyze(source, module="repro.service.jobs"):
-    return ServiceAnalyzer(select=["SM001", "SM002"]).analyze_source(
+    return LintEngine(select=["SM001", "SM002"]).lint_source(
         textwrap.dedent(source), module=module, path=f"{module}.py"
     )
 
 
 class TestRealTable:
     def test_shipped_queue_module_verifies_clean(self):
-        diags = ServiceAnalyzer(select=["SM001", "SM002"]).analyze_paths(
+        diags = LintEngine(select=["SM001", "SM002"]).lint_paths(
             ["src/repro/service"]
         )
         assert diags == []
@@ -111,8 +111,6 @@ class TestCallSites:
         assert "'cancelled' -> 'done'" in diags[0].message
 
     def test_table_found_across_modules(self):
-        from repro.analysis.engine import build_file_context
-
         table_mod = build_file_context(
             self.TABLE, module="repro.service.jobs",
             path="repro/service/jobs.py",
@@ -123,9 +121,9 @@ class TestCallSites:
             module="repro.service.driver",
             path="repro/service/driver.py",
         )
-        diags = ServiceAnalyzer(
-            select=["SM001", "SM002"]
-        ).analyze_contexts([table_mod, caller])
+        diags = LintEngine(select=["SM001", "SM002"]).lint_project(
+            Project([table_mod, caller])
+        )
         assert [d.code for d in diags] == ["SM001"]
         assert diags[0].path == "repro/service/driver.py"
 
