@@ -10,46 +10,11 @@ statistics.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 from repro.partition.config import PartitionOptions
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
-
-#: report name → {measurement name: payload}, registered by the bench
-#: modules during the session; every non-empty report is written to
-#: ``BENCH_<report>.json`` at the repo root when the session ends (CI
-#: uploads them as artefacts — none is committed; the numbers of
-#: record are the bench spine's, ``benchmarks/spine``)
-RESULTS: dict = {}
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def register_result(report: str, name: str, **payload) -> None:
-    """Record one measurement for the end-of-session
-    ``BENCH_<report>.json`` report."""
-    RESULTS.setdefault(report, {})[name] = payload
-
-
-def pytest_sessionfinish(session, exitstatus):
-    rep = session.config.pluginmanager.get_plugin("terminalreporter")
-    for report, results in RESULTS.items():
-        path = _REPO_ROOT / f"BENCH_{report}.json"
-        document = {
-            "schema": f"repro.bench-{report}/2",
-            "cpu_count": os.cpu_count(),
-            "results": results,
-        }
-        path.write_text(json.dumps(document, indent=2) + "\n")
-        if rep is not None:
-            rep.write_line(f"{report} report written to {path}")
-
 
 # partition counts for the headline comparison. The paper used 25 and
 # 100 on a mesh ~9× larger; since partition interface effects scale

@@ -92,7 +92,7 @@ def serial_candidate_pairs(
 # ----------------------------------------------------------------------
 # the two supersteps of the parallel search (module-level so they are
 # picklable and execute on the process backend's worker pool; the big
-# arrays arrive through ctx.shared — zero-copy shared memory there)
+# arrays arrive through ctx.shared, shipped once per session)
 # ----------------------------------------------------------------------
 
 

@@ -163,6 +163,17 @@ class Span:
         )
 
 
+def accumulate_span(dst: Span, src: Span) -> None:
+    """Merge ``src``'s totals/counters/children into ``dst`` (the
+    accumulating semantics of re-entering a span name)."""
+    dst.n_calls += src.n_calls
+    dst.total_s += src.total_s
+    for key, value in src.counters.items():
+        dst.count(key, value)
+    for child in src.children.values():
+        accumulate_span(dst.child(child.name), child)
+
+
 class _NullSpanCM:
     """Reusable no-op context manager (the off-switch's entire cost)."""
 

@@ -6,9 +6,9 @@ communicator with mpi4py-style verbs whose every message is recorded
 in a :class:`~repro.runtime.ledger.CommLedger`.  The ledger and verbs
 remain, but supersteps now execute on a pluggable backend
 (:mod:`repro.runtime.backends`): sequentially in-process (the
-reference), on a thread pool, or on a persistent process pool with
-shared-memory array transfer — same results bit-for-bit, same ledger
-totals, real concurrency when the hardware has it.
+reference), on a thread pool, or on a persistent pool of worker
+processes — same results bit-for-bit, same ledger totals, real
+concurrency when the hardware has it.
 """
 
 from repro.runtime.backends import (

@@ -2,7 +2,7 @@
 
 See :mod:`repro.runtime.backends.base` for the session protocol and
 ``docs/PARALLELISM.md`` for the full backend model (selection, the
-shared-memory transfer protocol, determinism guarantees, and how
+two peer pools over one wire channel, determinism guarantees, and how
 per-rank spans surface in run reports).
 """
 

@@ -9,8 +9,8 @@ superstep functions run
 * sequentially in-process (:class:`~repro.runtime.backends.serial.SerialBackend`,
   the reference semantics),
 * on a thread pool (:class:`~repro.runtime.backends.thread.ThreadBackend`), or
-* on a persistent pool of worker processes with shared-memory array
-  transfer (:class:`~repro.runtime.backends.process.ProcessBackend`).
+* on a persistent pool of worker processes
+  (:class:`~repro.runtime.backends.process.ProcessBackend`).
 
 Execution stays bulk-synchronous: a *session* owns ``size`` ranks, and
 every :meth:`SpmdSession.step` call runs one superstep function on all
@@ -24,7 +24,8 @@ Superstep functions receive a :class:`SpmdContext` with
 
 * ``rank`` / ``size`` — who am I, how many of us,
 * ``shared`` — the read-only mapping of run-wide inputs the backend
-  distributed (NumPy arrays travel zero-copy on the process backend),
+  distributed (shipped once per session to remote peers, NumPy arrays
+  as raw frames outside the pickle),
 * ``state`` — a per-rank dict that persists across the session's steps
   (resident in the owning worker on the process backend),
 * ``send`` / ``inbox`` — the mpi4py-style verbs of the simulator,
@@ -60,6 +61,7 @@ from repro.obs.tracer import (
     Span,
     Tracer,
     TracerBase,
+    accumulate_span,
     ensure_tracer,
 )
 from repro.runtime.ledger import CommLedger
@@ -188,17 +190,6 @@ def run_rank_step(
     if isinstance(tracer, Tracer) and tracer.root.children:
         spans = tracer.finish()
     return RankOutcome(value, ctx._sends, ctx._records, spans)
-
-
-def accumulate_span(dst: Span, src: Span) -> None:
-    """Merge ``src``'s totals/counters/children into ``dst`` (the
-    accumulating semantics of re-entering a span name)."""
-    dst.n_calls += src.n_calls
-    dst.total_s += src.total_s
-    for key, value in src.counters.items():
-        dst.count(key, value)
-    for child in src.children.values():
-        accumulate_span(dst.child(child.name), child)
 
 
 class SpmdSession:

@@ -1,10 +1,11 @@
 """Supervised SPMD sessions over a pool of remote peers.
 
 The ``process`` and ``tcp`` backends run a session's ranks on *peers* —
-pooled worker processes behind pipes, or agents behind sockets — that
-all speak the same ``repro.wire/1`` commands (``open`` / ``step`` /
-``replay`` / ``close`` / ``ping`` / ``shutdown``).  Everything that
-does not depend on the transport lives here, once:
+forked pool workers or dialled-in agents — that all speak the same
+``repro.wire/1`` commands (``open`` / ``step`` / ``replay`` / ``close``
+/ ``ping`` / ``shutdown``) over the same :class:`Channel`, a connected
+stream socket.  Everything that does not depend on where the peers come
+from lives here, once:
 
 * :class:`SupervisedSession` — the coordinator-side state machine
   (``pending`` → ``remote`` | ``local`` | ``failed``): lazy open,
@@ -13,12 +14,14 @@ does not depend on the transport lives here, once:
   to in-process serial execution, mid-run adoption of new peers, and
   the rollback hooks of the chaos harness;
 * :func:`serve_commands` — the peer-side command loop;
+* :class:`Channel` and :class:`Peer` — one framed message each way,
+  with byte accounting and reply validation;
 * :class:`SupervisorConfig` — the supervision policy.
 
-A transport supplies a :class:`Peer` (how one message is written and
-read) and a :class:`SupervisedBackend` (the pool: ``members`` /
-``replace`` / ``joined`` / ``pack_shared``).  See
-``docs/FAULT_TOLERANCE.md`` ("Supervised sessions").
+A backend supplies only the *pool* (:class:`SupervisedBackend`:
+``members`` / ``replace`` / ``joined``) and, where it owns the peer's
+process, that process's lifecycle.  See ``docs/FAULT_TOLERANCE.md``
+("Supervised sessions").
 
 Determinism: peers never talk to each other — all routing and ledger
 replay happens in the coordinator in rank order
@@ -32,6 +35,8 @@ import copy
 import itertools
 import os
 import pickle
+import socket
+import threading
 import time
 import traceback
 import warnings
@@ -61,7 +66,11 @@ from repro.runtime.backends.base import (
     default_workers,
     run_rank_step,
 )
-from repro.runtime.backends.wire import WireError
+from repro.runtime.backends.wire import (
+    WireError,
+    read_stream,
+    write_stream,
+)
 from repro.runtime.ledger import CommLedger
 
 # ----------------------------------------------------------------------
@@ -152,7 +161,7 @@ def _disarm_step(fn: StepFn) -> StepFn:
 
 
 # ----------------------------------------------------------------------
-# peers and pools: what a transport supplies
+# channels, peers and pools
 # ----------------------------------------------------------------------
 
 
@@ -182,35 +191,77 @@ class _StepUndecodable(Exception):
     function's module is not importable on the peer side)."""
 
 
-class Peer:
-    """Coordinator-side handle to one remote peer.
+class Channel:
+    """One connected stream socket speaking ``repro.wire/1`` messages
+    (a TCP connection or one end of a ``socketpair``)."""
 
-    A transport implements :meth:`_write` and :meth:`_read` (one
-    ``repro.wire/1`` message each way); the handle turns transport
-    failures into :class:`BackendError`, validates the reply shape and
-    accounts the traffic on its backend.
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._lock = threading.Lock()
+
+    def send(self, obj: Any) -> int:
+        """Write one wire message; returns bytes written."""
+        with self._lock:
+            # a bounded recv leaves its timeout on the socket; a frame
+            # must never be abandoned half-written because of it
+            self._sock.settimeout(None)
+            return write_stream(self._sock.sendall, obj)
+
+    def recv(self, timeout: Optional[float] = None) -> Tuple[Any, int]:
+        """Read one wire message; returns ``(object, bytes_read)``.
+
+        Raises :class:`PeerTimeout` when ``timeout`` expires, and
+        ``EOFError``/``OSError``/``WireError`` on a broken peer.
+        """
+        self._sock.settimeout(timeout)
+        try:
+            return read_stream(self._read_exact)
+        except socket.timeout:
+            raise PeerTimeout() from None
+
+    def _read_exact(self, n: int) -> bytes:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
+            read = self._sock.recv_into(view[got:], n - got)
+            if read == 0:
+                raise EOFError("peer closed the connection")
+            got += read
+        return bytes(buf)
+
+    def close(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
+class Peer:
+    """Coordinator-side handle to one remote peer: a named
+    :class:`Channel`.
+
+    The handle turns channel failures into :class:`BackendError`,
+    validates the reply shape and accounts the traffic on its backend.
+    Its lifecycle is that of a connection; a pool that also owns the
+    peer's process extends :meth:`stop` / :meth:`destroy`.
     """
 
-    def __init__(self, name: str, backend: "SupervisedBackend") -> None:
+    def __init__(
+        self, name: str, backend: "SupervisedBackend", chan: Channel
+    ) -> None:
         self.name = name
         self.backend = backend
+        self.chan = chan
 
     @property
     def noun(self) -> str:
         """What the backend calls its peers in messages."""
         return self.backend.peer_noun
-
-    def _write(self, msg: Any) -> int:
-        """Write one message; returns bytes written (raises
-        ``OSError`` on a broken peer)."""
-        raise NotImplementedError
-
-    def _read(self, timeout: Optional[float]) -> Tuple[Any, int]:
-        """Read one message within ``timeout`` seconds (``None`` waits
-        forever); returns ``(object, bytes_read)``.  Raises
-        :class:`PeerTimeout` on deadline and ``EOFError`` / ``OSError``
-        / ``WireError`` on a broken peer."""
-        raise NotImplementedError
 
     def _status(self) -> str:
         """Extra detail for "peer is gone" messages."""
@@ -219,16 +270,20 @@ class Peer:
     def stop(self) -> None:
         """Graceful shutdown: tell the peer to exit, close the
         channel."""
-        raise NotImplementedError
+        try:
+            self.chan.send(("shutdown",))
+        except OSError:
+            pass
+        self.destroy()
 
     def destroy(self) -> None:
         """Forcible teardown of a dead or hung peer (no shutdown
         handshake — its command loop may never read it)."""
-        raise NotImplementedError
+        self.chan.close()
 
     def send(self, msg: Any) -> int:
         try:
-            nbytes = self._write(msg)
+            nbytes = self.chan.send(msg)
         except OSError as exc:
             raise BackendError(
                 f"{self.noun} {self.name} is gone{self._status()}"
@@ -240,7 +295,7 @@ class Peer:
         """One ``(tag, payload)`` reply (raises :class:`PeerTimeout`
         on deadline, :class:`BackendError` on a dead peer)."""
         try:
-            reply, nbytes = self._read(timeout)
+            reply, nbytes = self.chan.recv(timeout)
         except (EOFError, OSError, WireError) as exc:
             raise BackendError(
                 f"{self.noun} {self.name} died{self._status()}"
@@ -264,15 +319,11 @@ class Peer:
         return tag == "ok" and payload == "pong"
 
 
-def _nothing_to_release() -> None:
-    pass
-
-
 class SupervisedBackend(Backend):
     """A backend whose sessions run on a pool of remote peers.
 
-    Subclasses are the *transport*: they create the peers and answer
-    the four questions a :class:`SupervisedSession` asks of its pool.
+    Subclasses are the *pool*: they create the peers and answer the
+    three questions a :class:`SupervisedSession` asks of it.
     """
 
     #: how messages name one peer and the pool
@@ -314,15 +365,6 @@ class SupervisedBackend(Backend):
         """Peers that joined the pool since the last call (a pool of
         fixed membership never has any)."""
         return []
-
-    def pack_shared(
-        self, shared: Mapping[str, Any]
-    ) -> Tuple[Any, Callable[[], None]]:
-        """Prepare a session's ``shared`` mapping for shipping: returns
-        the ``open`` payload (decoded peer-side by the ``attach`` hook
-        of :func:`serve_commands`) and a release callback the session
-        calls when it leaves the pool."""
-        return dict(shared), _nothing_to_release
 
     # ------------------------------------------------------------------
     def _connected(self) -> List[Peer]:
@@ -390,10 +432,6 @@ class SupervisedSession(SpmdSession):
         self._mode = "pending"  # -> "remote" | "local" | "failed"
         self._owners: List[Tuple[Peer, List[int]]] = []
         self._rank_owner: Dict[int, str] = {}
-        # what ``open`` ships for ``shared`` and how to give it back
-        # (set by the first open, cleared when the session leaves)
-        self._open_payload: Any = None
-        self._release_shared: Optional[Callable[[], None]] = None
         self._local_states: List[Dict[str, Any]] = []
         # (disarmed fn, arg, per-rank inbox copies) of every successful
         # step — replayed into fresh peers to rebuild rank state
@@ -555,7 +593,7 @@ class SupervisedSession(SpmdSession):
         self._exchange(
             "open",
             lambda ranks: (
-                "open", self._sid, self.size, self._open_payload,
+                "open", self._sid, self.size, self._shared_input,
                 self._trace,
             ),
             None,
@@ -585,10 +623,6 @@ class SupervisedSession(SpmdSession):
         """Before a step's first attempt: open the session on the pool
         (first step), or adopt peers that joined since the last step."""
         if self._mode == "pending":
-            if self._release_shared is None:
-                self._open_payload, self._release_shared = (
-                    self._pool.pack_shared(self._shared_input)
-                )
             self._establish(set())
             return
         fresh = self._pool.joined()
@@ -601,10 +635,6 @@ class SupervisedSession(SpmdSession):
     def _leave_pool(self) -> None:
         self._owners = []
         self._rank_owner = {}
-        self._open_payload = None
-        if self._release_shared is not None:
-            self._release_shared()
-            self._release_shared = None
 
     # -- supersteps ----------------------------------------------------
     def _run_step(
@@ -806,33 +836,15 @@ class SupervisedSession(SpmdSession):
 # command loop (peer side)
 # ----------------------------------------------------------------------
 
-#: peer-side hook rebuilding a session's ``shared`` mapping from the
-#: ``open`` payload: ``attach(payload) -> (shared, release)``
-AttachFn = Callable[[Any], Tuple[Mapping[str, Any], Callable[[], None]]]
-
-
-def attach_inline(
-    payload: Any,
-) -> Tuple[Mapping[str, Any], Callable[[], None]]:
-    """The :data:`AttachFn` matching the default
-    :meth:`SupervisedBackend.pack_shared` (the mapping itself)."""
-    return dict(payload), _nothing_to_release
-
-
 class _ServedSession:
     """Everything a peer holds for one open session."""
 
-    __slots__ = ("shared", "release", "states", "size", "trace")
+    __slots__ = ("shared", "states", "size", "trace")
 
     def __init__(
-        self,
-        shared: Mapping[str, Any],
-        release: Callable[[], None],
-        size: int,
-        trace: bool,
+        self, shared: Mapping[str, Any], size: int, trace: bool
     ) -> None:
         self.shared = shared
-        self.release = release
         self.states: Dict[int, Dict[str, Any]] = {}
         self.size = size
         self.trace = trace
@@ -850,22 +862,17 @@ class _ServedSession:
         ]
 
 
-def serve_commands(
-    recv: Callable[[], Any],
-    send: Callable[[Any], Any],
-    attach: AttachFn,
-) -> None:
+def serve_commands(chan: Channel) -> None:
     """Command loop of one peer (runs in the worker/agent process).
 
-    ``recv()`` returns the next decoded message and ``send(reply)``
-    writes one; both raise ``EOFError`` / ``OSError`` / ``WireError``
-    once the coordinator is gone, which ends the loop, as does a
-    ``shutdown`` command.  The caller closes the channel.
+    ``chan`` raises ``EOFError`` / ``OSError`` / ``WireError`` once the
+    coordinator is gone, which ends the loop, as does a ``shutdown``
+    command.  The caller closes the channel.
     """
     sessions: Dict[int, _ServedSession] = {}
     while True:
         try:
-            msg = recv()
+            msg, _nbytes = chan.recv()
         except (EOFError, OSError, WireError):
             break
         except Exception:
@@ -874,7 +881,7 @@ def serve_commands(
             # importable on this host) — the stream is still at a
             # message boundary, so report and keep serving
             try:
-                send(("err-decode", traceback.format_exc()))
+                chan.send(("err-decode", traceback.format_exc()))
                 continue
             except OSError:  # pragma: no cover - coordinator gone
                 break
@@ -886,11 +893,8 @@ def serve_commands(
             if tag == "ping":
                 reply = ("ok", "pong")
             elif tag == "open":
-                _, sid, size, payload, trace = msg
-                shared, release = attach(payload)
-                sessions[sid] = _ServedSession(
-                    shared, release, size, trace
-                )
+                _, sid, size, shared, trace = msg
+                sessions[sid] = _ServedSession(shared, size, trace)
                 reply = ("ok", None)
             elif tag == "replay":
                 # deterministic state reconstruction after a respawn /
@@ -924,17 +928,13 @@ def serve_commands(
                 )
             elif tag == "close":
                 _, sid = msg
-                closing = sessions.pop(sid, None)
-                if closing is not None:
-                    closing.release()
+                sessions.pop(sid, None)
                 reply = ("ok", None)
             else:
                 reply = ("err", f"unknown command {tag!r}")
         except BaseException:
             reply = ("err", traceback.format_exc())
         try:
-            send(reply)
+            chan.send(reply)
         except OSError:  # the coordinator is gone
             break
-    for sess in sessions.values():
-        sess.release()

@@ -1,4 +1,4 @@
-"""Distributed TCP backend: the socket transport + an elastic agent fleet.
+"""Distributed TCP backend: an elastic fleet of dialled-in agents.
 
 The backend is a *coordinator*: it listens on a TCP socket, worker
 *agents* (the ``repro-agent`` console script, or ``python -m
@@ -7,13 +7,13 @@ to the connected agents as a ``repro.wire/1`` message
 (:mod:`repro.runtime.backends.wire` — framed pickle with NumPy arrays
 as raw zero-copy frames).  Its sessions are
 :class:`~repro.runtime.backends.supervised.SupervisedSession`s —
-supervision, recovery and the agent command loop live in
+supervision, recovery, the agent command loop and the socket
+:class:`~repro.runtime.backends.supervised.Channel` live in
 :mod:`repro.runtime.backends.supervised`, shared with the process
 backend, so a run on two agents across two hosts is bit-identical to
 :class:`~repro.runtime.backends.serial.SerialBackend`.  This module
-supplies only what is specific to the transport: the socket channel,
-the hello/welcome handshake, the roster and the ``repro-agent`` entry
-point.
+supplies only the pool: the listening socket, the hello/welcome
+handshake, the roster and the ``repro-agent`` entry point.
 
 Membership is *elastic*:
 
@@ -55,19 +55,17 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.backends.base import BackendError, BackendSpec
 from repro.runtime.backends.supervised import (
+    Channel,
     Peer,
     PeerTimeout,
     SupervisedBackend,
     SupervisorConfig,
-    attach_inline,
     serve_commands,
 )
 from repro.runtime.backends.wire import (
     WIRE_SCHEMA,
     WireError,
     WireVersionError,
-    read_stream,
-    write_stream,
 )
 
 
@@ -89,91 +87,6 @@ _AGENT_BOOTSTRAP = (
 #: harness identifies "am I a worker?" by this prefix, so ``kill``
 #: faults fire inside agents exactly like inside pooled workers
 AGENT_NAME_PREFIX = "repro-spmd-agent"
-
-
-# ----------------------------------------------------------------------
-# socket channel
-# ----------------------------------------------------------------------
-
-
-class _Channel:
-    """One connected socket speaking ``repro.wire/1`` messages."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._lock = threading.Lock()
-
-    def send(self, obj: Any) -> int:
-        """Write one wire message; returns bytes written."""
-        with self._lock:
-            return write_stream(self._sock.sendall, obj)
-
-    def recv(self, timeout: Optional[float] = None) -> Tuple[Any, int]:
-        """Read one wire message; returns ``(object, bytes_read)``.
-
-        Raises :class:`PeerTimeout` when ``timeout`` expires, and
-        ``EOFError``/``OSError``/``WireError`` on a broken peer.
-        """
-        self._sock.settimeout(timeout)
-        try:
-            return read_stream(self._read_exact)
-        except socket.timeout:
-            raise PeerTimeout() from None
-
-    def _read_exact(self, n: int) -> bytes:
-        buf = bytearray(n)
-        view = memoryview(buf)
-        got = 0
-        while got < n:
-            read = self._sock.recv_into(view[got:], n - got)
-            if read == 0:
-                raise EOFError("peer closed the connection")
-            got += read
-        return bytes(buf)
-
-    def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
-# ----------------------------------------------------------------------
-# coordinator-side agent handle
-# ----------------------------------------------------------------------
-
-
-class _AgentHandle(Peer):
-    """Coordinator-side handle to one connected worker agent."""
-
-    def __init__(
-        self, backend: "TCPBackend", chan: _Channel, name: str
-    ) -> None:
-        super().__init__(name, backend)
-        self.chan = chan
-
-    def _write(self, msg: Any) -> int:
-        return self.chan.send(msg)
-
-    def _read(self, timeout: Optional[float]) -> Tuple[Any, int]:
-        return self.chan.recv(timeout)
-
-    def stop(self) -> None:
-        """Graceful shutdown: tell the agent to exit, close the
-        channel."""
-        try:
-            self.chan.send(("shutdown",))
-        except OSError:
-            pass
-        self.chan.close()
-
-    def destroy(self) -> None:
-        """Forcible teardown of a dead or hung agent's connection."""
-        self.chan.close()
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +183,7 @@ class TCPBackend(SupervisedBackend):
         best-effort ``reject`` and the connection is dropped.
         """
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        chan = _Channel(conn)
+        chan = Channel(conn)
         try:
             hello, n = chan.recv(HANDSHAKE_TIMEOUT_S)
         except WireVersionError as exc:
@@ -310,9 +223,9 @@ class TCPBackend(SupervisedBackend):
             chan.close()
             return
         with self._lock:
-            self._pending.append(_AgentHandle(self, chan, name))
+            self._pending.append(Peer(name, self, chan))
 
-    def _reject(self, chan: _Channel, reason: str) -> None:
+    def _reject(self, chan: Channel, reason: str) -> None:
         try:
             self.bytes_sent += chan.send(("reject", reason))
         except OSError:
@@ -594,7 +507,7 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
         )
         return 1
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    chan = _Channel(sock)
+    chan = Channel(sock)
     try:
         chan.send(
             (
@@ -629,7 +542,7 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
     for entry in reply[1].get("sys_path", []):
         if entry not in sys.path:
             sys.path.append(entry)
-    serve_commands(lambda: chan.recv(None)[0], chan.send, attach_inline)
+    serve_commands(chan)
     chan.close()
     return 0
 

@@ -14,9 +14,8 @@ enforces physically by address-space separation.
 
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional
 
 from repro.obs.tracer import TracerBase
 from repro.runtime.backends.base import (
@@ -29,11 +28,13 @@ from repro.runtime.backends.base import (
     default_workers,
     run_rank_step,
 )
+from repro.runtime.backends.serial import SerialSession
 from repro.runtime.ledger import CommLedger
 
 
-class ThreadSession(SpmdSession):
-    """Session whose ranks run on the backend's thread pool."""
+class ThreadSession(SerialSession):
+    """A :class:`SerialSession` (same per-rank state, same rollback)
+    whose ranks run on the backend's thread pool."""
 
     def __init__(
         self,
@@ -43,10 +44,7 @@ class ThreadSession(SpmdSession):
         shared: Optional[Mapping[str, Any]],
         pool: ThreadPoolExecutor,
     ) -> None:
-        super().__init__(size, ledger, tracer)
-        self._shared: Mapping[str, Any] = dict(shared) if shared else {}
-        self._states: List[Dict[str, Any]] = [{} for _ in range(size)]
-        self._trace = bool(getattr(self.tracer, "enabled", False))
+        super().__init__(size, ledger, tracer, shared)
         self._pool = pool
 
     def _run_step(
@@ -74,15 +72,6 @@ class ThreadSession(SpmdSession):
         if first_exc is not None:
             raise first_exc
         return [out for out in outcomes if out is not None]
-
-    def _state_snapshot(self) -> Any:
-        return copy.deepcopy(self._states)
-
-    def _state_restore(self, snapshot: Any) -> None:
-        self._states = snapshot
-
-    def _close(self) -> None:
-        self._states = []
 
 
 class ThreadBackend(Backend):

@@ -9,22 +9,16 @@ as their own raw frame, never copied through the pickler.  Decoding
 hands the frames back to :func:`pickle.loads` via ``buffers=``, so
 arrays are rebuilt directly from the received frames.
 
-The same frames ride two transports:
+On the wire (:func:`write_stream` / :func:`read_stream`) the frames are
+prefixed with a fixed header — magic, protocol version, frame count,
+per-frame lengths — so the peer can pre-check the version before
+trusting a byte of payload (the coordinator/agent handshake rejects a
+mismatched peer with :class:`WireVersionError`).  This is the only
+framing: every peer of every pool speaks it over a connected stream
+socket (:class:`repro.runtime.backends.supervised.Channel`).
 
-* **streams** (TCP sockets, :mod:`repro.runtime.backends.tcp`):
-  :func:`write_stream` / :func:`read_stream` prefix the frames with a
-  fixed header — magic, protocol version, frame count, per-frame
-  lengths — so the peer can pre-check the version before trusting a
-  byte of payload (the coordinator/agent handshake rejects a
-  mismatched peer with :class:`WireVersionError`);
-* **pipes** (the process backend's ``multiprocessing`` connections):
-  :func:`pipe_send` / :func:`pipe_recv` reuse the connection's own
-  message framing and send each frame in bounded chunks — this is the
-  "slim the pickle pipes" seam of ROADMAP item 1: array payloads no
-  longer pass through the pickler as opaque blobs.
-
-Every send/receive helper returns the byte count moved, so transports
-can account ``bytes_sent`` / ``bytes_recv`` in tracers and reports.
+Both helpers return the byte count moved, so pools can account
+``bytes_sent`` / ``bytes_recv`` in tracers and reports.
 """
 
 from __future__ import annotations
@@ -109,7 +103,7 @@ def frames_nbytes(frames: Sequence[Frame]) -> int:
 
 
 # ----------------------------------------------------------------------
-# stream transport (sockets)
+# stream framing
 # ----------------------------------------------------------------------
 
 
@@ -174,83 +168,3 @@ def peek_version(head: bytes) -> int:
     if magic != WIRE_MAGIC:
         raise WireError(f"bad wire magic {magic!r}")
     return int(version)
-
-
-# ----------------------------------------------------------------------
-# pipe transport (multiprocessing connections)
-# ----------------------------------------------------------------------
-
-#: default chunk size for pipe frames (bounded kernel-buffer writes)
-PIPE_CHUNK_BYTES = 1 << 24
-
-
-def pipe_send(
-    conn: Any, obj: Any, chunk_bytes: int = PIPE_CHUNK_BYTES
-) -> int:
-    """Send one wire message over a byte-message connection.
-
-    The connection's own framing replaces the stream length prefix: the
-    first ``send_bytes`` carries ``version | frame lengths``, then each
-    frame follows in ``chunk_bytes``-bounded chunks.  Returns payload
-    bytes sent (header included).
-    """
-    frames = to_frames(obj)
-    head = bytearray(_HEAD.pack(WIRE_MAGIC, WIRE_VERSION, len(frames)))
-    for frame in frames:
-        head += _LEN.pack(len(frame))
-    conn.send_bytes(bytes(head))
-    for frame in frames:
-        view = memoryview(frame)
-        if not view.contiguous:  # pragma: no cover - defensive
-            view = memoryview(view.tobytes())
-        view = view.cast("B")
-        for offset in range(0, len(view), chunk_bytes):
-            conn.send_bytes(view[offset:offset + chunk_bytes])
-        if len(view) == 0:
-            conn.send_bytes(b"")
-    return len(head) + frames_nbytes(frames)
-
-
-def pipe_recv(conn: Any) -> Tuple[Any, int]:
-    """Receive one wire message sent by :func:`pipe_send`.
-
-    Returns ``(object, bytes_read)``.
-    """
-    head = conn.recv_bytes()
-    if len(head) < _HEAD.size:
-        raise WireError("short wire header on pipe")
-    magic, version, n_frames = _HEAD.unpack(head[: _HEAD.size])
-    if magic != WIRE_MAGIC:
-        raise WireError(f"bad wire magic {magic!r} on pipe")
-    if version != WIRE_VERSION:
-        raise WireVersionError(version)
-    if n_frames < 1 or n_frames > MAX_FRAMES:
-        raise WireError(f"unreasonable wire frame count {n_frames}")
-    expect = _HEAD.size + _LEN.size * n_frames
-    if len(head) != expect:
-        raise WireError("wire header length table is truncated")
-    lengths = [
-        _LEN.unpack_from(head, _HEAD.size + _LEN.size * i)[0]
-        for i in range(n_frames)
-    ]
-    frames: List[Frame] = []
-    for length in lengths:
-        if length == 0:
-            # zero-length frames still occupy one (empty) chunk so the
-            # chunk stream never desynchronises
-            chunk = conn.recv_bytes()
-            if chunk:
-                raise WireError("expected empty chunk for empty frame")
-            frames.append(b"")
-            continue
-        buf = bytearray(length)
-        view = memoryview(buf)
-        received = 0
-        while received < length:
-            chunk = conn.recv_bytes()
-            if not chunk:
-                raise WireError("truncated wire frame on pipe")
-            view[received:received + len(chunk)] = chunk
-            received += len(chunk)
-        frames.append(bytes(buf))
-    return from_frames(frames), len(head) + frames_nbytes(frames)

@@ -50,8 +50,9 @@ def spmd_run(
     ``backend`` selects where ranks execute (instance, spec string like
     ``"process:4"``, or ``None`` for the configured default — see
     :func:`repro.runtime.backends.resolve_backend`). ``shared`` is a
-    read-only mapping distributed to every rank as ``ctx.shared``; on
-    the process backend its NumPy arrays travel via shared memory.
+    read-only mapping distributed to every rank as ``ctx.shared``; the
+    process and tcp backends ship it once per session, NumPy arrays as
+    raw frames outside the pickle.
     Superstep functions must be module-level (picklable) to execute on
     the process pool.
     """

@@ -51,7 +51,7 @@ from repro.core.partitioner import Partitioner, PartitionResult
 from repro.graph.digest import digest_arrays
 from repro.mesh.io import load_mesh
 from repro.obs.report import RunReport
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span, Tracer, accumulate_span
 from repro.partition.config import PartitionOptions
 from repro.runtime.backends import build_backend
 from repro.runtime.backends.base import Backend
@@ -194,17 +194,6 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, np.generic):
         return value.item()
     return value
-
-
-def _merge_span(dst: Span, src: Span) -> None:
-    """Accumulate ``src``'s subtree into ``dst`` (same-name nodes add
-    their calls/time/counters; new names are appended)."""
-    dst.n_calls += src.n_calls
-    dst.total_s += src.total_s
-    for name, value in src.counters.items():
-        dst.count(name, value)
-    for name, child in src.children.items():
-        _merge_span(dst.child(name), child)
 
 
 class ServiceEngine:
@@ -436,7 +425,7 @@ class ServiceEngine:
         with self._exec_lock:
             root = Span("service")
             root.n_calls = 1
-            _merge_span(root, self._spans)
+            accumulate_span(root, self._spans)
             root.n_calls = 1
             root.total_s = root.children_s
             comm = dict(self._ledger.summary())
@@ -556,7 +545,7 @@ class ServiceEngine:
             root = tracer.finish()
             with self._exec_lock:
                 kind = self._spans.child(job.request["kind"])
-                _merge_span(kind, root)
+                accumulate_span(kind, root)
                 # the per-job root counts one call per *attempt*
                 kind.n_calls = max(kind.n_calls - 1, 1)
 

@@ -304,18 +304,12 @@ class TestBackendProtocol:
         assert env_before is None or env_before.split(":")[0] in BACKEND_NAMES
 
 
-def _segment_names(session):
-    """Shared-memory segment names in a session's ``open`` payload
-    (``(inline, specs, cached)`` on the process backend)."""
-    _inline, specs, _cached = session._open_payload
-    return tuple(name for _key, name, _dtype, _shape in specs)
-
-
 class TestSharedPlanReuse:
-    """The backend reuses its shared-memory plan across sessions with
-    the same array layout (the driver's step loop), so segments are
-    created once and keep stable names instead of being unlinked and
-    re-created every step."""
+    """A session's ``shared`` arrays ride inline in its ``open``
+    message, so consecutive, concurrent and recovered sessions on one
+    pool each see exactly the values they were opened with (the class
+    keeps the name of the shared-memory plan these scenarios used to
+    exercise)."""
 
     @staticmethod
     def _step_shared(step):
@@ -326,57 +320,42 @@ class TestSharedPlanReuse:
         }
 
     def test_segment_names_stable_across_steps(self):
+        # the driver's step loop: same layout, fresh values, one
+        # session per step
         with ProcessBackend(workers=2) as be:
-            names = []
             for step in range(3):
                 shared = self._step_shared(step)
                 with be.open_session(2, shared=shared) as sess:
                     out = sess.step(_sum_shared, 1.0)
-                    # fresh values each step, through the same segments
-                    total = float(shared["values"].sum())
-                    assert sum(out) == total
-                    names.append(
-                        _segment_names(sess)
-                    )
-            assert len(names[0]) == 2
-            assert names[0] == names[1] == names[2]
-            assert be.shm_creates == 2
-            assert be.shm_reuses == 4  # 2 segments x 2 reusing steps
+                    assert sum(out) == float(shared["values"].sum())
 
     def test_layout_change_retires_plan(self):
         with ProcessBackend(workers=2) as be:
             with be.open_session(2, shared=self._step_shared(0)) as s1:
-                s1.step(_sum_shared, 1.0)
-                first = _segment_names(s1)
+                assert sum(s1.step(_sum_shared, 1.0)) == 28.0
             changed = {"values": np.arange(4, dtype=np.float64)}
             with be.open_session(2, shared=changed) as s2:
-                out = s2.step(_sum_shared, 1.0)
-                assert sum(out) == 6.0
-                second = _segment_names(s2)
-            assert set(first).isdisjoint(second)
-            assert be.shm_reuses == 0
+                assert sum(s2.step(_sum_shared, 1.0)) == 6.0
 
     def test_concurrent_sessions_fall_back_to_owned_segments(self):
-        # the plan is single-slot: a second live session with the same
-        # layout must get its own segments, not clobber the first's
+        # two live sessions on the same workers must not see each
+        # other's arrays
         with ProcessBackend(workers=2) as be:
-            shared = self._step_shared(0)
-            with be.open_session(2, shared=shared) as s1:
+            first, second = self._step_shared(0), self._step_shared(1)
+            with be.open_session(2, shared=first) as s1:
                 s1.step(_sum_shared, 1.0)
-                with be.open_session(2, shared=shared) as s2:
+                with be.open_session(2, shared=second) as s2:
                     out = s2.step(_sum_shared, 1.0)
-                    assert sum(out) == float(shared["values"].sum())
-                    n1 = set(_segment_names(s1))
-                    n2 = set(_segment_names(s2))
-                    assert n1.isdisjoint(n2)
+                    assert sum(out) == float(second["values"].sum())
+                out = s1.step(_sum_shared, 1.0)
+                assert sum(out) == float(first["values"].sum())
 
     def test_plan_survives_worker_recovery(self):
         # killing a worker mid-session exercises the recovery re-open,
-        # which must re-attach the same plan segments
+        # which must hand the replacement the same shared values
         with ProcessBackend(workers=2) as be:
             with be.open_session(2, shared=self._step_shared(0)) as s1:
                 s1.step(_sum_shared, 1.0)
-                names = _segment_names(s1)
                 victim = be._pool[0]
                 victim.proc.terminate()
                 victim.proc.join(timeout=5)
@@ -384,6 +363,7 @@ class TestSharedPlanReuse:
                 assert sum(out) == 2.0 * float(
                     self._step_shared(0)["values"].sum()
                 )
-            with be.open_session(2, shared=self._step_shared(1)) as s2:
-                s2.step(_sum_shared, 1.0)
-                assert _segment_names(s2) == names
+            shared = self._step_shared(1)
+            with be.open_session(2, shared=shared) as s2:
+                out = s2.step(_sum_shared, 1.0)
+                assert sum(out) == float(shared["values"].sum())

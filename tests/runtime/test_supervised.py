@@ -1,4 +1,4 @@
-"""Tests for supervised sessions (the process and tcp transports).
+"""Tests for supervised sessions (the process and tcp pools).
 
 The contract under test: peer death or hang at any superstep — or
 between sessions — is invisible in the results: the supervisor replaces
@@ -15,11 +15,13 @@ stay stable).
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import types
 
+import numpy as np
 import pytest
 
 from repro.obs.report import RunReport
@@ -110,6 +112,10 @@ def _die_always_rank1(ctx):
 def _report(ctx):
     got = sorted(p for _s, p in ctx.inbox())
     return (ctx.rank, ctx.state.get("n", 0), got)
+
+
+def _report_step(ctx, arg):
+    return _report(ctx)
 
 
 def _run(backend, steps, shared=None, tracer=None):
@@ -379,6 +385,34 @@ def test_peer_dead_between_sessions_is_replaced(spec):
     assert "ranks_degraded" not in counters
 
 
+def _wire_traffic(spec):
+    """``(bytes_sent, bytes_recv)`` of one session — open, three steps,
+    close — on a pool that is already up (tcp's handshake excluded)."""
+    backend = build_backend(spec)
+    try:
+        backend.members()
+        before = backend.bytes_sent, backend.bytes_recv
+        with backend.open_session(
+            4, shared={"label": "parity", "xs": np.arange(64.0)}
+        ) as session:
+            for step in (_bump_step, _bump_step, _report_step):
+                session.step(step, 1)
+        return (
+            backend.bytes_sent - before[0],
+            backend.bytes_recv - before[1],
+        )
+    finally:
+        backend.close()
+
+
+def test_both_pools_account_identical_traffic():
+    """One channel, one framing: the same open + step sequence costs
+    the same bytes on forked workers as on loopback agents."""
+    sent, received = _wire_traffic("process:2")
+    assert sent > 0 and received > 0
+    assert _wire_traffic("tcp://127.0.0.1:0:2") == (sent, received)
+
+
 # ----------------------------------------------------------------------
 # process-pool health and shutdown
 # ----------------------------------------------------------------------
@@ -433,6 +467,56 @@ class TestHealthCheck:
             if victim is not None:
                 victim.kill()  # SIGKILL also ends a stopped process
             backend.close()
+
+
+_COORDINATOR = """
+import time
+from repro.runtime.backends import ProcessBackend
+pool = ProcessBackend(workers=2).members()
+print(*(worker.proc.pid for worker in pool), flush=True)
+time.sleep(60)
+"""
+
+
+def _exited(pid):
+    """Gone, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat"
+)
+def test_workers_exit_when_coordinator_is_killed():
+    """A SIGKILLed coordinator runs no shutdown: its workers must see
+    end-of-stream and exit by themselves — a forked worker that kept
+    its copy of the coordinator's socket end would wait forever."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(workers) == 2
+        coordinator.kill()
+        coordinator.wait(timeout=5)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if all(_exited(pid) for pid in workers):
+                break
+            time.sleep(0.05)
+        assert all(_exited(pid) for pid in workers)
+    finally:
+        coordinator.kill()
+        coordinator.stdout.close()
+        for pid in workers:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestSupervisorConfig:

@@ -1,19 +1,23 @@
 """Tests for the ``repro.wire/1`` framed message protocol.
 
-The wire layer carries every byte the distributed tcp backend moves
-and (via the pipe transport) every process-backend worker message, so
-the codec must round-trip arbitrary Python payloads exactly, hoist
-NumPy arrays out-of-band, and reject mismatched or malformed peers
-*before* trusting a payload byte.
+The wire layer carries every byte the tcp and process backends move
+to their peers, so the codec must round-trip arbitrary Python payloads
+exactly, hoist NumPy arrays out-of-band, and reject mismatched or
+malformed peers *before* trusting a payload byte.
 """
 
 import io
+import socket
 import struct
+import threading
+import time
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
 from repro.runtime.backends import wire
+from repro.runtime.backends.supervised import Channel, PeerTimeout
 from repro.runtime.backends.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -21,8 +25,6 @@ from repro.runtime.backends.wire import (
     WireVersionError,
     from_frames,
     peek_version,
-    pipe_recv,
-    pipe_send,
     read_stream,
     to_frames,
     write_stream,
@@ -117,69 +119,114 @@ class TestStreamTransport:
             peek_version(b"RP")
 
 
-class _FakePipe:
-    """Duck-typed multiprocessing connection backed by a list."""
-
-    def __init__(self):
-        self.chunks = []
-        self._cursor = 0
-
-    def send_bytes(self, blob):
-        self.chunks.append(bytes(blob))
-
-    def recv_bytes(self):
-        chunk = self.chunks[self._cursor]
-        self._cursor += 1
-        return chunk
+@pytest.fixture
+def channels():
+    """Both ends of a ``socketpair()`` as :class:`Channel`s — what a
+    process-pool worker and its handle hold, and (over TCP) an agent
+    and its coordinator."""
+    a, b = socket.socketpair()
+    pair = Channel(a), Channel(b)
+    yield pair
+    for chan in pair:
+        chan.close()
 
 
 class TestPipeTransport:
-    def test_roundtrip(self):
-        pipe = _FakePipe()
+    """The one stream channel under both peer pools (the class keeps
+    the name of the pipe framing it replaced)."""
+
+    def test_roundtrip(self, channels):
+        a, b = channels
         payload = {"arr": np.arange(9, dtype=np.float64), "n": 3}
-        sent = pipe_send(pipe, payload)
-        got, received = pipe_recv(pipe)
+        sent = a.send(payload)
+        got, received = b.recv(timeout=5.0)
         assert sent == received
         np.testing.assert_array_equal(got["arr"], payload["arr"])
         assert got["n"] == 3
 
-    def test_chunking_bounds_writes(self):
-        pipe = _FakePipe()
-        arr = np.arange(256, dtype=np.uint8)
-        pipe_send(pipe, arr, chunk_bytes=64)
-        # every chunk after the header respects the bound
-        assert all(len(c) <= 64 for c in pipe.chunks[1:])
-        got, _n = pipe_recv(pipe)
-        np.testing.assert_array_equal(got, arr)
+    def test_chunking_bounds_writes(self, channels):
+        # a frame far larger than the kernel's socket buffer arrives
+        # whole: the writer blocks until the reader drains it
+        a, b = channels
+        a._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        arr = np.arange(1 << 20, dtype=np.float64)  # 8 MB
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(b.recv(timeout=30.0))
+        )
+        reader.start()
+        sent = a.send(arr)
+        reader.join(timeout=30.0)
+        assert not reader.is_alive()
+        (value, received), = got
+        assert sent == received > arr.nbytes
+        np.testing.assert_array_equal(value, arr)
 
-    def test_zero_size_array_keeps_stream_in_sync(self):
-        pipe = _FakePipe()
-        pipe_send(pipe, np.zeros(0, dtype=np.float64))
-        pipe_send(pipe, "next message")
-        first, _ = pipe_recv(pipe)
-        second, _ = pipe_recv(pipe)
+    def test_zero_size_array_keeps_stream_in_sync(self, channels):
+        a, b = channels
+        a.send(np.zeros(0, dtype=np.float64))
+        a.send("next message")
+        first, _ = b.recv(timeout=5.0)
+        second, _ = b.recv(timeout=5.0)
         assert first.size == 0
         assert second == "next message"
 
-    def test_version_mismatch_on_pipe(self):
-        pipe = _FakePipe()
-        pipe_send(pipe, "hello")
-        head = bytearray(pipe.chunks[0])
-        head[4:6] = struct.pack("<H", WIRE_VERSION + 1)
-        pipe.chunks[0] = bytes(head)
+    def test_version_mismatch_on_pipe(self, channels):
+        a, b = channels
+        blob = io.BytesIO()
+        write_stream(blob.write, "hello")
+        raw = bytearray(blob.getvalue())
+        raw[4:6] = struct.pack("<H", WIRE_VERSION + 1)
+        a._sock.sendall(raw)
         with pytest.raises(WireVersionError):
-            pipe_recv(pipe)
+            b.recv(timeout=5.0)
 
-    def test_real_multiprocessing_pipe(self):
-        from multiprocessing import Pipe
-
-        a, b = Pipe(duplex=True)
+    def test_real_multiprocessing_pipe(self, channels):
+        # the far end lives in a forked process, as a pool worker's does
+        a, b = channels
+        child = get_context("fork").Process(
+            target=_echo_doubled, args=(b._sock, a._sock)
+        )
+        child.start()
         try:
             payload = [np.arange(5, dtype=np.int16), {"ok": True}]
-            pipe_send(a, payload)
-            got, _n = pipe_recv(b)
-            np.testing.assert_array_equal(got[0], payload[0])
+            a.send(payload)
+            got, _n = a.recv(timeout=10.0)
+            np.testing.assert_array_equal(got[0], payload[0] * 2)
             assert got[1] == {"ok": True}
         finally:
-            a.close()
-            b.close()
+            child.join(timeout=10.0)
+        assert child.exitcode == 0
+
+    def test_send_after_timed_recv_is_blocking(self, channels):
+        """Regression: ``send`` used to run under whatever timeout the
+        previous bounded ``recv`` left on the socket, so a large frame
+        to a briefly busy peer died mid-frame with ``TimeoutError``."""
+        a, b = channels
+        with pytest.raises(PeerTimeout):
+            a.recv(timeout=0.01)
+        arr = np.zeros(4 << 20, dtype=np.float64)  # 32 MB
+        got = []
+
+        def busy_then_read():
+            time.sleep(0.3)
+            got.append(b.recv(timeout=30.0))
+
+        reader = threading.Thread(target=busy_then_read)
+        reader.start()
+        try:
+            sent = a.send(arr)
+        finally:
+            reader.join(timeout=30.0)
+        assert not reader.is_alive()
+        (value, received), = got
+        assert received == sent
+        assert value.shape == arr.shape
+
+
+def _echo_doubled(sock, parent_end):
+    parent_end.close()
+    chan = Channel(sock)
+    (arr, flags), _n = chan.recv(timeout=10.0)
+    chan.send([arr * 2, flags])
+    chan.close()
