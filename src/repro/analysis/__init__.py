@@ -1,12 +1,14 @@
 """Static analysis for the partitioning core (``repro-lint``).
 
 The reproduction's correctness rests on a handful of *array contracts*
-that Python never checks for us: CSR arrays must be contiguous
-``int64``, randomness must flow through :mod:`repro.utils.rng`, public
-entry points must validate their inputs, and hot paths must stay
+that Python never checks for us: CSR arrays must be explicit
+``int64``, public entry points must validate their inputs, library
+code must raise rather than ``assert``, and hot paths must stay
 vectorised.  This package machine-checks those contracts with a small
 AST-walking lint engine so they cannot silently rot as the system
-grows (see ``docs/STATIC_ANALYSIS.md`` for the rule catalogue).
+grows (see ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, and
+for the admission test every code in it passed: a defect seeded into
+``src/repro`` that the code alone catches).
 
 One :class:`LintEngine` drives every rule: it parses the target set
 once and runs *file rules* over each file and *project rules* over
@@ -15,9 +17,8 @@ is built only when a selected rule asks for it.
 
 The ``spmd`` family (:mod:`repro.analysis.spmd`, ``repro-lint
 --spmd``) locates every superstep handed to the SPMD runtime and
-proves it race-free, picklable, and deterministic (SPMD001–003,
-DET001, FLOAT001); its findings are validated dynamically by the race
-sentinel backend (:mod:`repro.runtime.backends.sentinel`).
+proves it race-free (SPMD001); its findings are validated dynamically
+by the race sentinel backend (:mod:`repro.runtime.backends.sentinel`).
 
 The ``perf`` family is performance-oriented (``repro-lint --perf``):
 the PERF rules (:mod:`repro.analysis.perf`) find the scalar-Python hot
@@ -31,9 +32,8 @@ of blanket suppressions.
 
 The ``service`` family (``repro-lint --service``) guards the async
 service seams: coroutine safety (:mod:`repro.analysis.asynccheck`:
-ASYNC001–003, TIME001), the job state-machine verifier
-(:mod:`repro.analysis.statemachine`: SM001/SM002), and the
-trust-boundary taint pass (:mod:`repro.analysis.boundary`: TRUST001).
+ASYNC001–002, TIME001) and the job state-machine call-site verifier
+(:mod:`repro.analysis.statemachine`: SM001).
 
 Run it as ``repro-lint --spmd src/repro`` or ``repro-contact lint``.
 """
@@ -60,7 +60,6 @@ from repro.analysis.reporters import (
 # importing the rule modules registers their rules
 from repro.analysis import (  # noqa: F401
     asynccheck,
-    boundary,
     perf,
     rules,
     spmd,

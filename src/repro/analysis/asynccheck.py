@@ -4,8 +4,7 @@ The service front end (:mod:`repro.service`) is an asyncio program
 whose correctness rests on conventions no runtime check enforces: the
 event loop must never execute blocking I/O or acquire a thread lock
 (every such call stalls *all* in-flight requests), every coroutine
-must be awaited or scheduled, and state shared between the loop and
-the executor threads needs a lock or a single-writer discipline.
+must be awaited or scheduled.
 This module checks those conventions statically as *project rules*
 over the engine's shared dataflow index
 (:mod:`repro.analysis.dataflow`), plus a light typed call resolver
@@ -18,18 +17,15 @@ ASYNC001  blocking call (file/socket I/O, ``time.sleep``,
           acquisition) reached from coroutine context without a
           ``run_in_executor`` hop
 ASYNC002  coroutine called but never awaited or scheduled
-ASYNC003  attribute or module global mutated from both coroutine and
-          executor-thread context without a lock
 TIME001   wall-clock ``time.time()`` mixed into deadline/backoff
           arithmetic where ``time.monotonic()`` is required
 ========  ===========================================================
 
 Context discovery is conservative: every ``async def`` is loop
 context, and so is every *resolvable* synchronous callee reachable
-from one; executor context is the closure of callables handed to
-``loop.run_in_executor`` or ``threading.Thread(target=...)``.  Names
-the resolver cannot type are skipped, never guessed, so the family
-under-approximates like the SPMD pass.  See
+from one; a function only reached through ``loop.run_in_executor``
+is not.  Names the resolver cannot type are skipped, never guessed, so
+the family under-approximates like the SPMD pass.  See
 ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and the suppression
 grammar (``# repro-lint: disable=ASYNC001`` works like any other
 code).
@@ -213,8 +209,6 @@ class ServiceProject:
     #: (module, qualname); the value is the function and the coroutine
     #: root it was first reached from
     loop_functions: _Closure = field(default_factory=dict)
-    #: executor context: run_in_executor / Thread targets + closure
-    executor_functions: _Closure = field(default_factory=dict)
 
     #: bound on the type-inference recursion (aliases of aliases …)
     _DEPTH = 6
@@ -349,19 +343,6 @@ class ServiceProject:
         method = owner.methods.get(parts[-1])
         return [method] if method is not None else []
 
-    def resolve_callable_expr(
-        self, fn: FunctionSummary, expr: ast.AST
-    ) -> List[FunctionSummary]:
-        """A callable *reference* (run_in_executor / Thread target)."""
-        if isinstance(expr, (ast.Name, ast.Attribute)):
-            return self.resolve_call_targets(fn, dotted_text(expr))
-        if isinstance(expr, ast.Call):
-            # functools.partial(fn, ...) and friends
-            tail = dotted_parts(expr.func)
-            if tail and tail[-1] == "partial" and expr.args:
-                return self.resolve_callable_expr(fn, expr.args[0])
-        return []
-
 
 def _annotation_class_name(node: Optional[ast.AST]) -> Optional[str]:
     """Class name out of an annotation, unwrapping ``Optional[...]``
@@ -451,8 +432,9 @@ def _close_over(
 
 
 def build_service_project(source: Project) -> ServiceProject:
-    """Classify every function as loop / executor / neither context
-    (the service family's view of the shared index)."""
+    """Find the loop context: every coroutine plus its resolvable
+    synchronous callees (the service family's view of the shared
+    index)."""
     index = source.index
     project = ServiceProject(index=index)
     _collect_classes(index, project)
@@ -463,37 +445,6 @@ def build_service_project(source: Project) -> ServiceProject:
         if isinstance(fn.node, ast.AsyncFunctionDef)
     ]
     _close_over(project, coroutines, project.loop_functions)
-
-    executor_roots: List[Tuple[FunctionSummary, FunctionSummary]] = []
-    for fn in index.functions():
-        if not isinstance(
-            fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        # AST walk rather than fn.calls: chained receivers like
-        # `asyncio.get_event_loop().run_in_executor(...)` have no
-        # dotted name, so the dataflow visitor never records them
-        for node in scope_walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Attribute):
-                tail = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                tail = node.func.id
-            else:
-                continue
-            expr: Optional[ast.AST] = None
-            if tail == "run_in_executor" and len(node.args) >= 2:
-                expr = node.args[1]
-            elif tail == "Thread":
-                for kw in node.keywords:
-                    if kw.arg == "target":
-                        expr = kw.value
-            if expr is None:
-                continue
-            for target in project.resolve_callable_expr(fn, expr):
-                executor_roots.append((target, target))
-    _close_over(project, executor_roots, project.executor_functions)
     return project
 
 
@@ -529,24 +480,6 @@ def _is_lockish(project: ServiceProject, fn: FunctionSummary, expr: ast.AST) -> 
         ):
             return True
     return any("lock" in p.lower() for p in parts)
-
-
-def _protected_by_lock(
-    project: ServiceProject,
-    fn: FunctionSummary,
-    parents: Dict[int, ast.AST],
-    node: ast.AST,
-) -> bool:
-    """Whether ``node`` sits inside a ``with <lock>:`` block."""
-    cur: Optional[ast.AST] = node
-    while cur is not None:
-        parent = parents.get(id(cur))
-        if isinstance(parent, (ast.With, ast.AsyncWith)):
-            for item in parent.items:
-                if _is_lockish(project, fn, item.context_expr):
-                    return True
-        cur = parent
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -694,106 +627,6 @@ class UnawaitedCoroutineRule(LintRule):
                     f"coroutine '{targets[0].name}' is called but the "
                     "result is discarded — await it or schedule it "
                     "with asyncio.create_task(...)",
-                )
-
-
-# ----------------------------------------------------------------------
-# ASYNC003 — state shared across loop and executor contexts
-# ----------------------------------------------------------------------
-
-
-@register_rule
-class CrossContextStateRule(LintRule):
-    """ASYNC003 — unlocked state mutated from both contexts.
-
-    Coroutines all run on the loop thread, so loop-only mutation needs
-    no lock; executor threads run concurrently with the loop *and*
-    each other.  An attribute (or module global) mutated on both sides
-    must hold a lock on every unprotected site.
-    """
-
-    code = "ASYNC003"
-    family = "service"
-    name = "async-cross-context-state"
-    description = (
-        "state mutated from both coroutine and executor context "
-        "without a lock"
-    )
-
-    _Site = Tuple[FunctionSummary, ast.AST, bool]  # fn, node, locked
-
-    def _mutation_sites(
-        self,
-        project: ServiceProject,
-        closure: _Closure,
-    ) -> Dict[Tuple[str, str, str], List["CrossContextStateRule._Site"]]:
-        """(module, class-or-'', attr) → mutation sites in ``closure``."""
-        sites: Dict[
-            Tuple[str, str, str], List[CrossContextStateRule._Site]
-        ] = {}
-        for key in sorted(closure):
-            fn = closure[key][0]
-            if not isinstance(
-                fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            parents = _parent_map(fn.node)
-            info = project.class_of(fn)
-            for mut in fn.mutations:
-                state_key: Optional[Tuple[str, str, str]] = None
-                if (
-                    mut.chain[0] in ("self", "cls")
-                    and len(mut.chain) >= 2
-                    and info is not None
-                ):
-                    state_key = (fn.module, info.name, mut.chain[1])
-                elif (
-                    len(mut.chain) == 1
-                    and mut.kind in ("augassign", "assign")
-                    and (
-                        mut.chain[0] in fn.global_decls
-                        or mut.chain[0] in fn.global_reads
-                    )
-                ):
-                    state_key = (fn.module, "", mut.chain[0])
-                if state_key is None:
-                    continue
-                locked = _protected_by_lock(
-                    project, fn, parents, mut.node
-                )
-                sites.setdefault(state_key, []).append(
-                    (fn, mut.node, locked)
-                )
-        return sites
-
-    def project_check(self, source: Project) -> Iterator[Diagnostic]:
-        project = source.view(build_service_project)
-        loop_sites = self._mutation_sites(
-            project, project.loop_functions
-        )
-        exec_sites = self._mutation_sites(
-            project, project.executor_functions
-        )
-        for state_key in sorted(set(loop_sites) & set(exec_sites)):
-            module, cls, attr = state_key
-            shown = f"self.{attr}" if cls else attr
-            other = exec_sites[state_key][0][0]
-            emitted: Set[Tuple[str, int]] = set()
-            for fn, node, locked in (
-                loop_sites[state_key] + exec_sites[state_key]
-            ):
-                if locked:
-                    continue
-                anchor = (fn.path, getattr(node, "lineno", 1))
-                if anchor in emitted:
-                    continue
-                emitted.add(anchor)
-                yield self.diag(
-                    fn,
-                    node,
-                    f"'{shown}' ({module}.{cls or attr}) is mutated "
-                    f"from both coroutine and executor context (e.g. "
-                    f"'{other.name}') — this site holds no lock",
                 )
 
 

@@ -15,10 +15,9 @@ the same file still counts once the baselined occurrences are used up.
 Some codes can never be baselined — :func:`write_baseline` drops
 such entries and :func:`load_baseline` refuses documents containing
 them.  KERN001 (a declared kernel that stops being certifiable) is a
-seam regression, not a backlog item; TRUST001 (unvalidated request
-data reaching a sink) and SM001/SM002 (an illegal or malformed job
-state machine) are trust-boundary and lifecycle *correctness*
-violations — grandfathering one would ship the hole it proves.
+seam regression, not a backlog item; SM001 (an illegal job state
+transition) is a lifecycle *correctness* violation — grandfathering
+one would ship the hole it proves.
 
 Schema (``repro.lint-baseline/1``)::
 
@@ -44,7 +43,7 @@ from repro.analysis.engine import Diagnostic
 BASELINE_SCHEMA_VERSION = "repro.lint-baseline/1"
 
 #: codes a baseline is never allowed to silence
-NEVER_BASELINED = frozenset({"KERN001", "TRUST001", "SM001", "SM002"})
+NEVER_BASELINED = frozenset({"KERN001", "SM001"})
 
 #: profile annotations appended by ``--trace-json`` ranking — stripped
 #: before matching so a baseline works with and without a profile

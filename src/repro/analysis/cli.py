@@ -5,7 +5,7 @@ Examples::
     repro-lint src/repro              # lint the library, human output
     repro-lint --format json src      # machine-readable diagnostics
     repro-lint --format sarif src > lint.sarif
-    repro-lint --select ARR001,RNG001 src/repro
+    repro-lint --select ARR001,VAL001 src/repro
     repro-lint --spmd src/repro tests # + project-level SPMD pass
     repro-lint --perf src/repro       # + PERF family + kernel certifier
     repro-lint --service src/repro    # + async/service correctness pass
@@ -17,12 +17,11 @@ Examples::
 With no paths the installed ``repro`` package is linted.  Every flag
 below selects rule families of the one engine, which parses the
 target set once whatever the combination.  ``--spmd`` adds the SPMD
-project rules (SPMD001–003, DET001, FLOAT001 — see
-``docs/STATIC_ANALYSIS.md``); they analyse every target file as one
-program, so pass the whole tree.  ``--perf`` adds the PERF family plus
+project rule (SPMD001 — see ``docs/STATIC_ANALYSIS.md``); it analyses
+every target file as one program, so pass the whole tree.  ``--perf`` adds the PERF family plus
 the kernel-purity certifier (KERN001); ``--service`` adds the
-async/service correctness rules (ASYNC001-003, TIME001, SM001/002,
-TRUST001 — also whole-program, so pass the full tree); ``--select``
+async/service correctness rules (ASYNC001-002, TIME001, SM001 — also
+whole-program, so pass the full tree); ``--select``
 names the exact codes to run instead, from any family;
 ``--trace-json`` takes a ``repro.run-report/1`` artifact and ranks the
 findings by measured span self-time; ``--baseline`` subtracts a
@@ -110,15 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also run the project-level SPMD dataflow pass "
-            "(SPMD001-003, DET001, FLOAT001) over the target set"
+            "(SPMD001) over the target set"
         ),
     )
     parser.add_argument(
         "--service",
         action="store_true",
         help=(
-            "also run the async/service correctness pass (ASYNC001-003, "
-            "TIME001, SM001/SM002, TRUST001) over the target set"
+            "also run the async/service correctness pass (ASYNC001-002, "
+            "TIME001, SM001) over the target set"
         ),
     )
     parser.add_argument(
@@ -162,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write the current findings to PATH as a new baseline "
-            "and exit 0 (KERN001/TRUST001/SM001/SM002 findings are "
-            "never baselined)"
+            "and exit 0 (KERN001/SM001 findings are never baselined)"
         ),
     )
     parser.add_argument(

@@ -11,7 +11,6 @@ PERF001   scalar Python loop over NumPy array data
 PERF002   per-iteration allocation in a loop (``np.append`` /
           ``np.concatenate`` / list-grow-then-``np.array``)
 PERF003   repeated attribute/global lookup inside a hot loop
-PERF004   implicit dtype promotion in a numeric expression
 PERF005   element-wise ``math.*`` where a NumPy ufunc exists
 ========  ==========================================================
 
@@ -161,42 +160,6 @@ _MATH_UFUNCS = frozenset(
 #: occurrences of one dotted chain in a single loop body before PERF003
 #: fires (two repeats is idiom; three is a measurable lookup tax)
 PERF003_THRESHOLD = 3
-
-#: integer dtype spellings recognised for PERF004 promotion evidence
-_INT_DTYPES = frozenset(
-    {
-        "int",
-        "int8",
-        "int16",
-        "int32",
-        "int64",
-        "intp",
-        "uint8",
-        "uint16",
-        "uint32",
-        "uint64",
-        "np.int8",
-        "np.int16",
-        "np.int32",
-        "np.int64",
-        "np.intp",
-        "numpy.int8",
-        "numpy.int16",
-        "numpy.int32",
-        "numpy.int64",
-        "numpy.intp",
-    }
-)
-
-_NUMERIC_BINOPS = (
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.FloorDiv,
-    ast.Mod,
-    ast.Pow,
-)
 
 
 def _is_numpy_call(node: ast.AST) -> bool:
@@ -460,81 +423,6 @@ class RepeatedLookupRule(PerfRule):
                         if isinstance(n, ast.Name):
                             names.add(n.id)
         return names
-
-
-@register_rule
-class DtypePromotionRule(PerfRule):
-    """PERF004 — implicit dtype promotion in a numeric expression.
-
-    Mixing an explicitly-int array with a float scalar silently
-    allocates a promoted float64 copy per evaluation; true division of
-    an int array does the same.  Promotions belong at one explicit
-    ``astype`` boundary, not inside numeric expressions.
-    """
-
-    code = "PERF004"
-    name = "perf-dtype-promotion"
-    description = "implicit dtype promotion in a numeric expression"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.BinOp):
-                continue
-            if not isinstance(node.op, _NUMERIC_BINOPS):
-                continue
-            left_int = self._int_array_expr(node.left)
-            right_int = self._int_array_expr(node.right)
-            if isinstance(node.op, ast.Div) and (left_int or right_int):
-                yield self.diag(
-                    ctx,
-                    node,
-                    "true division of an int-dtype array allocates a "
-                    "promoted float64 copy — divide after one explicit "
-                    "astype, or use // for integer semantics",
-                )
-                continue
-            if (left_int and self._float_const(node.right)) or (
-                right_int and self._float_const(node.left)
-            ):
-                yield self.diag(
-                    ctx,
-                    node,
-                    "int-dtype array combined with a float scalar "
-                    "promotes implicitly — hoist the conversion to one "
-                    "explicit astype boundary",
-                )
-
-    @staticmethod
-    def _float_const(expr: ast.AST) -> bool:
-        return (
-            isinstance(expr, ast.Constant)
-            and isinstance(expr.value, float)
-        )
-
-    @staticmethod
-    def _int_array_expr(expr: ast.AST) -> bool:
-        """``np.X(..., dtype=<int dtype>)`` — explicit int evidence."""
-        if not isinstance(expr, ast.Call):
-            return False
-        name = dotted_name(expr.func)
-        if name is None:
-            return False
-        head, _, tail = name.rpartition(".")
-        if head not in ("np", "numpy") or tail not in _ARRAY_RETURNING:
-            return False
-        for kw in expr.keywords:
-            if kw.arg != "dtype":
-                continue
-            dtype_text = dotted_name(kw.value)
-            if dtype_text is None and isinstance(kw.value, ast.Constant):
-                dtype_text = (
-                    kw.value.value
-                    if isinstance(kw.value.value, str)
-                    else None
-                )
-            if dtype_text in _INT_DTYPES:
-                return True
-        return False
 
 
 @register_rule

@@ -5,8 +5,6 @@ on but Python cannot enforce (see ``docs/STATIC_ANALYSIS.md``):
 
 ========  ==========================================================
 ARR001    numpy allocators in numeric modules need an explicit dtype
-ARR002    CSR/partition arrays must be made contiguous, not asarray'd
-RNG001    randomness must flow through :mod:`repro.utils.rng`
 ASSERT001 library validation must not rely on ``assert`` (python -O)
 VAL001    public entry points must validate their array inputs
 LOOP001   hot-path modules must not loop over ``xadj``/``adjncy``
@@ -32,9 +30,6 @@ NUMERIC_MODULES: Tuple[str, ...] = ("repro.graph", "repro.partition")
 #: modules where a Python-level loop over the adjacency is a perf bug
 HOT_PATH_MODULES: Tuple[str, ...] = ("repro.graph", "repro.partition")
 
-#: the one module allowed to talk to ``np.random`` directly
-RNG_MODULE = "repro.utils.rng"
-
 #: numpy allocator → index of its positional ``dtype`` argument
 _ALLOCATORS: Dict[str, int] = {
     "zeros": 1,
@@ -43,20 +38,6 @@ _ALLOCATORS: Dict[str, int] = {
     "full": 2,
     "arange": 3,
 }
-
-#: callables that receive CSR/partition arrays and require contiguity
-_CONTIGUITY_SINKS = frozenset(
-    {
-        "CSRGraph",
-        "partition_kway",
-        "multilevel_kway",
-        "recursive_bisection",
-        "multilevel_bisection",
-    }
-)
-
-#: forbidden ``np.random`` entry points outside :data:`RNG_MODULE`
-_RNG_CALLS = frozenset({"default_rng", "seed", "RandomState"})
 
 #: recognised validation helpers (``repro.utils.validation`` plus the
 #: ``.validate()`` method convention)
@@ -153,84 +134,6 @@ class ExplicitDtypeRule(LintRule):
                 f"np.{tail}(...) without explicit dtype — CSR/partition "
                 f"arrays must pin int64/float64 (platform default differs)",
             )
-
-
-@register_rule
-class ContiguousArraysRule(LintRule):
-    """ARR002 — ``np.asarray`` fed straight into a CSR/kway sink.
-
-    ``CSRGraph`` and the k-way entry points require C-contiguous
-    arrays; ``np.asarray`` preserves striding, so a transposed or
-    sliced input silently survives to the kernels.  Use
-    ``np.ascontiguousarray`` at the boundary.
-    """
-
-    code = "ARR002"
-    name = "contiguous-arrays"
-    description = "np.asarray passed to a CSR/partition sink"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if _callee_tail(node) not in _CONTIGUITY_SINKS:
-                continue
-            values = list(node.args) + [kw.value for kw in node.keywords]
-            for arg in values:
-                if (
-                    isinstance(arg, ast.Call)
-                    and _callee_tail(arg) == "asarray"
-                ):
-                    yield self.diag(
-                        ctx,
-                        arg,
-                        "np.asarray does not guarantee contiguity — use "
-                        "np.ascontiguousarray for CSR/partition arrays",
-                    )
-
-
-@register_rule
-class CentralRngRule(LintRule):
-    """RNG001 — direct ``np.random`` use outside ``repro.utils.rng``.
-
-    All randomness must be derived through
-    :func:`repro.utils.rng.as_rng`/:func:`~repro.utils.rng.spawn_rngs`
-    so a single root seed reproduces whole experiments.
-    """
-
-    code = "RNG001"
-    name = "central-rng"
-    description = "np.random used outside repro.utils.rng"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        # tests/benchmarks construct their own seeded generators on
-        # purpose; the centralisation contract binds library code only
-        return ctx.module != RNG_MODULE and not is_test_module(ctx.module)
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                head, _, tail = name.rpartition(".")
-                if head in ("np.random", "numpy.random") and tail in _RNG_CALLS:
-                    yield self.diag(
-                        ctx,
-                        node,
-                        f"direct {name}(...) breaks seed reproducibility — "
-                        f"route through repro.utils.rng.as_rng/spawn_rngs",
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "numpy.random" and any(
-                    alias.name in _RNG_CALLS for alias in node.names
-                ):
-                    yield self.diag(
-                        ctx,
-                        node,
-                        "importing from numpy.random bypasses "
-                        "repro.utils.rng — use as_rng/spawn_rngs",
-                    )
 
 
 @register_rule

@@ -1,27 +1,21 @@
-"""SPMD-safety rule family: prove supersteps race-free and deterministic.
+"""SPMD-safety rule family: prove supersteps race-free.
 
 The execution backends (:mod:`repro.runtime.backends`) only stay
 bit-identical to the serial reference because superstep functions obey
-contracts nothing enforces at runtime: mutate only ``ctx.state``, draw
-randomness from per-rank generators, stay picklable for the process
-pool, and keep every value that feeds a send or reduction
-deterministic.  This module checks those contracts statically.
+a contract nothing enforces at runtime: mutate only ``ctx.state``.
+This module checks that contract statically.
 
 Unlike the per-file rules of :mod:`repro.analysis.rules`, the SPMD
-family consists of *project rules*: :func:`build_spmd_project` reads
+family is a *project rule*: :func:`build_spmd_project` reads
 the engine's shared dataflow index, finds every superstep handed to
 ``spmd_run`` or ``session.step`` (direct references, ``Class.method``
 references, lambdas, ``functools.partial`` and
 :class:`~repro.runtime.faults.ChaosStep` wrappers, and nested
-functions) and closes over the call graph; the rules run over the
+functions) and closes over the call graph; the rule runs over the
 reachable rank code (``repro-lint --spmd``):
 
 ========  ===========================================================
 SPMD001   superstep mutates a captured or global mutable (thread race)
-SPMD002   module-level RNG (``np.random.*`` / ``random.*``) in rank code
-SPMD003   closure captures a provably non-picklable object
-DET001    nondeterminism source in rank/coordinator code
-FLOAT001  float accumulation over an unordered container
 ========  ===========================================================
 
 Every finding is validated dynamically by the race sentinel
@@ -56,64 +50,14 @@ from repro.analysis.engine import (
 #: provably assigned from an ``open_session(...)`` call)
 SESSION_NAMES = frozenset({"sess", "session", "spmd_session"})
 
-#: nondeterministic time/entropy calls (dotted form)
-_DET_CALLS = frozenset(
-    {
-        "os.urandom",
-        "os.getpid",
-        "uuid.uuid1",
-        "uuid.uuid4",
-    }
-)
-_TIME_FUNCS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "monotonic",
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-    }
-)
-
-#: factory calls whose results never survive ``pickle.dumps``
-_NONPICKLABLE_FACTORIES = {
-    "open": "a file handle",
-    "threading.Lock": "a lock",
-    "threading.RLock": "a lock",
-    "threading.Condition": "a condition variable",
-    "threading.Event": "an event",
-    "threading.Semaphore": "a semaphore",
-    "threading.BoundedSemaphore": "a semaphore",
-    "multiprocessing.Lock": "a lock",
-    "multiprocessing.RLock": "a lock",
-    "socket.socket": "a socket",
-}
-
-
 @dataclass
 class SpmdProject:
-    """Everything the SPMD rules inspect about one analysed tree."""
+    """Everything the SPMD rule inspects about one analysed tree."""
 
-    index: ProjectIndex
     #: every function handed to the runtime as a superstep, once
     supersteps: List[FunctionSummary]
     #: supersteps plus everything they transitively call (deduplicated)
     rank_functions: List[FunctionSummary]
-    #: functions that register supersteps (``session.step``/``spmd_run``
-    #: call sites) — the merge side of the determinism contract
-    coordinators: List[FunctionSummary]
-
-    def module_of(self, fn: FunctionSummary) -> ModuleSummary:
-        return self.index.modules[fn.module]
-
-    def contract_functions(self) -> List[FunctionSummary]:
-        """Rank code, then the coordinators — the two sides of the
-        determinism contract — each function once."""
-        both = self.rank_functions + self.coordinators
-        return list({(fn.module, fn.qualname): fn for fn in both}.values())
 
     def is_superstep(self, fn: FunctionSummary) -> bool:
         return any(step is fn for step in self.supersteps)
@@ -237,25 +181,19 @@ def _step_exprs_of_call(
 
 
 def build_spmd_project(source: Project) -> SpmdProject:
-    """Locate supersteps, close over the call graph, find coordinators
-    (the SPMD family's view of the shared index)."""
+    """Locate supersteps and close over the call graph (the SPMD
+    family's view of the shared index)."""
     index = source.index
     supersteps: Dict[Tuple[str, str], FunctionSummary] = {}
-    coordinators: Dict[Tuple[str, str], FunctionSummary] = {}
     for summary in index.modules.values():
         for call, scope in _iter_calls_with_scope(summary):
-            exprs = _step_exprs_of_call(call, summary, scope)
-            if exprs and scope is not None:
-                coordinators.setdefault((scope.module, scope.qualname), scope)
-            for expr in exprs:
+            for expr in _step_exprs_of_call(call, summary, scope):
                 fn = _resolve_step_expr(index, summary, scope, expr)
                 if fn is not None:
                     supersteps.setdefault((fn.module, fn.qualname), fn)
     return SpmdProject(
-        index=index,
         supersteps=list(supersteps.values()),
         rank_functions=index.reachable(supersteps.values()),
-        coordinators=list(coordinators.values()),
     )
 
 
@@ -365,303 +303,4 @@ class SharedMutationRule(LintRule):
                 return "it aliases the read-only ctx.shared mapping"
             if alias[0] in fn.global_reads or alias[0] in fn.captured:
                 return "it aliases shared state from an enclosing scope"
-        return None
-
-
-@register_rule
-class RankRngRule(LintRule):
-    """SPMD002 — module-level RNG inside rank code.
-
-    ``np.random.*`` and ``random.*`` draw from interpreter-global
-    streams; under concurrent backends the draw order depends on
-    scheduling, so per-rank results diverge run to run.  Rank code must
-    consume generators distributed through ``ctx.shared``/``ctx.state``
-    (derived from :func:`repro.utils.rng.spawn_rngs`).
-    """
-
-    code = "SPMD002"
-    family = "spmd"
-    name = "spmd-rank-rng"
-    description = "module-level RNG (np.random/random) in rank code"
-
-    def project_check(self, source: Project) -> Iterator[Diagnostic]:
-        project = source.view(build_spmd_project)
-        for fn in project.rank_functions:
-            summary = project.module_of(fn)
-            for call in fn.calls:
-                hit = self._rng_call(call.name, summary)
-                if hit:
-                    yield self.diag(
-                        fn,
-                        call.node,
-                        f"{call.name}(...) draws from the {hit} stream — "
-                        f"use the per-rank Generator handed through "
-                        f"ctx.shared/ctx.state (spawn_rngs)",
-                    )
-
-    @staticmethod
-    def _rng_call(name: str, summary: ModuleSummary) -> Optional[str]:
-        if name.startswith("np.random.") or name.startswith("numpy.random."):
-            return "process-global numpy"
-        head, _, rest = name.partition(".")
-        if rest and summary.imports.get(head) == "random":
-            return "process-global stdlib random"
-        if not rest:
-            target = summary.imports.get(name, "")
-            if target.startswith("random."):
-                return "process-global stdlib random"
-            if target.startswith("numpy.random."):
-                return "process-global numpy"
-        return None
-
-
-@register_rule
-class NonPicklableCaptureRule(LintRule):
-    """SPMD003 — superstep closure captures a non-picklable object.
-
-    The process backend pickles ``(fn, arg)`` per step; when that
-    fails it silently falls back to in-process serial execution with
-    only a ``RuntimeWarning`` — the run *works* but stops exercising
-    real parallelism.  Capturing a lock, file handle, generator, or an
-    instance of a locally defined class guarantees that fallback.
-    """
-
-    code = "SPMD003"
-    family = "spmd"
-    name = "spmd-nonpicklable-capture"
-    description = "superstep captures a provably non-picklable object"
-
-    def project_check(self, source: Project) -> Iterator[Diagnostic]:
-        project = source.view(build_spmd_project)
-        for fn in project.supersteps:
-            if fn.parent is None:
-                continue  # module-level functions capture nothing
-            summary = project.module_of(fn)
-            for name in sorted(fn.captured):
-                binding = fn.captured[name]
-                kind = self._nonpicklable_kind(binding, fn, summary)
-                if kind is None:
-                    continue
-                yield self.diag(
-                    fn,
-                    fn.node,
-                    f"superstep captures {name!r} ({kind}) — pickling "
-                    f"fails, so the process backend silently falls back "
-                    f"to in-process execution",
-                )
-
-    @staticmethod
-    def _nonpicklable_kind(
-        binding: Optional[ast.AST],
-        fn: FunctionSummary,
-        summary: ModuleSummary,
-    ) -> Optional[str]:
-        if binding is None:
-            return None
-        if isinstance(binding, ast.GeneratorExp):
-            return "a generator"
-        if isinstance(binding, ast.ClassDef):
-            return "a locally defined class"
-        if isinstance(binding, ast.Call):
-            parts = dotted_parts(binding.func)
-            if parts is None:
-                return None
-            name = ".".join(parts)
-            if name in _NONPICKLABLE_FACTORIES:
-                return _NONPICKLABLE_FACTORIES[name]
-            if len(parts) == 1:
-                target = summary.imports.get(parts[0], "")
-                if target in _NONPICKLABLE_FACTORIES:
-                    return _NONPICKLABLE_FACTORIES[target]
-                # instance of a class defined in an enclosing function
-                enclosing = fn.parent
-                while enclosing is not None:
-                    local_binding = enclosing.bindings.get(parts[0])
-                    if isinstance(local_binding, ast.ClassDef):
-                        return "an instance of a locally defined class"
-                    enclosing = enclosing.parent
-        return None
-
-
-def _is_unordered_expr(
-    expr: ast.AST,
-    fn: Optional[FunctionSummary],
-    summary: ModuleSummary,
-    depth: int = 0,
-) -> bool:
-    """Whether ``expr`` provably evaluates to an unordered container
-    (set/frozenset, directly or through one local binding)."""
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(expr, ast.Call):
-        tail = _callee_tail(expr)
-        return tail in ("set", "frozenset")
-    if isinstance(expr, ast.Name) and depth < 2:
-        binding: Optional[ast.AST] = None
-        if fn is not None:
-            binding = fn.lookup_binding(expr.id)
-        if binding is None:
-            binding = summary.module_bindings.get(expr.id)
-        if binding is not None and binding is not expr:
-            return _is_unordered_expr(binding, fn, summary, depth + 1)
-    if isinstance(expr, ast.BinOp) and isinstance(
-        expr.op, (ast.BitOr, ast.BitAnd, ast.Sub)
-    ):
-        return _is_unordered_expr(
-            expr.left, fn, summary, depth
-        ) or _is_unordered_expr(expr.right, fn, summary, depth)
-    return False
-
-
-@register_rule
-class RankDeterminismRule(LintRule):
-    """DET001 — nondeterminism sources in rank or coordinator code.
-
-    Wall-clock reads, OS entropy, iteration over a ``set`` (hash order
-    varies across processes under ``PYTHONHASHSEED``), and ``id()``
-    -keyed ordering all produce values that differ between runs and
-    between ranks; when they feed sends or reductions the ledger and
-    results diverge across backends.
-    """
-
-    code = "DET001"
-    family = "spmd"
-    name = "rank-determinism"
-    description = "nondeterminism source in rank/coordinator code"
-
-    def project_check(self, source: Project) -> Iterator[Diagnostic]:
-        project = source.view(build_spmd_project)
-        for fn in project.contract_functions():
-            yield from self._check_fn(fn, project.module_of(fn))
-
-    def _check_fn(
-        self, fn: FunctionSummary, summary: ModuleSummary
-    ) -> Iterator[Diagnostic]:
-        for call in fn.calls:
-            reason = self._det_call(call.name, summary)
-            if reason:
-                yield self.diag(
-                    fn,
-                    call.node,
-                    f"{call.name}(...) is {reason} — rank/coordinator "
-                    f"values must be reproducible across runs and ranks",
-                )
-            tail = call.name.rsplit(".", 1)[-1]
-            if tail in ("sorted", "min", "max"):
-                for kw in call.node.keywords:
-                    if (
-                        kw.arg == "key"
-                        and isinstance(kw.value, ast.Name)
-                        and kw.value.id == "id"
-                    ):
-                        yield self.diag(
-                            fn,
-                            call.node,
-                            "ordering by id() depends on allocation "
-                            "addresses — sort by a stable key instead",
-                        )
-        for node in ast.walk(fn.node):
-            target: Optional[ast.AST] = None
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                target = node.iter
-            elif isinstance(node, ast.comprehension):
-                target = node.iter
-            if target is not None and _is_unordered_expr(
-                target, fn, summary
-            ):
-                yield self.diag(
-                    fn,
-                    target,
-                    "iterating a set in rank/coordinator code — hash "
-                    "order varies per process; iterate sorted(...) "
-                    "instead",
-                )
-
-    @staticmethod
-    def _det_call(name: str, summary: ModuleSummary) -> Optional[str]:
-        if name in _DET_CALLS:
-            return "OS entropy/identity"
-        head, _, rest = name.partition(".")
-        if rest:
-            if summary.imports.get(head) == "time" and rest in _TIME_FUNCS:
-                return "a wall-clock read"
-            if summary.imports.get(head) == "secrets":
-                return "OS entropy"
-        else:
-            target = summary.imports.get(name, "")
-            if target.startswith("time.") and target[5:] in _TIME_FUNCS:
-                return "a wall-clock read"
-            if target.startswith("secrets."):
-                return "OS entropy"
-            if name == "id":
-                return "an allocation address"
-        return None
-
-
-@register_rule
-class OrderedFloatFoldRule(LintRule):
-    """FLOAT001 — float accumulation over an unordered container.
-
-    Float addition is not associative; summing a ``set`` (or, in rank
-    code, ``dict.values()`` whose insertion order depends on message
-    arrival) makes the result depend on hash/scheduling order.  Fold
-    per-rank results in rank order — the session's ``step`` return list
-    is already rank-ordered, and the merge helpers fold rank 0 first.
-    """
-
-    code = "FLOAT001"
-    family = "spmd"
-    name = "ordered-float-fold"
-    description = "float accumulation over an unordered container"
-
-    _SUM_NAMES = frozenset({"sum", "math.fsum", "fsum", "np.sum", "numpy.sum"})
-
-    def project_check(self, source: Project) -> Iterator[Diagnostic]:
-        project = source.view(build_spmd_project)
-        rank_keys = {
-            (fn.module, fn.qualname) for fn in project.rank_functions
-        }
-        for fn in project.contract_functions():
-            summary = project.module_of(fn)
-            in_rank = (fn.module, fn.qualname) in rank_keys
-            for call in fn.calls:
-                if call.name not in self._SUM_NAMES:
-                    continue
-                if not call.node.args:
-                    continue
-                arg = call.node.args[0]
-                reason = self._unordered_reason(arg, fn, summary, in_rank)
-                if reason:
-                    yield self.diag(
-                        fn,
-                        call.node,
-                        f"{call.name}(...) folds floats over {reason} — "
-                        f"accumulate in rank order (fold rank 0 first) "
-                        f"for bit-reproducible reductions",
-                    )
-
-    @staticmethod
-    def _unordered_reason(
-        arg: ast.AST,
-        fn: FunctionSummary,
-        summary: ModuleSummary,
-        in_rank: bool,
-    ) -> Optional[str]:
-        def values_call(expr: ast.AST) -> bool:
-            return (
-                isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "values"
-            )
-
-        if _is_unordered_expr(arg, fn, summary):
-            return "a set (hash order)"
-        if in_rank and values_call(arg):
-            return "dict.values() (arrival-order insertion)"
-        if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-            it = arg.generators[0].iter
-            if _is_unordered_expr(it, fn, summary):
-                return "a set (hash order)"
-            if in_rank and values_call(it):
-                return "dict.values() (arrival-order insertion)"
         return None

@@ -1,34 +1,31 @@
-"""State-machine verifier: transition tables proved against call sites.
+"""State-machine verifier: ``.transition(...)`` call sites proved
+against the transition table.
 
 The service job lifecycle is a literal transition table
 (``repro.service.queue._TRANSITIONS``) enforced at runtime by
-``Job.transition``.  Runtime enforcement means an illegal edge is an
-*exception in production*; this pass proves the same properties at
-lint time, so an edit to the table or to a ``.transition(...)`` call
-site fails CI instead of a live request:
+``Job.transition``.  Runtime enforcement means a misspelt state is an
+*exception in production*, and only on the paths a test drives; this
+pass checks every literal call site at lint time:
 
 =====  ==============================================================
 SM001  a literal ``.transition("state")`` call site is not a legal
        edge of the associated table (unknown state, unreachable
        target, or an adjacent transition pair that is not an edge)
-SM002  the table itself is malformed: an edge points at an undeclared
-       state, a state is unreachable from the initial state, a
-       declared-terminal state has outgoing edges, or a state with no
-       outgoing edges is not declared terminal
 =====  ==============================================================
 
 A *table* is any module-level dict literal bound to a name ending in
 ``_TRANSITIONS`` (or named ``TRANSITIONS``) mapping string states to
-tuples/lists of string states; the **first key is the initial
-state** (insertion order — the convention ``queue._TRANSITIONS``
-follows).  A companion binding with the same prefix and a
-``_TERMINAL`` suffix (tuple/list/set of strings) declares the
-terminal states.  Call sites are associated with the tables of their
-own module first, then with tables of modules they import from, then
-with a unique project-wide table; a site is flagged only when it is
-illegal against *every* candidate table.  Like every rule in this
-family the verifier skips what it cannot prove: non-literal
-``.transition(expr)`` arguments are ignored.
+tuples/lists of string states.  The table's own shape (every target
+declared, every state reachable, terminal states exactly the dead
+ends) is asserted beside the table, in ``tests/service/test_queue.py``.
+Call sites are associated with the tables of their own module first,
+then with tables of modules they import from, then with a unique
+project-wide table; a site is flagged only when it is illegal against
+*every* candidate table.  Like every rule in this family the verifier
+skips what it cannot prove: non-literal ``.transition(expr)``
+arguments are ignored, and it is not path-sensitive — a lone literal
+call is checked against the table's state set, not against the state
+the receiver is in.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ __all__ = [
     "TransitionTable",
     "collect_tables",
     "TransitionCallRule",
-    "TransitionTableRule",
 ]
 
 
@@ -64,40 +60,12 @@ class TransitionTable:
     """One extracted ``*_TRANSITIONS`` dict literal."""
 
     module: str
-    path: str
     name: str
-    node: ast.Dict
     #: state → allowed successor states, in declaration order
     edges: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: lineno/col of each state's key constant, for anchoring
-    anchors: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: anchors of each (src, dst) edge element constant
-    edge_anchors: Dict[Tuple[str, str], Tuple[int, int]] = field(
-        default_factory=dict
-    )
-    #: declared terminal states (None when no companion binding exists)
-    terminal: Optional[Tuple[str, ...]] = None
-
-    @property
-    def initial(self) -> Optional[str]:
-        """The initial state: the table's first declared key."""
-        return next(iter(self.edges), None)
 
     def states(self) -> Set[str]:
         return set(self.edges)
-
-    def reachable(self) -> Set[str]:
-        start = self.initial
-        if start is None:
-            return set()
-        seen = {start}
-        stack = [start]
-        while stack:
-            for dst in self.edges.get(stack.pop(), ()):
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return seen
 
     def in_degree(self, state: str) -> int:
         return sum(
@@ -108,19 +76,19 @@ class TransitionTable:
         )
 
 
-def _literal_states(node: ast.AST) -> Optional[List[Tuple[str, ast.AST]]]:
-    """``("a", "b")`` → the strings with their nodes; None if not a
-    homogeneous string tuple/list/set literal."""
+def _literal_states(node: ast.AST) -> Optional[Tuple[str, ...]]:
+    """``("a", "b")`` → the strings; None if not a homogeneous string
+    tuple/list/set literal."""
     if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return None
-    out: List[Tuple[str, ast.AST]] = []
+    out: List[str] = []
     for elt in node.elts:
         if not (
             isinstance(elt, ast.Constant) and isinstance(elt.value, str)
         ):
             return None
-        out.append((elt.value, elt))
-    return out
+        out.append(elt.value)
+    return tuple(out)
 
 
 def _table_from_binding(
@@ -128,9 +96,7 @@ def _table_from_binding(
 ) -> Optional[TransitionTable]:
     if not isinstance(value, ast.Dict):
         return None
-    table = TransitionTable(
-        module=summary.module, path=summary.path, name=name, node=value
-    )
+    table = TransitionTable(module=summary.module, name=name)
     for key, val in zip(value.keys, value.values):
         if not (
             isinstance(key, ast.Constant) and isinstance(key.value, str)
@@ -139,24 +105,13 @@ def _table_from_binding(
         states = _literal_states(val)
         if states is None:
             return None
-        src = key.value
-        table.edges[src] = tuple(s for s, _ in states)
-        table.anchors[src] = (key.lineno, key.col_offset + 1)
-        for dst, elt in states:
-            table.edge_anchors.setdefault(
-                (src, dst),
-                (
-                    getattr(elt, "lineno", val.lineno),
-                    getattr(elt, "col_offset", val.col_offset) + 1,
-                ),
-            )
+        table.edges[key.value] = states
     return table if table.edges else None
 
 
 def collect_tables(project: Project) -> List[TransitionTable]:
-    """Every ``*_TRANSITIONS`` table in the indexed modules, with its
-    companion ``*_TERMINAL`` declaration attached when present (the
-    state-machine rules' view of the shared index)."""
+    """Every ``*_TRANSITIONS`` table in the indexed modules (the
+    state-machine rule's view of the shared index)."""
     tables: List[TransitionTable] = []
     for module in sorted(project.index.modules):
         summary = project.index.modules[module]
@@ -166,15 +121,8 @@ def collect_tables(project: Project) -> List[TransitionTable]:
             ):
                 continue
             table = _table_from_binding(summary, name, value)
-            if table is None:
-                continue
-            prefix = name[: -len("TRANSITIONS")]
-            companion = summary.module_bindings.get(f"{prefix}TERMINAL")
-            if companion is not None:
-                states = _literal_states(companion)
-                if states is not None:
-                    table.terminal = tuple(s for s, _ in states)
-            tables.append(table)
+            if table is not None:
+                tables.append(table)
     return tables
 
 
@@ -197,86 +145,6 @@ def _candidate_tables(
         if via_imports:
             return via_imports
     return tables if len(tables) == 1 else []
-
-
-@register_rule
-class TransitionTableRule(LintRule):
-    """SM002 — the transition table itself violates an invariant."""
-
-    code = "SM002"
-    family = "service"
-    name = "state-machine-table"
-    description = (
-        "transition table is malformed (dangling edge, unreachable "
-        "state, or inconsistent terminal declaration)"
-    )
-
-    def project_check(self, project: Project) -> Iterator[Diagnostic]:
-        for table in project.view(collect_tables):
-            yield from self._check_table(table)
-
-    def _diag(
-        self,
-        table: TransitionTable,
-        anchor: Tuple[int, int],
-        message: str,
-    ) -> Diagnostic:
-        return Diagnostic(
-            path=table.path,
-            line=anchor[0],
-            col=anchor[1],
-            code=self.code,
-            message=f"{table.name}: {message}",
-        )
-
-    def _check_table(
-        self, table: TransitionTable
-    ) -> Iterator[Diagnostic]:
-        states = table.states()
-        for (src, dst), anchor in sorted(table.edge_anchors.items()):
-            if dst not in states:
-                yield self._diag(
-                    table,
-                    anchor,
-                    f"edge '{src}' -> '{dst}' points at an "
-                    "undeclared state",
-                )
-        reachable = table.reachable()
-        for src in table.edges:
-            if src not in reachable:
-                yield self._diag(
-                    table,
-                    table.anchors[src],
-                    f"state '{src}' is unreachable from the initial "
-                    f"state '{table.initial}'",
-                )
-        terminal = table.terminal
-        if terminal is None:
-            return
-        for src, dsts in table.edges.items():
-            if src in terminal and dsts:
-                yield self._diag(
-                    table,
-                    table.anchors[src],
-                    f"terminal state '{src}' has outgoing edge(s) "
-                    f"{list(dsts)}",
-                )
-            if not dsts and src not in terminal:
-                yield self._diag(
-                    table,
-                    table.anchors[src],
-                    f"state '{src}' has no outgoing edges but is not "
-                    "declared terminal",
-                )
-        for src in terminal:
-            if src not in states:
-                anchor = (table.node.lineno, table.node.col_offset + 1)
-                yield self._diag(
-                    table,
-                    anchor,
-                    f"declared terminal state '{src}' is not a state "
-                    "of the table",
-                )
 
 
 @register_rule

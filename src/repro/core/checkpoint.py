@@ -15,6 +15,7 @@ roll a live driver back to its last good step without touching disk.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -51,6 +52,35 @@ def _coerce_target(target: Target) -> Union[Path, BinaryIO]:
 _SCHEMA_VERSION = 2
 _READABLE_SCHEMAS = (1, 2)
 
+# every PartitionOptions field is stored next to ``ubfactor`` in
+# ``meta["params"]``; checkpoints written before that hold ``ubfactor``
+# alone and restore the rest from the defaults, as they always did
+_OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(PartitionOptions))
+
+
+def _options_to_meta(options: PartitionOptions) -> Dict[str, Any]:
+    meta = {name: getattr(options, name) for name in _OPTION_FIELDS}
+    seed = meta["seed"]
+    if isinstance(seed, (int, np.integer)):
+        meta["seed"] = int(seed)
+    elif seed is not None:
+        # a live Generator has no JSON form; name it, so load_driver
+        # refuses the checkpoint instead of resuming from another seed
+        meta["seed"] = type(seed).__name__
+    return meta
+
+
+def _options_from_meta(pm: Dict[str, Any]) -> PartitionOptions:
+    fields = {name: pm[name] for name in _OPTION_FIELDS if name in pm}
+    seed = fields.get("seed")
+    if seed is not None and not isinstance(seed, int):
+        raise ValueError(
+            f"checkpoint records seed {seed!r}, not an int: the run "
+            f"drew from a live generator, which a file cannot carry, "
+            f"so it cannot be resumed bit-identically"
+        )
+    return PartitionOptions(**fields)
+
 
 def save_driver(path: Target, driver: ContactStepDriver) -> None:
     """Write a restartable snapshot of ``driver`` to ``path`` (a path
@@ -73,7 +103,7 @@ def save_driver(path: Target, driver: ContactStepDriver) -> None:
             "margin_weight": p.margin_weight,
             "pad": p.pad,
             "reshape": p.reshape,
-            "ubfactor": p.options.ubfactor,
+            **_options_to_meta(p.options),
         },
         "ledger": {
             phase: [t.n_messages, t.n_items]
@@ -191,7 +221,7 @@ def load_driver(
         margin_weight=pm["margin_weight"],
         pad=pm["pad"],
         reshape=pm["reshape"],
-        options=PartitionOptions(ubfactor=pm["ubfactor"]),
+        options=_options_from_meta(pm),
     )
     driver = ContactStepDriver(
         meta["k"],

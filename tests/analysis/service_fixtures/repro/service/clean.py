@@ -1,8 +1,7 @@
 """Clean fixture: the sanctioned service patterns, zero findings.
 
-Blocking work routed through ``run_in_executor``, loop-only state
-mutation (single-writer, no lock needed), awaited coroutines, and
-record-only wall-clock use.
+Blocking work routed through ``run_in_executor``, awaited coroutines,
+and record-only wall-clock use.
 """
 
 from __future__ import annotations
@@ -12,13 +11,9 @@ import time
 
 
 class CleanService:
-    def __init__(self) -> None:
-        self.jobs_done = 0
-
     async def handle(self) -> int:
         loop = asyncio.get_event_loop()
         payload = await loop.run_in_executor(None, self._read_disk)
-        self.jobs_done += 1  # loop-only mutation: single writer
         await asyncio.sleep(0)
         return len(payload)
 

@@ -1,12 +1,13 @@
-"""SM001/SM002 fixture: a deliberately broken job state machine.
+"""SM001 fixture: illegal ``.transition(...)`` call sites.
 
-The transition table is a mutated copy of the real
-``repro.service.queue._TRANSITIONS`` seeding every table-shape
-diagnostic (SM002): a dangling edge (``running -> ghost``), a declared
-terminal state with an exit (``failed``), an unreachable state
-(``orphan`` — which drags ``stuck`` into a second unreachable
-finding), and a state with no outgoing edges that is not declared
-terminal (``stuck``).
+The transition table is a copy of the real
+``repro.service.queue._TRANSITIONS`` bent so that every kind of
+call-site diagnostic has something to point at: ``running`` no longer
+leads to ``cancelled`` (nor to ``expired``, which is gone), and a
+state is declared that no edge enters (``orphan``).  The table's own
+shape is nobody's business here — the real table's shape is asserted
+beside it, in ``tests/service/test_queue.py``.  Line numbers below are
+pinned by ``tests/analysis/golden/service_fixtures.*``.
 
 ``settle`` seeds the call-site diagnostics (SM001): an illegal
 consecutive pair (``running -> cancelled`` is not an edge), a
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 _TRANSITIONS = {
     "queued": ("running", "cancelled"),
-    "running": ("done", "failed", "ghost"),  # SM002: 'ghost' is not a state
+    "running": ("done", "failed"),
     "done": (),
-    "failed": ("queued",),  # SM002: terminal state with an outgoing edge
+    "failed": (),
     "cancelled": (),
-    "orphan": ("done",),  # SM002: unreachable from 'queued'
-    "stuck": (),  # SM002: unreachable, and dead-ends without being terminal
+    "orphan": ("done",),
 }
 
 _TERMINAL = ("done", "failed", "cancelled")

@@ -1,4 +1,4 @@
-"""Unit tests for the coroutine-safety rules (ASYNC001-003, TIME001)."""
+"""Unit tests for the coroutine-safety rules (ASYNC001-002, TIME001)."""
 
 import ast
 import textwrap
@@ -200,69 +200,6 @@ class TestAsync002:
 
             async def caller():
                 helper()
-            """
-        )
-        assert diags == []
-
-
-class TestAsync003:
-    def test_cross_context_mutation_without_lock(self):
-        diags = _analyze(
-            """
-            import asyncio
-
-            class S:
-                def __init__(self):
-                    self.total = 0
-
-                async def handler(self):
-                    self.total += 1
-                    await asyncio.get_event_loop().run_in_executor(
-                        None, self.work
-                    )
-
-                def work(self):
-                    self.total += 1
-            """
-        )
-        assert _codes(diags) == ["ASYNC003", "ASYNC003"]
-        assert "both coroutine and executor context" in diags[0].message
-
-    def test_locked_sites_are_clean(self):
-        diags = _analyze(
-            """
-            import asyncio
-            import threading
-
-            class S:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._alock = asyncio.Lock()
-                    self.total = 0
-
-                async def handler(self):
-                    async with self._alock:
-                        self.total += 1
-                    await asyncio.get_event_loop().run_in_executor(
-                        None, self.work
-                    )
-
-                def work(self):
-                    with self._lock:
-                        self.total += 1
-            """
-        )
-        assert diags == []
-
-    def test_loop_only_mutation_is_clean(self):
-        diags = _analyze(
-            """
-            class S:
-                def __init__(self):
-                    self.total = 0
-
-                async def handler(self):
-                    self.total += 1
             """
         )
         assert diags == []

@@ -166,40 +166,6 @@ class TestPERF003:
         assert codes(src) == ["PERF003"]
 
 
-class TestPERF004:
-    def test_true_division_of_int_array(self):
-        src = """
-            import numpy as np
-            def f(n):
-                return np.arange(n, dtype=np.int64) / 2
-        """
-        assert codes(src) == ["PERF004"]
-
-    def test_int_array_plus_float_scalar(self):
-        src = """
-            import numpy as np
-            def f(n):
-                return np.zeros(n, dtype=np.int64) + 0.5
-        """
-        assert codes(src) == ["PERF004"]
-
-    def test_integer_arithmetic_ok(self):
-        src = """
-            import numpy as np
-            def f(n):
-                return np.ones(n, dtype=np.int64) * 2 // 2
-        """
-        assert codes(src) == []
-
-    def test_float_arrays_ok(self):
-        src = """
-            import numpy as np
-            def f(n):
-                return np.zeros(n, dtype=np.float64) + 0.5
-        """
-        assert codes(src) == []
-
-
 class TestPERF005:
     def test_math_dotted_in_loop(self):
         src = """
@@ -249,7 +215,7 @@ class TestSelectIgnore:
     def test_rules_registered(self):
         perf = [r for r in all_rules("perf") if isinstance(r, PerfRule)]
         assert [r.code for r in perf] == [
-            "PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
+            "PERF001", "PERF002", "PERF003", "PERF005",
         ]
         assert not set(perf) & set(LintEngine().rules)
 
@@ -340,7 +306,6 @@ class TestGoldenFixtures:
             "PERF001": 4,
             "PERF002": 2,
             "PERF003": 1,
-            "PERF004": 2,
             "PERF005": 2,
         }
 

@@ -60,68 +60,6 @@ class TestARR001:
         assert lint(src, "repro.partition.foo", ["ARR001"]) == []
 
 
-class TestARR002:
-    def test_flags_asarray_into_csrgraph(self):
-        src = """
-            import numpy as np
-            g = CSRGraph(np.asarray(x), adjncy, adjwgt, vwgts)
-        """
-        assert lint(src, "repro.anywhere", ["ARR002"]) == ["ARR002"]
-
-    def test_flags_keyword_argument(self):
-        src = """
-            import numpy as np
-            p = partition_kway(g, 4, options=np.asarray(o))
-        """
-        assert lint(src, "repro.anywhere", ["ARR002"]) == ["ARR002"]
-
-    def test_passes_with_ascontiguousarray(self):
-        src = """
-            import numpy as np
-            g = CSRGraph(
-                np.ascontiguousarray(x), np.ascontiguousarray(a),
-                np.ascontiguousarray(w), vw,
-            )
-        """
-        assert lint(src, "repro.anywhere", ["ARR002"]) == []
-
-    def test_ignores_other_sinks(self):
-        src = "import numpy as np\ny = helper(np.asarray(x))\n"
-        assert lint(src, "repro.anywhere", ["ARR002"]) == []
-
-
-class TestRNG001:
-    def test_flags_direct_default_rng(self):
-        src = "import numpy as np\nrng = np.random.default_rng(0)\n"
-        assert lint(src, "repro.partition.foo", ["RNG001"]) == ["RNG001"]
-
-    def test_flags_global_seed_and_randomstate(self):
-        src = """
-            import numpy as np
-            np.random.seed(0)
-            rs = np.random.RandomState(1)
-        """
-        assert lint(src, "repro.core.foo", ["RNG001"]) == [
-            "RNG001",
-            "RNG001",
-        ]
-
-    def test_flags_import_form(self):
-        src = "from numpy.random import default_rng\n"
-        assert lint(src, "repro.core.foo", ["RNG001"]) == ["RNG001"]
-
-    def test_exempts_the_rng_module(self):
-        src = "import numpy as np\nrng = np.random.default_rng(0)\n"
-        assert lint(src, "repro.utils.rng", ["RNG001"]) == []
-
-    def test_passes_through_as_rng(self):
-        src = """
-            from repro.utils.rng import as_rng
-            rng = as_rng(0)
-        """
-        assert lint(src, "repro.partition.foo", ["RNG001"]) == []
-
-
 class TestASSERT001:
     def test_flags_library_assert(self):
         src = "def f(x):\n    assert x > 0\n    return x\n"
@@ -211,17 +149,14 @@ class TestRuleMetadata:
         # guard: a new rule must extend this file's coverage (the SPMD
         # family is covered by test_spmd.py, the PERF family by
         # test_perf.py, KERN001 by test_kernelcheck.py, the service
-        # family by test_asynccheck/test_statemachine/test_boundary)
+        # family by test_asynccheck/test_statemachine)
         from repro.analysis.engine import all_rules
 
-        covered = {"ARR001", "ARR002", "RNG001", "ASSERT001", "VAL001", "LOOP001"}
-        spmd = {"SPMD001", "SPMD002", "SPMD003", "DET001", "FLOAT001"}
-        perf = {"PERF001", "PERF002", "PERF003", "PERF004", "PERF005"}
+        covered = {"ARR001", "ASSERT001", "VAL001", "LOOP001"}
+        spmd = {"SPMD001"}
+        perf = {"PERF001", "PERF002", "PERF003", "PERF005"}
         kern = {"KERN001"}
-        service = {
-            "ASYNC001", "ASYNC002", "ASYNC003", "TIME001",
-            "SM001", "SM002", "TRUST001",
-        }
+        service = {"ASYNC001", "ASYNC002", "TIME001", "SM001"}
         assert {r.code for r in all_rules()} == (
             covered | spmd | perf | kern | service
         )
@@ -234,11 +169,10 @@ class TestRuleMetadata:
         default_codes = {r.code for r in LintEngine().rules}
         opt_in = {r.code for r in all_rules() if r.family != "core"}
         assert opt_in == {
-            "SPMD001", "SPMD002", "SPMD003", "DET001", "FLOAT001",
-            "PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
+            "SPMD001",
+            "PERF001", "PERF002", "PERF003", "PERF005",
             "KERN001",
-            "ASYNC001", "ASYNC002", "ASYNC003", "TIME001",
-            "SM001", "SM002", "TRUST001",
+            "ASYNC001", "ASYNC002", "TIME001", "SM001",
         }
         assert not (default_codes & opt_in)
         selected = LintEngine(select=["PERF001"]).rules

@@ -1,9 +1,15 @@
 """Tests for checkpoint/restart."""
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import load_driver, save_driver
+from repro.core.checkpoint import (
+    dump_driver_bytes,
+    load_driver,
+    save_driver,
+)
 from repro.core.driver import ContactStepDriver
 from repro.core.mcml_dt import MCMLDTParams
 from repro.core.update import UpdateStrategy
@@ -202,3 +208,98 @@ class TestCheckpoint:
         )
         restored = load_driver(path)
         assert np.array_equal(restored.partitioner.part, part)
+
+
+class TestPartitionOptionsSurvive:
+    """A restored driver repartitions with the options of the run it
+    resumes, not with the defaults."""
+
+    OPTIONS = PartitionOptions(
+        ubfactor=1.02, coarsen_to=90, fm_passes=3, kway_passes=5, seed=11
+    )
+
+    def test_every_option_field_round_trips(self, small_sequence):
+        driver = ContactStepDriver(
+            K, MCMLDTParams(pad=0.2, options=self.OPTIONS)
+        )
+        driver.initialize(small_sequence[0])
+        restored = load_driver(io.BytesIO(dump_driver_bytes(driver)))
+        assert restored.params.options == self.OPTIONS
+
+    def test_resumed_repartition_run_is_bit_identical(self):
+        """12 steps straight == 6 steps, checkpoint, restore, 6 steps,
+        when every step repartitions with a non-default seed."""
+        from repro.sim.projectile import ImpactConfig
+        from repro.sim.sequence import simulate_impact
+
+        seq = simulate_impact(ImpactConfig(), 12)
+
+        def fresh():
+            driver = ContactStepDriver(
+                K,
+                MCMLDTParams(
+                    pad=0.1,
+                    options=PartitionOptions(ubfactor=1.02, seed=11),
+                ),
+                strategy=UpdateStrategy.REPARTITION,
+                resolve_local=False,
+                backend="serial",
+            )
+            driver.initialize(seq[0])
+            return driver
+
+        straight = fresh()
+        for snap in seq.snapshots:
+            straight.step(snap)
+        first_half = fresh()
+        for snap in seq.snapshots[:6]:
+            first_half.step(snap)
+        resumed = load_driver(
+            io.BytesIO(dump_driver_bytes(first_half)), backend="serial"
+        )
+        for snap in seq.snapshots[6:]:
+            resumed.step(snap)
+        assert np.array_equal(
+            resumed.partitioner.part, straight.partitioner.part
+        )
+
+    def test_checkpoint_without_option_keys_loads_with_defaults(
+        self, small_sequence, tmp_path
+    ):
+        """What a checkpoint written before the options were stored
+        looks like: ``ubfactor`` alone."""
+        import json
+
+        driver = ContactStepDriver(
+            K, MCMLDTParams(pad=0.2, options=self.OPTIONS)
+        )
+        driver.initialize(small_sequence[0])
+        path = tmp_path / "old.npz"
+        save_driver(path, driver)
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            part = data["part"]
+        for name in vars(self.OPTIONS):
+            if name != "ubfactor":
+                del meta["params"][name]
+        np.savez_compressed(
+            path, part=part, meta=np.array(json.dumps(meta))
+        )
+        assert load_driver(path).params.options == PartitionOptions(
+            ubfactor=1.02
+        )
+
+    def test_generator_seed_is_refused_on_load_not_replaced(
+        self, small_sequence
+    ):
+        driver = ContactStepDriver(
+            K,
+            MCMLDTParams(
+                pad=0.2,
+                options=PartitionOptions(seed=np.random.default_rng(3)),
+            ),
+        )
+        driver.initialize(small_sequence[0])
+        blob = dump_driver_bytes(driver)  # in-memory recovery still works
+        with pytest.raises(ValueError, match="seed 'Generator'"):
+            load_driver(io.BytesIO(blob))

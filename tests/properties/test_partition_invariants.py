@@ -1,7 +1,7 @@
 """Randomized invariant tests for the partitioning core.
 
 Hypothesis draws only small integer seeds/shapes; all randomness inside
-an example flows through :func:`repro.utils.rng.as_rng` (RNG001) so any
+an example flows through :func:`repro.utils.rng.as_rng` so any
 failing example replays from its printed inputs.
 
 Invariants checked (paper §2 and §4.1.1):

@@ -5,8 +5,16 @@ import time
 
 import pytest
 
-from repro.service.queue import Job, JobQueue, QueueFullError, RetryPolicy
+from repro.service.queue import (
+    _TERMINAL,
+    _TRANSITIONS,
+    Job,
+    JobQueue,
+    QueueFullError,
+    RetryPolicy,
+)
 from repro.service.schemas import (
+    JOB_STATES,
     SCHEMA_VERSION,
     validate_job_record,
     validate_job_request,
@@ -83,6 +91,35 @@ class TestJobStateMachine:
     def test_unknown_state_rejected(self):
         with pytest.raises(ValueError, match="unknown job state"):
             self.job().transition("paused")
+
+    def test_table_is_well_formed(self):
+        states = set(_TRANSITIONS)
+        assert states == set(JOB_STATES)
+        for src, dsts in _TRANSITIONS.items():
+            assert set(dsts) <= states, f"{src!r} has an undeclared target"
+        reached, frontier = {"queued"}, ["queued"]
+        while frontier:
+            for dst in _TRANSITIONS[frontier.pop()]:
+                if dst not in reached:
+                    reached.add(dst)
+                    frontier.append(dst)
+        assert reached == states
+        assert set(_TERMINAL) == {
+            src for src, dsts in _TRANSITIONS.items() if not dsts
+        }
+
+    def test_transition_accepts_exactly_the_table_edges(self):
+        for src in JOB_STATES:
+            for dst in JOB_STATES:
+                job = self.job()
+                job.state = src
+                if dst in _TRANSITIONS[src]:
+                    job.transition(dst)
+                    assert job.state == dst
+                else:
+                    with pytest.raises(ValueError, match="illegal transition"):
+                        job.transition(dst)
+                    assert job.state == src
 
     def test_deadline(self):
         job = self.job()
