@@ -1,7 +1,8 @@
 """The paper's contribution and its baseline.
 
 * :mod:`repro.core.weights` — the two-constraint, contact-weighted
-  nodal graph model (§4.2).
+  nodal graph model (§4.2), and the builder that carries it across a
+  snapshot sequence.
 * :mod:`repro.core.mcml_dt` — the MCML+DT partitioner: multi-constraint
   partition → decision-tree-guided reshaping (P → P' → P'') →
   pure-tree subdomain descriptors → tree-filtered global search.
@@ -14,7 +15,7 @@
   Table-1 metrics.
 """
 
-from repro.core.weights import build_contact_graph
+from repro.core.weights import ContactGraphBuilder, build_contact_graph
 from repro.core.partitioner import (
     PartitionDiagnostics,
     PartitionResult,
@@ -45,6 +46,7 @@ from repro.core.pipeline import (
 
 __all__ = [
     "build_contact_graph",
+    "ContactGraphBuilder",
     "Partitioner",
     "PartitionDiagnostics",
     "PartitionResult",

@@ -18,6 +18,18 @@ pipeline. Pass ``backend="process:4"`` (or set ``$REPRO_BACKEND``) to
 run the search ranks on a real worker pool; results are bit-identical
 across backends.
 
+A step recomputes only what its snapshot changed. The contact graph
+comes from a :class:`~repro.core.weights.ContactGraphBuilder`, which
+returns the previous step's graph (and, under unchanged labels, its
+``fe_comm`` / imbalance) while connectivity and contact-node set stand
+still, and the partitioner grafts the descriptor subtrees whose points
+and labels did not move (``docs/ALGORITHMS.md``, "Carrying the graph
+and the descriptor tree across snapshots"). Both are keyed on array
+content and checked against from-scratch recomputation in
+``tests/core/test_sequence_reuse.py``, so neither has a switch, is
+checkpointed, or needs invalidating: after a restore, a re-executed
+step or an out-of-order snapshot the comparison simply fails or holds.
+
 Fault tolerance (``docs/FAULT_TOLERANCE.md``): the driver keeps a
 recovery point — a schema-v2 checkpoint, in memory by default — of its
 last good state. When a step's execution backend fails unrecoverably
@@ -43,10 +55,7 @@ from repro.core.local_search import (
 )
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.core.update import UpdateStrategy
-from repro.core.weights import build_contact_graph
-from repro.geometry.bbox import element_bboxes
-from repro.graph.metrics import load_imbalance
-from repro.metrics.comm import fe_comm
+from repro.core.weights import ContactGraphBuilder
 from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.partition.repartition import diffusion_repartition
 from repro.runtime.backends import resolve_backend
@@ -123,6 +132,7 @@ class ContactStepDriver:
         self.resolve_local = resolve_local
         self.backend = resolve_backend(backend)
         self.partitioner = MCMLDTPartitioner(k, self.params)
+        self.graphs = ContactGraphBuilder()
         self.ledger = CommLedger()
         self.tracer = ensure_tracer(tracer)
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
@@ -197,8 +207,8 @@ class ContactStepDriver:
         tracer = self.tracer
         pt = self.partitioner
         with tracer.span("build-graph"):
-            graph = build_contact_graph(
-                snapshot, self.params.contact_edge_weight
+            graph = self.graphs.build(
+                snapshot, self.params.contact_edge_weight, tracer=tracer
             )
 
         # §4.3 update policy
@@ -229,11 +239,8 @@ class ContactStepDriver:
 
         # descriptor update + global search
         tree, _ = pt.build_descriptors(snapshot, tracer=tracer)
-        plan = pt.search_plan(snapshot, tree, tracer=tracer)
-        boxes = element_bboxes(snapshot.mesh.nodes, snapshot.contact_faces)
-        if self.params.pad > 0:
-            boxes[:, 0] -= self.params.pad
-            boxes[:, 1] += self.params.pad
+        boxes = pt.contact_boxes(snapshot)
+        plan = pt.search_plan(snapshot, tree, tracer=tracer, boxes=boxes)
         coords = snapshot.mesh.nodes[snapshot.contact_nodes]
         candidates, _ = parallel_contact_search(
             plan, boxes, snapshot.contact_faces, coords,
@@ -250,12 +257,13 @@ class ContactStepDriver:
                     sorted(candidates),
                 )
 
+        comm, imbalance = self.graphs.measure(pt.part, self.k)
         return StepResult(
             step=snapshot.step,
             nt_nodes=tree.n_nodes,
             n_remote=plan.n_remote,
-            fe_comm=fe_comm(graph, pt.part),
-            imbalance=load_imbalance(graph, pt.part, self.k),
+            fe_comm=comm,
+            imbalance=imbalance,
             repartitioned=repartitioned,
             n_moved=n_moved,
             candidates=candidates,

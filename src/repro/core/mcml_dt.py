@@ -12,7 +12,10 @@ Pipeline per fit:
    piecewise axis-parallel boundaries by construction).
 4. Per snapshot, induce a *pure* tree on the contact points (§4.1) —
    the subdomain geometric descriptors — and filter the global search
-   through it.
+   through it. The partitioner keeps the previous snapshot's tree in a
+   :class:`~repro.dtree.induction.SubtreeMemo`, so a sequence of
+   ``build_descriptors`` calls re-splits only the nodes whose points
+   or labels changed; every tree equals from-scratch induction.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.core.contact_search import face_owner_partition
 from repro.core.partitioner import PartitionResult, make_result
 from repro.core.weights import build_contact_graph
 from repro.dtree.induction import (
+    SubtreeMemo,
     induce_bounded_tree,
     induce_pure_tree,
     suggested_bounds,
@@ -101,6 +105,9 @@ class MCMLDTPartitioner:
         self.params = params or MCMLDTParams()
         self.part: Optional[np.ndarray] = None
         self.diagnostics = FitDiagnostics()
+        # the last descriptor tree; content-keyed, so a new fit, an
+        # assigned ``part`` or an out-of-order snapshot just misses
+        self._descriptor_memo = SubtreeMemo()
 
     # ------------------------------------------------------------------
     def fit(
@@ -226,41 +233,58 @@ class MCMLDTPartitioner:
         """Pure search tree over the snapshot's contact points.
 
         Returns ``(tree, leaf_of_point)``; ``tree.n_nodes`` is NTNodes.
+        Subtrees over points and labels the previous call also saw are
+        taken from it (counter ``tree_nodes_reused``); the tree is the
+        one a from-scratch induction returns.
         """
         self._check_fitted()
         tracer = ensure_tracer(tracer)
         cn = snapshot.contact_nodes
         coords = snapshot.mesh.nodes[cn]
+        memo = self._descriptor_memo
         with tracer.span(SPAN_DTREE_INDUCE):
             tree, leaf_of = induce_pure_tree(
                 coords,
                 self.part[cn],
                 self.k,
                 margin_weight=self.params.margin_weight,
+                memo=memo,
             )
             tracer.count("tree_nodes", tree.n_nodes)
+            tracer.count("tree_nodes_reused", memo.n_grafted)
         return tree, leaf_of
+
+    def contact_boxes(self, snapshot: ContactSnapshot) -> np.ndarray:
+        """Bounding boxes of the snapshot's surface elements, grown by
+        the capture distance ``params.pad`` (a fresh array)."""
+        boxes = element_bboxes(snapshot.mesh.nodes, snapshot.contact_faces)
+        if self.params.pad > 0:
+            boxes[:, 0] -= self.params.pad
+            boxes[:, 1] += self.params.pad
+        return boxes
 
     def search_plan(
         self,
         snapshot: ContactSnapshot,
         tree: Optional[DecisionTree] = None,
         tracer: Optional[TracerBase] = None,
+        boxes: Optional[np.ndarray] = None,
     ) -> SearchPlan:
         """Tree-filtered global search plan for the snapshot's surface
-        elements (NRemote = ``plan.n_remote``)."""
+        elements (NRemote = ``plan.n_remote``).
+
+        ``boxes`` are the snapshot's :meth:`contact_boxes` when the
+        caller already has them (the step driver searches the same
+        boxes right after planning); they are computed here otherwise.
+        """
         self._check_fitted()
         tracer = ensure_tracer(tracer)
         if tree is None:
             tree, _ = self.build_descriptors(snapshot, tracer=tracer)
         with tracer.span("search-plan"):
-            faces = snapshot.contact_faces
-            boxes = element_bboxes(snapshot.mesh.nodes, faces)
-            if self.params.pad > 0:
-                boxes = boxes.copy()
-                boxes[:, 0] -= self.params.pad
-                boxes[:, 1] += self.params.pad
-            owner = face_owner_partition(self.part, faces)
+            if boxes is None:
+                boxes = self.contact_boxes(snapshot)
+            owner = face_owner_partition(self.part, snapshot.contact_faces)
             plan = tree_filter_search(tree, boxes, owner, self.k)
             tracer.count("n_remote", plan.n_remote)
         return plan

@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
-from repro.core.weights import build_contact_graph
+from repro.core.weights import ContactGraphBuilder
 from repro.graph.metrics import load_imbalance
 from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.partition.repartition import diffusion_repartition
@@ -90,6 +90,7 @@ def replay_sequence(
     pt = MCMLDTPartitioner(k, params)
     pt.fit(seq[0], tracer=tracer)
     result = ReplayResult(strategy=strategy, k=k)
+    graphs = ContactGraphBuilder()
 
     for snapshot in seq:
         moved = 0
@@ -98,7 +99,7 @@ def replay_sequence(
             and snapshot.step > 0
             and snapshot.step % period == 0
         )
-        graph = build_contact_graph(snapshot, params.contact_edge_weight)
+        graph = graphs.build(snapshot, params.contact_edge_weight)
         if repartition_now and snapshot.step > 0:
             with tracer.span("repartition"):
                 rep = diffusion_repartition(

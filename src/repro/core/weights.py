@@ -6,16 +6,27 @@ Vertex weights: ``w1(v) = 1`` for every node used by a live element
 weights: ``contact_edge_weight`` (5 in the paper's experiments) between
 two contact nodes — cutting such an edge costs communication in *both*
 phases — and 1 otherwise.
+
+:func:`build_contact_graph` is the pure function. A caller walking a
+snapshot sequence holds a :class:`ContactGraphBuilder` instead: the
+graph depends on the connectivity and the contact-node set only — not
+on coordinates — and those change in a minority of steps (erosion), so
+the builder hands back the previous graph when both are unchanged and
+calls the pure function otherwise. See ``docs/ALGORITHMS.md``,
+"Carrying the graph and the descriptor tree across snapshots".
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.metrics import load_imbalance
 from repro.mesh.nodal_graph import nodal_graph
+from repro.metrics.comm import fe_comm
+from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.sim.sequence import ContactSnapshot
 
 
@@ -61,5 +72,70 @@ def build_contact_graph(
     # contact-contact edges get the heavier weight
     src = np.repeat(np.arange(n), graph.degrees())
     both_contact = is_contact[src] & is_contact[graph.adjncy]
-    adjwgt = np.where(both_contact, contact_edge_weight, 1).astype(np.int64)
+    adjwgt = np.where(
+        both_contact, np.int64(contact_edge_weight), np.int64(1)
+    )
     return CSRGraph(graph.xadj, graph.adjncy, adjwgt, vwgts)
+
+
+class ContactGraphBuilder:
+    """:func:`build_contact_graph` over a snapshot sequence.
+
+    Remembers one graph and what it was built from — node count,
+    element type, ``mesh.elements``, ``contact_nodes`` and the contact
+    edge weight, compared by content. Any difference is a miss, so
+    erosion, refinement, a restored checkpoint or snapshots out of
+    order need no invalidation; what is returned always equals
+    ``build_contact_graph(snapshot, contact_edge_weight)`` array for
+    array. The remembered graph's arrays are read-only: it is handed
+    out again next step, and a stage that edits it in place must fail
+    there rather than corrupt a later step.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[tuple] = None
+        self._graph: Optional[CSRGraph] = None
+        self._measured: Optional[tuple] = None
+
+    def build(
+        self,
+        snapshot: ContactSnapshot,
+        contact_edge_weight: int = 5,
+        tracer: Optional[TracerBase] = None,
+    ) -> CSRGraph:
+        """The snapshot's contact graph; counter ``graph_reused`` says
+        whether it is the previous call's."""
+        mesh = snapshot.mesh
+        key = (
+            mesh.num_nodes, mesh.elem_type, contact_edge_weight,
+            mesh.elements, snapshot.contact_nodes,
+        )
+        reused = self._key is not None and all(
+            map(np.array_equal, self._key, key)
+        )
+        if not reused:
+            graph = build_contact_graph(snapshot, contact_edge_weight)
+            for array in (graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgts):
+                array.setflags(write=False)
+            # copies: a caller may refill its own buffers between steps
+            self._key = tuple(np.array(part) for part in key)
+            self._graph = graph
+            self._measured = None
+        ensure_tracer(tracer).count("graph_reused", int(reused))
+        return self._graph
+
+    def measure(self, part: np.ndarray, k: int) -> Tuple[int, np.ndarray]:
+        """``(fe_comm, load_imbalance)`` of the current graph under
+        ``part``; recounted only when the graph or the labels differ
+        from the ones last measured."""
+        graph = self._graph
+        if graph is None:
+            raise RuntimeError("call build() before measure()")
+        last = self._measured
+        if last is None or last[0] != k or not np.array_equal(last[1], part):
+            last = self._measured = (
+                k, part.copy(), fe_comm(graph, part),
+                load_imbalance(graph, part, k),
+            )
+        _, _, comm, imbalance = last
+        return comm, imbalance.copy()

@@ -13,7 +13,11 @@ gini splitting index (Eq. 1), with two termination modes:
 
 from repro.dtree.splitter import SplitResult, best_split, median_split
 from repro.dtree.tree import DecisionTree, TreeNode
-from repro.dtree.induction import induce_bounded_tree, induce_pure_tree
+from repro.dtree.induction import (
+    SubtreeMemo,
+    induce_bounded_tree,
+    induce_pure_tree,
+)
 from repro.dtree.query import (
     assign_points,
     box_query_pairs,
@@ -29,6 +33,7 @@ __all__ = [
     "TreeNode",
     "induce_pure_tree",
     "induce_bounded_tree",
+    "SubtreeMemo",
     "assign_points",
     "box_query_pairs",
     "tree_filter_search",

@@ -13,17 +13,98 @@ termination predicate and in which splitter a node uses:
 
 Both return ``(tree, leaf_of_point)`` so callers can collapse leaves
 into the refinement graph ``G'`` without re-querying.
+
+Across a snapshot sequence (§4.3: between repartitions only the tree
+is re-induced) most of a tree's nodes see the points and labels they
+saw one step earlier. The engine therefore reads and refills a
+:class:`SubtreeMemo`: a node whose ``(depth, points, labels)`` are
+bit for bit a remembered node's takes that node's whole subtree
+instead of splitting. A subtree is a deterministic function of exactly
+that triple, so the result is the from-scratch tree by construction —
+there is one engine, and a one-shot call runs it without a memo.
+See ``docs/ALGORITHMS.md``, "Carrying the graph and the descriptor
+tree across snapshots".
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dtree.splitter import SplitResult, best_split, median_split
+from repro.dtree.splitter import best_split, median_split
 from repro.dtree.tree import DecisionTree, TreeNode
 from repro.utils.validation import check_array, check_labels, check_positive
+
+#: what identifies a node's input: its depth (the ``max_depth`` cut-off
+#: counts from the root) and the bytes of its points and of its labels
+_Key = Tuple[int, bytes, bytes]
+#: a node without its position: ``(n_points, label, is_pure, dim,
+#: threshold, left - id, right - id)``, child offsets 0 on a leaf
+_Row = Tuple[int, int, bool, int, float, int, int]
+_PENDING = np.empty(0, dtype=np.int64)
+
+
+class SubtreeMemo:
+    """The last tree induced through it, node by node in preorder.
+
+    Nothing in it depends on where a node sits in the tree (child ids
+    and leaf ids are stored relative to the node's own id), so a
+    remembered subtree can be grafted at any position of the next
+    tree, and nothing in it is handed to a caller (nodes are kept as
+    tuples, arrays are the engine's own), so no edit of a returned
+    tree reaches it. Each induction replaces the contents with the
+    tree it built: the memo holds one tree — about ``n · depth`` point
+    records — and there is nothing to invalidate, a changed input is a
+    miss. ``rule`` is the ``(margin_weight, max_depth)`` that tree was
+    induced under; an induction under another rule starts empty. One
+    memo serves one inducer (it does not record the termination
+    predicate).
+    """
+
+    def __init__(self) -> None:
+        self.rule: Optional[Tuple[float, int]] = None
+        self.keys: List[_Key] = []
+        self.rows: List[_Row] = []
+        #: per node, the leaf id of each of its points minus its own id
+        self.leaves: List[np.ndarray] = []
+        self.index: Dict[_Key, int] = {}
+        #: nodes of the last tree that were grafted, not split
+        self.n_grafted = 0
+
+    def subtree(self, key: _Key) -> Optional[slice]:
+        """Where the remembered subtree whose root has ``key`` sits."""
+        first = self.index.get(key)
+        if first is None:
+            return None
+        # preorder: a subtree ends at its right-most leaf
+        last = first
+        while self.rows[last][6]:
+            last += self.rows[last][6]
+        return slice(first, last + 1)
+
+    def replace(
+        self,
+        rule: Tuple[float, int],
+        tree: DecisionTree,
+        keys: List[_Key],
+        leaves: List[np.ndarray],
+        n_grafted: int,
+    ) -> None:
+        """Remember ``tree`` (and only it)."""
+        self.rule = rule
+        self.keys = keys
+        self.leaves = leaves
+        self.rows = [
+            (
+                nd.n_points, nd.label, nd.is_pure, nd.dim, nd.threshold,
+                nd.left - i if nd.left >= 0 else 0,
+                nd.right - i if nd.right >= 0 else 0,
+            )
+            for i, nd in enumerate(tree.nodes)
+        ]
+        self.index = {key: i for i, key in enumerate(keys)}
+        self.n_grafted = n_grafted
 
 
 def _majority_label(labels: np.ndarray) -> int:
@@ -42,6 +123,7 @@ def _induce(
     should_split: Callable[[int, bool], bool],
     margin_weight: float,
     max_depth: int,
+    memo: Optional[SubtreeMemo] = None,
 ) -> Tuple[DecisionTree, np.ndarray]:
     points = check_array("points", np.asarray(points, dtype=float), ndim=2)
     labels = np.asarray(labels, dtype=np.int64)
@@ -52,12 +134,40 @@ def _induce(
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
 
+    rule = (margin_weight, max_depth)
+    old = memo if memo is not None and memo.rule == rule else SubtreeMemo()
     tree = DecisionTree(k=k)
     leaf_of_point = np.full(len(points), -1, dtype=np.int64)
+    keys: List[_Key] = []
+    leaves: List[np.ndarray] = []
+    n_grafted = 0
 
     def build(idx: np.ndarray, depth: int) -> int:
+        nonlocal n_grafted
         nid = len(tree.nodes)
+        sub_points = points[idx]
         sub_labels = labels[idx]
+
+        # without a memo to refill, skip the bookkeeping: a one-shot
+        # induction costs what it did before there was one
+        if memo is not None:
+            key = (depth, sub_points.tobytes(), sub_labels.tobytes())
+            same = old.subtree(key)
+            if same is not None:
+                for i, row in enumerate(old.rows[same], nid):
+                    n_points, label, is_pure, dim, threshold, left, right = row
+                    tree.nodes.append(TreeNode(
+                        n_points, label, is_pure, dim, threshold,
+                        i + left if left else -1, i + right if right else -1,
+                    ))
+                keys.extend(old.keys[same])
+                leaves.extend(old.leaves[same])
+                leaf_of_point[idx] = leaves[nid] + nid
+                n_grafted += same.stop - same.start
+                return nid
+            keys.append(key)
+            leaves.append(_PENDING)  # set below, once its leaves have ids
+
         pure = _is_pure(sub_labels)
         node = TreeNode(
             n_points=len(idx),
@@ -66,36 +176,35 @@ def _induce(
         )
         tree.nodes.append(node)
 
-        if depth >= max_depth or not should_split(len(idx), pure):
-            leaf_of_point[idx] = nid
-            return nid
-
-        sub_points = points[idx]
-        if pure:
-            split = median_split(sub_points)
-        else:
-            split = best_split(sub_points, sub_labels, margin_weight)
+        split = None
+        if depth < max_depth and should_split(len(idx), pure):
+            # None: coincident points with mixed labels (or a single
+            # point) are geometrically unsplittable, must terminate
+            if pure:
+                split = median_split(sub_points)
+            else:
+                split = best_split(sub_points, sub_labels, margin_weight)
+        if split is not None:
+            go_left = sub_points[:, split.dim] <= split.threshold
+            if go_left.all() or not go_left.any():
+                # midpoint rounding between two adjacent floats can land
+                # on one of the coordinates and empty a side; terminate
+                # rather than recurse on a degenerate split
+                split = None
         if split is None:
-            # coincident points with mixed labels (or a single point):
-            # geometrically unsplittable, must terminate
             leaf_of_point[idx] = nid
-            return nid
-
-        go_left = sub_points[:, split.dim] <= split.threshold
-        if go_left.all() or not go_left.any():
-            # midpoint rounding between two adjacent floats can land on
-            # one of the coordinates and empty a side; terminate rather
-            # than recurse on a degenerate split
-            leaf_of_point[idx] = nid
-            return nid
-        node.dim = split.dim
-        node.threshold = split.threshold
-        node.left = build(idx[go_left], depth + 1)
-        node.right = build(idx[~go_left], depth + 1)
-        node.is_pure = pure
+        else:
+            node.dim = split.dim
+            node.threshold = split.threshold
+            node.left = build(idx[go_left], depth + 1)
+            node.right = build(idx[~go_left], depth + 1)
+        if memo is not None:
+            leaves[nid] = leaf_of_point[idx] - nid
         return nid
 
     build(np.arange(len(points)), 0)
+    if memo is not None:
+        memo.replace(rule, tree, keys, leaves, n_grafted)
     return tree, leaf_of_point
 
 
@@ -105,6 +214,7 @@ def induce_pure_tree(
     k: int,
     margin_weight: float = 0.0,
     max_depth: int = 64,
+    memo: Optional[SubtreeMemo] = None,
 ) -> Tuple[DecisionTree, np.ndarray]:
     """Induce the contact-search tree: leaves contain points of a
     single partition (§4.1.1).
@@ -113,6 +223,11 @@ def induce_pure_tree(
     ``max_depth`` guard bounds pathological inputs; leaves cut off by
     it (or by coincident mixed-label points) are impure and flagged
     ``is_pure=False`` so the search can treat them conservatively.
+
+    A caller inducing one tree per snapshot passes the same ``memo``
+    every time: subtrees whose points and labels did not change since
+    the previous call are taken from it, and it is left holding this
+    call's tree. The result is the same with or without one.
     """
     check_positive("k", k)
     points = check_array("points", points, ndim=2)
@@ -127,6 +242,7 @@ def induce_pure_tree(
         should_split=lambda n, pure: not pure,
         margin_weight=margin_weight,
         max_depth=max_depth,
+        memo=memo,
     )
 
 

@@ -1,9 +1,14 @@
 """Graph construction: from edge lists, synthetic generators, adapters.
 
-All builders are fully vectorised — edges are deduplicated and
-symmetrised with one ``lexsort`` rather than per-edge dict operations,
-which keeps construction of million-edge nodal graphs in the
-sub-second range.
+All builders are fully vectorised. :func:`from_edge_list` sorts the
+canonicalised edge keys once (by value when no weights are given — the
+nodal graph's case — with the stable permutation otherwise), merges
+duplicates on the run boundaries of that order and scatters both
+directions of every edge straight into CSR (``bincount`` offsets, one
+more stable sort of the unique edges for the mirrored half) — no
+per-edge Python, no ``np.unique``, no ``np.add.at``. Its output
+arrays are pinned, order within a row included, by
+``tests/graph/reference_build.py``.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
@@ -36,49 +42,72 @@ def from_edge_list(
     check_array("edges", edges, ndim=2, shape=(None, 2))
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoints out of range")
-    if weights is None:
-        weights = np.ones(len(edges), dtype=np.int64)
-    else:
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.int64)
         if len(weights) != len(edges):
             raise ValueError("weights length must match edges")
+    if combine not in ("sum", "max", "first"):
+        raise ValueError(f"unknown combine mode {combine!r}")
 
     # drop self loops
-    keep = edges[:, 0] != edges[:, 1]
-    edges, weights = edges[keep], weights[keep]
+    u, v = edges[:, 0], edges[:, 1]
+    keep = u != v
+    if not keep.all():
+        u, v = u[keep], v[keep]
+        if weights is not None:
+            weights = weights[keep]
 
-    # canonicalise (u < v), dedupe, merge weights
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    key = lo * np.int64(n) + hi
-    order = np.argsort(key, kind="stable")
-    key, lo, hi, weights = key[order], lo[order], hi[order], weights[order]
-    uniq_key, start = np.unique(key, return_index=True)
-    if combine == "sum":
-        merged_w = np.add.reduceat(weights, start) if len(weights) else weights
-    elif combine == "max":
-        merged_w = (
-            np.maximum.reduceat(weights, start) if len(weights) else weights
-        )
-    elif combine == "first":
-        merged_w = weights[start]
+    # canonicalise (lo < hi) and sort once; an edge's duplicates are
+    # then one run of equal keys, in input order
+    key = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+    if weights is None:
+        # unit weights: a merged weight is the run's length or 1, so
+        # the keys are sorted by value and no permutation is applied
+        key = np.sort(key)
     else:
-        raise ValueError(f"unknown combine mode {combine!r}")
-    lo, hi = lo[start], hi[start]
+        order = np.argsort(key, kind="stable")
+        key, weights = key[order], weights[order]
+    is_start = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=is_start[1:])
+    start = np.flatnonzero(is_start)
+    m = len(start)
+    if weights is None:
+        if combine == "sum":
+            wgt = np.diff(start, append=len(key))
+        else:
+            wgt = np.ones(m, dtype=np.int64)
+    elif combine == "first" or not m:
+        wgt = weights[start]
+    elif combine == "sum":
+        wgt = np.add.reduceat(weights, start)
+    else:
+        wgt = np.maximum.reduceat(weights, start)
+    lo, hi = np.divmod(key[start], np.int64(n))
 
-    # symmetrise and pack into CSR
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
-    wgt = np.concatenate((merged_w, merged_w))
-    order = np.argsort(src, kind="stable")
-    src, dst, wgt = src[order], dst[order], wgt[order]
+    # Symmetrise straight into CSR. Row v is [larger neighbours
+    # ascending, then smaller ascending] — partitioner tie-breaks read
+    # that order, so it is part of the contract. The ``lo`` copy of
+    # the edges is already in row order; the ``hi`` copy needs one
+    # stable sort of m keys.
+    n_up = np.bincount(lo, minlength=n)
+    n_down = np.bincount(hi, minlength=n)
     xadj = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(xadj, src + 1, 1)
-    xadj = np.cumsum(xadj)
+    np.cumsum(n_up + n_down, out=xadj[1:])
+    adjncy = np.empty(2 * m, dtype=np.int64)
+    adjwgt = np.empty(2 * m, dtype=np.int64)
+    slot = np.arange(m, dtype=np.int64)
+    up = slot + (xadj[:-1] - (np.cumsum(n_up) - n_up))[lo]
+    adjncy[up] = hi
+    adjwgt[up] = wgt
+    by_hi = np.argsort(hi, kind="stable")
+    row = hi[by_hi]
+    down = slot + (xadj[:-1] + n_up - (np.cumsum(n_down) - n_down))[row]
+    adjncy[down] = lo[by_hi]
+    adjwgt[down] = wgt[by_hi]
 
     if vwgts is None:
         vwgts = np.ones((n, 1), dtype=np.int64)
-    return CSRGraph(xadj, dst, wgt, vwgts)
+    return CSRGraph(xadj, adjncy, adjwgt, vwgts)
 
 
 def grid_graph(
@@ -137,51 +166,13 @@ def random_geometric_graph(
 
     Vertices are uniform points; edges join pairs within ``radius``.
     Used to exercise the geometry-coupled code paths (RCB, decision
-    trees) on irregular inputs. Pair search uses a uniform grid binning
-    so construction is near-linear for small radii.
+    trees) on irregular inputs. Pair search is a KD-tree radius query.
     """
     check_positive("n", n)
     check_positive("radius", radius)
     rng = as_rng(seed)
     pts = rng.random((n, dim))
-    cell = max(radius, 1e-9)
-    keys = np.floor(pts / cell).astype(np.int64)
-    # map cell tuples to ids
-    mult = np.array(
-        [int(np.ceil(1.0 / cell)) + 2] * dim, dtype=np.int64
-    )
-    cell_id = np.zeros(n, dtype=np.int64)
-    for d in range(dim):
-        cell_id = cell_id * mult[d] + keys[:, d]
-    order = np.argsort(cell_id, kind="stable")
-    edges = []
-    # candidate pairs: same or adjacent cells; brute force within buckets
-    from collections import defaultdict
-
-    buckets = defaultdict(list)
-    for i in range(n):
-        buckets[tuple(keys[i])].append(i)
-    offsets = np.array(
-        np.meshgrid(*([[-1, 0, 1]] * dim), indexing="ij")
-    ).reshape(dim, -1).T
-    r2 = radius * radius
-    for ck, members in buckets.items():
-        mem = np.asarray(members)
-        for off in offsets:
-            nk = tuple(np.asarray(ck) + off)
-            if nk not in buckets:
-                continue
-            other = np.asarray(buckets[nk])
-            d2 = ((pts[mem, None, :] - pts[None, other, :]) ** 2).sum(-1)
-            ii, jj = np.nonzero(d2 <= r2)
-            for a, b in zip(mem[ii], other[jj]):
-                if a < b:
-                    edges.append((a, b))
-    edges = (
-        np.asarray(edges, dtype=np.int64)
-        if edges
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    edges = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     return from_edge_list(n, edges), pts
 
 

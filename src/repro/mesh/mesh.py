@@ -102,7 +102,11 @@ class Mesh:
 
     def used_nodes(self) -> np.ndarray:
         """Sorted ids of nodes referenced by at least one element."""
-        return np.unique(self.elements)
+        # a mark-and-collect over the node range, not a sort of the
+        # m * npe connectivity entries
+        seen = np.zeros(self.num_nodes, dtype=bool)
+        seen[self.elements.ravel()] = True
+        return np.flatnonzero(seen)
 
     def with_elements(
         self, keep: np.ndarray, drop_orphans: bool = False

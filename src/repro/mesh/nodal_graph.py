@@ -32,13 +32,13 @@ def nodal_graph(
     of weight 1 (or max of the provided per-edge weights).
     """
     table = ELEMENT_EDGES[mesh.elem_type]
-    edges = mesh.elements[:, table].reshape(-1, 2)
+    # (m, 2 * edges per element) -> one row per element edge
+    edges = mesh.elements.take(table.ravel(), axis=1).reshape(-1, 2)
     if edge_weights is not None:
-        weights = np.asarray(edge_weights, dtype=np.int64)
-        if len(weights) != len(edges):
+        edge_weights = np.asarray(edge_weights, dtype=np.int64)
+        if len(edge_weights) != len(edges):
             raise ValueError("edge_weights must align with element edges")
-    else:
-        weights = np.ones(len(edges), dtype=np.int64)
     return from_edge_list(
-        mesh.num_nodes, edges, weights=weights, vwgts=vwgts, combine="max"
+        mesh.num_nodes, edges, weights=edge_weights, vwgts=vwgts,
+        combine="max",
     )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dtree.induction import (
+    SubtreeMemo,
     induce_bounded_tree,
     induce_pure_tree,
     suggested_bounds,
@@ -125,6 +126,119 @@ class TestPureTree:
         tree, _ = induce_pure_tree(pts, labels, k)
         tree.validate()
         assert np.array_equal(predict_partition(tree, pts), labels)
+
+
+class TestSubtreeMemo:
+    """A memo changes which nodes are split, never the tree."""
+
+    @staticmethod
+    def same(got, expected):
+        (tree, leaf_of), (ref_tree, ref_leaf_of) = got, expected
+        assert tree.nodes == ref_tree.nodes  # dataclass ==: every field
+        assert tree.k == ref_tree.k
+        assert np.array_equal(leaf_of, ref_leaf_of)
+        tree.validate()
+
+    @staticmethod
+    def drifting(seed, n=400, k=5, steps=8):
+        """A point cloud in which one corner moves and a few labels
+        flip every step; most subtrees see unchanged inputs."""
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, 3))
+        labels = (pts[:, 0] * k).astype(np.int64)
+        for _ in range(steps):
+            yield pts.copy(), labels.copy()
+            corner = (pts[:, 0] < 0.3) & (pts[:, 1] < 0.5)
+            pts[corner] += 0.01 * rng.standard_normal((corner.sum(), 3))
+            labels[rng.integers(0, n, size=3)] = rng.integers(0, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sequence_equals_from_scratch(self, seed):
+        memo = SubtreeMemo()
+        grafted = 0
+        for pts, labels in self.drifting(seed):
+            got = induce_pure_tree(pts, labels, 5, memo=memo)
+            self.same(got, induce_pure_tree(pts, labels, 5))
+            assert 0 <= memo.n_grafted <= got[0].n_nodes
+            grafted += memo.n_grafted
+        assert grafted > 0
+
+    def test_same_input_grafts_the_whole_tree(self):
+        pts, labels = three_clusters()
+        memo = SubtreeMemo()
+        first = induce_pure_tree(pts, labels, 3, memo=memo)
+        assert memo.n_grafted == 0
+        again = induce_pure_tree(pts, labels, 3, memo=memo)
+        assert memo.n_grafted == first[0].n_nodes
+        self.same(again, first)
+        assert again[0].nodes[0] is not first[0].nodes[0]
+
+    def test_editing_a_returned_tree_does_not_reach_the_memo(self):
+        # ``dtree.parallel._graft`` rewrites ``tree.nodes`` in place
+        pts, labels = three_clusters()
+        memo = SubtreeMemo()
+        tree, leaf_of = induce_pure_tree(pts, labels, 3, memo=memo)
+        for nd in tree.nodes:
+            nd.left = nd.right = nd.label = 0
+            nd.threshold = -1.0
+        del tree.nodes[1:]
+        leaf_of[:] = -7
+        self.same(
+            induce_pure_tree(pts, labels, 3, memo=memo),
+            induce_pure_tree(pts, labels, 3),
+        )
+
+    def test_depth_cutoff_stays_exact(self):
+        # the root's left child in the second call is the whole first
+        # cloud, one level deeper: grafting the remembered root there
+        # would run one level past max_depth
+        rng = np.random.default_rng(2)
+        pts = rng.random((64, 2))
+        labels = rng.integers(0, 4, size=64)
+        both = np.concatenate((pts, pts + [5.0, 0.0]))
+        both_labels = np.concatenate((labels, labels + 4))
+        for max_depth in (1, 2, 3, 5):
+            memo = SubtreeMemo()
+            induce_pure_tree(pts, labels, 8, max_depth=max_depth, memo=memo)
+            got = induce_pure_tree(
+                both, both_labels, 8, max_depth=max_depth, memo=memo
+            )
+            root = got[0].nodes[0]
+            assert (root.dim, got[0].nodes[root.left].n_points) == (0, 64)
+            self.same(
+                got,
+                induce_pure_tree(both, both_labels, 8, max_depth=max_depth),
+            )
+
+    def test_another_rule_starts_empty(self):
+        pts, labels = three_clusters(seed=4)
+        memo = SubtreeMemo()
+        induce_pure_tree(pts, labels, 3, memo=memo)
+        for kwargs in ({"max_depth": 2}, {"margin_weight": 0.5}):
+            got = induce_pure_tree(pts, labels, 3, memo=memo, **kwargs)
+            assert memo.n_grafted == 0
+            self.same(got, induce_pure_tree(pts, labels, 3, **kwargs))
+
+    def test_other_dimension_same_bytes_is_a_miss(self):
+        # 6 points in 2-D and 4 in 3-D are the same 96 bytes; the
+        # label bytes tell them apart
+        flat = np.arange(12, dtype=float)
+        memo = SubtreeMemo()
+        induce_pure_tree(flat.reshape(6, 2), np.zeros(6, int), 2, memo=memo)
+        got = induce_pure_tree(
+            flat.reshape(4, 3), np.zeros(4, int), 2, memo=memo
+        )
+        assert memo.n_grafted == 0
+        assert got[0].nodes[0].n_points == 4
+
+    def test_failed_call_leaves_the_memo_alone(self):
+        pts, labels = three_clusters()
+        memo = SubtreeMemo()
+        tree, _ = induce_pure_tree(pts, labels, 3, memo=memo)
+        with pytest.raises(ValueError):
+            induce_pure_tree(pts[:0], labels[:0], 3, memo=memo)
+        induce_pure_tree(pts, labels, 3, memo=memo)
+        assert memo.n_grafted == tree.n_nodes
 
 
 class TestBoundedTree:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.mesh.element import ELEMENT_DIM, ELEMENT_NODES
 from repro.mesh.generators import structured_box_mesh, structured_quad_mesh
 from repro.mesh.mesh import Mesh
+from tests.graph.reference_build import used_nodes_reference
 
 
 class TestConstruction:
@@ -47,6 +49,21 @@ class TestDerived:
     def test_used_nodes_complete_for_fresh_mesh(self):
         m = structured_box_mesh(2, 2, 2)
         assert len(m.used_nodes()) == m.num_nodes
+
+    @pytest.mark.parametrize("elem_type", sorted(ELEMENT_NODES))
+    @pytest.mark.parametrize("n_elements", [0, 1, 40])
+    def test_used_nodes_equals_the_unique_it_replaced(
+        self, elem_type, n_elements
+    ):
+        # sparse connectivity over 200 nodes: most nodes are orphans
+        rng = np.random.default_rng(n_elements)
+        npe = ELEMENT_NODES[elem_type]
+        elements = rng.integers(0, 200, size=(n_elements, npe))
+        m = Mesh(np.zeros((200, ELEMENT_DIM[elem_type])), elements, elem_type)
+        got, expected = m.used_nodes(), used_nodes_reference(m.elements)
+        assert got.dtype == expected.dtype
+        assert got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, expected)
 
 
 class TestWithElements:
