@@ -8,12 +8,35 @@ column is one balance constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_array
+
+
+class AdjacencyLists(NamedTuple):
+    """The four CSR arrays as flat Python lists (:attr:`CSRGraph.lists`).
+
+    Neighbour ``i`` of vertex ``v``, for ``i`` in
+    ``range(start[v], start[v + 1])``, is ``nbr[i]`` over an edge of
+    weight ``wgt[i]``; ``vwgt`` is the vertex-weight matrix row by row.
+    Every element is a Python ``int``. Flat on purpose: per-vertex rows
+    are tens of thousands of containers for the garbage collector to
+    walk, which made building them 4× dearer than reading them saves.
+    """
+
+    start: List[int]
+    nbr: List[int]
+    wgt: List[int]
+    vwgt: List[int]
+    ncon: int
+
+    def weights(self, v: int) -> List[int]:
+        """Vertex ``v``'s weight row (one entry per constraint)."""
+        return self.vwgt[v * self.ncon : (v + 1) * self.ncon]
 
 
 @dataclass
@@ -88,6 +111,32 @@ class CSRGraph:
         """Weights of the edges incident to ``v``, aligned with
         :meth:`neighbors`."""
         return self.adjwgt[self.xadj[v] : self.xadj[v + 1]]
+
+    @cached_property
+    def lists(self) -> AdjacencyLists:
+        """List twin of the arrays, for the partitioner's move loops.
+
+        A scalar loop that visits one neighbourhood per move pays for a
+        fresh array view and ``np.int64`` boxing on every element it
+        reads from the arrays; over lists of Python ints the same visit
+        is 3–4× cheaper. Built by four ``tolist()`` calls on first use
+        and kept for the life of the instance: the arrays are never
+        written in place, and :meth:`with_vwgts` / :meth:`with_adjwgt`
+        / :meth:`copy` build new instances that start without it. Not a
+        field: not compared, not ``repr``-ed, not pickled.
+        """
+        return AdjacencyLists(
+            self.xadj.tolist(),
+            self.adjncy.tolist(),
+            self.adjwgt.tolist(),
+            self.vwgts.ravel().tolist(),
+            self.ncon,
+        )
+
+    def __getstate__(self) -> Dict[str, np.ndarray]:
+        state = dict(self.__dict__)
+        state.pop("lists", None)  # derived: rebuilt on demand after loading
+        return state
 
     def incident_edges(
         self, vertices: np.ndarray

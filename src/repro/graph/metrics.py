@@ -13,14 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.utils.arrays import sum_by_label
 
 
 def partition_weights(graph: CSRGraph, part: np.ndarray, k: int) -> np.ndarray:
     """Per-partition, per-constraint weight sums, shape ``(k, ncon)``."""
-    part = np.asarray(part, dtype=np.int64)
-    out = np.zeros((k, graph.ncon), dtype=np.int64)
-    np.add.at(out, part, graph.vwgts)
-    return out
+    return sum_by_label(np.asarray(part, dtype=np.int64), graph.vwgts, k)
 
 
 def edge_cut(graph: CSRGraph, part: np.ndarray) -> int:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 from repro.graph.csr import CSRGraph
+from repro.utils.arrays import sum_by_label
 
 
 def contract(graph: CSRGraph, cmap: np.ndarray, n_coarse: int) -> CSRGraph:
@@ -31,8 +32,7 @@ def contract(graph: CSRGraph, cmap: np.ndarray, n_coarse: int) -> CSRGraph:
         raise ValueError("cmap values out of range")
 
     # coarse vertex weights
-    cvw = np.zeros((n_coarse, graph.ncon), dtype=np.int64)
-    np.add.at(cvw, cmap, graph.vwgts)
+    cvw = sum_by_label(cmap, graph.vwgts, n_coarse)
 
     # coarse edges
     src = cmap[np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())]
@@ -48,13 +48,11 @@ def contract(graph: CSRGraph, cmap: np.ndarray, n_coarse: int) -> CSRGraph:
     key = src * np.int64(n_coarse) + dst
     order = np.argsort(key, kind="stable")
     key, src, dst, wgt = key[order], src[order], dst[order], wgt[order]
-    uniq, start = np.unique(key, return_index=True)
+    start = np.flatnonzero(np.diff(key, prepend=np.int64(-1)))
     merged_w = np.add.reduceat(wgt, start)
     src, dst = src[start], dst[start]
 
-    xadj = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.add.at(xadj, src + 1, 1)
-    xadj = np.cumsum(xadj)
+    xadj = np.cumsum(np.bincount(src + 1, minlength=n_coarse + 1))
     return CSRGraph(xadj, dst, merged_w, cvw)
 
 
@@ -76,9 +74,7 @@ def induced_subgraph(
     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
     keep = (local[src] >= 0) & (local[graph.adjncy] >= 0)
     s, d, w = local[src[keep]], local[graph.adjncy[keep]], graph.adjwgt[keep]
-    xadj = np.zeros(len(vertices) + 1, dtype=np.int64)
-    np.add.at(xadj, s + 1, 1)
-    xadj = np.cumsum(xadj)
+    xadj = np.cumsum(np.bincount(s + 1, minlength=len(vertices) + 1))
     order = np.argsort(s, kind="stable")
     sub = CSRGraph(xadj, d[order], w[order], graph.vwgts[vertices])
     return sub, vertices

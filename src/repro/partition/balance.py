@@ -65,30 +65,6 @@ def is_feasible(
     return violation(pwgts, targets, ubfactor) <= 1e-12
 
 
-def move_keeps_feasible(
-    pwgts: np.ndarray,
-    vwgt: np.ndarray,
-    src: int,
-    dst: int,
-    targets: np.ndarray,
-    ubfactor: float,
-) -> bool:
-    """Would moving a vertex of weight ``vwgt`` from ``src`` to ``dst``
-    keep (or leave) the destination within bounds?
-
-    Only the destination can gain weight, so only it is checked.
-    Zero-total constraints are ignored.
-    """
-    allowed = max_allowed(targets, ubfactor)
-    new_dst = pwgts[dst] + vwgt
-    for j in range(targets.shape[1]):
-        if targets[:, j].sum() <= 0:
-            continue
-        if new_dst[j] > allowed[dst, j]:
-            return False
-    return True
-
-
 def violation_delta(
     pwgts: np.ndarray,
     vwgt: np.ndarray,

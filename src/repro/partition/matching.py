@@ -6,7 +6,10 @@ rest retry next round. A few rounds match the large majority of
 vertices, all with whole-array NumPy passes instead of a per-vertex
 Python loop — the standard way to keep multilevel coarsening fast in
 array languages, and the same scheme used by parallel multilevel
-partitioners.
+partitioners. A round sorts nothing: masking the edge arrays keeps CSR
+order, so a vertex's live entries are one run and its proposal is a
+segmented maximum (``np.maximum.reduceat``) of the weights, then of the
+random priorities among the heaviest.
 """
 
 from __future__ import annotations
@@ -37,12 +40,21 @@ def _propose(
     if not ok.any():
         return proposal
     s, d, w = src[ok], dst[ok], graph.adjwgt[ok]
-    # ascending sort by (src, weight, prio[dst]); the last edge of each
-    # src-run is that vertex's argmax
-    order = np.lexsort((prio[d], w, s))
-    s, d = s[order], d[order]
-    last = np.nonzero(np.diff(s, append=np.int64(-1)))[0]
-    proposal[s[last]] = d[last]
+    # the mask keeps CSR order, so ``s`` is ascending and each vertex's
+    # live entries form one run: its argmax by (weight, prio[dst]) is
+    # two segmented maxima, no sort
+    first = np.diff(s, prepend=np.int64(-1)) != 0
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    heaviest = w == np.maximum.reduceat(w, starts)[run]
+    p = np.where(heaviest, prio[d], -np.inf)
+    best = p == np.maximum.reduceat(p, starts)[run]
+    # equal priorities: the last such entry in CSR order wins, as the
+    # last of a stable ascending sort's run would
+    pick = np.maximum.reduceat(
+        np.where(best, np.arange(len(s), dtype=np.int64), -1), starts
+    )
+    proposal[s[starts]] = d[pick]
     return proposal
 
 

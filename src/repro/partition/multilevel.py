@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.metrics import edge_cut
+from repro.graph.metrics import edge_cut, partition_weights
 from repro.obs.tracer import (
     SPAN_COARSEN,
     SPAN_INITIAL,
@@ -25,10 +25,7 @@ from repro.partition.balance import target_weights, violation
 from repro.partition.coarsen import coarsen
 from repro.partition.config import PartitionOptions
 from repro.partition.initial import initial_bisection
-from repro.partition.refine_fm import (
-    _partition_weights2,
-    fm_refine_bisection,
-)
+from repro.partition.refine_fm import fm_refine_bisection
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_csr_arrays, check_in_range
 
@@ -76,7 +73,7 @@ def multilevel_bisection(
             cand = fm_refine_bisection(
                 coarsest, cand, coarse_targets, options
             )
-            pw = _partition_weights2(coarsest, cand)
+            pw = partition_weights(coarsest, cand, 2)
             key = (
                 violation(pw, coarse_targets, options.ubfactor),
                 edge_cut(coarsest, cand),

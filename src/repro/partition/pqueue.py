@@ -1,25 +1,40 @@
-"""Max-priority queue with updatable keys, for FM refinement.
+"""Max-priority queue with updatable keys, for the FM move loops.
 
-Classic heap + lazy invalidation: updating a vertex pushes a fresh
-entry and bumps a version counter; stale entries are discarded on pop.
-For FM's access pattern (many updates to boundary vertices) this is
-simpler and, in Python, faster than a indexed binary heap.
+Classic heap + lazy invalidation: updating an item pushes a fresh
+entry stamped with a running count; stale entries are discarded on
+peek/pop. Three loops run on it — the boundary queues of
+:func:`repro.partition.refine_fm._fm_pass` (one for both sides, the
+side folded into the priority) and of
+:func:`repro.partition.refine_kway_fm.kway_fm_refine`, and the
+frontier of :func:`repro.partition.initial.greedy_graph_growing` —
+with vertex ids as items and integer gains as priorities.
+
+Entries are ``(-priority, count, item)`` and the count is unique, so
+entries are totally ordered and the pop sequence depends only on the
+order of insertions, not on the heap's layout: a batch handed to the
+constructor and ``heapify``-ed pops exactly as the same batch inserted
+one by one. Equal priorities leave the queue first-in first-out.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Iterable, Optional, Tuple
 
 
 class MaxPQ:
     """Max-priority queue keyed by arbitrary hashable items."""
 
-    def __init__(self) -> None:
-        self._heap: list = []
-        self._version: dict = {}
-        self._counter = itertools.count()
+    def __init__(
+        self, entries: Iterable[Tuple[Hashable, float]] = ()
+    ) -> None:
+        self._heap = [
+            (-priority, count, item)
+            for count, (item, priority) in enumerate(entries)
+        ]
+        self._version = {item: count for _, count, item in self._heap}
+        self._count = len(self._heap)
+        heapq.heapify(self._heap)
 
     def __len__(self) -> int:
         return len(self._version)
@@ -29,7 +44,8 @@ class MaxPQ:
 
     def insert(self, item: Hashable, priority: float) -> None:
         """Insert or update ``item`` with ``priority``."""
-        count = next(self._counter)
+        count = self._count
+        self._count = count + 1
         self._version[item] = count
         # negate for max-heap on heapq's min-heap; counter breaks ties FIFO
         heapq.heappush(self._heap, (-priority, count, item))
@@ -42,26 +58,20 @@ class MaxPQ:
 
     def peek(self) -> Optional[Tuple[Hashable, float]]:
         """Return ``(item, priority)`` of the max without removing it."""
-        self._drop_stale()
-        if not self._heap:
-            return None
-        neg, _, item = self._heap[0]
-        return item, -neg
-
-    def pop(self) -> Optional[Tuple[Hashable, float]]:
-        """Remove and return ``(item, priority)`` of the max, or ``None``."""
-        self._drop_stale()
-        if not self._heap:
-            return None
-        neg, count, item = heapq.heappop(self._heap)
-        del self._version[item]
-        return item, -neg
-
-    def _drop_stale(self) -> None:
-        heap = self._heap
-        version = self._version
+        heap, version = self._heap, self._version
         while heap:
             neg, count, item = heap[0]
             if version.get(item) == count:
-                return
-            heapq.heappop(heap)
+                return item, -neg
+            heapq.heappop(heap)  # stale
+        return None
+
+    def pop(self) -> Optional[Tuple[Hashable, float]]:
+        """Remove and return ``(item, priority)`` of the max, or ``None``."""
+        heap, version = self._heap, self._version
+        while heap:
+            neg, count, item = heapq.heappop(heap)
+            if version.get(item) == count:
+                del version[item]
+                return item, -neg
+        return None

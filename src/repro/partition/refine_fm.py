@@ -10,75 +10,69 @@ Each pass has two phases:
    whose move keeps the bisection feasible, allowing a bounded run of
    negative-gain moves, then roll back to the best prefix seen.
 
-Gains are maintained incrementally; the initial gain vector is computed
-with one vectorised pass over the edge arrays.
+Whole-graph state is array code: one same-side mask over the edge
+arrays per pass yields the gain vector, the boundary and the cut. The
+move loops are inherently sequential and run on Python ints — the
+graph through :attr:`~repro.graph.csr.CSRGraph.lists`, the hill-climb's
+sides and gains as lists kept in step with ``part``, locks in a
+``bytearray`` — and one :class:`~repro.partition.balance.BalanceTracker`
+per refinement call answers both phases' balance questions.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.metrics import edge_cut
-from repro.partition.balance import (
-    BalanceTracker,
-    is_feasible,
-    move_keeps_feasible,
-    violation,
-    violation_delta,
-)
+from repro.graph.metrics import partition_weights
+from repro.partition.balance import BalanceTracker
 from repro.partition.config import PartitionOptions
 from repro.partition.pqueue import MaxPQ
+from repro.utils.arrays import sum_by_label
+
+
+def _edge_state(
+    graph: CSRGraph, part: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(gains, boundary, cut)`` of a bisection: per-vertex external
+    minus internal edge weight, the mask of vertices with a neighbour
+    on the other side, and the edge cut."""
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    same = part[src] == part[graph.adjncy]
+    gains = sum_by_label(src, np.where(same, -graph.adjwgt, graph.adjwgt), n)
+    boundary = np.zeros(n, dtype=bool)
+    boundary[src[~same]] = True
+    return gains, boundary, int(graph.adjwgt[~same].sum() // 2)
 
 
 def gain_vector(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
     """FM gains for all vertices: external minus internal edge weight."""
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    same = part[src] == part[graph.adjncy]
-    contrib = np.where(same, -graph.adjwgt, graph.adjwgt)
-    gains = np.zeros(n, dtype=np.int64)
-    np.add.at(gains, src, contrib)
-    return gains
-
-
-def _boundary_mask(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    cut = part[src] != part[graph.adjncy]
-    mask = np.zeros(n, dtype=bool)
-    mask[src[cut]] = True
-    return mask
-
-
-def _partition_weights2(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
-    pw = np.zeros((2, graph.ncon), dtype=np.int64)
-    np.add.at(pw, part, graph.vwgts)
-    return pw
+    return _edge_state(graph, part)[0]
 
 
 def _rebalance(
     graph: CSRGraph,
     part: np.ndarray,
-    pwgts: np.ndarray,
-    targets: np.ndarray,
-    ubfactor: float,
+    tracker: BalanceTracker,
     max_moves: int,
 ) -> None:
-    """Greedy violation descent (phase 1). Mutates ``part``/``pwgts``.
+    """Greedy violation descent (phase 1). Mutates ``part``/``tracker``.
 
     Each move targets the worst (side, constraint) excess and scores
     only vertices carrying weight in that constraint; gains are
     maintained incrementally after each move.
     """
-    tracker = BalanceTracker(pwgts, targets, ubfactor)
-    if tracker.total <= 1e-12:
+    # the two rows are recomputed from the weights on every move, so
+    # their sum carries no drift from earlier passes (``total`` does)
+    if tracker.violation_of(0) + tracker.violation_of(1) <= 1e-12:
         return
-    gains = gain_vector(graph, part)
-    boundary = _boundary_mask(graph, part)
+    gains, boundary, _ = _edge_state(graph, part)
     vwgts = graph.vwgts
+    lists = graph.lists
+    start, nbr, wgt = lists.start, lists.nbr, lists.wgt
 
     for _ in range(max_moves):
         worst = tracker.worst()
@@ -92,12 +86,18 @@ def _rebalance(
             cand = np.nonzero((part == side) & (vwgts[:, j_star] > 0))[0]
         if len(cand) == 0:
             break  # the binding weight cannot be exported at all
-        # best balance improvement, then best gain
+        # best balance improvement, then best gain. HAZARD: this argsort
+        # is NumPy's default *unstable* sort, so which of several
+        # equal-gain candidates land in the top 64 depends on the sort
+        # kernel NumPy dispatches to (AVX-512 here), and paper-scale
+        # labels depend on it: kind="stable" moves the k = 25 fit from
+        # cut 7,045 to 7,169. Leave the expression verbatim; an explicit
+        # tie-break is a quality change that re-pins the label digests
+        # (ROADMAP item 4).
         top = cand[np.argsort(gains[cand])[::-1][:64]]
         best = None  # (delta, -gain, v)
-        for v in top:
-            v = int(v)
-            dv = tracker.delta_move(side, 1 - side, vwgts[v].tolist())
+        for v in top.tolist():
+            dv = tracker.delta_move(side, 1 - side, lists.weights(v))
             if dv < -1e-12:
                 key = (dv, -gains[v], v)
                 if best is None or key < best:
@@ -105,20 +105,19 @@ def _rebalance(
         if best is None:
             break  # no single move improves balance
         _, _, v = best
-        part[v] = 1 - side
-        tracker.apply_move(side, 1 - side, vwgts[v].tolist())
+        dst = 1 - side
+        part[v] = dst
+        tracker.apply_move(side, dst, lists.weights(v))
         # incremental gain + boundary maintenance around v
         gains[v] = -gains[v]
-        nbrs = graph.neighbors(v)
-        wts = graph.edge_weights_of(v)
-        for u, w in zip(nbrs, wts):
-            if part[u] == part[v]:
-                gains[u] -= 2 * w
+        for i in range(start[v], start[v + 1]):
+            u = nbr[i]
+            if part[u] == dst:
+                gains[u] -= 2 * wgt[i]
             else:
-                gains[u] += 2 * w
+                gains[u] += 2 * wgt[i]
             boundary[u] = True
         boundary[v] = True
-    pwgts[:] = tracker.pwgts_array().astype(np.int64)
 
 
 def fm_refine_bisection(
@@ -133,14 +132,12 @@ def fm_refine_bisection(
     """
     n = graph.num_vertices
     part = np.asarray(part, dtype=np.int64)
-    pwgts = _partition_weights2(graph, part)
-
+    tracker = BalanceTracker(
+        partition_weights(graph, part, 2), targets, options.ubfactor
+    )
     for _pass in range(options.fm_passes):
-        _rebalance(
-            graph, part, pwgts, targets, options.ubfactor, max_moves=n
-        )
-        improved = _fm_pass(graph, part, pwgts, targets, options)
-        if not improved:
+        _rebalance(graph, part, tracker, max_moves=n)
+        if not _fm_pass(graph, part, tracker, options):
             break
     return part
 
@@ -148,52 +145,47 @@ def fm_refine_bisection(
 def _fm_pass(
     graph: CSRGraph,
     part: np.ndarray,
-    pwgts: np.ndarray,
-    targets: np.ndarray,
+    tracker: BalanceTracker,
     options: PartitionOptions,
 ) -> bool:
     """One FM hill-climbing pass. Returns True if the cut improved."""
-    gains = gain_vector(graph, part)
-    boundary = _boundary_mask(graph, part)
-    locked = np.zeros(graph.num_vertices, dtype=bool)
+    gain_arr, boundary, start_cut = _edge_state(graph, part)
+    lists = graph.lists
+    start, nbr, wgt = lists.start, lists.nbr, lists.wgt
+    gains: List[int] = gain_arr.tolist()
+    sides: List[int] = part.tolist()  # mirror of ``part``, kept in step
+    locked = bytearray(graph.num_vertices)
 
-    queues = (MaxPQ(), MaxPQ())
-    for v in np.nonzero(boundary)[0]:
-        queues[part[v]].insert(int(v), float(gains[v]))
+    # One queue for both sides, keyed ``2 * gain + (1 - side)``: the
+    # larger gain leads, side 0 wins a gain tie, and a side's equal
+    # gains leave first-in first-out. The initial batch is heapified,
+    # boundary vertices ascending.
+    bnd = np.flatnonzero(boundary).tolist()
+    queue = MaxPQ((v, 2 * gains[v] + 1 - sides[v]) for v in bnd)
 
-    start_cut = cur_cut = edge_cut(graph, part)
-    best_cut = cur_cut
-    moves: list = []  # (v, from_side)
+    cur_cut = best_cut = start_cut
+    moves: List[Tuple[int, int]] = []  # (v, from_side)
     best_len = 0
     since_best = 0
 
     while since_best < options.fm_neg_moves:
-        # pick the feasible move with the larger gain among the two tops
-        choice = None
-        for side in (0, 1):
-            top = queues[side].peek()
-            if top is None:
-                continue
-            v, g = top
-            if choice is None or g > choice[1]:
-                choice = (side, g, v)
-        if choice is None:
+        top = queue.pop()
+        if top is None:
             break
-        side, g, v = choice
-        queues[side].pop()
-        if locked[v] or part[v] != side:
+        v = top[0]
+        if locked[v]:
             continue
-        if not move_keeps_feasible(
-            pwgts, graph.vwgts[v], side, 1 - side, targets, options.ubfactor
-        ):
+        side = sides[v]
+        dst = 1 - side
+        vw = lists.weights(v)
+        if not tracker.fits(dst, vw):
             continue  # discard for this pass
 
         # execute the move
-        part[v] = 1 - side
-        pwgts[side] -= graph.vwgts[v]
-        pwgts[1 - side] += graph.vwgts[v]
-        locked[v] = True
-        cur_cut -= int(gains[v])
+        part[v] = sides[v] = dst
+        tracker.apply_move(side, dst, vw)
+        locked[v] = 1
+        cur_cut -= gains[v]
         moves.append((v, side))
 
         if cur_cut < best_cut:
@@ -204,21 +196,19 @@ def _fm_pass(
             since_best += 1
 
         # incremental gain updates for unlocked neighbours
-        nbrs = graph.neighbors(v)
-        wts = graph.edge_weights_of(v)
-        for u, w in zip(nbrs, wts):
+        for i in range(start[v], start[v + 1]):
+            u = nbr[i]
             if locked[u]:
                 continue
-            if part[u] == part[v]:
-                gains[u] -= 2 * w  # edge became internal
+            if sides[u] == dst:
+                gains[u] -= 2 * wgt[i]  # edge became internal
             else:
-                gains[u] += 2 * w  # edge became external
-            queues[part[u]].insert(int(u), float(gains[u]))
+                gains[u] += 2 * wgt[i]  # edge became external
+            queue.insert(u, 2 * gains[u] + 1 - sides[u])
 
     # roll back past the best prefix
     for v, side in reversed(moves[best_len:]):
         part[v] = side
-        pwgts[1 - side] -= graph.vwgts[v]
-        pwgts[side] += graph.vwgts[v]
+        tracker.apply_move(1 - side, side, lists.weights(v))
 
     return best_cut < start_cut

@@ -20,7 +20,11 @@ Two related loops over boundary vertices:
 
 Both loops track balance with
 :class:`~repro.partition.balance.BalanceTracker`. The greedy sweep
-asks it one move at a time (O(ncon), no allocation); the rebalancer
+asks it one move at a time (O(ncon), no allocation) and walks each
+neighbourhood as Python ints — the graph through
+:attr:`~repro.graph.csr.CSRGraph.lists`, the labels through a list
+kept in step with ``part`` (:func:`neighbor_partition_weights`, shared
+with the k-way FM); the rebalancer
 scores a whole candidate × destination table per move through the
 tracker's array queries and keeps its boundary incrementally, so a
 move costs one O(n) mask plus O(deg + candidates · k) array work
@@ -29,11 +33,11 @@ rather than a rescan of every edge.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import AdjacencyLists, CSRGraph
 from repro.graph.metrics import (
     boundary_vertices,
     external_degree,
@@ -44,16 +48,20 @@ from repro.partition.config import PartitionOptions
 from repro.utils.rng import as_rng
 
 
-def _neighbor_partition_weights(
-    graph: CSRGraph, part: np.ndarray, v: int
+def neighbor_partition_weights(
+    lists: AdjacencyLists, part: List[int], v: int
 ) -> Dict[int, int]:
-    """Total edge weight from ``v`` into each adjacent partition."""
+    """Total edge weight from ``v`` into each adjacent partition, keyed
+    in the order ``v``'s CSR row first meets them (``part`` is the
+    label vector as a list)."""
+    start, nbr, wgt = lists.start, lists.nbr, lists.wgt
     conn: Dict[int, int] = {}
-    nbrs = graph.neighbors(v)
-    wts = graph.edge_weights_of(v)
-    for u, w in zip(nbrs, wts):
-        p = int(part[u])
-        conn[p] = conn.get(p, 0) + int(w)
+    for i in range(start[v], start[v + 1]):
+        p = part[nbr[i]]
+        if p in conn:
+            conn[p] += wgt[i]
+        else:
+            conn[p] = wgt[i]
     return conn
 
 
@@ -83,18 +91,18 @@ def greedy_kway_refine(
     part = np.asarray(part, dtype=np.int64)
     rng = as_rng(options.seed)
     tracker = _make_tracker(graph, part, k, options.ubfactor, fracs)
-    vwgts = graph.vwgts.tolist()
+    lists = graph.lists
+    labels: List[int] = part.tolist()  # mirror of ``part``, kept in step
 
     for _pass in range(options.kway_passes):
         moved = 0
         bnd = boundary_vertices(graph, part)
         rng.shuffle(bnd)
-        for v in bnd:
-            v = int(v)
-            src = int(part[v])
-            conn = _neighbor_partition_weights(graph, part, v)
+        for v in bnd.tolist():
+            src = labels[v]
+            conn = neighbor_partition_weights(lists, labels, v)
             own = conn.get(src, 0)
-            vw = vwgts[v]
+            vw = lists.weights(v)
             best = None  # (gain, -delta, dst)
             for dst, wgt in conn.items():
                 if dst == src:
@@ -112,7 +120,7 @@ def greedy_kway_refine(
                     best = key
             if best is not None:
                 dst = best[2]
-                part[v] = dst
+                part[v] = labels[v] = dst
                 tracker.apply_move(src, dst, vw)
                 moved += 1
         if moved == 0:
@@ -157,7 +165,12 @@ def _best_rebalance_move(
         return None
     rows, dsts = np.nonzero(dv == best)
     cut_loss = conn[rows, p_star] - conn[rows, dsts]
-    pick = np.lexsort((dsts, cand[rows], cut_loss))[0]
+    # smallest (cut loss, v, dst) without sorting the ~1,000 ties a
+    # move has: candidates are distinct and ``np.nonzero`` lists a
+    # row's destinations ascending, so the first entry of the smallest
+    # vertex among the cheapest is the lexicographic minimum
+    tied = np.flatnonzero(cut_loss == cut_loss.min())
+    pick = tied[np.argmin(cand[rows[tied]])]
     return int(cand[rows[pick]]), int(dsts[pick])
 
 

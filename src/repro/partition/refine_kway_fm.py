@@ -6,7 +6,11 @@ escapes by accepting a bounded run of negative-gain moves and rolling
 back to the best prefix. This module is the k-way analogue of
 :mod:`repro.partition.refine_fm`: one global max-priority queue over
 boundary vertices keyed by their best feasible move gain, incremental
-gain updates around each move, and prefix rollback per pass.
+gain updates around each move, and prefix rollback per pass. The loop
+reads the graph and the labels as Python ints
+(:attr:`~repro.graph.csr.CSRGraph.lists`, a list kept in step with
+``part``); each pass's first batch of boundary vertices is heapified
+rather than pushed one by one.
 
 Used as the per-level refiner of the direct multilevel k-way driver
 and as an optional stronger final polish for recursive bisection.
@@ -14,40 +18,30 @@ and as an optional stronger final polish for recursive bisection.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import AdjacencyLists, CSRGraph
 from repro.graph.metrics import boundary_vertices, edge_cut, partition_weights
 from repro.partition.balance import BalanceTracker, target_weights
 from repro.partition.config import PartitionOptions
 from repro.partition.pqueue import MaxPQ
-from repro.utils.rng import as_rng
-
-
-def _conn_of(graph: CSRGraph, part: np.ndarray, v: int) -> Dict[int, int]:
-    conn: Dict[int, int] = {}
-    nbrs = graph.neighbors(v)
-    wts = graph.edge_weights_of(v)
-    for u, w in zip(nbrs, wts):
-        p = int(part[u])
-        conn[p] = conn.get(p, 0) + int(w)
-    return conn
+from repro.partition.refine_kway import neighbor_partition_weights
 
 
 def _best_move(
-    graph: CSRGraph,
-    part: np.ndarray,
+    lists: AdjacencyLists,
+    part: List[int],
     tracker: BalanceTracker,
-    vwgts: list,
     v: int,
 ) -> Optional[Tuple[int, int]]:
-    """Best feasible (gain, dst) for vertex ``v``, or None."""
-    src = int(part[v])
-    conn = _conn_of(graph, part, v)
+    """Best feasible (gain, dst) for vertex ``v``, or None; of equal
+    gains the destination ``v``'s CSR row meets first wins."""
+    src = part[v]
+    conn = neighbor_partition_weights(lists, part, v)
     own = conn.get(src, 0)
-    vw = vwgts[v]
+    vw = lists.weights(v)
     best = None
     for dst, wgt in conn.items():
         if dst == src:
@@ -79,24 +73,26 @@ def kway_fm_refine(
     if fracs is None:
         fracs = np.full(k, 1.0 / k, dtype=np.float64)
     targets = target_weights(graph.total_vwgt, fracs)
-    vwgts = graph.vwgts.tolist()
+    lists = graph.lists
+    start, nbr = lists.start, lists.nbr
+    labels: List[int] = part.tolist()  # mirror of ``part``, kept in step
     n_passes = passes if passes is not None else options.kway_passes
 
     for _pass in range(n_passes):
         tracker = BalanceTracker(
             partition_weights(graph, part, k), targets, options.ubfactor
         )
-        pq = MaxPQ()
-        moved_to: Dict[int, Tuple[int, int]] = {}  # v -> (from, to)
-        locked = np.zeros(graph.num_vertices, dtype=bool)
-        for v in boundary_vertices(graph, part):
-            mv = _best_move(graph, part, tracker, vwgts, int(v))
-            if mv is not None:
-                pq.insert(int(v), float(mv[0]))
+        locked = bytearray(graph.num_vertices)
+        # one heapified batch, boundary vertices ascending
+        first = (
+            (v, _best_move(lists, labels, tracker, v))
+            for v in boundary_vertices(graph, part).tolist()
+        )
+        pq = MaxPQ((v, mv[0]) for v, mv in first if mv is not None)
 
         start_cut = cur_cut = edge_cut(graph, part)
         best_cut = cur_cut
-        journal: list = []  # (v, src, dst)
+        journal: List[Tuple[int, int]] = []  # (v, src)
         best_len = 0
         since_best = 0
 
@@ -107,17 +103,17 @@ def kway_fm_refine(
             v, _stale_gain = entry
             if locked[v]:
                 continue
-            mv = _best_move(graph, part, tracker, vwgts, v)
+            mv = _best_move(lists, labels, tracker, v)
             if mv is None:
                 continue
             gain, dst = mv
-            src = int(part[v])
+            src = labels[v]
             # execute
-            part[v] = dst
-            tracker.apply_move(src, dst, vwgts[v])
-            locked[v] = True
+            part[v] = labels[v] = dst
+            tracker.apply_move(src, dst, lists.weights(v))
+            locked[v] = 1
             cur_cut -= gain
-            journal.append((v, src, dst))
+            journal.append((v, src))
             if cur_cut < best_cut:
                 best_cut = cur_cut
                 best_len = len(journal)
@@ -125,19 +121,19 @@ def kway_fm_refine(
             else:
                 since_best += 1
             # refresh unlocked neighbours
-            for u in graph.neighbors(v):
-                u = int(u)
+            for i in range(start[v], start[v + 1]):
+                u = nbr[i]
                 if locked[u]:
                     continue
-                mu = _best_move(graph, part, tracker, vwgts, u)
+                mu = _best_move(lists, labels, tracker, u)
                 if mu is not None:
-                    pq.insert(u, float(mu[0]))
+                    pq.insert(u, mu[0])
                 else:
                     pq.remove(u)
 
         # rollback past best prefix
-        for v, src, dst in reversed(journal[best_len:]):
-            part[v] = src
+        for v, src in reversed(journal[best_len:]):
+            part[v] = labels[v] = src
         if best_cut >= start_cut:
             break
     return part

@@ -22,6 +22,31 @@ def counts_per_label(labels: np.ndarray, n_labels: int) -> np.ndarray:
     return np.bincount(labels, minlength=n_labels)
 
 
+def sum_by_label(
+    labels: np.ndarray, values: np.ndarray, n_labels: int
+) -> np.ndarray:
+    """Exact ``int64`` sums of ``values`` per label.
+
+    ``values`` is ``(n,)`` or ``(n, c)`` integers; the result is
+    ``(n_labels,)`` or ``(n_labels, c)``. ``np.bincount`` accumulates
+    its weights in ``float64``, which is exact while every partial sum
+    is an integer below 2**53, so that bound is checked and anything
+    larger takes ``np.add.at`` (exact, and an order of magnitude slower
+    before NumPy 1.25).
+    """
+    values = np.asarray(values, dtype=np.int64)
+    cols = values if values.ndim == 2 else values[:, None]
+    out = np.zeros((n_labels, cols.shape[1]), dtype=np.int64)
+    if np.abs(cols).sum(dtype=np.float64) < 2.0**53:
+        for j in range(cols.shape[1]):
+            out[:, j] = np.bincount(
+                labels, weights=cols[:, j], minlength=n_labels
+            )
+    else:
+        np.add.at(out, labels, cols)
+    return out if values.ndim == 2 else out.ravel()
+
+
 def group_by_label(labels: np.ndarray, n_labels: int) -> List[np.ndarray]:
     """Return, for each label, the (sorted) indices carrying that label.
 

@@ -210,6 +210,34 @@ class TestCheckpoint:
         assert np.array_equal(restored.partitioner.part, part)
 
 
+class TestCheckpointContentPinned:
+    def test_contents_after_repartition_steps_unchanged(self, small_sequence):
+        """A checkpoint carries labels and counters, never the graph or
+        its cached list view: after six repartition steps its contents
+        are what they were before the partitioner's loops moved onto
+        Python ints (recorded at the parent of PR 20; the content is
+        hashed rather than the file so the pin does not depend on the
+        zlib build)."""
+        import hashlib
+
+        driver = ContactStepDriver(
+            K,
+            params(),
+            strategy=UpdateStrategy.REPARTITION,
+            repartition_period=3,
+            backend="serial",
+        )
+        driver.initialize(small_sequence[0])
+        results = [driver.step(s) for s in small_sequence.snapshots[:7]]
+        assert sum(r.repartitioned for r in results) == 6
+        with np.load(io.BytesIO(dump_driver_bytes(driver))) as data:
+            content = data["part"].tobytes() + str(data["meta"]).encode()
+        assert hashlib.sha256(content).hexdigest() == (
+            "312b1ed5876b782d3b71e9b4d94dbe24"
+            "000fbfd1a8034dd14f123478f706f4a4"
+        )
+
+
 class TestPartitionOptionsSurvive:
     """A restored driver repartitions with the options of the run it
     resumes, not with the defaults."""

@@ -123,3 +123,104 @@ class TestDerivedGraphs:
         c = g.copy()
         c.adjwgt[:] = 9
         assert g.adjwgt.max() == 1
+
+
+class TestAdjacencyLists:
+    """``CSRGraph.lists`` is derived, cached and private to its
+    instance: it must never reach a pickle, a comparison, a ``repr`` or
+    a graph derived from this one."""
+
+    def weighted(self):
+        g = from_edge_list(
+            5,
+            np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]]),
+            weights=np.array([4, 1, 7, 2, 9]),
+        )
+        return g.with_vwgts(np.arange(10).reshape(5, 2))
+
+    def assert_mirrors_arrays(self, g):
+        lists = g.lists
+        assert lists.start == g.xadj.tolist()
+        assert lists.nbr == g.adjncy.tolist()
+        assert lists.wgt == g.adjwgt.tolist()
+        assert lists.vwgt == g.vwgts.ravel().tolist()
+        assert lists.ncon == g.ncon
+        for v in range(g.num_vertices):
+            assert lists.weights(v) == g.vwgts[v].tolist()
+        for seq in (lists.start, lists.nbr, lists.wgt, lists.vwgt):
+            assert all(type(x) is int for x in seq)
+
+    def test_mirrors_the_arrays_as_python_ints(self):
+        g = self.weighted()
+        self.assert_mirrors_arrays(g)
+        assert g.lists is g.lists  # built once
+
+    def test_isolated_vertices_and_empty_graph(self):
+        self.assert_mirrors_arrays(from_edge_list(4, np.array([[1, 2]])))
+        self.assert_mirrors_arrays(from_edge_list(3, np.empty((0, 2))))
+
+    def test_not_a_field_not_compared_not_repred(self):
+        import dataclasses
+
+        g = self.weighted()
+        before = repr(g)
+        g.lists
+        assert [f.name for f in dataclasses.fields(g)] == [
+            "xadj", "adjncy", "adjwgt", "vwgts",
+        ]
+        assert repr(g) == before
+        assert g == g
+        same = CSRGraph(g.xadj, g.adjncy, g.adjwgt, g.vwgts)  # no view yet
+        assert "lists" in vars(g) and "lists" not in vars(same)
+        assert g == same and same == g
+
+    def test_never_pickled(self):
+        import pickle
+
+        g = self.weighted()
+        before = pickle.dumps(g)
+        g.lists
+        after = pickle.dumps(g)
+        assert after == before and len(after) == len(before)
+        loaded = pickle.loads(after)
+        assert "lists" not in vars(loaded)
+        self.assert_mirrors_arrays(loaded)  # rebuilt on demand
+
+    def test_derived_graphs_get_their_own(self):
+        import copy
+        import dataclasses
+
+        g = self.weighted()
+        g.lists  # a stale view to inherit, if anything did
+        derived = {
+            "with_vwgts": g.with_vwgts(np.full((5, 3), 6)),
+            "with_adjwgt": g.with_adjwgt(g.adjwgt * 10),
+            "copy": g.copy(),
+            "copy.copy": copy.copy(g),
+            "copy.deepcopy": copy.deepcopy(g),
+            "replace": dataclasses.replace(g, vwgts=np.ones(5)),
+        }
+        for name, other in derived.items():
+            assert "lists" not in vars(other), name
+            self.assert_mirrors_arrays(other)
+        assert derived["with_vwgts"].lists.ncon == 3
+        assert derived["with_adjwgt"].lists.wgt == (g.adjwgt * 10).tolist()
+        self.assert_mirrors_arrays(g)  # and the original's is untouched
+
+    def test_read_only_arrays(self):
+        # what ContactGraphBuilder hands the repartitioner
+        from repro.partition.config import PartitionOptions
+        from repro.partition.refine_kway import greedy_kway_refine
+        from repro.partition.refine_kway_fm import kway_fm_refine
+
+        g = grid_graph(9, 7)
+        frozen = g.copy()
+        for arr in (frozen.xadj, frozen.adjncy, frozen.adjwgt, frozen.vwgts):
+            arr.setflags(write=False)
+        self.assert_mirrors_arrays(frozen)
+        part = np.random.default_rng(0).integers(0, 4, size=63)
+        for refine in (greedy_kway_refine, kway_fm_refine):
+            exp = refine(g, part.copy(), 4, PartitionOptions(seed=1))
+            got = refine(frozen, part.copy(), 4, PartitionOptions(seed=1))
+            assert (got != part).any()
+            np.testing.assert_array_equal(got, exp)

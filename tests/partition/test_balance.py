@@ -9,7 +9,6 @@ from repro.partition.balance import (
     BalanceTracker,
     is_feasible,
     max_allowed,
-    move_keeps_feasible,
     target_weights,
     violation,
     violation_delta,
@@ -55,9 +54,10 @@ class TestViolation:
 class TestMoveChecks:
     def test_move_keeps_feasible(self):
         targets = target_weights(np.array([100]), np.array([0.5, 0.5]))
-        pw = np.array([[50], [50]])
-        assert move_keeps_feasible(pw, np.array([2]), 0, 1, targets, 1.05)
-        assert not move_keeps_feasible(pw, np.array([5]), 0, 1, targets, 1.05)
+        # only the destination gains weight, so only it is checked
+        tracker = BalanceTracker(np.array([[50], [50]]), targets, 1.05)
+        assert tracker.fits(1, [2])
+        assert not tracker.fits(1, [5])
 
     def test_violation_delta_sign(self):
         targets = target_weights(np.array([100]), np.array([0.5, 0.5]))

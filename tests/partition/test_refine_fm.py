@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graph.build import from_edge_list, grid_graph
-from repro.graph.metrics import edge_cut
+from repro.graph.metrics import edge_cut, partition_weights
 from repro.partition.balance import target_weights, violation
 from repro.partition.config import PartitionOptions
-from repro.partition.refine_fm import (
-    _partition_weights2,
-    fm_refine_bisection,
-    gain_vector,
-)
+from repro.partition.refine_fm import fm_refine_bisection, gain_vector
 
 
 def even_targets(graph):
@@ -63,7 +59,7 @@ class TestFMRefine:
         part = rng.integers(0, 2, 100)
         opts = PartitionOptions(seed=0)
         out = fm_refine_bisection(g, part.copy(), even_targets(g), opts)
-        pw = _partition_weights2(g, out)
+        pw = partition_weights(g, out, 2)
         assert violation(pw, even_targets(g), opts.ubfactor) == 0.0
 
     def test_repairs_gross_imbalance(self):
@@ -72,7 +68,7 @@ class TestFMRefine:
         part[:10] = 1  # 90/10 split
         opts = PartitionOptions(seed=0)
         out = fm_refine_bisection(g, part, even_targets(g), opts)
-        pw = _partition_weights2(g, out)
+        pw = partition_weights(g, out, 2)
         assert violation(pw, even_targets(g), opts.ubfactor) == 0.0
 
     def test_does_not_worsen_optimal_cut(self):
@@ -93,7 +89,7 @@ class TestFMRefine:
         opts = PartitionOptions(seed=0, ubfactor=1.10)
         targets = target_weights(g.total_vwgt, np.array([0.5, 0.5]))
         out = fm_refine_bisection(g, part, targets, opts)
-        pw = _partition_weights2(g, out)
+        pw = partition_weights(g, out, 2)
         assert violation(pw, targets, opts.ubfactor) == pytest.approx(0.0)
 
     def test_uneven_target_fractions(self):
@@ -103,7 +99,7 @@ class TestFMRefine:
         targets = target_weights(g.total_vwgt, np.array([0.75, 0.25]))
         opts = PartitionOptions(seed=0)
         out = fm_refine_bisection(g, part, targets, opts)
-        pw = _partition_weights2(g, out)
+        pw = partition_weights(g, out, 2)
         assert violation(pw, targets, opts.ubfactor) == 0.0
         frac0 = (out == 0).mean()
         assert 0.7 <= frac0 <= 0.8
