@@ -23,12 +23,9 @@ by the race sentinel backend (:mod:`repro.runtime.backends.sentinel`).
 The ``perf`` family is performance-oriented (``repro-lint --perf``):
 the PERF rules (:mod:`repro.analysis.perf`) find the scalar-Python hot
 loops that block vectorisation — ranked by measured span self-times
-when a ``--trace-json`` run-report is supplied — and the kernel-purity
-certifier (:mod:`repro.analysis.kernelcheck`, KERN001) proves every
-``@repro.kernels.kernel``-marked function jit-compilable, emitting the
-``repro.kernel-audit/1`` registry.  Pre-existing findings burn down
-through a committed baseline (:mod:`repro.analysis.baseline`) instead
-of blanket suppressions.
+when a ``--trace-json`` run-report is supplied.  Pre-existing findings
+burn down through a committed baseline (:mod:`repro.analysis.baseline`)
+instead of blanket suppressions.
 
 The ``service`` family (``repro-lint --service``) guards the async
 service seams: coroutine safety (:mod:`repro.analysis.asynccheck`:
@@ -65,11 +62,6 @@ from repro.analysis import (  # noqa: F401
     spmd,
     statemachine,
 )
-from repro.analysis.kernelcheck import (  # noqa: F401  (registers KERN001)
-    KernelAudit,
-    audit_paths,
-    validate_kernel_audit,
-)
 
 __all__ = [
     "Diagnostic",
@@ -77,9 +69,6 @@ __all__ = [
     "LintEngine",
     "LintRule",
     "Project",
-    "KernelAudit",
-    "audit_paths",
-    "validate_kernel_audit",
     "all_rules",
     "build_file_context",
     "get_rule",

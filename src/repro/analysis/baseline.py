@@ -14,10 +14,9 @@ the same file still counts once the baselined occurrences are used up.
 
 Some codes can never be baselined — :func:`write_baseline` drops
 such entries and :func:`load_baseline` refuses documents containing
-them.  KERN001 (a declared kernel that stops being certifiable) is a
-seam regression, not a backlog item; SM001 (an illegal job state
-transition) is a lifecycle *correctness* violation — grandfathering
-one would ship the hole it proves.
+them.  SM001 (an illegal job state transition) is a lifecycle
+*correctness* violation — grandfathering one would ship the hole it
+proves.
 
 Schema (``repro.lint-baseline/1``)::
 
@@ -43,7 +42,7 @@ from repro.analysis.engine import Diagnostic
 BASELINE_SCHEMA_VERSION = "repro.lint-baseline/1"
 
 #: codes a baseline is never allowed to silence
-NEVER_BASELINED = frozenset({"KERN001", "SM001"})
+NEVER_BASELINED = frozenset({"SM001"})
 
 #: profile annotations appended by ``--trace-json`` ranking — stripped
 #: before matching so a baseline works with and without a profile
@@ -64,7 +63,7 @@ def write_baseline(
     path: Union[str, Path], diagnostics: Sequence[Diagnostic]
 ) -> int:
     """Write ``diagnostics`` as the new baseline; returns the number of
-    entries written (KERN001 findings are never recorded)."""
+    entries written (SM001 findings are never recorded)."""
     entries = [
         {"path": d.path, "code": d.code, "message": _key(d)[2]}
         for d in sorted(diagnostics)

@@ -7,7 +7,7 @@ Examples::
     repro-lint --format sarif src > lint.sarif
     repro-lint --select ARR001,VAL001 src/repro
     repro-lint --spmd src/repro tests # + project-level SPMD pass
-    repro-lint --perf src/repro       # + PERF family + kernel certifier
+    repro-lint --perf src/repro       # + PERF family
     repro-lint --service src/repro    # + async/service correctness pass
     repro-lint --perf --trace-json smoke-trace.json src/repro
     repro-lint --perf --baseline lint-baseline.json src/repro
@@ -18,8 +18,8 @@ With no paths the installed ``repro`` package is linted.  Every flag
 below selects rule families of the one engine, which parses the
 target set once whatever the combination.  ``--spmd`` adds the SPMD
 project rule (SPMD001 — see ``docs/STATIC_ANALYSIS.md``); it analyses
-every target file as one program, so pass the whole tree.  ``--perf`` adds the PERF family plus
-the kernel-purity certifier (KERN001); ``--service`` adds the
+every target file as one program, so pass the whole tree.  ``--perf``
+adds the PERF family; ``--service`` adds the
 async/service correctness rules (ASYNC001-002, TIME001, SM001 — also
 whole-program, so pass the full tree); ``--select``
 names the exact codes to run instead, from any family;
@@ -46,7 +46,6 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.dataflow import ModuleCollisionError
 from repro.analysis.engine import LintEngine, all_rules, load_project
-from repro.analysis.kernelcheck import audit_project
 from repro.analysis.perf import load_self_times, rank_diagnostics
 from repro.analysis.reporters import (
     format_human,
@@ -124,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--perf",
         action="store_true",
         help=(
-            "also run the opt-in PERF performance family "
-            "(PERF001-005) and the kernel-purity certifier (KERN001)"
+            "also run the opt-in PERF performance family (PERF001-005)"
         ),
     )
     parser.add_argument(
@@ -135,15 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "repro.run-report/1 artifact; PERF findings are annotated "
             "and ranked by the measured span self-times"
-        ),
-    )
-    parser.add_argument(
-        "--kernel-audit",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the repro.kernel-audit/1 registry produced by the "
-            "certifier to PATH (implies --perf)"
         ),
     )
     parser.add_argument(
@@ -161,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write the current findings to PATH as a new baseline "
-            "and exit 0 (KERN001/SM001 findings are never baselined)"
+            "and exit 0 (SM001 findings are never baselined)"
         ),
     )
     parser.add_argument(
@@ -195,9 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         paths = [str(Path(repro.__file__).parent)]
 
     families = ["core"]
-    families += [f for f in ("spmd", "service") if getattr(args, f)]
-    if args.perf or args.kernel_audit is not None:
-        families.append("perf")
+    families += [f for f in ("spmd", "service", "perf") if getattr(args, f)]
 
     try:
         engine = LintEngine(
@@ -205,8 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         project = load_project(paths, exclude=args.exclude)
         diagnostics = engine.lint_project(project)
-        if args.kernel_audit is not None:
-            project.view(audit_project).save(args.kernel_audit)
     except (KeyError, FileNotFoundError, ModuleCollisionError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"repro-lint: {message}", file=sys.stderr)

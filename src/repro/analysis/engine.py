@@ -132,7 +132,7 @@ class Project:
     Holds what was parsed once — the file contexts and the E999
     diagnostics of the files that did not parse — plus what is derived
     from it on demand: the dataflow index and each rule family's own
-    view of it (superstep sites, loop/executor closure, kernel audit).
+    view of it (superstep sites, loop/executor closure).
     """
 
     contexts: List[FileContext] = field(default_factory=list)

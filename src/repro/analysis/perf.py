@@ -1,10 +1,9 @@
-"""Performance rule family: find scalar-Python hot loops before compiling.
+"""Performance rule family: find the scalar-Python hot loops.
 
 ROADMAP open item 1 is blunt: parallel backends do not pay because the
 inner kernels are scalar Python (``run/global-search/search`` alone is
-~559 ms of a 566 ms serial smoke run).  Before anyone writes a
-numba/Cython path, this pass finds the loops that block vectorisation
-and ranks them by *measured* hotness:
+~559 ms of a 566 ms serial smoke run).  This pass finds the loops
+that block vectorisation and ranks them by *measured* hotness:
 
 ========  ==========================================================
 PERF001   scalar Python loop over NumPy array data
@@ -269,9 +268,8 @@ class ScalarLoopRule(PerfRule):
 
     Iterating an ndarray element-by-element pays the full interpreter
     dispatch cost per element — two to three orders of magnitude over
-    the vectorised equivalent — and blocks any compiled path.  Flagged
-    loops must be batched (fancy indexing, ``np.repeat``, boolean
-    masks) or moved behind a certified kernel.
+    the vectorised equivalent.  Flagged loops must be batched (fancy
+    indexing, ``np.repeat``, boolean masks).
     """
 
     code = "PERF001"
@@ -289,8 +287,7 @@ class ScalarLoopRule(PerfRule):
                         ctx,
                         loop,
                         "scalar Python loop over NumPy array data — "
-                        "vectorise (fancy indexing/np.repeat/masks) or "
-                        "move behind a certified kernel",
+                        "vectorise (fancy indexing/np.repeat/masks)",
                     )
 
 
@@ -363,7 +360,7 @@ class RepeatedLookupRule(PerfRule):
 
     Every ``a.b.c(...)`` in a loop body re-resolves the whole chain per
     iteration; binding it to a local before the loop is the classic
-    CPython win and a precondition for clean kernel extraction.
+    CPython win.
     """
 
     code = "PERF003"
@@ -431,7 +428,7 @@ class MathUfuncRule(PerfRule):
 
     ``math.sqrt`` in a loop processes one scalar per interpreter round
     trip; the identically-named ufunc handles the whole array in one
-    call and fuses into a compiled path.
+    call.
     """
 
     code = "PERF005"

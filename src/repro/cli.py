@@ -22,12 +22,6 @@ results are bit-identical across backends. ``--fault-plan PLAN``
 (e.g. ``kill@2.1,hang@5.0:12``) injects deterministic worker faults
 through the chaos harness — implied ``--backend chaos`` — to exercise
 the recovery machinery (``docs/FAULT_TOLERANCE.md``).
-
-``--kernels {pure,compiled,auto}`` selects the kernel execution tier
-(``repro.runtime.compiled``): ``compiled`` runs the certified kernels
-through numba with per-kernel fallback to the pure NumPy path,
-``auto`` (default) compiles only when numba is importable. Results are
-bit-identical across tiers (``docs/PARALLELISM.md``).
 """
 
 from __future__ import annotations
@@ -98,16 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "implies --backend chaos (docs/FAULT_TOLERANCE.md)"
         ),
     )
-    parser.add_argument(
-        "--kernels",
-        choices=("pure", "compiled", "auto"),
-        default=None,
-        help=(
-            "kernel execution tier (default: $REPRO_KERNELS or auto; "
-            "compiled falls back per kernel when numba is missing — "
-            "docs/PARALLELISM.md)"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_trace_json(p: argparse.ArgumentParser) -> None:
@@ -140,12 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="PLAN",
             default=argparse.SUPPRESS,
             help="fault-injection plan (implies --backend chaos)",
-        )
-        p.add_argument(
-            "--kernels",
-            choices=("pure", "compiled", "auto"),
-            default=argparse.SUPPRESS,
-            help="kernel execution tier",
         )
 
     t1 = sub.add_parser("table1", help="regenerate Table 1")
@@ -279,7 +257,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     from repro.partition.config import PartitionOptions
     from repro.sim.sequence import simulate_impact
 
-    tracer = Tracer(kernel_counters=True)
+    tracer = Tracer()
     n_steps = max(1, args.trace_steps)
     if args.mesh is not None:
         try:
@@ -322,8 +300,6 @@ def _run_trace(args: argparse.Namespace) -> int:
                 baseline.m2m_comm_now(tracer=tracer)
                 baseline.search_plan(snapshot, tracer=tracer)
 
-    from repro.runtime.compiled import kernel_tier
-
     report = RunReport.from_run(
         tracer,
         driver.ledger,
@@ -332,7 +308,6 @@ def _run_trace(args: argparse.Namespace) -> int:
         source=source,
         seed=args.seed,
         backend=args.backend,
-        kernels=kernel_tier(),
     )
     if args.trace_json:
         report.save(args.trace_json)
@@ -382,16 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    # install the kernel execution tier; the env var is set too so
-    # process-backend workers (forked later) inherit the selection
-    kernels = getattr(args, "kernels", None)
-    args.kernels = kernels
-    if kernels is not None:
-        from repro.runtime.compiled import KERNELS_ENV, set_kernel_tier
-
-        os.environ[KERNELS_ENV] = kernels
-        set_kernel_tier(kernels)
-
     if args.command == "lint":  # reached via global options before `lint`
         return _run_lint(list(args.lint_args))
     if args.command == "serve":  # reached via global options too
@@ -409,9 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # phase tracer behind --trace-json
     from repro.obs import NULL_TRACER, RunReport, Tracer
 
-    tracer = (
-        Tracer(kernel_counters=True) if args.trace_json else NULL_TRACER
-    )
+    tracer = Tracer() if args.trace_json else NULL_TRACER
 
     config = ImpactConfig(n_steps=args.steps, refine=args.refine)
 
@@ -492,12 +455,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_tree(tree2d))
 
     if args.trace_json and isinstance(tracer, Tracer):
-        from repro.runtime.compiled import kernel_tier
-
         report = RunReport.from_run(
             tracer, command=args.command, steps=args.steps,
             seed=args.seed, backend=args.backend,
-            kernels=kernel_tier(),
         )
         report.save(args.trace_json)
         print(f"\ntrace written to {args.trace_json}")

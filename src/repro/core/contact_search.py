@@ -18,22 +18,15 @@ from typing import Optional, Set, Tuple
 import numpy as np
 
 from repro.geometry.boxsearch import SearchPlan, candidate_pairs
-from repro.kernels import kernel
 from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.runtime.backends import SpmdContext, resolve_backend
 from repro.runtime.backends.base import BackendLike
 from repro.runtime.ledger import CommLedger
 
 
-@kernel
 def row_majority(labels: np.ndarray) -> np.ndarray:
     """Majority value of each row of an integer matrix (ties → smaller
-    value). Vectorised over rows via a sorted run-length scan.
-
-    Certified kernel: under ``REPRO_KERNELS=compiled`` the scan runs
-    row-at-a-time in a numba loop, bit-identical to this body
-    (``repro.runtime.compiled``).
-    """
+    value). Vectorised over rows via a sorted run-length scan."""
     s = np.sort(np.asarray(labels, dtype=np.int64), axis=1)
     n, w = s.shape
     best_val = s[:, 0].copy()

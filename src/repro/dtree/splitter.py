@@ -21,8 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels import kernel
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -66,7 +64,6 @@ def _sumsq_prefix(labels_in_order: np.ndarray) -> np.ndarray:
     return out
 
 
-@kernel
 def split_index_curve(
     coords: np.ndarray, labels: np.ndarray
 ) -> tuple:
@@ -77,11 +74,6 @@ def split_index_curve(
     point ``i`` (i.e. between distinct coordinates), and ``index[i]``
     is the Eq. 1 value of that cut. Exposed for tests and for the
     margin-aware extension.
-
-    Certified kernel: under ``REPRO_KERNELS=compiled`` the sort and
-    prefix scans run as a numba loop form whose stable permutations
-    and integer arithmetic are bit-identical to this body
-    (``repro.runtime.compiled``).
     """
     order = np.argsort(coords, kind="stable")
     c = coords[order]

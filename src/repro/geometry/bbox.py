@@ -12,7 +12,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import kernel
 from repro.utils.arrays import group_by_label
 from repro.utils.validation import check_array
 
@@ -59,7 +58,6 @@ def element_bboxes(points: np.ndarray, connectivity: np.ndarray) -> np.ndarray:
     return np.stack((corner.min(axis=1), corner.max(axis=1)), axis=1)
 
 
-@kernel
 def bboxes_intersect_matrix(
     boxes_a: np.ndarray, boxes_b: np.ndarray, pad: float = 0.0
 ) -> np.ndarray:
@@ -68,10 +66,6 @@ def bboxes_intersect_matrix(
     ``pad`` inflates the B boxes symmetrically — used to model a
     contact-detection capture distance. O(mA·mB·d) vectorised; callers
     keep one side small (k subdomains).
-
-    Certified kernel: under ``REPRO_KERNELS=compiled`` the call runs a
-    numba loop form with early-exit per pair, bit-identical to this
-    body (``repro.runtime.compiled``).
     """
     a = np.asarray(boxes_a, dtype=float)
     b = np.asarray(boxes_b, dtype=float)

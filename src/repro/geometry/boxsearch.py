@@ -9,7 +9,7 @@ descriptors attack.
 
 This module also hosts the contact-search inner kernel:
 :func:`candidate_pairs` finds every (box, point-inside-box) pair via a
-KD-tree candidate sweep followed by the certified
+KD-tree candidate sweep followed by the
 :func:`box_candidate_pairs` containment kernel — batch NumPy over the
 flattened candidate set, replacing the per-box Python loop that used
 to dominate the ``global-search/search`` span.
@@ -25,7 +25,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.geometry.bbox import bboxes_intersect_matrix, bboxes_of_groups
-from repro.kernels import kernel
 
 
 @dataclass
@@ -80,7 +79,6 @@ def bbox_filter_search(
     return SearchPlan(send_matrix=hits, owner=element_owner)
 
 
-@kernel
 def box_candidate_pairs(
     boxes: np.ndarray,
     points: np.ndarray,
@@ -94,10 +92,6 @@ def box_candidate_pairs(
     matrix, ...); the kernel keeps the pairs whose point lies inside
     the (inclusive) box and returns the filtered index arrays. One
     batch comparison over all pairs — no Python-level loop.
-
-    Certified kernel: under ``REPRO_KERNELS=compiled`` the containment
-    sweep runs as a numba loop with per-pair early exit, bit-identical
-    to this body (``repro.runtime.compiled``).
     """
     pts = points[point_index]
     inside = (
@@ -116,8 +110,8 @@ def candidate_pairs(
     KD-tree over the points; each box queries a ball covering it
     (near-linear for well-shaped surface meshes, vs the quadratic
     dense-matrix approach), then the ragged candidate lists are
-    flattened once and exact containment runs through the certified
-    :func:`box_candidate_pairs` kernel. Returns parallel ``int64``
+    flattened once and exact containment runs through
+    :func:`box_candidate_pairs`. Returns parallel ``int64``
     arrays ``(box_indices, point_ids)``.
     """
     boxes = np.asarray(boxes, dtype=np.float64)

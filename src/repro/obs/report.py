@@ -45,16 +45,6 @@ DISTRIBUTED_COUNTERS = (
     "agents_joined",
 )
 
-#: counters the compiled kernel tier emits (repro.runtime.compiled;
-#: attached to the root span by ``Tracer(kernel_counters=True)`` —
-#: docs/PARALLELISM.md "Compiled kernels")
-KERNEL_COUNTERS = (
-    "kernel_compiles",
-    "kernel_compile_seconds",
-    "kernel_calls_compiled",
-    "kernel_calls_pure",
-)
-
 
 @dataclass
 class RunReport:
@@ -227,17 +217,6 @@ class RunReport:
                     totals[name] += value
         return {name: value for name, value in totals.items() if value}
 
-    def kernel_totals(self) -> Dict[str, float]:
-        """Compiled-kernel-tier counters summed over the span tree
-        (only the nonzero ones; empty when the run never dispatched a
-        kernel or the tracer did not opt into kernel accounting)."""
-        totals = {name: 0.0 for name in KERNEL_COUNTERS}
-        for _path, span in self.spans.walk():
-            for name, value in span.counters.items():
-                if name in totals:
-                    totals[name] += value
-        return {name: value for name, value in totals.items() if value}
-
     def counter_lines(self) -> List[str]:
         """``path: name=value`` lines for every span counter."""
         lines: List[str] = []
@@ -267,12 +246,6 @@ class RunReport:
             ]
             blocks.append(
                 "Distributed\n-----------\n" + "\n".join(lines)
-            )
-        kernels = self.kernel_totals()
-        if kernels:
-            lines = [f"{name}={value:g}" for name, value in kernels.items()]
-            blocks.append(
-                "Compiled kernels\n----------------\n" + "\n".join(lines)
             )
         if self.comm:
             blocks.append(self.comm_table().render())

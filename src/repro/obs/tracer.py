@@ -261,22 +261,10 @@ class Tracer(TracerBase):
 
     enabled = True
 
-    def __init__(
-        self, root_name: str = "run", kernel_counters: bool = False
-    ) -> None:
+    def __init__(self, root_name: str = "run") -> None:
         self.root = Span(root_name)
         self.root.n_calls = 1
         self._stack: List[Span] = [self.root]
-        # kernel-tier accounting is opt-in: it snapshots the process-wide
-        # compile/dispatch counters (repro.runtime.compiled) here and
-        # attaches the per-run deltas to the root span in finish().  Off
-        # by default so backend-equivalence tests comparing span trees
-        # are not perturbed; the CLI turns it on for user-facing runs.
-        self._kernel_baseline: Optional[Tuple[int, float, int, int]] = None
-        if kernel_counters:
-            from repro.runtime.compiled import stats_snapshot
-
-            self._kernel_baseline = stats_snapshot()
 
     def span(self, name: str) -> ContextManager[Optional[Span]]:
         return _SpanCM(self, name)
@@ -298,13 +286,6 @@ class Tracer(TracerBase):
                 "finish() must be called outside any span"
             )
         self.root.total_s = self.root.children_s
-        if self._kernel_baseline is not None:
-            from repro.runtime.compiled import stats_delta
-
-            for name, value in stats_delta(self._kernel_baseline).items():
-                if value:
-                    self.root.count(name, value)
-            self._kernel_baseline = None
         return self.root
 
 

@@ -1,576 +1,15 @@
-"""Compiled kernel runtime: the execution side of the certified seam.
+"""Constant answers for ``benchmarks/spine/inputs.py::environment_stamp``.
 
-:mod:`repro.kernels` declares which functions are compiled-path
-candidates and ``repro-lint --perf`` certifies them jit-compilable;
-this module is where the certification pays off.  Every declared
-kernel dispatches through :func:`dispatch`, which selects an execution
-**tier**:
-
-``pure``
-    Always run the original vectorised NumPy implementation.
-``compiled``
-    Run a numba-jitted implementation, falling back **per kernel** to
-    the pure path (with a single :class:`RuntimeWarning`) when numba is
-    unavailable or the kernel fails to compile.
-``auto`` (the default)
-    ``compiled`` when numba is importable, ``pure`` otherwise — no
-    warnings either way.
-
-Tier selection precedence: :func:`set_kernel_tier` (the CLI's
-``--kernels`` flag) > ``$REPRO_KERNELS`` > ``auto``.
-
-Compilation is lazy and cached per ``(kernel name, dtype signature)``:
-the first call with a new signature pays the jit cost (counted in
-``kernel_compiles`` / ``kernel_compile_seconds``), later calls hit the
-specialised machine code.  Dispatches are counted in
-``kernel_calls_compiled`` / ``kernel_calls_pure``; a recording
-:class:`repro.obs.Tracer` constructed with ``kernel_counters=True``
-attaches the per-run deltas to its root span so they render in
-:class:`~repro.obs.report.RunReport`.
-
-The compiled implementations are **loop forms** of the pure kernels
-(numba's nopython mode supports neither ``axis=`` reductions nor
-``None``-broadcasting), written so every arithmetic operation matches
-the pure path element for element — comparisons, integer cumulative
-sums, and IEEE-754 ``sqrt`` (correctly rounded by definition) — which
-is what makes the differential conformance suite
-(``tests/kernels/test_conformance.py``) able to demand **bit-identical**
-results, dtype and shape included.  Counters are process-local: on the
-process backend, worker-side dispatches are counted inside the workers
-(see ``docs/PARALLELISM.md``).
+There is one execution tier and no compiler to serve one; this module
+exists only so the spine's environment stamp keeps importing.  The next
+``[benchmark]`` PR (ROADMAP item 6) drops the two stamp keys and this
+file together.  Nothing under ``src/`` may import it.
 """
-
-from __future__ import annotations
-
-import os
-import threading
-import warnings
-from time import perf_counter
-from typing import Any, Callable, Dict, Optional, Tuple
-
-import numpy as np
-
-#: environment variable selecting the kernel execution tier
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: valid tier names, in documentation order
-KERNEL_TIERS = ("pure", "compiled", "auto")
-
-#: one argument's contribution to a dtype signature
-SigPart = Tuple[str, int]
-#: compile-cache key: (kernel dotted name, per-argument dtype signature)
-CacheKey = Tuple[str, Tuple[object, ...]]
-
-
-class KernelCompileError(RuntimeError):
-    """A kernel could not be compiled (numba missing, typing failure)."""
-
-
-# ----------------------------------------------------------------------
-# dispatch counters
-# ----------------------------------------------------------------------
-
-
-class KernelStats:
-    """Process-wide compile/dispatch counters for the kernel tiers."""
-
-    __slots__ = (
-        "kernel_compiles",
-        "kernel_compile_seconds",
-        "kernel_calls_compiled",
-        "kernel_calls_pure",
-    )
-
-    def __init__(self) -> None:
-        self.kernel_compiles = 0
-        self.kernel_compile_seconds = 0.0
-        self.kernel_calls_compiled = 0
-        self.kernel_calls_pure = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Counters as a plain ``{name: value}`` mapping."""
-        return {
-            "kernel_compiles": self.kernel_compiles,
-            "kernel_compile_seconds": self.kernel_compile_seconds,
-            "kernel_calls_compiled": self.kernel_calls_compiled,
-            "kernel_calls_pure": self.kernel_calls_pure,
-        }
-
-
-#: the process-wide counter instance (see :func:`kernel_stats`)
-STATS = KernelStats()
-
-
-def kernel_stats() -> Dict[str, float]:
-    """Snapshot of the process-wide compile/dispatch counters."""
-    return STATS.as_dict()
-
-
-def stats_snapshot() -> Tuple[int, float, int, int]:
-    """Opaque counter snapshot for later :func:`stats_delta`."""
-    return (
-        STATS.kernel_compiles,
-        STATS.kernel_compile_seconds,
-        STATS.kernel_calls_compiled,
-        STATS.kernel_calls_pure,
-    )
-
-
-def stats_delta(before: Tuple[int, float, int, int]) -> Dict[str, float]:
-    """Counter increments since ``before`` (a :func:`stats_snapshot`)."""
-    now = stats_snapshot()
-    names = (
-        "kernel_compiles",
-        "kernel_compile_seconds",
-        "kernel_calls_compiled",
-        "kernel_calls_pure",
-    )
-    return {name: now[i] - before[i] for i, name in enumerate(names)}
-
-
-# ----------------------------------------------------------------------
-# tier selection
-# ----------------------------------------------------------------------
-
-_tier_override: Optional[str] = None
-
-
-def _validate_tier(tier: str, source: str) -> str:
-    if tier not in KERNEL_TIERS:
-        raise ValueError(
-            f"invalid kernel tier {tier!r} in {source}; "
-            f"expected one of {KERNEL_TIERS}"
-        )
-    return tier
-
-
-def set_kernel_tier(tier: Optional[str]) -> None:
-    """Install the process-wide kernel tier (``None`` resets to the
-    ``$REPRO_KERNELS``/``auto`` resolution).  The CLI's ``--kernels``
-    flag lands here, so it outranks the environment."""
-    global _tier_override
-    if tier is not None:
-        tier = _validate_tier(tier, "set_kernel_tier()")
-    _tier_override = tier
 
 
 def kernel_tier() -> str:
-    """The active tier: override > ``$REPRO_KERNELS`` > ``auto``."""
-    if _tier_override is not None:
-        return _tier_override
-    env = os.environ.get(KERNELS_ENV)
-    if env:
-        return _validate_tier(env.strip().lower(), f"${KERNELS_ENV}")
-    return "auto"
-
-
-# ----------------------------------------------------------------------
-# numba loading (lazy; monkeypatch `_load_numba` to simulate absence)
-# ----------------------------------------------------------------------
-
-_numba_module: Optional[Any] = None
-_numba_error: Optional[str] = None
-
-
-def _load_numba() -> Any:
-    """Import and return numba (the single import site, so tests can
-    monkeypatch it to simulate a platform without numba)."""
-    import numba
-
-    return numba
-
-
-def _ensure_numba() -> Any:
-    """numba module, or :class:`KernelCompileError` (result cached)."""
-    global _numba_module, _numba_error
-    if _numba_module is not None:
-        return _numba_module
-    if _numba_error is not None:
-        raise KernelCompileError(_numba_error)
-    try:
-        _numba_module = _load_numba()
-    except Exception as exc:
-        _numba_error = f"numba is unavailable: {exc}"
-        raise KernelCompileError(_numba_error) from exc
-    return _numba_module
+    return "pure"
 
 
 def numba_available() -> bool:
-    """Whether the compiled tier has a jit compiler to use."""
-    try:
-        _ensure_numba()
-    except KernelCompileError:
-        return False
-    return True
-
-
-def _is_numba_error(exc: BaseException) -> bool:
-    """Whether ``exc`` came out of numba itself (typing/lowering
-    failures) rather than from the kernel's data."""
-    module = type(exc).__module__ or ""
-    return module.split(".")[0] == "numba"
-
-
-def _jit_compile(
-    name: str, source: Callable[..., Any]
-) -> Callable[..., Any]:
-    """nopython-jit ``source`` (tests monkeypatch this seam to simulate
-    mid-compile ``TypingError``s without numba installed)."""
-    numba = _ensure_numba()
-    try:
-        jitted: Callable[..., Any] = numba.njit(cache=False)(source)
-    except Exception as exc:
-        raise KernelCompileError(
-            f"njit({name}) failed: {exc!r}"
-        ) from exc
-    return jitted
-
-
-# ----------------------------------------------------------------------
-# per-kernel registry: compiled sources + argument canonicalisation
-# ----------------------------------------------------------------------
-
-#: numba-compilable loop sources, keyed by the pure kernel's dotted name
-NUMBA_SOURCES: Dict[str, Callable[..., Any]] = {}
-
-#: argument canonicalisers: mirror the pure kernel's signature
-#: (defaults included) and its input coercions, returning the exact
-#: positional tuple the compiled source consumes — so pure and compiled
-#: always see identical dtypes
-_PREPARE: Dict[str, Callable[..., Tuple[Any, ...]]] = {}
-
-_LOCK = threading.Lock()
-
-#: per-kernel jitted callables (one njit object specialises per sig)
-_JITTED: Dict[str, Callable[..., Any]] = {}
-
-#: warmed ``(kernel name, dtype signature)`` pairs → compile seconds
-_COMPILE_CACHE: Dict[CacheKey, float] = {}
-
-#: kernels permanently on the pure path this process, with the reason
-_FALLBACK: Dict[str, str] = {}
-
-
-def compiled_signatures() -> Tuple[CacheKey, ...]:
-    """The warmed compile-cache keys (kernel name, dtype signature)."""
-    return tuple(sorted(_COMPILE_CACHE, key=repr))
-
-
-def fallback_reasons() -> Dict[str, str]:
-    """``{kernel name: reason}`` for kernels pinned to the pure path."""
-    return dict(_FALLBACK)
-
-
-def _reset_state() -> None:
-    """Forget caches, fallbacks, counters, and the numba probe (tests
-    and benchmarks only — never called by library code)."""
-    global _numba_module, _numba_error
-    with _LOCK:
-        _JITTED.clear()
-        _COMPILE_CACHE.clear()
-        _FALLBACK.clear()
-        _numba_module = None
-        _numba_error = None
-        STATS.kernel_compiles = 0
-        STATS.kernel_compile_seconds = 0.0
-        STATS.kernel_calls_compiled = 0
-        STATS.kernel_calls_pure = 0
-
-
-def _sig_key(args: Tuple[Any, ...]) -> Tuple[object, ...]:
-    """Dtype signature of a prepared argument tuple."""
-    parts: list = []
-    for a in args:
-        if isinstance(a, np.ndarray):
-            parts.append((a.dtype.str, a.ndim))
-        else:
-            parts.append(type(a).__name__)
-    return tuple(parts)
-
-
-def _mark_fallback(name: str, reason: str, warn: bool) -> None:
-    """Pin ``name`` to the pure path (idempotent; warns at most once,
-    and only for the kernel that actually failed — other kernels'
-    cache entries are untouched)."""
-    with _LOCK:
-        if name in _FALLBACK:
-            return
-        _FALLBACK[name] = reason
-    if warn:
-        warnings.warn(
-            f"kernel {name}: compiled tier unavailable ({reason}); "
-            "falling back to the pure implementation",
-            RuntimeWarning,
-            # _mark_fallback ← dispatch ← kernels._dispatch ← the
-            # dispatcher wrapper ← the caller's kernel call site
-            stacklevel=5,
-        )
-
-
-# ----------------------------------------------------------------------
-# the dispatcher (called by the @repro.kernels.kernel wrapper)
-# ----------------------------------------------------------------------
-
-
-def dispatch(
-    name: str,
-    pure: Callable[..., Any],
-    args: Tuple[Any, ...],
-    kwargs: Dict[str, Any],
-) -> Any:
-    """Run kernel ``name`` on the active tier.
-
-    The pure implementation is authoritative: any failure on the
-    compiled path (missing numba, typing error, even a data error the
-    pure path would also raise) routes the call to ``pure`` so callers
-    observe exactly the pure semantics.  Compile failures pin the
-    kernel to the pure path for the rest of the process.
-    """
-    tier = kernel_tier()
-    if tier == "pure" or name in _FALLBACK:
-        STATS.kernel_calls_pure += 1
-        return pure(*args, **kwargs)
-    if tier == "auto" and not numba_available():
-        STATS.kernel_calls_pure += 1
-        return pure(*args, **kwargs)
-    source = NUMBA_SOURCES.get(name)
-    prepare = _PREPARE.get(name)
-    if source is None or prepare is None:
-        _mark_fallback(
-            name, "no compiled source registered", warn=(tier == "compiled")
-        )
-        STATS.kernel_calls_pure += 1
-        return pure(*args, **kwargs)
-    try:
-        prepared = prepare(*args, **kwargs)
-    except Exception:
-        # malformed inputs: the pure path owns the error semantics
-        STATS.kernel_calls_pure += 1
-        return pure(*args, **kwargs)
-    try:
-        with _LOCK:
-            jitted = _JITTED.get(name)
-            if jitted is None:
-                jitted = _jit_compile(name, source)
-                _JITTED[name] = jitted
-        key: CacheKey = (name, _sig_key(prepared))
-        if key not in _COMPILE_CACHE:
-            # lazy specialisation: the first call with this dtype
-            # signature compiles (its whole duration is billed as
-            # compile time — it includes one execution)
-            t0 = perf_counter()
-            try:
-                out = jitted(*prepared)
-            except Exception as exc:
-                if _is_numba_error(exc):
-                    raise KernelCompileError(
-                        f"compiling {name} for signature {key[1]} "
-                        f"failed: {exc}"
-                    ) from exc
-                raise
-            elapsed = perf_counter() - t0
-            with _LOCK:
-                if key not in _COMPILE_CACHE:
-                    _COMPILE_CACHE[key] = elapsed
-                    STATS.kernel_compiles += 1
-                    STATS.kernel_compile_seconds += elapsed
-            STATS.kernel_calls_compiled += 1
-            return out
-        out = jitted(*prepared)
-        STATS.kernel_calls_compiled += 1
-        return out
-    except KernelCompileError as exc:
-        _mark_fallback(name, str(exc), warn=True)
-        STATS.kernel_calls_pure += 1
-        return pure(*args, **kwargs)
-    except Exception:
-        # a data error on the compiled path (bad indices, shape
-        # mismatch): transient — re-run pure so the caller sees the
-        # pure implementation's exception (or its result)
-        STATS.kernel_calls_pure += 1
-        return pure(*args, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# compiled sources for the four certified kernels
-#
-# Each source is the loop form of its pure kernel, performing the same
-# arithmetic per element (comparisons, int64 cumulative sums, IEEE
-# sqrt) so results are bit-identical.  They are only ever executed
-# jitted — interpreted, the loops would be orders of magnitude slower
-# than the pure vectorised path, which is exactly what the fallback
-# avoids.
-# ----------------------------------------------------------------------
-
-
-def _register(
-    name: str, prepare: Callable[..., Tuple[Any, ...]]
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    def deco(source: Callable[..., Any]) -> Callable[..., Any]:
-        NUMBA_SOURCES[name] = source
-        _PREPARE[name] = prepare
-        return source
-
-    return deco
-
-
-def _prep_bboxes_intersect_matrix(
-    boxes_a: Any, boxes_b: Any, pad: float = 0.0
-) -> Tuple[Any, ...]:
-    return (
-        np.asarray(boxes_a, dtype=float),
-        np.asarray(boxes_b, dtype=float),
-        float(pad),
-    )
-
-
-@_register(
-    "repro.geometry.bbox.bboxes_intersect_matrix",
-    _prep_bboxes_intersect_matrix,
-)
-def _src_bboxes_intersect_matrix(
-    boxes_a: np.ndarray, boxes_b: np.ndarray, pad: float
-) -> np.ndarray:
-    m_a = boxes_a.shape[0]
-    m_b = boxes_b.shape[0]
-    d = boxes_a.shape[2]
-    out = np.empty((m_a, m_b), dtype=np.bool_)
-    for i in range(m_a):
-        for j in range(m_b):
-            hit = True
-            for dim in range(d):
-                lo_ok = boxes_a[i, 0, dim] <= boxes_b[j, 1, dim] + pad
-                hi_ok = boxes_a[i, 1, dim] >= boxes_b[j, 0, dim] - pad
-                if not (lo_ok and hi_ok):
-                    hit = False
-                    break
-            out[i, j] = hit
-    return out
-
-
-def _prep_box_candidate_pairs(
-    boxes: Any, points: Any, box_index: Any, point_index: Any
-) -> Tuple[Any, ...]:
-    return (
-        np.asarray(boxes),
-        np.asarray(points),
-        np.asarray(box_index),
-        np.asarray(point_index),
-    )
-
-
-@_register(
-    "repro.geometry.boxsearch.box_candidate_pairs",
-    _prep_box_candidate_pairs,
-)
-def _src_box_candidate_pairs(
-    boxes: np.ndarray,
-    points: np.ndarray,
-    box_index: np.ndarray,
-    point_index: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    n_pairs = box_index.shape[0]
-    d = points.shape[1]
-    keep = np.empty(n_pairs, dtype=np.bool_)
-    n_kept = 0
-    for t in range(n_pairs):
-        b = box_index[t]
-        p = point_index[t]
-        inside = True
-        for dim in range(d):
-            v = points[p, dim]
-            if v < boxes[b, 0, dim] or v > boxes[b, 1, dim]:
-                inside = False
-                break
-        keep[t] = inside
-        if inside:
-            n_kept += 1
-    out_boxes = np.empty(n_kept, dtype=box_index.dtype)
-    out_points = np.empty(n_kept, dtype=point_index.dtype)
-    k = 0
-    for t in range(n_pairs):
-        if keep[t]:
-            out_boxes[k] = box_index[t]
-            out_points[k] = point_index[t]
-            k += 1
-    return out_boxes, out_points
-
-
-def _prep_row_majority(labels: Any) -> Tuple[Any, ...]:
-    return (np.asarray(labels, dtype=np.int64),)
-
-
-@_register("repro.core.contact_search.row_majority", _prep_row_majority)
-def _src_row_majority(labels: np.ndarray) -> np.ndarray:
-    n, w = labels.shape
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        srow = np.sort(labels[i].copy())
-        best_val = srow[0]
-        best_cnt = 1
-        cur_cnt = 1
-        for j in range(1, w):
-            if srow[j] == srow[j - 1]:
-                cur_cnt += 1
-            else:
-                cur_cnt = 1
-            if cur_cnt > best_cnt:
-                best_cnt = cur_cnt
-                best_val = srow[j]
-        out[i] = best_val
-    return out
-
-
-def _prep_split_index_curve(coords: Any, labels: Any) -> Tuple[Any, ...]:
-    return (np.asarray(coords), np.asarray(labels))
-
-
-@_register(
-    "repro.dtree.splitter.split_index_curve", _prep_split_index_curve
-)
-def _src_split_index_curve(
-    coords: np.ndarray, labels: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = coords.shape[0]
-    # mergesort is stable, and stability fully determines the
-    # permutation — identical to the pure path's kind="stable"
-    order = np.argsort(coords, kind="mergesort")
-    c = coords[order]
-    lab = labels[order]
-    # prefix sums of per-class squared counts via occurrence ranks:
-    # sum_c left_c(i)^2 == sum_{j<=i} (2*rank_j - 1)
-    idx = np.argsort(lab, kind="mergesort")
-    ranks = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        if t > 0 and lab[idx[t]] == lab[idx[t - 1]]:
-            ranks[idx[t]] = ranks[idx[t - 1]] + 1
-        else:
-            ranks[idx[t]] = 1
-    left_sq = np.empty(n + 1, dtype=np.int64)
-    left_sq[0] = 0
-    for t in range(n):
-        left_sq[t + 1] = left_sq[t] + 2 * ranks[t] - 1
-    # suffix sums of squares: the same scan over the reversed labels
-    rev = lab[::-1].copy()
-    ridx = np.argsort(rev, kind="mergesort")
-    rranks = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        if t > 0 and rev[ridx[t]] == rev[ridx[t - 1]]:
-            rranks[ridx[t]] = rranks[ridx[t - 1]] + 1
-        else:
-            rranks[ridx[t]] = 1
-    rev_sq = np.empty(n + 1, dtype=np.int64)
-    rev_sq[0] = 0
-    for t in range(n):
-        rev_sq[t + 1] = rev_sq[t] + 2 * rranks[t] - 1
-    m = n - 1 if n > 0 else 0
-    idx_vals = np.empty(m, dtype=np.float64)
-    valid = np.empty(m, dtype=np.bool_)
-    for i in range(m):
-        # cut after sorted position i puts i+1 points left; the suffix
-        # square-sum of the right side is rev_sq[n - (i + 1)]
-        idx_vals[i] = np.sqrt(float(left_sq[i + 1])) + np.sqrt(
-            float(rev_sq[n - (i + 1)])
-        )
-        valid[i] = c[i] < c[i + 1]
-    return order, valid, idx_vals
+    return False

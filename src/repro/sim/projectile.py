@@ -97,12 +97,12 @@ class ImpactConfig:
     def epic_scale(cls, n_steps: int = 100) -> "ImpactConfig":
         """A full-size analogue of the EPIC mesh (≈160k nodes).
 
-        Matches the paper's node count (156,601) to within a few
-        percent. Partitioning at this scale takes minutes per fit in
-        pure Python — use it for one-off headline runs
-        (``examples/projectile_impact.py --epic``), not for the
-        benchmark suite; ``paper_scale`` is the routine evaluation
-        scene.
+        155,127 nodes against the paper's 156,601. An MCML+DT fit at
+        this scale takes 13 s at k = 25 and 26 s at k = 100 on a
+        2-vCPU box (one unpaired probe each, ROADMAP after PR 20), so
+        the paper's own Table 1 is a matter of minutes
+        (``examples/projectile_impact.py --epic``); ``paper_scale``
+        stays the routine evaluation scene.
         """
         return cls(
             n_steps=n_steps,

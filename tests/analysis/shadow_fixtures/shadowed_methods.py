@@ -1,8 +1,5 @@
-"""Same-named methods of two classes: only the first of each pair is bad."""
+"""Same-named methods of two classes: only the first of the pair is bad."""
 
-import numpy as np
-
-from repro.kernels import kernel
 from repro.runtime.executor import spmd_run
 
 TOTALS = []
@@ -22,21 +19,3 @@ class Confined:
 
 def run_racy():
     return spmd_run(2, [Racy.step])
-
-
-class Impure:
-    @staticmethod
-    def scale(x):
-        print("scaling", x)  # KERN001: I/O reached from a kernel
-        return x * 2.0
-
-
-class Pure:
-    @staticmethod
-    def scale(x):
-        return x * 2.0
-
-
-@kernel
-def doubled(x: np.ndarray) -> np.ndarray:
-    return Impure.scale(x)

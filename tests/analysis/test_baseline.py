@@ -1,5 +1,5 @@
 """The committed lint baseline: write/load/apply round trip, multiset
-semantics, the KERN001 prohibition, and schema rejection."""
+semantics, the never-baselined prohibition, and schema rejection."""
 
 import json
 
@@ -68,23 +68,23 @@ class TestRoundTrip:
         assert kept == [new]
 
 
-class TestKern001Prohibition:
-    def test_write_drops_kern001(self, tmp_path):
+class TestNeverBaselinedProhibition:
+    def test_write_drops_sm001(self, tmp_path):
         path = tmp_path / "baseline.json"
-        n = write_baseline(path, [diag(), diag(code="KERN001")])
+        n = write_baseline(path, [diag(), diag(code="SM001")])
         assert n == 1
         codes = {e["code"] for e in json.loads(path.read_text())["entries"]}
         assert codes == {"PERF001"}
 
-    def test_load_rejects_kern001_entries(self, tmp_path):
+    def test_load_rejects_sm001_entries(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({
             "schema": BASELINE_SCHEMA_VERSION,
             "entries": [
-                {"path": "p.py", "code": "KERN001", "message": "m"}
+                {"path": "p.py", "code": "SM001", "message": "m"}
             ],
         }))
-        with pytest.raises(BaselineError, match="KERN001"):
+        with pytest.raises(BaselineError, match="SM001"):
             load_baseline(path)
 
 

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.cli import main as lint_main
 from repro.cli import main as contact_main
@@ -150,7 +152,7 @@ class TestPerfFlag:
     def test_perf_flag_finds_seeded_violations(self, capsys):
         assert lint_main(["--perf", str(PERF_FIXTURES)]) == 1
         out = capsys.readouterr().out
-        for code in ("PERF001", "PERF002", "PERF003", "PERF005", "KERN001"):
+        for code in ("PERF001", "PERF002", "PERF003", "PERF005"):
             assert code in out
 
     def test_without_flag_fixtures_are_clean(self, capsys):
@@ -160,18 +162,14 @@ class TestPerfFlag:
     def test_list_rules_includes_perf_family(self, capsys):
         lint_main(["--list-rules"])
         out = capsys.readouterr().out
-        for code in ("PERF001", "PERF002", "PERF003", "PERF005", "KERN001"):
+        for code in ("PERF001", "PERF002", "PERF003", "PERF005"):
             assert code in out
 
-    def test_kernel_audit_written_and_implies_perf(self, tmp_path, capsys):
-        audit_path = tmp_path / "kernel-audit.json"
-        code = lint_main(
-            ["--kernel-audit", str(audit_path), str(PERF_FIXTURES)]
-        )
-        assert code == 1  # blocked fixture kernels gate the run
-        doc = json.loads(audit_path.read_text())
-        assert doc["schema"] == "repro.kernel-audit/1"
-        assert doc["n_kernels"] == 4 and doc["n_certified"] == 1
+    def test_kernel_audit_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--kernel-audit", "audit.json", str(PERF_FIXTURES)])
+        assert exc.value.code == 2
+        assert "--kernel-audit" in capsys.readouterr().err
 
     def test_perf_library_lints_clean_modulo_baseline(self, capsys):
         """Acceptance: `repro-lint --perf --baseline lint-baseline.json
@@ -307,15 +305,13 @@ class TestBaselineFlags:
             ["--perf", "--write-baseline", str(base), str(PERF_FIXTURES)]
         ) == 0
         capsys.readouterr()
-        # KERN001 is never baselined, so the run still fails on it —
-        # but every PERF finding is suppressed
+        # every PERF finding is suppressed
         assert lint_main(
             ["--perf", "--baseline", str(base), str(PERF_FIXTURES)]
-        ) == 1
+        ) == 0
         captured = capsys.readouterr()
         assert "suppressed" in captured.err
         assert "PERF" not in captured.out
-        assert "KERN001" in captured.out
 
     def test_malformed_baseline_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

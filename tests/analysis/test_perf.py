@@ -3,8 +3,7 @@ output over the seeded fixture package.
 
 ``perf_fixtures/`` mimics a ``repro/`` package root (the PERF rules
 are scoped to the numeric modules); the JSON and SARIF renderings of
-the full ``--perf`` run over it — PERF findings plus the certifier's
-KERN001 diagnostics — are pinned as golden files.
+the full ``--perf`` run over it are pinned as golden files.
 """
 
 import dataclasses
@@ -302,16 +301,11 @@ class TestGoldenFixtures:
     def test_exact_code_counts(self):
         summary = as_json_payload(self._normalized())["summary"]
         assert summary == {
-            "KERN001": 8,
             "PERF001": 4,
             "PERF002": 2,
             "PERF003": 1,
             "PERF005": 2,
         }
-
-    def test_clean_modules_stay_clean(self):
-        flagged = {d.path for d in self._normalized()}
-        assert "kernel_ok.py" not in flagged
 
     def test_matches_golden_json(self):
         golden = json.loads((GOLDEN / "perf_fixtures.json").read_text())

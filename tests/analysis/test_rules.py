@@ -148,21 +148,20 @@ class TestRuleMetadata:
     def test_every_rule_has_pass_and_fail_coverage(self):
         # guard: a new rule must extend this file's coverage (the SPMD
         # family is covered by test_spmd.py, the PERF family by
-        # test_perf.py, KERN001 by test_kernelcheck.py, the service
-        # family by test_asynccheck/test_statemachine)
+        # test_perf.py, the service family by
+        # test_asynccheck/test_statemachine)
         from repro.analysis.engine import all_rules
 
         covered = {"ARR001", "ASSERT001", "VAL001", "LOOP001"}
         spmd = {"SPMD001"}
         perf = {"PERF001", "PERF002", "PERF003", "PERF005"}
-        kern = {"KERN001"}
         service = {"ASYNC001", "ASYNC002", "TIME001", "SM001"}
         assert {r.code for r in all_rules()} == (
-            covered | spmd | perf | kern | service
+            covered | spmd | perf | service
         )
 
     def test_opt_in_rules_skipped_by_default(self):
-        # only the core family runs by default: the SPMD, PERF/KERN and
+        # only the core family runs by default: the SPMD, PERF and
         # service families must be asked for, by family or by --select
         from repro.analysis.engine import LintEngine, all_rules
 
@@ -171,7 +170,6 @@ class TestRuleMetadata:
         assert opt_in == {
             "SPMD001",
             "PERF001", "PERF002", "PERF003", "PERF005",
-            "KERN001",
             "ASYNC001", "ASYNC002", "TIME001", "SM001",
         }
         assert not (default_codes & opt_in)

@@ -18,7 +18,6 @@ GATED = [
     "src/repro/partition/config.py",
     "src/repro/analysis",
     "src/repro/obs",
-    "src/repro/kernels.py",
 ]
 
 pytestmark = pytest.mark.skipif(

@@ -59,28 +59,20 @@ def rng():
 @pytest.fixture(
     scope="session",
     params=[
-        ("serial", None),
-        ("thread", None),
-        ("process", None),
-        ("sentinel", None),
-        ("chaos", None),
-        ("tcp://127.0.0.1:0?accept_timeout=30", None),
-        ("serial", "compiled"),
-        ("process", "compiled"),
-        ("chaos", "compiled"),
+        "serial",
+        "thread",
+        "process",
+        "sentinel",
+        "chaos",
+        "tcp://127.0.0.1:0?accept_timeout=30",
     ],
-    ids=lambda p: (
-        ("tcp" if p[0].startswith("tcp:") else p[0])
-        if p[1] is None
-        else f"{p[0]}-{p[1]}"
-    ),
+    ids=lambda spec: "tcp" if spec.startswith("tcp:") else spec,
 )
 def spmd_backend(request):
-    """Each (execution backend, kernel tier) combination,
-    session-scoped so the process backend's worker pool is spun up once
-    for the whole run.  Tests using this fixture assert
-    backend-independence: identical results and ledgers on every
-    backend.  The ``sentinel`` variant additionally proves the
+    """Each execution backend, session-scoped so the process backend's
+    worker pool is spun up once for the whole run.  Tests using this
+    fixture assert backend-independence: identical results and ledgers
+    on every backend.  The ``sentinel`` variant additionally proves the
     supersteps never mutate shared state (it raises
     ``SharedStateMutationError`` if one does); the ``chaos`` variant
     exercises the fault-injection harness (a passthrough unless
@@ -88,30 +80,9 @@ def spmd_backend(request):
     and results must STILL be identical).  The ``tcp`` variant runs
     the distributed coordinator against two locally spawned
     ``repro-agent`` processes over loopback sockets — the full
-    ``repro.wire/1`` stack, same bit-identical results.  The
-    ``*-compiled`` variants
-    run the same assertions with ``REPRO_KERNELS=compiled``
-    (``repro.runtime.compiled``): with numba the compiled kernels must
-    be bit-identical to the serial/pure baseline, without it the
-    per-kernel fallback must be equally invisible."""
-    import os
-
+    ``repro.wire/1`` stack, same bit-identical results."""
     from repro.runtime.backends import build_backend
-    from repro.runtime.compiled import KERNELS_ENV, set_kernel_tier
 
-    name, tier = request.param
-    saved_env = os.environ.get(KERNELS_ENV)
-    if tier is not None:
-        # env var too, so process-backend workers forked during the
-        # session inherit the tier
-        os.environ[KERNELS_ENV] = tier
-        set_kernel_tier(tier)
-    backend = build_backend(name, workers=2)
+    backend = build_backend(request.param, workers=2)
     yield backend
     backend.close()
-    if tier is not None:
-        set_kernel_tier(None)
-        if saved_env is None:
-            os.environ.pop(KERNELS_ENV, None)
-        else:
-            os.environ[KERNELS_ENV] = saved_env

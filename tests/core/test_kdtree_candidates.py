@@ -83,8 +83,3 @@ class TestBoxCandidatePairsKernel:
         point_index = np.array([0, 2, 0, 1, 2], dtype=np.int64)
         b, p = box_candidate_pairs(boxes, pts, box_index, point_index)
         assert set(zip(b.tolist(), p.tolist())) == {(0, 0), (1, 1)}
-
-    def test_kernel_is_registered(self):
-        from repro.kernels import is_kernel
-
-        assert is_kernel(box_candidate_pairs)

@@ -1,0 +1,172 @@
+"""Test-only oracles: naive per-pair / per-row loop forms of the four
+array routines of the contact search.
+
+``_src_*`` re-implement :func:`repro.geometry.bbox.bboxes_intersect_matrix`,
+:func:`repro.geometry.boxsearch.box_candidate_pairs`,
+:func:`repro.core.contact_search.row_majority` and
+:func:`repro.dtree.splitter.split_index_curve` one element at a time,
+performing the same arithmetic per element (comparisons, int64
+cumulative sums, IEEE sqrt), so ``test_conformance.py`` can demand
+bit-identical results from the vectorised bodies.  ``_prep_*`` mirror
+each routine's signature (defaults included) and its input coercions,
+returning the positional tuple the loop form consumes.  The bodies are
+verbatim copies of the loop sources that used to live in
+``repro.runtime.compiled``; they share no code with ``src/``.  Do not
+"fix" or speed these up.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Tuple
+
+import numpy as np
+
+
+def _prep_bboxes_intersect_matrix(
+    boxes_a: Any, boxes_b: Any, pad: float = 0.0
+) -> Tuple[Any, ...]:
+    return (
+        np.asarray(boxes_a, dtype=float),
+        np.asarray(boxes_b, dtype=float),
+        float(pad),
+    )
+
+
+def _src_bboxes_intersect_matrix(
+    boxes_a: np.ndarray, boxes_b: np.ndarray, pad: float
+) -> np.ndarray:
+    m_a = boxes_a.shape[0]
+    m_b = boxes_b.shape[0]
+    d = boxes_a.shape[2]
+    out = np.empty((m_a, m_b), dtype=np.bool_)
+    for i in range(m_a):
+        for j in range(m_b):
+            hit = True
+            for dim in range(d):
+                lo_ok = boxes_a[i, 0, dim] <= boxes_b[j, 1, dim] + pad
+                hi_ok = boxes_a[i, 1, dim] >= boxes_b[j, 0, dim] - pad
+                if not (lo_ok and hi_ok):
+                    hit = False
+                    break
+            out[i, j] = hit
+    return out
+
+
+def _prep_box_candidate_pairs(
+    boxes: Any, points: Any, box_index: Any, point_index: Any
+) -> Tuple[Any, ...]:
+    return (
+        np.asarray(boxes),
+        np.asarray(points),
+        np.asarray(box_index),
+        np.asarray(point_index),
+    )
+
+
+def _src_box_candidate_pairs(
+    boxes: np.ndarray,
+    points: np.ndarray,
+    box_index: np.ndarray,
+    point_index: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    n_pairs = box_index.shape[0]
+    d = points.shape[1]
+    keep = np.empty(n_pairs, dtype=np.bool_)
+    n_kept = 0
+    for t in range(n_pairs):
+        b = box_index[t]
+        p = point_index[t]
+        inside = True
+        for dim in range(d):
+            v = points[p, dim]
+            if v < boxes[b, 0, dim] or v > boxes[b, 1, dim]:
+                inside = False
+                break
+        keep[t] = inside
+        if inside:
+            n_kept += 1
+    out_boxes = np.empty(n_kept, dtype=box_index.dtype)
+    out_points = np.empty(n_kept, dtype=point_index.dtype)
+    k = 0
+    for t in range(n_pairs):
+        if keep[t]:
+            out_boxes[k] = box_index[t]
+            out_points[k] = point_index[t]
+            k += 1
+    return out_boxes, out_points
+
+
+def _prep_row_majority(labels: Any) -> Tuple[Any, ...]:
+    return (np.asarray(labels, dtype=np.int64),)
+
+
+def _src_row_majority(labels: np.ndarray) -> np.ndarray:
+    n, w = labels.shape
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        srow = np.sort(labels[i].copy())
+        best_val = srow[0]
+        best_cnt = 1
+        cur_cnt = 1
+        for j in range(1, w):
+            if srow[j] == srow[j - 1]:
+                cur_cnt += 1
+            else:
+                cur_cnt = 1
+            if cur_cnt > best_cnt:
+                best_cnt = cur_cnt
+                best_val = srow[j]
+        out[i] = best_val
+    return out
+
+
+def _prep_split_index_curve(coords: Any, labels: Any) -> Tuple[Any, ...]:
+    return (np.asarray(coords), np.asarray(labels))
+
+
+def _src_split_index_curve(
+    coords: np.ndarray, labels: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = coords.shape[0]
+    # mergesort is stable, and stability fully determines the
+    # permutation — identical to the pure path's kind="stable"
+    order = np.argsort(coords, kind="mergesort")
+    c = coords[order]
+    lab = labels[order]
+    # prefix sums of per-class squared counts via occurrence ranks:
+    # sum_c left_c(i)^2 == sum_{j<=i} (2*rank_j - 1)
+    idx = np.argsort(lab, kind="mergesort")
+    ranks = np.empty(n, dtype=np.int64)
+    for t in range(n):
+        if t > 0 and lab[idx[t]] == lab[idx[t - 1]]:
+            ranks[idx[t]] = ranks[idx[t - 1]] + 1
+        else:
+            ranks[idx[t]] = 1
+    left_sq = np.empty(n + 1, dtype=np.int64)
+    left_sq[0] = 0
+    for t in range(n):
+        left_sq[t + 1] = left_sq[t] + 2 * ranks[t] - 1
+    # suffix sums of squares: the same scan over the reversed labels
+    rev = lab[::-1].copy()
+    ridx = np.argsort(rev, kind="mergesort")
+    rranks = np.empty(n, dtype=np.int64)
+    for t in range(n):
+        if t > 0 and rev[ridx[t]] == rev[ridx[t - 1]]:
+            rranks[ridx[t]] = rranks[ridx[t - 1]] + 1
+        else:
+            rranks[ridx[t]] = 1
+    rev_sq = np.empty(n + 1, dtype=np.int64)
+    rev_sq[0] = 0
+    for t in range(n):
+        rev_sq[t + 1] = rev_sq[t] + 2 * rranks[t] - 1
+    m = n - 1 if n > 0 else 0
+    idx_vals = np.empty(m, dtype=np.float64)
+    valid = np.empty(m, dtype=np.bool_)
+    for i in range(m):
+        # cut after sorted position i puts i+1 points left; the suffix
+        # square-sum of the right side is rev_sq[n - (i + 1)]
+        idx_vals[i] = np.sqrt(float(left_sq[i + 1])) + np.sqrt(
+            float(rev_sq[n - (i + 1)])
+        )
+        valid[i] = c[i] < c[i + 1]
+    return order, valid, idx_vals

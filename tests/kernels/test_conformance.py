@@ -1,21 +1,15 @@
-"""Differential kernel-conformance harness.
+"""Differential conformance harness for the contact-search array routines.
 
-Compiled numerics are the classic source of silent divergence, so
-"compiled ≡ pure" is a machine-checked invariant here, not a hope: for
-every kernel in ``declared_kernels()``, hypothesis-generated inputs run
-through the pure NumPy implementation and the compiled loop source, and
-the results must be **bit-identical** — exact ``np.array_equal`` with
-dtype and shape equality, never ``allclose``.
-
-Two differential layers:
-
-* the loop *sources* run interpreted against pure on every platform
-  (no numba needed) — this proves the algorithm algebra, including
-  stable-sort permutations under heavy ties;
-* with numba installed, the full dispatch path runs jit-compiled
-  against pure, and additionally asserts the call really took the
-  compiled tier (a silent fallback would make the comparison
-  vacuous).  Without numba the jitted layer skips with a reason.
+Vectorised numerics are a classic source of silent divergence, so
+"vectorised ≡ naive loop" is a machine-checked invariant here, not a
+hope: for each of the four routines in ``KERNELS``,
+hypothesis-generated inputs run through the vectorised NumPy body in
+``src/`` and through its independent per-pair / per-row loop form in
+``reference_loops.py``, and the results must be **bit-identical** —
+exact ``np.array_equal`` with dtype and shape equality, never
+``allclose``.  The loop forms run as plain Python on every platform,
+which proves the algorithm algebra, including stable-sort permutations
+under heavy ties.
 """
 
 from __future__ import annotations
@@ -26,21 +20,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kernels import declared_kernels, kernel_dispatchers, kernel_names
-from repro.runtime import compiled as rc
+from repro.core.contact_search import row_majority
+from repro.dtree.splitter import split_index_curve
+from repro.geometry.bbox import bboxes_intersect_matrix
+from repro.geometry.boxsearch import box_candidate_pairs
 
-KERNELS = kernel_names()
+from . import reference_loops
 
-needs_numba = pytest.mark.skipif(
-    not rc.numba_available(),
-    reason=(
-        "numba unavailable on this platform: the compiled tier falls "
-        "back to pure (covered by test_compiled_runtime); the jitted "
-        "differential layer cannot run"
-    ),
-)
+#: the routines under test, by dotted name (sorted, as the ids print)
+KERNELS = {
+    f"{fn.__module__}.{fn.__qualname__}": fn
+    for fn in (
+        row_majority,
+        split_index_curve,
+        bboxes_intersect_matrix,
+        box_candidate_pairs,
+    )
+}
 
-# generous budget: the first jitted example per signature compiles
 CONFORMANCE_SETTINGS = settings(
     max_examples=25,
     deadline=None,
@@ -127,11 +124,11 @@ def _assert_bit_identical(name, want, got):
     want, got = _as_tuple(want), _as_tuple(got)
     assert len(want) == len(got), (
         f"{name}: pure returned {len(want)} array(s), "
-        f"compiled returned {len(got)}"
+        f"loop form returned {len(got)}"
     )
     for i, (w, g) in enumerate(zip(want, got)):
         assert isinstance(g, np.ndarray), (
-            f"{name}[{i}]: compiled returned {type(g).__name__}"
+            f"{name}[{i}]: loop form returned {type(g).__name__}"
         )
         assert g.dtype == w.dtype, (
             f"{name}[{i}]: dtype {g.dtype} != pure {w.dtype}"
@@ -141,78 +138,33 @@ def _assert_bit_identical(name, want, got):
         )
         assert np.array_equal(w, g), (
             f"{name}[{i}]: values diverge\npure:     {w!r}\n"
-            f"compiled: {g!r}"
+            f"loop:     {g!r}"
         )
 
 
 def test_every_declared_kernel_is_covered():
-    """Adding a kernel without conformance inputs (or a compiled
-    source) must fail loudly, not silently shrink coverage."""
+    """Adding a routine or an oracle without conformance inputs must
+    fail loudly, not silently shrink coverage."""
     assert set(INPUTS) == set(KERNELS)
-    assert set(rc.NUMBA_SOURCES) == set(KERNELS)
-    assert set(rc._PREPARE) == set(KERNELS)
-    assert set(kernel_dispatchers()) == set(KERNELS)
+    short = {fn.__name__ for fn in KERNELS.values()}
+    for prefix in ("_src_", "_prep_"):
+        assert {
+            n[len(prefix):]
+            for n in vars(reference_loops)
+            if n.startswith(prefix)
+        } == short
 
 
-@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("name", list(KERNELS))
 @given(data=st.data())
 @CONFORMANCE_SETTINGS
 def test_interpreted_source_matches_pure(name, data):
-    """The loop source, run as plain Python, is bit-identical to the
-    pure kernel — platform-independent proof of the algorithm."""
+    """The loop form, run as plain Python, is bit-identical to the
+    vectorised body — platform-independent proof of the algorithm."""
     args, kwargs = data.draw(INPUTS[name]())
-    pure = declared_kernels()[name]
-    source = rc.NUMBA_SOURCES[name]
-    prepare = rc._PREPARE[name]
+    pure = KERNELS[name]
+    prepare = getattr(reference_loops, f"_prep_{pure.__name__}")
+    source = getattr(reference_loops, f"_src_{pure.__name__}")
     want = pure(*args, **kwargs)
     got = source(*prepare(*args, **kwargs))
     _assert_bit_identical(name, want, got)
-
-
-@needs_numba
-@pytest.mark.parametrize("name", KERNELS)
-@given(data=st.data())
-@CONFORMANCE_SETTINGS
-def test_compiled_dispatch_matches_pure(name, data):
-    """The full compiled tier (dispatch → njit) is bit-identical to
-    pure, and genuinely ran compiled — a fallback here is a failure,
-    not a skip, because numba *is* available."""
-    args, kwargs = data.draw(INPUTS[name]())
-    pure = declared_kernels()[name]
-    dispatcher = kernel_dispatchers()[name]
-    rc.set_kernel_tier("compiled")
-    try:
-        before = rc.stats_snapshot()
-        got = dispatcher(*args, **kwargs)
-        delta = rc.stats_delta(before)
-    finally:
-        rc.set_kernel_tier(None)
-    assert name not in rc.fallback_reasons(), (
-        f"{name} fell back to pure although numba is available: "
-        f"{rc.fallback_reasons()[name]}"
-    )
-    assert delta["kernel_calls_compiled"] == 1
-    assert delta["kernel_calls_pure"] == 0
-    want = pure(*args, **kwargs)
-    _assert_bit_identical(name, want, got)
-
-
-@needs_numba
-def test_compile_cache_keyed_by_signature():
-    """Repeat calls with one dtype signature compile once; the cache
-    key includes the kernel name, so kernels never share entries."""
-    from repro.core.contact_search import row_majority
-
-    labels = np.array([[1, 2, 2], [3, 3, 1]], dtype=np.int64)
-    rc.set_kernel_tier("compiled")
-    try:
-        row_majority(labels)
-        before = rc.stats_snapshot()
-        row_majority(labels + 1)
-        delta = rc.stats_delta(before)
-    finally:
-        rc.set_kernel_tier(None)
-    assert delta["kernel_compiles"] == 0
-    assert delta["kernel_calls_compiled"] == 1
-    name = "repro.core.contact_search.row_majority"
-    assert any(k == name for k, _sig in rc.compiled_signatures())
