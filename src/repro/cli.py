@@ -271,7 +271,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     else:
         config = ImpactConfig(n_steps=n_steps, refine=args.refine)
         with tracer.span("simulate"):
-            snapshots = list(simulate_impact(config))
+            snapshots = list(simulate_impact(config, tracer=tracer))
         source = "synthetic-impact"
 
     params_options = PartitionOptions(seed=args.seed)
@@ -382,7 +382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.sim.sequence import simulate_impact
 
     with tracer.span("simulate"):
-        seq = simulate_impact(config)
+        seq = simulate_impact(config, tracer=tracer)
 
     if args.command == "table1":
         from repro.core.pipeline import table1

@@ -10,6 +10,7 @@ and feed the partitioner and the contact-search pipeline.
 from repro.mesh.element import ELEMENT_DIM, ELEMENT_EDGES, ELEMENT_FACES
 from repro.mesh.mesh import Mesh
 from repro.mesh.surface import (
+    FaceTable,
     boundary_faces,
     face_nodes,
     surface_nodes,
@@ -28,6 +29,7 @@ __all__ = [
     "ELEMENT_EDGES",
     "ELEMENT_FACES",
     "Mesh",
+    "FaceTable",
     "boundary_faces",
     "face_nodes",
     "surface_nodes",

@@ -1,17 +1,20 @@
 """Surface extraction: boundary faces and surface nodes.
 
 A face (edge in 2D) is a *boundary* face iff it appears in exactly one
-element — interior faces are shared by two. Extraction hashes every
-face by its sorted node tuple with one ``lexsort`` pass, so a
-700k-element hex mesh resolves in well under a second. Erosion during
-a simulation deletes elements, which automatically exposes the freshly
-created channel walls as new boundary faces — exactly the mechanism
-that grows the contact surface in penetration runs.
+live element — interior faces are shared by two. :class:`FaceTable`
+groups every face of a mesh by its sorted node tuple with one
+``lexsort`` pass (measured on a 2-vCPU box: 0.13 s for the 140k-element
+``epic_scale`` hex mesh, 13 ms for the 14k-element ``paper_scale``
+one); the boundary under any ``alive`` mask is then a gather and a
+segmented sum over that fixed grouping (10 ms and 1 ms). Erosion
+during a simulation deletes elements, which automatically exposes the
+freshly created channel walls as new boundary faces — exactly the
+mechanism that grows the contact surface in penetration runs.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,9 +39,54 @@ def face_nodes(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return faces, owner, local
 
 
-def _face_keys(faces: np.ndarray) -> np.ndarray:
-    """Orientation-independent sort key per face (sorted node ids)."""
-    return np.sort(faces, axis=1)
+class FaceTable:
+    """Every face of ``mesh`` grouped by its sorted node tuple.
+
+    Built once per mesh (the only sort); :meth:`boundary` answers for
+    any subset of live elements without re-deriving the grouping, so a
+    scene that only ever erodes elements builds one table.
+    """
+
+    def __init__(self, mesh: Mesh) -> None:
+        self.faces, owner, _ = face_nodes(mesh)
+        self.num_elements = mesh.num_elements
+        keys = np.sort(self.faces, axis=1)  # orientation-independent
+        #: rows of ``faces`` in key order; equal keys stay in element order
+        self.order = np.lexsort(keys.T[::-1])
+        sk = keys[self.order]
+        first = np.ones(len(sk), dtype=bool)
+        first[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+        self.owner = owner[self.order]  # element of each row, in key order
+        self.group_start = np.flatnonzero(first)
+        self.group_id = np.cumsum(first) - 1
+
+    def boundary(
+        self, alive: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Boundary faces of the sub-mesh of ``alive`` elements.
+
+        Equals ``boundary_faces(mesh.with_elements(alive))`` row for
+        row: faces in original orientation in key order, owners
+        numbered among the live elements. ``alive`` is a bool mask over
+        the table's elements (default: all alive).
+        """
+        if alive is None:
+            alive = np.ones(self.num_elements, dtype=bool)
+        elif alive.shape != (self.num_elements,) or alive.dtype != bool:
+            raise ValueError(
+                f"alive must be a bool mask of {self.num_elements} elements"
+            )
+        live = alive[self.owner]
+        # a group is a boundary face iff exactly one member is alive
+        single = np.add.reduceat(live, self.group_start, dtype=np.intp) == 1
+        on = live & single[self.group_id]
+        live_index = np.cumsum(alive) - 1
+        return self.faces[self.order[on]], live_index[self.owner[on]]
+
+    def interior_pairs(self) -> np.ndarray:
+        """Element pairs sharing a face, ``(p, 2)``."""
+        idx = np.flatnonzero(self.group_id[1:] == self.group_id[:-1])
+        return np.column_stack((self.owner[idx], self.owner[idx + 1]))
 
 
 def boundary_faces(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray]:
@@ -48,19 +96,7 @@ def boundary_faces(mesh: Mesh) -> Tuple[np.ndarray, np.ndarray]:
     plus the owning element of each. Faces appearing twice (interior)
     are filtered out by grouping on the sorted-node key.
     """
-    faces, owner, _ = face_nodes(mesh)
-    if len(faces) == 0:
-        return faces, owner
-    keys = _face_keys(faces)
-    order = np.lexsort(keys.T[::-1])
-    sk = keys[order]
-    new_group = np.any(sk != np.roll(sk, 1, axis=0), axis=1)
-    new_group[0] = True
-    group_id = np.cumsum(new_group) - 1
-    counts = np.bincount(group_id)
-    singleton = counts[group_id] == 1
-    sel = order[singleton]
-    return faces[sel], owner[sel]
+    return FaceTable(mesh).boundary()
 
 
 def surface_nodes(mesh: Mesh) -> np.ndarray:
@@ -71,13 +107,4 @@ def surface_nodes(mesh: Mesh) -> np.ndarray:
 
 def interior_face_pairs(mesh: Mesh) -> np.ndarray:
     """Element pairs sharing a face, ``(p, 2)`` — the dual-graph edges."""
-    faces, owner, _ = face_nodes(mesh)
-    if len(faces) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    keys = _face_keys(faces)
-    order = np.lexsort(keys.T[::-1])
-    sk = keys[order]
-    so = owner[order]
-    same_as_prev = np.all(sk[1:] == sk[:-1], axis=1)
-    idx = np.nonzero(same_as_prev)[0]
-    return np.column_stack((so[idx], so[idx + 1]))
+    return FaceTable(mesh).interior_pairs()

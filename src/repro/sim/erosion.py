@@ -4,8 +4,8 @@ EPIC-style Lagrangian penetration codes delete ("erode") fully failed
 elements. The synthetic analogue: a plate element dies once the
 projectile nose has passed its depth *and* its centroid lies within the
 channel radius of the projectile axis. Erosion is monotone — dead
-elements stay dead — which the sequence generator enforces by
-accumulating masks.
+elements stay dead — because the nose never rises and the test is
+``centroid z >= tip_z``; nothing accumulates masks.
 """
 
 from __future__ import annotations

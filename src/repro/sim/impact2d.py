@@ -12,14 +12,21 @@ Bodies: 0 = punch, 1 = upper bar, 2 = lower bar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.mesh.generators import merge_meshes, structured_quad_mesh
 from repro.mesh.mesh import Mesh
+from repro.mesh.surface import FaceTable, boundary_faces
+from repro.obs.tracer import TracerBase
 from repro.sim.motion import ProjectileKinematics
-from repro.sim.sequence import ContactSnapshot, MeshSequence
+from repro.sim.sequence import (
+    MeshSequence,
+    Near,
+    contact_surface,
+    snapshot_sequence,
+)
 from repro.utils.validation import check_positive
 
 
@@ -81,9 +88,10 @@ class Impact2DSimulator:
             origin=(-half, lower_lo),
             size=(c.bar_length, c.bar_thickness),
         )
-        self.reference = merge_meshes([punch, upper, lower])
-        self.node_body = self.reference.node_body_id()
-        self._ref_centroids = self.reference.centroids()
+        self.reference = ref = merge_meshes([punch, upper, lower])
+        self.node_body = ref.node_body_id()
+        self._ref_centroids = ref.centroids()
+        self.face_table = FaceTable(ref)
         self.kinematics = ProjectileKinematics(
             tip0=c.standoff,
             v0=c.v0,
@@ -92,6 +100,25 @@ class Impact2DSimulator:
             min_speed=0.04,
         )
         self.channel_halfwidth = c.channel_factor * c.punch_width / 2.0
+
+        # Crater and erosion once everything is reached: fixed per
+        # scene; state_at only compares depths against the nose.
+        self._punch_nodes = np.flatnonzero(self.node_body == self.PUNCH)
+        self._bar_nodes = bar = np.flatnonzero(
+            (self.node_body != self.PUNCH) & (self.node_body >= 0)
+        )
+        self._bar_y = ref.nodes[bar, 1]
+        # bars bulge sideways near the slot, slightly downward
+        x = ref.nodes[bar, 0]
+        mag = c.crater_amplitude * np.exp(
+            -np.maximum(0.0, np.abs(x) - self.channel_halfwidth)
+            / max(c.crater_decay, 1e-12)
+        )
+        self._crater = np.column_stack((np.sign(x) * mag, -0.35 * mag))
+        # bar elements inside the slot
+        self._in_slot = np.isin(
+            ref.body_id, [self.UPPER_BAR, self.LOWER_BAR]
+        ) & (np.abs(self._ref_centroids[:, 0]) <= self.channel_halfwidth)
 
     def tip_at(self, time: float) -> float:
         """Punch nose y at ``time``."""
@@ -105,39 +132,19 @@ class Impact2DSimulator:
         tip = self.tip_at(time)
         ref = self.reference
         nodes = ref.nodes.copy()
+        nodes[self._punch_nodes, 1] += tip - c.standoff
 
-        punch_nodes = self.node_body == self.PUNCH
-        nodes[punch_nodes, 1] += tip - c.standoff
+        reached = self._bar_y >= tip
+        nodes[self._bar_nodes[reached]] += self._crater[reached]
 
-        # crater: bars bulge sideways near the slot, slightly downward
-        bar_nodes = ~punch_nodes & (self.node_body >= 0)
-        x = ref.nodes[:, 0]
-        y = ref.nodes[:, 1]
-        dist = np.abs(x)
-        reach = y >= tip
-        falloff = np.exp(
-            -np.maximum(0.0, dist - self.channel_halfwidth)
-            / max(c.crater_decay, 1e-12)
-        )
-        mag = c.crater_amplitude * falloff * reach
-        disp = np.zeros_like(nodes)
-        disp[:, 0] = np.sign(x) * mag
-        disp[:, 1] = -0.35 * mag
-        nodes[bar_nodes] += disp[bar_nodes]
-
-        # erosion: bar elements inside the swept slot
-        cx = self._ref_centroids[:, 0]
-        cy = self._ref_centroids[:, 1]
-        erodible = np.isin(
-            ref.body_id, [self.UPPER_BAR, self.LOWER_BAR]
-        )
-        eroded = (
-            erodible
-            & (cy >= tip)
-            & (np.abs(cx) <= self.channel_halfwidth)
-        )
+        eroded = self._in_slot & (self._ref_centroids[:, 1] >= tip)
         mesh = Mesh(nodes, ref.elements, ref.elem_type, ref.body_id)
         return mesh, ~eroded, tip
+
+
+def _within_halfwidth(capture_halfwidth: float) -> Near:
+    """Edge midpoint within ``capture_halfwidth`` of the punch axis."""
+    return lambda mid: np.abs(mid[:, 0]) <= capture_halfwidth
 
 
 def extract_contact_surface_2d(
@@ -145,51 +152,17 @@ def extract_contact_surface_2d(
 ) -> tuple:
     """Contact edges: all punch boundary edges + bar boundary edges
     whose midpoint is within ``capture_halfwidth`` of the punch axis."""
-    from repro.mesh.surface import boundary_faces
-
-    faces, owner = boundary_faces(mesh)
-    if len(faces) == 0:
-        return (
-            np.empty((0, 2), np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-        )
-    mid = mesh.nodes[faces].mean(axis=1)
-    is_punch = mesh.body_id[owner] == punch_body
-    near = np.abs(mid[:, 0]) <= capture_halfwidth
-    keep = is_punch | near
-    faces, owner = faces[keep], owner[keep]
-    return faces, owner, np.unique(faces)
+    near = _within_halfwidth(capture_halfwidth)
+    return contact_surface(mesh, *boundary_faces(mesh), punch_body, near)
 
 
 def simulate_impact_2d(
     config: Optional[Impact2DConfig] = None,
     n_snapshots: Optional[int] = None,
+    tracer: Optional[TracerBase] = None,
 ) -> MeshSequence:
     """Run the 2D punch scene and dump snapshots (cf.
     :func:`repro.sim.sequence.simulate_impact`)."""
-    config = config or Impact2DConfig()
-    sim = Impact2DSimulator(config)
-    n = config.n_steps if n_snapshots is None else n_snapshots
-    if n < 1:
-        raise ValueError("need at least one snapshot")
-    snapshots: List[ContactSnapshot] = []
-    for step in range(n):
-        t = float(step)
-        mesh_full, alive, tip = sim.state_at(t)
-        live = mesh_full.with_elements(alive)
-        faces, owner, cnodes = extract_contact_surface_2d(
-            live, config.capture_halfwidth, Impact2DSimulator.PUNCH
-        )
-        snapshots.append(
-            ContactSnapshot(
-                mesh=live,
-                contact_faces=faces,
-                contact_face_owner=owner,
-                contact_nodes=cnodes,
-                step=step,
-                time=t,
-                tip_z=tip,
-            )
-        )
-    return MeshSequence(snapshots=snapshots, config=config)
+    sim = Impact2DSimulator(config or Impact2DConfig())
+    near = _within_halfwidth(sim.config.capture_halfwidth)
+    return snapshot_sequence(sim, n_snapshots, sim.PUNCH, near, tracer)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.mesh.generators import merge_meshes, structured_box_mesh
 from repro.mesh.mesh import Mesh
+from repro.mesh.surface import FaceTable
 from repro.sim.erosion import channel_erosion_mask, crater_displacement
 from repro.sim.motion import ProjectileKinematics
 from repro.utils.validation import check_positive
@@ -169,9 +170,10 @@ class ImpactSimulator:
             from repro.mesh.generators import hex_to_tet_mesh
 
             merged = hex_to_tet_mesh(merged)
-        self.reference = merged
-        self.node_body = self.reference.node_body_id()
-        self._ref_centroids = self.reference.centroids()
+        self.reference = ref = merged
+        self.node_body = ref.node_body_id()
+        self._ref_centroids = ref.centroids()
+        self.face_table = FaceTable(ref)
 
         self.kinematics = ProjectileKinematics(
             tip0=c.standoff,
@@ -181,6 +183,39 @@ class ImpactSimulator:
             min_speed=0.04,
         )
         self.channel_radius = c.channel_factor * c.proj_width / 2.0 * np.sqrt(2)
+
+        # The crater and erosion fields at nose depth -inf, i.e. once
+        # everything is reached: fixed per scene (reference coords, so
+        # consistent across times); state_at only compares depths
+        # against the nose position.
+        def axis_at(zs: np.ndarray) -> np.ndarray:
+            """Channel axis (x, y) at depth z — slanted when oblique."""
+            ax = np.zeros((len(zs), 2))
+            if c.obliquity:
+                ax[:, 0] = c.obliquity * (c.standoff - zs)
+            return ax
+
+        self._proj_nodes = np.flatnonzero(self.node_body == self.PROJECTILE)
+        self._plate_nodes = plate = np.flatnonzero(
+            (self.node_body != self.PROJECTILE) & (self.node_body >= 0)
+        )
+        self._plate_z = ref.nodes[plate, 2]
+        self._crater = crater_displacement(
+            ref.nodes,
+            axis_xy=axis_at(ref.nodes[:, 2]),
+            tip_z=-np.inf,
+            channel_radius=self.channel_radius,
+            amplitude=c.crater_amplitude,
+            decay=c.crater_decay,
+        )[plate]
+        self._in_channel = channel_erosion_mask(
+            self._ref_centroids,
+            axis_xy=axis_at(self._ref_centroids[:, 2]),
+            tip_z=-np.inf,
+            radius=self.channel_radius,
+            body_id=ref.body_id,
+            erodible_bodies=np.array([self.UPPER_PLATE, self.LOWER_PLATE]),
+        )
 
     # ------------------------------------------------------------------
     def tip_at(self, time: float) -> float:
@@ -204,39 +239,14 @@ class ImpactSimulator:
         # rigid projectile translation (slanted by obliquity: the axis
         # drifts +x as the nose descends)
         nodes = ref.nodes.copy()
-        proj_nodes = self.node_body == self.PROJECTILE
-        descent = c.standoff - tip
-        nodes[proj_nodes, 2] += tip - c.standoff
+        nodes[self._proj_nodes, 2] += tip - c.standoff
         if c.obliquity:
-            nodes[proj_nodes, 0] += c.obliquity * descent
+            nodes[self._proj_nodes, 0] += c.obliquity * (c.standoff - tip)
 
-        def axis_at(zs: np.ndarray) -> np.ndarray:
-            """Channel axis (x, y) at depth z — slanted when oblique."""
-            ax = np.zeros((len(zs), 2))
-            if c.obliquity:
-                ax[:, 0] = c.obliquity * (c.standoff - zs)
-            return ax
+        # crater deformation of the plate nodes the nose has reached
+        reached = self._plate_z >= tip
+        nodes[self._plate_nodes[reached]] += self._crater[reached]
 
-        # crater deformation of plate nodes (based on reference coords so
-        # the field is consistent across times)
-        plate_nodes = ~proj_nodes & (self.node_body >= 0)
-        disp = crater_displacement(
-            ref.nodes,
-            axis_xy=axis_at(ref.nodes[:, 2]),
-            tip_z=tip,
-            channel_radius=self.channel_radius,
-            amplitude=c.crater_amplitude,
-            decay=c.crater_decay,
-        )
-        nodes[plate_nodes] += disp[plate_nodes]
-
-        eroded = channel_erosion_mask(
-            self._ref_centroids,
-            axis_xy=axis_at(self._ref_centroids[:, 2]),
-            tip_z=tip,
-            radius=self.channel_radius,
-            body_id=ref.body_id,
-            erodible_bodies=np.array([self.UPPER_PLATE, self.LOWER_PLATE]),
-        )
+        eroded = self._in_channel & (self._ref_centroids[:, 2] >= tip)
         mesh = Mesh(nodes, ref.elements, ref.elem_type, ref.body_id)
         return mesh, ~eroded, tip

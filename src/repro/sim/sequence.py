@@ -16,12 +16,13 @@ walls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.mesh.mesh import Mesh
 from repro.mesh.surface import boundary_faces
+from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.sim.projectile import ImpactConfig, ImpactSimulator
 
 
@@ -75,6 +76,42 @@ class MeshSequence:
         return self.snapshots[0].mesh.num_nodes
 
 
+#: face centroids ``(f, d)`` -> bool ``(f,)``: near enough to be contact
+Near = Callable[[np.ndarray], np.ndarray]
+
+
+def _within_radius(
+    capture_radius: float, obliquity: float, standoff: float
+) -> Near:
+    """Laterally within ``capture_radius`` of the (possibly slanted)
+    channel axis."""
+    def near(face_centroid: np.ndarray) -> np.ndarray:
+        axis = np.zeros((len(face_centroid), 2))
+        if obliquity:
+            axis[:, 0] = obliquity * (standoff - face_centroid[:, 2])
+        lateral = np.linalg.norm(face_centroid[:, :2] - axis, axis=1)
+        return lateral <= capture_radius
+
+    return near
+
+
+def contact_surface(
+    mesh: Mesh,
+    faces: np.ndarray,
+    owner: np.ndarray,
+    projectile_body: int,
+    near: Near,
+) -> tuple:
+    """The contact part of boundary ``(faces, owner)`` of ``mesh``:
+    every projectile face plus the others whose centroid is ``near``.
+    Returns ``(faces, face_owner, contact_nodes)``."""
+    keep = (mesh.body_id[owner] == projectile_body) | near(
+        mesh.nodes[faces].mean(axis=1)
+    )
+    faces, owner = faces[keep], owner[keep]
+    return faces, owner, np.unique(faces)
+
+
 def extract_contact_surface(
     mesh: Mesh,
     capture_radius: float,
@@ -89,57 +126,69 @@ def extract_contact_surface(
     projectile boundary face is one. Returns ``(faces, face_owner,
     contact_nodes)``.
     """
-    faces, owner = boundary_faces(mesh)
-    if len(faces) == 0:
-        empty = np.empty((0, faces.shape[1] if faces.ndim == 2 else 4), np.int64)
-        return empty, np.empty(0, np.int64), np.empty(0, np.int64)
-    face_centroid = mesh.nodes[faces].mean(axis=1)
-    axis = np.zeros((len(face_centroid), 2))
-    if obliquity:
-        axis[:, 0] = obliquity * (standoff - face_centroid[:, 2])
-    lateral = np.linalg.norm(face_centroid[:, :2] - axis, axis=1)
-    is_proj = mesh.body_id[owner] == projectile_body
-    keep = is_proj | (lateral <= capture_radius)
-    faces, owner = faces[keep], owner[keep]
-    return faces, owner, np.unique(faces)
+    near = _within_radius(capture_radius, obliquity, standoff)
+    return contact_surface(mesh, *boundary_faces(mesh), projectile_body, near)
+
+
+def snapshot_sequence(
+    sim: Any,
+    n_snapshots: Optional[int],
+    projectile_body: int,
+    near: Near,
+    tracer: Optional[TracerBase],
+) -> MeshSequence:
+    """The snapshot loop of both scenes: ``sim.state_at`` each step,
+    the boundary of the live elements from the scene's one
+    ``sim.face_table``, and :func:`contact_surface` of that.
+
+    Whatever depends only on the ``alive`` mask — connectivity, body
+    ids, boundary — is rebuilt only when the mask changes, so
+    consecutive snapshots between erosion events share those (read-only)
+    arrays.
+    """
+    tracer = ensure_tracer(tracer)
+    n = sim.config.n_steps if n_snapshots is None else n_snapshots
+    if n < 1:
+        raise ValueError("need at least one snapshot")
+    snapshots: List[ContactSnapshot] = []
+    alive = live = None
+    shared = 0
+    for step in range(n):
+        mesh_full, now_alive, tip = sim.state_at(float(step))
+        if alive is not None and np.array_equal(now_alive, alive):
+            live = Mesh(
+                mesh_full.nodes, live.elements, live.elem_type, live.body_id
+            )
+            shared += 1
+        else:
+            alive = now_alive
+            live = mesh_full.with_elements(alive)
+            live.elements.setflags(write=False)
+            live.body_id.setflags(write=False)
+            boundary = sim.face_table.boundary(alive)
+        snapshots.append(ContactSnapshot(
+            live, *contact_surface(live, *boundary, projectile_body, near),
+            step=step, time=float(step), tip_z=tip,
+        ))
+    tracer.count("snapshots", n)
+    tracer.count("face_tables_built")  # sim.face_table, nothing else sorts
+    tracer.count("connectivity_shared", shared)
+    return MeshSequence(snapshots=snapshots, config=sim.config)
 
 
 def simulate_impact(
     config: Optional[ImpactConfig] = None,
     n_snapshots: Optional[int] = None,
+    tracer: Optional[TracerBase] = None,
 ) -> MeshSequence:
     """Run the synthetic penetration and dump ``n_snapshots`` snapshots.
 
     ``n_snapshots`` defaults to ``config.n_steps`` (100, like the
-    paper's sequence).
+    paper's sequence). A recording ``tracer`` gets the ``snapshots``,
+    ``face_tables_built`` and ``connectivity_shared`` counters on its
+    open span.
     """
-    config = config or ImpactConfig()
-    sim = ImpactSimulator(config)
-    n = config.n_steps if n_snapshots is None else n_snapshots
-    if n < 1:
-        raise ValueError("need at least one snapshot")
-
-    snapshots: List[ContactSnapshot] = []
-    for step in range(n):
-        t = float(step)
-        mesh_full, alive, tip = sim.state_at(t)
-        live = mesh_full.with_elements(alive)
-        faces, owner, cnodes = extract_contact_surface(
-            live,
-            sim.config.capture_radius,
-            ImpactSimulator.PROJECTILE,
-            obliquity=sim.config.obliquity,
-            standoff=sim.config.standoff,
-        )
-        snapshots.append(
-            ContactSnapshot(
-                mesh=live,
-                contact_faces=faces,
-                contact_face_owner=owner,
-                contact_nodes=cnodes,
-                step=step,
-                time=t,
-                tip_z=tip,
-            )
-        )
-    return MeshSequence(snapshots=snapshots, config=sim.config)
+    sim = ImpactSimulator(config or ImpactConfig())
+    c = sim.config
+    near = _within_radius(c.capture_radius, c.obliquity, c.standoff)
+    return snapshot_sequence(sim, n_snapshots, sim.PROJECTILE, near, tracer)

@@ -2,14 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.mesh.generators import structured_box_mesh, structured_quad_mesh
+from repro.mesh.generators import (
+    hex_to_tet_mesh,
+    structured_box_mesh,
+    structured_quad_mesh,
+)
+from repro.mesh.mesh import Mesh
 from repro.mesh.surface import (
+    FaceTable,
     boundary_faces,
     face_nodes,
     interior_face_pairs,
     surface_nodes,
 )
+from tests.mesh import reference_surface as ref
 
 
 class TestFaceNodes:
@@ -59,6 +68,8 @@ class TestBoundaryFaces:
         empty = m.with_elements(np.array([], dtype=np.int64))
         faces, owner = boundary_faces(empty)
         assert len(faces) == 0
+        assert faces.shape == (0, 2) and owner.shape == (0,)
+        assert interior_face_pairs(empty).shape == (0, 2)
 
 
 class TestSurfaceNodes:
@@ -87,3 +98,70 @@ class TestInteriorFacePairs:
             assert np.isclose(
                 np.linalg.norm(centroids[a] - centroids[b]), 0.5
             )
+
+
+def _mesh(elem_type, nx, ny, nz):
+    if elem_type in ("hex", "tet"):
+        m = structured_box_mesh(nx, ny, nz)
+        return hex_to_tet_mesh(m) if elem_type == "tet" else m
+    m = structured_quad_mesh(nx, ny)
+    if elem_type == "quad":
+        return m
+    e = m.elements
+    return Mesh(m.nodes, np.vstack((e[:, [0, 1, 2]], e[:, [0, 2, 3]])), "tri")
+
+
+class TestFaceTableDifferential:
+    """The table against the per-call sort it replaced (the verbatim
+    oracle in ``reference_surface.py``): values, dtype, shape, order."""
+
+    @given(
+        elem_type=st.sampled_from(["tri", "quad", "tet", "hex"]),
+        nx=st.integers(1, 4),
+        ny=st.integers(1, 4),
+        nz=st.integers(1, 3),
+        duplicates=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_and_pairs_equal_oracle(
+        self, elem_type, nx, ny, nz, duplicates, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mesh = _mesh(elem_type, nx, ny, nz)
+        m = mesh.num_elements
+        # duplicated elements make face groups of 3-4 (non-manifold)
+        extra = [rng.integers(0, m, size=max(1, m // 2)) for _ in range(duplicates)]
+        mesh = mesh.with_elements(np.concatenate([np.arange(m), *extra]))
+        m = mesh.num_elements
+        table = FaceTable(mesh)
+        pairs = [ref.interior_face_pairs(mesh)]
+        ref.assert_same_arrays([table.interior_pairs()], pairs)
+        ref.assert_same_arrays([interior_face_pairs(mesh)], pairs)
+        ref.assert_same_arrays(boundary_faces(mesh), ref.boundary_faces(mesh))
+        one_alive = np.zeros(m, dtype=bool)
+        one_alive[rng.integers(m)] = True
+        masks = [
+            np.ones(m, dtype=bool),
+            np.zeros(m, dtype=bool),
+            one_alive,
+            *(rng.random(m) < p for p in rng.random(4)),
+        ]
+        for alive in masks:
+            ref.assert_same_arrays(
+                table.boundary(alive),
+                ref.boundary_faces(mesh.with_elements(alive)),
+            )
+
+    def test_all_dead_keeps_face_width(self):
+        table = FaceTable(structured_box_mesh(2, 2, 1))
+        faces, owner = table.boundary(np.zeros(4, dtype=bool))
+        assert faces.shape == (0, 4) and owner.shape == (0,)
+        assert faces.dtype == owner.dtype == np.int64
+
+    def test_rejects_wrong_mask(self):
+        table = FaceTable(structured_quad_mesh(2, 2))
+        with pytest.raises(ValueError, match="bool mask of 4"):
+            table.boundary(np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="bool mask of 4"):
+            table.boundary(np.arange(4))
