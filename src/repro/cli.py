@@ -20,8 +20,9 @@ prints the report to the terminal.
 backend for every parallel stage in the run (``docs/PARALLELISM.md``);
 results are bit-identical across backends. ``--fault-plan PLAN``
 (e.g. ``kill@2.1,hang@5.0:12``) injects deterministic worker faults
-through the chaos harness — implied ``--backend chaos`` — to exercise
-the recovery machinery (``docs/FAULT_TOLERANCE.md``).
+through the chaos harness, wrapped around the ``--backend`` given (or
+its own default inner backend when none is), to exercise the recovery
+machinery (``docs/FAULT_TOLERANCE.md``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution backend spec for the parallel stages: a "
-            "registered name ('serial', 'process:4') or a URI "
+            "backend name ('serial', 'process:4') or a URI "
             "('tcp://host:port?workers=4&deadline=30'); default: "
             "$REPRO_BACKEND or serial (see docs/PARALLELISM.md)"
         ),
@@ -88,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "deterministic fault-injection plan, e.g. "
-            "'kill@2.1,hang@5.0:12' (KIND@STEP.RANK[:SECONDS]); "
-            "implies --backend chaos (docs/FAULT_TOLERANCE.md)"
+            "'kill@2.1,hang@5.0:12' (KIND@STEP.RANK[:SECONDS]); runs "
+            "--backend inside the chaos harness (docs/FAULT_TOLERANCE.md)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--fault-plan",
             metavar="PLAN",
             default=argparse.SUPPRESS,
-            help="fault-injection plan (implies --backend chaos)",
+            help="fault-injection plan (wraps --backend in chaos)",
         )
 
     t1 = sub.add_parser("table1", help="regenerate Table 1")
@@ -335,27 +336,37 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # install the requested execution backend as the process default so
     # every parallel stage in the run picks it up (--workers alone
-    # implies a process pool, --fault-plan implies the chaos harness)
+    # implies a process pool; --fault-plan wraps whatever was asked for
+    # in the chaos harness)
     backend_name = getattr(args, "backend", None)
     workers = getattr(args, "workers", None)
     fault_plan = getattr(args, "fault_plan", None)
-    if fault_plan is not None:
-        from repro.runtime.backends.base import FAULT_PLAN_ENV
+    try:
+        if fault_plan is not None:
+            from urllib.parse import quote
 
-        os.environ[FAULT_PLAN_ENV] = fault_plan
-        if backend_name is None:
-            backend_name = "chaos"
-    if workers is not None and backend_name is None:
-        backend_name = "process"
-    args.backend = backend_name or "serial"
-    if backend_name is not None:
-        from repro.runtime.backends import resolve_backend, set_default_backend
+            from repro.runtime.backends import FAULT_PLAN_ENV, BackendSpec
 
-        try:
+            # an explicit `--backend chaos...` reads the plan from here
+            os.environ[FAULT_PLAN_ENV] = fault_plan
+            if backend_name is None:
+                backend_name = "chaos"
+            elif BackendSpec.parse(backend_name).scheme != "chaos":
+                inner = quote(backend_name, safe=":/")
+                backend_name = f"chaos://?inner={inner}"
+        elif workers is not None and backend_name is None:
+            backend_name = "process"
+        if backend_name is not None:
+            from repro.runtime.backends import (
+                resolve_backend,
+                set_default_backend,
+            )
+
             set_default_backend(resolve_backend(backend_name, workers))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args.backend = backend_name or "serial"
 
     if args.command == "lint":  # reached via global options before `lint`
         return _run_lint(list(args.lint_args))

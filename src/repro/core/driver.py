@@ -54,7 +54,7 @@ from repro.core.local_search import (
     resolve_candidates,
 )
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
-from repro.core.update import UpdateStrategy
+from repro.core.update import UpdateStrategy, repartition_due
 from repro.core.weights import ContactGraphBuilder
 from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.partition.repartition import diffusion_repartition
@@ -215,12 +215,10 @@ class ContactStepDriver:
         repartitioned = False
         n_moved = 0
         self._steps_since_repartition += 1
-        due = (
-            self.strategy is UpdateStrategy.REPARTITION
-            or (
-                self.strategy is UpdateStrategy.HYBRID
-                and self._steps_since_repartition >= self.repartition_period
-            )
+        due = repartition_due(
+            self.strategy,
+            self._steps_since_repartition,
+            self.repartition_period,
         )
         if due and self.history:
             with tracer.span("repartition"):

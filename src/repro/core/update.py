@@ -36,6 +36,23 @@ class UpdateStrategy(enum.Enum):
     HYBRID = "hybrid"
 
 
+def repartition_due(
+    strategy: UpdateStrategy, steps_since_repartition: int, period: int
+) -> bool:
+    """Whether the §4.3 policy repartitions on the current step.
+
+    ``steps_since_repartition`` counts the current step: with
+    ``period = 10`` HYBRID repartitions on the tenth step after the
+    last repartition (or the fit), i.e. at steps 9, 19, … of a
+    0-based sequence.  The first step of a run never repartitions —
+    callers check that themselves (there is nothing to diffuse from).
+    """
+    return strategy is UpdateStrategy.REPARTITION or (
+        strategy is UpdateStrategy.HYBRID
+        and steps_since_repartition >= period
+    )
+
+
 @dataclass
 class ReplayStep:
     """Per-step outcome of a replay."""
@@ -91,16 +108,14 @@ def replay_sequence(
     pt.fit(seq[0], tracer=tracer)
     result = ReplayResult(strategy=strategy, k=k)
     graphs = ContactGraphBuilder()
+    steps_since_repartition = 0
 
     for snapshot in seq:
         moved = 0
-        repartition_now = strategy is UpdateStrategy.REPARTITION or (
-            strategy is UpdateStrategy.HYBRID
-            and snapshot.step > 0
-            and snapshot.step % period == 0
-        )
+        steps_since_repartition += 1
+        due = repartition_due(strategy, steps_since_repartition, period)
         graph = graphs.build(snapshot, params.contact_edge_weight)
-        if repartition_now and snapshot.step > 0:
+        if due and result.steps:
             with tracer.span("repartition"):
                 rep = diffusion_repartition(
                     graph, pt.part, k, params.options
@@ -108,6 +123,7 @@ def replay_sequence(
                 moved = rep.n_moved
                 tracer.count("vertices_moved", moved)
             pt.part = rep.part
+            steps_since_repartition = 0
         tree, _ = pt.build_descriptors(snapshot, tracer=tracer)
         imb = load_imbalance(graph, pt.part, k)
         result.steps.append(

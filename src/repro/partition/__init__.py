@@ -26,10 +26,6 @@ from repro.partition.recursive import recursive_bisection
 from repro.partition.refine_kway import greedy_kway_refine, rebalance_kway
 from repro.partition.refine_kway_fm import kway_fm_refine
 from repro.partition.repartition import diffusion_repartition
-from repro.partition.parallel_kway import parallel_partition_kway
-from repro.partition.parallel_repartition import (
-    parallel_diffusion_repartition,
-)
 
 __all__ = [
     "PartitionOptions",
@@ -44,6 +40,4 @@ __all__ = [
     "rebalance_kway",
     "kway_fm_refine",
     "diffusion_repartition",
-    "parallel_partition_kway",
-    "parallel_diffusion_repartition",
 ]

@@ -1,14 +1,14 @@
 """SPMD runtime: communication accounting + pluggable execution.
 
-The paper's evaluation reports communication *counts*, so the runtime
-began as a deterministic single-process simulator: a rank-addressed
-communicator with mpi4py-style verbs whose every message is recorded
-in a :class:`~repro.runtime.ledger.CommLedger`.  The ledger and verbs
-remain, but supersteps now execute on a pluggable backend
-(:mod:`repro.runtime.backends`): sequentially in-process (the
-reference), on a thread pool, or on a persistent pool of worker
-processes — same results bit-for-bit, same ledger totals, real
-concurrency when the hardware has it.
+The paper's evaluation reports communication *counts*, so every message
+a rank sends (mpi4py-style verbs: queue now, deliver at the barrier) is
+recorded in a :class:`~repro.runtime.ledger.CommLedger`.  Supersteps
+execute on a pluggable backend (:mod:`repro.runtime.backends`):
+sequentially in-process (the reference), on a thread pool, or on a
+persistent pool of worker processes — same results bit-for-bit, same
+ledger totals, real concurrency when the hardware has it.  The runtime
+has one client: the two-superstep global contact search of §4.2–4.3
+(:func:`repro.core.contact_search.parallel_contact_search`).
 """
 
 from repro.runtime.backends import (
@@ -22,7 +22,6 @@ from repro.runtime.backends import (
     resolve_backend,
     set_default_backend,
 )
-from repro.runtime.comm import RankContext, SimComm
 from repro.runtime.executor import spmd_run
 from repro.runtime.ledger import CommLedger, PhaseTotals
 
@@ -32,9 +31,7 @@ __all__ = [
     "CommLedger",
     "PhaseTotals",
     "ProcessBackend",
-    "RankContext",
     "SerialBackend",
-    "SimComm",
     "SpmdContext",
     "SpmdSession",
     "ThreadBackend",

@@ -23,10 +23,8 @@ from repro.runtime.backends.base import (
     backend_names,
     build_backend,
     default_workers,
-    register_backend,
     resolve_backend,
     set_default_backend,
-    unregister_backend,
 )
 from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.backends.sentinel import (
@@ -62,8 +60,6 @@ __all__ = [
     "backend_names",
     "build_backend",
     "default_workers",
-    "register_backend",
     "resolve_backend",
     "set_default_backend",
-    "unregister_backend",
 ]

@@ -1,10 +1,10 @@
 """Execution-backend core: where SPMD supersteps actually run.
 
-The simulated runtime of :mod:`repro.runtime.comm` accounts the
-communication structure of the paper's algorithms but executes every
-rank sequentially in one process.  This package makes the rank loop a
-pluggable *backend* behind one small session protocol, so the same
-superstep functions run
+The paper's evaluation reports communication *counts*, so every
+message a rank sends is recorded in a
+:class:`~repro.runtime.ledger.CommLedger`.  This package makes the
+rank loop a pluggable *backend* behind one small session protocol, so
+the same superstep functions run
 
 * sequentially in-process (:class:`~repro.runtime.backends.serial.SerialBackend`,
   the reference semantics),
@@ -28,7 +28,8 @@ Superstep functions receive a :class:`SpmdContext` with
   as raw frames outside the pickle),
 * ``state`` — a per-rank dict that persists across the session's steps
   (resident in the owning worker on the process backend),
-* ``send`` / ``inbox`` — the mpi4py-style verbs of the simulator,
+* ``send`` / ``inbox`` — mpi4py-style verbs: queue now, deliver at the
+  barrier,
 * ``span`` / ``count`` — per-rank tracing merged back into the session
   tracer (see ``docs/PARALLELISM.md``).
 """
@@ -43,11 +44,9 @@ from typing import (
     Callable,
     ContextManager,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Type,
     Union,
@@ -247,8 +246,7 @@ class SpmdSession:
 
         Returns the per-rank results in rank order.  Messages queued
         with ``ctx.send`` become readable from ``ctx.inbox()`` in the
-        *next* step, exactly like
-        :meth:`repro.runtime.comm.SimComm.barrier`.
+        *next* step (self-sends drop at the barrier, uncounted).
         """
         if self._closed:
             raise BackendError("session is closed")
@@ -277,17 +275,6 @@ class SpmdSession:
                     accumulate_span(current.child(child.name), child)
             values.append(out.value)
         return values
-
-    # ------------------------------------------------------------------
-    def account(self, phase: str, src: int, dst: int, items: int) -> None:
-        """Record coordinator-side traffic directly in the ledger (for
-        protocol steps whose data never leaves the calling process)."""
-        for rank in (src, dst):
-            if not 0 <= rank < self.size:
-                raise ValueError(
-                    f"rank {rank} out of range [0, {self.size})"
-                )
-        self.ledger.record(phase, src, dst, items)
 
     def close(self) -> None:
         """End the session and release per-rank state."""
@@ -389,16 +376,15 @@ class BackendSpec:
     * bare name: ``"serial"``, ``"process"``,
     * name with worker count: ``"process:4"`` (the historical form),
     * URI: ``"tcp://host:port?workers=4&deadline=30"`` — scheme is the
-      registered backend name, the authority carries host/port (a
-      trailing ``:N`` authority segment is an alternative worker
-      count: ``tcp://127.0.0.1:0:2``), and query parameters become
-      :attr:`options`, validated against the backend's registered
-      ``spec_schema``.
+      backend name, the authority carries host/port (a trailing ``:N``
+      authority segment is an alternative worker count:
+      ``tcp://127.0.0.1:0:2``), and query parameters become
+      :attr:`options`, validated against the backend's option schema.
 
     Instances are hashable (options are a sorted tuple of pairs), so a
     spec can key caches — :func:`_backend_from_env` keys its memo on
-    the parsed spec, which is what keeps registry-registered backends
-    configured through URI query parameters from going stale.
+    the parsed spec, which is what keeps backends configured through
+    URI query parameters from going stale.
     """
 
     scheme: str
@@ -490,8 +476,8 @@ class BackendSpec:
     def typed_options(
         self, schema: Mapping[str, Callable[[str], Any]]
     ) -> Dict[str, Any]:
-        """Options converted through ``schema`` (the backend's
-        registered ``spec_schema``); unknown keys raise."""
+        """Options converted through ``schema`` (the backend's option
+        schema); unknown keys raise."""
         out: Dict[str, Any] = {}
         for key, raw in self.options:
             convert = schema.get(key)
@@ -535,126 +521,57 @@ class BackendSpec:
 
 
 # ----------------------------------------------------------------------
-# the backend registry
+# the built-in backends
 # ----------------------------------------------------------------------
 
-#: a factory builds a backend from its parsed spec
-BackendFactory = Callable[[BackendSpec], Backend]
 #: per-option converters validating a spec's query parameters
 SpecSchema = Mapping[str, Callable[[str], Any]]
 
+#: name -> (``module:function`` building the backend from its parsed
+#: spec — imported on first use, so nothing loads eagerly — and the URI
+#: query options the backend accepts)
+_BACKENDS: Dict[str, Tuple[str, SpecSchema]] = {
+    "serial": ("repro.runtime.backends.serial:serial_from_spec", {}),
+    "thread": ("repro.runtime.backends.thread:thread_from_spec", {}),
+    "process": ("repro.runtime.backends.process:process_from_spec", {}),
+    "sentinel": ("repro.runtime.backends.sentinel:sentinel_from_spec", {}),
+    "chaos": (
+        "repro.runtime.faults:chaos_from_spec",
+        {"plan": str, "inner": str},
+    ),
+    "tcp": (
+        "repro.runtime.backends.tcp:tcp_from_spec",
+        {
+            "deadline": float,
+            "spawn": str,
+            "accept_timeout": float,
+            "heartbeat": float,
+            "retries": int,
+        },
+    ),
+}
 
-@dataclass
-class _RegistryEntry:
-    name: str
-    factory: Union[str, BackendFactory]
-    spec_schema: Optional[SpecSchema]
-
-    def resolve(self) -> BackendFactory:
-        """Import a lazy ``"module:attr"`` factory on first use."""
-        if isinstance(self.factory, str):
-            module_name, _, attr_path = self.factory.partition(":")
-            if not attr_path:
-                raise ValueError(
-                    f"lazy backend factory {self.factory!r} must be "
-                    "'module:attribute'"
-                )
-            target: Any = importlib.import_module(module_name)
-            for attr in attr_path.split("."):
-                target = getattr(target, attr)
-            self.factory = target
-        return self.factory
-
-
-_REGISTRY: Dict[str, _RegistryEntry] = {}
-#: bumped on every (un)registration — cache keys include it so a
-#: re-registered name is never served from a stale memo
-_registry_generation = 0
-
-
-def register_backend(
-    name: str,
-    factory: Union[str, BackendFactory],
-    *,
-    spec_schema: Optional[SpecSchema] = None,
-    overwrite: bool = False,
-) -> None:
-    """Register an execution backend under ``name``.
-
-    ``factory`` is either a callable ``factory(spec: BackendSpec) ->
-    Backend`` or a lazy ``"module:attribute"`` string imported on
-    first use (how the built-ins register without importing their
-    modules eagerly).  ``spec_schema`` maps the URI query options the
-    backend accepts to converter callables (e.g. ``{"deadline":
-    float}``); ``None`` means the backend takes no options, and
-    unknown options always fail resolution with the allowed list.
-    Re-registering an existing name requires ``overwrite=True``.
-    """
-    global _registry_generation
-    key = name.strip().lower()
-    if not key or any(ch in key for ch in ":/?&= \t"):
-        raise ValueError(f"invalid backend name {name!r}")
-    if key in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"backend {key!r} is already registered "
-            "(pass overwrite=True to replace it)"
-        )
-    _REGISTRY[key] = _RegistryEntry(key, factory, spec_schema)
-    _registry_generation += 1
-
-
-def unregister_backend(name: str) -> bool:
-    """Remove a registered backend; returns whether it existed."""
-    global _registry_generation
-    existed = _REGISTRY.pop(name.strip().lower(), None) is not None
-    if existed:
-        _registry_generation += 1
-    return existed
+#: the backend names, sorted
+BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_BACKENDS))
 
 
 def backend_names() -> Tuple[str, ...]:
-    """The currently registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-class _BackendNames(Sequence[str]):
-    """Live, read-only view of the registered names.
-
-    Importing modules keep seeing a truthful ``BACKEND_NAMES`` even
-    when backends are registered after import."""
-
-    def __getitem__(self, index: Any) -> Any:
-        return backend_names()[index]
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __contains__(self, item: object) -> bool:
-        return item in _REGISTRY
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(backend_names())
-
-    def __repr__(self) -> str:
-        return repr(backend_names())
-
-
-#: registered backend names (live registry view, not a frozen tuple)
-BACKEND_NAMES: Sequence[str] = _BackendNames()
+    """The backend names, sorted."""
+    return BACKEND_NAMES
 
 
 def build_backend(
     spec: Union[str, BackendSpec, Backend],
     workers: Optional[int] = None,
 ) -> Backend:
-    """Build a backend instance through the registry.
+    """Build one of the built-in backends from its spec.
 
     ``spec`` is a spec string (any :meth:`BackendSpec.parse` form), a
     parsed :class:`BackendSpec`, or an already-built :class:`Backend`
     (passed through untouched — the instance already has its pool).
     ``workers`` applies only when the spec embeds no count.  Query
-    options are validated against the backend's registered
-    ``spec_schema`` before the factory runs.
+    options are validated against the backend's option schema before
+    its factory runs.
     """
     if isinstance(spec, Backend):
         return spec
@@ -665,14 +582,16 @@ def build_backend(
                 f"worker count must be >= 1, got {workers}"
             )
         parsed = parsed.with_workers(workers)
-    entry = _REGISTRY.get(parsed.scheme)
+    entry = _BACKENDS.get(parsed.scheme)
     if entry is None:
         raise ValueError(
             f"unknown backend {parsed.scheme!r}; "
-            f"expected one of {backend_names()}"
+            f"expected one of {BACKEND_NAMES}"
         )
-    parsed.typed_options(entry.spec_schema or {})
-    return entry.resolve()(parsed)
+    factory_path, schema = entry
+    parsed.typed_options(schema)
+    module_name, _, attr = factory_path.partition(":")
+    return getattr(importlib.import_module(module_name), attr)(parsed)
 
 
 # ----------------------------------------------------------------------
@@ -700,10 +619,9 @@ def _backend_from_env() -> Optional[Backend]:
     """Backend selected by ``$REPRO_BACKEND``.
 
     The built instance is memoised on the **parsed**
-    :class:`BackendSpec` (plus the registry generation and the
-    auxiliary env vars every backend may read), so any change visible
-    in the spec — including URI query options of registry-registered
-    backends — invalidates the cache.
+    :class:`BackendSpec` (plus the auxiliary env vars every backend
+    may read), so any change visible in the spec — URI query options
+    included — invalidates the cache.
     """
     global _env_backend, _env_backend_key
     text = os.environ.get(BACKEND_ENV)
@@ -712,7 +630,6 @@ def _backend_from_env() -> Optional[Backend]:
     spec = BackendSpec.parse(text)
     key: Tuple[Any, ...] = (
         spec,
-        _registry_generation,
         tuple(
             os.environ.get(var, "")
             for var in (
@@ -763,40 +680,6 @@ def resolve_backend(
     from repro.runtime.backends.serial import SerialBackend
 
     return SerialBackend()
-
-
-# ----------------------------------------------------------------------
-# built-in registrations (lazy factories: nothing imports eagerly)
-# ----------------------------------------------------------------------
-
-register_backend(
-    "serial", "repro.runtime.backends.serial:serial_from_spec"
-)
-register_backend(
-    "thread", "repro.runtime.backends.thread:thread_from_spec"
-)
-register_backend(
-    "process", "repro.runtime.backends.process:process_from_spec"
-)
-register_backend(
-    "sentinel", "repro.runtime.backends.sentinel:sentinel_from_spec"
-)
-register_backend(
-    "chaos",
-    "repro.runtime.faults:chaos_from_spec",
-    spec_schema={"plan": str, "inner": str},
-)
-register_backend(
-    "tcp",
-    "repro.runtime.backends.tcp:tcp_from_spec",
-    spec_schema={
-        "deadline": float,
-        "spawn": str,
-        "accept_timeout": float,
-        "heartbeat": float,
-        "retries": int,
-    },
-)
 
 
 # ----------------------------------------------------------------------

@@ -154,5 +154,5 @@ class ProcessBackend(SupervisedBackend):
 
 
 def process_from_spec(spec: BackendSpec) -> ProcessBackend:
-    """Registry factory for ``process``."""
+    """Spec factory for ``process``."""
     return ProcessBackend(workers=spec.workers)

@@ -235,5 +235,5 @@ class SentinelBackend(ThreadBackend):
 
 
 def sentinel_from_spec(spec: "BackendSpec") -> SentinelBackend:
-    """Registry factory for ``sentinel``."""
+    """Spec factory for ``sentinel``."""
     return SentinelBackend(workers=spec.workers)

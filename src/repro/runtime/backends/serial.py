@@ -1,10 +1,9 @@
 """Sequential in-process backend — the reference semantics.
 
 Ranks execute one after the other in rank order inside the calling
-process, exactly like the original simulated runtime.  Every other
-backend is validated against this one: the rank-ordered merge in
-:class:`~repro.runtime.backends.base.SpmdSession` makes their results
-bit-identical to serial execution.
+process.  Every other backend is validated against this one: the
+rank-ordered merge in :class:`~repro.runtime.backends.base.SpmdSession`
+makes their results bit-identical to serial execution.
 """
 
 from __future__ import annotations
@@ -77,6 +76,6 @@ class SerialBackend(Backend):
 
 
 def serial_from_spec(spec: BackendSpec) -> SerialBackend:
-    """Registry factory for ``serial`` (ranks have no pool, so the
+    """Spec factory for ``serial`` (ranks have no pool, so the
     spec's worker count is irrelevant and ignored)."""
     return SerialBackend()

@@ -393,7 +393,7 @@ class TCPBackend(SupervisedBackend):
 
 
 def tcp_from_spec(spec: BackendSpec) -> TCPBackend:
-    """Registry factory for ``tcp`` (URI form:
+    """Spec factory for ``tcp`` (URI form:
     ``tcp://host:port:workers?deadline=30&spawn=external``)."""
     opts = spec.typed_options(
         {

@@ -116,5 +116,5 @@ class ThreadBackend(Backend):
 
 
 def thread_from_spec(spec: BackendSpec) -> ThreadBackend:
-    """Registry factory for ``thread``."""
+    """Spec factory for ``thread``."""
     return ThreadBackend(workers=spec.workers)

@@ -8,8 +8,8 @@ delivers the queued messages.  Return values are collected per
 superstep per rank, so drivers can fold local results into global
 answers — the analogue of a gather.
 
-Algorithms that interleave coordinator logic between supersteps (the
-distributed tree induction, RCB, and k-way modules) use the underlying
+Callers that decide between supersteps, or pass each one an argument,
+use the underlying
 :meth:`~repro.runtime.backends.base.Backend.open_session` /
 :meth:`~repro.runtime.backends.base.SpmdSession.step` protocol
 directly; ``spmd_run`` is the convenience wrapper for straight-line

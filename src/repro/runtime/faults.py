@@ -384,7 +384,7 @@ class ChaosBackend(Backend):
 
 
 def chaos_from_spec(spec: BackendSpec) -> ChaosBackend:
-    """Registry factory for ``chaos``.
+    """Spec factory for ``chaos``.
 
     URI options override the environment: ``plan`` is a fault-plan
     text (``KIND@STEP.RANK[:SECONDS]``, comma-separated), ``inner``

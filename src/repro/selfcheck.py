@@ -128,23 +128,6 @@ def run_selfcheck(verbose: bool = True) -> bool:
         if not np.isfinite(res.gap).all():
             raise RuntimeError("local search produced non-finite gaps")
 
-    @stage("distributed protocols agree with serial")
-    def _parallel(s):
-        from repro.dtree.parallel import parallel_induce_pure_tree
-        from repro.dtree.query import predict_partition
-
-        snap = s["seq"][0]
-        pt = s["pt"]
-        coords = snap.mesh.nodes[snap.contact_nodes]
-        labels = pt.part[snap.contact_nodes]
-        tree, _ = parallel_induce_pure_tree(
-            coords, labels, 4, owner_rank=labels, n_ranks=4
-        )
-        if not np.array_equal(predict_partition(tree, coords), labels):
-            raise RuntimeError(
-                "parallel-induced tree disagrees with serial labels"
-            )
-
     all_ok = True
     for name, fn in checks:
         t0 = time.time()

@@ -331,5 +331,6 @@ class TestGoldenFixtures:
             for d in diags
         ]
         baseline = load_baseline(root / "lint-baseline.json")
-        new, _suppressed = apply_baseline(diags, baseline)
+        new, suppressed = apply_baseline(diags, baseline)
         assert new == []
+        assert suppressed == sum(baseline.values())  # no stale entry

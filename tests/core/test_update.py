@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.driver import ContactStepDriver
 from repro.core.mcml_dt import MCMLDTParams
-from repro.core.update import ReplayResult, UpdateStrategy, replay_sequence
+from repro.core.update import (
+    ReplayResult,
+    UpdateStrategy,
+    repartition_due,
+    replay_sequence,
+)
+from repro.obs.tracer import Tracer
 from repro.partition.config import PartitionOptions
 
 K = 4
@@ -37,8 +44,9 @@ class TestReplaySequence:
             small_sequence, K, UpdateStrategy.HYBRID, period=5,
             params=params(),
         )
+        # the fifth step after the fit / the last repartition: 4, 9
         for s in r.steps:
-            if s.step % 5 != 0 or s.step == 0:
+            if (s.step + 1) % 5 != 0:
                 assert s.n_moved == 0
 
     def test_trees_track_every_step(self, small_sequence):
@@ -65,6 +73,48 @@ class TestReplaySequence:
             replay_sequence(
                 small_sequence, K, UpdateStrategy.HYBRID, period=0
             )
+
+
+class TestOneSchedule:
+    """The §4.3 policy is one predicate; the driver and the replay used
+    to carry their own and disagreed by one step under HYBRID."""
+
+    def test_predicate(self):
+        hybrid = UpdateStrategy.HYBRID
+        assert not repartition_due(hybrid, 9, 10)
+        assert repartition_due(hybrid, 10, 10)
+        assert repartition_due(UpdateStrategy.REPARTITION, 1, 10)
+        assert not repartition_due(UpdateStrategy.DESCRIPTOR_ONLY, 99, 10)
+
+    @pytest.mark.parametrize("strategy", list(UpdateStrategy))
+    def test_replay_follows_the_driver(self, mid_sequence, strategy):
+        driver = ContactStepDriver(
+            K, params(), strategy=strategy, repartition_period=10,
+            resolve_local=False, backend="serial",
+        )
+        steps = driver.run(mid_sequence)
+        tracer = Tracer()
+        replay = replay_sequence(
+            mid_sequence, K, strategy, period=10, params=params(),
+            tracer=tracer,
+        )
+        repartitioned = [r.step for r in steps if r.repartitioned]
+        expected = {
+            UpdateStrategy.DESCRIPTOR_ONLY: [],
+            UpdateStrategy.REPARTITION: list(range(1, len(mid_sequence))),
+            UpdateStrategy.HYBRID: [9, 19, 29],
+        }[strategy]
+        assert repartitioned == expected
+        span = tracer.finish().find("repartition")
+        assert (span.n_calls if span else 0) == len(expected)
+        assert [s.n_moved for s in replay.steps] == [
+            r.n_moved for r in steps
+        ]
+        assert [s.nt_nodes for s in replay.steps] == [
+            r.nt_nodes for r in steps
+        ]
+        if strategy is UpdateStrategy.HYBRID:
+            assert sum(r.n_moved for r in steps) > 0
 
 
 class TestReplayResult:

@@ -174,7 +174,7 @@ class TestSubtreeMemo:
         assert again[0].nodes[0] is not first[0].nodes[0]
 
     def test_editing_a_returned_tree_does_not_reach_the_memo(self):
-        # ``dtree.parallel._graft`` rewrites ``tree.nodes`` in place
+        # a caller may rewrite ``tree.nodes`` in place
         pts, labels = three_clusters()
         memo = SubtreeMemo()
         tree, leaf_of = induce_pure_tree(pts, labels, 3, memo=memo)

@@ -178,11 +178,6 @@ class TestValidation:
             with pytest.raises(ValueError, match="out of range"):
                 sess.step(bad_dst)
 
-    def test_account_validation(self):
-        with SerialBackend().open_session(2) as sess:
-            with pytest.raises(ValueError, match="out of range"):
-                sess.account("p", 0, 5, 1)
-
 
 # ----------------------------------------------------------------------
 # cross-backend equivalence
@@ -237,6 +232,87 @@ class TestEquivalence:
                 assert work is not None, be.name
                 assert work.n_calls == 4
                 assert work.counters["visits"] == 4
+
+
+# ----------------------------------------------------------------------
+# a multi-round protocol: coordinator decisions between supersteps
+# ----------------------------------------------------------------------
+
+_RING_ROUNDS = 14
+_RING_MOD = 1_000_003
+
+
+def _ring_seed(ctx, _arg):
+    ctx.state["acc"] = ctx.rank + 1
+    ctx.state["rounds"] = 0
+
+
+def _ring_fold(ctx, stride):
+    """Fold the inbox into resident state, pass the result ``stride``
+    ranks on (a stride of ``size`` is a self-send: dropped, uncounted)."""
+    acc = ctx.state["acc"]
+    for src, value in ctx.inbox():
+        acc = (acc * 31 + value + src) % _RING_MOD
+    acc = (acc + stride) % _RING_MOD
+    ctx.state["acc"] = acc
+    ctx.state["rounds"] += 1
+    ctx.send(
+        (ctx.rank + stride) % ctx.size, acc,
+        phase=f"ring-{stride % 3}", items=1 + acc % 5,
+    )
+    return acc
+
+
+def _ring_state(ctx, _arg):
+    return (dict(ctx.state), ctx.inbox())
+
+
+def _run_ring_protocol(backend, size=5, tracer=None):
+    """``_RING_ROUNDS`` supersteps in one session; the coordinator picks
+    each round's stride from the values the previous round returned."""
+    ledger = CommLedger()
+    with backend.open_session(size, ledger=ledger, tracer=tracer) as sess:
+        sess.step(_ring_seed)
+        stride = 1
+        values, strides = [], []
+        for _round in range(_RING_ROUNDS):
+            strides.append(stride)
+            values.append(sess.step(_ring_fold, stride))
+            stride = 1 + max(values[-1]) % size
+        final = sess.step(_ring_state)
+    per_rank = (dict(ledger.sent_by_rank), dict(ledger.received_by_rank))
+    return values, strides, final, ledger.summary(), per_rank
+
+
+class TestMultiRoundProtocol:
+    """Many supersteps with ``ctx.state`` resident throughout and the
+    coordinator deciding between them — the session shape the contact
+    search (two supersteps) never exercises."""
+
+    def test_identical_to_serial_on_every_backend(self, spmd_backend):
+        reference = _run_ring_protocol(SerialBackend())
+        values, strides, final, summary, _per_rank = reference
+        assert len(values) == _RING_ROUNDS >= 12
+        assert 5 in strides  # a self-send round happened ...
+        assert sum(m for m, _items in summary.values()) < 5 * _RING_ROUNDS
+        assert all(st["rounds"] == _RING_ROUNDS for st, _inbox in final)
+        assert _run_ring_protocol(spmd_backend) == reference
+
+    def test_identical_under_the_chaos_ci_fault_plan(self):
+        from repro.runtime.faults import ChaosBackend
+
+        chaos = ChaosBackend(
+            plan="kill@2.1,slow@5.0:0.02", inner="process", workers=2
+        )
+        tracer = Tracer()
+        try:
+            with tracer.span("run"):
+                outcome = _run_ring_protocol(chaos, tracer=tracer)
+        finally:
+            chaos.close()
+        assert outcome == _run_ring_protocol(SerialBackend())
+        # the kill at global step 2 and the slow-down at step 5 both fired
+        assert tracer.finish().find("run").counters["faults_injected"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.comm import SimComm
+from repro.runtime.backends import SerialBackend
 from repro.runtime.executor import spmd_run
 from repro.runtime.ledger import CommLedger
+
+
+def _send_mine(ctx, messages):
+    """Superstep: every rank queues the messages it is the source of."""
+    for src, dst, payload, phase, items in messages:
+        if src == ctx.rank:
+            ctx.send(dst, payload, phase=phase, items=items)
+
+
+def _read_inbox(ctx, _arg):
+    return (ctx.inbox(), ctx.inbox())
 
 
 @given(
@@ -25,13 +36,12 @@ def test_property_ledger_conservation(messages):
     """For any message trace: per-phase, total sent == total received ==
     phase items, and self-sends vanish."""
     led = CommLedger()
-    comm = SimComm(6, led)
-    expected = 0
-    for src, dst, items in messages:
-        comm.send(src, dst, None, phase="p", items=items)
-        if src != dst:
-            expected += items
-    comm.barrier()
+    expected = sum(items for src, dst, items in messages if src != dst)
+    with SerialBackend().open_session(6, ledger=led) as sess:
+        sess.step(
+            _send_mine,
+            [(src, dst, None, "p", items) for src, dst, items in messages],
+        )
     sent = sum(led.sent_by_rank[("p", r)] for r in range(6))
     recv = sum(led.received_by_rank[("p", r)] for r in range(6))
     assert sent == recv == led.items("p") == expected
@@ -45,21 +55,21 @@ def test_property_ledger_conservation(messages):
 def test_property_inbox_delivers_everything_once(size, payloads):
     """Every queued message is delivered exactly once, to the right
     rank, after exactly one barrier."""
-    comm = SimComm(size)
-    sent = []
-    for i, p in enumerate(payloads):
-        src = i % size
-        dst = (i + 1) % size
-        comm.send(src, dst, ("msg", i, p), phase="x", items=1)
-        if src != dst:
-            sent.append((dst, ("msg", i, p)))
-    comm.barrier()
+    messages = [
+        (i % size, (i + 1) % size, ("msg", i, p), "x", 1)
+        for i, p in enumerate(payloads)
+    ]
+    sent = [(dst, payload) for _src, dst, payload, _ph, _n in messages]
+    with SerialBackend().open_session(size) as sess:
+        assert sess.step(_send_mine, messages) == [None] * size
+        inboxes = sess.step(_read_inbox)
+        later = sess.step(_read_inbox)
     received = []
-    for r in range(size):
-        for src, payload in comm.inbox(r):
-            received.append((r, payload))
-        assert comm.inbox(r) == []  # consumed
+    for r, (msgs, again) in enumerate(inboxes):
+        received.extend((r, payload) for _src, payload in msgs)
+        assert again == []  # consumed
     assert sorted(received) == sorted(sent)
+    assert later == [([], [])] * size  # nothing arrives twice
 
 
 def test_supersteps_are_strictly_ordered():

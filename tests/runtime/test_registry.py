@@ -1,11 +1,10 @@
-"""Tests for the backend registry and :class:`BackendSpec` parsing.
+"""Tests for backend selection and :class:`BackendSpec` parsing.
 
-The registry replaced the hardcoded if/elif backend chain: every
-textual selection (``--backend``, ``$REPRO_BACKEND``, service
+Every textual selection (``--backend``, ``$REPRO_BACKEND``, service
 requests) parses into a frozen :class:`BackendSpec` and resolves
-through :func:`build_backend`.  These tests pin the three spec text
-forms, the option schema validation, registration semantics, the
-deprecation shim, and the env-cache invalidation rules.
+through :func:`build_backend` against the table of built-ins.  These
+tests pin the three spec text forms, the option schema validation and
+the env-cache invalidation rules.
 """
 
 import os
@@ -14,16 +13,15 @@ import pytest
 
 from repro.runtime.backends import (
     BACKEND_NAMES,
-    Backend,
     BackendSpec,
     backend_names,
     build_backend,
-    register_backend,
     resolve_backend,
-    unregister_backend,
 )
 from repro.runtime.backends.base import _backend_from_env
 from repro.runtime.backends.serial import SerialBackend
+from repro.runtime.backends.thread import ThreadBackend
+from repro.runtime.faults import ChaosBackend
 
 
 class TestBackendSpecParse:
@@ -105,83 +103,24 @@ class TestBackendSpecParse:
             bad.typed_options({"deadline": float})
 
 
-class _DummyBackend(Backend):
-    name = "dummy"
-
-    def __init__(self, spec):
-        self.spec = spec
-
-    def open_session(self, size, ledger, tracer=None, shared=None):
-        raise NotImplementedError
-
-
-def _dummy_factory(spec):
-    return _DummyBackend(spec)
-
-
 class TestRegistry:
     def test_builtins_registered(self):
         names = backend_names()
         for name in ("serial", "thread", "process", "sentinel",
                      "chaos", "tcp"):
             assert name in names
-
-    def test_backend_names_is_live_view(self):
-        assert "dummy" not in BACKEND_NAMES
-        register_backend("dummy", _dummy_factory)
-        try:
-            assert "dummy" in BACKEND_NAMES
-            assert "dummy" in list(BACKEND_NAMES)
-        finally:
-            assert unregister_backend("dummy")
-        assert "dummy" not in BACKEND_NAMES
-
-    def test_register_build_unregister(self):
-        register_backend("dummy", _dummy_factory)
-        try:
-            backend = build_backend("dummy:3")
-            assert isinstance(backend, _DummyBackend)
-            assert backend.spec.workers == 3
-        finally:
-            unregister_backend("dummy")
-        with pytest.raises(ValueError, match="unknown backend 'dummy'"):
-            build_backend("dummy")
-
-    def test_duplicate_registration_needs_overwrite(self):
-        register_backend("dummy", _dummy_factory)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("dummy", _dummy_factory)
-            register_backend("dummy", _dummy_factory, overwrite=True)
-        finally:
-            unregister_backend("dummy")
-
-    @pytest.mark.parametrize("bad", ["", "with space", "a:b", "x?y"])
-    def test_invalid_names_rejected(self, bad):
-        with pytest.raises(ValueError, match="invalid backend name"):
-            register_backend(bad, _dummy_factory)
-
-    def test_lazy_string_factory_imports_on_first_use(self):
-        register_backend(
-            "dummy", f"{__name__}:_dummy_factory"
-        )
-        try:
-            backend = build_backend("dummy")
-            assert isinstance(backend, _DummyBackend)
-        finally:
-            unregister_backend("dummy")
+        assert BACKEND_NAMES == names == tuple(sorted(names))
 
     def test_options_validated_against_schema(self):
         with pytest.raises(ValueError, match="does not accept option"):
             build_backend("serial://?bogus=1")
 
     def test_embedded_workers_beat_argument(self):
-        register_backend("dummy", _dummy_factory)
-        try:
-            assert build_backend("dummy:5", workers=2).spec.workers == 5
-            assert build_backend("dummy", workers=2).spec.workers == 2
-        finally:
-            unregister_backend("dummy")
+        with build_backend("thread:5", workers=2) as embedded:
+            assert isinstance(embedded, ThreadBackend)
+            assert embedded.workers == 5
+        with build_backend("thread", workers=2) as argued:
+            assert argued.workers == 2
 
     def test_backend_instance_passes_through(self):
         backend = SerialBackend()
@@ -207,33 +146,20 @@ class TestEnvResolution:
         assert _backend_from_env() is _backend_from_env()
 
     def test_env_cache_invalidates_on_spec_change(self, monkeypatch):
-        register_backend("dummy", _dummy_factory)
-        try:
-            monkeypatch.setenv("REPRO_BACKEND", "dummy://h:1?x=1")
-            register_backend(
-                "dummy", _dummy_factory, overwrite=True,
-                spec_schema={"x": int},
-            )
-            first = _backend_from_env()
-            # same text -> same memoised instance
-            assert _backend_from_env() is first
-            # an option change is visible in the parsed spec -> rebuild
-            monkeypatch.setenv("REPRO_BACKEND", "dummy://h:1?x=2")
-            second = _backend_from_env()
-            assert second is not first
-            assert second.spec.option("x") == "2"
-        finally:
-            unregister_backend("dummy")
-
-    def test_env_cache_invalidates_on_reregistration(self, monkeypatch):
-        register_backend("dummy", _dummy_factory)
-        try:
-            monkeypatch.setenv("REPRO_BACKEND", "dummy")
-            first = _backend_from_env()
-            register_backend("dummy", _dummy_factory, overwrite=True)
-            assert _backend_from_env() is not first
-        finally:
-            unregister_backend("dummy")
+        monkeypatch.setenv(
+            "REPRO_BACKEND", "chaos://?inner=serial&plan=slow@1.0:0.001"
+        )
+        first = _backend_from_env()
+        assert isinstance(first, ChaosBackend)
+        # same text -> same memoised instance
+        assert _backend_from_env() is first
+        # an option change is visible in the parsed spec -> rebuild
+        monkeypatch.setenv(
+            "REPRO_BACKEND", "chaos://?inner=serial&plan=slow@2.0:0.001"
+        )
+        second = _backend_from_env()
+        assert second is not first
+        assert second.plan.to_text() == "slow@2.0:0.001"
 
     def test_explicit_spec_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "thread")

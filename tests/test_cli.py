@@ -124,3 +124,49 @@ class TestTraceCommand:
         assert report.spans.find("mcml-dt") is not None
         assert report.spans.find("ml-rcb/map-transfer") is not None
         assert "trace written" in capsys.readouterr().out
+
+
+class TestFaultPlan:
+    """``--fault-plan`` injects on whichever backend the run uses (it
+    used to be ignored, silently, next to an explicit ``--backend``)."""
+
+    @staticmethod
+    def _trace(tmp_path, monkeypatch, *global_args):
+        from repro.runtime.backends import FAULT_PLAN_ENV, base
+
+        monkeypatch.setenv(FAULT_PLAN_ENV, "")  # main() overwrites it
+        out_path = tmp_path / "trace.json"
+        try:
+            assert main(
+                ["--refine", "0.5", *global_args, "trace", "--k", "4",
+                 "--trace-steps", "1", "--no-baseline",
+                 "--trace-json", str(out_path)]
+            ) == 0
+        finally:
+            installed = base._default_backend
+            base.set_default_backend(None)
+            if installed is not None:
+                installed.close()
+        return RunReport.load(out_path)
+
+    @pytest.mark.parametrize(
+        "backend_args, ran",
+        [
+            ([], "chaos"),
+            (["--backend", "serial"], "chaos://?inner=serial"),
+            (["--backend", "thread:2"], "chaos://?inner=thread:2"),
+        ],
+        ids=["default", "serial", "thread:2"],
+    )
+    def test_plan_fires_on_the_named_backend(
+        self, tmp_path, monkeypatch, backend_args, ran
+    ):
+        clean = self._trace(tmp_path, monkeypatch, *backend_args)
+        assert "faults_injected" not in clean.recovery_totals()
+        faulty = self._trace(
+            tmp_path, monkeypatch, *backend_args,
+            "--fault-plan", "kill@0.0",
+        )
+        assert faulty.recovery_totals()["faults_injected"] == 1
+        assert faulty.meta["backend"] == ran
+        assert faulty.comm == clean.comm and clean.comm

@@ -11,5 +11,5 @@ class TestSelfcheck:
         assert main() == 0
         out = capsys.readouterr().out
         assert "self-check passed" in out
-        # 7 stages: the repro-lint gate plus the six pipeline stages
-        assert out.count("[    ok]") == 7
+        # 6 stages: the repro-lint gate plus the five pipeline stages
+        assert out.count("[    ok]") == 6
