@@ -107,15 +107,6 @@ class SubtreeMemo:
         self.n_grafted = n_grafted
 
 
-def _majority_label(labels: np.ndarray) -> int:
-    counts = np.bincount(labels)
-    return int(counts.argmax())
-
-
-def _is_pure(labels: np.ndarray) -> bool:
-    return bool((labels == labels[0]).all())
-
-
 def _induce(
     points: np.ndarray,
     labels: np.ndarray,
@@ -129,10 +120,9 @@ def _induce(
     labels = np.asarray(labels, dtype=np.int64)
     if len(points) != len(labels):
         raise ValueError("points and labels lengths differ")
+    labels = check_labels("labels", labels, k)
     if len(points) == 0:
         raise ValueError("cannot induce a tree on zero points")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
 
     rule = (margin_weight, max_depth)
     old = memo if memo is not None and memo.rule == rule else SubtreeMemo()
@@ -168,12 +158,10 @@ def _induce(
             keys.append(key)
             leaves.append(_PENDING)  # set below, once its leaves have ids
 
-        pure = _is_pure(sub_labels)
-        node = TreeNode(
-            n_points=len(idx),
-            label=_majority_label(sub_labels),
-            is_pure=pure,
-        )
+        counts = np.bincount(sub_labels)
+        majority = int(counts.argmax())
+        pure = int(counts[majority]) == len(idx)
+        node = TreeNode(n_points=len(idx), label=majority, is_pure=pure)
         tree.nodes.append(node)
 
         split = None
@@ -230,11 +218,6 @@ def induce_pure_tree(
     call's tree. The result is the same with or without one.
     """
     check_positive("k", k)
-    points = check_array("points", points, ndim=2)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(points) != len(labels):
-        raise ValueError("points and labels lengths differ")
-    labels = check_labels("labels", labels, k)
     return _induce(
         points,
         labels,
@@ -264,11 +247,6 @@ def induce_bounded_tree(
     if max_p < 1 or max_i < 1:
         raise ValueError("max_p and max_i must be >= 1")
     check_positive("k", k)
-    points = check_array("points", points, ndim=2)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(points) != len(labels):
-        raise ValueError("points and labels lengths differ")
-    labels = check_labels("labels", labels, k)
     return _induce(
         points,
         labels,

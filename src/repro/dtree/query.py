@@ -61,9 +61,8 @@ def assign_points(tree: DecisionTree, points: np.ndarray) -> np.ndarray:
 
 def predict_partition(tree: DecisionTree, points: np.ndarray) -> np.ndarray:
     """Partition label each point's leaf carries (majority label)."""
-    leaf = assign_points(tree, points)
-    labels = np.array([nd.label for nd in tree.nodes], dtype=np.int64)
-    return labels[leaf]
+    _, _, _, _, labels, _ = _node_arrays(tree)
+    return labels[assign_points(tree, points)]
 
 
 def box_query_pairs(
@@ -127,8 +126,7 @@ def tree_filter_search(
     if len(element_boxes) != len(element_owner):
         raise ValueError("element_boxes and element_owner lengths differ")
 
-    labels = np.array([nd.label for nd in tree.nodes], dtype=np.int64)
-    pure = np.array([nd.is_pure for nd in tree.nodes], dtype=bool)
+    _, _, _, _, labels, pure = _node_arrays(tree)
     b_idx, leaf_idx = box_query_pairs(tree, element_boxes)
 
     send = np.zeros((len(element_boxes), k), dtype=bool)

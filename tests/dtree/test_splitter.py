@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dtree.splitter import (
-    _occurrence_ranks,
-    _sumsq_prefix,
-    best_split,
-    median_split,
-    split_index_curve,
-)
+from repro.dtree.splitter import best_split, median_split, split_index_curve
+from tests.dtree.reference_split import _occurrence_ranks, _sumsq_prefix
 
 
 def eq1_brute_force(labels_left, labels_right, k):
@@ -25,6 +20,10 @@ def eq1_brute_force(labels_left, labels_right, k):
 
 
 class TestInternals:
+    """The identity the split search rests on, checked on the oracle's
+    two helpers (``test_split_differential.py`` ties the library to the
+    oracle; ``TestSplitIndexCurve`` ties it to Eq. 1 directly)."""
+
     def test_occurrence_ranks(self):
         labels = np.array([3, 1, 3, 3, 1])
         assert _occurrence_ranks(labels).tolist() == [1, 1, 2, 3, 2]
