@@ -28,9 +28,9 @@ burn down through a committed baseline (:mod:`repro.analysis.baseline`)
 instead of blanket suppressions.
 
 The ``service`` family (``repro-lint --service``) guards the async
-service seams: coroutine safety (:mod:`repro.analysis.asynccheck`:
-ASYNC001–002, TIME001) and the job state-machine call-site verifier
-(:mod:`repro.analysis.statemachine`: SM001).
+service seams (:mod:`repro.analysis.asynccheck`): no blocking call on
+the event loop (ASYNC001), no wall clock in deadline arithmetic
+(TIME001).
 
 Run it as ``repro-lint --spmd src/repro`` or ``repro-contact lint``.
 """
@@ -60,7 +60,6 @@ from repro.analysis import (  # noqa: F401
     perf,
     rules,
     spmd,
-    statemachine,
 )
 
 __all__ = [

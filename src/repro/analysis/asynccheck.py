@@ -3,8 +3,8 @@
 The service front end (:mod:`repro.service`) is an asyncio program
 whose correctness rests on conventions no runtime check enforces: the
 event loop must never execute blocking I/O or acquire a thread lock
-(every such call stalls *all* in-flight requests), every coroutine
-must be awaited or scheduled.
+(every such call stalls *all* in-flight requests), and deadlines must
+be read off the monotonic clock.
 This module checks those conventions statically as *project rules*
 over the engine's shared dataflow index
 (:mod:`repro.analysis.dataflow`), plus a light typed call resolver
@@ -16,7 +16,6 @@ ASYNC001  blocking call (file/socket I/O, ``time.sleep``,
           ``np.load``, blocking queue ops, ``threading.Lock``
           acquisition) reached from coroutine context without a
           ``run_in_executor`` hop
-ASYNC002  coroutine called but never awaited or scheduled
 TIME001   wall-clock ``time.time()`` mixed into deadline/backoff
           arithmetic where ``time.monotonic()`` is required
 ========  ===========================================================
@@ -579,55 +578,6 @@ class BlockingCallRule(LintRule):
                             "may hold it — route the critical section "
                             "through run_in_executor",
                         )
-
-
-# ----------------------------------------------------------------------
-# ASYNC002 — coroutine called but never awaited
-# ----------------------------------------------------------------------
-
-
-@register_rule
-class UnawaitedCoroutineRule(LintRule):
-    """ASYNC002 — a coroutine call whose result is discarded.
-
-    ``coro()`` as a bare statement builds a coroutine object and drops
-    it: the body never runs.  It must be awaited, or scheduled via
-    ``create_task`` / ``ensure_future`` / ``gather`` / ``run``.
-    """
-
-    code = "ASYNC002"
-    family = "service"
-    name = "async-unawaited-coroutine"
-    description = "coroutine called but never awaited or scheduled"
-
-    def project_check(self, source: Project) -> Iterator[Diagnostic]:
-        project = source.view(build_service_project)
-        for fn in project.index.functions():
-            if not isinstance(
-                fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            for node in scope_walk(fn.node):
-                if not isinstance(node, ast.Expr) or not isinstance(
-                    node.value, ast.Call
-                ):
-                    continue
-                call = node.value
-                name = dotted_text(call.func)
-                if name is None:
-                    continue
-                targets = project.resolve_call_targets(fn, name)
-                if len(targets) != 1 or not isinstance(
-                    targets[0].node, ast.AsyncFunctionDef
-                ):
-                    continue
-                yield self.diag(
-                    fn,
-                    call,
-                    f"coroutine '{targets[0].name}' is called but the "
-                    "result is discarded — await it or schedule it "
-                    "with asyncio.create_task(...)",
-                )
 
 
 # ----------------------------------------------------------------------

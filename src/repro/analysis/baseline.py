@@ -12,12 +12,6 @@ ignoring line/column: moving code around must not resurrect a
 baselined finding, while a genuinely new instance of the same rule in
 the same file still counts once the baselined occurrences are used up.
 
-Some codes can never be baselined — :func:`write_baseline` drops
-such entries and :func:`load_baseline` refuses documents containing
-them.  SM001 (an illegal job state transition) is a lifecycle
-*correctness* violation — grandfathering one would ship the hole it
-proves.
-
 Schema (``repro.lint-baseline/1``)::
 
     {
@@ -41,9 +35,6 @@ from repro.analysis.engine import Diagnostic
 
 BASELINE_SCHEMA_VERSION = "repro.lint-baseline/1"
 
-#: codes a baseline is never allowed to silence
-NEVER_BASELINED = frozenset({"SM001"})
-
 #: profile annotations appended by ``--trace-json`` ranking — stripped
 #: before matching so a baseline works with and without a profile
 _HOT_SUFFIX_RE = re.compile(r" \[hot: [^\]]+\]$")
@@ -63,11 +54,10 @@ def write_baseline(
     path: Union[str, Path], diagnostics: Sequence[Diagnostic]
 ) -> int:
     """Write ``diagnostics`` as the new baseline; returns the number of
-    entries written (SM001 findings are never recorded)."""
+    entries written."""
     entries = [
         {"path": d.path, "code": d.code, "message": _key(d)[2]}
         for d in sorted(diagnostics)
-        if d.code not in NEVER_BASELINED
     ]
     document = {"schema": BASELINE_SCHEMA_VERSION, "entries": entries}
     Path(path).write_text(json.dumps(document, indent=2) + "\n")
@@ -77,8 +67,7 @@ def write_baseline(
 def load_baseline(path: Union[str, Path]) -> "Counter[_Key]":
     """Load a baseline into a ``(path, code, message)`` multiset.
 
-    Raises :class:`BaselineError` on malformed documents and on
-    entries carrying a never-baselined code.
+    Raises :class:`BaselineError` on malformed documents.
     """
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -113,13 +102,9 @@ def load_baseline(path: Union[str, Path]) -> "Counter[_Key]":
             raise BaselineError(
                 f"{path}: entries[{i}] fields must be non-empty strings"
             )
-        code = str(entry["code"])
-        if code in NEVER_BASELINED:
-            raise BaselineError(
-                f"{path}: entries[{i}] baselines {code} — this class "
-                f"of finding must be fixed, it cannot be baselined"
-            )
-        counts[(str(entry["path"]), code, str(entry["message"]))] += 1
+        counts[
+            (str(entry["path"]), str(entry["code"]), str(entry["message"]))
+        ] += 1
     return counts
 
 

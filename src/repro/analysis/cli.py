@@ -20,7 +20,7 @@ target set once whatever the combination.  ``--spmd`` adds the SPMD
 project rule (SPMD001 — see ``docs/STATIC_ANALYSIS.md``); it analyses
 every target file as one program, so pass the whole tree.  ``--perf``
 adds the PERF family; ``--service`` adds the
-async/service correctness rules (ASYNC001-002, TIME001, SM001 — also
+async/service correctness rules (ASYNC001, TIME001 — also
 whole-program, so pass the full tree); ``--select``
 names the exact codes to run instead, from any family;
 ``--trace-json`` takes a ``repro.run-report/1`` artifact and ranks the
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--service",
         action="store_true",
         help=(
-            "also run the async/service correctness pass (ASYNC001-002, "
-            "TIME001, SM001) over the target set"
+            "also run the async/service correctness pass (ASYNC001, "
+            "TIME001) over the target set"
         ),
     )
     parser.add_argument(
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write the current findings to PATH as a new baseline "
-            "and exit 0 (SM001 findings are never baselined)"
+            "and exit 0"
         ),
     )
     parser.add_argument(

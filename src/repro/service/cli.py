@@ -136,7 +136,7 @@ async def _serve(args: argparse.Namespace) -> int:
     )
     try:
         await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
+    except asyncio.CancelledError:  # the shutdown path
         pass
     finally:
         await server.stop()

@@ -446,9 +446,11 @@ class ServiceEngine:
                 await self._run_job(job)
             except asyncio.CancelledError:
                 raise
-            except Exception as exc:  # pragma: no cover - last resort
+            except Exception as exc:  # last resort: fail the job, not the worker
                 if not job.terminal:
                     job.error = f"internal error: {exc}"
+                    if job.state == "queued":  # raised during a retry's backoff
+                        job.transition("running")
                     job.transition("failed")
                 self._settle(job)
 

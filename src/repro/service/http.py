@@ -139,14 +139,11 @@ class ServiceServer:
         await self.engine.stop()
 
     async def serve_forever(self) -> None:
-        """Block until cancelled (the CLI's main loop)."""
+        """Block until cancelled, then close the listener (the CLI's
+        main loop, run after :meth:`start` has bound the port)."""
         if self._server is None:
-            await self.start()
-        server = self._server
-        if server is None:  # pragma: no cover - start() always sets it
-            raise RuntimeError("server failed to start")
-        async with server:
-            await server.serve_forever()
+            raise RuntimeError("serve_forever() before start()")
+        await self._server.serve_forever()
 
     # ------------------------------------------------------------------
     async def _handle(

@@ -3,8 +3,8 @@
 The queue is the engine's pressure valve.  Submissions beyond
 ``maxsize`` fail fast with :class:`QueueFullError` (the HTTP layer
 turns that into ``503``) instead of buffering unboundedly; each
-:class:`Job` carries an absolute wall-clock deadline (from the
-request's ``deadline_s``) that is checked both before a worker starts
+:class:`Job` carries an absolute ``time.monotonic()`` deadline (from
+the request's ``deadline_s``) that is checked both before a worker starts
 the job and while it retries, so stale work is dropped as ``expired``
 rather than executed late.
 
@@ -97,7 +97,7 @@ class Job:
     id: str
     request: Dict[str, Any]
     submitted_s: float
-    deadline_s: Optional[float] = None  # absolute wall-clock deadline
+    deadline_s: Optional[float] = None  # absolute time.monotonic() deadline
     state: str = "queued"
     retries: int = 0
     error: Optional[str] = None

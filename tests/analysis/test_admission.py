@@ -48,20 +48,23 @@ CASES = [
         id="PERF005-crater-falloff-as-a-math-exp-loop",
     ),
     pytest.param(
-        "SM001",
-        ("repro/service/engine.py", "repro/service/queue.py"),
-        'job.error = f"internal error: {exc}"\n'
-        '                    job.transition("failed")',
-        'job.error = f"internal error: {exc}"\n'
-        '                    job.transition("faild")',
-        id="SM001-misspelt-state-in-the-worker-last-resort-handler",
-    ),
-    pytest.param(
-        "ASYNC002",
-        ("repro/service/cli.py", "repro/service/http.py"),
-        "    await server.start()\n",
-        "    server.start()\n",
-        id="ASYNC002-repro-serve-never-awaits-server-start",
+        "TIME001",
+        ("repro/runtime/backends/supervised.py",),
+        "            None if timeout is None else time.monotonic() + timeout\n"
+        "        )\n"
+        "        replies: List[Tuple[str, Any]] = []\n"
+        "        for peer in waiting:\n"
+        "            remaining = (\n"
+        "                None if deadline is None\n"
+        "                else max(0.0, deadline - time.monotonic())\n",
+        "            None if timeout is None else time.time() + timeout\n"
+        "        )\n"
+        "        replies: List[Tuple[str, Any]] = []\n"
+        "        for peer in waiting:\n"
+        "            remaining = (\n"
+        "                None if deadline is None\n"
+        "                else max(0.0, deadline - time.time())\n",
+        id="TIME001-superstep-deadline-on-the-wall-clock",
     ),
 ]
 

@@ -1,4 +1,4 @@
-"""Unit tests for the coroutine-safety rules (ASYNC001-002, TIME001)."""
+"""Unit tests for the coroutine-safety rules (ASYNC001, TIME001)."""
 
 import ast
 import textwrap
@@ -154,52 +154,6 @@ class TestAsync001:
 
             async def handler():
                 time.sleep(1)  # repro-lint: disable=ASYNC001 warm-up only
-            """
-        )
-        assert diags == []
-
-
-class TestAsync002:
-    SOURCE = """
-        import asyncio
-
-        async def job():
-            await asyncio.sleep(0)
-
-        async def caller():
-            job()
-            await job()
-            asyncio.create_task(job())
-    """
-
-    def test_discarded_coroutine_call_is_flagged_once(self):
-        diags = _analyze(self.SOURCE)
-        assert _codes(diags) == ["ASYNC002"]
-        assert "'job'" in diags[0].message
-
-    def test_discarded_bound_coroutine(self):
-        diags = _analyze(
-            """
-            import asyncio
-
-            class W:
-                async def pulse(self):
-                    await asyncio.sleep(0)
-
-                async def run(self):
-                    self.pulse()
-            """
-        )
-        assert _codes(diags) == ["ASYNC002"]
-
-    def test_plain_function_call_statement_is_clean(self):
-        diags = _analyze(
-            """
-            def helper():
-                return 1
-
-            async def caller():
-                helper()
             """
         )
         assert diags == []

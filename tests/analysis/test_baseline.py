@@ -1,12 +1,9 @@
 """The committed lint baseline: write/load/apply round trip, multiset
-semantics, the never-baselined prohibition, and schema rejection."""
-
-import json
+semantics, and schema rejection."""
 
 import pytest
 
 from repro.analysis.baseline import (
-    BASELINE_SCHEMA_VERSION,
     BaselineError,
     apply_baseline,
     load_baseline,
@@ -66,26 +63,6 @@ class TestRoundTrip:
         new = diag(code="PERF005", message="fresh")
         kept, _ = apply_baseline([diag(), new], load_baseline(path))
         assert kept == [new]
-
-
-class TestNeverBaselinedProhibition:
-    def test_write_drops_sm001(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        n = write_baseline(path, [diag(), diag(code="SM001")])
-        assert n == 1
-        codes = {e["code"] for e in json.loads(path.read_text())["entries"]}
-        assert codes == {"PERF001"}
-
-    def test_load_rejects_sm001_entries(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "schema": BASELINE_SCHEMA_VERSION,
-            "entries": [
-                {"path": "p.py", "code": "SM001", "message": "m"}
-            ],
-        }))
-        with pytest.raises(BaselineError, match="SM001"):
-            load_baseline(path)
 
 
 class TestSchemaRejection:

@@ -15,7 +15,7 @@ PERF_FIXTURES = Path(__file__).parent / "perf_fixtures"
 SERVICE_FIXTURES = Path(__file__).parent / "service_fixtures"
 LIBRARY = Path(repro.__file__).parent
 
-SERVICE_CODES = ("ASYNC001", "ASYNC002", "TIME001", "SM001")
+SERVICE_CODES = ("ASYNC001", "TIME001")
 
 
 class TestExitCodes:
@@ -207,19 +207,26 @@ class TestServiceFlag:
     def test_service_select_narrows(self, capsys):
         assert (
             lint_main(
-                ["--service", "--select", "SM001",
+                ["--service", "--select", "TIME001",
                  str(SERVICE_FIXTURES)]
             )
             == 1
         )
         out = capsys.readouterr().out
-        assert "SM001" in out and "ASYNC001" not in out
+        assert "TIME001" in out and "ASYNC001" not in out
 
     def test_service_unknown_code_exits_two(self, capsys):
         assert lint_main(
             ["--service", "--select", "NOPE999", str(SERVICE_FIXTURES)]
         ) == 2
         assert "NOPE999" in capsys.readouterr().err
+
+    def test_deleted_codes_exit_two(self, capsys):
+        for code in ("SM001", "ASYNC002"):
+            assert lint_main(
+                ["--service", "--select", code, str(SERVICE_FIXTURES)]
+            ) == 2
+            assert code in capsys.readouterr().err
 
     def test_service_respects_exclude(self, capsys):
         code = lint_main(
@@ -249,40 +256,6 @@ class TestServiceFlag:
         """Acceptance: `repro-lint --service src/repro` must exit 0."""
         assert lint_main(["--service", str(LIBRARY)]) == 0
         assert "no issues found" in capsys.readouterr().out
-
-    def test_write_baseline_drops_sm001(self, tmp_path, capsys):
-        base = tmp_path / "baseline.json"
-        assert lint_main(
-            ["--service", "--write-baseline", str(base),
-             str(SERVICE_FIXTURES)]
-        ) == 0
-        capsys.readouterr()
-        doc = json.loads(base.read_text())
-        codes = {e["code"] for e in doc["entries"]}
-        assert codes and "SM001" not in codes
-        # applying the baseline silences the ASYNC/TIME backlog but the
-        # run still fails on the never-baselined correctness code
-        assert lint_main(
-            ["--service", "--baseline", str(base), str(SERVICE_FIXTURES)]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "SM001" in out
-        assert "ASYNC001" not in out and "TIME001" not in out
-
-    def test_handcrafted_sm001_baseline_is_rejected(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({
-            "schema": "repro.lint-baseline/1",
-            "entries": [{
-                "path": "src/repro/service/engine.py",
-                "code": "SM001",
-                "message": ".transition('faild'): 'faild' is not a state",
-            }],
-        }))
-        assert lint_main(
-            ["--service", "--baseline", str(bad), str(SERVICE_FIXTURES)]
-        ) == 2
-        assert "cannot be baselined" in capsys.readouterr().err
 
     def test_suppression_grammar_covers_service_codes(self, tmp_path, capsys):
         src = (

@@ -148,14 +148,13 @@ class TestRuleMetadata:
     def test_every_rule_has_pass_and_fail_coverage(self):
         # guard: a new rule must extend this file's coverage (the SPMD
         # family is covered by test_spmd.py, the PERF family by
-        # test_perf.py, the service family by
-        # test_asynccheck/test_statemachine)
+        # test_perf.py, the service family by test_asynccheck.py)
         from repro.analysis.engine import all_rules
 
         covered = {"ARR001", "ASSERT001", "VAL001", "LOOP001"}
         spmd = {"SPMD001"}
         perf = {"PERF001", "PERF002", "PERF003", "PERF005"}
-        service = {"ASYNC001", "ASYNC002", "TIME001", "SM001"}
+        service = {"ASYNC001", "TIME001"}
         assert {r.code for r in all_rules()} == (
             covered | spmd | perf | service
         )
@@ -170,7 +169,7 @@ class TestRuleMetadata:
         assert opt_in == {
             "SPMD001",
             "PERF001", "PERF002", "PERF003", "PERF005",
-            "ASYNC001", "ASYNC002", "TIME001", "SM001",
+            "ASYNC001", "TIME001",
         }
         assert not (default_codes & opt_in)
         selected = LintEngine(select=["PERF001"]).rules

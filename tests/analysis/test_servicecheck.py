@@ -11,7 +11,7 @@ FIXDIR = Path(__file__).parent / "service_fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parents[2]
 
-SERVICE_CODES = ("ASYNC001", "ASYNC002", "TIME001", "SM001")
+SERVICE_CODES = ("ASYNC001", "TIME001")
 
 
 class TestRegistry:
@@ -23,8 +23,8 @@ class TestRegistry:
 
     def test_select_and_ignore_narrow_the_rule_set(self):
         assert [
-            r.code for r in LintEngine(select=["SM001"]).rules
-        ] == ["SM001"]
+            r.code for r in LintEngine(select=["ASYNC001"]).rules
+        ] == ["ASYNC001"]
         narrowed = LintEngine(ignore=["TIME001"], families=("service",))
         assert {r.code for r in narrowed.rules} == (
             set(SERVICE_CODES) - {"TIME001"}
@@ -42,12 +42,7 @@ class TestGoldenFixtures:
         summary = {}
         for d in self._normalized():
             summary[d.code] = summary.get(d.code, 0) + 1
-        assert summary == {
-            "ASYNC001": 5,
-            "ASYNC002": 2,
-            "TIME001": 3,
-            "SM001": 3,
-        }
+        assert summary == {"ASYNC001": 5, "TIME001": 3}
 
     def test_every_seeded_file_fires_only_its_rule(self):
         by_file = {}
@@ -55,9 +50,7 @@ class TestGoldenFixtures:
             by_file.setdefault(d.path, set()).add(d.code)
         assert by_file == {
             "async_block.py": {"ASYNC001"},
-            "async_orphan.py": {"ASYNC002"},
             "clock_mix.py": {"TIME001"},
-            "machine.py": {"SM001"},
         }
 
     def test_clean_modules_stay_clean(self):
@@ -100,7 +93,7 @@ class TestRealTree:
 
         pattern = re.compile(
             r"#\s*repro-lint:\s*disable(?:-file)?\s*=\s*"
-            r"((?:ASYNC|TIME|SM)\d+)\s*(.*)"
+            r"((?:ASYNC|TIME)\d+)\s*(.*)"
         )
         for py in (ROOT / "src" / "repro").rglob("*.py"):
             for i, line in enumerate(

@@ -125,7 +125,65 @@ class TestPartitionJobs:
         assert job.state == "failed"
         assert job.retries == 2  # exhausted the budget
         assert retries_total == 2
-        assert job.error
+        # the attempt's own error, not the last-resort handler's
+        assert "/nope/missing.npz" in job.error
+        assert not job.error.startswith("internal error")
+
+
+class _RaisingDelay(RetryPolicy):
+    """Backoff that raises while the job is still ``running``."""
+
+    def delay(self, retry):
+        raise RuntimeError("backoff policy broke")
+
+
+class _NonNumericDelay(RetryPolicy):
+    """Backoff that ``asyncio.sleep`` rejects — after the job has been
+    re-queued for its retry."""
+
+    def delay(self, retry):
+        return "x"
+
+
+class TestLastResortHandler:
+    """``_worker``'s handler for an exception ``_run_job`` did not
+    expect: the job fails, whoever waits on it wakes, and the worker
+    lives on to run the next job."""
+
+    @pytest.mark.parametrize(
+        "policy, retries",
+        [
+            pytest.param(_RaisingDelay(max_retries=1), 0, id="running"),
+            pytest.param(_NonNumericDelay(max_retries=1), 1, id="queued"),
+        ],
+    )
+    def test_job_fails_and_the_worker_runs_the_next_job(
+        self, policy, retries
+    ):
+        async def scenario():
+            engine = ServiceEngine(EngineConfig(workers=1, retry=policy))
+            bad = request(
+                source={"kind": "mesh", "path": "/nope/missing.npz"}
+            )
+            job = engine.submit(bad)
+            follower = engine.submit(bad)
+            waiter = asyncio.ensure_future(engine.wait(job.id, 60))
+            await engine.start()
+            try:
+                job = await waiter
+                follower = await engine.wait(follower.id, 60)
+                nxt = await engine.wait(engine.submit(request()).id, 120)
+                return job, follower, nxt
+            finally:
+                await engine.stop()
+
+        job, follower, nxt = run(scenario())
+        assert job.state == "failed"
+        assert job.error.startswith("internal error: ")
+        assert job.retries == retries  # 1: it had been re-queued
+        assert follower.state == "failed"
+        assert job.id in follower.error
+        assert nxt.state == "done"  # the single worker survived
 
 
 class TestSingleFlight:
