@@ -161,15 +161,19 @@ def _scalar_candidate_pairs(boxes, points, point_ids):
 
 
 def test_smoke_traced_search(benchmark):
-    """CI smoke benchmark: the contact-search inner kernel, vectorised
-    (certified ``box_candidate_pairs``) vs the scalar Python loop it
-    replaced — both measured, speedup recorded in the JSON artifact."""
+    """CI smoke benchmark: the contact-search inner kernel (one
+    dual-tree pass, certified ``box_candidate_pairs``) vs the two
+    bodies it replaced — the scalar Python loop and the one ball query
+    per box — all measured, times recorded in the JSON artifact."""
     from time import perf_counter
 
     from repro.geometry.bbox import element_bboxes
     from repro.geometry.boxsearch import candidate_pairs
     from repro.sim.projectile import ImpactConfig
     from repro.sim.sequence import simulate_impact
+    from tests.geometry.reference_boxsearch import (
+        candidate_pairs as ball_query_candidate_pairs,
+    )
 
     snap = simulate_impact(ImpactConfig(n_steps=1, refine=0.6))[0]
     boxes = element_bboxes(snap.mesh.nodes, snap.contact_faces)
@@ -188,16 +192,21 @@ def test_smoke_traced_search(benchmark):
     scalar = _scalar_candidate_pairs(boxes, points, ids)
     scalar_s = perf_counter() - t0
     t0 = perf_counter()
+    ball = ball_query_candidate_pairs(boxes, points, ids)
+    ball_s = perf_counter() - t0
+    t0 = perf_counter()
     candidate_pairs(boxes, points, ids)
     vector_s = perf_counter() - t0
 
     assert set(zip(b_idx.tolist(), node_ids.tolist())) == set(scalar)
+    assert set(zip(*(a.tolist() for a in ball))) == set(scalar)
     record(
         benchmark,
         n_boxes=len(boxes),
         n_points=len(points),
         n_pairs=len(b_idx),
         scalar_s=round(scalar_s, 6),
+        ball_query_s=round(ball_s, 6),
         vectorized_s=round(vector_s, 6),
         speedup=round(scalar_s / max(vector_s, 1e-12), 2),
     )

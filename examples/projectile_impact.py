@@ -47,8 +47,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--epic", action="store_true",
-        help="EPIC-size mesh (~155k nodes) and k=(25, 100); very slow "
-        "in pure Python — expect an hour-plus",
+        help="EPIC-size mesh (~155k nodes) and k=(25, 100); the whole "
+        "Table 1 takes a few minutes",
     )
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--stages", action="store_true",

@@ -92,8 +92,8 @@ def box_query_pairs(
             break
         d = dim[node_idx]
         t = thr[node_idx]
-        go_l = boxes[box_idx, 0, :][np.arange(len(box_idx)), d] <= t
-        go_r = boxes[box_idx, 1, :][np.arange(len(box_idx)), d] > t
+        go_l = boxes[box_idx, 0, d] <= t
+        go_r = boxes[box_idx, 1, d] > t
         # a box not strictly right of the threshold that also fails the
         # left test can only happen on NaN input; treat as both-ways
         neither = ~(go_l | go_r)

@@ -8,8 +8,6 @@ point is its own box.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.utils.arrays import group_by_label
@@ -53,9 +51,10 @@ def element_bboxes(points: np.ndarray, connectivity: np.ndarray) -> np.ndarray:
     paper uses for both algorithms' global search.
     """
     points = np.asarray(points, dtype=float)
-    conn = np.asarray(connectivity, dtype=np.int64)
-    corner = points[conn]  # (m, npe, d)
-    return np.stack((corner.min(axis=1), corner.max(axis=1)), axis=1)
+    corner = points[np.asarray(connectivity, dtype=np.int64).T]
+    return np.stack(
+        (np.minimum.reduce(corner), np.maximum.reduce(corner)), axis=1
+    )
 
 
 def bboxes_intersect_matrix(
