@@ -15,10 +15,10 @@ once and runs *file rules* over each file and *project rules* over
 the one shared dataflow index (:mod:`repro.analysis.dataflow`), which
 is built only when a selected rule asks for it.
 
-The ``spmd`` family (:mod:`repro.analysis.spmd`, ``repro-lint
---spmd``) locates every superstep handed to the SPMD runtime and
-proves it race-free (SPMD001); its findings are validated dynamically
-by the race sentinel backend (:mod:`repro.runtime.backends.sentinel`).
+The superstep contract (ranks only read ``ctx.shared``) is not a lint
+code: every execution backend hands ranks a read-only ``ctx.shared``
+(:func:`repro.runtime.backends.base.read_only_shared`), so a breach
+raises at runtime on the serial backend as on the pools.
 
 The ``perf`` family is performance-oriented (``repro-lint --perf``):
 the PERF rules (:mod:`repro.analysis.perf`) find the scalar-Python hot
@@ -32,7 +32,7 @@ service seams (:mod:`repro.analysis.asynccheck`): no blocking call on
 the event loop (ASYNC001), no wall clock in deadline arithmetic
 (TIME001).
 
-Run it as ``repro-lint --spmd src/repro`` or ``repro-contact lint``.
+Run it as ``repro-lint src/repro`` or ``repro-contact lint``.
 """
 
 from repro.analysis.engine import (
@@ -59,7 +59,6 @@ from repro.analysis import (  # noqa: F401
     asynccheck,
     perf,
     rules,
-    spmd,
 )
 
 __all__ = [

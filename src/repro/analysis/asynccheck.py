@@ -24,7 +24,7 @@ Context discovery is conservative: every ``async def`` is loop
 context, and so is every *resolvable* synchronous callee reachable
 from one; a function only reached through ``loop.run_in_executor``
 is not.  Names the resolver cannot type are skipped, never guessed, so
-the family under-approximates like the SPMD pass.  See
+the family under-approximates.  See
 ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and the suppression
 grammar (``# repro-lint: disable=ASYNC001`` works like any other
 code).

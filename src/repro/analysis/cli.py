@@ -6,7 +6,6 @@ Examples::
     repro-lint --format json src      # machine-readable diagnostics
     repro-lint --format sarif src > lint.sarif
     repro-lint --select ARR001,VAL001 src/repro
-    repro-lint --spmd src/repro tests # + project-level SPMD pass
     repro-lint --perf src/repro       # + PERF family
     repro-lint --service src/repro    # + async/service correctness pass
     repro-lint --perf --trace-json smoke-trace.json src/repro
@@ -16,10 +15,8 @@ Examples::
 
 With no paths the installed ``repro`` package is linted.  Every flag
 below selects rule families of the one engine, which parses the
-target set once whatever the combination.  ``--spmd`` adds the SPMD
-project rule (SPMD001 — see ``docs/STATIC_ANALYSIS.md``); it analyses
-every target file as one program, so pass the whole tree.  ``--perf``
-adds the PERF family; ``--service`` adds the
+target set once whatever the combination.  ``--perf`` adds the PERF
+family; ``--service`` adds the
 async/service correctness rules (ASYNC001, TIME001 — also
 whole-program, so pass the full tree); ``--select``
 names the exact codes to run instead, from any family;
@@ -100,15 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="GLOB",
         help=(
             "fnmatch pattern of paths to skip (repeatable; e.g. "
-            "'tests/analysis/spmd_fixtures/*')"
-        ),
-    )
-    parser.add_argument(
-        "--spmd",
-        action="store_true",
-        help=(
-            "also run the project-level SPMD dataflow pass "
-            "(SPMD001) over the target set"
+            "'tests/analysis/perf_fixtures/*')"
         ),
     )
     parser.add_argument(
@@ -184,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         paths = [str(Path(repro.__file__).parent)]
 
     families = ["core"]
-    families += [f for f in ("spmd", "service", "perf") if getattr(args, f)]
+    families += [f for f in ("service", "perf") if getattr(args, f)]
 
     try:
         engine = LintEngine(

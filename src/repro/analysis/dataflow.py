@@ -1,40 +1,31 @@
-"""Package-wide dataflow summaries for the SPMD safety analysis.
+"""Package-wide dataflow summaries for the project rules.
 
 The per-file rules of :mod:`repro.analysis.rules` see one syntax tree
-at a time; the SPMD rule family (:mod:`repro.analysis.spmd`) must
-instead reason about *functions* — what a superstep captures from its
-enclosing scope, which module-level mutables it touches, and which
-other functions it reaches transitively.  This module builds those
-summaries:
+at a time; the service family (:mod:`repro.analysis.asynccheck`) must
+instead reason about *functions* — which other functions a coroutine
+reaches, and what the names it calls are bound to.  This module builds
+those summaries:
 
-* :class:`FunctionSummary` — per-function scope facts: parameters,
-  local bindings, ``global``/``nonlocal`` declarations, closure
-  captures (with the enclosing binding's value expression when it can
-  be found), module-level reads, every call site, and every mutation
-  of a name (assignment, augmented assignment, subscript/attribute
-  store, deletion, or a call of a known mutating method).
+* :class:`FunctionSummary` — per-function facts: parameters, the value
+  expression of each local binding, and every call site.
 * :class:`ClassSummary` — one class statement: its methods (each a
   :class:`FunctionSummary` qualified ``Class.method``, so same-named
   methods of different classes never collide) and every
   ``self.attr = value`` statement found in them.
 * :class:`ModuleSummary` — one parsed file: its functions (keyed by
-  qualified name), classes, import aliases, module-level bindings,
-  and the session-variable names used to recognise ``session.step``
-  call sites.
+  qualified name), classes and import aliases.
 * :class:`ProjectIndex` — the whole analysed file set, with name
-  resolution (local functions, ``Class.method``, ``from m import f``,
-  ``m.f`` through import aliases) and transitive reachability over
-  the call graph.
+  resolution (local functions, nested functions, ``Class.method``,
+  ``from m import f``, ``m.f`` through import aliases).
 
 The analysis is deliberately conservative where Python is dynamic:
-names that cannot be resolved are skipped, never guessed, so the SPMD
-rules under-approximate rather than cry wolf.
+names that cannot be resolved are skipped, never guessed, so the
+project rules under-approximate rather than cry wolf.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -46,30 +37,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-#: method names that mutate their receiver in place
-MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "sort",
-        "reverse",
-        "fill",
-        "partial_fit",
-        "put",
-    }
-)
-
-_BUILTIN_NAMES = frozenset(dir(builtins))
 
 
 def dotted_parts(node: ast.AST) -> Optional[Tuple[str, ...]]:
@@ -97,33 +64,6 @@ def dotted_text(node: ast.AST) -> Optional[str]:
 
 
 @dataclass
-class Mutation:
-    """One in-place modification of a name visible in a function."""
-
-    #: components of the mutated target (root name first)
-    chain: Tuple[str, ...]
-    #: ``assign`` / ``augassign`` / ``store`` (subscript or attribute
-    #: write) / ``delete`` / ``method`` (mutating-method call)
-    kind: str
-    node: ast.AST
-    #: for ``kind == "method"``: the method's name
-    method: str = ""
-
-    @property
-    def root(self) -> str:
-        return self.chain[0]
-
-    def describe(self) -> str:
-        """Human form of the mutated path (``acc.append(...)``)."""
-        path = ".".join(self.chain)
-        if self.kind == "method":
-            return f"{path}.{self.method}(...)"
-        if self.kind == "store":
-            return f"{path}[...]"
-        return path
-
-
-@dataclass
 class CallSite:
     """A call expression inside a function."""
 
@@ -145,30 +85,9 @@ class FunctionSummary:
     #: set on methods and inherited by the functions nested in them
     owner: Optional[str] = None
     params: Set[str] = field(default_factory=set)
-    #: names bound inside this scope (assignments, loop/with targets,
-    #: imports, nested def/class statements, comprehension targets)
-    bound: Set[str] = field(default_factory=set)
     #: name → value expression of its (last seen) binding in this scope
     bindings: Dict[str, ast.AST] = field(default_factory=dict)
-    global_decls: Set[str] = field(default_factory=set)
-    nonlocal_decls: Set[str] = field(default_factory=set)
-    loads: Set[str] = field(default_factory=set)
     calls: List[CallSite] = field(default_factory=list)
-    mutations: List[Mutation] = field(default_factory=list)
-    #: freevar → value expression of the enclosing binding (``None``
-    #: when the binding exists but its value is not a simple expression)
-    captured: Dict[str, Optional[ast.AST]] = field(default_factory=dict)
-    #: loads that resolve to module-level bindings
-    global_reads: Set[str] = field(default_factory=set)
-
-    def is_local(self, name: str) -> bool:
-        """Whether ``name`` is bound in this scope (param or local)."""
-        return (
-            name in self.params
-            or name in self.bound
-            or name in self.global_decls  # rebinding a global is not local,
-            # but it is *resolved*, so callers never treat it as captured
-        )
 
     def lookup_binding(self, name: str) -> Optional[ast.AST]:
         """Value expression bound to ``name`` here or in an enclosing
@@ -215,13 +134,8 @@ class ModuleSummary:
     #: local alias → dotted target (``np`` → ``numpy``,
     #: ``induce_pure_tree`` → ``repro.dtree.induction.induce_pure_tree``)
     imports: Dict[str, str] = field(default_factory=dict)
-    #: module-level name → value expression of its (last) binding
-    module_bindings: Dict[str, ast.AST] = field(default_factory=dict)
     #: names of module-level functions (unqualified)
     top_level_functions: Set[str] = field(default_factory=set)
-    #: local variable names that hold SPMD sessions (assigned or
-    #: ``with``-bound from an ``open_session(...)`` call)
-    session_names: Set[str] = field(default_factory=set)
 
     def lookup(self, name: str) -> Optional[FunctionSummary]:
         """A module-level function ``f`` or a method ``Cls.m`` of a
@@ -254,42 +168,15 @@ class _ScopeVisitor(ast.NodeVisitor):
     def current(self) -> Optional[FunctionSummary]:
         return self.stack[-1]
 
-    def _bind(self, name: str, value: Optional[ast.AST]) -> None:
+    def _bind(self, name: str, value: ast.AST) -> None:
         fn = self.current
-        if fn is None:
-            if value is not None:
-                self.summary.module_bindings[name] = value
-            else:
-                self.summary.module_bindings.setdefault(
-                    name, ast.Constant(value=None)
-                )
-            return
-        fn.bound.add(name)
-        if value is not None:
+        if fn is not None:  # module-level bindings are not looked up
             fn.bindings[name] = value
 
-    def _bind_target(self, target: ast.AST, value: Optional[ast.AST]) -> None:
+    def _bind_target(self, target: ast.AST, value: ast.AST) -> None:
+        # unpacking and attribute/subscript targets bind no one name
         if isinstance(target, ast.Name):
             self._bind(target.id, value)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._bind_target(elt, None)
-        elif isinstance(target, ast.Starred):
-            self._bind_target(target.value, None)
-        # attribute/subscript targets are mutations, handled separately
-
-    def _record_mutation(
-        self, target: ast.AST, kind: str, node: ast.AST, method: str = ""
-    ) -> None:
-        fn = self.current
-        if fn is None:
-            return
-        chain = dotted_parts(target)
-        if chain is None:
-            return
-        fn.mutations.append(
-            Mutation(chain=chain, kind=kind, node=node, method=method)
-        )
 
     def _qualify(self, name: str) -> str:
         """``name`` qualified like ``__qualname__`` at this point."""
@@ -376,9 +263,8 @@ class _ScopeVisitor(ast.NodeVisitor):
             self.visit(base)
         cls = ClassSummary(qualname=self._qualify(node.name))
         self.summary.classes[cls.qualname] = cls
-        # the body's *bindings* land in the enclosing scope (class
-        # attributes are visible to the rules as that scope's names);
-        # its defs are qualified and registered as the class's methods
+        # the body's *bindings* land in the enclosing scope; its defs
+        # are qualified and registered as the class's methods
         self.classes.append(cls)
         for stmt in node.body:
             self.visit(stmt)
@@ -409,11 +295,7 @@ class _ScopeVisitor(ast.NodeVisitor):
         for target in node.targets:
             self._bind_target(target, node.value)
             if isinstance(target, (ast.Subscript, ast.Attribute)):
-                self._record_mutation(target, "store", node)
                 self.visit(target.value)
-            elif isinstance(target, ast.Name):
-                self._record_mutation(target, "assign", node)
-        self._scan_session_assignment(node.targets, node.value)
         if len(node.targets) == 1:
             self._record_self_attr(node.targets[0], node.value, None)
 
@@ -422,32 +304,18 @@ class _ScopeVisitor(ast.NodeVisitor):
         if node.value is not None:
             self.visit(node.value)
             self._bind_target(node.target, node.value)
-            if isinstance(node.target, (ast.Subscript, ast.Attribute)):
-                self._record_mutation(node.target, "store", node)
-            self._scan_session_assignment([node.target], node.value)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self.visit(node.value)
-        if isinstance(node.target, ast.Name):
-            self._bind(node.target.id, None)
-            self._record_mutation(node.target, "augassign", node)
-        else:
-            self._record_mutation(node.target, "augassign", node)
+        if isinstance(node.target, (ast.Subscript, ast.Attribute)):
             self.visit(node.target.value)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            if isinstance(target, (ast.Subscript, ast.Attribute)):
-                self._record_mutation(target, "delete", node)
-            self.generic_visit(target)
 
     def visit_NamedExpr(self, node: ast.NamedExpr) -> None:
         self.visit(node.value)
-        self._bind(node.target.id, node.value)
+        self._bind_target(node.target, node.value)
 
     def visit_For(self, node: Union[ast.For, ast.AsyncFor]) -> None:
         self.visit(node.iter)
-        self._bind_target(node.target, None)
         for stmt in node.body + node.orelse:
             self.visit(stmt)
 
@@ -458,25 +326,16 @@ class _ScopeVisitor(ast.NodeVisitor):
             self.visit(item.context_expr)
             if item.optional_vars is not None:
                 self._bind_target(item.optional_vars, item.context_expr)
-                self._scan_session_assignment(
-                    [item.optional_vars], item.context_expr
-                )
         for stmt in node.body:
             self.visit(stmt)
 
     visit_AsyncWith = visit_With
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.name:
-            self._bind(node.name, None)
-        self.generic_visit(node)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             local = alias.asname or alias.name.split(".")[0]
             target = alias.name if alias.asname else alias.name.split(".")[0]
             self.summary.imports.setdefault(local, target)
-            self._bind(local, None)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is None:
@@ -488,108 +347,25 @@ class _ScopeVisitor(ast.NodeVisitor):
             self.summary.imports.setdefault(
                 local, f"{node.module}.{alias.name}"
             )
-            self._bind(local, None)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        fn = self.current
-        if fn is not None:
-            fn.global_decls.update(node.names)
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        fn = self.current
-        if fn is not None:
-            fn.nonlocal_decls.update(node.names)
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
-        # comprehension targets are scoped to the comprehension in
-        # Python 3, but folding them into the enclosing function keeps
-        # the capture analysis simple without losing soundness
         self.visit(node.iter)
-        self._bind_target(node.target, None)
         for cond in node.ifs:
             self.visit(cond)
 
-    # -- loads, calls --------------------------------------------------
-    def visit_Name(self, node: ast.Name) -> None:
-        fn = self.current
-        if fn is not None and isinstance(node.ctx, ast.Load):
-            fn.loads.add(node.id)
-
+    # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         fn = self.current
         name = dotted_text(node.func)
         if fn is not None and name is not None:
             fn.calls.append(CallSite(name=name, node=node))
-            if isinstance(node.func, ast.Attribute):
-                method = node.func.attr
-                if method in MUTATING_METHODS:
-                    chain = dotted_parts(node.func.value)
-                    if chain is not None:
-                        fn.mutations.append(
-                            Mutation(
-                                chain=chain,
-                                kind="method",
-                                node=node,
-                                method=method,
-                            )
-                        )
         self.generic_visit(node)
-
-    # -- session-variable recognition ----------------------------------
-    def _scan_session_assignment(
-        self, targets: Sequence[ast.AST], value: ast.AST
-    ) -> None:
-        if not self._contains_open_session(value):
-            return
-        for target in targets:
-            if isinstance(target, ast.Name):
-                self.summary.session_names.add(target.id)
-
-    @staticmethod
-    def _contains_open_session(expr: ast.AST) -> bool:
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Call):
-                name = dotted_text(sub.func)
-                if name is not None and name.rsplit(".", 1)[-1] == "open_session":
-                    return True
-        return False
-
-
-def _resolve_captures(summary: ModuleSummary) -> None:
-    """Classify each function's unresolved loads as captured (bound in
-    an enclosing function) or module-level reads."""
-    for fn in summary.functions.values():
-        names = sorted(fn.loads | fn.nonlocal_decls)
-        for name in names:
-            declared_nonlocal = name in fn.nonlocal_decls
-            if not declared_nonlocal and fn.is_local(name):
-                continue
-            scope = fn.parent
-            found = False
-            while scope is not None:
-                if name in scope.params or name in scope.bound:
-                    fn.captured[name] = scope.bindings.get(name)
-                    found = True
-                    break
-                scope = scope.parent
-            if found or declared_nonlocal:
-                if declared_nonlocal and name not in fn.captured:
-                    fn.captured[name] = None
-                continue
-            if (
-                name in summary.module_bindings
-                or name in summary.top_level_functions
-            ) and name not in summary.imports:
-                fn.global_reads.add(name)
-            # everything else: imports, builtins, or unresolved — the
-            # SPMD rules never guess about those
 
 
 def summarize_module(module: str, path: str, tree: ast.Module) -> ModuleSummary:
     """Build the dataflow summary of one parsed file."""
     summary = ModuleSummary(module=module, path=path, tree=tree)
     _ScopeVisitor(summary).visit(tree)
-    _resolve_captures(summary)
     return summary
 
 
@@ -650,28 +426,6 @@ class ProjectIndex:
         if other is None or not rest:
             return None
         return other.lookup(rest)
-
-    def reachable(
-        self, roots: Iterable[FunctionSummary]
-    ) -> List[FunctionSummary]:
-        """Roots plus every function transitively called from them
-        (resolved within the index), in deterministic order."""
-        seen: Set[Tuple[str, str]] = set()
-        order: List[FunctionSummary] = []
-        stack = list(roots)
-        while stack:
-            fn = stack.pop(0)
-            key = (fn.module, fn.qualname)
-            if key in seen:
-                continue
-            seen.add(key)
-            order.append(fn)
-            # nested functions called by bare name resolve locally first
-            for call in fn.calls:
-                target = self.resolve_call(fn, call.name)
-                if target is not None:
-                    stack.append(target)
-        return order
 
     def resolve_call(
         self, caller: FunctionSummary, name: str

@@ -6,8 +6,8 @@ A :class:`LintRule` is one of two kinds.  A *file rule* overrides
 :meth:`~LintRule.project_check` and inspects the whole target set (a
 :class:`Project`).  Rules register themselves in a
 module-level registry via :func:`register_rule` and belong to a
-``family`` (``core`` runs by default; ``spmd``, ``service`` and
-``perf`` are what the ``repro-lint`` flags of the same name add).
+``family`` (``core`` runs by default; ``service`` and ``perf`` are
+what the ``repro-lint`` flags of the same name add).
 
 :func:`load_project` walks the target paths and parses each file
 exactly once; the :class:`Project` builds its one dataflow
@@ -132,7 +132,7 @@ class Project:
     Holds what was parsed once — the file contexts and the E999
     diagnostics of the files that did not parse — plus what is derived
     from it on demand: the dataflow index and each rule family's own
-    view of it (superstep sites, loop/executor closure).
+    view of it (the service family's loop/executor closure).
     """
 
     contexts: List[FileContext] = field(default_factory=list)
@@ -192,8 +192,7 @@ class LintRule:
     modules: Tuple[str, ...] = ()
     #: ``core`` rules make up the default engine run; any other family
     #: runs only when asked for — by an explicit ``--select`` or by the
-    #: ``repro-lint`` flag named after it (``--spmd`` / ``--service`` /
-    #: ``--perf``)
+    #: ``repro-lint`` flag named after it (``--service`` / ``--perf``)
     family: str = "core"
 
     def applies_to(self, ctx: FileContext) -> bool:

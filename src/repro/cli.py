@@ -15,7 +15,7 @@ runs the installation self-check.
 for any experiment command; the ``trace`` subcommand additionally
 prints the report to the terminal.
 
-``--backend {serial,thread,process,sentinel,chaos}`` and ``--workers N``
+``--backend {chaos,process,serial,tcp,thread}`` and ``--workers N``
 (global, also accepted after the subcommand) select the SPMD execution
 backend for every parallel stage in the run (``docs/PARALLELISM.md``);
 results are bit-identical across backends. ``--fault-plan PLAN``

@@ -20,17 +20,12 @@ from repro.runtime.backends.base import (
     BackendSpec,
     SpmdContext,
     SpmdSession,
-    backend_names,
     build_backend,
     default_workers,
     resolve_backend,
     set_default_backend,
 )
 from repro.runtime.backends.process import ProcessBackend
-from repro.runtime.backends.sentinel import (
-    SentinelBackend,
-    SharedStateMutationError,
-)
 from repro.runtime.backends.serial import SerialBackend
 from repro.runtime.backends.supervised import SupervisorConfig
 from repro.runtime.backends.tcp import TCPBackend
@@ -49,15 +44,12 @@ __all__ = [
     "BackendLike",
     "BackendSpec",
     "ProcessBackend",
-    "SentinelBackend",
     "SerialBackend",
-    "SharedStateMutationError",
     "SpmdContext",
     "SpmdSession",
     "SupervisorConfig",
     "TCPBackend",
     "ThreadBackend",
-    "backend_names",
     "build_backend",
     "default_workers",
     "resolve_backend",

@@ -25,7 +25,9 @@ Superstep functions receive a :class:`SpmdContext` with
 * ``rank`` / ``size`` — who am I, how many of us,
 * ``shared`` — the read-only mapping of run-wide inputs the backend
   distributed (shipped once per session to remote peers, NumPy arrays
-  as raw frames outside the pickle),
+  as raw frames outside the pickle); every backend hands it out
+  through :func:`read_only_shared`, so a superstep that writes a shared
+  array or assigns a key fails the same way on all of them,
 * ``state`` — a per-rank dict that persists across the session's steps
   (resident in the owning worker on the process backend),
 * ``send`` / ``inbox`` — mpi4py-style verbs: queue now, deliver at the
@@ -51,8 +53,10 @@ from typing import (
     Type,
     Union,
 )
-from types import TracebackType
+from types import MappingProxyType, TracebackType
 from urllib.parse import parse_qsl, urlsplit
+
+import numpy as np
 
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -169,6 +173,29 @@ class RankOutcome:
         self.sends = sends
         self.records = records
         self.spans = spans
+
+
+def read_only_shared(
+    shared: Optional[Mapping[str, Any]],
+) -> Mapping[str, Any]:
+    """The ``ctx.shared`` a session hands its ranks.
+
+    A :class:`~types.MappingProxyType` (assigning a key raises
+    ``TypeError``) whose NumPy arrays are non-writeable *views* (writing
+    an element raises ``ValueError``), so the caller's own arrays keep
+    their flags.  This is the one guard of the superstep contract "ranks
+    only read ``ctx.shared``": a breach fails on the serial backend
+    exactly as on a pool (whose arrays, decoded from wire frames, are
+    read-only anyway), instead of silently changing what later
+    supersteps read in-process.
+    """
+    frozen: Dict[str, Any] = {}
+    for key, value in (shared or {}).items():
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        frozen[key] = value
+    return MappingProxyType(frozen)
 
 
 def run_rank_step(
@@ -304,8 +331,7 @@ class Backend:
     the startup cost.
     """
 
-    #: short identifier (``serial`` / ``thread`` / ``process`` /
-    #: ``sentinel`` / ``chaos``)
+    #: short identifier (one of :data:`BACKEND_NAMES`)
     name: str = "base"
 
     def open_session(
@@ -534,7 +560,6 @@ _BACKENDS: Dict[str, Tuple[str, SpecSchema]] = {
     "serial": ("repro.runtime.backends.serial:serial_from_spec", {}),
     "thread": ("repro.runtime.backends.thread:thread_from_spec", {}),
     "process": ("repro.runtime.backends.process:process_from_spec", {}),
-    "sentinel": ("repro.runtime.backends.sentinel:sentinel_from_spec", {}),
     "chaos": (
         "repro.runtime.faults:chaos_from_spec",
         {"plan": str, "inner": str},
@@ -553,11 +578,6 @@ _BACKENDS: Dict[str, Tuple[str, SpecSchema]] = {
 
 #: the backend names, sorted
 BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_BACKENDS))
-
-
-def backend_names() -> Tuple[str, ...]:
-    """The backend names, sorted."""
-    return BACKEND_NAMES
 
 
 def build_backend(

@@ -19,6 +19,7 @@ from repro.runtime.backends.base import (
     RankOutcome,
     SpmdSession,
     StepFn,
+    read_only_shared,
     run_rank_step,
 )
 from repro.runtime.ledger import CommLedger
@@ -35,7 +36,7 @@ class SerialSession(SpmdSession):
         shared: Optional[Mapping[str, Any]],
     ) -> None:
         super().__init__(size, ledger, tracer)
-        self._shared: Mapping[str, Any] = dict(shared) if shared else {}
+        self._shared = read_only_shared(shared)
         self._states: List[Dict[str, Any]] = [{} for _ in range(size)]
         self._trace = bool(getattr(self.tracer, "enabled", False))
 

@@ -64,6 +64,7 @@ from repro.runtime.backends.base import (
     SpmdSession,
     StepFn,
     default_workers,
+    read_only_shared,
     run_rank_step,
 )
 from repro.runtime.backends.wire import (
@@ -425,9 +426,12 @@ class SupervisedSession(SpmdSession):
         super().__init__(size, ledger, tracer)
         self._pool = pool
         self._sid = sid
+        # the plain dict travels in the ``open`` message; in-process
+        # ranks (the local fallback) read the read-only view of it
         self._shared_input: Mapping[str, Any] = (
             dict(shared) if shared else {}
         )
+        self._local_shared = read_only_shared(self._shared_input)
         self._trace = bool(getattr(self.tracer, "enabled", False))
         self._mode = "pending"  # -> "remote" | "local" | "failed"
         self._owners: List[Tuple[Peer, List[int]]] = []
@@ -445,7 +449,7 @@ class SupervisedSession(SpmdSession):
     ) -> List[RankOutcome]:
         return [
             run_rank_step(
-                fn, arg, rank, self.size, self._shared_input,
+                fn, arg, rank, self.size, self._local_shared,
                 self._local_states[rank], inboxes[rank], self._trace,
             )
             for rank in range(self.size)
@@ -474,7 +478,7 @@ class SupervisedSession(SpmdSession):
             for rank in range(self.size):
                 run_rank_step(
                     hist_fn, hist_arg, rank, self.size,
-                    self._shared_input, self._local_states[rank],
+                    self._local_shared, self._local_states[rank],
                     list(hist_inboxes[rank]), False,
                 )
 
@@ -844,7 +848,7 @@ class _ServedSession:
     def __init__(
         self, shared: Mapping[str, Any], size: int, trace: bool
     ) -> None:
-        self.shared = shared
+        self.shared = read_only_shared(shared)
         self.states: Dict[int, Dict[str, Any]] = {}
         self.size = size
         self.trace = trace

@@ -7,9 +7,11 @@ synchronisation protocol (are supersteps really side-effect-free per
 rank? does the rank-ordered merge hold under arbitrary interleaving?)
 cheaply, and to overlap NumPy/SciPy kernels that release the GIL.
 
-Superstep functions must confine mutation to ``ctx.state`` and treat
-``ctx.shared`` as read-only — the same contract the process backend
-enforces physically by address-space separation.
+Superstep functions must confine mutation to ``ctx.state``.
+``ctx.shared`` is the session's read-only view
+(:func:`~repro.runtime.backends.base.read_only_shared`, inherited from
+the serial session), so a rank that writes a shared array or assigns
+a key raises instead of racing the others.
 """
 
 from __future__ import annotations

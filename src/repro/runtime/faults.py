@@ -11,7 +11,7 @@ uninjected run:
 * ``kill`` — on a process-pool worker the rank's process exits hard
   (``os._exit``), exercising the supervised respawn/replay path of
   :class:`~repro.runtime.backends.process.ProcessBackend`; in-process
-  (serial/thread/sentinel, or the process backend's local fallback) it
+  (serial/thread, or the process backend's local fallback) it
   raises :class:`InjectedFault`, exercising the chaos harness's own
   snapshot/rollback retry.
 * ``hang`` — the rank sleeps (default 30 s), long enough to blow the
@@ -198,9 +198,8 @@ class ChaosStep:
     armed faults *before* running the wrapped function, so a faulted
     rank never half-mutates its state.
 
-    ``__wrapped__`` / ``disarm()`` let the sentinel backend, the SPMD
-    linter, and the supervised session's retry/replay machinery reach
-    the plain superstep underneath.
+    ``disarm()`` lets the supervised session's retry/replay machinery
+    reach the plain superstep underneath.
     """
 
     def __init__(
@@ -212,7 +211,6 @@ class ChaosStep:
         self.fn = fn
         self.step_index = step_index
         self.faults: Dict[int, Tuple[str, float]] = dict(faults)
-        self.__wrapped__ = fn
         for attr in ("__name__", "__qualname__", "__doc__"):
             try:
                 setattr(self, attr, getattr(fn, attr))

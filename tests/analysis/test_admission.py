@@ -19,6 +19,15 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 # code, files copied (the first one is mutated), anchor, replacement
 CASES = [
     pytest.param(
+        "ASSERT001",
+        ("repro/core/weights.py",),
+        "        if len(search_work) != n:\n"
+        "            raise ValueError(\"search_work must have one entry per node\")\n",
+        "        assert len(search_work) == n, "
+        "\"search_work must have one entry per node\"\n",
+        id="ASSERT001-search-work-length-check-as-a-bare-assert",
+    ),
+    pytest.param(
         "LOOP001",
         ("repro/graph/metrics.py",),
         "    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),"
@@ -102,7 +111,7 @@ def test_code_fires_on_its_seeded_defect_and_no_other_code_does(
         assert Path(d.path).name == Path(files[0]).name
         assert d.line in span
     # every family at once: what the edit adds is this code's alone
-    every = LintEngine(families=("core", "spmd", "service", "perf"))
+    every = LintEngine(families=("core", "service", "perf"))
     before = {(d.code, d.message) for d in every.lint_paths([clean])}
     after = {(d.code, d.message) for d in every.lint_paths([mutated])}
     assert {c for c, _ in after - before} == {code}

@@ -10,7 +10,6 @@ from repro.analysis.cli import main as lint_main
 from repro.cli import main as contact_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SPMD_FIXTURES = Path(__file__).parent / "spmd_fixtures"
 PERF_FIXTURES = Path(__file__).parent / "perf_fixtures"
 SERVICE_FIXTURES = Path(__file__).parent / "service_fixtures"
 LIBRARY = Path(repro.__file__).parent
@@ -98,10 +97,6 @@ class TestOptions:
         )
         assert listed == documented
 
-    def test_list_rules_includes_spmd_family(self, capsys):
-        lint_main(["--list-rules"])
-        assert "SPMD001" in capsys.readouterr().out
-
     def test_sarif_format(self, capsys):
         assert lint_main(["--format", "sarif", str(FIXTURES)]) == 1
         log = json.loads(capsys.readouterr().out)
@@ -120,32 +115,11 @@ class TestOptions:
         assert code == 0
         assert "no issues found" in capsys.readouterr().out
 
-
-class TestSpmdFlag:
-    def test_spmd_flag_finds_seeded_violations(self, capsys):
-        assert lint_main(["--spmd", str(SPMD_FIXTURES)]) == 1
-        assert "SPMD001" in capsys.readouterr().out
-
-    def test_without_flag_fixtures_are_clean(self, capsys):
-        # the SPMD family is project-level; the per-file engine alone
-        # must not fire on the fixture tree
-        assert lint_main([str(SPMD_FIXTURES)]) == 0
-
-    def test_spmd_select_narrows(self, capsys):
-        assert (
-            lint_main(
-                ["--spmd", "--select", "SPMD001",
-                 str(SPMD_FIXTURES), str(FIXTURES)]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "SPMD001" in out and "ARR001" not in out
-
-    def test_spmd_library_lints_clean(self, capsys):
-        """`repro-lint --spmd src/repro` must exit 0 (acceptance)."""
-        assert lint_main(["--spmd", str(LIBRARY)]) == 0
-        assert "no issues found" in capsys.readouterr().out
+    def test_spmd_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--spmd", str(LIBRARY)])
+        assert exc.value.code == 2
+        assert "--spmd" in capsys.readouterr().err
 
 
 class TestPerfFlag:
@@ -222,7 +196,7 @@ class TestServiceFlag:
         assert "NOPE999" in capsys.readouterr().err
 
     def test_deleted_codes_exit_two(self, capsys):
-        for code in ("SM001", "ASYNC002"):
+        for code in ("SM001", "ASYNC002", "SPMD001"):
             assert lint_main(
                 ["--service", "--select", code, str(SERVICE_FIXTURES)]
             ) == 2

@@ -38,91 +38,35 @@ class TestDottedParts:
 
 
 class TestScopeFacts:
-    def test_params_locals_and_loads(self):
+    def test_params_and_bindings(self):
         s = summarize(
             """
             def f(a, b=1, *args, kw=None, **extra):
                 local = a + other
+                for loop_var in args:
+                    pass
                 return local
             """
         )
         fn = s.functions["f"]
         assert fn.params == {"a", "b", "args", "kw", "extra"}
-        assert "local" in fn.bound
-        assert "other" in fn.loads
-        assert fn.is_local("local") and not fn.is_local("other")
+        assert set(fn.bindings) == {"local"}
+        assert isinstance(fn.bindings["local"], ast.BinOp)
 
-    def test_mutations_recorded_by_kind(self):
+    def test_bindings_resolve_through_enclosing_scopes(self):
         s = summarize(
             """
-            def f(ctx):
-                ctx.state["k"] = 1
-                acc = []
-                acc.append(2)
-                total = 0
-                total += 1
-                del ctx.state["k"]
-            """
-        )
-        kinds = {
-            (m.kind, m.chain) for m in s.functions["f"].mutations
-        }
-        assert ("store", ("ctx", "state")) in kinds
-        assert ("method", ("acc",)) in kinds
-        assert ("augassign", ("total",)) in kinds
-        assert ("delete", ("ctx", "state")) in kinds
-
-    def test_captures_resolve_to_enclosing_binding(self):
-        s = summarize(
-            """
-            def outer():
+            def outer(param):
                 acc = []
                 def inner(ctx):
-                    acc.append(ctx.rank)
+                    return acc, param
                 return inner
             """
         )
         inner = s.functions["outer.<locals>.inner"]
-        assert "acc" in inner.captured
-        assert isinstance(inner.captured["acc"], ast.List)
-
-    def test_nonlocal_is_always_captured(self):
-        s = summarize(
-            """
-            def outer():
-                n = 0
-                def bump():
-                    nonlocal n
-                    n += 1
-                return bump
-            """
-        )
-        bump = s.functions["outer.<locals>.bump"]
-        assert "n" in bump.captured
-
-    def test_global_reads_exclude_imports_and_builtins(self):
-        s = summarize(
-            """
-            import numpy as np
-            TOTALS = []
-
-            def f(ctx):
-                TOTALS.append(len(np.zeros(1)))
-            """
-        )
-        fn = s.functions["f"]
-        assert fn.global_reads == {"TOTALS"}
-
-    def test_session_variable_recognised(self):
-        s = summarize(
-            """
-            def run(backend):
-                handle = backend.open_session(4)
-                with backend.open_session(2) as managed:
-                    pass
-            """
-        )
-        assert s.session_names == {"handle", "managed"}
+        assert isinstance(inner.lookup_binding("acc"), ast.List)
+        assert inner.lookup_binding("param") is None
+        assert inner.lookup_binding("missing") is None
 
     def test_lambda_gets_a_summary(self):
         s = summarize("f = lambda ctx: ctx.rank\n")
@@ -157,28 +101,7 @@ class TestProjectIndex:
         assert index.resolve_function("lib", "missing") is None
         assert index.resolve_function("nope", "step") is None
 
-    def test_reachable_closes_over_calls(self):
-        s = summarize(
-            """
-            def helper():
-                return leaf()
-
-            def leaf():
-                return 1
-
-            def root(ctx):
-                return helper()
-
-            def unrelated():
-                return 2
-            """
-        )
-        index = ProjectIndex([s])
-        reached = index.reachable([s.functions["root"]])
-        names = {fn.qualname for fn in reached}
-        assert names == {"root", "helper", "leaf"}
-
-    def test_reachable_prefers_nested_over_module(self):
+    def test_resolve_call_prefers_nested_over_module(self):
         s = summarize(
             """
             def helper():
@@ -188,13 +111,16 @@ class TestProjectIndex:
                 def helper():
                     return "nested"
                 return helper()
+
+            def other():
+                return helper()
             """
         )
         index = ProjectIndex([s])
-        reached = index.reachable([s.functions["root"]])
-        names = {fn.qualname for fn in reached}
-        assert "root.<locals>.helper" in names
-        assert "helper" not in names
+        nested = index.resolve_call(s.functions["root"], "helper")
+        assert nested.qualname == "root.<locals>.helper"
+        module = index.resolve_call(s.functions["other"], "helper")
+        assert module.qualname == "helper"
 
 
 class TestClassAwareIndex:
@@ -295,16 +221,3 @@ class TestClassAwareIndex:
                 if not isinstance(fn.node, ast.Lambda)
             }
             assert summarised == defs, ctx.path
-
-    def test_shadowed_methods_reach_the_spmd_pass(self):
-        """Only the *first* class of the same-named pair in the
-        fixture is at fault; a bare-name index sees only the second."""
-        from repro.analysis.engine import LintEngine
-
-        fixture = (
-            Path(__file__).parent / "shadow_fixtures" / "shadowed_methods.py"
-        )
-        diags = LintEngine(select=["SPMD001"]).lint_paths([fixture])
-        lines = fixture.read_text().splitlines()
-        seeded = 1 + next(i for i, l in enumerate(lines) if "# SPMD001:" in l)
-        assert ("SPMD001", seeded) in {(d.code, d.line) for d in diags}

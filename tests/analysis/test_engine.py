@@ -178,19 +178,14 @@ class TestDiscovery:
 
 
 class TestOneParseOneIndex:
-    ALL_FAMILIES = ("core", "spmd", "service", "perf")
+    ALL_FAMILIES = ("core", "service", "perf")
 
     def _tree(self, tmp_path):
-        (tmp_path / "steps.py").write_text(
-            "ACC = []\n\n"
-            "def _step(ctx):\n    ACC.append(1)\n\n"
-            "def run():\n    spmd_run(2, [_step])\n"
-        )
         (tmp_path / "app.py").write_text(
             "import time\n\nasync def handler():\n    time.sleep(1)\n"
         )
         (tmp_path / "plain.py").write_text("x = 1\n")
-        return 3
+        return 2
 
     def test_every_family_together_parses_each_file_once(
         self, tmp_path, monkeypatch
@@ -208,7 +203,7 @@ class TestOneParseOneIndex:
         monkeypatch.setattr(ast, "parse", counting_parse)
         diags = LintEngine(families=self.ALL_FAMILIES).lint_paths([tmp_path])
         assert len(calls) == n_files
-        assert {"SPMD001", "ASYNC001"} <= {d.code for d in diags}
+        assert "ASYNC001" in {d.code for d in diags}
 
     def test_file_rules_alone_never_build_the_index(
         self, tmp_path, monkeypatch

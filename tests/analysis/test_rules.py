@@ -146,28 +146,24 @@ class TestLOOP001:
 
 class TestRuleMetadata:
     def test_every_rule_has_pass_and_fail_coverage(self):
-        # guard: a new rule must extend this file's coverage (the SPMD
-        # family is covered by test_spmd.py, the PERF family by
-        # test_perf.py, the service family by test_asynccheck.py)
+        # guard: a new rule must extend this file's coverage (the PERF
+        # family is covered by test_perf.py, the service family by
+        # test_asynccheck.py)
         from repro.analysis.engine import all_rules
 
         covered = {"ARR001", "ASSERT001", "VAL001", "LOOP001"}
-        spmd = {"SPMD001"}
         perf = {"PERF001", "PERF002", "PERF003", "PERF005"}
         service = {"ASYNC001", "TIME001"}
-        assert {r.code for r in all_rules()} == (
-            covered | spmd | perf | service
-        )
+        assert {r.code for r in all_rules()} == covered | perf | service
 
     def test_opt_in_rules_skipped_by_default(self):
-        # only the core family runs by default: the SPMD, PERF and
-        # service families must be asked for, by family or by --select
+        # only the core family runs by default: the PERF and service
+        # families must be asked for, by family or by --select
         from repro.analysis.engine import LintEngine, all_rules
 
         default_codes = {r.code for r in LintEngine().rules}
         opt_in = {r.code for r in all_rules() if r.family != "core"}
         assert opt_in == {
-            "SPMD001",
             "PERF001", "PERF002", "PERF003", "PERF005",
             "ASYNC001", "TIME001",
         }

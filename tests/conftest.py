@@ -62,7 +62,6 @@ def rng():
         "serial",
         "thread",
         "process",
-        "sentinel",
         "chaos",
         "tcp://127.0.0.1:0?accept_timeout=30",
     ],
@@ -72,9 +71,8 @@ def spmd_backend(request):
     """Each execution backend, session-scoped so the process backend's
     worker pool is spun up once for the whole run.  Tests using this
     fixture assert backend-independence: identical results and ledgers
-    on every backend.  The ``sentinel`` variant additionally proves the
-    supersteps never mutate shared state (it raises
-    ``SharedStateMutationError`` if one does); the ``chaos`` variant
+    on every backend, where ``ctx.shared`` is read-only (a superstep
+    that writes it raises on every row); the ``chaos`` variant
     exercises the fault-injection harness (a passthrough unless
     ``$REPRO_FAULT_PLAN`` schedules faults — the chaos CI job does,
     and results must STILL be identical).  The ``tcp`` variant runs

@@ -316,6 +316,57 @@ class TestMultiRoundProtocol:
 
 
 # ----------------------------------------------------------------------
+# the superstep contract: ranks only read ctx.shared
+# ----------------------------------------------------------------------
+
+
+def _write_shared_element(ctx, _arg):
+    ctx.shared["values"][ctx.rank] = -1.0
+
+
+def _assign_shared_key(ctx, _arg):
+    ctx.shared["rank"] = ctx.rank
+
+
+class TestSharedIsReadOnly:
+    """A superstep that writes ``ctx.shared`` fails with a typed error on
+    every backend — in a peer process the error's traceback comes back
+    inside a :class:`BackendError` — and the caller's arrays keep their
+    flags and their bytes."""
+
+    @pytest.mark.parametrize(
+        "step, error",
+        [
+            (_write_shared_element,
+             "ValueError: assignment destination is read-only"),
+            (_assign_shared_key,
+             "TypeError: 'mappingproxy' object does not support item "
+             "assignment"),
+        ],
+        ids=["array-element", "new-key"],
+    )
+    def test_write_raises_and_leaves_the_callers_arrays_alone(
+        self, spmd_backend, step, error
+    ):
+        values = np.arange(12, dtype=np.float64)
+        before = values.tobytes()
+        with pytest.raises((ValueError, TypeError, BackendError)) as err:
+            with spmd_backend.open_session(
+                3, shared={"values": values}
+            ) as sess:
+                sess.step(step)
+        if isinstance(err.value, BackendError):
+            assert error in str(err.value)
+        else:
+            kind, _, message = error.partition(": ")
+            assert (type(err.value).__name__, str(err.value)) == (
+                kind, message,
+            )
+        assert values.flags.writeable
+        assert values.tobytes() == before
+
+
+# ----------------------------------------------------------------------
 # process-backend specifics
 # ----------------------------------------------------------------------
 
@@ -327,7 +378,7 @@ class TestProcessBackend:
         def closure_step(ctx):  # not picklable: a closure
             # the capture is the point — it proves the in-process
             # fallback (which runs ranks sequentially) actually ran
-            captured.setdefault("ranks", []).append(ctx.rank)  # repro-lint: disable=SPMD001
+            captured.setdefault("ranks", []).append(ctx.rank)
             return ctx.rank * 10
 
         with ProcessBackend(workers=2) as be:

@@ -76,17 +76,16 @@ def test_supersteps_are_strictly_ordered():
     """No rank observes a later superstep's sends early.
 
     The cross-rank execution trace needs a shared list, so this test
-    pins the serial backend (where the capture is well-defined) and
-    carries argued SPMD001 suppressions.
+    pins the serial backend, where the capture is well-defined.
     """
     trace = []
 
     def first(ctx):
-        trace.append(("first", ctx.rank))  # repro-lint: disable=SPMD001
+        trace.append(("first", ctx.rank))
         ctx.send((ctx.rank + 1) % ctx.size, "a", "p", 1)
 
     def second(ctx):
-        trace.append(("second", ctx.rank))  # repro-lint: disable=SPMD001
+        trace.append(("second", ctx.rank))
         assert len(ctx.inbox()) == 1
 
     spmd_run(3, [first, second], backend="serial")

@@ -14,7 +14,6 @@ import pytest
 from repro.runtime.backends import (
     BACKEND_NAMES,
     BackendSpec,
-    backend_names,
     build_backend,
     resolve_backend,
 )
@@ -105,11 +104,16 @@ class TestBackendSpecParse:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = backend_names()
-        for name in ("serial", "thread", "process", "sentinel",
-                     "chaos", "tcp"):
-            assert name in names
-        assert BACKEND_NAMES == names == tuple(sorted(names))
+        assert BACKEND_NAMES == (
+            "chaos", "process", "serial", "tcp", "thread",
+        )
+
+    def test_deleted_backend_is_unknown(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown backend 'sentinel'"):
+            build_backend("sentinel")
+        monkeypatch.setenv("REPRO_BACKEND", "sentinel")
+        with pytest.raises(ValueError, match="unknown backend 'sentinel'"):
+            resolve_backend()
 
     def test_options_validated_against_schema(self):
         with pytest.raises(ValueError, match="does not accept option"):
