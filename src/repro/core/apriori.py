@@ -73,12 +73,9 @@ def build_apriori_graph(
     predicted_pairs = np.asarray(predicted_pairs, dtype=np.int64)
     if len(predicted_pairs) == 0:
         return base
-    src = np.repeat(
-        np.arange(base.num_vertices), np.diff(base.xadj)
-    )
     edges = np.concatenate(
         [
-            np.column_stack((src, base.adjncy)),
+            np.column_stack((base.row_index, base.adjncy)),
             predicted_pairs,
         ]
     )

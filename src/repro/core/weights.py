@@ -70,8 +70,7 @@ def build_contact_graph(
         vwgts[:, 1] = np.where(is_contact, search_work, 0)
 
     # contact-contact edges get the heavier weight
-    src = np.repeat(np.arange(n), graph.degrees())
-    both_contact = is_contact[src] & is_contact[graph.adjncy]
+    both_contact = is_contact[graph.row_index] & is_contact[graph.adjncy]
     adjwgt = np.where(
         both_contact, np.int64(contact_edge_weight), np.int64(1)
     )

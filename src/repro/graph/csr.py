@@ -133,9 +133,27 @@ class CSRGraph:
             self.ncon,
         )
 
+    @cached_property
+    def row_index(self) -> np.ndarray:
+        """``int64[2m]`` — the vertex whose row holds each adjacency
+        entry: ``row_index[i] == v`` for ``xadj[v] <= i < xadj[v+1]``.
+
+        The CSR row expansion every whole-graph edge mask starts from,
+        built once per instance and read-only. Cached and dropped like
+        :attr:`lists`: not a field, not pickled, and derived graphs
+        start without it.
+        """
+        rows = np.repeat(
+            np.arange(self.num_vertices, dtype=np.int64), self.degrees()
+        )
+        rows.setflags(write=False)
+        return rows
+
     def __getstate__(self) -> Dict[str, np.ndarray]:
         state = dict(self.__dict__)
-        state.pop("lists", None)  # derived: rebuilt on demand after loading
+        # derived: rebuilt on demand after loading
+        state.pop("lists", None)
+        state.pop("row_index", None)
         return state
 
     def incident_edges(
@@ -174,7 +192,7 @@ class CSRGraph:
         """All undirected edges once, as an ``(m, 3)`` array of
         ``(u, v, w)`` rows with ``u < v``. Vectorised counterpart of
         :meth:`iter_edges`."""
-        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees())
+        src = self.row_index
         mask = src < self.adjncy
         return np.column_stack(
             (src[mask], self.adjncy[mask], self.adjwgt[mask])
@@ -207,7 +225,7 @@ class CSRGraph:
         if len(self.adjncy):
             if self.adjncy.min() < 0 or self.adjncy.max() >= n:
                 raise ValueError("adjncy contains out-of-range vertex ids")
-        src = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+        src = self.row_index
         if np.any(src == self.adjncy):
             raise ValueError("graph contains self-loops")
         # symmetry: the multiset of (u,v,w) equals the multiset of (v,u,w)

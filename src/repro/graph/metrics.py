@@ -24,8 +24,7 @@ def partition_weights(graph: CSRGraph, part: np.ndarray, k: int) -> np.ndarray:
 def edge_cut(graph: CSRGraph, part: np.ndarray) -> int:
     """Total weight of cut edges, each undirected edge counted once."""
     part = np.asarray(part, dtype=np.int64)
-    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
-    cut = part[src] != part[graph.adjncy]
+    cut = part[graph.row_index] != part[graph.adjncy]
     return int(graph.adjwgt[cut].sum() // 2)
 
 
@@ -39,8 +38,7 @@ def total_comm_volume(graph: CSRGraph, part: np.ndarray) -> int:
     that must be sent during a halo exchange.
     """
     part = np.asarray(part, dtype=np.int64)
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    src = graph.row_index
     nbr_part = part[graph.adjncy]
     remote = nbr_part != part[src]
     pairs = np.column_stack((src[remote], nbr_part[remote]))
@@ -77,10 +75,9 @@ def external_degree(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
     """Per vertex, the number of adjacency entries that lead into
     another partition, ``int64[n]``."""
     part = np.asarray(part, dtype=np.int64)
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    src = graph.row_index
     cut = part[src] != part[graph.adjncy]
-    return np.bincount(src[cut], minlength=n)
+    return np.bincount(src[cut], minlength=graph.num_vertices)
 
 
 def boundary_vertices(graph: CSRGraph, part: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ def contract(graph: CSRGraph, cmap: np.ndarray, n_coarse: int) -> CSRGraph:
     cvw = sum_by_label(cmap, graph.vwgts, n_coarse)
 
     # coarse edges
-    src = cmap[np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())]
+    src = cmap[graph.row_index]
     dst = cmap[graph.adjncy]
     keep = src != dst
     src, dst, wgt = src[keep], dst[keep], graph.adjwgt[keep]
@@ -71,7 +71,7 @@ def induced_subgraph(
     local = np.full(n, -1, dtype=np.int64)
     local[vertices] = np.arange(len(vertices), dtype=np.int64)
 
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    src = graph.row_index
     keep = (local[src] >= 0) & (local[graph.adjncy] >= 0)
     s, d, w = local[src[keep]], local[graph.adjncy[keep]], graph.adjwgt[keep]
     xadj = np.cumsum(np.bincount(s + 1, minlength=len(vertices) + 1))

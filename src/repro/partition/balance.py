@@ -181,6 +181,16 @@ class BalanceTracker:
                 over |= pw[:, j] + vwgts[:, j, None] > allowed[:, j]
         return ~over
 
+    def fits_each(self, dsts: np.ndarray, vwgts: np.ndarray) -> np.ndarray:
+        """:meth:`fits` for row ``i`` of ``vwgts`` (shape ``(m, ncon)``)
+        into partition ``dsts[i]`` only: boolean ``(m,)``."""
+        pw, allowed = self.pwgts_array(), self._allowed_arr
+        over = np.zeros(len(dsts), dtype=bool)
+        for j, inv in enumerate(self._inv_scale):
+            if inv > 0.0:
+                over |= pw[dsts, j] + vwgts[:, j] > allowed[dsts, j]
+        return ~over
+
     def has_slack(self, j: int) -> np.ndarray:
         """Which partitions sit strictly below their bound in
         constraint ``j``: boolean ``(k,)``."""

@@ -24,8 +24,9 @@ class PartitionOptions:
         constraint of every partition must stay below
         ``ubfactor * (total/k)`` where feasible.
     coarsen_to:
-        Stop coarsening when the graph has at most this many vertices
-        (scaled by the bisection fan-out internally).
+        Stop coarsening when the graph has at most this many vertices.
+        Bisection uses it as given; the direct k-way driver
+        (:mod:`repro.partition.mlkway`) raises it to at least ``18 * k``.
     min_coarsen_ratio:
         Abort coarsening early when a level shrinks the vertex count by
         less than this factor (matching has stalled, e.g. on dense or

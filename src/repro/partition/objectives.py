@@ -57,8 +57,7 @@ class EdgeObjectives:
     def validate_symmetry(self) -> None:
         """Both copies of every undirected edge must agree."""
         g = self.graph
-        n = g.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
+        src = g.row_index
         order_fwd = np.lexsort((g.adjncy, src))
         order_rev = np.lexsort((src, g.adjncy))
         if not np.array_equal(
@@ -85,8 +84,7 @@ def build_contact_objectives(
     n = graph.num_vertices
     is_contact = np.zeros(n, dtype=bool)
     is_contact[snapshot.contact_nodes] = True
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    both = is_contact[src] & is_contact[graph.adjncy]
+    both = is_contact[graph.row_index] & is_contact[graph.adjncy]
     values = np.column_stack(
         (np.ones(len(graph.adjncy), dtype=np.int64), both.astype(np.int64))
     )
@@ -117,8 +115,7 @@ def per_objective_cuts(
     """Cut value of each objective separately, shape ``(r,)``."""
     part = np.asarray(part, dtype=np.int64)
     g = objectives.graph
-    src = np.repeat(np.arange(g.num_vertices, dtype=np.int64), g.degrees())
-    cut = part[src] != part[g.adjncy]
+    cut = part[g.row_index] != part[g.adjncy]
     return objectives.values[cut].sum(axis=0) // 2
 
 

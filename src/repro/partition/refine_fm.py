@@ -40,7 +40,7 @@ def _edge_state(
     minus internal edge weight, the mask of vertices with a neighbour
     on the other side, and the edge cut."""
     n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    src = graph.row_index
     same = part[src] == part[graph.adjncy]
     gains = sum_by_label(src, np.where(same, -graph.adjwgt, graph.adjwgt), n)
     boundary = np.zeros(n, dtype=bool)
@@ -93,7 +93,7 @@ def _rebalance(
         # labels depend on it: kind="stable" moves the k = 25 fit from
         # cut 7,045 to 7,169. Leave the expression verbatim; an explicit
         # tie-break is a quality change that re-pins the label digests
-        # (ROADMAP item 4).
+        # (ROADMAP item 1(d)).
         top = cand[np.argsort(gains[cand])[::-1][:64]]
         best = None  # (delta, -gain, v)
         for v in top.tolist():

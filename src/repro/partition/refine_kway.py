@@ -24,7 +24,10 @@ asks it one move at a time (O(ncon), no allocation) and walks each
 neighbourhood as Python ints — the graph through
 :attr:`~repro.graph.csr.CSRGraph.lists`, the labels through a list
 kept in step with ``part`` (:func:`neighbor_partition_weights`, shared
-with the k-way FM); the rebalancer
+with the k-way FM). It walks only the vertices that can move: one
+array pass per sweep (:func:`move_gain_cells`) finds the boundary
+vertices with an adjacent partition at gain ≥ 0, and a move re-opens
+its neighbours. The rebalancer
 scores a whole candidate × destination table per move through the
 tracker's array queries and keeps its boundary incrementally, so a
 move costs one O(n) mask plus O(deg + candidates · k) array work
@@ -65,6 +68,36 @@ def neighbor_partition_weights(
     return conn
 
 
+def move_gain_cells(
+    graph: CSRGraph, part: np.ndarray, vertices: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array twin of :func:`neighbor_partition_weights` for a vertex
+    set, as move gains.
+
+    Returns ``(owner, dst, gain)`` with one cell per vertex
+    ``vertices[owner]`` and adjacent partition ``dst`` other than the
+    vertex's own, sorted by ``(owner, dst)``; ``gain`` is the edge
+    weight into ``dst`` minus the edge weight into the own partition,
+    summed exactly in ``int64``. Sparse on purpose: memory follows the
+    vertices' adjacency entries, not ``len(vertices) × k``.
+    """
+    owner, edges = graph.incident_edges(vertices)
+    key = owner * k + part[graph.adjncy[edges]]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=np.int64(-1)))
+    if len(first) == 0:
+        return key, key, key  # three empty int64 arrays
+    weight = np.add.reduceat(graph.adjwgt[edges[order]], first)
+    owner, dst = np.divmod(key[first], k)
+    home = dst == part[vertices[owner]]
+    own = np.zeros(len(vertices), dtype=np.int64)
+    own[owner[home]] = weight[home]
+    away = ~home
+    owner = owner[away]
+    return owner, dst[away], weight[away] - own[owner]
+
+
 def _make_tracker(
     graph: CSRGraph,
     part: np.ndarray,
@@ -92,13 +125,24 @@ def greedy_kway_refine(
     rng = as_rng(options.seed)
     tracker = _make_tracker(graph, part, k, options.ubfactor, fracs)
     lists = graph.lists
+    start, nbr = lists.start, lists.nbr
     labels: List[int] = part.tolist()  # mirror of ``part``, kept in step
 
     for _pass in range(options.kway_passes):
         moved = 0
         bnd = boundary_vertices(graph, part)
+        # a vertex whose every adjacent partition has gain < 0 would
+        # fail ``gain < 0`` at every destination before the tracker is
+        # asked, so the loop skips it — until a neighbour moves and
+        # changes its gains
+        owner, _, gain = move_gain_cells(graph, part, bnd, k)
+        opened = np.zeros(graph.num_vertices, dtype=np.uint8)
+        opened[bnd[owner[gain >= 0]]] = 1
+        scan = bytearray(opened.tobytes())
         rng.shuffle(bnd)
         for v in bnd.tolist():
+            if not scan[v]:
+                continue
             src = labels[v]
             conn = neighbor_partition_weights(lists, labels, v)
             own = conn.get(src, 0)
@@ -123,6 +167,8 @@ def greedy_kway_refine(
                 part[v] = labels[v] = dst
                 tracker.apply_move(src, dst, vw)
                 moved += 1
+                for i in range(start[v], start[v + 1]):
+                    scan[nbr[i]] = 1
         if moved == 0:
             break
     return part

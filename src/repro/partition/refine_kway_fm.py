@@ -9,8 +9,11 @@ boundary vertices keyed by their best feasible move gain, incremental
 gain updates around each move, and prefix rollback per pass. The loop
 reads the graph and the labels as Python ints
 (:attr:`~repro.graph.csr.CSRGraph.lists`, a list kept in step with
-``part``); each pass's first batch of boundary vertices is heapified
-rather than pushed one by one.
+``part``). Each pass's first batch — every boundary vertex keyed by
+its best feasible gain — is array code over the boundary's move-gain
+cells (:func:`~repro.partition.refine_kway.move_gain_cells`) and is
+heapified rather than pushed one by one; the loop after it stays
+scalar.
 
 Used as the per-level refiner of the direct multilevel k-way driver
 and as an optional stronger final polish for recursive bisection.
@@ -27,7 +30,10 @@ from repro.graph.metrics import boundary_vertices, edge_cut, partition_weights
 from repro.partition.balance import BalanceTracker, target_weights
 from repro.partition.config import PartitionOptions
 from repro.partition.pqueue import MaxPQ
-from repro.partition.refine_kway import neighbor_partition_weights
+from repro.partition.refine_kway import (
+    move_gain_cells,
+    neighbor_partition_weights,
+)
 
 
 def _best_move(
@@ -52,6 +58,24 @@ def _best_move(
         if best is None or gain > best[0]:
             best = (gain, dst)
     return best
+
+
+def _first_batch(
+    graph: CSRGraph, part: np.ndarray, k: int, tracker: BalanceTracker
+) -> List[Tuple[int, int]]:
+    """A pass's first queue batch: ``(v, gain)`` for every boundary
+    vertex ``v`` that has a feasible move, ascending, ``gain`` being the
+    :func:`_best_move` gain — array code over the boundary's move-gain
+    cells instead of one :func:`_best_move` per vertex."""
+    bnd = boundary_vertices(graph, part)
+    owner, dst, gain = move_gain_cells(graph, part, bnd, k)
+    fits = tracker.fits_each(dst, graph.vwgts[bnd[owner]])
+    owner, gain = owner[fits], gain[fits]
+    if len(owner) == 0:
+        return []
+    first = np.flatnonzero(np.diff(owner, prepend=np.int64(-1)))
+    best = np.maximum.reduceat(gain, first)
+    return list(zip(bnd[owner[first]].tolist(), best.tolist()))
 
 
 def kway_fm_refine(
@@ -83,12 +107,7 @@ def kway_fm_refine(
             partition_weights(graph, part, k), targets, options.ubfactor
         )
         locked = bytearray(graph.num_vertices)
-        # one heapified batch, boundary vertices ascending
-        first = (
-            (v, _best_move(lists, labels, tracker, v))
-            for v in boundary_vertices(graph, part).tolist()
-        )
-        pq = MaxPQ((v, mv[0]) for v, mv in first if mv is not None)
+        pq = MaxPQ(_first_batch(graph, part, k, tracker))
 
         start_cut = cur_cut = edge_cut(graph, part)
         best_cut = cur_cut

@@ -30,9 +30,7 @@ CASES = [
     pytest.param(
         "LOOP001",
         ("repro/graph/metrics.py",),
-        "    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),"
-        " graph.degrees())\n"
-        "    cut = part[src] != part[graph.adjncy]\n"
+        "    cut = part[graph.row_index] != part[graph.adjncy]\n"
         "    return int(graph.adjwgt[cut].sum() // 2)\n",
         "    cut = 0\n"
         "    for u in range(graph.num_vertices):\n"

@@ -238,6 +238,29 @@ class TestCheckpointContentPinned:
         )
 
 
+    def test_cached_graph_views_do_not_reach_the_checkpoint(
+        self, small_sequence
+    ):
+        """The driver's graph carries cached derived views
+        (``row_index``, ``lists``); a checkpoint is the same with or
+        without them."""
+        driver = ContactStepDriver(K, params(), backend="serial")
+        driver.initialize(small_sequence[0])
+        driver.step(small_sequence[1])
+
+        def content():
+            with np.load(io.BytesIO(dump_driver_bytes(driver))) as data:
+                return data["part"].tobytes() + str(data["meta"]).encode()
+
+        graph = driver.graphs._graph
+        for view in ("row_index", "lists"):
+            vars(graph).pop(view, None)
+        bare = content()
+        graph.row_index
+        graph.lists
+        assert content() == bare
+
+
 class TestPartitionOptionsSurvive:
     """A restored driver repartitions with the options of the run it
     resumes, not with the defaults."""

@@ -207,6 +207,48 @@ class TestAdjacencyLists:
         assert derived["with_adjwgt"].lists.wgt == (g.adjwgt * 10).tolist()
         self.assert_mirrors_arrays(g)  # and the original's is untouched
 
+    def test_row_index_is_the_row_expansion(self):
+        for g in (
+            self.weighted(),
+            from_edge_list(4, np.array([[1, 2]])),
+            from_edge_list(3, np.empty((0, 2))),
+        ):
+            rows = g.row_index
+            np.testing.assert_array_equal(
+                rows, np.repeat(np.arange(g.num_vertices), np.diff(g.xadj))
+            )
+            assert rows.dtype == np.int64 and len(rows) == len(g.adjncy)
+            assert g.row_index is rows  # built once
+            with pytest.raises(ValueError, match="read-only"):
+                rows[:1] = 0
+
+    def test_row_index_never_serialised(self):
+        import pickle
+
+        from repro.runtime.backends.wire import to_frames
+
+        g = self.weighted()
+        before = pickle.dumps(g)
+        frames_before = [bytes(f) for f in to_frames(g)]
+        g.row_index
+        g.lists
+        assert pickle.dumps(g) == before
+        assert [bytes(f) for f in to_frames(g)] == frames_before
+        loaded = pickle.loads(before)
+        assert "row_index" not in vars(loaded)
+        np.testing.assert_array_equal(loaded.row_index, g.row_index)
+
+    def test_derived_graphs_start_without_row_index(self):
+        g = self.weighted()
+        g.row_index
+        for other in (
+            g.with_vwgts(np.full((5, 3), 6)),
+            g.with_adjwgt(g.adjwgt * 10),
+            g.copy(),
+        ):
+            assert "row_index" not in vars(other)
+            np.testing.assert_array_equal(other.row_index, g.row_index)
+
     def test_read_only_arrays(self):
         # what ContactGraphBuilder hands the repartitioner
         from repro.partition.config import PartitionOptions

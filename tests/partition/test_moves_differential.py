@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.build import from_edge_list, grid_graph, random_geometric_graph
-from repro.graph.metrics import partition_weights
-from repro.partition import matching, refine_fm
+from repro.graph.metrics import boundary_vertices, partition_weights
+from repro.partition import matching, refine_fm, refine_kway_fm
 from repro.partition.balance import BalanceTracker, target_weights
 from repro.partition.config import PartitionOptions
 from repro.partition.initial import greedy_graph_growing, initial_bisection
 from repro.partition.pqueue import MaxPQ
-from repro.partition.refine_kway import greedy_kway_refine
+from repro.partition.refine_kway import (
+    greedy_kway_refine,
+    move_gain_cells,
+    neighbor_partition_weights,
+)
 from repro.partition.refine_kway_fm import kway_fm_refine
 from tests.partition import reference_moves as ref
 
@@ -359,6 +363,17 @@ class TestGraphGrowingMatchesReference:
 # ----------------------------------------------------------------------
 
 
+def live_propose(graph, match, prio):
+    """The library's ``_propose`` on the entries the oracle's mask
+    keeps, as the oracle's ``proposal[n]`` array (-1: no candidate)."""
+    edges = (graph.row_index, graph.adjncy, graph.adjwgt)
+    proposers, proposed = matching._propose(matching._live(match, edges), prio)
+    assert (np.diff(proposers) > 0).all()
+    proposal = np.full(graph.num_vertices, -1, dtype=np.int64)
+    proposal[proposers] = proposed
+    return proposal
+
+
 def assert_same_matching(graph, seed, rounds=4):
     rng_ref, rng_new = (np.random.default_rng(seed) for _ in range(2))
     exp_cmap, exp_n = ref.heavy_edge_matching(graph, rounds, seed=rng_ref)
@@ -398,16 +413,36 @@ class TestMatchingMatchesReference:
                 taken = rng.permutation(n)[: n // 3]
                 match[taken] = taken
             exp = ref._propose(graph, match, prio)
-            got = matching._propose(graph, match, prio)
+            got = live_propose(graph, match, prio)
             assert got.dtype == exp.dtype
             np.testing.assert_array_equal(got, exp)
 
     def test_all_matched_proposes_nothing(self):
         graph = ZOO["grid-unit"]
         match = np.arange(99, dtype=np.int64)
-        got = matching._propose(graph, match, np.zeros(99))
+        got = live_propose(graph, match, np.zeros(99))
         np.testing.assert_array_equal(got, ref._propose(graph, match, np.zeros(99)))
         assert (got == -1).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compaction_through_the_round_that_breaks(self, seed):
+        # a long path stalls on unmatched singletons well before 30
+        # rounds: every round compacts the live entries, and the round
+        # that finds no mutual proposal still draws its priorities
+        graph = from_edge_list(
+            60, np.column_stack((np.arange(59), np.arange(1, 60)))
+        )
+        rounds = 30
+        rng_ref = np.random.default_rng(seed)
+        ref.heavy_edge_matching(graph, rounds, seed=rng_ref)
+        assert_same_matching(graph, seed, rounds)
+        draws = np.random.default_rng(seed)
+        states = []
+        for _ in range(rounds):
+            draws.random(60)
+            states.append(draws.bit_generator.state)
+        ran = states.index(rng_ref.bit_generator.state) + 1
+        assert 3 <= ran < rounds  # several compactions, then a break
 
 
 # ----------------------------------------------------------------------
@@ -474,9 +509,127 @@ class TestHypothesisGraphs:
         prio = rng.integers(0, 3, size=n) / 3.0
         match = np.full(n, -1, dtype=np.int64)
         np.testing.assert_array_equal(
-            matching._propose(graph, match, prio),
+            live_propose(graph, match, prio),
             ref._propose(graph, match, prio),
         )
+
+
+# ----------------------------------------------------------------------
+# the array passes in front of the k-way loops
+# ----------------------------------------------------------------------
+
+
+class TestGreedySkipsOnlyWhatCannotMove:
+    def test_a_skipped_vertex_moves_after_its_neighbour(self):
+        # vertex 0 starts at gain -1 (skipped); once vertex 2 moves to
+        # partition 1 it is at +1 and must move in the same pass
+        graph = from_edge_list(
+            6,
+            np.array([[0, 1], [0, 2], [0, 3], [2, 4], [2, 5], [3, 4], [4, 5]]),
+            weights=np.array([2, 1, 2, 2, 2, 5, 5]),
+        )
+        part = np.array([0, 0, 0, 1, 1, 1])
+        moved_in_one_pass = []
+        for seed in range(8):
+            # an int seed: each call draws from a fresh generator
+            options = PartitionOptions(seed=seed, kway_passes=1, ubfactor=2.0)
+            exp = ref.greedy_kway_refine(graph, part.copy(), 2, options)
+            got = greedy_kway_refine(graph, part.copy(), 2, options)
+            np.testing.assert_array_equal(got, exp)
+            moved_in_one_pass.append(int(got[0]))
+        assert 0 < sum(moved_in_one_pass) < 8  # depends on the visit order
+
+    def test_a_zero_gain_move_that_helps_balance(self):
+        # partition 0 holds five of six unit vertices; vertex 1 sits at
+        # gain 0 between the two and is the only move that fits
+        graph = from_edge_list(
+            6, np.array([[0, 1], [1, 5], [0, 2], [2, 3], [3, 4]])
+        )
+        part = np.array([0, 0, 0, 0, 0, 1])
+        options = PartitionOptions(seed=0, kway_passes=1, ubfactor=1.5)
+        exp = ref.greedy_kway_refine(graph, part.copy(), 2, options)
+        got = greedy_kway_refine(graph, part.copy(), 2, options)
+        np.testing.assert_array_equal(got, exp)
+        assert got.tolist() == [0, 1, 0, 0, 0, 1]
+
+
+@st.composite
+def lumpy_kway_states(draw):
+    """A graph, a k-way labelling and a tracker shaped like the leaf
+    graph ``G'``: vertex weights spanning orders of magnitude, many
+    zeros, heavy edges, optionally a zero-total constraint, labels piled
+    onto partition 0 and a tight tolerance, so that many destinations
+    do not fit."""
+    graph, rng = draw(weighted_graphs())
+    n, ncon = graph.num_vertices, graph.ncon
+    k = draw(st.integers(2, 7))
+    scale = 10 ** rng.integers(0, 4, size=(n, ncon))
+    vw = rng.integers(0, 4, size=(n, ncon)) * scale
+    if draw(st.booleans()):
+        vw[:, -1] = 0
+    graph = graph.with_vwgts(vw).with_adjwgt(graph.adjwgt * 37)
+    part = rng.integers(0, k, size=n).astype(np.int64)
+    part[rng.permutation(n)[: n // 2]] = 0
+    fracs = rng.dirichlet(np.ones(k))
+    targets = target_weights(graph.total_vwgt, fracs)
+    ubfactor = draw(st.sampled_from([1.01, 1.05, 1.5]))
+    tracker = BalanceTracker(partition_weights(graph, part, k), targets, ubfactor)
+    return graph, part, k, tracker
+
+
+class TestKwayFMFirstBatch:
+    @given(lumpy_kway_states())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_best_move_per_vertex(self, state):
+        graph, part, k, tracker = state
+        vwgts = graph.vwgts.tolist()
+        exp = []
+        for v in boundary_vertices(graph, part).tolist():
+            mv = ref._best_move(graph, part, tracker, vwgts, v)
+            if mv is not None:
+                exp.append((v, mv[0]))
+        got = refine_kway_fm._first_batch(graph, part, k, tracker)
+        assert got == exp
+        assert all(type(v) is int and type(g) is int for v, g in got)
+
+    def test_infeasible_destinations_leave_the_batch(self):
+        # every move into partition 1 overloads it: only vertices with
+        # another feasible destination are queued
+        graph = grid_graph(6, 5)
+        part = np.repeat(np.arange(3), 10).astype(np.int64)
+        targets = target_weights(graph.total_vwgt, np.array([0.4, 0.2, 0.4]))
+        pw = partition_weights(graph, part, 3)
+        tracker = BalanceTracker(pw, targets, 1.05)
+        assert not tracker.fits(1, [1])
+        vwgts = graph.vwgts.tolist()
+        exp = [
+            (v, mv[0])
+            for v in boundary_vertices(graph, part).tolist()
+            if (mv := ref._best_move(graph, part, tracker, vwgts, v))
+        ]
+        got = refine_kway_fm._first_batch(graph, part, 3, tracker)
+        assert got == exp
+        assert 0 < len(got) < len(boundary_vertices(graph, part))
+
+
+class TestMoveGainCells:
+    @given(weighted_graphs(), st.integers(2, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_neighbor_partition_weights(self, drawn, k):
+        graph, rng = drawn
+        part = rng.integers(0, k, size=graph.num_vertices).astype(np.int64)
+        vertices = np.flatnonzero(rng.random(graph.num_vertices) < 0.6)
+        owner, dst, gain = move_gain_cells(graph, part, vertices, k)
+        labels = part.tolist()
+        exp = []
+        for i, v in enumerate(vertices.tolist()):
+            conn = neighbor_partition_weights(graph.lists, labels, v)
+            own = conn.get(labels[v], 0)
+            exp += sorted(
+                (i, p, w - own) for p, w in conn.items() if p != labels[v]
+            )
+        assert list(zip(owner.tolist(), dst.tolist(), gain.tolist())) == exp
+        assert owner.dtype == dst.dtype == gain.dtype == np.int64
 
 
 # ----------------------------------------------------------------------
