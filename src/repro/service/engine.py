@@ -598,7 +598,7 @@ class ServiceEngine:
             "k": result.k,
             "cache": cache_state,
             "content_key": key,
-            "labels": [int(x) for x in result.labels],
+            "labels": result.labels.tolist(),
             "diagnostics": {
                 name: _json_safe(value)
                 for name, value in result.diagnostics.items()

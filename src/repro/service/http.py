@@ -18,9 +18,12 @@ GET      ``/healthz``                liveness + job-state counts
 GET      ``/metrics``                Prometheus text exposition
 =======  ==========================  =====================================
 
-Error mapping: schema violations → 400 (with the JSON path in the
-body), rate limiting → 429 (+ ``Retry-After``), a full queue → 503,
-unknown ids → 404.
+Every JSON body is one compact line.  Error mapping: schema violations
+→ 400 (with the JSON path in the body), a ``Content-Length`` that is
+not a decimal byte count → 400, one over :data:`MAX_BODY_BYTES` → 413,
+rate limiting → 429 (+ ``Retry-After``), a full queue → 503, unknown
+ids → 404.  A request cut short (EOF or reset before its body is
+whole) is closed without a reply.
 
 :class:`ServerThread` hosts an engine + server on a dedicated event
 loop in a background thread — the bridge for synchronous callers
@@ -64,7 +67,7 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: submission bodies larger than this are rejected outright
+#: a ``Content-Length`` above this is answered 413 before any body is read
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
@@ -98,6 +101,23 @@ class _HttpError(Exception):
         self.payload = payload
         self.headers = headers or {}
         super().__init__(payload.get("error", ""))
+
+
+def _content_length(text: str) -> int:
+    """A ``Content-Length`` value as a byte count; raises the 400 for
+    anything but ASCII decimal digits and the 413 over the cap."""
+    if not (text.isascii() and text.isdigit()):
+        raise _HttpError(
+            400, {"error": "Content-Length must be a decimal byte count"}
+        )
+    # compare digit counts first: ``int`` refuses over 4300 digits
+    digits = text.lstrip("0") or "0"
+    too_long = len(digits) > len(str(MAX_BODY_BYTES))
+    if too_long or int(digits) > MAX_BODY_BYTES:
+        raise _HttpError(
+            413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+        )
+    return int(digits)
 
 
 class ServiceServer:
@@ -152,19 +172,11 @@ class ServiceServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, target, body = parsed
-            split = urlsplit(target)
-            query = {
-                key: values[-1]
-                for key, values in parse_qs(split.query).items()
-            }
             try:
-                status, payload, headers = await self._route(
-                    method, split.path, query, body
-                )
+                parsed = await self._read_request(reader)
+                if parsed is None:
+                    return
+                status, payload, headers = await self._route(*parsed)
             except _HttpError as exc:
                 status, payload, headers = exc.status, exc.payload, exc.headers
             except (BrokenPipeError, ConnectionResetError):
@@ -177,7 +189,9 @@ class ServiceServer:
                 data = payload.encode("utf-8")
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
             else:
-                data = (json.dumps(payload, indent=2) + "\n").encode(
+                # compact separators keep CPython on its C encoder
+                # (``indent`` forces the pure-Python one)
+                data = json.dumps(payload, separators=(",", ":")).encode(
                     "utf-8"
                 )
                 ctype = "application/json"
@@ -204,33 +218,43 @@ class ServiceServer:
     @staticmethod
     async def _read_request(
         reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, bytes]]:
-        """Parse one request; ``None`` for EOF/garbage (drop silently)."""
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """Parse one request into ``(method, path, query, body)``.
+
+        ``None`` when the peer sends garbage or goes away before the
+        request is whole — EOF, a reset, a body cut short, a line over
+        the stream limit (``readline`` raises ``ValueError``): the
+        connection is closed without a reply.  A ``Content-Length``
+        that is not a decimal count raises a 400, one over
+        :data:`MAX_BODY_BYTES` a 413, before any body is read.
+        """
         try:
-            request_line = await reader.readline()
-        except (ConnectionResetError, asyncio.LimitOverrunError):
+            parts = (await reader.readline()).decode("latin-1").split()
+            if len(parts) < 2:
+                return None
+            content_length = 0
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    content_length = _content_length(value.strip())
+            body = b""
+            if content_length:
+                body = await reader.readexactly(content_length)
+        except (ConnectionResetError, asyncio.IncompleteReadError, ValueError):
             return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, target = parts[0].upper(), parts[1]
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return None
-        if content_length > MAX_BODY_BYTES:
-            return None
-        body = b""
-        if content_length:
-            body = await reader.readexactly(content_length)
-        return method, target, body
+        try:
+            split = urlsplit(parts[1])
+        except ValueError:
+            raise _HttpError(
+                400, {"error": "malformed request target"}
+            ) from None
+        query = {
+            key: values[-1] for key, values in parse_qs(split.query).items()
+        }
+        return parts[0].upper(), split.path, query, body
 
     # ------------------------------------------------------------------
     async def _route(
@@ -279,7 +303,9 @@ class ServiceServer:
     def _submit(self, body: bytes) -> Dict[str, Any]:
         try:
             document = json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # decode and JSON errors are ValueErrors, as is an integer
+            # literal over 4300 digits; deep nesting overflows the stack
             raise _HttpError(
                 400, {"error": f"request body is not JSON: {exc}"}
             ) from None

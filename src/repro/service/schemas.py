@@ -454,8 +454,12 @@ def validate_result(document: object) -> Dict[str, Any]:
         labels = doc.get("labels")
         if not isinstance(labels, list):
             raise ServiceSchemaError("$.labels", "must be an array")
-        for i, value in enumerate(labels):
-            _require_int(value, f"$.labels[{i}]")
+        # one C-level type scan (``bool`` is its own type, so it fails
+        # it); only a list that fails pays for the per-element check,
+        # which names the first offender
+        if not set(map(type, labels)) <= {int}:
+            for i, value in enumerate(labels):
+                _require_int(value, f"$.labels[{i}]")
         _validate_diagnostics(doc.get("diagnostics"), "$.diagnostics")
         return doc
     _reject_unknown(doc, _CONTACT_RESULT_KEYS, "$")

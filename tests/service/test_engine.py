@@ -2,9 +2,13 @@
 deadlines, retries."""
 
 import asyncio
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.core.partitioner import make_result
+from repro.service.cache import ResultCache
 from repro.service.engine import (
     EngineConfig,
     RateLimitedError,
@@ -12,7 +16,7 @@ from repro.service.engine import (
     UnknownJobError,
 )
 from repro.service.queue import QueueFullError, RetryPolicy
-from repro.service.schemas import SCHEMA_VERSION
+from repro.service.schemas import SCHEMA_VERSION, validate_result
 
 SOURCE = {"kind": "impact", "n_steps": 2, "refine": 0.5}
 
@@ -128,6 +132,44 @@ class TestPartitionJobs:
         # the attempt's own error, not the last-resort handler's
         assert "/nope/missing.npz" in job.error
         assert not job.error.startswith("internal error")
+
+
+class TestPartitionPayload:
+    """``_partition_payload`` hands the labels over as exact Python
+    ints, whatever integer array the fit or the cache holds."""
+
+    @staticmethod
+    def payload(result):
+        async def build():
+            engine = ServiceEngine(EngineConfig(workers=1))
+            job = SimpleNamespace(id="job-000001")
+            return engine._partition_payload(job, result, "ab" * 32, "hit")
+
+        return run(build())
+
+    @staticmethod
+    def result(labels):
+        return make_result("mcml-dt", 7, labels, {"edge_cut_final": 3},
+                           None, None)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_labels_are_exact_ints(self, dtype):
+        labels = np.random.default_rng(0).integers(0, 7, 500).astype(dtype)
+        document = self.payload(self.result(labels))
+        assert document["labels"] == [int(x) for x in labels]
+        assert {type(x) for x in document["labels"]} == {int}
+        assert validate_result(document) is document
+
+    def test_read_only_labels_from_the_disk_tier(self, tmp_path):
+        labels = np.arange(300, dtype=np.int64) % 7
+        ResultCache(capacity=1, disk_dir=str(tmp_path)).put(
+            "k", self.result(labels)
+        )
+        cached = ResultCache(capacity=1, disk_dir=str(tmp_path)).get("k")
+        assert not cached.labels.flags.writeable
+        document = self.payload(cached)
+        assert document["labels"] == [int(x) for x in labels]
+        assert {type(x) for x in document["labels"]} == {int}
 
 
 class _RaisingDelay(RetryPolicy):

@@ -243,6 +243,28 @@ class TestResult:
         with pytest.raises(ServiceSchemaError, match=r"\$\.labels\[1\]"):
             validate_result(self.partition_result(labels=[0, "x"]))
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    @pytest.mark.parametrize("where", [0, 2500, 4999])
+    def test_first_non_int_label_is_named(self, bad, where):
+        """The type scan lets nothing but exact ints through; the error
+        names the first offender, as the per-element check always did."""
+        labels = list(range(5000))
+        labels[where] = bad
+        if where < 4999:
+            labels[-1] = "a later offender"
+        with pytest.raises(ServiceSchemaError) as info:
+            validate_result(self.partition_result(labels=labels))
+        assert info.value.path == f"$.labels[{where}]"
+        assert str(info.value) == f"$.labels[{where}]: must be an integer"
+
+    def test_empty_labels_and_int_subclasses_pass(self):
+        class Label(int):
+            pass
+
+        assert validate_result(self.partition_result(labels=[]))
+        labels = [0, Label(1), 2]
+        assert validate_result(self.partition_result(labels=labels))
+
     def test_diagnostics_scalar_or_number_array(self):
         with pytest.raises(ServiceSchemaError, match="diagnostics"):
             validate_result(
