@@ -1,19 +1,19 @@
 """Static analysis for the partitioning core (``repro-lint``).
 
-The reproduction's correctness rests on a handful of *array contracts*
-that Python never checks for us: CSR arrays must be explicit
-``int64``, public entry points must validate their inputs, library
-code must raise rather than ``assert``, and hot paths must stay
-vectorised.  This package machine-checks those contracts with a small
-AST-walking lint engine so they cannot silently rot as the system
-grows (see ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, and
-for the admission test every code in it passed: a defect seeded into
+The reproduction's correctness rests on a handful of contracts that
+Python never checks for us: public entry points must validate their
+inputs, library code must raise rather than ``assert``, hot paths must
+stay vectorised, and deadlines must be read off the monotonic clock.
+This package machine-checks those contracts with a small AST-walking
+lint engine so they cannot silently rot as the system grows (see
+``docs/STATIC_ANALYSIS.md`` for the rule catalogue, and for the
+admission test every code in it passed: a defect seeded into
 ``src/repro`` that the code alone catches).
 
 One :class:`LintEngine` drives every rule: it parses the target set
-once and runs *file rules* over each file and *project rules* over
-the one shared dataflow index (:mod:`repro.analysis.dataflow`), which
-is built only when a selected rule asks for it.
+once and runs each selected rule over one file at a time.  There are
+two families: ``core`` (:mod:`repro.analysis.rules`) runs by default,
+and ``perf`` runs when asked for.
 
 The superstep contract (ranks only read ``ctx.shared``) is not a lint
 code: every execution backend hands ranks a read-only ``ctx.shared``
@@ -26,11 +26,6 @@ loops that block vectorisation — ranked by measured span self-times
 when a ``--trace-json`` run-report is supplied.  Pre-existing findings
 burn down through a committed baseline (:mod:`repro.analysis.baseline`)
 instead of blanket suppressions.
-
-The ``service`` family (``repro-lint --service``) guards the async
-service seams (:mod:`repro.analysis.asynccheck`): no blocking call on
-the event loop (ASYNC001), no wall clock in deadline arithmetic
-(TIME001).
 
 Run it as ``repro-lint src/repro`` or ``repro-contact lint``.
 """
@@ -55,11 +50,7 @@ from repro.analysis.reporters import (
 )
 
 # importing the rule modules registers their rules
-from repro.analysis import (  # noqa: F401
-    asynccheck,
-    perf,
-    rules,
-)
+from repro.analysis import perf, rules  # noqa: F401
 
 __all__ = [
     "Diagnostic",

@@ -5,26 +5,21 @@ Examples::
     repro-lint src/repro              # lint the library, human output
     repro-lint --format json src      # machine-readable diagnostics
     repro-lint --format sarif src > lint.sarif
-    repro-lint --select ARR001,VAL001 src/repro
+    repro-lint --select VAL001,TIME001 src/repro
     repro-lint --perf src/repro       # + PERF family
-    repro-lint --service src/repro    # + async/service correctness pass
     repro-lint --perf --trace-json smoke-trace.json src/repro
     repro-lint --perf --baseline lint-baseline.json src/repro
     repro-lint --statistics src/repro
     repro-lint --list-rules
 
-With no paths the installed ``repro`` package is linted.  Every flag
-below selects rule families of the one engine, which parses the
-target set once whatever the combination.  ``--perf`` adds the PERF
-family; ``--service`` adds the
-async/service correctness rules (ASYNC001, TIME001 — also
-whole-program, so pass the full tree); ``--select``
-names the exact codes to run instead, from any family;
-``--trace-json`` takes a ``repro.run-report/1`` artifact and ranks the
-findings by measured span self-time; ``--baseline`` subtracts a
-committed baseline so only *new* findings fail.  Exit status: 0 when
-clean, 1 when diagnostics were found, 2 on usage errors (unknown rule
-code, nonexistent path, two target files that map to one module name,
+With no paths the installed ``repro`` package is linted.  The core
+family runs by default; ``--perf`` adds the PERF family; ``--select``
+names the exact codes to run instead, from either family.  The target
+set is parsed once whatever the combination.  ``--trace-json`` takes
+a ``repro.run-report/1`` artifact and ranks the findings by measured
+span self-time; ``--baseline`` subtracts a committed baseline so only
+*new* findings fail.  Exit status: 0 when clean, 1 when diagnostics
+were found, 2 on usage errors (unknown rule code, nonexistent path,
 malformed baseline or trace).
 """
 
@@ -41,7 +36,6 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.dataflow import ModuleCollisionError
 from repro.analysis.engine import LintEngine, all_rules, load_project
 from repro.analysis.perf import load_self_times, rank_diagnostics
 from repro.analysis.reporters import (
@@ -98,14 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "fnmatch pattern of paths to skip (repeatable; e.g. "
             "'tests/analysis/perf_fixtures/*')"
-        ),
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help=(
-            "also run the async/service correctness pass (ASYNC001, "
-            "TIME001) over the target set"
         ),
     )
     parser.add_argument(
@@ -172,8 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         paths = [str(Path(repro.__file__).parent)]
 
-    families = ["core"]
-    families += [f for f in ("service", "perf") if getattr(args, f)]
+    families = ["core", "perf"] if args.perf else ["core"]
 
     try:
         engine = LintEngine(
@@ -181,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         project = load_project(paths, exclude=args.exclude)
         diagnostics = engine.lint_project(project)
-    except (KeyError, FileNotFoundError, ModuleCollisionError) as exc:
+    except (KeyError, FileNotFoundError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"repro-lint: {message}", file=sys.stderr)
         return 2

@@ -1,25 +1,20 @@
 """Pluggable AST lint engine — the only driver of every rule family.
 
-A :class:`LintRule` is one of two kinds.  A *file rule* overrides
-:meth:`~LintRule.check` and inspects one parsed file (a
-:class:`FileContext`); a *project rule* overrides
-:meth:`~LintRule.project_check` and inspects the whole target set (a
-:class:`Project`).  Rules register themselves in a
-module-level registry via :func:`register_rule` and belong to a
-``family`` (``core`` runs by default; ``service`` and ``perf`` are
-what the ``repro-lint`` flags of the same name add).
+A :class:`LintRule` overrides :meth:`~LintRule.check` and inspects one
+parsed file (a :class:`FileContext`) at a time.  Rules register
+themselves in a module-level registry via :func:`register_rule` and
+belong to a ``family`` (``core`` runs by default; ``perf`` is what
+``repro-lint --perf`` adds).
 
 :func:`load_project` walks the target paths and parses each file
-exactly once; the :class:`Project` builds its one dataflow
-:class:`~repro.analysis.dataflow.ProjectIndex` the first time a
-project rule asks for it (a run of file rules never does); the
-:class:`LintEngine` runs every selected rule and filters out
-diagnostics silenced by ``# repro-lint: disable=CODE`` comments.
+exactly once; the :class:`LintEngine` runs every selected rule over
+each parsed file and filters out diagnostics silenced by
+``# repro-lint: disable=CODE`` comments.
 
 Suppression grammar (comments only — strings never suppress):
 
-``# repro-lint: disable=ARR001`` on the flagged line silences the
-named rule(s) for that line; ``# repro-lint: disable-file=ARR001``
+``# repro-lint: disable=LOOP001`` on the flagged line silences the
+named rule(s) for that line; ``# repro-lint: disable-file=LOOP001``
 anywhere in a file silences them for the whole file.  ``disable=all``
 is accepted in both forms.
 """
@@ -32,12 +27,8 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import (
-    Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -47,17 +38,8 @@ from typing import (
     Set,
     Tuple,
     Type,
-    TypeVar,
     Union,
 )
-
-from repro.analysis.dataflow import (
-    FunctionSummary,
-    ModuleSummary,
-    ProjectIndex,
-)
-
-_T = TypeVar("_T")
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable|disable-file)\s*=\s*"
@@ -127,19 +109,12 @@ class FileContext:
 
 @dataclass
 class Project:
-    """The parsed target set of one run, shared by every rule.
-
-    Holds what was parsed once — the file contexts and the E999
-    diagnostics of the files that did not parse — plus what is derived
-    from it on demand: the dataflow index and each rule family's own
-    view of it (the service family's loop/executor closure).
-    """
+    """The parsed target set of one run, shared by every rule: the
+    file contexts and the E999 diagnostics of the files that did not
+    parse."""
 
     contexts: List[FileContext] = field(default_factory=list)
     syntax_errors: List[Diagnostic] = field(default_factory=list)
-    _views: Dict[Callable[..., Any], Any] = field(
-        default_factory=dict, repr=False
-    )
 
     def add_source(self, source: str, module: str, path: str) -> None:
         """Parse ``source`` into the project (E999 when it does not)."""
@@ -158,31 +133,13 @@ class Project:
                 )
             )
 
-    @cached_property
-    def index(self) -> ProjectIndex:
-        """The dataflow index of every parsed file, built on first use;
-        raises :class:`~repro.analysis.dataflow.ModuleCollisionError`
-        (a ``ValueError``) when two files map to one module name."""
-        return ProjectIndex.build(
-            (ctx.module, ctx.path, ctx.tree) for ctx in self.contexts
-        )
-
-    def view(self, build: Callable[["Project"], _T]) -> _T:
-        """``build(self)``, computed once per project — how the rules
-        of one family share their derived view of the index."""
-        if build not in self._views:
-            self._views[build] = build(self)
-        return self._views[build]  # type: ignore[no-any-return]
-
 
 class LintRule:
     """Base class for lint rules.
 
-    Subclasses set ``code`` (e.g. ``"ARR001"``), ``name`` and
-    ``description`` and override :meth:`check` (a file rule) or
-    :meth:`project_check` (a project rule).  ``modules`` optionally
-    restricts a file rule to dotted-module prefixes (empty = every
-    file).
+    Subclasses set ``code`` (e.g. ``"LOOP001"``), ``name`` and
+    ``description`` and override :meth:`check`.  ``modules`` optionally
+    restricts a rule to dotted-module prefixes (empty = every file).
     """
 
     code: str = ""
@@ -192,7 +149,7 @@ class LintRule:
     modules: Tuple[str, ...] = ()
     #: ``core`` rules make up the default engine run; any other family
     #: runs only when asked for — by an explicit ``--select`` or by the
-    #: ``repro-lint`` flag named after it (``--service`` / ``--perf``)
+    #: ``repro-lint`` flag named after it (``--perf``)
     family: str = "core"
 
     def applies_to(self, ctx: FileContext) -> bool:
@@ -205,24 +162,19 @@ class LintRule:
         )
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        """Yield diagnostics for one file; file rules override this."""
-        return ()
-
-    def project_check(self, project: Project) -> Iterable[Diagnostic]:
-        """Yield diagnostics for the whole target set, called once per
-        run; project rules override this."""
+        """Yield diagnostics for one file; rules override this."""
         return ()
 
     def diag(
         self,
-        where: Union[FileContext, FunctionSummary, ModuleSummary],
+        ctx: FileContext,
         node: ast.AST,
         message: Optional[str] = None,
     ) -> Diagnostic:
         """Build a diagnostic anchored at ``node`` (1-based column) in
-        the file ``where`` belongs to."""
+        the file ``ctx``."""
         return Diagnostic(
-            path=where.path,
+            path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             code=self.code,
@@ -427,18 +379,15 @@ class LintEngine:
     def lint_project(self, project: Project) -> List[Diagnostic]:
         """Run the selected rules over an already-parsed target set;
         returns sorted, de-duplicated, unsuppressed diagnostics."""
-        by_path = {ctx.path: ctx for ctx in project.contexts}
         found: Set[Diagnostic] = set(project.syntax_errors)
         for rule in self.rules:
-            per_file = (
-                rule.check(ctx)
-                for ctx in project.contexts
-                if rule.applies_to(ctx)
-            )
-            for d in chain(*per_file, rule.project_check(project)):
-                ctx = by_path.get(d.path)
-                if ctx is None or not ctx.is_suppressed(d.line, d.code):
-                    found.add(d)
+            for ctx in project.contexts:
+                if rule.applies_to(ctx):
+                    found.update(
+                        d
+                        for d in rule.check(ctx)
+                        if not ctx.is_suppressed(d.line, d.code)
+                    )
         return sorted(found)
 
     def lint_source(
@@ -461,6 +410,6 @@ class LintEngine:
         paths: Iterable[Union[str, Path]],
         exclude: Sequence[str] = (),
     ) -> List[Diagnostic]:
-        """Lint files and (recursively) directories as one program;
-        see :func:`load_project` for ``paths`` and ``exclude``."""
+        """Lint files and (recursively) directories; see
+        :func:`load_project` for ``paths`` and ``exclude``."""
         return self.lint_project(load_project(paths, exclude))

@@ -75,7 +75,7 @@ def format_json(diagnostics: Sequence[Diagnostic]) -> str:
 
 
 def format_statistics(diagnostics: Sequence[Diagnostic]) -> str:
-    """flake8-style per-code count lines (``    3  ARR001  desc``)."""
+    """flake8-style per-code count lines (``    3  LOOP001  desc``)."""
     counts = Counter(d.code for d in diagnostics)
     known = {r.code: r.description for r in all_rules()}
     lines = [

@@ -318,8 +318,8 @@ class ServiceEngine:
         # an already-validated path; moving it to the executor would
         # make admission asynchronous and lose the synchronous 400 the
         # HTTP contract promises, for microseconds of loop time
-        root_real = os.path.realpath(root)  # repro-lint: disable=ASYNC001 bounded metadata-only probe, see above
-        path_real = os.path.realpath(source["path"])  # repro-lint: disable=ASYNC001 bounded metadata-only probe, see above
+        root_real = os.path.realpath(root)
+        path_real = os.path.realpath(source["path"])
         try:
             inside = os.path.commonpath([root_real, path_real]) == root_real
         except ValueError:  # pragma: no cover - mixed drives on Windows

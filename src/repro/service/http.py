@@ -23,7 +23,8 @@ Every JSON body is one compact line.  Error mapping: schema violations
 not a decimal byte count → 400, one over :data:`MAX_BODY_BYTES` → 413,
 rate limiting → 429 (+ ``Retry-After``), a full queue → 503, unknown
 ids → 404.  A request cut short (EOF or reset before its body is
-whole) is closed without a reply.
+whole), or not whole within :data:`READ_DEADLINE_S`, is closed without
+a reply.
 
 :class:`ServerThread` hosts an engine + server on a dedicated event
 loop in a background thread — the bridge for synchronous callers
@@ -36,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, cast
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.engine import (
@@ -69,6 +70,11 @@ _REASONS = {
 
 #: a ``Content-Length`` above this is answered 413 before any body is read
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: seconds a client has to send one whole request (line, headers and
+#: body); a client that stalls mid-request is closed without a reply,
+#: so it cannot hold its connection task, or ``stop()``, forever
+READ_DEADLINE_S = 10.0
 
 
 def render_metrics(engine: ServiceEngine) -> str:
@@ -120,6 +126,28 @@ def _content_length(text: str) -> int:
     return int(digits)
 
 
+async def _read_raw_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[List[str], bytes]]:
+    """The request line's words and the body; ``None`` for a request
+    line of fewer than two words (see :meth:`ServiceServer._read_request`)."""
+    parts = (await reader.readline()).decode("latin-1").split()
+    if len(parts) < 2:
+        return None
+    content_length = 0
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            content_length = _content_length(value.strip())
+    body = b""
+    if content_length:
+        body = await reader.readexactly(content_length)
+    return parts, body
+
+
 class ServiceServer:
     """One engine behind an ``asyncio.start_server`` JSON API.
 
@@ -138,6 +166,8 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: handler tasks of the connections still sending their request
+        self._reading: Set["asyncio.Task[Any]"] = set()
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -154,6 +184,10 @@ class ServiceServer:
         """Stop listening and shut the engine down."""
         if self._server is not None:
             self._server.close()
+            if self._reading:
+                # a stalled reader ends by READ_DEADLINE_S; cancelling it
+                # instead makes Python 3.11's stream callback log an ERROR
+                await asyncio.wait(set(self._reading), timeout=READ_DEADLINE_S)
             await self._server.wait_closed()
             self._server = None
         await self.engine.stop()
@@ -215,36 +249,38 @@ class ServiceServer:
             except Exception:  # pragma: no cover - teardown best-effort
                 pass
 
-    @staticmethod
     async def _read_request(
-        reader: asyncio.StreamReader,
+        self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """Parse one request into ``(method, path, query, body)``.
 
-        ``None`` when the peer sends garbage or goes away before the
-        request is whole — EOF, a reset, a body cut short, a line over
-        the stream limit (``readline`` raises ``ValueError``): the
-        connection is closed without a reply.  A ``Content-Length``
-        that is not a decimal count raises a 400, one over
-        :data:`MAX_BODY_BYTES` a 413, before any body is read.
+        ``None`` when the peer sends garbage, goes away or stalls before
+        the request is whole — EOF, a reset, a body cut short, a line
+        over the stream limit (``readline`` raises ``ValueError``),
+        :data:`READ_DEADLINE_S` passing: the connection is closed
+        without a reply.  A ``Content-Length`` that is not a decimal
+        count raises a 400, one over :data:`MAX_BODY_BYTES` a 413,
+        before any body is read.
         """
+        # the connection's handler task (there always is one here)
+        task = cast("asyncio.Task[Any]", asyncio.current_task())
+        self._reading.add(task)
         try:
-            parts = (await reader.readline()).decode("latin-1").split()
-            if len(parts) < 2:
-                return None
-            content_length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = _content_length(value.strip())
-            body = b""
-            if content_length:
-                body = await reader.readexactly(content_length)
-        except (ConnectionResetError, asyncio.IncompleteReadError, ValueError):
+            read = await asyncio.wait_for(
+                _read_raw_request(reader), READ_DEADLINE_S
+            )
+        except (
+            ConnectionResetError,
+            asyncio.IncompleteReadError,
+            asyncio.TimeoutError,
+            ValueError,
+        ):
             return None
+        finally:
+            self._reading.discard(task)
+        if read is None:
+            return None
+        parts, body = read
         try:
             split = urlsplit(parts[1])
         except ValueError:

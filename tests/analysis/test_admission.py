@@ -12,9 +12,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import LintEngine
+from repro.analysis.engine import LintEngine, all_rules
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+_RECURSIVE_HEAD = (
+    "    graph: CSRGraph,\n"
+    "    k: int,\n"
+    "    options: Optional[PartitionOptions] = None,\n"
+    "    tracer: Optional[TracerBase] = None,\n"
+    ") -> np.ndarray:\n"
+    '    """Partition ``graph`` into ``k`` parts; returns ``int64[n]`` labels\n'
+    "    in ``[0, k)``.\n"
+    "\n"
+    "    ``tracer`` accumulates coarsen/initial/refine spans across all\n"
+    "    ``k - 1`` bisections (one aggregate span per phase).\n"
+    '    """\n'
+    "    if k < 1:\n"
+    '        raise ValueError(f"k must be >= 1, got {k}")\n'
+)
 
 # code, files copied (the first one is mutated), anchor, replacement
 CASES = [
@@ -53,6 +69,15 @@ CASES = [
         "            -max(0.0, dist[i] - channel_radius) / max(decay, 1e-12)\n"
         "        )\n",
         id="PERF005-crater-falloff-as-a-math-exp-loop",
+    ),
+    pytest.param(
+        "VAL001",
+        ("repro/partition/recursive.py",),
+        # VAL001 reports at the def line, so the hunk runs from there
+        "def recursive_bisection(\n" + _RECURSIVE_HEAD +
+        "    check_csr_arrays(graph)\n",
+        "def recursive_bisection(\n" + _RECURSIVE_HEAD + "    pass\n",
+        id="VAL001-recursive-bisection-without-its-csr-check",
     ),
     pytest.param(
         "TIME001",
@@ -109,7 +134,7 @@ def test_code_fires_on_its_seeded_defect_and_no_other_code_does(
         assert Path(d.path).name == Path(files[0]).name
         assert d.line in span
     # every family at once: what the edit adds is this code's alone
-    every = LintEngine(families=("core", "service", "perf"))
+    every = LintEngine(families=sorted({r.family for r in all_rules()}))
     before = {(d.code, d.message) for d in every.lint_paths([clean])}
     after = {(d.code, d.message) for d in every.lint_paths([mutated])}
     assert {c for c, _ in after - before} == {code}

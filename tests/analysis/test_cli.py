@@ -14,14 +14,12 @@ PERF_FIXTURES = Path(__file__).parent / "perf_fixtures"
 SERVICE_FIXTURES = Path(__file__).parent / "service_fixtures"
 LIBRARY = Path(repro.__file__).parent
 
-SERVICE_CODES = ("ASYNC001", "TIME001")
-
 
 class TestExitCodes:
     def test_violations_exit_nonzero(self, capsys):
         assert lint_main([str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "ARR001" in out and "VAL001" in out
+        assert "LOOP001" in out and "VAL001" in out
 
     def test_clean_file_exits_zero(self, capsys):
         clean = FIXTURES / "repro" / "clean_ok.py"
@@ -36,27 +34,31 @@ class TestExitCodes:
         assert lint_main([str(FIXTURES / "nope")]) == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_two_files_for_one_module_exit_two(self, tmp_path, capsys):
-        """A project rule must not silently analyse only the last of
-        two files that claim one module name."""
+    def test_deleted_codes_exit_two(self, capsys):
+        for code in ("SM001", "ASYNC002", "SPMD001", "ASYNC001", "ARR001"):
+            assert lint_main(["--select", code, str(SERVICE_FIXTURES)]) == 2
+            assert code in capsys.readouterr().err
+
+    def test_two_files_for_one_module_are_both_linted(self, tmp_path, capsys):
+        """Every rule reads one file at a time, so two files that claim
+        one module name are two files, each with its own findings."""
         for root in ("a", "b"):
             pkg = tmp_path / root / "repro" / "service"
             pkg.mkdir(parents=True)
-            (pkg / "app.py").write_text("x = 1\n")
-        assert lint_main(["--service", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "repro.service.app" in err
-        assert str(tmp_path / "a" / "repro" / "service" / "app.py") in err
-        assert str(tmp_path / "b" / "repro" / "service" / "app.py") in err
-        # file rules never consult the index, so a plain run still works
-        assert lint_main([str(tmp_path)]) == 0
+            (pkg / "app.py").write_text(
+                "import time\n\ndeadline = time.time() + 5\n"
+            )
+        assert lint_main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        for root in ("a", "b"):
+            assert str(tmp_path / root / "repro" / "service" / "app.py") in out
 
 
 class TestOptions:
     def test_select_narrows_output(self, capsys):
         assert lint_main(["--select", "VAL001", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "VAL001" in out and "ARR001" not in out
+        assert "VAL001" in out and "LOOP001" not in out
 
     def test_ignore_drops_rule(self, capsys):
         lint_main(["--ignore", "VAL001", str(FIXTURES)])
@@ -66,8 +68,8 @@ class TestOptions:
         assert lint_main(["--format", "json", str(FIXTURES)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 1
-        assert payload["count"] == payload["summary"]["ARR001"] + sum(
-            n for c, n in payload["summary"].items() if c != "ARR001"
+        assert payload["count"] == payload["summary"]["VAL001"] + sum(
+            n for c, n in payload["summary"].items() if c != "VAL001"
         )
         assert {d["code"] for d in payload["diagnostics"]} == set(
             payload["summary"]
@@ -76,7 +78,7 @@ class TestOptions:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("ARR001", "ASSERT001", "VAL001", "LOOP001"):
+        for code in ("ASSERT001", "VAL001", "LOOP001", "TIME001"):
             assert code in out
 
     def test_list_rules_matches_the_documented_catalogue(self, capsys):
@@ -121,6 +123,12 @@ class TestOptions:
         assert exc.value.code == 2
         assert "--spmd" in capsys.readouterr().err
 
+    def test_service_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--service", str(LIBRARY)])
+        assert exc.value.code == 2
+        assert "--service" in capsys.readouterr().err
+
 
 class TestPerfFlag:
     def test_perf_flag_finds_seeded_violations(self, capsys):
@@ -164,85 +172,6 @@ class TestPerfFlag:
         assert code == 0
         assert "suppressed" in captured.err
         assert "no issues found" in captured.out
-
-
-class TestServiceFlag:
-    def test_service_flag_finds_seeded_violations(self, capsys):
-        assert lint_main(["--service", str(SERVICE_FIXTURES)]) == 1
-        out = capsys.readouterr().out
-        for code in SERVICE_CODES:
-            assert code in out
-
-    def test_without_flag_fixtures_are_clean(self, capsys):
-        # the service family is opt-in and project-level; the per-file
-        # engine alone must not fire on the fixture tree
-        assert lint_main([str(SERVICE_FIXTURES)]) == 0
-
-    def test_service_select_narrows(self, capsys):
-        assert (
-            lint_main(
-                ["--service", "--select", "TIME001",
-                 str(SERVICE_FIXTURES)]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "TIME001" in out and "ASYNC001" not in out
-
-    def test_service_unknown_code_exits_two(self, capsys):
-        assert lint_main(
-            ["--service", "--select", "NOPE999", str(SERVICE_FIXTURES)]
-        ) == 2
-        assert "NOPE999" in capsys.readouterr().err
-
-    def test_deleted_codes_exit_two(self, capsys):
-        for code in ("SM001", "ASYNC002", "SPMD001"):
-            assert lint_main(
-                ["--service", "--select", code, str(SERVICE_FIXTURES)]
-            ) == 2
-            assert code in capsys.readouterr().err
-
-    def test_service_respects_exclude(self, capsys):
-        code = lint_main(
-            ["--service", str(SERVICE_FIXTURES),
-             "--exclude", "*/service_fixtures/*"]
-        )
-        assert code == 0
-        assert "no issues found" in capsys.readouterr().out
-
-    def test_list_rules_includes_service_family(self, capsys):
-        lint_main(["--list-rules"])
-        out = capsys.readouterr().out
-        for code in SERVICE_CODES:
-            assert code in out
-
-    def test_service_sarif_has_rule_metadata(self, capsys):
-        assert lint_main(
-            ["--format", "sarif", "--service", str(SERVICE_FIXTURES)]
-        ) == 1
-        log = json.loads(capsys.readouterr().out)
-        rules = {
-            r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]
-        }
-        assert set(SERVICE_CODES) <= rules
-
-    def test_service_library_lints_clean(self, capsys):
-        """Acceptance: `repro-lint --service src/repro` must exit 0."""
-        assert lint_main(["--service", str(LIBRARY)]) == 0
-        assert "no issues found" in capsys.readouterr().out
-
-    def test_suppression_grammar_covers_service_codes(self, tmp_path, capsys):
-        src = (
-            "import time\n\n\n"
-            "async def handler():\n"
-            "    time.sleep(1)  # repro-lint: disable=ASYNC001 warm-up\n"
-            "    deadline = time.time() + 5  # repro-lint: disable=TIME001 test double\n"
-            "    return deadline\n"
-        )
-        target = tmp_path / "suppressed.py"
-        target.write_text(src)
-        assert lint_main(["--service", str(target)]) == 0
-        assert "no issues found" in capsys.readouterr().out
 
 
 class TestBaselineFlags:

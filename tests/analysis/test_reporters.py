@@ -15,9 +15,9 @@ from repro.analysis.reporters import (
 )
 
 DIAGS = [
-    Diagnostic("a.py", 1, 0, "ARR001", "first"),
+    Diagnostic("a.py", 1, 0, "LOOP001", "first"),
     Diagnostic("a.py", 9, 4, "VAL001", "second"),
-    Diagnostic("b.py", 2, 0, "ARR001", "third"),
+    Diagnostic("b.py", 2, 0, "LOOP001", "third"),
 ]
 
 
@@ -28,12 +28,12 @@ class TestHumanReporter:
     def test_lines_and_summary(self):
         out = format_human(DIAGS)
         lines = out.splitlines()
-        assert lines[0] == "a.py:1:0: ARR001 first"
-        assert lines[-1] == "repro-lint: 3 issues (ARR001: 2, VAL001: 1)"
+        assert lines[0] == "a.py:1:0: LOOP001 first"
+        assert lines[-1] == "repro-lint: 3 issues (LOOP001: 2, VAL001: 1)"
 
     def test_singular_issue(self):
         out = format_human(DIAGS[:1])
-        assert "1 issue (ARR001: 1)" in out
+        assert "1 issue (LOOP001: 1)" in out
 
 
 class TestJsonReporter:
@@ -42,7 +42,7 @@ class TestJsonReporter:
         assert set(payload) == {"version", "count", "summary", "diagnostics"}
         assert payload["version"] == JSON_SCHEMA_VERSION
         assert payload["count"] == 3
-        assert payload["summary"] == {"ARR001": 2, "VAL001": 1}
+        assert payload["summary"] == {"LOOP001": 2, "VAL001": 1}
 
     def test_diagnostic_entries(self):
         payload = as_json_payload(DIAGS)
@@ -52,7 +52,7 @@ class TestJsonReporter:
             "path": "a.py",
             "line": 1,
             "col": 0,
-            "code": "ARR001",
+            "code": "LOOP001",
             "message": "first",
         }
 
@@ -69,13 +69,13 @@ class TestJsonReporter:
 class TestStatistics:
     def test_per_code_counts_and_total(self):
         lines = format_statistics(DIAGS).splitlines()
-        assert lines[0].split()[:2] == ["2", "ARR001"]
+        assert lines[0].split()[:2] == ["2", "LOOP001"]
         assert lines[1].split()[:2] == ["1", "VAL001"]
         assert lines[-1].split() == ["3", "total"]
 
     def test_known_codes_carry_descriptions(self):
         out = format_statistics(DIAGS)
-        assert "explicit dtype" in out  # ARR001's description
+        assert "xadj/adjncy" in out  # LOOP001's description
 
 
 class TestSarifReporter:
@@ -89,10 +89,10 @@ class TestSarifReporter:
 
     def test_result_locations_are_one_based(self):
         log = as_sarif_payload(
-            [Diagnostic("pkg/mod.py", 7, 3, "ARR001", "msg")]
+            [Diagnostic("pkg/mod.py", 7, 3, "LOOP001", "msg")]
         )
         (result,) = log["runs"][0]["results"]
-        assert result["ruleId"] == "ARR001"
+        assert result["ruleId"] == "LOOP001"
         assert result["level"] == "error"
         region = result["locations"][0]["physicalLocation"]["region"]
         assert region == {"startLine": 7, "startColumn": 3}
@@ -104,7 +104,7 @@ class TestSarifReporter:
     def test_rules_metadata_covers_present_codes(self):
         log = as_sarif_payload(DIAGS)
         rules = log["runs"][0]["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["ARR001", "VAL001"]
+        assert [r["id"] for r in rules] == ["LOOP001", "VAL001"]
         assert all("shortDescription" in r for r in rules)
 
     def test_e999_gets_fallback_metadata(self):

@@ -17,49 +17,6 @@ def lint(source, module, codes=None):
     return [d.code for d in engine.lint_source(textwrap.dedent(source), module=module)]
 
 
-class TestARR001:
-    def test_flags_allocator_without_dtype(self):
-        src = """
-            import numpy as np
-            x = np.zeros(10)
-            y = np.arange(5)
-        """
-        assert lint(src, "repro.partition.foo", ["ARR001"]) == [
-            "ARR001",
-            "ARR001",
-        ]
-
-    def test_passes_with_dtype_keyword(self):
-        src = """
-            import numpy as np
-            x = np.zeros(10, dtype=np.int64)
-            y = np.full(3, 0.5, dtype=np.float64)
-        """
-        assert lint(src, "repro.partition.foo", ["ARR001"]) == []
-
-    def test_passes_with_positional_dtype(self):
-        src = """
-            import numpy as np
-            x = np.zeros(10, np.int64)
-            y = np.full(3, 0.5, np.float64)
-        """
-        assert lint(src, "repro.graph.foo", ["ARR001"]) == []
-
-    def test_scoped_to_numeric_modules(self):
-        src = "import numpy as np\nx = np.zeros(4)\n"
-        assert lint(src, "repro.mesh.foo", ["ARR001"]) == []
-        assert lint(src, "repro.graph.foo", ["ARR001"]) == ["ARR001"]
-
-    def test_ignores_like_constructors(self):
-        # *_like and asarray inherit dtype from their argument
-        src = """
-            import numpy as np
-            def f(a):
-                return np.zeros_like(a) + np.asarray(a)
-        """
-        assert lint(src, "repro.partition.foo", ["ARR001"]) == []
-
-
 class TestASSERT001:
     def test_flags_library_assert(self):
         src = "def f(x):\n    assert x > 0\n    return x\n"
@@ -147,26 +104,22 @@ class TestLOOP001:
 class TestRuleMetadata:
     def test_every_rule_has_pass_and_fail_coverage(self):
         # guard: a new rule must extend this file's coverage (the PERF
-        # family is covered by test_perf.py, the service family by
+        # family is covered by test_perf.py, TIME001 by
         # test_asynccheck.py)
         from repro.analysis.engine import all_rules
 
-        covered = {"ARR001", "ASSERT001", "VAL001", "LOOP001"}
+        covered = {"ASSERT001", "VAL001", "LOOP001"}
         perf = {"PERF001", "PERF002", "PERF003", "PERF005"}
-        service = {"ASYNC001", "TIME001"}
-        assert {r.code for r in all_rules()} == covered | perf | service
+        assert {r.code for r in all_rules()} == covered | perf | {"TIME001"}
 
     def test_opt_in_rules_skipped_by_default(self):
-        # only the core family runs by default: the PERF and service
-        # families must be asked for, by family or by --select
+        # only the core family runs by default: the PERF family must
+        # be asked for, by family or by --select
         from repro.analysis.engine import LintEngine, all_rules
 
         default_codes = {r.code for r in LintEngine().rules}
         opt_in = {r.code for r in all_rules() if r.family != "core"}
-        assert opt_in == {
-            "PERF001", "PERF002", "PERF003", "PERF005",
-            "ASYNC001", "TIME001",
-        }
+        assert opt_in == {"PERF001", "PERF002", "PERF003", "PERF005"}
         assert not (default_codes & opt_in)
         selected = LintEngine(select=["PERF001"]).rules
         assert {r.code for r in selected} == {"PERF001"}

@@ -53,6 +53,25 @@ class TestMultilevelBisection:
         with pytest.raises(ValueError, match="frac0"):
             multilevel_bisection(g, 0.0)
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (lambda x, a, w, v: (x + 1, a, w, v), "start at 0"),
+            (lambda x, a, w, v: (x, a, w, v[:-1]), "rows"),
+            (lambda x, a, w, v: (x, a, w, -v), "non-negative"),
+        ],
+        ids=["offset-xadj", "short-vwgts", "negative-vwgts"],
+    )
+    def test_malformed_graph_is_refused(self, broken, message):
+        # without the entry check, negative weights bisect silently and
+        # the other two fail as shape errors deep in the V-cycle
+        from repro.graph.csr import CSRGraph
+
+        g = grid_graph(4, 4)
+        bad = CSRGraph(*broken(g.xadj, g.adjncy, g.adjwgt, g.vwgts))
+        with pytest.raises(ValueError, match=message):
+            multilevel_bisection(bad, 0.5)
+
     def test_deterministic(self):
         g = grid_graph(12, 12)
         a = multilevel_bisection(g, 0.5, PartitionOptions(seed=3))

@@ -1,10 +1,13 @@
-"""Regressions for the blocking-call fixes the service lint forced.
+"""The service's blocking work runs off the event loop.
 
-``repro-lint --service`` (ASYNC001) flagged two genuine loop stalls:
-``/v1/report`` built the run report while holding the engine's
-execution lock on the event loop, and ``ServiceEngine.stop`` closed
-the pooled backend (and took ``_backend_lock``) from a coroutine.
-Both now hop through ``run_in_executor`` — these tests pin the hop.
+Every blocking step of a job — the run report (it takes the engine's
+execution lock), closing the pooled backend, building a source (a
+simulation or a mesh file), reading and writing the result cache (its
+lock and its disk tier) and the fit itself — runs in an executor
+thread, so one slow request never stalls the others.  Each test spies
+on one of those steps and asserts the thread it ran on is not the
+loop's.  (The first two hops were found by the ASYNC001 lint code,
+which these tests replaced.)
 """
 
 import asyncio
@@ -93,3 +96,42 @@ class TestBackendCloseOffLoop:
 
         engine = asyncio.run(scenario())
         assert engine._backend is None
+
+
+class TestSourceAndCacheOffLoop:
+    def test_source_build_and_cache_io_run_off_the_event_loop(
+        self, tmp_path
+    ):
+        """A miss, then a hit read back from the disk tier: neither the
+        source build nor a cache read or write may run on the loop (a
+        "serve hits early" lookup in ``submit`` would do all three)."""
+        seen = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args):
+                seen.append((name, threading.get_ident()))
+                return original(*args)
+
+            setattr(owner, name, call)
+
+        async def scenario():
+            engine = ServiceEngine(
+                EngineConfig(workers=1, cache_dir=str(tmp_path))
+            )
+            spy(engine, "_sequence")
+            spy(engine.cache, "get")
+            spy(engine.cache, "put")
+            await engine.start()
+            miss = await engine.wait(engine.submit(request()).id, 120)
+            engine.cache.clear()  # the next hit comes from disk
+            hit = await engine.wait(engine.submit(request()).id, 120)
+            await engine.stop()
+            return threading.get_ident(), engine, miss, hit
+
+        loop_thread, engine, miss, hit = asyncio.run(scenario())
+        assert (miss.cache, hit.cache) == ("miss", "hit")
+        assert engine.cache.stats.disk_hits == 1
+        assert {name for name, _ in seen} == {"_sequence", "get", "put"}
+        assert loop_thread not in {thread for _, thread in seen}

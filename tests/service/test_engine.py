@@ -545,7 +545,8 @@ class TestReporting:
             return engine
 
         # run_report takes the execution lock, so build it off-loop —
-        # exactly what the /v1/report route does (ASYNC001)
+        # exactly what the /v1/report route does
+        # (test_async_regressions.py::TestReportOffLoop)
         report = run(scenario()).run_report()
         assert report.meta["fits_total"] == 1
         assert report.meta["cache_hits"] == 1

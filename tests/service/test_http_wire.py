@@ -13,11 +13,13 @@ import json
 import logging
 import socket
 import struct
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.service import http
 from repro.service.client import ServiceClient
 from repro.service.engine import EngineConfig
 from repro.service.http import (
@@ -180,6 +182,69 @@ class TestMalformedLength:
         )
         assert reply == b""
         assert_healthy(server.address)
+        assert asyncio_errors(caplog) == []
+
+
+def stall(address, raw):
+    """Send ``raw`` and keep the connection open: a client that stops
+    mid-request.  Returns the still-open socket."""
+    host, port = address.split(":")
+    sock = socket.create_connection((host, int(port)), timeout=30.0)
+    sock.sendall(raw)
+    return sock
+
+
+def read_to_eof(sock):
+    """Bytes read until the server closes (``b""``: closed, no reply)."""
+    chunks = []
+    try:
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+    except ConnectionResetError:
+        return b"".join(chunks)
+
+
+class TestReadDeadline:
+    DEADLINE_S = 0.5
+
+    @pytest.fixture
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(http, "READ_DEADLINE_S", self.DEADLINE_S)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"GET /healthz HTTP/1.1\r\nHost: x\r\n", post(b"100", b'{"a":')],
+        ids=["half-sent-headers", "half-sent-body"],
+    )
+    def test_stalled_request_closes_quietly_at_the_deadline(
+        self, server, caplog, short_deadline, raw
+    ):
+        sock = stall(server.address, raw)
+        try:
+            started = time.monotonic()
+            reply = read_to_eof(sock)
+            waited = time.monotonic() - started
+        finally:
+            sock.close()
+        assert reply == b""
+        assert self.DEADLINE_S * 0.5 <= waited < self.DEADLINE_S + 10.0
+        assert_healthy(server.address)
+        assert asyncio_errors(caplog) == []
+
+    def test_stop_returns_with_a_stalled_client(self, caplog, short_deadline):
+        srv = ServerThread(EngineConfig(workers=1)).start()
+        sock = stall(srv.address, b"GET /healthz HTTP/1.1\r\n")
+        try:
+            assert_healthy(srv.address)
+            started = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - started < 20.0
+            assert not srv._thread.is_alive()
+        finally:
+            sock.close()
         assert asyncio_errors(caplog) == []
 
 
