@@ -1,11 +1,11 @@
 """k-sweep: how the MCML+DT vs ML+RCB balance shifts with partition
 count.
 
-The paper reports two k values; this sweep fills in the curve — the
-FE-side total ratio (ML+RCB / MCML+DT) and the NRemote ratio as
-functions of k — showing the trends the paper's Table 1 samples:
-ML+RCB's mesh-to-mesh overhead dominates at small k, while its
-advantage on raw FEComm grows with k.
+The paper reports two k values; this sweep fills in the curve on the
+default-resolution scene. Its check is the k-trend of
+:meth:`repro.core.pipeline.Table1.claims` — the FE-side ratio
+(ML+RCB / MCML+DT) non-increasing in k and above 1 at the smallest k,
+the paper's 72 % → 29 % trend — beside the per-k §5.2 claims.
 """
 
 from __future__ import annotations
@@ -14,51 +14,24 @@ import pytest
 
 from repro.core.mcml_dt import MCMLDTParams
 from repro.core.ml_rcb import MLRCBParams
-from repro.core.pipeline import evaluate_mcml_dt, evaluate_ml_rcb
+from repro.core.pipeline import table1
 
-from .conftest import record, strong_options
+from .conftest import strong_options
 
 KS = (4, 8, 16)
-_SWEEP = {}
 
 
-@pytest.mark.parametrize("k", KS)
-def test_ksweep(benchmark, short_sequence, k):
-    def run():
-        mc = evaluate_mcml_dt(
-            short_sequence, k, MCMLDTParams(options=strong_options())
-        )
-        ml = evaluate_ml_rcb(
-            short_sequence, k, MLRCBParams(options=strong_options())
-        )
-        return mc, ml
-
-    mc, ml = benchmark.pedantic(run, rounds=1, iterations=1)
-    _SWEEP[k] = (mc, ml)
-    record(
-        benchmark,
-        k=k,
-        mcml_total=mc.total_fe_side_comm(),
-        ml_total=ml.total_fe_side_comm(),
-        ratio=ml.total_fe_side_comm() / mc.total_fe_side_comm(),
-        nremote_ratio=mc.mean("n_remote") / max(ml.mean("n_remote"), 1.0),
+def test_ksweep(benchmark, short_sequence, capsys):
+    strong = strong_options()
+    result = benchmark.pedantic(
+        table1,
+        (short_sequence, KS, MCMLDTParams(options=strong),
+         MLRCBParams(options=strong)),
+        rounds=1,
+        iterations=1,
     )
-
-
-def test_ksweep_trend(benchmark, short_sequence):
-    """The FE-side advantage of MCML+DT shrinks as k grows (the
-    paper's 72% → 29% trend)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if len(_SWEEP) < len(KS):
-        pytest.skip("sweep benches must run first")
-    ratios = [
-        _SWEEP[k][1].total_fe_side_comm()
-        / _SWEEP[k][0].total_fe_side_comm()
-        for k in KS
-    ]
-    record(benchmark, **{f"ratio_k{k}": r for k, r in zip(KS, ratios)})
-    # monotone non-increasing within noise tolerance
-    for a, b in zip(ratios, ratios[1:]):
-        assert b <= a * 1.10
-    # and the small-k end clearly favours MCML+DT
-    assert ratios[0] > 1.0
+    claims = result.claims()
+    with capsys.disabled():
+        print("\n" + result.render())
+        print("\n".join(map(str, claims)))
+    assert all(c.held for c in claims), [str(c) for c in claims]

@@ -3,8 +3,7 @@
 Not a table in the paper, but every Table-1 number sits on top of the
 partitioner, so its quality envelope is benchmarked explicitly: cut
 growth with k on structured grids, balance under one and two
-constraints, recursive-bisection vs direct multilevel k-way, and
-coarsening throughput.
+constraints, and coarsening throughput.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.graph.metrics import edge_cut, load_imbalance
 from repro.partition.coarsen import coarsen
 from repro.partition.kway import partition_kway
 from repro.partition.matching import heavy_edge_matching
-from repro.partition.mlkway import multilevel_kway
 
 from .conftest import record, strong_options
 
@@ -60,31 +58,6 @@ def test_partition_two_constraint_overhead(benchmark, short_sequence):
     c1, c2 = edge_cut(g1, p1), edge_cut(g2, p2)
     record(benchmark, cut_1con=c1, cut_2con=c2, overhead=c2 / max(c1, 1))
     assert load_imbalance(g2, p2, 8).max() <= 1.12
-
-
-def test_rb_vs_direct_kway(benchmark, short_sequence):
-    """Recursive bisection vs the direct multilevel k-way driver on the
-    two-constraint contact graph (architecture ablation)."""
-    from repro.core.weights import build_contact_graph
-
-    snap = short_sequence[0]
-    g = build_contact_graph(snap, 5)
-    opts = strong_options()
-
-    def run_both():
-        rb = partition_kway(g, 8, opts)
-        ml = multilevel_kway(g, 8, opts)
-        return rb, ml
-
-    rb, ml = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    record(
-        benchmark,
-        rb_cut=edge_cut(g, rb),
-        mlkway_cut=edge_cut(g, ml),
-        rb_imb=float(load_imbalance(g, rb, 8).max()),
-        mlkway_imb=float(load_imbalance(g, ml, 8).max()),
-    )
-    assert load_imbalance(g, ml, 8).max() <= 1.12
 
 
 def test_matching_throughput(benchmark):

@@ -1,15 +1,9 @@
 """Table 1: MCML+DT vs ML+RCB over the 100-snapshot sequence.
 
-Regenerates the paper's headline table — FEComm / NTNodes / NRemote for
-MCML+DT and FEComm / M2MComm / UpdComm / NRemote for ML+RCB, averaged
-over the sequence — and prints it in the paper's layout. The shape
-claims under test (paper §5.2):
-
-* ML+RCB's raw FEComm is lower (it balances one constraint, not two);
-* adding the 2×M2MComm round trip makes ML+RCB's total FE-side
-  communication higher than MCML+DT's;
-* NRemote is comparable at small k;
-* NTNodes and UpdComm are small relative to the other overheads.
+Times each algorithm's evaluation at paper scale, then checks the
+paper's §5.2 shape claims through :meth:`repro.core.pipeline.Table1.claims`
+and prints the table (``repro-contact table1 --scale paper`` prints
+the same table without the timings).
 """
 
 from __future__ import annotations
@@ -18,111 +12,40 @@ import pytest
 
 from repro.core.mcml_dt import MCMLDTParams
 from repro.core.ml_rcb import MLRCBParams
-from repro.core.pipeline import evaluate_mcml_dt, evaluate_ml_rcb
-from repro.metrics.report import MetricTable
-from repro.partition.config import PartitionOptions
+from repro.core.pipeline import Table1, evaluate_mcml_dt, evaluate_ml_rcb
 
 from .conftest import BENCH_KS, record, strong_options
 
-_RESULTS = {}
-
-
-def _params():
-    return (
-        MCMLDTParams(options=strong_options()),
-        MLRCBParams(options=strong_options()),
-    )
+_TABLE = Table1()
 
 
 @pytest.mark.parametrize("k", BENCH_KS)
 def test_table1_mcml_dt(benchmark, bench_sequence, k):
-    mcml_params, _ = _params()
-
-    def run():
-        return evaluate_mcml_dt(bench_sequence, k, mcml_params)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    _RESULTS[("MCML+DT", k)] = result
-    record(
-        benchmark,
-        fe_comm=result.mean("fe_comm"),
-        nt_nodes=result.mean("nt_nodes"),
-        n_remote=result.mean("n_remote"),
-        imbalance_fe=result.mean("imbalance_fe"),
-        imbalance_search=result.mean("imbalance_search"),
+    params = MCMLDTParams(options=strong_options())
+    result = benchmark.pedantic(
+        evaluate_mcml_dt, (bench_sequence, k, params), rounds=1, iterations=1
     )
+    _TABLE.results["MCML+DT", k] = result
+    record(benchmark, fe_comm=result.mean("fe_comm"))
 
 
 @pytest.mark.parametrize("k", BENCH_KS)
 def test_table1_ml_rcb(benchmark, bench_sequence, k):
-    _, ml_params = _params()
-
-    def run():
-        return evaluate_ml_rcb(bench_sequence, k, ml_params)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    _RESULTS[("ML+RCB", k)] = result
-    record(
-        benchmark,
-        fe_comm=result.mean("fe_comm"),
-        n_remote=result.mean("n_remote"),
-        m2m_comm=result.mean("m2m_comm"),
-        upd_comm=result.mean("upd_comm"),
-        imbalance_fe=result.mean("imbalance_fe"),
+    params = MLRCBParams(options=strong_options())
+    result = benchmark.pedantic(
+        evaluate_ml_rcb, (bench_sequence, k, params), rounds=1, iterations=1
     )
+    _TABLE.results["ML+RCB", k] = result
+    record(benchmark, fe_comm=result.mean("fe_comm"))
 
 
-@pytest.mark.parametrize("k", BENCH_KS)
-def test_table1_shape_claims(benchmark, bench_sequence, k):
-    """Assert the paper's qualitative claims on the measured values
-    (runs after the two benches above populate the cache). The trivial
-    benchmark call keeps this assertion active under --benchmark-only.
-    """
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    mc = _RESULTS.get(("MCML+DT", k))
-    ml = _RESULTS.get(("ML+RCB", k))
-    if mc is None or ml is None:
+def test_table1_claims(capsys):
+    """Every §5.2 claim holds at paper scale (runs after the two
+    benches above fill the table, in the same session)."""
+    if len(_TABLE.results) < 2 * len(BENCH_KS):
         pytest.skip("table1 benches must run first (same session)")
-
-    # claim 1: raw FEComm favours ML+RCB (one constraint vs two)
-    assert ml.mean("fe_comm") <= mc.mean("fe_comm") * 1.10
-
-    # claim 2: with the 2×M2MComm round trip, ML+RCB needs more total
-    # FE-side communication than MCML+DT
-    assert ml.total_fe_side_comm() > mc.total_fe_side_comm()
-
-    # claim 3: NRemote comparable — within a small factor either way
-    assert mc.mean("n_remote") <= 2.5 * max(ml.mean("n_remote"), 1.0)
-
-    # claim 4: NTNodes and UpdComm are small next to FEComm
-    assert mc.mean("nt_nodes") < mc.mean("fe_comm")
-    assert ml.mean("upd_comm") < ml.mean("fe_comm")
-
-
-def test_table1_print(benchmark, bench_sequence, capsys):
-    """Emit the paper-layout table into the bench log."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if len(_RESULTS) < 2 * len(BENCH_KS):
-        pytest.skip("table1 benches must run first (same session)")
-    table = MetricTable(
-        title="Table 1 (reproduction) — averages over 100 snapshots",
-        columns=["FEComm", "NTNodes", "NRemote", "M2MComm", "UpdComm",
-                 "FE-side total"],
-    )
-    for k in BENCH_KS:
-        mc = _RESULTS[("MCML+DT", k)]
-        ml = _RESULTS[("ML+RCB", k)]
-        table.add_row(
-            f"{k}-way MCML+DT",
-            [mc.mean("fe_comm"), mc.mean("nt_nodes"), mc.mean("n_remote"),
-             0, 0, mc.total_fe_side_comm()],
-        )
-        table.add_row(
-            f"{k}-way ML+RCB",
-            [ml.mean("fe_comm"), 0, ml.mean("n_remote"),
-             ml.mean("m2m_comm"), ml.mean("upd_comm"),
-             ml.total_fe_side_comm()],
-        )
+    claims = _TABLE.claims()
     with capsys.disabled():
-        print()
-        print(table.render())
+        print("\n" + _TABLE.render())
+        print("\n".join(map(str, claims)))
+    assert all(c.held for c in claims), [str(c) for c in claims]

@@ -23,17 +23,8 @@ from repro.sim.sequence import simulate_impact
 BENCH_KS = (8, 25)
 
 
-def strong_options(seed: int = 0) -> PartitionOptions:
-    """Partitioner options for evaluation runs: more initial trials and
-    refinement passes than the test defaults (quality over speed, as a
-    production METIS run would)."""
-    return PartitionOptions(
-        seed=seed,
-        n_init_trials=12,
-        fm_passes=10,
-        kway_passes=16,
-        fm_neg_moves=120,
-    )
+#: evaluation-run partitioner options (quality over speed)
+strong_options = PartitionOptions.strong
 
 
 @pytest.fixture(scope="session")

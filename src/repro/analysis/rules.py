@@ -44,7 +44,6 @@ VALIDATION_CALLEES = frozenset(
 #: module → public functions that must validate their inputs (VAL001)
 ENTRY_POINTS: Dict[str, Tuple[str, ...]] = {
     "repro.partition.kway": ("partition_kway",),
-    "repro.partition.mlkway": ("multilevel_kway",),
     "repro.partition.recursive": ("recursive_bisection",),
     "repro.partition.multilevel": ("multilevel_bisection",),
     "repro.dtree.induction": ("induce_pure_tree", "induce_bounded_tree"),

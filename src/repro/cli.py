@@ -1,10 +1,11 @@
 """Command-line experiment runner.
 
-``repro-contact table1`` regenerates the paper's Table 1 on the
-synthetic sequence; ``repro-contact stages`` prints the Figure-3-style
-per-snapshot simulation statistics; ``repro-contact ablation-update``
-compares the §4.3 update strategies; ``repro-contact trace`` runs both
-algorithms under the phase tracer and prints/serializes the run report
+``repro-contact table1 --scale {default,paper,epic}`` regenerates the
+paper's Table 1 and prints the §5.2 claims as held / not held under it;
+``repro-contact stages`` prints the Figure-3-style per-snapshot
+simulation statistics; ``repro-contact ablation-update`` compares the
+§4.3 update strategies; ``repro-contact trace`` runs both algorithms
+under the phase tracer and prints/serializes the run report
 (``docs/OBSERVABILITY.md``); ``repro-contact lint`` runs the
 ``repro-lint`` static analyser (see ``docs/STATIC_ANALYSIS.md``);
 ``repro-contact serve`` launches the partitioning service (forwards to
@@ -28,11 +29,19 @@ machinery (``docs/FAULT_TOLERANCE.md``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
 
 from repro.sim.projectile import ImpactConfig
+
+#: ``table1 --scale`` presets: scene constructor and default k
+SCALES = {
+    "default": (ImpactConfig, (25, 100)),
+    "paper": (ImpactConfig.paper_scale, (8, 25)),
+    "epic": (ImpactConfig.epic_scale, (25, 100)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,11 +139,17 @@ def _build_parser() -> argparse.ArgumentParser:
     t1 = sub.add_parser("table1", help="regenerate Table 1")
     add_trace_json(t1)
     t1.add_argument(
+        "--scale",
+        choices=sorted(SCALES),
+        default="default",
+        help="scene preset and its k: default and epic 25 100, paper 8 25",
+    )
+    t1.add_argument(
         "--k",
         type=int,
         nargs="+",
-        default=[25, 100],
-        help="partition counts (paper: 25 100)",
+        default=None,
+        help="partition counts (default: the scale's)",
     )
 
     stages = sub.add_parser(
@@ -387,18 +402,31 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     tracer = Tracer() if args.trace_json else NULL_TRACER
 
-    config = ImpactConfig(n_steps=args.steps, refine=args.refine)
+    preset, scale_ks = SCALES[getattr(args, "scale", "default")]
+    config = dataclasses.replace(
+        preset(n_steps=args.steps), refine=args.refine
+    )
 
     # imports deferred so `--help` stays instant
+    from repro.core.mcml_dt import MCMLDTParams
+    from repro.partition.config import PartitionOptions
     from repro.sim.sequence import simulate_impact
+
+    params = MCMLDTParams(options=PartitionOptions(seed=args.seed))
 
     with tracer.span("simulate"):
         seq = simulate_impact(config, tracer=tracer)
 
     if args.command == "table1":
+        from repro.core.ml_rcb import MLRCBParams
         from repro.core.pipeline import table1
 
-        print(table1(seq, ks=args.k, tracer=tracer).render())
+        strong = PartitionOptions.strong(args.seed)
+        result = table1(seq, args.k or scale_ks, MCMLDTParams(options=strong),
+                        MLRCBParams(options=strong), tracer)
+        print(result.render())
+        print("\n§5.2 claims (margin: relative distance from the bound):",
+              *result.claims(), sep="\n")
     elif args.command == "stages":
         from repro.metrics.report import format_table
 
@@ -427,7 +455,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with tracer.span(strategy.value):
                 r = replay_sequence(
                     seq, args.k, strategy, period=args.period,
-                    tracer=tracer,
+                    params=params, tracer=tracer,
                 )
             rows[strategy.value] = [
                 round(r.mean_nt_nodes(), 1),
@@ -449,7 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.dtree.render import render_descriptors, render_tree
 
         snap = seq[min(args.snapshot, len(seq) - 1)]
-        pt = MCMLDTPartitioner(args.k)
+        pt = MCMLDTPartitioner(args.k, params)
         pt.fit(snap, tracer=tracer)
         coords = snap.mesh.nodes[snap.contact_nodes]
         labels = pt.part[snap.contact_nodes]

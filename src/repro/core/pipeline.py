@@ -9,8 +9,8 @@ metrics over the sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,18 +56,12 @@ class SequenceResult:
         trip of the mesh-to-mesh transfer (2 × M2MComm; §5.2)."""
         return self.mean("fe_comm") + 2.0 * self.mean("m2m_comm")
 
-    FIELDS = (
-        "step", "fe_comm", "nt_nodes", "n_remote", "m2m_comm",
-        "upd_comm", "imbalance_fe", "imbalance_search",
-    )
-
     def to_csv(self) -> str:
         """Per-step metrics as CSV text (for external plotting)."""
-        lines = [",".join(self.FIELDS)]
-        for s in self.steps:
-            lines.append(
-                ",".join(str(getattr(s, f)) for f in self.FIELDS)
-            )
+        names = [f.name for f in fields(StepMetrics)]
+        lines = [",".join(names)] + [
+            ",".join(str(getattr(s, n)) for n in names) for s in self.steps
+        ]
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path) -> None:
@@ -140,40 +134,117 @@ def evaluate_ml_rcb(
     return result
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One §5.2 shape claim checked on measured values. ``margin`` is
+    the relative distance from its threshold, negative when not held."""
+
+    text: str
+    held: bool
+    margin: float
+
+    def __str__(self) -> str:
+        verdict = "held" if self.held else "NOT HELD"
+        return f"  {verdict:<8}  {self.margin:+7.1%}  {self.text}"
+
+
+def _slack(value: float, bound: float) -> float:
+    """Relative distance of ``value`` below ``bound``."""
+    return (bound - value) / bound if bound else 0.0
+
+
+def _mean_max(result: SequenceResult, name: str) -> List[str]:
+    """Mean and max of an imbalance field, three decimals each."""
+    values = [getattr(s, name) for s in result.steps]
+    return [f"{np.mean(values):.3f}", f"{max(values):.3f}"]
+
+
+@dataclass
+class Table1:
+    """Table 1: the per-(algorithm, k) :class:`SequenceResult` runs,
+    rendered in the paper's layout and checked against §5.2."""
+
+    results: Dict[Tuple[str, int], SequenceResult] = field(
+        default_factory=dict)
+
+    def render(self) -> str:
+        """The paper's five columns, the FE-side total (FEComm +
+        2 × M2MComm) and each constraint's mean / max imbalance over
+        the sequence (0 where a column does not apply)."""
+        n = len(next(iter(self.results.values())).steps)
+        table = MetricTable(
+            f"Table 1 — averages over {n} snapshots",
+            ["FEComm", "NTNodes", "NRemote", "M2MComm", "UpdComm",
+             "FE-side total", "w1 imb mean", "w1 imb max", "w2 imb mean",
+             "w2 imb max"],
+        )
+        for k in dict.fromkeys(k for _, k in self.results):
+            mc, ml = self.results["MCML+DT", k], self.results["ML+RCB", k]
+            table.add_row(f"{k}-way MCML+DT", [
+                mc.mean("fe_comm"), mc.mean("nt_nodes"),
+                mc.mean("n_remote"), 0, 0, mc.total_fe_side_comm(),
+                *_mean_max(mc, "imbalance_fe"),
+                *_mean_max(mc, "imbalance_search"),
+            ])
+            table.add_row(f"{k}-way ML+RCB", [
+                ml.mean("fe_comm"), 0, ml.mean("n_remote"),
+                ml.mean("m2m_comm"), ml.mean("upd_comm"),
+                ml.total_fe_side_comm(), *_mean_max(ml, "imbalance_fe"),
+                0, 0,
+            ])
+        return table.render()
+
+    def claims(self) -> List[Claim]:
+        """The §5.2 shape claims at each k, plus the k-trend of the
+        FE-side ratio when there are several k."""
+        out, ratios = [], []
+        for k in dict.fromkeys(k for _, k in self.results):
+            mc, ml = self.results["MCML+DT", k], self.results["ML+RCB", k]
+            fe, ml_fe = mc.mean("fe_comm"), ml.mean("fe_comm")
+            tot, ml_tot = mc.total_fe_side_comm(), ml.total_fe_side_comm()
+            nrem = mc.mean("n_remote")
+            cap = 2.5 * max(ml.mean("n_remote"), 1.0)
+            nt, upd = mc.mean("nt_nodes"), ml.mean("upd_comm")
+            ratios.append(ml_tot / tot if tot else 0.0)
+            out += [
+                Claim(f"{k}-way raw FEComm: ML+RCB <= 1.10 x MCML+DT",
+                      ml_fe <= fe * 1.10, _slack(ml_fe, fe * 1.10)),
+                Claim(f"{k}-way FE-side total: ML+RCB > MCML+DT",
+                      ml_tot > tot, -_slack(ml_tot, tot)),
+                Claim(f"{k}-way NRemote: MCML+DT <= 2.5 x max(ML+RCB, 1)",
+                      nrem <= cap, _slack(nrem, cap)),
+                Claim(f"{k}-way NTNodes < FEComm and UpdComm < FEComm",
+                      nt < fe and upd < ml_fe,
+                      min(_slack(nt, fe), _slack(upd, ml_fe))),
+            ]
+        pairs = list(zip(ratios, ratios[1:]))
+        if pairs:
+            out.append(Claim(
+                "FE-side ratio ML+RCB / MCML+DT non-increasing in k "
+                "(within 10 %) and > 1 at the smallest k",
+                all(b <= a * 1.10 for a, b in pairs) and ratios[0] > 1.0,
+                min([_slack(b, a * 1.10) for a, b in pairs]
+                    + [-_slack(ratios[0], 1.0)]),
+            ))
+        return out
+
+
 def table1(
     seq: MeshSequence,
     ks: Sequence[int] = (25, 100),
     mcml_params: Optional[MCMLDTParams] = None,
     ml_params: Optional[MLRCBParams] = None,
     tracer: Optional[TracerBase] = None,
-) -> MetricTable:
-    """Regenerate Table 1: both algorithms at each ``k``, metrics
-    averaged over the sequence. A recording ``tracer`` groups each run
-    under ``mcml-dt`` / ``ml-rcb`` spans."""
-    table = MetricTable(
-        title="Table 1 — averages over the mesh sequence",
-        columns=[
-            "FEComm", "NTNodes", "NRemote", "M2MComm", "UpdComm",
-        ],
-    )
+) -> Table1:
+    """Regenerate Table 1: both algorithms at each ``k`` over ``seq``.
+    A recording ``tracer`` groups each run under ``mcml-dt`` /
+    ``ml-rcb`` spans."""
     tracer = ensure_tracer(tracer)
+    table = Table1()
     for k in ks:
         with tracer.span("mcml-dt"):
             mc = evaluate_mcml_dt(seq, k, mcml_params, tracer=tracer)
         with tracer.span("ml-rcb"):
             ml = evaluate_ml_rcb(seq, k, ml_params, tracer=tracer)
-        table.add_row(
-            f"{k}-way MCML+DT",
-            [
-                mc.mean("fe_comm"), mc.mean("nt_nodes"),
-                mc.mean("n_remote"), 0, 0,
-            ],
-        )
-        table.add_row(
-            f"{k}-way ML+RCB",
-            [
-                ml.mean("fe_comm"), 0, ml.mean("n_remote"),
-                ml.mean("m2m_comm"), ml.mean("upd_comm"),
-            ],
-        )
+        table.results.update({("MCML+DT", k): mc, ("ML+RCB", k): ml})
     return table

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-Number = Union[int, float]
+Number = Union[int, float, str]  # str cells render verbatim
 
 
 @dataclass
@@ -31,6 +31,8 @@ class MetricTable:
 
 
 def _fmt(v: Number) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, float) and not v.is_integer():
         return f"{v:,.1f}"
     return f"{int(v):,}"

@@ -7,8 +7,7 @@ relies on:
 * greedy-graph-growing initial bisection,
 * Fiduccia–Mattheyses boundary refinement with multi-constraint
   balance handling (bisection and k-way variants),
-* k-way partitioning by recursive bisection with proportional targets
-  (the default driver) or by a direct multilevel k-way V-cycle,
+* k-way partitioning by recursive bisection with proportional targets,
 * greedy multi-constraint k-way refinement (also used standalone to
   rebalance the collapsed leaf graph ``G'`` in the paper's §4.2),
 * fragment absorption (METIS's connected-components cleanup),
@@ -20,7 +19,6 @@ from repro.partition.config import PartitionOptions
 from repro.partition.fragments import absorb_fragments, count_fragments
 from repro.partition.geometric import geometric_seed_partition
 from repro.partition.kway import partition_kway
-from repro.partition.mlkway import multilevel_kway
 from repro.partition.multilevel import multilevel_bisection
 from repro.partition.recursive import recursive_bisection
 from repro.partition.refine_kway import greedy_kway_refine, rebalance_kway
@@ -33,7 +31,6 @@ __all__ = [
     "count_fragments",
     "geometric_seed_partition",
     "partition_kway",
-    "multilevel_kway",
     "multilevel_bisection",
     "recursive_bisection",
     "greedy_kway_refine",

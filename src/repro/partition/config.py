@@ -7,8 +7,7 @@ and a bounded number of refinement passes per level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.utils.rng import SeedLike
 
@@ -25,8 +24,6 @@ class PartitionOptions:
         ``ubfactor * (total/k)`` where feasible.
     coarsen_to:
         Stop coarsening when the graph has at most this many vertices.
-        Bisection uses it as given; the direct k-way driver
-        (:mod:`repro.partition.mlkway`) raises it to at least ``18 * k``.
     min_coarsen_ratio:
         Abort coarsening early when a level shrinks the vertex count by
         less than this factor (matching has stalled, e.g. on dense or
@@ -69,3 +66,10 @@ class PartitionOptions:
         for name in ("n_init_trials", "fm_passes", "kway_passes", "matching_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+
+    @classmethod
+    def strong(cls, seed: SeedLike = 0) -> "PartitionOptions":
+        """Evaluation-run options (Table 1, the benches): quality over
+        speed, with more initial trials and refinement passes."""
+        return cls(seed=seed, n_init_trials=12, fm_passes=10,
+                   kway_passes=16, fm_neg_moves=120)

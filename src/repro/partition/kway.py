@@ -43,13 +43,12 @@ def partition_kway(
     the edge cut — i.e. single-constraint partitioning when ``ncon==1``
     and multi-constraint partitioning (paper §2/[16]) otherwise.
     """
+    check_csr_arrays(graph)
+    n = len(graph.xadj) - 1
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > max(1, graph.num_vertices):
-        raise ValueError(
-            f"k={k} exceeds number of vertices {graph.num_vertices}"
-        )
-    check_csr_arrays(graph)
+    if k > max(1, n):
+        raise ValueError(f"k={k} exceeds number of vertices {n}")
     options = options or PartitionOptions()
     tracer = ensure_tracer(tracer)
     part = recursive_bisection(graph, k, options, tracer=tracer)

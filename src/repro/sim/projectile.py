@@ -102,8 +102,8 @@ class ImpactConfig:
         this scale takes 13 s at k = 25 and 26 s at k = 100 on a
         2-vCPU box (one unpaired probe each, ROADMAP after PR 20), so
         the paper's own Table 1 is a matter of minutes
-        (``examples/projectile_impact.py --epic``); ``paper_scale``
-        stays the routine evaluation scene.
+        (``repro-contact table1 --scale epic``); ``paper_scale`` stays
+        the routine evaluation scene.
         """
         return cls(
             n_steps=n_steps,

@@ -8,11 +8,14 @@ from repro.core.ml_rcb import MLRCBParams
 from repro.core.pipeline import (
     SequenceResult,
     StepMetrics,
+    Table1,
     evaluate_mcml_dt,
     evaluate_ml_rcb,
     table1,
 )
 from repro.partition.config import PartitionOptions
+from repro.sim.projectile import ImpactConfig
+from repro.sim.sequence import simulate_impact
 
 K = 4
 
@@ -86,6 +89,98 @@ class TestTable1:
             "4-way MCML+DT", "4-way ML+RCB",
         ):
             assert row in out
+        assert "FE-side total" in out and "w1 imb mean" in out
+        assert list(t.results) == [
+            ("MCML+DT", 2), ("ML+RCB", 2), ("MCML+DT", 4), ("ML+RCB", 4),
+        ]
+
+
+def _run(algorithm, k, **means):
+    """A one-step SequenceResult whose means are ``means``."""
+    return SequenceResult(
+        algorithm=algorithm, k=k, steps=[StepMetrics(step=0, **means)]
+    )
+
+
+def _hand_table(ml_m2m):
+    """One k = 8 pair: MCML+DT FEComm 1000; ML+RCB FEComm 600, so its
+    FE-side total is 600 + 2 × ``ml_m2m``."""
+    return Table1({
+        ("MCML+DT", 8): _run(
+            "MCML+DT", 8, fe_comm=1000, nt_nodes=50, n_remote=200,
+            imbalance_fe=1.04, imbalance_search=1.2,
+        ),
+        ("ML+RCB", 8): _run(
+            "ML+RCB", 8, fe_comm=600, n_remote=100, m2m_comm=ml_m2m,
+            upd_comm=10, imbalance_fe=1.05,
+        ),
+    })
+
+
+class TestClaims:
+    def test_all_held(self):
+        claims = _hand_table(ml_m2m=300).claims()
+        assert len(claims) == 4  # one k: no trend claim
+        assert all(c.held for c in claims)
+        fe_side = claims[1]
+        assert "FE-side total" in fe_side.text
+        assert fe_side.margin == pytest.approx(0.2)  # 1200 vs 1000
+        assert "held" in str(fe_side) and "+20.0%" in str(fe_side)
+
+    def test_total_not_above_is_not_held(self):
+        """ML+RCB's FE-side total equal to MCML+DT's (600 + 2 × 200 =
+        1000): the headline claim is not held, at margin 0."""
+        claims = _hand_table(ml_m2m=200).claims()
+        verdicts = {c.text: c.held for c in claims}
+        assert verdicts == {
+            "8-way raw FEComm: ML+RCB <= 1.10 x MCML+DT": True,
+            "8-way FE-side total: ML+RCB > MCML+DT": False,
+            "8-way NRemote: MCML+DT <= 2.5 x max(ML+RCB, 1)": True,
+            "8-way NTNodes < FEComm and UpdComm < FEComm": True,
+        }
+        assert claims[1].margin == 0.0
+        assert "NOT HELD" in str(claims[1])
+
+    def test_trend_claim_over_several_k(self):
+        t = _hand_table(ml_m2m=300)
+        wide = _hand_table(ml_m2m=400)  # ratio 1.40 > 1.20 × 1.10
+        t.results.update({
+            (alg, 16): SequenceResult(alg, 16, r.steps)
+            for (alg, _), r in wide.results.items()
+        })
+        trend = t.claims()[-1]
+        assert "non-increasing" in trend.text
+        assert not trend.held
+        assert trend.margin == pytest.approx(1 - 1.40 / (1.20 * 1.10))
+
+    def test_render_imbalance_columns(self):
+        out = _hand_table(ml_m2m=300).render()
+        assert "averages over 1 snapshots" in out
+        assert "1.040" in out and "1.200" in out and "1.050" in out
+
+
+@pytest.fixture(scope="module")
+def claims_scene():
+    return simulate_impact(ImpactConfig(n_steps=10))
+
+
+@pytest.mark.parametrize(
+    "seed, fe_side_margins", [(0, (0.042, 0.006)), (1, (0.235, 0.076))]
+)
+def test_claims_pinned_on_two_seeds(claims_scene, seed, fe_side_margins):
+    """§5.2 verdicts on a scene that runs in about two seconds per seed
+    (strong options, k = 4 and 8). Every claim holds today; the 8-way
+    headline margin at seed 0 is +0.6 %, so a change that costs
+    MCML+DT a little FE-side communication flips this test."""
+    strong = PartitionOptions.strong(seed)
+    claims = table1(
+        claims_scene, ks=(4, 8),
+        mcml_params=MCMLDTParams(options=strong),
+        ml_params=MLRCBParams(options=strong),
+    ).claims()
+    assert [c.held for c in claims] == [True] * 9
+    fe_side = [c.margin for c in claims if "FE-side total" in c.text]
+    assert fe_side == pytest.approx(fe_side_margins, abs=0.001)
 
 
 class TestSequenceResult:

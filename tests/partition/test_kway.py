@@ -1,5 +1,7 @@
 """Tests for recursive bisection and the k-way entry point."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,18 @@ class TestPartitionKway:
         g = grid_graph(2, 2)
         with pytest.raises(ValueError, match="exceeds"):
             partition_kway(g, 5)
+
+    def test_malformed_graph_object_gets_value_error(self):
+        """Duck-typed input is checked before any attribute is read: a
+        namespace without ``num_vertices`` and with offsets that run
+        past ``adjncy`` gets the CSR check's error, not AttributeError."""
+        g = grid_graph(3, 3)
+        bad = types.SimpleNamespace(
+            xadj=g.xadj.copy(), adjncy=g.adjncy[:-2].copy(),
+            adjwgt=g.adjwgt[:-2].copy(), vwgts=g.vwgts,
+        )
+        with pytest.raises(ValueError, match="xadj"):
+            partition_kway(bad, 2)
 
     def test_k_equals_n(self):
         g = grid_graph(2, 2)

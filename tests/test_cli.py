@@ -59,6 +59,44 @@ class TestCli:
         assert "Figure-1 style" in out
         assert "Decision tree" in out
 
+    def test_table1_prints_the_claims(self, capsys):
+        assert main(
+            ["--steps", "3", "--refine", "0.5", "table1", "--k", "2", "4"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "FE-side total" in out and "w2 imb max" in out
+        assert "§5.2 claims" in out
+        assert "FE-side ratio ML+RCB / MCML+DT non-increasing" in out
+
+    def test_scale_is_a_choice(self):
+        with pytest.raises(SystemExit):
+            main(["table1", "--scale", "huge"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["table1", "--k", "4"],
+            ["ablation-update", "--k", "4", "--period", "2"],
+            ["figure1", "--k", "4"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_seed_reaches_the_partitioner(
+        self, command, tmp_path, capsys
+    ):
+        """``--seed`` used to reach only ``trace``: every other command
+        ran seed 0 while its run report recorded the seed asked for."""
+        outputs = []
+        path = tmp_path / "run.json"  # same path: same "trace written"
+        for seed in (0, 1):
+            assert main(
+                ["--seed", str(seed), "--steps", "3", "--refine", "0.5",
+                 *command, "--trace-json", str(path)]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+            assert RunReport.load(path).meta["seed"] == seed
+        assert outputs[0] != outputs[1]
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main(["--steps", "3"])

@@ -27,7 +27,6 @@ def test_examples_present():
     names = {p.name for p in EXAMPLES}
     assert {
         "quickstart.py",
-        "projectile_impact.py",
         "crash_box.py",
         "partitioner_tour.py",
         "figure1_descriptors.py",
