@@ -1,6 +1,7 @@
 """Ablation: the §4.3 update strategies over a running simulation.
 
-Replays the sequence under descriptor-only updates, per-step
+Runs the sequence through ``evaluate_mcml_dt`` — the contact-step
+driver Table 1 uses — under descriptor-only updates, per-step
 multi-constraint repartitioning, and the hybrid scheme, recording mean
 descriptor-tree size, worst balance drift, and total vertices
 redistributed — the three quantities whose trade-off motivates the
@@ -12,11 +13,31 @@ from __future__ import annotations
 import pytest
 
 from repro.core.mcml_dt import MCMLDTParams
-from repro.core.update import UpdateStrategy, replay_sequence
+from repro.core.pipeline import SequenceResult, evaluate_mcml_dt
+from repro.core.update import UpdateStrategy
 
 from .conftest import record, strong_options
 
 K = 8
+
+
+def _summary(result: SequenceResult) -> dict:
+    """Mean NTNodes, worst imbalance of either constraint, and the
+    vertices redistributed over the run."""
+    return {
+        "mean_nt_nodes": result.mean("nt_nodes"),
+        "max_imbalance": max(
+            max(s.imbalance_fe, s.imbalance_search) for s in result.steps
+        ),
+        "total_moved": sum(s.n_moved for s in result.steps),
+    }
+
+
+def _run(sequence, strategy: UpdateStrategy, period: int = 10) -> dict:
+    params = MCMLDTParams(options=strong_options())
+    return _summary(evaluate_mcml_dt(
+        sequence, K, params, strategy=strategy, period=period
+    ))
 
 
 @pytest.mark.parametrize(
@@ -29,20 +50,11 @@ K = 8
     ids=lambda s: s.value,
 )
 def test_update_strategy(benchmark, short_sequence, strategy):
-    params = MCMLDTParams(options=strong_options())
-
-    def run():
-        return replay_sequence(
-            short_sequence, K, strategy, period=8, params=params
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(
-        benchmark,
-        mean_nt_nodes=result.mean_nt_nodes(),
-        max_imbalance=result.max_imbalance(),
-        total_moved=result.total_moved(),
+    result = benchmark.pedantic(
+        lambda: _run(short_sequence, strategy, period=8),
+        rounds=1, iterations=1,
     )
+    record(benchmark, **result)
 
 
 def test_update_tradeoff_shape(benchmark, short_sequence):
@@ -50,24 +62,17 @@ def test_update_tradeoff_shape(benchmark, short_sequence):
     imbalance drift at least as tightly; hybrid must move less than
     per-step repartitioning."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    params = MCMLDTParams(options=strong_options())
-    fixed = replay_sequence(
-        short_sequence, K, UpdateStrategy.DESCRIPTOR_ONLY, params=params
-    )
-    repart = replay_sequence(
-        short_sequence, K, UpdateStrategy.REPARTITION, params=params
-    )
-    hybrid = replay_sequence(
-        short_sequence, K, UpdateStrategy.HYBRID, period=8, params=params
-    )
+    fixed = _run(short_sequence, UpdateStrategy.DESCRIPTOR_ONLY)
+    repart = _run(short_sequence, UpdateStrategy.REPARTITION)
+    hybrid = _run(short_sequence, UpdateStrategy.HYBRID, period=8)
     record(
         benchmark,
-        fixed_imb=fixed.max_imbalance(),
-        repart_imb=repart.max_imbalance(),
-        hybrid_imb=hybrid.max_imbalance(),
-        repart_moved=repart.total_moved(),
-        hybrid_moved=hybrid.total_moved(),
+        fixed_imb=fixed["max_imbalance"],
+        repart_imb=repart["max_imbalance"],
+        hybrid_imb=hybrid["max_imbalance"],
+        repart_moved=repart["total_moved"],
+        hybrid_moved=hybrid["total_moved"],
     )
-    assert fixed.total_moved() == 0
-    assert repart.max_imbalance() <= fixed.max_imbalance() + 0.05
-    assert hybrid.total_moved() <= repart.total_moved()
+    assert fixed["total_moved"] == 0
+    assert repart["max_imbalance"] <= fixed["max_imbalance"] + 0.05
+    assert hybrid["total_moved"] <= repart["total_moved"]

@@ -32,7 +32,7 @@ from repro.core import (
     evaluate_ml_rcb,
     table1,
 )
-from repro.core.update import UpdateStrategy, replay_sequence
+from repro.core.update import UpdateStrategy
 from repro.dtree import induce_bounded_tree, induce_pure_tree
 from repro.graph import CSRGraph
 from repro.mesh import Mesh, nodal_graph
@@ -55,7 +55,6 @@ __all__ = [
     "evaluate_ml_rcb",
     "table1",
     "UpdateStrategy",
-    "replay_sequence",
     "induce_bounded_tree",
     "induce_pure_tree",
     "CSRGraph",

@@ -44,6 +44,21 @@ SCALES = {
 }
 
 
+def _at_least(low: int):
+    """An argparse ``type``: an integer ``>= low``."""
+
+    def integer(text: str) -> int:  # argparse names errors after it
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+_positive = _at_least(1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-contact",
@@ -53,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--steps", type=int, default=100, help="snapshots to simulate"
+        "--steps", type=_positive, default=100, help="snapshots to simulate"
     )
     parser.add_argument(
         "--refine",
@@ -146,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     t1.add_argument(
         "--k",
-        type=int,
+        type=_positive,
         nargs="+",
         default=None,
         help="partition counts (default: the scale's)",
@@ -160,15 +175,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ab = sub.add_parser(
         "ablation-update", help="compare the §4.3 update strategies"
     )
-    ab.add_argument("--k", type=int, default=16)
-    ab.add_argument("--period", type=int, default=10)
+    ab.add_argument("--k", type=_positive, default=16)
+    ab.add_argument("--period", type=_positive, default=10)
     add_trace_json(ab)
 
     fig = sub.add_parser(
         "figure1", help="render a snapshot's descriptors in the terminal"
     )
-    fig.add_argument("--k", type=int, default=4)
-    fig.add_argument("--snapshot", type=int, default=0)
+    fig.add_argument("--k", type=_positive, default=4)
+    fig.add_argument("--snapshot", type=_at_least(0), default=0)
     add_trace_json(fig)
 
     tr = sub.add_parser(
@@ -187,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "the synthetic impact sequence"
         ),
     )
-    tr.add_argument("--k", type=int, default=8, help="partition count")
+    tr.add_argument("--k", type=_positive, default=8, help="partition count")
     tr.add_argument(
         "--trace-steps",
         type=int,
@@ -268,7 +283,9 @@ def _snapshot_from_mesh_file(path: str):
 def _run_trace(args: argparse.Namespace) -> int:
     """The ``trace`` subcommand: both algorithms, one report."""
     from repro.core.driver import ContactStepDriver
-    from repro.core.ml_rcb import MLRCBPartitioner
+    from repro.core.mcml_dt import MCMLDTParams
+    from repro.core.ml_rcb import MLRCBParams
+    from repro.core.pipeline import evaluate_ml_rcb
     from repro.obs import RunReport, Tracer
     from repro.partition.config import PartitionOptions
     from repro.sim.sequence import simulate_impact
@@ -291,8 +308,6 @@ def _run_trace(args: argparse.Namespace) -> int:
         source = "synthetic-impact"
 
     params_options = PartitionOptions(seed=args.seed)
-    from repro.core.mcml_dt import MCMLDTParams
-    from repro.core.ml_rcb import MLRCBParams
 
     with tracer.span("mcml-dt"):
         driver = ContactStepDriver(
@@ -300,21 +315,14 @@ def _run_trace(args: argparse.Namespace) -> int:
             params=MCMLDTParams(options=params_options),
             tracer=tracer,
         )
-        driver.initialize(snapshots[0])
-        for snapshot in snapshots:
-            driver.step(snapshot)
+        driver.run(snapshots)
 
     if not args.no_baseline:
         with tracer.span("ml-rcb"):
-            baseline = MLRCBPartitioner(
-                args.k, params=MLRCBParams(options=params_options)
+            evaluate_ml_rcb(
+                snapshots, args.k, MLRCBParams(options=params_options),
+                tracer=tracer,
             )
-            baseline.fit(snapshots[0], tracer=tracer)
-            for snapshot in snapshots:
-                if snapshot.step > 0:
-                    baseline.update(snapshot, tracer=tracer)
-                baseline.m2m_comm_now(tracer=tracer)
-                baseline.search_plan(snapshot, tracer=tracer)
 
     report = RunReport.from_run(
         tracer,
@@ -447,20 +455,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         )
     elif args.command == "ablation-update":
-        from repro.core.update import UpdateStrategy, replay_sequence
+        from repro.core.pipeline import evaluate_mcml_dt
+        from repro.core.update import UpdateStrategy
         from repro.metrics.report import format_table
 
         rows = {}
         for strategy in UpdateStrategy:
             with tracer.span(strategy.value):
-                r = replay_sequence(
-                    seq, args.k, strategy, period=args.period,
-                    params=params, tracer=tracer,
+                r = evaluate_mcml_dt(
+                    seq, args.k, params, tracer,
+                    strategy=strategy, period=args.period,
                 )
+            worst = max(
+                max(s.imbalance_fe, s.imbalance_search) for s in r.steps
+            )
             rows[strategy.value] = [
-                round(r.mean_nt_nodes(), 1),
-                round(r.max_imbalance(), 3),
-                r.total_moved(),
+                r.mean("nt_nodes"),
+                f"{worst:.3f}",
+                sum(s.n_moved for s in r.steps),
             ]
         print(
             format_table(

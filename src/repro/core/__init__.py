@@ -35,7 +35,7 @@ from repro.core.local_search import (
     resolve_candidates,
 )
 from repro.core.driver import ContactStepDriver, RecoveryPolicy, StepResult
-from repro.core.update import UpdateStrategy, replay_sequence
+from repro.core.update import UpdateStrategy
 from repro.core.pipeline import (
     SequenceResult,
     StepMetrics,
@@ -66,7 +66,6 @@ __all__ = [
     "RecoveryPolicy",
     "StepResult",
     "UpdateStrategy",
-    "replay_sequence",
     "SequenceResult",
     "StepMetrics",
     "evaluate_mcml_dt",

@@ -276,7 +276,8 @@ class ContactStepDriver:
 
     # ------------------------------------------------------------------
     def run(self, snapshots) -> List[StepResult]:
-        """Initialize on the first snapshot and step through the rest."""
+        """Initialize on the first snapshot, then step every snapshot,
+        the first included (its step measures the fitted partition)."""
         snapshots = list(snapshots)
         if not snapshots:
             raise ValueError("need at least one snapshot")

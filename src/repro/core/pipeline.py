@@ -4,7 +4,9 @@ Replays a snapshot sequence under each algorithm with the paper's
 protocol — partition computed once on the first snapshot, kept fixed;
 per step MCML+DT re-induces its descriptor tree while ML+RCB
 incrementally re-fits its RCB decomposition — and averages the §5.1
-metrics over the sequence.
+metrics over the sequence. MCML+DT steps through
+:class:`~repro.core.driver.ContactStepDriver`, whose §4.3 update policy
+also gives the update-strategy ablation its rows.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
+from repro.core.driver import ContactStepDriver
+from repro.core.mcml_dt import MCMLDTParams
 from repro.core.ml_rcb import MLRCBParams, MLRCBPartitioner
-from repro.core.weights import build_contact_graph
-from repro.graph.metrics import load_imbalance
-from repro.metrics.comm import fe_comm
+from repro.core.update import UpdateStrategy
+from repro.core.weights import ContactGraphBuilder
 from repro.metrics.report import MetricTable
 from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.sim.sequence import MeshSequence
@@ -36,6 +38,7 @@ class StepMetrics:
     upd_comm: int = 0
     imbalance_fe: float = 1.0
     imbalance_search: float = 1.0
+    n_moved: int = 0  # vertices redistributed by a §4.3 repartition
 
 
 @dataclass
@@ -76,30 +79,30 @@ def evaluate_mcml_dt(
     k: int,
     params: Optional[MCMLDTParams] = None,
     tracer: Optional[TracerBase] = None,
+    strategy: UpdateStrategy = UpdateStrategy.DESCRIPTOR_ONLY,
+    period: int = 10,
 ) -> SequenceResult:
-    """Run MCML+DT over ``seq`` with a fixed partition and per-step
-    descriptor re-induction (the paper's §5 protocol)."""
-    params = params or MCMLDTParams()
-    tracer = ensure_tracer(tracer)
-    pt = MCMLDTPartitioner(k, params)
-    pt.fit(seq[0], tracer=tracer)
-    result = SequenceResult(algorithm="MCML+DT", k=k)
-    for snapshot in seq:
-        graph = build_contact_graph(snapshot, params.contact_edge_weight)
-        tree, _ = pt.build_descriptors(snapshot, tracer=tracer)
-        plan = pt.search_plan(snapshot, tree, tracer=tracer)
-        imb = load_imbalance(graph, pt.part, k)
-        result.steps.append(
-            StepMetrics(
-                step=snapshot.step,
-                fe_comm=fe_comm(graph, pt.part),
-                nt_nodes=tree.n_nodes,
-                n_remote=plan.n_remote,
-                imbalance_fe=float(imb[0]),
-                imbalance_search=float(imb[1]),
-            )
+    """Run MCML+DT over ``seq`` through :class:`ContactStepDriver`:
+    fit on the first snapshot, then one driver step per snapshot, the
+    first included. The default strategy keeps the partition fixed and
+    re-induces the descriptors each step (the paper's §5 protocol);
+    ``strategy`` / ``period`` select the other §4.3 update policies."""
+    driver = ContactStepDriver(
+        k, params, strategy=strategy, repartition_period=period,
+        resolve_local=False, tracer=tracer,
+    )
+    return SequenceResult(algorithm="MCML+DT", k=k, steps=[
+        StepMetrics(
+            step=r.step,
+            fe_comm=r.fe_comm,
+            nt_nodes=r.nt_nodes,
+            n_remote=r.n_remote,
+            imbalance_fe=float(r.imbalance[0]),
+            imbalance_search=float(r.imbalance[1]),
+            n_moved=r.n_moved,
         )
-    return result
+        for r in driver.run(seq)
+    ])
 
 
 def evaluate_ml_rcb(
@@ -109,22 +112,25 @@ def evaluate_ml_rcb(
     tracer: Optional[TracerBase] = None,
 ) -> SequenceResult:
     """Run ML+RCB over ``seq``: fixed graph partition, incremental RCB
-    updates, bbox-filter search."""
+    updates, bbox-filter search. FEComm and imbalance are measured on
+    the contact graph, carried across snapshots by a
+    :class:`ContactGraphBuilder`."""
     params = params or MLRCBParams()
     tracer = ensure_tracer(tracer)
     pt = MLRCBPartitioner(k, params)
     pt.fit(seq[0], tracer=tracer)
+    graphs = ContactGraphBuilder()
     result = SequenceResult(algorithm="ML+RCB", k=k)
     for snapshot in seq:
         if snapshot.step > 0:
             pt.update(snapshot, tracer=tracer)
-        graph = build_contact_graph(snapshot)
+        graphs.build(snapshot)
         plan = pt.search_plan(snapshot, tracer=tracer)
-        imb = load_imbalance(graph, pt.part_fe, k)
+        comm, imb = graphs.measure(pt.part_fe, k)
         result.steps.append(
             StepMetrics(
                 step=snapshot.step,
-                fe_comm=fe_comm(graph, pt.part_fe),
+                fe_comm=comm,
                 n_remote=plan.n_remote,
                 m2m_comm=pt.m2m_comm_now(tracer=tracer),
                 upd_comm=pt.last_upd_comm,

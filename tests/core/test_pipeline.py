@@ -16,6 +16,7 @@ from repro.core.pipeline import (
 from repro.partition.config import PartitionOptions
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
+from tests.core import reference_sequence
 
 K = 4
 
@@ -74,6 +75,15 @@ class TestEvaluateMlRcb:
         assert ml.total_fe_side_comm() > mc.total_fe_side_comm() * 0.8
         # strict inequality is scene-dependent at tiny scale; the
         # benchmark asserts it at evaluation scale
+
+
+def test_ml_rcb_matches_the_from_scratch_loop(mid_sequence):
+    """The carried contact graph measures what a graph built from
+    scratch every step measured, through erosion."""
+    params = MLRCBParams(options=PartitionOptions(seed=0))
+    new = evaluate_ml_rcb(mid_sequence, K, params)
+    old = reference_sequence.evaluate_ml_rcb(mid_sequence, K, params)
+    assert new.steps == old.steps
 
 
 class TestTable1:

@@ -1,6 +1,7 @@
 """Tests for the CLI entry point."""
 
 import json
+import re
 
 import pytest
 
@@ -47,9 +48,17 @@ class TestCli:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "descriptor-only" in out
-        assert "repartition" in out
-        assert "hybrid" in out
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in out.splitlines()
+            if line.startswith(("descriptor-only", "repartition", "hybrid"))
+        }
+        assert list(rows) == ["descriptor-only", "repartition", "hybrid"]
+        # max imbalance: three decimals, or 1.05 and 1.12 both print 1.1
+        for _, imbalance, moved in rows.values():
+            assert re.fullmatch(r"\d+\.\d{3}", imbalance)
+            assert moved.isdigit()
+        assert rows["descriptor-only"][2] == "0"
 
     def test_figure1(self, capsys):
         assert main(
@@ -96,6 +105,29 @@ class TestCli:
             outputs.append(capsys.readouterr().out)
             assert RunReport.load(path).meta["seed"] == seed
         assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["ablation-update", "--period", "0"], "--period"),
+            (["table1", "--k", "0"], "--k"),
+            (["ablation-update", "--k", "0"], "--k"),
+            (["figure1", "--k", "0"], "--k"),
+            (["--steps", "0", "stages"], "--steps"),
+            (["figure1", "--snapshot", "-1"], "--snapshot"),
+        ],
+        ids=["period-0", "table1-k-0", "ablation-k-0", "figure1-k-0",
+             "steps-0", "snapshot-negative"],
+    )
+    def test_bad_numbers_are_usage_errors(self, argv, option, capsys):
+        """Out-of-range counts used to end in a ValueError traceback
+        (and ``--snapshot -1`` silently drew the last snapshot)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: must be >= " in err
+        assert "Traceback" not in err
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
