@@ -173,8 +173,19 @@ class MLRCBPartitioner:
     ) -> SearchPlan:
         """Bounding-box-filtered global search plan; elements are owned
         by their (majority) RCB partition, the decomposition that
-        performs the search phase."""
+        performs the search phase.
+
+        The RCB labels belong to the snapshot of the last
+        :meth:`fit`/:meth:`update`; a snapshot with other contact nodes
+        raises :class:`ValueError` — call ``update(snapshot)`` first.
+        """
         self._check_fitted()
+        if not np.array_equal(snapshot.contact_nodes, self.contact_ids):
+            raise ValueError(
+                "snapshot's contact nodes differ from the RCB "
+                "decomposition's; call update(snapshot) before "
+                "search_plan(snapshot)"
+            )
         tracer = ensure_tracer(tracer)
         with tracer.span("search-plan"):
             faces = snapshot.contact_faces

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.dtree.tree import DecisionTree
 from repro.geometry.boxsearch import SearchPlan
+from repro.utils.validation import check_labels
 
 
 def _node_arrays(tree: DecisionTree) -> Tuple[np.ndarray, ...]:
@@ -120,11 +121,15 @@ def tree_filter_search(
     whose points they contain — approximated here by their majority
     label plus a "send to everyone touching" flag would overcount, so
     we store per-leaf label and mark impure leaves as wildcards.
+    Owners outside ``[0, k)`` raise :class:`ValueError`.
     """
     element_boxes = np.asarray(element_boxes, dtype=float)
-    element_owner = np.asarray(element_owner, dtype=np.int64)
-    if len(element_boxes) != len(element_owner):
-        raise ValueError("element_boxes and element_owner lengths differ")
+    element_owner = check_labels(
+        "element_owner",
+        np.asarray(element_owner, dtype=np.int64),
+        k,
+        size=len(element_boxes),
+    )
 
     _, _, _, _, labels, pure = _node_arrays(tree)
     b_idx, leaf_idx = box_query_pairs(tree, element_boxes)

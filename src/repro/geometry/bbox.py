@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.arrays import group_by_label
+from repro.utils.arrays import counts_per_label
 from repro.utils.validation import check_array
 
 
@@ -29,17 +29,23 @@ def bboxes_of_groups(
 
     Empty groups get inverted boxes (``lo = +inf, hi = -inf``) which
     intersect nothing — exactly the behaviour a subdomain with no
-    contact points should have in the global-search filter.
+    contact points should have in the global-search filter. One stable
+    sort makes every present group a contiguous run, which
+    ``np.minimum.reduceat`` / ``np.maximum.reduceat`` bound in one call
+    each. Labels outside ``[0, n_groups)`` raise :class:`ValueError`.
     """
     points = np.asarray(points, dtype=float)
+    counts = counts_per_label(labels, n_groups)
     d = points.shape[1]
     out = np.empty((n_groups, 2, d), dtype=np.float64)
     out[:, 0] = np.inf
     out[:, 1] = -np.inf
-    for g, idx in enumerate(group_by_label(labels, n_groups)):
-        if len(idx):
-            out[g, 0] = points[idx].min(axis=0)
-            out[g, 1] = points[idx].max(axis=0)
+    present = np.flatnonzero(counts)
+    if len(present):
+        grouped = points[np.argsort(labels, kind="stable")]
+        starts = (np.cumsum(counts) - counts)[present]
+        out[present, 0] = np.minimum.reduceat(grouped, starts, axis=0)
+        out[present, 1] = np.maximum.reduceat(grouped, starts, axis=0)
     return out
 
 
@@ -60,17 +66,30 @@ def element_bboxes(points: np.ndarray, connectivity: np.ndarray) -> np.ndarray:
 def bboxes_intersect_matrix(
     boxes_a: np.ndarray, boxes_b: np.ndarray, pad: float = 0.0
 ) -> np.ndarray:
-    """Pairwise intersection tests: ``bool[mA, mB]``.
+    """Pairwise intersection tests: C-contiguous ``bool[mA, mB]``.
 
     ``pad`` inflates the B boxes symmetrically — used to model a
-    contact-detection capture distance. O(mA·mB·d) vectorised; callers
-    keep one side small (k subdomains).
+    contact-detection capture distance. Two boxes meet when, in every
+    dimension, ``a_lo <= b_hi + pad`` and ``a_hi >= b_lo - pad``. The
+    A boxes are read coordinate-major — one contiguous row of ``mA``
+    values per (side, dimension) — so each of the ``2·d`` comparisons
+    is one long broadcast of an ``mA`` row against a column of ``mB``
+    padded bounds, ``&=``-ed into a ``(mB, mA)`` mask. No temporary
+    carries a trailing coordinate axis to reduce over; the arithmetic
+    per (pair, dimension) is exactly the loop form's, so the result is
+    bit-identical to it. Callers keep one side small (k subdomains).
     """
     a = np.asarray(boxes_a, dtype=float)
     b = np.asarray(boxes_b, dtype=float)
-    lo_ok = a[:, None, 0, :] <= b[None, :, 1, :] + pad
-    hi_ok = a[:, None, 1, :] >= b[None, :, 0, :] - pad
-    return (lo_ok & hi_ok).all(axis=2)
+    a_lo = np.ascontiguousarray(a[:, 0].T)
+    a_hi = np.ascontiguousarray(a[:, 1].T)
+    b_hi = (b[:, 1] + pad).T[:, :, None]
+    b_lo = (b[:, 0] - pad).T[:, :, None]
+    hits = np.ones((len(b), len(a)), dtype=bool)
+    for dim in range(a.shape[2]):
+        hits &= a_lo[dim] <= b_hi[dim]
+        hits &= a_hi[dim] >= b_lo[dim]
+    return np.ascontiguousarray(hits.T)
 
 
 def box_contains_points(box: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.geometry.bbox import bboxes_intersect_matrix, bboxes_of_groups
+from repro.utils.validation import check_labels
 
 
 @dataclass
@@ -65,11 +66,16 @@ def bbox_filter_search(
     performing each element's search). Subdomain extents are the
     bounding boxes of each partition's contact points. An element is
     sent to every other partition whose subdomain box it touches.
+    Owners outside ``[0, k)`` raise :class:`ValueError`: an element no
+    partition owns has no rank to search it.
     """
     element_boxes = np.asarray(element_boxes, dtype=float)
-    element_owner = np.asarray(element_owner, dtype=np.int64)
-    if len(element_boxes) != len(element_owner):
-        raise ValueError("element_boxes and element_owner lengths differ")
+    element_owner = check_labels(
+        "element_owner",
+        np.asarray(element_owner, dtype=np.int64),
+        k,
+        size=len(element_boxes),
+    )
     sub_boxes = bboxes_of_groups(contact_points, point_partition, k)
     hits = bboxes_intersect_matrix(element_boxes, sub_boxes, pad=pad)
     # never "send" an element to its own partition

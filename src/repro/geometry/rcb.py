@@ -15,6 +15,7 @@ The geometric partitioner ML+RCB applies to the contact points
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -74,9 +75,8 @@ class RCBTree:
         correlated and data movement stays small.
         """
         points = np.asarray(points, dtype=float)
-        if weights is None:
-            weights = np.ones(len(points))
-        weights = np.asarray(weights, dtype=float)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
         labels = np.empty(len(points), dtype=np.int64)
         self._update_rec(
             self.root, np.arange(len(points)), points, weights, labels
@@ -88,7 +88,7 @@ class RCBTree:
         nid: int,
         idx: np.ndarray,
         points: np.ndarray,
-        weights: np.ndarray,
+        weights: Optional[np.ndarray],
         out: np.ndarray,
     ) -> None:
         node = self.nodes[nid]
@@ -100,7 +100,7 @@ class RCBTree:
             return
         coords = points[idx, node.dim]
         node.threshold = _weighted_quantile(
-            coords, weights[idx], node.frac_left
+            coords, None if weights is None else weights[idx], node.frac_left
         )
         go_left = coords <= node.threshold
         self._update_rec(node.left, idx[go_left], points, weights, out)
@@ -113,19 +113,31 @@ class RCBTree:
         return len(self.nodes)
 
 
-def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+def _weighted_quantile(
+    values: np.ndarray, weights: Optional[np.ndarray], q: float
+) -> float:
     """Threshold t such that points with ``value <= t`` carry ~``q`` of
     the total weight. Chooses a midpoint between adjacent values so the
-    cut avoids sitting exactly on a point where possible."""
-    order = np.argsort(values, kind="stable")
-    v, w = values[order], weights[order]
-    cum = np.cumsum(w)
-    total = cum[-1]
-    if total <= 0:
-        return float(v[len(v) // 2])
-    pos = int(np.searchsorted(cum, q * total, side="left"))
-    pos = min(pos, len(v) - 1)
-    if pos + 1 < len(v):
+    cut avoids sitting exactly on a point where possible.
+
+    ``weights=None`` means unit weights: the cumulative weights are
+    then ``1..n``, so the cut position is the count of them below
+    ``q·n`` and the two order statistics it needs come from one
+    ``np.partition`` instead of a full sort — the same threshold.
+    """
+    n = len(values)
+    if weights is None:
+        pos = min(max(math.ceil(q * n) - 1, 0), n - 1)
+        v = np.partition(values, (pos, pos + 1) if pos + 1 < n else pos)
+    else:
+        order = np.argsort(values, kind="stable")
+        v, w = values[order], weights[order]
+        cum = np.cumsum(w)
+        total = cum[-1]
+        if total <= 0:
+            return float(v[n // 2])
+        pos = min(int(np.searchsorted(cum, q * total, side="left")), n - 1)
+    if pos + 1 < n:
         return float(0.5 * (v[pos] + v[pos + 1]))
     return float(v[pos])
 
@@ -146,9 +158,8 @@ def rcb_partition(
         raise ValueError(f"k must be >= 1, got {k}")
     if len(points) < k:
         raise ValueError(f"need at least k={k} points, got {len(points)}")
-    if weights is None:
-        weights = np.ones(len(points))
-    weights = np.asarray(weights, dtype=float)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
 
     nodes: List[_Node] = []
     labels = np.empty(len(points), dtype=np.int64)
@@ -165,7 +176,9 @@ def rcb_partition(
         sub = points[idx]
         extents = sub.max(axis=0) - sub.min(axis=0)
         dim = int(np.argmax(extents))
-        thr = _weighted_quantile(sub[:, dim], weights[idx], frac)
+        thr = _weighted_quantile(
+            sub[:, dim], None if weights is None else weights[idx], frac
+        )
         go_left = sub[:, dim] <= thr
         # guard: degenerate coordinates can put everything on one side
         if go_left.all() or (~go_left).all():

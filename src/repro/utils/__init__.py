@@ -11,7 +11,6 @@ from repro.utils.validation import (
 )
 from repro.utils.arrays import (
     counts_per_label,
-    group_by_label,
     relabel_contiguous,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "check_positive",
     "require",
     "counts_per_label",
-    "group_by_label",
     "relabel_contiguous",
 ]

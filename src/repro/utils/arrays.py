@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,19 +45,6 @@ def sum_by_label(
     else:
         np.add.at(out, labels, cols)
     return out if values.ndim == 2 else out.ravel()
-
-
-def group_by_label(labels: np.ndarray, n_labels: int) -> List[np.ndarray]:
-    """Return, for each label, the (sorted) indices carrying that label.
-
-    Single ``argsort`` instead of ``n_labels`` boolean scans — the usual
-    O(n·k) → O(n log n) trick for building per-partition index lists.
-    """
-    labels = np.asarray(labels)
-    order = np.argsort(labels, kind="stable")
-    counts = counts_per_label(labels, n_labels)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    return [order[bounds[i] : bounds[i + 1]] for i in range(n_labels)]
 
 
 def relabel_contiguous(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -95,6 +95,19 @@ class TestSearchPlan:
         owners = plan.owner
         assert not plan.send_matrix[np.arange(len(owners)), owners].any()
 
+    def test_snapshot_not_updated_to_is_rejected(self, mid_sequence):
+        """The RCB labels belong to the last fitted/updated snapshot;
+        planning another one would leave faces with no owner."""
+        pt = MLRCBPartitioner(4)
+        pt.fit(mid_sequence[0])
+        late = mid_sequence[29]
+        assert not np.array_equal(late.contact_nodes, pt.contact_ids)
+        with pytest.raises(ValueError, match=r"update\(snapshot\)"):
+            pt.search_plan(late)
+        pt.update(late)
+        plan = pt.search_plan(late)
+        assert plan.owner.min() >= 0 and plan.owner.max() < 4
+
     def test_owner_is_rcb_partition(self, fitted, mid_sequence):
         snap = mid_sequence[0]
         plan = fitted.search_plan(snap)

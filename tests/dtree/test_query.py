@@ -183,3 +183,10 @@ class TestTreeFilterSearch:
             tree_filter_search(
                 tree, np.empty((2, 2, 2)), np.array([0]), 3
             )
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_owner_out_of_range_rejected(self, bad):
+        tree, pts, _ = random_tree(10)
+        boxes = np.stack((pts[:2], pts[:2]), axis=1)
+        with pytest.raises(ValueError, match=r"element_owner must lie"):
+            tree_filter_search(tree, boxes, np.array([0, bad]), 3)

@@ -47,6 +47,18 @@ class TestGroupBoxes:
         assert hits[0, 0]
         assert not hits[0, 1]  # inverted box never hits
 
+    def test_out_of_range_label_rejected(self):
+        pts = np.zeros((3, 2))
+        for bad in ([0, 2, 1], [0, -1, 1]):
+            with pytest.raises(ValueError, match=r"\[0, 2\)"):
+                bboxes_of_groups(pts, np.array(bad), 2)
+
+    def test_no_points(self):
+        boxes = bboxes_of_groups(np.empty((0, 3)), np.empty(0, int), 2)
+        assert boxes.shape == (2, 2, 3)
+        assert (boxes[:, 0] == np.inf).all()
+        assert (boxes[:, 1] == -np.inf).all()
+
 
 class TestElementBboxes:
     def test_quad_faces(self):
@@ -80,6 +92,18 @@ class TestIntersectMatrix:
         b = np.array([[[1.5, 0.0], [2.0, 1.0]]])
         assert not bboxes_intersect_matrix(a, b)[0, 0]
         assert bboxes_intersect_matrix(a, b, pad=0.6)[0, 0]
+
+    @pytest.mark.parametrize("m, k", [(7, 4), (0, 4), (7, 0), (0, 0)])
+    def test_output_is_c_contiguous(self, m, k):
+        """The send matrix is shipped to ranks as-is, so its layout is
+        part of the contract — empty shapes included."""
+        rng = np.random.default_rng(m + k)
+        a = np.sort(rng.random((m, 2, 3)), axis=1)
+        b = np.sort(rng.random((k, 2, 3)), axis=1)
+        hits = bboxes_intersect_matrix(a, b, pad=0.1)
+        assert hits.shape == (m, k)
+        assert hits.dtype == np.bool_
+        assert hits.flags.c_contiguous
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

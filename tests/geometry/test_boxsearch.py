@@ -76,6 +76,16 @@ class TestBboxFilterSearch:
         with pytest.raises(ValueError, match="lengths differ"):
             bbox_filter_search(boxes, owner[:2], pts, part, 2)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_owner_out_of_range_rejected(self, bad):
+        """An owner no rank has must not silently clear another
+        partition's column."""
+        boxes, owner, pts, part = two_cluster_setup()
+        owner = owner.copy()
+        owner[-1] = bad
+        with pytest.raises(ValueError, match=r"element_owner must lie"):
+            bbox_filter_search(boxes, owner, pts, part, 2)
+
 
 class TestSearchPlan:
     def test_n_remote_counts_matrix(self):

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import rcb
 from repro.geometry.rcb import rcb_partition
+from repro.metrics.mapping import update_comm
+
+from . import reference_rcb
 
 
 class TestRCBPartition:
@@ -123,3 +127,55 @@ class TestRCBUpdate:
         pts = rng.random((150, 2))
         labels, tree = rcb_partition(pts, 8)
         assert np.array_equal(tree.update(pts), labels)
+
+
+def _replay(seq, k):
+    """RCB fit on the first snapshot, re-fit on every one: per step the
+    labels and every node's threshold."""
+    coords = [s.mesh.nodes[s.contact_nodes] for s in seq]
+    labels, tree = rcb_partition(coords[0], k)
+    steps = [(labels, [n.threshold for n in tree.nodes])]
+    for pts in coords:
+        steps.append(
+            (tree.update(pts), [n.threshold for n in tree.nodes])
+        )
+    return steps
+
+
+class TestSequenceReplay:
+    @pytest.mark.parametrize("k", [4, 25])
+    def test_same_labels_and_thresholds_as_sort_and_cumsum(
+        self, mid_sequence, k, monkeypatch
+    ):
+        """Build and every re-fit over the sequence equal the sort +
+        cumsum solve with ``np.ones(n)`` weights, label for label and
+        threshold for threshold."""
+        got = _replay(mid_sequence, k)
+        monkeypatch.setattr(
+            rcb, "_weighted_quantile", reference_rcb.unit_or_weighted_quantile
+        )
+        want = _replay(mid_sequence, k)
+        assert len(got) == len(want) == len(mid_sequence) + 1
+        for (gl, gt), (wl, wt) in zip(got, want):
+            assert np.array_equal(gl, wl)
+            assert gt == wt
+
+    def test_updcomm_small_per_step(self, mid_sequence):
+        """Points do migrate as the cuts follow the motion, but each
+        step moves only a small fraction of them (paper: UpdComm ≪
+        M2MComm). At k = 8 this scene migrates nothing, so k = 25."""
+        k = 25
+        snap0 = mid_sequence[0]
+        labels, tree = rcb_partition(
+            snap0.mesh.nodes[snap0.contact_nodes], k
+        )
+        prev_labels, prev_ids = labels, snap0.contact_nodes
+        total = 0
+        for snap in mid_sequence.snapshots[1:]:
+            new_labels = tree.update(snap.mesh.nodes[snap.contact_nodes])
+            total += update_comm(
+                prev_labels, new_labels, prev_ids, snap.contact_nodes
+            )
+            prev_labels, prev_ids = new_labels, snap.contact_nodes
+        per_step = total / (len(mid_sequence) - 1)
+        assert 0 < per_step < 0.25 * snap0.num_contact_nodes

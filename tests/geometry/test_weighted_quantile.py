@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.geometry.rcb import _weighted_quantile
 
+from . import reference_rcb
+
 
 class TestWeightedQuantile:
     def test_median_of_uniform(self):
@@ -52,3 +54,47 @@ class TestWeightedQuantile:
         below = w[vals <= t].sum()
         assert below >= q * total - w.max() - 1e-9
         assert below <= q * total + w.max() + 1e-9
+
+
+#: coordinates with heavy tie mass (and a signed zero)
+_tied = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestMatchesSortAndCumsum:
+    """The unit-weight path reads two order statistics instead of
+    sorting and summing ``np.ones(n)``; the threshold must not move."""
+
+    @given(
+        st.lists(_tied, min_size=1, max_size=40),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unit_weights(self, values, q):
+        vals = np.array(values)
+        want = reference_rcb._weighted_quantile(vals, np.ones(len(vals)), q)
+        assert _weighted_quantile(vals, None, q) == want
+
+    @given(
+        st.lists(
+            st.tuples(_tied, st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_weights(self, pairs, q):
+        vals, w = (np.array(c) for c in zip(*pairs))
+        want = reference_rcb._weighted_quantile(vals, w, q)
+        assert _weighted_quantile(vals, w, q) == want
+
+    @pytest.mark.parametrize("frac", [0.5, 1 / 3, 2 / 3, 13 / 25])
+    def test_fractions_rcb_uses(self, frac):
+        rng = np.random.default_rng(0)
+        for n in range(1, 41):
+            vals = rng.integers(0, 4, n).astype(float)
+            want = reference_rcb._weighted_quantile(vals, np.ones(n), frac)
+            assert _weighted_quantile(vals, None, frac) == want

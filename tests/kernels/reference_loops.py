@@ -1,7 +1,8 @@
-"""Test-only oracles: naive per-pair / per-row loop forms of the four
-array routines of the contact search.
+"""Test-only oracles: naive per-pair / per-row / per-point loop forms of
+the five array routines of the contact search.
 
 ``_src_*`` re-implement :func:`repro.geometry.bbox.bboxes_intersect_matrix`,
+:func:`repro.geometry.bbox.bboxes_of_groups`,
 :func:`repro.geometry.boxsearch.box_candidate_pairs`,
 :func:`repro.core.contact_search.row_majority` and
 :func:`repro.dtree.splitter.split_index_curve` one element at a time,
@@ -11,8 +12,9 @@ bit-identical results from the vectorised bodies.  ``_prep_*`` mirror
 each routine's signature (defaults included) and its input coercions,
 returning the positional tuple the loop form consumes.  The bodies are
 verbatim copies of the loop sources that used to live in
-``repro.runtime.compiled``; they share no code with ``src/``.  Do not
-"fix" or speed these up.
+``repro.runtime.compiled`` (``_src_bboxes_of_groups`` was written
+after them, in the same style); they share no code with ``src/``.  Do
+not "fix" or speed these up.
 """
 
 from __future__ import annotations
@@ -49,6 +51,32 @@ def _src_bboxes_intersect_matrix(
                     hit = False
                     break
             out[i, j] = hit
+    return out
+
+
+def _prep_bboxes_of_groups(
+    points: Any, labels: Any, n_groups: int
+) -> Tuple[Any, ...]:
+    return (np.asarray(points, dtype=float), np.asarray(labels), n_groups)
+
+
+def _src_bboxes_of_groups(
+    points: np.ndarray, labels: np.ndarray, n_groups: int
+) -> np.ndarray:
+    n, d = points.shape
+    out = np.empty((n_groups, 2, d), dtype=np.float64)
+    for g in range(n_groups):
+        for dim in range(d):
+            out[g, 0, dim] = np.inf
+            out[g, 1, dim] = -np.inf
+    for i in range(n):
+        g = labels[i]
+        for dim in range(d):
+            v = points[i, dim]
+            if v < out[g, 0, dim]:
+                out[g, 0, dim] = v
+            if v > out[g, 1, dim]:
+                out[g, 1, dim] = v
     return out
 
 

@@ -2,7 +2,7 @@
 
 Vectorised numerics are a classic source of silent divergence, so
 "vectorised ≡ naive loop" is a machine-checked invariant here, not a
-hope: for each of the four routines in ``KERNELS``,
+hope: for each of the five routines in ``KERNELS``,
 hypothesis-generated inputs run through the vectorised NumPy body in
 ``src/`` and through its independent per-pair / per-row loop form in
 ``reference_loops.py``, and the results must be **bit-identical** —
@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.contact_search import row_majority
 from repro.dtree.splitter import split_index_curve
-from repro.geometry.bbox import bboxes_intersect_matrix
+from repro.geometry.bbox import bboxes_intersect_matrix, bboxes_of_groups
 from repro.geometry.boxsearch import box_candidate_pairs
 
 from . import reference_loops
@@ -34,6 +34,7 @@ KERNELS = {
         row_majority,
         split_index_curve,
         bboxes_intersect_matrix,
+        bboxes_of_groups,
         box_candidate_pairs,
     )
 }
@@ -62,6 +63,27 @@ def _bbox_inputs(draw):
     boxes_b = draw(hnp.arrays(np.float64, (m_b, 2, d), elements=_coord))
     pad = draw(st.floats(0.0, 5.0, allow_nan=False))
     return (boxes_a, boxes_b), {"pad": pad}
+
+
+@st.composite
+def _groups_inputs(draw):
+    """Points with tied coordinates, including ``±0.0``, and labels that
+    leave some groups empty."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    n_groups = draw(st.integers(0 if n == 0 else 1, 5))
+    points = draw(
+        hnp.arrays(
+            np.float64, (n, d),
+            elements=st.one_of(_tied_coord, st.just(-0.0)),
+        )
+    )
+    labels = draw(
+        hnp.arrays(
+            np.int64, (n,), elements=st.integers(0, max(n_groups - 1, 0))
+        )
+    )
+    return (points, labels, n_groups), {}
 
 
 @st.composite
@@ -110,6 +132,7 @@ def _split_curve_inputs(draw):
 
 INPUTS = {
     "repro.geometry.bbox.bboxes_intersect_matrix": _bbox_inputs,
+    "repro.geometry.bbox.bboxes_of_groups": _groups_inputs,
     "repro.geometry.boxsearch.box_candidate_pairs": _boxsearch_inputs,
     "repro.core.contact_search.row_majority": _row_majority_inputs,
     "repro.dtree.splitter.split_index_curve": _split_curve_inputs,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.utils.arrays import (
     counts_per_label,
-    group_by_label,
     relabel_contiguous,
     sum_by_label,
 )
@@ -68,32 +67,6 @@ class TestSumByLabel:
         assert sum_by_label(none, np.zeros((0, 2), dtype=np.int64), 2).tolist() == [
             [0, 0], [0, 0],
         ]
-
-
-class TestGroupByLabel:
-    def test_partition_of_indices(self):
-        labels = np.array([2, 0, 1, 0, 2, 2])
-        groups = group_by_label(labels, 3)
-        assert groups[0].tolist() == [1, 3]
-        assert groups[1].tolist() == [2]
-        assert groups[2].tolist() == [0, 4, 5]
-
-    def test_empty_groups_present(self):
-        groups = group_by_label(np.array([0, 0]), 4)
-        assert [len(g) for g in groups] == [2, 0, 0, 0]
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=6), max_size=80),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_groups_cover_exactly(self, labels):
-        labels = np.asarray(labels, dtype=np.int64)
-        groups = group_by_label(labels, 7)
-        # every index appears in exactly one group, with correct label
-        seen = np.concatenate([g for g in groups]) if len(labels) else []
-        assert sorted(seen) == list(range(len(labels)))
-        for lab, g in enumerate(groups):
-            assert (labels[g] == lab).all()
 
 
 class TestRelabelContiguous:
