@@ -2,7 +2,7 @@
 
 Cutting an edge between two contact points costs communication in both
 computation phases, so the paper up-weights those edges. The sweep
-records, per weight: how many contact-contact edges the partition cuts
+prints, per weight: how many contact-contact edges the partition cuts
 (should fall as the weight rises), the FE communication volume (should
 rise — the partitioner sacrifices ordinary edges), and NRemote.
 """
@@ -10,13 +10,13 @@ rise — the partitioner sacrifices ordinary edges), and NRemote.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.core.weights import build_contact_graph
 from repro.metrics.comm import fe_comm
+from repro.metrics.report import format_table
 
-from .conftest import record, strong_options
+from .conftest import show, strong_options
 
 K = 8
 WEIGHTS = (1, 5, 10)
@@ -33,53 +33,36 @@ def cut_contact_edges(graph, snap, part):
     return int((both & cut).sum() // 2)
 
 
-@pytest.mark.parametrize("weight", WEIGHTS)
-def test_edgeweight_sweep(benchmark, short_sequence, weight):
-    snap = short_sequence[0]
-    params = MCMLDTParams(
-        contact_edge_weight=weight, options=strong_options()
-    )
-
-    def fit():
-        return MCMLDTPartitioner(K, params).fit(snap)
-
-    pt = benchmark.pedantic(fit, rounds=1, iterations=1)
-    graph = build_contact_graph(snap, weight)
-    plan = pt.search_plan(snap)
-    record(
-        benchmark,
-        weight=weight,
-        cut_contact_edges=cut_contact_edges(graph, snap, pt.part),
-        fe_comm=fe_comm(graph, pt.part),
-        n_remote=plan.n_remote,
-    )
-
-
-def test_edgeweight_protects_contact_edges(benchmark, short_sequence):
+def test_edgeweight_sweep(short_sequence, capsys):
     """Weight 5 must cut fewer contact-contact edges than weight 1 in
     the multi-constraint partition itself (the mechanism the paper
-    relies on). Measured pre-reshape: the P→P'→P'' step optimises
+    relies on). Asserted pre-reshape: the P→P'→P'' step optimises
     geometry, not the weighted cut, and can give some of the protection
-    back — both values are recorded."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    back — both values are printed."""
     snap = short_sequence[0]
 
-    def run(weight, reshape):
-        params = MCMLDTParams(
+    def fit(weight, reshape):
+        pt = MCMLDTPartitioner(K, MCMLDTParams(
             contact_edge_weight=weight, reshape=reshape,
             options=strong_options(),
-        )
-        result = MCMLDTPartitioner(K, params).fit(snap)
-        graph = build_contact_graph(snap, weight)
-        return cut_contact_edges(graph, snap, result.labels)
+        ))
+        pt.fit(snap)
+        return pt
 
-    cut1 = run(1, reshape=False)
-    cut5 = run(5, reshape=False)
-    record(
-        benchmark,
-        cut_w1=cut1,
-        cut_w5=cut5,
-        cut_w1_reshaped=run(1, reshape=True),
-        cut_w5_reshaped=run(5, reshape=True),
-    )
-    assert cut5 <= cut1
+    rows, raw_cut = {}, {}
+    for weight in WEIGHTS:
+        graph = build_contact_graph(snap, weight)
+        pt = fit(weight, reshape=True)
+        raw_cut[weight] = cut_contact_edges(
+            graph, snap, fit(weight, reshape=False).part)
+        rows[f"weight {weight}"] = [
+            cut_contact_edges(graph, snap, pt.part),
+            raw_cut[weight],
+            fe_comm(graph, pt.part),
+            pt.search_plan(snap).n_remote,
+        ]
+    show(capsys, format_table(
+        f"§5 contact-edge weight — k = {K}, step 0",
+        ["cut contact edges", "pre-reshape", "FEComm", "NRemote"], rows,
+    ))
+    assert raw_cut[5] <= raw_cut[1]

@@ -10,53 +10,36 @@ margin-aware trees on NRemote and tree size across margin weights.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
+from repro.dtree.query import predict_partition
+from repro.metrics.report import format_table
 
-from .conftest import record, strong_options
+from .conftest import show, strong_options
 
 K = 8
 MARGIN_WEIGHTS = (0.0, 0.05, 0.2)
 
 
-@pytest.mark.parametrize("margin", MARGIN_WEIGHTS)
-def test_margin_weight_sweep(benchmark, short_sequence, margin):
-    snap = short_sequence[10]
-    params = MCMLDTParams(
-        margin_weight=margin, pad=0.1, options=strong_options()
-    )
-    pt = MCMLDTPartitioner(K, params)
-    pt.fit(snap)
-
-    def per_step():
-        tree, _ = pt.build_descriptors(snap)
-        plan = pt.search_plan(snap, tree)
-        return tree, plan
-
-    tree, plan = benchmark(per_step)
-    record(
-        benchmark,
-        margin_weight=margin,
-        nt_nodes=tree.n_nodes,
-        n_remote=plan.n_remote,
-    )
-
-
-def test_margin_trees_remain_correct(benchmark, short_sequence):
+def test_margin_weight_sweep(short_sequence, capsys):
     """Margin-aware trees must still classify every contact point into
     its own partition (purity is unaffected by the tie-breaking)."""
-    from repro.dtree.query import predict_partition
-
     snap = short_sequence[10]
-    params = MCMLDTParams(margin_weight=0.2, options=strong_options())
-    pt = MCMLDTPartitioner(K, params)
-    pt.fit(snap)
-
-    def build():
-        return pt.build_descriptors(snap)
-
-    tree, _ = benchmark(build)
     coords = snap.mesh.nodes[snap.contact_nodes]
-    got = predict_partition(tree, coords)
-    assert np.array_equal(got, pt.part[snap.contact_nodes])
+    rows = {}
+    for margin in MARGIN_WEIGHTS:
+        pt = MCMLDTPartitioner(K, MCMLDTParams(
+            margin_weight=margin, pad=0.1, options=strong_options()
+        ))
+        pt.fit(snap)
+        tree, _ = pt.build_descriptors(snap)
+        rows[f"margin {margin:g}"] = [
+            tree.n_nodes, pt.search_plan(snap, tree).n_remote
+        ]
+        assert np.array_equal(
+            predict_partition(tree, coords), pt.part[snap.contact_nodes]
+        )
+    show(capsys, format_table(
+        f"§6 margin-aware splitting — k = {K}, step 10",
+        ["NTNodes", "NRemote"], rows,
+    ))

@@ -4,41 +4,20 @@ The paper's Figure 3 shows mesh snapshots at several stages. The
 synthetic analogue is characterised by its per-snapshot statistics:
 projectile nose depth, live element count (erosion), and contact
 face/node counts (the contact surface grows as the channel opens).
-The bench times full sequence generation and prints the stage table.
+The bench asserts the arc and prints the stage table.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.metrics.report import format_table
-from repro.sim.projectile import ImpactConfig
-from repro.sim.sequence import simulate_impact
 
-from .conftest import record
+from .conftest import show
 
 
-def test_fig3_sequence_generation(benchmark):
-    """Time full 100-snapshot generation at evaluation scale."""
-    seq = benchmark.pedantic(
-        lambda: simulate_impact(ImpactConfig.paper_scale()),
-        rounds=1, iterations=1,
-    )
-    record(
-        benchmark,
-        snapshots=len(seq),
-        nodes=seq.num_nodes,
-        elements_start=seq[0].mesh.num_elements,
-        elements_end=seq[-1].mesh.num_elements,
-        contact_nodes_start=seq[0].num_contact_nodes,
-        contact_nodes_end=seq[-1].num_contact_nodes,
-    )
-
-
-def test_fig3_stage_progression(benchmark, bench_sequence, capsys):
+def test_fig3_stage_progression(bench_sequence, capsys):
     """Verify the penetration arc and print the stage table."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     seq = bench_sequence
 
     tips = np.array([s.tip_z for s in seq])
@@ -63,10 +42,8 @@ def test_fig3_stage_progression(benchmark, bench_sequence, capsys):
                 round(s.tip_z, 2), s.mesh.num_elements,
                 s.num_contact_faces, s.num_contact_nodes,
             ]
-    with capsys.disabled():
-        print()
-        print(format_table(
-            "Figure 3 (reproduction) — simulation stages",
-            ["tip_z", "live elements", "contact faces", "contact nodes"],
-            rows,
-        ))
+    show(capsys, format_table(
+        "Figure 3 (reproduction) — simulation stages",
+        ["tip_z", "live elements", "contact faces", "contact nodes"],
+        rows,
+    ))

@@ -8,7 +8,7 @@ the start. This bench compares, on straight and oblique penetrations:
 * ``reshaped`` — the paper's P→P'→P'';
 * ``geometric``— RCB-seeded multi-constraint refinement (§6 candidate).
 
-Reported per variant: FEComm, descriptor-tree size (NTNodes), NRemote.
+Printed per variant: FEComm, descriptor-tree size (NTNodes), NRemote.
 The oblique scene is where geometry handling matters most: the channel
 (and hence the natural subdomain boundaries) is diagonal.
 """
@@ -16,7 +16,6 @@ The oblique scene is where geometry handling matters most: the channel
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.core.weights import build_contact_graph
@@ -26,13 +25,16 @@ from repro.core.contact_search import face_owner_partition
 from repro.geometry.bbox import element_bboxes
 from repro.graph.metrics import load_imbalance
 from repro.metrics.comm import fe_comm
+from repro.metrics.report import format_table
 from repro.partition.geometric import geometric_seed_partition
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
 
-from .conftest import record, strong_options
+from .conftest import show, strong_options
 
 K = 8
+SEEDS = (0, 1)
+VARIANTS = ("raw", "reshaped", "geometric")
 
 
 def scene(oblique: bool):
@@ -42,47 +44,34 @@ def scene(oblique: bool):
     return simulate_impact(config)[0]
 
 
+def fit(snap, variant, seed):
+    """One variant's labels."""
+    if variant == "geometric":
+        graph = build_contact_graph(snap, 5)
+        return geometric_seed_partition(
+            graph, snap.mesh.nodes, K, strong_options(seed=seed)
+        )
+    pt = MCMLDTPartitioner(K, MCMLDTParams(
+        reshape=(variant == "reshaped"), options=strong_options(seed=seed)
+    ))
+    return pt.fit(snap).labels
+
+
 def evaluate(snap, part, k):
-    """Descriptor size, NRemote, FEComm for an arbitrary partition."""
+    """NTNodes, FEComm, NRemote and worst imbalance of a partition."""
     graph = build_contact_graph(snap)
     cn = snap.contact_nodes
     tree, _ = induce_pure_tree(snap.mesh.nodes[cn], part[cn], k)
     boxes = element_bboxes(snap.mesh.nodes, snap.contact_faces)
     owner = face_owner_partition(part, snap.contact_faces)
     plan = tree_filter_search(tree, boxes, owner, k)
-    return {
-        "fe_comm": fe_comm(graph, part),
-        "nt_nodes": tree.n_nodes,
-        "n_remote": plan.n_remote,
-        "imbalance": float(load_imbalance(graph, part, k).max()),
-    }
+    return [
+        tree.n_nodes, fe_comm(graph, part), plan.n_remote,
+        f"{load_imbalance(graph, part, k).max():.3f}",
+    ]
 
 
-@pytest.mark.parametrize("oblique", [False, True],
-                         ids=["straight", "oblique"])
-@pytest.mark.parametrize(
-    "variant", ["raw", "reshaped", "geometric"]
-)
-def test_geometry_aware_variants(benchmark, variant, oblique):
-    snap = scene(oblique)
-
-    def fit():
-        if variant == "geometric":
-            graph = build_contact_graph(snap, 5)
-            return geometric_seed_partition(
-                graph, snap.mesh.nodes, K, strong_options()
-            )
-        params = MCMLDTParams(
-            reshape=(variant == "reshaped"), options=strong_options()
-        )
-        return MCMLDTPartitioner(K, params).fit(snap).labels
-
-    part = benchmark.pedantic(fit, rounds=1, iterations=1)
-    metrics = evaluate(snap, part, K)
-    record(benchmark, variant=variant, oblique=oblique, **metrics)
-
-
-def test_reshaping_helps_on_oblique(benchmark):
+def test_reshaping_helps_on_oblique(capsys):
     """The paper's motivation, demonstrated where it bites: on the
     oblique scene (diagonal channel → diagonal natural boundaries) the
     P→P'→P'' reshaping shrinks the descriptor tree relative to the raw
@@ -90,31 +79,19 @@ def test_reshaping_helps_on_oblique(benchmark):
     §6 candidate does *not* achieve this — its post-seed refinement
     roughens the boxes with nothing to clean them up, an honest
     negative recorded in EXPERIMENTS.md."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    snap = scene(oblique=True)
-
-    def tree_nodes(variant, seed):
-        if variant == "geometric":
-            graph = build_contact_graph(snap, 5)
-            part = geometric_seed_partition(
-                graph, snap.mesh.nodes, K, strong_options(seed=seed)
-            )
-        else:
-            params = MCMLDTParams(
-                reshape=(variant == "reshaped"),
-                options=strong_options(seed=seed),
-            )
-            part = MCMLDTPartitioner(K, params).fit(snap).labels
-        cn = snap.contact_nodes
-        tree, _ = induce_pure_tree(snap.mesh.nodes[cn], part[cn], K)
-        return tree.n_nodes
-
-    seeds = (0, 1)
-    raw = np.mean([tree_nodes("raw", s) for s in seeds])
-    reshaped = np.mean([tree_nodes("reshaped", s) for s in seeds])
-    geo = np.mean([tree_nodes("geometric", s) for s in seeds])
-    record(
-        benchmark, raw_mean=raw, reshaped_mean=reshaped,
-        geometric_mean=geo,
-    )
-    assert reshaped <= raw
+    rows, mean_nodes = {}, {}
+    for oblique in (False, True):
+        snap = scene(oblique)
+        for variant in VARIANTS:
+            evals = [evaluate(snap, fit(snap, variant, seed), K)
+                     for seed in SEEDS]
+            mean_nodes[oblique, variant] = np.mean([e[0] for e in evals])
+            name = f"{'oblique' if oblique else 'straight'} {variant}"
+            rows[name] = [mean_nodes[oblique, variant], *evals[0]]
+    show(capsys, format_table(
+        f"§6 geometry-aware variants — k = {K}; NTNodes averaged over "
+        f"seeds {SEEDS}, the rest seed {SEEDS[0]}",
+        ["NTNodes mean", "NTNodes", "FEComm", "NRemote", "imbalance"],
+        rows,
+    ))
+    assert mean_nodes[True, "reshaped"] <= mean_nodes[True, "raw"]

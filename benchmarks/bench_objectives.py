@@ -9,59 +9,39 @@ and locates the paper's choice on it.
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 
+from repro.metrics.report import format_table
 from repro.partition.objectives import (
     build_contact_objectives,
     multi_objective_partition,
 )
 
-from .conftest import record, strong_options
+from .conftest import show, strong_options
 
 K = 8
 COEFFS = (0.0, 4.0, 19.0)
 SEEDS = (0, 1, 2)  # the partitioner is a heuristic; average out noise
-_CURVE = {}
 
 
-@pytest.mark.parametrize("c", COEFFS)
-def test_pareto_sweep(benchmark, short_sequence, c):
-    snap = short_sequence[0]
-    obj = build_contact_objectives(snap)
-
-    def run():
-        cut_sum = None
-        for seed in SEEDS:
-            _, cuts = multi_objective_partition(
-                obj, K, [1.0, c], strong_options(seed=seed)
-            )
-            cut_sum = cuts if cut_sum is None else cut_sum + cuts
-        return cut_sum / len(SEEDS)
-
-    mean_cuts = benchmark.pedantic(run, rounds=1, iterations=1)
-    _CURVE[c] = mean_cuts
-    record(
-        benchmark,
-        coefficient=c,
-        fe_cut=float(mean_cuts[0]),
-        contact_cut=float(mean_cuts[1]),
-    )
-
-
-def test_pareto_shape(benchmark, short_sequence):
+def test_pareto_sweep(short_sequence, capsys):
     """Seed-averaged endpoints of the trade-off: the largest contact
     coefficient buys the smallest contact cut, the smallest coefficient
     the smallest FE cut."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    if len(_CURVE) < len(COEFFS):
-        pytest.skip("sweep benches must run first")
-    contact_cuts = {c: float(v[1]) for c, v in _CURVE.items()}
-    fe_cuts = {c: float(v[0]) for c, v in _CURVE.items()}
-    record(
-        benchmark,
-        **{f"contact_cut_c{c}": v for c, v in contact_cuts.items()},
-        **{f"fe_cut_c{c}": v for c, v in fe_cuts.items()},
-    )
+    obj = build_contact_objectives(short_sequence[0])
+    fe_cuts, contact_cuts = {}, {}
+    for c in COEFFS:
+        fe_cuts[c], contact_cuts[c] = np.mean(
+            [multi_objective_partition(
+                obj, K, [1.0, c], strong_options(seed=seed))[1]
+             for seed in SEEDS],
+            axis=0,
+        )
+    show(capsys, format_table(
+        f"§2 Pareto sweep — k = {K}, mean over seeds {SEEDS}",
+        ["FE cut", "contact cut"],
+        {f"c = {c:g}": [fe_cuts[c], contact_cuts[c]] for c in COEFFS},
+    ))
     cmax, cmin = max(COEFFS), min(COEFFS)
     assert contact_cuts[cmax] <= contact_cuts[cmin] * 1.05
     assert fe_cuts[cmin] <= fe_cuts[cmax] * 1.05

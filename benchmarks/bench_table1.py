@@ -1,9 +1,12 @@
-"""Table 1: MCML+DT vs ML+RCB over the 100-snapshot sequence.
+"""Table 1: MCML+DT vs ML+RCB over a snapshot sequence.
 
-Times each algorithm's evaluation at paper scale, then checks the
-paper's §5.2 shape claims through :meth:`repro.core.pipeline.Table1.claims`
-and prints the table (``repro-contact table1 --scale paper`` prints
-the same table without the timings).
+Two scenes through the same :func:`repro.core.pipeline.table1` and
+:meth:`~repro.core.pipeline.Table1.claims`: the paper-scale sequence at
+k = 8 and 25 (``repro-contact table1 --scale paper`` prints the same
+table), and a k-sweep on the default-resolution scene that fills in
+the curve between the paper's two k. The last claim of each is the
+k-trend — the FE-side ratio (ML+RCB / MCML+DT) non-increasing in k and
+above 1 at the smallest k, the paper's 72 % → 29 % trend.
 """
 
 from __future__ import annotations
@@ -12,40 +15,22 @@ import pytest
 
 from repro.core.mcml_dt import MCMLDTParams
 from repro.core.ml_rcb import MLRCBParams
-from repro.core.pipeline import Table1, evaluate_mcml_dt, evaluate_ml_rcb
+from repro.core.pipeline import table1
 
-from .conftest import BENCH_KS, record, strong_options
-
-_TABLE = Table1()
+from .conftest import BENCH_KS, show, strong_options
 
 
-@pytest.mark.parametrize("k", BENCH_KS)
-def test_table1_mcml_dt(benchmark, bench_sequence, k):
-    params = MCMLDTParams(options=strong_options())
-    result = benchmark.pedantic(
-        evaluate_mcml_dt, (bench_sequence, k, params), rounds=1, iterations=1
+@pytest.mark.parametrize(
+    "scene, ks",
+    [("bench_sequence", BENCH_KS), ("short_sequence", (4, 8, 16))],
+    ids=["paper", "ksweep"],
+)
+def test_table1(request, capsys, scene, ks):
+    strong = strong_options()
+    result = table1(
+        request.getfixturevalue(scene), ks,
+        MCMLDTParams(options=strong), MLRCBParams(options=strong),
     )
-    _TABLE.results["MCML+DT", k] = result
-    record(benchmark, fe_comm=result.mean("fe_comm"))
-
-
-@pytest.mark.parametrize("k", BENCH_KS)
-def test_table1_ml_rcb(benchmark, bench_sequence, k):
-    params = MLRCBParams(options=strong_options())
-    result = benchmark.pedantic(
-        evaluate_ml_rcb, (bench_sequence, k, params), rounds=1, iterations=1
-    )
-    _TABLE.results["ML+RCB", k] = result
-    record(benchmark, fe_comm=result.mean("fe_comm"))
-
-
-def test_table1_claims(capsys):
-    """Every §5.2 claim holds at paper scale (runs after the two
-    benches above fill the table, in the same session)."""
-    if len(_TABLE.results) < 2 * len(BENCH_KS):
-        pytest.skip("table1 benches must run first (same session)")
-    claims = _TABLE.claims()
-    with capsys.disabled():
-        print("\n" + _TABLE.render())
-        print("\n".join(map(str, claims)))
+    claims = result.claims()
+    show(capsys, result.render(), *claims)
     assert all(c.held for c in claims), [str(c) for c in claims]

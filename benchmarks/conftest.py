@@ -1,11 +1,14 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the evaluation benches.
 
-Benchmarks use ``ImpactConfig.paper_scale()`` (≈18k nodes, ≈16%
-contact nodes — a ~9× linear reduction of the paper's 156k-node EPIC
-mesh). The full 100-snapshot sequence is generated once per session.
-Table-1-style benches run each algorithm once (rounds=1); micro-benches
-(tree induction, splits, queries) use normal pytest-benchmark
-statistics.
+Each ``bench_*.py`` test regenerates one table of EXPERIMENTS.md: it
+computes the rows once, prints them, and asserts the claim the table
+supports. Run them all with
+``python -m pytest benchmarks --ignore=benchmarks/spine -q``; the
+timings live in the bench spine (``python -m benchmarks.spine run``).
+
+Table 1 uses ``ImpactConfig.paper_scale()`` (≈18k nodes, ≈16% contact
+nodes — a ~9× linear reduction of the paper's 156k-node EPIC mesh);
+the ablations use 25 default-resolution snapshots.
 """
 
 from __future__ import annotations
@@ -40,27 +43,8 @@ def short_sequence():
     return simulate_impact(ImpactConfig(n_steps=25))
 
 
-@pytest.fixture()
-def options():
-    return strong_options()
-
-
-def record(benchmark, tracer=None, **info):
-    """Attach metric values to the benchmark JSON/terminal output.
-
-    Passing a recording :class:`repro.obs.Tracer` additionally flattens
-    its span tree into ``extra_info["spans"]`` as
-    ``{path: {"n_calls": ..., "total_ms": ...}}`` so phase timings ride
-    along in the ``--benchmark-json`` artifact.
-    """
-    for key, value in info.items():
-        benchmark.extra_info[key] = value
-    if tracer is not None and getattr(tracer, "enabled", False):
-        benchmark.extra_info["spans"] = {
-            path: {
-                "n_calls": span.n_calls,
-                "total_ms": round(span.total_s * 1e3, 3),
-                "self_ms": round(span.self_s * 1e3, 3),
-            }
-            for path, span in tracer.root.walk()
-        }
+def show(capsys, *lines):
+    """Print a table (and any note lines) past pytest's capture."""
+    with capsys.disabled():
+        print()
+        print("\n".join(map(str, lines)))

@@ -73,8 +73,8 @@ class TestEvaluateMlRcb:
         above MCML+DT's (the paper's headline claim)."""
         mc, ml = results
         assert ml.total_fe_side_comm() > mc.total_fe_side_comm() * 0.8
-        # strict inequality is scene-dependent at tiny scale; the
-        # benchmark asserts it at evaluation scale
+        # strict inequality is scene-dependent at tiny scale;
+        # benchmarks/bench_table1.py asserts it at evaluation scale
 
 
 def test_ml_rcb_matches_the_from_scratch_loop(mid_sequence):

@@ -72,8 +72,9 @@ def test_tree_beats_bbox_where_subdomain_boxes_overlap():
     The relation is regime-dependent — on *disjoint* compact clusters
     the bbox filter can beat the tree near region boundaries (a leaf
     region tiles space beyond its points) — so the aggregate advantage
-    is asserted here in the overlap regime and measured at evaluation
-    scale in ``benchmarks/bench_search.py``.
+    is asserted here in the overlap regime and on the impact scene in
+    ``tests/core/test_contact_search.py::
+    test_tree_sends_fewer_than_bbox_on_the_same_partition``.
     """
     rng = np.random.default_rng(0)
     # partition 0: an L along the left and bottom; partition 1: a dense

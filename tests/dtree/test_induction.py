@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dtree.descriptors import SubdomainDescriptors
 from repro.dtree.induction import (
     SubtreeMemo,
     induce_bounded_tree,
@@ -13,6 +14,7 @@ from repro.dtree.induction import (
     suggested_bounds,
 )
 from repro.dtree.query import predict_partition
+from repro.geometry.bbox import bbox_of_points
 
 
 def three_clusters(n_per=15, seed=0):
@@ -27,6 +29,30 @@ def three_clusters(n_per=15, seed=0):
     )
     labels = np.repeat(np.arange(3), n_per)
     return pts, labels
+
+
+def figure1_points(seed=0):
+    """The paper's Figure 1a layout: 45 points in three clustered
+    partitions, top-left, top-right and bottom."""
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate(
+        [
+            rng.random((15, 2)) * [2.0, 2.5] + [0.2, 2.2],
+            rng.random((15, 2)) * [2.5, 2.0] + [2.8, 2.8],
+            rng.random((15, 2)) * [3.5, 1.8] + [0.8, 0.2],
+        ]
+    )
+    return pts, np.repeat(np.arange(3), 15)
+
+
+def boundary_points(angle_deg, n=200, seed=0):
+    """Figure 2: points uniform in the unit square, split by a line
+    through the centre at ``angle_deg`` to the x-axis."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    theta = np.deg2rad(angle_deg)
+    normal = np.array([-np.sin(theta), np.cos(theta)])
+    return pts, ((pts - 0.5) @ normal > 0).astype(np.int64)
 
 
 class TestPureTree:
@@ -50,11 +76,17 @@ class TestPureTree:
             assert tree.nodes[leaf].label == labels[i]
 
     def test_figure1_three_clusters_small_tree(self):
-        """Well-separated clusters need only a handful of rectangles."""
-        pts, labels = three_clusters()
-        tree, _ = induce_pure_tree(pts, labels, 3)
-        assert tree.n_leaves <= 6
-        assert tree.n_nodes <= 11
+        """Well-separated clusters need only a handful of rectangles
+        (Figure 1's own layout: 3 leaves, 5 nodes; the paper draws ~10
+        rectangles for its 45 points), and the descriptors of the
+        subdomains never overlap."""
+        for pts, labels in (three_clusters(), figure1_points()):
+            tree, _ = induce_pure_tree(pts, labels, 3)
+            assert tree.n_leaves <= 6
+            assert tree.n_nodes <= 11
+            desc = SubdomainDescriptors.from_tree(
+                tree, bbox_of_points(pts))
+            assert desc.total_overlap_volume() == 0.0
 
     def test_figure2_diagonal_blowup(self):
         """A diagonal boundary forces many axis-parallel cuts (Fig. 2):
@@ -73,6 +105,17 @@ class TestPureTree:
 
         assert axis_tree.n_nodes == 3
         assert diag_tree.n_nodes >= 4 * axis_tree.n_nodes
+
+    def test_figure2_tree_size_vs_angle(self):
+        """EXPERIMENTS.md's Figure 2 table: 200 points, the boundary
+        turned 0/15/30/45° away from the x-axis. The 45° tree is more
+        than 8× the axis-parallel one."""
+        sizes = [
+            induce_pure_tree(*boundary_points(angle), 2)[0].n_nodes
+            for angle in (0, 15, 30, 45)
+        ]
+        assert sizes == [3, 15, 23, 25]
+        assert sizes[-1] >= 8 * sizes[0]
 
     def test_single_class_is_single_leaf(self):
         pts = np.random.default_rng(0).random((20, 2))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.weights import build_contact_graph
 from repro.graph.build import grid_graph, random_geometric_graph
 from repro.graph.metrics import edge_cut, load_imbalance
 from repro.partition.config import PartitionOptions
@@ -56,6 +57,23 @@ class TestPartitionKway:
         imb = load_imbalance(g, part, 4)
         assert imb[0] <= 1.17
         assert imb[1] <= 1.35  # lumpy constraint gets looser slack
+
+    @pytest.mark.parametrize("k", [4, 16, 64])
+    def test_grid_cut_near_ideal_tiling(self, k):
+        """50×50 grid under the evaluation options: the cut stays within
+        2.2× the ideal square tiling, 2·50·(√k − 1) edges (1.09–1.21×
+        today), and balance within tolerance."""
+        g = grid_graph(50, 50)
+        part = partition_kway(g, k, PartitionOptions.strong())
+        assert load_imbalance(g, part, k).max() <= 1.06
+        assert edge_cut(g, part) <= 2.2 * 2 * 50 * (np.sqrt(k) - 1)
+
+    def test_two_constraint_balance_on_the_contact_graph(self, mid_sequence):
+        """Both constraints of the step-0 contact graph (unit edges)
+        balance within 1.12 at k = 8 (1.049 and 1.044 today)."""
+        g = build_contact_graph(mid_sequence[0], 1)
+        part = partition_kway(g, 8, PartitionOptions.strong())
+        assert load_imbalance(g, part, 8).max() <= 1.12
 
     def test_k_exceeds_vertices(self):
         g = grid_graph(2, 2)
