@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.service.schemas import (
@@ -45,8 +47,26 @@ class ServiceError(RuntimeError):
         super().__init__(f"HTTP {status}: {message or 'service error'}")
 
 
+def _stale(sock: socket.socket) -> bool:
+    """Whether an idle connection is unusable: the server closed it (a
+    read would see EOF or a reset) or sent bytes nobody asked for."""
+    sock.settimeout(0.0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False  # nothing to read: still open
+    except OSError:
+        return True
+    return True
+
+
 class ServiceClient:
-    """Synchronous client bound to one ``host:port``."""
+    """Synchronous client bound to one ``host:port``.
+
+    Thread-safe: each calling thread gets its own persistent
+    connection.  :meth:`close` (or leaving a ``with`` block) closes
+    them all.
+    """
 
     def __init__(self, address: str, timeout_s: float = 60.0) -> None:
         host, _, port = address.partition(":")
@@ -57,6 +77,47 @@ class ServiceClient:
         self.host = host
         self.port = int(port)
         self.timeout_s = timeout_s
+        #: one persistent connection per calling thread
+        self._connections: Dict[
+            threading.Thread, http.client.HTTPConnection
+        ] = {}
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection (a later call reconnects)."""
+        with self._lock:
+            connections, self._connections = self._connections, {}
+        for conn in connections.values():
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def _connection(self, timeout_s: float) -> http.client.HTTPConnection:
+        """This thread's connection, ready to send with ``timeout_s``."""
+        thread = threading.current_thread()
+        conn = self._connections.get(thread)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=timeout_s
+            )
+            with self._lock:
+                dead = [t for t in self._connections if not t.is_alive()]
+                for other in dead:
+                    self._connections.pop(other).close()
+                self._connections[thread] = conn
+            return conn
+        # a new socket (first use, or after close()) connects with it
+        conn.timeout = timeout_s
+        if conn.sock is not None:
+            if _stale(conn.sock):
+                conn.close()
+            else:
+                conn.sock.settimeout(timeout_s)
+        return conn
 
     # ------------------------------------------------------------------
     # raw transport
@@ -72,23 +133,24 @@ class ServiceClient:
 
         ``timeout_s`` overrides the connection default for this call
         (long-polling endpoints must outlive their ``wait`` budget).
+        A transport error closes this thread's connection and is
+        raised: the request is not resent.
         """
-        conn = http.client.HTTPConnection(
-            self.host,
-            self.port,
-            timeout=self.timeout_s if timeout_s is None else timeout_s,
+        conn = self._connection(
+            self.timeout_s if timeout_s is None else timeout_s
         )
+        payload = None
+        headers = {"Connection": "keep-alive"}
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
             raw = response.read()
-        finally:
+        except BaseException:
             conn.close()
+            raise
         content_type = response.getheader("Content-Type", "")
         if content_type.startswith("application/json"):
             decoded: Any = json.loads(raw.decode("utf-8"))

@@ -187,6 +187,10 @@ class EngineConfig:
             raise ValueError("job_history must be >= 1")
 
 
+#: a memoised scene and its result cache keys by canonical request text
+_Source = Tuple[MeshSequence, Dict[str, str]]
+
+
 def _json_safe(value: Any) -> Any:
     """Diagnostics value → JSON-document form."""
     if isinstance(value, np.ndarray):
@@ -229,8 +233,10 @@ class ServiceEngine:
         self._spans.n_calls = 1
         self._ledger = CommLedger()
         #: memoised snapshot sources (simulating a sequence dominates
-        #: small fits; repeat requests against the same scene reuse it)
-        self._sources: "OrderedDict[str, MeshSequence]" = OrderedDict()
+        #: small fits; repeat requests against the same scene reuse it),
+        #: each with the result cache keys computed against it, by
+        #: canonical request text — hashing a scene costs most of a hit
+        self._sources: "OrderedDict[str, _Source]" = OrderedDict()
         self._exec_lock = threading.Lock()  # cache/counter/span merges
         self._source_lock = threading.Lock()
         self._backend_lock = threading.Lock()  # pooled backend is shared
@@ -556,13 +562,19 @@ class ServiceEngine:
     ) -> Dict[str, Any]:
         request = job.request
         with tracer.span("source"):
-            snapshot = self._snapshot(request["source"])
-        key = result_cache_key(
-            snapshot,
-            request["partitioner"],
-            request["k"],
-            request["config"],
-        )
+            seq, keys = self._sequence(request["source"])
+            snapshot = seq[self._snapshot_index(request["source"])]
+        text = canonical_request_text(request)
+        key = keys.get(text)
+        if key is None:
+            # the scene's arrays are read-only, so the key stays valid
+            # for as long as the entry lives
+            key = keys[text] = result_cache_key(
+                snapshot,
+                request["partitioner"],
+                request["k"],
+                request["config"],
+            )
         if request["cache"]:
             with tracer.span("cache-lookup"):
                 cached = self.cache.get(key)
@@ -666,14 +678,15 @@ class ServiceEngine:
             self._backend = build_backend(self.config.backend or "serial")
         return self._backend
 
-    def _sequence(self, source: Dict[str, Any]) -> MeshSequence:
-        """Memoised source materialisation (LRU of 4 scenes)."""
+    def _sequence(self, source: Dict[str, Any]) -> _Source:
+        """Memoised source materialisation (LRU of 4 scenes): the
+        sequence, its arrays read-only, and its cache-key memo."""
         key = canonical_request_text(source)
         with self._source_lock:
-            seq = self._sources.get(key)
-            if seq is not None:
+            entry = self._sources.get(key)
+            if entry is not None:
                 self._sources.move_to_end(key)
-                return seq
+                return entry
         if source["kind"] == "impact":
             config = ImpactConfig(
                 n_steps=source["n_steps"], refine=source["refine"]
@@ -698,22 +711,32 @@ class ServiceEngine:
                 ],
                 config=ImpactConfig(n_steps=1),
             )
+        # a job that writes into a served scene raises instead of
+        # silently staling every later cache key and hit against it
+        for snap in seq.snapshots:
+            mesh = snap.mesh
+            for array in (
+                mesh.nodes, mesh.elements, mesh.body_id, snap.contact_faces,
+                snap.contact_face_owner, snap.contact_nodes,
+            ):
+                if array is not None:
+                    array.setflags(write=False)
+        entry: _Source = (seq, {})
         with self._source_lock:
-            self._sources[key] = seq
+            self._sources[key] = entry
             self._sources.move_to_end(key)
             while len(self._sources) > 4:
                 self._sources.popitem(last=False)
-        return seq
+        return entry
 
-    def _snapshot(self, source: Dict[str, Any]) -> ContactSnapshot:
-        seq = self._sequence(source)
-        index = source["snapshot"] if source["kind"] == "impact" else 0
-        return seq[index]
+    @staticmethod
+    def _snapshot_index(source: Dict[str, Any]) -> int:
+        return source["snapshot"] if source["kind"] == "impact" else 0
 
     def _step_snapshots(
         self, source: Dict[str, Any], steps: int
     ) -> List[ContactSnapshot]:
-        seq = self._sequence(source)
+        seq, _ = self._sequence(source)
         if source["kind"] == "mesh":
             # a static scene: the driver re-steps the same snapshot
             return [seq[0]] * steps

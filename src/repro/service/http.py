@@ -2,7 +2,11 @@
 
 No web framework: :class:`ServiceServer` speaks just enough HTTP/1.1
 over ``asyncio.start_server`` for a JSON API — request line, headers,
-``Content-Length`` body, ``Connection: close`` responses.  Endpoints:
+``Content-Length`` body.  A connection serves one request and closes
+(``Connection: close``) unless the request opts in with
+``Connection: keep-alive``; then it stays open for the next request,
+which must be whole within :data:`READ_DEADLINE_S` of the previous
+response.  Endpoints:
 
 =======  ==========================  =====================================
 method   path                        behaviour
@@ -22,9 +26,13 @@ Every JSON body is one compact line.  Error mapping: schema violations
 → 400 (with the JSON path in the body), a ``Content-Length`` that is
 not a decimal byte count → 400, one over :data:`MAX_BODY_BYTES` → 413,
 rate limiting → 429 (+ ``Retry-After``), a full queue → 503, unknown
-ids → 404.  A request cut short (EOF or reset before its body is
-whole), or not whole within :data:`READ_DEADLINE_S`, is closed without
-a reply.
+ids → 404.  Framing the parser cannot follow — a ``Transfer-Encoding``
+header, two ``Content-Length`` headers that disagree — is a 400, and
+every error found while reading a request closes the connection, so a
+body can never be read as the next request.  A request cut short (EOF
+or reset before its body is whole), or not whole within
+:data:`READ_DEADLINE_S`, is closed without a reply, and so is an idle
+kept-alive connection when the deadline passes or the server stops.
 
 :class:`ServerThread` hosts an engine + server on a dedicated event
 loop in a background thread — the bridge for synchronous callers
@@ -37,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Dict, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, cast
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.engine import (
@@ -72,15 +80,18 @@ _REASONS = {
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: seconds a client has to send one whole request (line, headers and
-#: body); a client that stalls mid-request is closed without a reply,
-#: so it cannot hold its connection task, or ``stop()``, forever
+#: body), counted from the connection's accept or its previous
+#: response; a client that stalls, or idles on a kept-alive
+#: connection, is closed without a reply, so it cannot hold its
+#: connection task, or ``stop()``, forever
 READ_DEADLINE_S = 10.0
 
 
-def render_metrics(engine: ServiceEngine) -> str:
-    """The engine counters in Prometheus text exposition format."""
+def render_metrics(engine: ServiceEngine, server: Mapping[str, int]) -> str:
+    """The engine counters and the ``server``'s (connections accepted,
+    responses written) in Prometheus text exposition format."""
     lines: List[str] = []
-    for name, value in sorted(engine.counters().items()):
+    for name, value in sorted({**engine.counters(), **server}.items()):
         metric = f"repro_service_{name}"
         kind = "gauge" if name == "queue_depth" else "counter"
         lines.append(f"# TYPE {metric} {kind}")
@@ -127,25 +138,42 @@ def _content_length(text: str) -> int:
 
 
 async def _read_raw_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[List[str], bytes]]:
-    """The request line's words and the body; ``None`` for a request
-    line of fewer than two words (see :meth:`ServiceServer._read_request`)."""
-    parts = (await reader.readline()).decode("latin-1").split()
+    reader: asyncio.StreamReader, first: bytes
+) -> Optional[Tuple[List[str], bytes, bool]]:
+    """The request line's words, the body and whether the client asked
+    for keep-alive; ``None`` for a request line of fewer than two words
+    (see :meth:`ServiceServer._read_request`).  ``first`` is the
+    request's first byte, already read."""
+    parts = (first + await reader.readline()).decode("latin-1").split()
     if len(parts) < 2:
         return None
-    content_length = 0
+    content_length: Optional[int] = None
+    keep_alive = False
     while True:
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            content_length = _content_length(value.strip())
+        name = name.strip().lower()
+        if name == "content-length":
+            length = _content_length(value.strip())
+            if content_length not in (None, length):
+                raise _HttpError(
+                    400, {"error": "conflicting Content-Length headers"}
+                )
+            content_length = length
+        elif name == "transfer-encoding":
+            raise _HttpError(
+                400, {"error": "Transfer-Encoding is not supported; "
+                               "send a Content-Length"}
+            )
+        elif name == "connection":
+            tokens = {t.strip() for t in value.lower().split(",")}
+            keep_alive = "keep-alive" in tokens and "close" not in tokens
     body = b""
     if content_length:
         body = await reader.readexactly(content_length)
-    return parts, body
+    return parts, body, keep_alive
 
 
 class ServiceServer:
@@ -168,6 +196,13 @@ class ServiceServer:
         self._server: Optional[asyncio.AbstractServer] = None
         #: handler tasks of the connections still sending their request
         self._reading: Set["asyncio.Task[Any]"] = set()
+        #: connections waiting for the first byte of their next request
+        self._idle: Set[asyncio.StreamWriter] = set()
+        #: set by :meth:`stop`: no connection is kept alive after it
+        self._closing = False
+        #: connections accepted and responses written (``/metrics``)
+        self.connections_total = 0
+        self.requests_total = 0
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -181,9 +216,14 @@ class ServiceServer:
             self.port = sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop listening and shut the engine down."""
+        """Stop listening, close idle connections, and shut the engine
+        down.  A connection mid-request keeps its read deadline."""
         if self._server is not None:
             self._server.close()
+            self._closing = True
+            # EOF ends an idle reader's wait at once, and quietly
+            for writer in list(self._idle):
+                writer.close()
             if self._reading:
                 # a stalled reader ends by READ_DEADLINE_S; cancelling it
                 # instead makes Python 3.11's stream callback log an ERROR
@@ -205,42 +245,10 @@ class ServiceServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        self.connections_total += 1
         try:
-            try:
-                parsed = await self._read_request(reader)
-                if parsed is None:
-                    return
-                status, payload, headers = await self._route(*parsed)
-            except _HttpError as exc:
-                status, payload, headers = exc.status, exc.payload, exc.headers
-            except (BrokenPipeError, ConnectionResetError):
-                raise
-            except Exception as exc:  # noqa: BLE001 - boundary
-                status = 500
-                payload = {"error": f"internal error: {exc}"}
-                headers = {}
-            if isinstance(payload, str):
-                data = payload.encode("utf-8")
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-            else:
-                # compact separators keep CPython on its C encoder
-                # (``indent`` forces the pure-Python one)
-                data = json.dumps(payload, separators=(",", ":")).encode(
-                    "utf-8"
-                )
-                ctype = "application/json"
-            head = [
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Content-Type: {ctype}",
-                f"Content-Length: {len(data)}",
-                "Connection: close",
-            ]
-            for name, value in headers.items():
-                head.append(f"{name}: {value}")
-            writer.write(
-                ("\r\n".join(head) + "\r\n\r\n").encode("utf-8") + data
-            )
-            await writer.drain()
+            while await self._exchange(reader, writer):
+                pass
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-response
         finally:
@@ -249,25 +257,74 @@ class ServiceServer:
             except Exception:  # pragma: no cover - teardown best-effort
                 pass
 
+    async def _exchange(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> bool:
+        """Read one request and write its response; whether the
+        connection stays open for another."""
+        keep_alive = False
+        try:
+            parsed = await self._read_request(reader, writer)
+            if parsed is None:
+                return False
+            method, path, query, body, keep_alive = parsed
+            status, payload, headers = await self._route(
+                method, path, query, body
+            )
+        except _HttpError as exc:
+            status, payload, headers = exc.status, exc.payload, exc.headers
+        except (BrokenPipeError, ConnectionResetError):
+            raise
+        except Exception as exc:  # noqa: BLE001 - boundary
+            status = 500
+            payload = {"error": f"internal error: {exc}"}
+            headers = {}
+        keep_alive = keep_alive and not self._closing
+        if isinstance(payload, str):
+            data = payload.encode("utf-8")
+            ctype = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            # compact separators keep CPython on its C encoder
+            # (``indent`` forces the pure-Python one)
+            data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            ctype = "application/json"
+        head = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+            f"Content-Type: {ctype}",
+            f"Content-Length: {len(data)}",
+            "Connection: keep-alive" if keep_alive else "Connection: close",
+        ]
+        for name, value in headers.items():
+            head.append(f"{name}: {value}")
+        self.requests_total += 1
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("utf-8") + data)
+        await writer.drain()
+        return keep_alive
+
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one request into ``(method, path, query, body)``.
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes, bool]]:
+        """Parse one request into ``(method, path, query, body,
+        keep_alive)``.
 
         ``None`` when the peer sends garbage, goes away or stalls before
         the request is whole — EOF, a reset, a body cut short, a line
         over the stream limit (``readline`` raises ``ValueError``),
-        :data:`READ_DEADLINE_S` passing: the connection is closed
-        without a reply.  A ``Content-Length`` that is not a decimal
-        count raises a 400, one over :data:`MAX_BODY_BYTES` a 413,
-        before any body is read.
+        :data:`READ_DEADLINE_S` passing, :meth:`stop` closing a
+        connection that has not begun its request: the connection is
+        closed without a reply.  A ``Content-Length`` that is not a
+        decimal count raises a 400, one over :data:`MAX_BODY_BYTES` a
+        413, before any body is read; so do the framing 400s
+        (``Transfer-Encoding``, conflicting lengths).
         """
         # the connection's handler task (there always is one here)
         task = cast("asyncio.Task[Any]", asyncio.current_task())
         self._reading.add(task)
         try:
             read = await asyncio.wait_for(
-                _read_raw_request(reader), READ_DEADLINE_S
+                self._read_idle_then_request(reader, writer), READ_DEADLINE_S
             )
         except (
             ConnectionResetError,
@@ -280,7 +337,7 @@ class ServiceServer:
             self._reading.discard(task)
         if read is None:
             return None
-        parts, body = read
+        parts, body, keep_alive = read
         try:
             split = urlsplit(parts[1])
         except ValueError:
@@ -290,7 +347,25 @@ class ServiceServer:
         query = {
             key: values[-1] for key, values in parse_qs(split.query).items()
         }
-        return parts[0].upper(), split.path, query, body
+        return parts[0].upper(), split.path, query, body, keep_alive
+
+    async def _read_idle_then_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[List[str], bytes, bool]]:
+        """Wait, idle, for the request's first byte, then read the rest:
+        only the idle wait is one :meth:`stop` may cut short."""
+        # checked in the same step as the registration: ``wait_for``
+        # may start this as its own task after ``stop()`` has run
+        if self._closing:
+            return None
+        self._idle.add(writer)
+        try:
+            first = await reader.read(1)
+        finally:
+            self._idle.discard(writer)
+        if not first:
+            return None
+        return await _read_raw_request(reader, first)
 
     # ------------------------------------------------------------------
     async def _route(
@@ -333,7 +408,11 @@ class ServiceServer:
                 {},
             )
         if path == "/metrics" and method == "GET":
-            return 200, render_metrics(engine), {}
+            totals = {
+                "connections_total": self.connections_total,
+                "requests_total": self.requests_total,
+            }
+            return 200, render_metrics(engine, totals), {}
         raise _HttpError(404, {"error": f"no route {method} {path}"})
 
     def _submit(self, body: bytes) -> Dict[str, Any]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.partitioner import make_result
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, result_cache_key
 from repro.service.engine import (
     EngineConfig,
     RateLimitedError,
@@ -17,6 +17,8 @@ from repro.service.engine import (
 )
 from repro.service.queue import QueueFullError, RetryPolicy
 from repro.service.schemas import SCHEMA_VERSION, validate_result
+from repro.sim.projectile import ImpactConfig
+from repro.sim.sequence import simulate_impact
 
 SOURCE = {"kind": "impact", "n_steps": 2, "refine": 0.5}
 
@@ -170,6 +172,124 @@ class TestPartitionPayload:
         document = self.payload(cached)
         assert document["labels"] == [int(x) for x in labels]
         assert {type(x) for x in document["labels"]} == {int}
+
+
+class TestCacheKeys:
+    """Keys are computed once per request text against a read-only
+    scene, and stay the bytes earlier releases wrote to disk."""
+
+    #: ``content_key`` of ``request()`` as released before the key memo
+    #: (hashing the snapshot on every job); a disk tier written then
+    #: holds its entry under this name
+    RELEASED_KEY = (
+        "cb28f057d3c640cb3307ef1631ec4b438e49adfc9ece6e1a11944089f603b173"
+    )
+
+    def test_key_is_the_released_one_and_computed_once(self, monkeypatch):
+        from repro.service import engine as engine_module
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return result_cache_key(*args)
+
+        monkeypatch.setattr(engine_module, "result_cache_key", counted)
+
+        async def scenario():
+            engine = ServiceEngine(EngineConfig(workers=1))
+            await engine.start()
+            try:
+                return [
+                    await engine.wait(engine.submit(request()).id, 120)
+                    for _ in range(3)
+                ]
+            finally:
+                await engine.stop()
+
+        jobs = run(scenario())
+        assert [job.cache for job in jobs] == ["miss", "hit", "hit"]
+        assert {job.result["content_key"] for job in jobs} == {
+            self.RELEASED_KEY
+        }
+        assert calls == [("mcml-dt", 4, {})]
+        snapshot = simulate_impact(ImpactConfig(n_steps=2, refine=0.5))[0]
+        assert result_cache_key(snapshot, "mcml-dt", 4, {}) == (
+            self.RELEASED_KEY
+        )
+
+    def test_disk_cache_written_under_released_keys_is_hit(self, tmp_path):
+        labels = np.arange(2000, dtype=np.int64) % 4
+        ResultCache(capacity=1, disk_dir=str(tmp_path)).put(
+            self.RELEASED_KEY,
+            make_result("mcml-dt", 4, labels, {"edge_cut_final": 9}, None,
+                        None),
+        )
+
+        async def scenario():
+            engine = ServiceEngine(
+                EngineConfig(workers=1, cache_dir=str(tmp_path))
+            )
+            await engine.start()
+            try:
+                job = await engine.wait(engine.submit(request()).id, 120)
+                return job, engine.fits_total, engine.cache.stats.disk_hits
+            finally:
+                await engine.stop()
+
+        job, fits, disk_hits = run(scenario())
+        assert (job.state, job.cache, fits, disk_hits) == ("done", "hit", 0, 1)
+        assert job.result["content_key"] == self.RELEASED_KEY
+        assert job.result["labels"] == labels.tolist()
+
+    def test_a_job_writing_into_a_served_scene_raises(self):
+        """Every array of a memoised scene is read-only: a partitioner
+        that writes into its snapshot fails the job, and the scene, its
+        memoised key and the next hit stay what a fresh scene gives."""
+
+        class Vandal:
+            def fit(self, snapshot, tracer=None, ledger=None):
+                snapshot.mesh.nodes[0, 0] += 1.0
+
+        async def scenario():
+            engine = ServiceEngine(
+                EngineConfig(workers=1, retry=RetryPolicy(max_retries=0))
+            )
+            real = engine._make_partitioner
+            engine._make_partitioner = lambda *args: Vandal()
+            await engine.start()
+            try:
+                vandal = await engine.wait(engine.submit(request()).id, 120)
+                engine._make_partitioner = real
+                jobs = [
+                    await engine.wait(engine.submit(request()).id, 120)
+                    for _ in range(2)
+                ]
+                seq, keys = engine._sequence(jobs[0].request["source"])
+                return vandal, jobs, seq, keys
+            finally:
+                await engine.stop()
+
+        vandal, (miss, hit), seq, keys = run(scenario())
+        assert vandal.state == "failed"
+        assert "read-only" in vandal.error
+        assert (miss.cache, hit.cache) == ("miss", "hit")
+        assert hit.result["labels"] == miss.result["labels"]
+        fresh = simulate_impact(ImpactConfig(n_steps=2, refine=0.5))
+        for served, clean in zip(seq.snapshots, fresh.snapshots):
+            for name in ("nodes", "elements", "body_id"):
+                array = getattr(served.mesh, name)
+                assert not array.flags.writeable, name
+                assert np.array_equal(array, getattr(clean.mesh, name))
+            for name in ("contact_faces", "contact_face_owner",
+                         "contact_nodes"):
+                array = getattr(served, name)
+                assert not array.flags.writeable, name
+                assert np.array_equal(array, getattr(clean, name))
+        assert list(keys.values()) == [hit.result["content_key"]]
+        assert hit.result["content_key"] == result_cache_key(
+            fresh[0], "mcml-dt", 4, {}
+        )
 
 
 class _RaisingDelay(RetryPolicy):

@@ -5,9 +5,14 @@ loop + TCP port) and talks to it through :class:`ServiceClient` — the
 full submit → poll → fetch path over actual sockets.
 """
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.obs.schema import validate_report
+from repro.service import http
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import EngineConfig
 from repro.service.http import ServerThread
@@ -153,6 +158,81 @@ class TestClientTimeouts:
         assert client._poll_timeout(1.0) == 60.0
         assert client._poll_timeout(None) is None
         assert client._poll_timeout(300.0) == 310.0
+
+
+def totals(client):
+    """``(connections, requests)`` the server has counted so far."""
+    metrics = client.metrics()
+    return (
+        metrics["repro_service_connections_total"],
+        metrics["repro_service_requests_total"],
+    )
+
+
+class TestPersistentConnections:
+    def test_300_sequential_calls_use_one_connection(self, server):
+        with ServiceClient(server.address) as client:
+            connections, requests = totals(client)
+            for _ in range(300):
+                client.health()
+            assert totals(client) == (connections, requests + 301)
+
+    def test_each_call_sets_its_timeout_on_the_reused_socket(self, server):
+        with ServiceClient(server.address, timeout_s=7.0) as client:
+            client.health()
+            conn = client._connections[threading.current_thread()]
+            sock = conn.sock
+            assert sock.gettimeout() == 7.0
+            client.request("GET", "/healthz", timeout_s=33.0)
+            assert conn.sock is sock and sock.gettimeout() == 33.0
+            client.health()
+            assert conn.sock is sock and sock.gettimeout() == 7.0
+
+    def test_one_client_shared_by_two_threads(self, server):
+        """The bench spine's burst: two threads share one client; each
+        gets its own connection and only its own records."""
+        barrier = threading.Barrier(2)
+
+        def jobs(k):
+            barrier.wait(30)
+            pairs = []
+            for _ in range(3):
+                record = client.submit("partition", k, SOURCE)
+                pairs.append((record, client.result(record["id"], 120)))
+            return pairs
+
+        with ServiceClient(server.address) as client:
+            connections, _ = totals(client)
+            with ThreadPoolExecutor(2) as pool:
+                by_k = dict(zip((2, 3), pool.map(jobs, (2, 3))))
+            for k, pairs in by_k.items():
+                for record, result in pairs:
+                    assert result["id"] == record["id"]
+                    assert (result["k"], max(result["labels"])) == (k, k - 1)
+                assert len({str(r["labels"]) for _, r in pairs}) == 1
+            assert totals(client)[0] == connections + 2
+            # a new thread's first call closes the dead threads' ones
+            worker = threading.Thread(target=client.health)
+            worker.start()
+            worker.join()
+            assert set(client._connections) == {
+                threading.current_thread(), worker
+            }
+
+    def test_reconnects_after_the_server_closes_an_idle_connection(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(http, "READ_DEADLINE_S", 0.3)
+        with ServerThread(EngineConfig(workers=1)) as srv, ServiceClient(
+            srv.address
+        ) as client:
+            connections, _ = totals(client)
+            time.sleep(1.0)  # past the idle deadline: the server closed
+            submitted = srv.engine.queue.submitted
+            record = client.submit("partition", 2, SOURCE)
+            assert srv.engine.queue.submitted == submitted + 1
+            assert client.status(record["id"], wait_s=120)["state"] == "done"
+            assert totals(client)[0] == connections + 1
 
 
 class TestRateLimiting:

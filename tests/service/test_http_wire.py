@@ -4,13 +4,15 @@ to the document the route returned.
 
 Each exchange sends its bytes, shuts the write side (``SHUT_WR``) and
 reads to EOF, so a reply is either a whole response or a closed
-connection.  Nothing here may make asyncio log an ERROR record (an
-exception escaping the connection handler does), and ``/healthz`` must
-answer after every case.
+connection.  The keep-alive cases hold one socket open across several
+requests instead.  Nothing here may make asyncio log an ERROR record
+(an exception escaping the connection handler does), and ``/healthz``
+must answer after every case.
 """
 
 import json
 import logging
+import re
 import socket
 import struct
 import time
@@ -207,12 +209,16 @@ def read_to_eof(sock):
         return b"".join(chunks)
 
 
-class TestReadDeadline:
-    DEADLINE_S = 0.5
+SHORT_DEADLINE_S = 0.5
 
-    @pytest.fixture
-    def short_deadline(self, monkeypatch):
-        monkeypatch.setattr(http, "READ_DEADLINE_S", self.DEADLINE_S)
+
+@pytest.fixture
+def short_deadline(monkeypatch):
+    monkeypatch.setattr(http, "READ_DEADLINE_S", SHORT_DEADLINE_S)
+
+
+class TestReadDeadline:
+    DEADLINE_S = SHORT_DEADLINE_S
 
     @pytest.mark.parametrize(
         "raw",
@@ -245,6 +251,168 @@ class TestReadDeadline:
             assert not srv._thread.is_alive()
         finally:
             sock.close()
+        assert asyncio_errors(caplog) == []
+
+
+def keep_alive(line=b"GET /healthz"):
+    return line + b" HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"
+
+
+def read_response(stream):
+    """One whole response off a socket's ``makefile("rb")`` stream,
+    leaving the socket open; ``b""`` for a connection closed first."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = stream.readline()
+        if not line:
+            return b""
+        head += line
+    length = re.search(rb"Content-Length: (\d+)", head)[1]
+    return head + stream.read(int(length))
+
+
+class TestFraming:
+    """Framing the parser does not follow is refused and the connection
+    closed, so no body is ever read as the next request."""
+
+    @pytest.mark.parametrize(
+        "coding", [b"chunked", b"gzip, chunked", b"identity"]
+    )
+    def test_transfer_encoding_is_400(self, server, caplog, coding):
+        raw = (
+            b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: " + coding
+            + b"\r\n\r\n"
+        )
+        status, document = assert_json_reply(exchange(server.address, raw))
+        assert status == 400
+        assert "Transfer-Encoding" in document["error"]
+        assert_healthy(server.address)
+        assert asyncio_errors(caplog) == []
+
+    def test_conflicting_content_lengths_are_400(self, server, caplog):
+        raw = (
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2\r\n"
+            b"Content-Length: 3\r\n\r\n{}"
+        )
+        status, document = assert_json_reply(exchange(server.address, raw))
+        assert status == 400
+        assert document["error"] == "conflicting Content-Length headers"
+        assert_healthy(server.address)
+        assert asyncio_errors(caplog) == []
+
+    def test_equal_content_lengths_are_one_length(self, server, caplog):
+        raw = (
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2\r\n"
+            b"Content-Length: 02\r\n\r\n{}"
+        )
+        status, document = assert_json_reply(exchange(server.address, raw))
+        assert status == 400
+        assert document["path"] == "$.schema"  # the body was read as JSON
+        assert asyncio_errors(caplog) == []
+
+    def test_chunked_body_is_never_a_second_request(self, server, caplog):
+        """A kept-alive chunked POST whose chunk is a whole request gets
+        one 400 and EOF: the chunk is not answered as a request."""
+        smuggled = keep_alive()
+        raw = (
+            b"POST /v1/jobs HTTP/1.1\r\nConnection: keep-alive\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(smuggled):x}".encode() + b"\r\n" + smuggled
+            + b"\r\n0\r\n\r\n"
+        )
+        host, port = server.address.split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(raw)
+            reply = read_to_eof(sock)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        status, headers, _ = parse(reply)
+        assert (status, headers["connection"]) == (400, "close")
+        assert_healthy(server.address)
+        assert asyncio_errors(caplog) == []
+
+
+class TestKeepAlive:
+    DEADLINE_S = SHORT_DEADLINE_S
+
+    @staticmethod
+    def connect(address):
+        host, port = address.split(":")
+        sock = socket.create_connection((host, int(port)), timeout=30.0)
+        return sock, sock.makefile("rb")
+
+    def test_two_requests_on_one_socket(self, server, caplog):
+        sock, stream = self.connect(server.address)
+        with sock, stream:
+            for line in (b"GET /healthz", b"GET /v1/jobs/job-999999"):
+                sock.sendall(keep_alive(line))
+                status, headers, _ = parse(read_response(stream))
+                assert headers["connection"] == "keep-alive"
+            assert status == 404  # an error the route raised keeps it too
+            # without the header the next reply closes the connection
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, headers, _ = parse(read_response(stream))
+            assert (status, headers["connection"]) == (200, "close")
+            assert stream.read() == b""
+        assert asyncio_errors(caplog) == []
+
+    def test_without_the_header_the_reply_closes(self, server, caplog):
+        sock, stream = self.connect(server.address)
+        with sock, stream:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, headers, _ = parse(read_response(stream))
+            assert (status, headers["connection"]) == (200, "close")
+            assert stream.read() == b""
+        assert asyncio_errors(caplog) == []
+
+    def test_idle_connection_closes_quietly_at_the_deadline(
+        self, server, caplog, short_deadline
+    ):
+        sock, stream = self.connect(server.address)
+        with sock, stream:
+            sock.sendall(keep_alive())
+            assert parse(read_response(stream))[0] == 200
+            started = time.monotonic()
+            assert read_to_eof(sock) == b""
+            waited = time.monotonic() - started
+        assert self.DEADLINE_S * 0.5 <= waited < self.DEADLINE_S + 10.0
+        assert_healthy(server.address)
+        assert asyncio_errors(caplog) == []
+
+    def test_stop_closes_an_idle_connection_at_once(self, caplog):
+        srv = ServerThread(EngineConfig(workers=1)).start()
+        sock, stream = self.connect(srv.address)
+        with sock, stream:
+            sock.sendall(keep_alive())
+            assert parse(read_response(stream))[0] == 200
+            started = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - started < 1.0
+            assert not srv._thread.is_alive()
+            assert stream.read() == b""
+        assert asyncio_errors(caplog) == []
+
+    def test_garbage_closes_a_kept_alive_connection(self, server, caplog):
+        sock, stream = self.connect(server.address)
+        with sock, stream:
+            sock.sendall(keep_alive())
+            assert parse(read_response(stream))[0] == 200
+            sock.sendall(b"garbage\r\n\r\n")
+            assert read_to_eof(sock) == b""
+        assert_healthy(server.address)
+        assert asyncio_errors(caplog) == []
+
+    def test_a_parse_error_closes_a_kept_alive_connection(
+        self, server, caplog
+    ):
+        sock, stream = self.connect(server.address)
+        with sock, stream:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nConnection: keep-alive\r\n"
+                b"Content-Length: abc\r\n\r\n"
+            )
+            status, headers, _ = parse(read_response(stream))
+            assert (status, headers["connection"]) == (400, "close")
+            assert stream.read() == b""
         assert asyncio_errors(caplog) == []
 
 
