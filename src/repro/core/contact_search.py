@@ -54,11 +54,12 @@ def _drop_own_nodes(
 ) -> Set[Tuple[int, int]]:
     """Pair set from parallel (element, node id) arrays, excluding
     pairs where the node is one of the element's own nodes — one batch
-    comparison against the elements' connectivity rows."""
+    comparison per connectivity column."""
     if len(elem_idx) == 0:
         return set()
-    own = (element_faces[elem_idx] == node_ids[:, None]).any(axis=1)
-    keep = ~own
+    keep = np.ones(len(elem_idx), dtype=bool)
+    for col in range(element_faces.shape[1]):
+        keep &= element_faces[:, col][elem_idx] != node_ids
     return set(
         zip(elem_idx[keep].tolist(), node_ids[keep].tolist())
     )

@@ -62,6 +62,7 @@ from repro.runtime.backends import resolve_backend
 from repro.runtime.backends.base import BackendError, BackendLike
 from repro.runtime.ledger import CommLedger
 from repro.sim.sequence import ContactSnapshot
+from repro.utils.validation import check_finite
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,18 @@ class ContactStepDriver:
         step (up to ``recovery.max_step_retries`` times). A failed
         attempt never reaches ``history``, and the re-execution starts
         from exactly the pre-step state, so a recovered run is
-        bit-identical to one that never faulted.
+        bit-identical to one that never faulted. A snapshot with a
+        non-finite contact-node coordinate raises :class:`ValueError`
+        before anything is computed or booked.
         """
         if not self._initialized:
             raise RuntimeError("call initialize() before step()")
+        # refused before any state moves: a bad snapshot books no
+        # exchange, no repartition and no history entry
+        check_finite(
+            "snapshot contact-node coordinates",
+            snapshot.mesh.nodes[snapshot.contact_nodes],
+        )
         with self.tracer.span("step"):
             result = self._step_with_recovery(snapshot)
         self.history.append(result)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.dtree.tree import DecisionTree
 from repro.geometry.boxsearch import SearchPlan
-from repro.utils.validation import check_labels
+from repro.utils.validation import check_finite, check_labels
 
 
 def _node_arrays(tree: DecisionTree) -> Tuple[np.ndarray, ...]:
@@ -78,6 +78,9 @@ def box_query_pairs(
     boxes = np.asarray(boxes, dtype=float)
     m = len(boxes)
     dim, thr, left, right, _, _ = _node_arrays(tree)
+    # coordinate-major bounds: box b's bound on axis a sits at a * m + b
+    lo_flat = np.ascontiguousarray(boxes[:, 0].T).ravel()
+    hi_flat = np.ascontiguousarray(boxes[:, 1].T).ravel()
 
     box_idx = np.arange(m, dtype=np.int64)
     node_idx = np.full(m, tree.root, dtype=np.int64)
@@ -91,10 +94,10 @@ def box_query_pairs(
         box_idx, node_idx = box_idx[~is_leaf], node_idx[~is_leaf]
         if len(box_idx) == 0:
             break
-        d = dim[node_idx]
+        at = dim[node_idx] * m + box_idx
         t = thr[node_idx]
-        go_l = boxes[box_idx, 0, d] <= t
-        go_r = boxes[box_idx, 1, d] > t
+        go_l = lo_flat.take(at) <= t
+        go_r = hi_flat.take(at) > t
         # a box not strictly right of the threshold that also fails the
         # left test can only happen on NaN input; treat as both-ways
         neither = ~(go_l | go_r)
@@ -121,15 +124,16 @@ def tree_filter_search(
     whose points they contain — approximated here by their majority
     label plus a "send to everyone touching" flag would overcount, so
     we store per-leaf label and mark impure leaves as wildcards.
-    Owners outside ``[0, k)`` raise :class:`ValueError`.
+    Owners outside ``[0, k)`` and non-finite ``element_boxes`` raise
+    :class:`ValueError`.
     """
-    element_boxes = np.asarray(element_boxes, dtype=float)
     element_owner = check_labels(
         "element_owner",
         np.asarray(element_owner, dtype=np.int64),
         k,
         size=len(element_boxes),
     )
+    element_boxes = check_finite("element_boxes", element_boxes)
 
     _, _, _, _, labels, pure = _node_arrays(tree)
     b_idx, leaf_idx = box_query_pairs(tree, element_boxes)

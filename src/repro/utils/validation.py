@@ -36,6 +36,15 @@ def check_in_range(
         raise ValueError(f"{name} must satisfy {lo} {op} {name} {op} {hi}, got {value}")
 
 
+def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` as ``float64``; :class:`ValueError` naming ``name`` if
+    any entry is NaN or infinite."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def check_array(
     name: str,
     arr: np.ndarray,

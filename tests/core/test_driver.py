@@ -1,5 +1,8 @@
 """Tests for the time-stepping driver."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,36 @@ class TestDriverBasics:
             ContactStepDriver(0)
         with pytest.raises(ValueError, match="repartition_period"):
             ContactStepDriver(2, repartition_period=0)
+
+    def test_non_finite_snapshot_books_nothing(self, small_sequence):
+        """A NaN contact-node coordinate is refused at the top of the
+        step: no exchange reaches the ledger, no repartition moves the
+        labels and no history entry is added."""
+        driver = ContactStepDriver(
+            K, params(), strategy=UpdateStrategy.HYBRID,
+            repartition_period=1,
+        )
+        driver.initialize(small_sequence[0]).step(small_sequence[0])
+        snap = small_sequence[1]
+        nodes = snap.mesh.nodes.copy()
+        nodes[snap.contact_nodes[3], 1] = np.nan
+        bad = dataclasses.replace(
+            snap, mesh=dataclasses.replace(snap.mesh, nodes=nodes)
+        )
+        ledger = copy.deepcopy(driver.ledger)
+        part = driver.partitioner.part.copy()
+        with pytest.raises(
+            ValueError, match="contact-node coordinates must be finite"
+        ):
+            driver.step(bad)
+        assert driver.ledger == ledger
+        assert driver.ledger.items("contact-exchange") == (
+            driver.history[0].n_remote
+        )
+        assert np.array_equal(driver.partitioner.part, part)
+        assert len(driver.history) == 1
+        # the driver is still usable: the good snapshot steps as before
+        assert driver.step(snap).repartitioned
 
 
 class TestDriverStrategies:

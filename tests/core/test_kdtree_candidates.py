@@ -1,5 +1,5 @@
-"""Direct tests for the KD-tree candidate enumeration behind the
-contact search (now the vectorised kernel in repro.geometry.boxsearch)."""
+"""Direct tests for the candidate enumeration behind the contact
+search (the uniform-grid broad phase in repro.geometry.boxsearch)."""
 
 import numpy as np
 import pytest
@@ -53,7 +53,7 @@ class TestCandidatePairs:
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_property_matches_dense_containment(self, seed):
-        """The KD-tree path finds exactly the pairs dense containment
+        """The grid path finds exactly the pairs dense containment
         testing finds."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))

@@ -190,3 +190,11 @@ class TestTreeFilterSearch:
         boxes = np.stack((pts[:2], pts[:2]), axis=1)
         with pytest.raises(ValueError, match=r"element_owner must lie"):
             tree_filter_search(tree, boxes, np.array([0, bad]), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_boxes_rejected(self, bad):
+        tree, pts, _ = random_tree(10)
+        boxes = np.stack((pts[:2], pts[:2]), axis=1)
+        boxes[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="^element_boxes must be finite"):
+            tree_filter_search(tree, boxes, np.array([0, 1]), 3)

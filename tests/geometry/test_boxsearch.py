@@ -86,6 +86,13 @@ class TestBboxFilterSearch:
         with pytest.raises(ValueError, match=r"element_owner must lie"):
             bbox_filter_search(boxes, owner, pts, part, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_boxes_rejected(self, bad):
+        boxes, owner, pts, part = two_cluster_setup()
+        boxes[2, 0, 1] = bad
+        with pytest.raises(ValueError, match="^element_boxes must be finite"):
+            bbox_filter_search(boxes, owner, pts, part, 2)
+
 
 class TestSearchPlan:
     def test_n_remote_counts_matrix(self):

@@ -1,8 +1,10 @@
-"""Differential tests: the dual-tree broad phase of
+"""Differential tests: the uniform-grid broad phase of
 :func:`repro.geometry.boxsearch.candidate_pairs` must find the same
 (box, point) pair *set* as the verbatim one-ball-query-per-box oracle
-in :mod:`tests.geometry.reference_boxsearch` — on adversarial inputs
-and on every per-rank call of a driver pass."""
+in :mod:`tests.geometry.reference_boxsearch` and as dense containment
+over every (box, point) — on adversarial inputs (rounding lattices,
+boxes on cell boundaries and outside the points' bounding box, zero
+spans) and on every per-rank call of a driver pass."""
 
 import tracemalloc
 
@@ -35,37 +37,64 @@ def dense_pairs(boxes, points, ids):
 
 @st.composite
 def scenes(draw):
-    """Boxes and points on a 1/8 grid, so points land exactly on box
-    faces and corners, with zero-extent boxes, duplicated points, empty
-    sides and (optionally) one box 50x larger than the rest."""
+    """Boxes and points on a lattice of step 1/8, 0.1 or 1/3 (the last
+    two round in the grid's cell arithmetic), so points land exactly on
+    box faces and corners. Optional cases: zero-extent boxes, boxes
+    whose extent is the largest and whose corners sit on cell
+    boundaries, one box 50x larger than the rest, boxes wholly outside
+    the points' bounding box on either side of an axis, duplicated or
+    all-coincident points, a single point and empty sides."""
     d = draw(st.sampled_from([2, 3]))
+    step = draw(st.sampled_from([1 / 8, 0.1, 1 / 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(0, 12))
-    n = draw(st.integers(0, 40))
-    lo = rng.integers(0, 16, (m, d)) / 8.0
-    extent = rng.integers(0, 4, (m, d)) / 8.0
+    n = draw(st.one_of(st.just(1), st.integers(0, 40)))
+    lo = rng.integers(0, 16, (m, d)) * step
+    extent = rng.integers(0, 4, (m, d)) * step
     if m and draw(st.booleans()):
         extent[: m // 2 + 1] = 0.0  # zero-extent boxes
+    if m and draw(st.booleans()):
+        # every extent the group's largest, every corner a multiple of
+        # it: with a point at the origin, corners sit on cell faces
+        cell = int(rng.integers(1, 4)) * step
+        extent[:] = cell
+        lo = rng.integers(0, 6, (m, d)) * cell
     boxes = np.stack((lo, lo + extent), axis=1)
     if m and draw(st.booleans()):
         centre = boxes[0].mean(axis=0)
-        half = np.maximum(boxes[0, 1] - boxes[0, 0], 1 / 8) * 25.0
+        half = np.maximum(boxes[0, 1] - boxes[0, 0], step) * 25.0
         boxes[0] = (centre - half, centre + half)
-    points = rng.integers(0, 20, (n, d)) / 8.0
+    points = rng.integers(0, 20, (n, d)) * step
     if m and n and draw(st.booleans()):
         # box corners, and a point on the middle of a face
         b = rng.integers(0, m, n)
         corner = rng.integers(0, 2, (n, d))
         points = boxes[b[:, None], corner, np.arange(d)]
         points[0, 0] = boxes[b[0], :, 0].mean()
+    if n and draw(st.booleans()):
+        points[0] = 0.0  # the grid's origin on the lattice
     if n > 1 and draw(st.booleans()):
         points[1::2] = points[0]  # duplicated points
+    if n > 1 and draw(st.booleans()):
+        points[:] = points[-1]  # all coincident: zero span
+    if m and n and draw(st.booleans()):
+        # boxes wholly outside the points' bounding box, one per axis
+        # and side, touching it up to a lattice step away
+        for i in range(0, m, 2):
+            axis, gap = int(rng.integers(0, d)), int(rng.integers(1, 3))
+            width = boxes[i, 1, axis] - boxes[i, 0, axis]
+            if i % 4:
+                boxes[i, 0, axis] = points[:, axis].max() + gap * step
+                boxes[i, 1, axis] = boxes[i, 0, axis] + width
+            else:
+                boxes[i, 1, axis] = points[:, axis].min() - gap * step
+                boxes[i, 0, axis] = boxes[i, 1, axis] - width
     ids = rng.permutation(10 * n + 1)[:n].astype(np.int64)
     return boxes, points, ids
 
 
 @given(scenes())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_pair_set_equals_the_oracle(scene):
     boxes, points, ids = scene
     got = pair_set(candidate_pairs(boxes, points, ids))
@@ -92,15 +121,16 @@ def test_every_rank_call_of_a_driver_pass(small_sequence, monkeypatch):
     assert len(calls) >= 8 * len(small_sequence)
     for boxes, points, ids, got in calls:
         assert got == pair_set(ref.candidate_pairs(boxes, points, ids))
+        assert got == dense_pairs(boxes, points, ids)
 
 
 def test_one_huge_box_leaves_the_other_queries_small():
-    """One box covering the scene, ~60x the others' half-diagonal.
-    Each radius octave is queried at its own largest radius, so the
-    small boxes never meet the points at the huge box's radius: peak
-    traced memory stays near the output size (~0.2 MB). A single pass
-    at the largest radius meets ~930k (box, point) pairs here, and its
-    per-pair temporaries alone trace 8 MB."""
+    """One box covering the scene, 60x the others' extent. Each
+    extent octave gets its own grid, so the small boxes never meet the
+    points in cells the huge box's size: peak traced memory stays near
+    the output size (~0.4 MB; 1,000 + ~1,650 candidates). One grid for
+    every box would have a single cell, hand containment all 1M
+    (box, point) pairs and trace 34 MB."""
     rng = np.random.default_rng(0)
     n = 1000
     lo = rng.random((n, 3)) * 10.0
