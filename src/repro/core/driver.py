@@ -41,7 +41,6 @@ ends bit-identical to a clean one. Tune or disable with
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Set, Tuple, Union
@@ -210,7 +209,7 @@ class ContactStepDriver:
             return
         self._recovery_point = (
             self.partitioner.part.copy(),
-            copy.deepcopy(self.ledger),
+            self.ledger.copy(),
             self._steps_since_repartition,
         )
         if to_disk and self.recovery.checkpoint_path is not None:

@@ -10,7 +10,7 @@ subdomains.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,29 +20,26 @@ from repro.utils.validation import check_finite, check_labels
 
 
 def _node_arrays(tree: DecisionTree) -> Tuple[np.ndarray, ...]:
-    """Flatten node fields into parallel arrays for vectorised sweeps.
+    """Node fields as parallel arrays ``(dim, threshold, left, right,
+    label, is_pure)`` for vectorised sweeps.
 
-    Cached on the tree keyed by its node count: trees are immutable
-    after induction except for grafting, which changes the node count,
-    so the key also serves as the invalidation token.
+    Built from ``tree.nodes`` on every call and never kept on the tree:
+    a caller may edit a node in place, and a cached copy would not see
+    it. A query that sweeps more than once builds them once and passes
+    them on.
     """
-    cached = getattr(tree, "_query_arrays", None)
-    if cached is not None and cached[0] == len(tree.nodes):
-        return cached[1]
-    n = len(tree.nodes)
-    dim = np.empty(n, dtype=np.int64)
-    thr = np.empty(n, dtype=float)
-    left = np.empty(n, dtype=np.int64)
-    right = np.empty(n, dtype=np.int64)
-    label = np.empty(n, dtype=np.int64)
-    pure = np.empty(n, dtype=bool)
-    for i, nd in enumerate(tree.nodes):
-        dim[i], thr[i] = nd.dim, nd.threshold
-        left[i], right[i] = nd.left, nd.right
-        label[i], pure[i] = nd.label, nd.is_pure
-    arrays = (dim, thr, left, right, label, pure)
-    tree._query_arrays = (n, arrays)
-    return arrays
+    dim, thr, left, right, label, pure = zip(*[
+        (nd.dim, nd.threshold, nd.left, nd.right, nd.label, nd.is_pure)
+        for nd in tree.nodes
+    ])
+    return (
+        np.array(dim, dtype=np.int64),
+        np.array(thr, dtype=float),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(label, dtype=np.int64),
+        np.array(pure, dtype=bool),
+    )
 
 
 def assign_points(tree: DecisionTree, points: np.ndarray) -> np.ndarray:
@@ -67,17 +64,23 @@ def predict_partition(tree: DecisionTree, points: np.ndarray) -> np.ndarray:
 
 
 def box_query_pairs(
-    tree: DecisionTree, boxes: np.ndarray
+    tree: DecisionTree,
+    boxes: np.ndarray,
+    arrays: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All (box index, leaf id) incidences, each pair once.
 
     A box reaches a leaf iff its slab along every split on the path is
     compatible: at node (dim, t), boxes with ``lo[dim] <= t`` descend
     left and boxes with ``hi[dim] > t`` descend right (possibly both).
+    ``arrays`` are the tree's ``_node_arrays`` when the caller already
+    built them.
     """
     boxes = np.asarray(boxes, dtype=float)
     m = len(boxes)
-    dim, thr, left, right, _, _ = _node_arrays(tree)
+    if arrays is None:
+        arrays = _node_arrays(tree)
+    dim, thr, left, right, _, _ = arrays
     # coordinate-major bounds: box b's bound on axis a sits at a * m + b
     lo_flat = np.ascontiguousarray(boxes[:, 0].T).ravel()
     hi_flat = np.ascontiguousarray(boxes[:, 1].T).ravel()
@@ -135,8 +138,9 @@ def tree_filter_search(
     )
     element_boxes = check_finite("element_boxes", element_boxes)
 
-    _, _, _, _, labels, pure = _node_arrays(tree)
-    b_idx, leaf_idx = box_query_pairs(tree, element_boxes)
+    arrays = _node_arrays(tree)
+    _, _, _, _, labels, pure = arrays
+    b_idx, leaf_idx = box_query_pairs(tree, element_boxes, arrays)
 
     send = np.zeros((len(element_boxes), k), dtype=bool)
     if len(b_idx):

@@ -3,11 +3,15 @@
     index = sqrt(Σ_i |A1,i|²) + sqrt(Σ_i |A2,i|²)
 
 maximised over every hyperplane passing between successive sorted
-coordinates in each dimension. A node is searched in one pass over the
-``(d, n)`` block of its coordinates — two sorts and a fixed number of
-array operations whatever d is — because a tree has hundreds of nodes
-of a few dozen points each, where the number of NumPy calls and not the
-O(n log n) of the sorts is what a split costs.
+coordinates in each dimension. The search is one batched pass over
+*segments*: every node open at one depth of a tree is a contiguous run
+of the columns of a ``(d, m)`` block whose row ``j`` lists the node's
+points sorted by coordinate ``j`` (stably, ties in point order). A
+node costs no NumPy call of its own, because a tree has hundreds of
+nodes of a few dozen points each, where the number of calls and not the
+O(n log n) of the sorts is what a split costs. :func:`best_split`,
+:func:`median_split` and :func:`split_index_curve` are the one-segment
+calls of the same pass.
 
 The pass is independent of the number of partitions k: instead of an
 (n × k) prefix-count matrix it uses the occurrence-rank identity
@@ -15,13 +19,24 @@ The pass is independent of the number of partitions k: instead of an
     Σ_c left_c(i)²  =  Σ_{j ≤ i} (2·rank_j − 1)
 
 where ``rank_j`` is the 1-based occurrence number of point j's label
-among its class in sorted order. Counted from the other end the same
-point has rank ``count_c − rank_j + 1``, so
+among its node's points of that class in sorted order. Counted from
+the other end the same point has rank ``count_c − rank_j + 1``, so
 
     Σ_c right_c(i)²  =  Σ_c count_c²  −  Σ_{j ≤ i} (2·(count_c − rank_j) + 1)
 
-and both sides of every cut come from one ranking and one cumulative
-sum, in exact integer arithmetic.
+Both increments sum to ``Σ_c count_c²`` over a node, so one cumulative
+sum along the whole row serves every segment: the previous segment's
+sum, taken back at a segment's first column, restarts it there. Both
+sides of every cut come from one stable sort of the (narrow) labels per
+row and one cumulative sum, in exact integer arithmetic (integers below
+2**53 in ``float64``).
+
+Each node then takes the cut with the highest score (Eq. 1, plus the
+§6 gap term when ``margin_weight > 0``), ties broken toward the more
+size-balanced cut to keep trees shallow, then toward the lower
+dimension and the lower coordinate. A pure node of the §4.2 bounded
+tree (Eq. 1 scores every cut of it the same) is cut at the median of
+its longest extent instead.
 """
 
 from __future__ import annotations
@@ -43,42 +58,184 @@ class SplitResult:
     n_right: int
 
 
-def _index_curves(
-    cols: np.ndarray, labels: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eq. 1 at every candidate cut of every dimension.
+def narrow_labels(labels: np.ndarray, k: int) -> np.ndarray:
+    """``labels`` as the narrowest unsigned type holding ``0..k-1``:
+    NumPy radix-sorts 8- and 16-bit keys."""
+    return labels.astype(np.min_scalar_type(max(k - 1, 0)))
 
-    ``cols`` is the ``(d, n)`` coordinate block, ``labels`` the n
-    non-negative class labels. Returns ``(order, c, valid, index)``:
-    ``order[j]`` sorts the points by coordinate j (stably), ``c`` are
-    the sorted coordinates, and for the cut after sorted point ``i``
-    of dimension ``j``, ``valid[j, i]`` says it separates two distinct
-    coordinates and ``index[j, i]`` is its Eq. 1 value.
+
+def index_curves(
+    lab: np.ndarray,
+    seg: np.ndarray,
+    start: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Eq. 1 after every position of every segment, all dimensions.
+
+    ``lab`` is the ``(d, m)`` block of labels in segment-sorted order
+    (row ``j`` sorted by coordinate ``j`` within each segment),
+    ``seg[p]`` the segment of column ``p``, ``start`` the first column
+    of each segment and ``counts`` the ``(segments, k)`` class counts.
+    Entry ``[j, p]`` is Eq. 1 of the cut after position ``p`` of row
+    ``j`` (at a segment's last position: of the whole segment).
     """
-    d, n = cols.shape
-    order = cols.argsort(axis=1, kind="stable")
-    row = (np.arange(d) * n)[:, None]
-    c = cols.ravel()[order + row]
-    counts = np.bincount(labels)
-    # labels as narrow as they fit: NumPy radix-sorts 8- and 16-bit keys
-    lab = labels.astype(np.min_scalar_type(len(counts)))[order]
-    by_class = lab.argsort(axis=1, kind="stable") + row
-    # Sorted by label, a row lists class 0's points in coordinate
-    # order, then class 1's, …: entry p has rank p − (start of its
-    # class) + 1, and a class starts at the same p in every row. So in
-    # that order the increments — 2·rank − 1 on the left of a cut,
-    # 2·(count − rank) + 1 on the right — are the same for every
-    # dimension, and ``by_class`` says where each one belongs.
-    ends = 2 * counts.cumsum()
-    odd = np.arange(1, 2 * n, 2)
-    inc = np.empty((2, d * n), dtype=np.int64)
-    inc[0, by_class] = odd - (ends - 2 * counts).repeat(counts)
-    inc[1, by_class] = ends.repeat(counts) - odd
-    sumsq = inc.reshape(2, d, n).cumsum(axis=2)[:, :, : n - 1]
-    total = int(counts @ counts)
-    index = np.sqrt(sumsq[0]) + np.sqrt(total - sumsq[1])
-    valid = c[:, :-1] < c[:, 1:]
-    return order, c, valid, index
+    d, m = lab.shape
+    # Sorted by label, a row lists class 0's points segment by segment
+    # (the segments are in order), then class 1's, …: a (segment,
+    # class) group starts at the same place in every row, entry q has
+    # rank q − (start of its group) + 1, and the increments are the
+    # same for every row; ``by_class`` says where each one belongs.
+    groups = counts.T.ravel()
+    by_class = lab.argsort(axis=1, kind="stable")
+    by_class += np.arange(0, d * m, m)[:, None]
+    ends = 2 * groups.cumsum()
+    odd = np.arange(1, 2 * m, 2)
+    # integers below 2**53 add exactly in float64, and sqrt reads them
+    # as the float it would have converted them to
+    inc = np.empty((2, d * m))
+    inc[0, by_class] = odd - (ends - 2 * groups).repeat(groups)
+    inc[1, by_class] = ends.repeat(groups) - odd
+    inc = inc.reshape(2, d, m)
+    # both increments sum to Σ_c count_c² over a segment: taking the
+    # previous segment's sum back at each segment's first column makes
+    # one running sum per row restart there
+    total = (counts * counts).sum(axis=1)
+    inc[:, :, start[1:]] -= total[:-1]
+    sums = inc.cumsum(axis=2)
+    # Σ_c left_c² and Σ_c right_c² of every cut, then their roots
+    left, right = sums
+    np.subtract(total[seg], right, out=right)
+    np.sqrt(sums, out=sums)
+    return np.add(left, right, out=left)
+
+
+def choose_cuts(
+    c: np.ndarray,
+    lab: np.ndarray,
+    seg: np.ndarray,
+    start: np.ndarray,
+    size: np.ndarray,
+    counts: np.ndarray,
+    margin_weight: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Eq. 1 cut every segment takes.
+
+    ``c`` is the ``(d, m)`` block of segment-sorted coordinates, the
+    other arguments as in :func:`index_curves`, plus the segments'
+    ``size``. Returns ``(dim, pos, threshold, index)``: segment ``s``
+    is cut after column ``pos[s]`` of row ``dim[s]``, at
+    ``threshold[s]``, and ``index`` is :func:`index_curves`'s block
+    (exact at every chosen cut). A segment with no valid cut (one
+    point, or every coordinate constant) gets ``dim = 0``, ``pos =
+    start`` and ``threshold = +inf``: every point goes left.
+    """
+    index = index_curves(lab, seg, start, counts)
+    score = index
+    if margin_weight > 0.0:
+        extent = c[:, start + size - 1] - c[:, start]
+        # a constant dimension has no valid cut; any finite gap will do
+        scale = np.where(extent > 0, extent, np.inf)[:, seg[:-1]]
+        gaps = (c[:, 1:] - c[:, :-1]) / scale
+        score = score.copy()
+        score[:, :-1] += (margin_weight * size)[seg[:-1]] * gaps
+    # a valid cut separates two distinct coordinates of one segment
+    # (index itself is read only at valid cuts below)
+    np.copyto(score[:, :-1], -np.inf, where=c[:, :-1] >= c[:, 1:])
+    score[:, start[1:] - 1] = -np.inf
+    score[:, -1] = -np.inf
+    top = np.maximum.reduceat(score, start, axis=1).max(axis=0)
+    none = top == -np.inf
+    top[none] = np.nan  # no valid cut: no candidate either
+    dim, pos = np.nonzero(score == top[seg])
+    has = seg[pos]
+    if len(has) + np.count_nonzero(none) > len(size):
+        # ties, or a segment tops two rows: of the cuts scoring the
+        # top, the most balanced (|n_left − n/2|, doubled), then the
+        # lowest dimension, then the lowest cut
+        off = np.abs(2 * (pos - start[has]) + 2 - size[has])
+        order = np.lexsort((pos, dim, off, has))
+        owner = has[order]
+        first = np.ones(len(order), dtype=bool)
+        np.not_equal(owner[1:], owner[:-1], out=first[1:])
+        order = order[first]
+        dim, pos, has = dim[order], pos[order], has[order]
+    return (*_cut_at(c, start, has, dim, pos), index)
+
+
+def median_cuts(
+    c: np.ndarray, seg: np.ndarray, start: np.ndarray, size: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The §4.2 cut of pure segments: along the longest extent (among
+    equal ones the higher dimension), the valid cut nearest the middle
+    (among two, the lower). Arguments and ``(dim, pos, threshold)`` as
+    in :func:`choose_cuts`."""
+    d, m = c.shape
+    extent = c[:, start + size - 1] - c[:, start]
+    longest = d - 1 - extent[::-1].argmax(axis=0)
+    column = np.arange(m)
+    row = c.ravel()[longest[seg] * m + column]
+    # |n_left − n/2| doubled, then the column: the smallest key wins
+    key = np.abs(2 * (column - start[seg]) + 2 - size[seg]) * m + column
+    never = 2 * m * m + m
+    np.copyto(key[:-1], never, where=row[:-1] >= row[1:])
+    key[start[1:] - 1] = never
+    key[-1] = never
+    best = np.minimum.reduceat(key, start)
+    has = np.flatnonzero(best < never)
+    dim, pos, threshold = _cut_at(c, start, has, longest[has], best[has] % m)
+    return dim, pos, threshold
+
+
+def _cut_at(
+    c: np.ndarray,
+    start: np.ndarray,
+    has: np.ndarray,
+    dim: np.ndarray,
+    pos: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per segment ``(dim, pos, threshold)`` from the cuts ``(dim,
+    pos)`` of segments ``has``; the rest get no cut."""
+    out_dim = np.zeros(len(start), dtype=np.int64)
+    out_dim[has] = dim
+    out_pos = start.copy()
+    out_pos[has] = pos
+    threshold = np.empty(len(start))
+    threshold.fill(np.inf)
+    threshold[has] = 0.5 * (c[dim, pos] + c[dim, pos + 1])
+    return out_dim, out_pos, threshold
+
+
+def _one_segment(
+    points: np.ndarray, labels: np.ndarray, median: bool, margin_weight: float
+) -> Optional[SplitResult]:
+    """:func:`choose_cuts` or :func:`median_cuts` on one node, as a
+    :class:`SplitResult`."""
+    n = len(points)
+    if n < 2:
+        return None
+    order = points.T.argsort(axis=1, kind="stable")
+    c = np.take_along_axis(points.T, order, axis=1)
+    seg = np.zeros(n, dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)
+    size = np.array([n])
+    if median:
+        dim, pos, threshold = median_cuts(c, seg, start, size)
+    else:
+        counts = np.bincount(labels)[None, :]
+        dim, pos, threshold, index = choose_cuts(
+            c, narrow_labels(labels, counts.shape[1])[order], seg, start,
+            size, counts, margin_weight,
+        )
+    if threshold[0] == np.inf:
+        return None
+    j, i = int(dim[0]), int(pos[0])
+    return SplitResult(
+        dim=j,
+        threshold=float(threshold[0]),
+        index_value=float(n) if median else float(index[j, i]),
+        n_left=i + 1,
+        n_right=n - (i + 1),
+    )
 
 
 def split_index_curve(
@@ -89,13 +246,21 @@ def split_index_curve(
     Returns ``(order, valid, index)`` where ``order`` sorts the points
     by coordinate, ``valid[i]`` marks cut positions *after* sorted
     point ``i`` (i.e. between distinct coordinates), and ``index[i]``
-    is the Eq. 1 value of that cut. The one-dimension view of the pass
-    :func:`best_split` makes, exposed for tests.
+    is the Eq. 1 value of that cut. The one-segment, one-dimension
+    call of :func:`index_curves`, exposed for tests.
     """
-    order, _, valid, index = _index_curves(
-        np.asarray(coords)[None, :], np.asarray(labels)
+    coords = np.asarray(coords)
+    labels = np.asarray(labels)
+    order = coords.argsort(kind="stable")
+    counts = np.bincount(labels)[None, :]
+    index = index_curves(
+        narrow_labels(labels, counts.shape[1])[order][None, :],
+        np.zeros(len(order), dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+        counts,
     )
-    return order[0], valid[0], index[0]
+    c = coords[order]
+    return order, c[:-1] < c[1:], index[0, :-1]
 
 
 def best_split(
@@ -114,34 +279,7 @@ def best_split(
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    n, d = points.shape
-    if n < 2:
-        return None
-    _, c, valid, index = _index_curves(
-        np.ascontiguousarray(points.T), labels
-    )
-    score = index
-    if margin_weight > 0.0:
-        extent = c[:, -1:] - c[:, :1]
-        # a constant dimension has no valid cut; any finite gap will do
-        gaps = (c[:, 1:] - c[:, :-1]) / np.where(extent > 0, extent, np.inf)
-        score = score + margin_weight * n * gaps
-    score = np.where(valid, score, -np.inf)
-    top = score.max()
-    if top == -np.inf:
-        return None
-    off_balance = np.abs(np.arange(1, n) - n / 2)
-    # argmin takes the first of equals: lowest dimension, then lowest cut
-    dim, i = divmod(
-        int(np.where(score == top, off_balance, np.inf).argmin()), n - 1
-    )
-    return SplitResult(
-        dim=dim,
-        threshold=float(0.5 * (c[dim, i] + c[dim, i + 1])),
-        index_value=float(index[dim, i]),
-        n_left=i + 1,
-        n_right=n - (i + 1),
-    )
+    return _one_segment(points, labels, False, margin_weight)
 
 
 def median_split(points: np.ndarray) -> Optional[SplitResult]:
@@ -149,26 +287,8 @@ def median_split(points: np.ndarray) -> Optional[SplitResult]:
 
     Used for *pure* nodes in bounded induction (§4.2), where Eq. 1 is
     indifferent (every cut of a single-class node scores the same) and
-    the goal is simply to produce compact, movable boxes.
+    the goal is simply to produce compact, movable boxes. Among equal
+    extents the higher dimension is cut; ``index_value`` is ``n``.
     """
     points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    if n < 2:
-        return None
-    extents = points.max(axis=0) - points.min(axis=0)
-    for dim in np.argsort(extents)[::-1]:
-        coords = points[:, int(dim)]
-        order = np.argsort(coords, kind="stable")
-        c = coords[order]
-        valid = np.nonzero(c[:-1] < c[1:])[0]
-        if len(valid) == 0:
-            continue
-        i = int(valid[np.argmin(np.abs(valid + 1 - n / 2))])
-        return SplitResult(
-            dim=int(dim),
-            threshold=float(0.5 * (c[i] + c[i + 1])),
-            index_value=float(n),
-            n_left=i + 1,
-            n_right=n - (i + 1),
-        )
-    return None
+    return _one_segment(points, np.zeros(0, dtype=np.int64), True, 0.0)

@@ -38,6 +38,18 @@ class CommLedger:
         default_factory=lambda: defaultdict(int)
     )
 
+    def copy(self) -> "CommLedger":
+        """An independent ledger with the same totals: phase totals
+        copied, the per-rank maps copied as ``defaultdict(int)``s."""
+        return CommLedger(
+            phases={
+                name: PhaseTotals(t.n_messages, t.n_items)
+                for name, t in self.phases.items()
+            },
+            sent_by_rank=defaultdict(int, self.sent_by_rank),
+            received_by_rank=defaultdict(int, self.received_by_rank),
+        )
+
     def record(self, phase: str, src: int, dst: int, items: int) -> None:
         """Log one message of ``items`` data items from src to dst."""
         if items < 0:

@@ -9,9 +9,9 @@ suffix), the per-dimension ``argmax`` / tie-break / lexicographic key
 loop. Only :class:`~repro.dtree.splitter.SplitResult` is shared with
 ``src/`` (so results compare with ``==``). ``test_split_differential.py``
 asserts the library's ``best_split`` returns an equal ``SplitResult``
-— threshold and ``index_value`` bit for bit — and that trees induced
-with this ``best_split`` patched in equal the library's node for node.
-Do not "fix" or speed these up.
+— threshold and ``index_value`` bit for bit; whole trees are compared
+with the recursive engine in ``reference_induction.py``. Do not "fix"
+or speed these up.
 """
 
 from __future__ import annotations

@@ -157,6 +157,18 @@ class TestPureTree:
         with pytest.raises(ValueError, match="labels must lie"):
             induce_pure_tree(pts, np.full(5, 7), 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # a NaN used to come back filed under a leaf marked pure
+        rng = np.random.default_rng(0)
+        pts = rng.random((200, 2))
+        labels = rng.integers(0, 4, 200)
+        pts[17, 1] = bad
+        memo = SubtreeMemo()
+        with pytest.raises(ValueError, match="^points must be finite"):
+            induce_pure_tree(pts, labels, 4, memo=memo)
+        assert memo.rule is None and memo.n_grafted == 0
+
     @given(st.integers(0, 10**6), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)
     def test_property_pure_tree_classifies_exactly(self, seed, k):
@@ -326,6 +338,16 @@ class TestBoundedTree:
         # single leaf (5 < max_i); majority is class 1
         assert tree.n_nodes == 1
         assert tree.nodes[0].label == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        pts = rng.random((200, 3))
+        pts[3, 0] = bad
+        with pytest.raises(ValueError, match="^points must be finite"):
+            induce_bounded_tree(
+                pts, rng.integers(0, 4, 200), 4, max_p=8, max_i=2
+            )
 
     def test_invalid_bounds(self):
         pts = np.random.default_rng(0).random((5, 2))

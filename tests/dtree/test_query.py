@@ -66,6 +66,25 @@ class TestAssignPoints:
         tree, _ = induce_pure_tree(pts, np.zeros(10, int), 1)
         assert (assign_points(tree, pts) == tree.root).all()
 
+    def test_an_edited_node_is_seen_by_the_next_query(self):
+        # a caller may rewrite ``tree.nodes`` in place between queries
+        tree, pts, _ = random_tree(0)
+        root = tree.nodes[tree.root]
+        probe = pts[:20].copy()
+        probe[:, root.dim] = root.threshold - 0.05
+        before = assign_points(tree, probe)
+        assert all(tree.nodes[leaf].is_leaf for leaf in before)
+        root.threshold -= 0.1  # every probe now goes right at the root
+        after = assign_points(tree, probe)
+        for i in range(len(probe)):
+            assert after[i] == recursive_point_assign(tree, probe[i])
+        assert not np.array_equal(after, before)
+        box = np.stack((probe[:1], probe[:1]), axis=1)
+        _, leaves = box_query_pairs(tree, box)
+        assert leaves.tolist() == [after[0]]
+        root.threshold += 0.1
+        assert np.array_equal(assign_points(tree, probe), before)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_property_matches_recursion(self, seed):

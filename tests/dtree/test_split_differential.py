@@ -1,8 +1,10 @@
-"""Differential tests: the one-pass split search must reproduce the
+"""Differential tests: the batched split search must reproduce the
 verbatim per-dimension oracle in :mod:`tests.dtree.reference_split` —
 the same ``SplitResult`` with threshold and ``index_value`` bit for
-bit, and therefore the same trees, node for node, on every snapshot of
-an impact sequence."""
+bit — and the level pass the verbatim recursive engine in
+:mod:`tests.dtree.reference_induction`: the same trees, node for node,
+the same ``leaf_of_point`` and the same ``n_grafted`` on every snapshot
+of an impact sequence."""
 
 import dataclasses
 
@@ -14,15 +16,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.dtree import induction
-from repro.dtree.induction import (
-    SubtreeMemo,
-    induce_bounded_tree,
-    induce_pure_tree,
-    suggested_bounds,
-)
+from repro.dtree.induction import suggested_bounds
 from repro.dtree.splitter import best_split
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
+from tests.dtree import reference_induction as ref_induction
 from tests.dtree import reference_split as ref
 
 K = 8
@@ -78,7 +76,7 @@ def test_best_split_equals_the_oracle(case):
 # ----------------------------------------------------------------------
 
 
-def rows(result):
+def rows(result, n_grafted=0):
     """An induction result as comparable values, floats exact."""
     tree, leaf_of_point = result
     return (
@@ -90,6 +88,7 @@ def rows(result):
             for nd in tree.nodes
         ],
         leaf_of_point.tobytes(),
+        n_grafted,
     )
 
 
@@ -103,24 +102,26 @@ def part(seq):
     return MCMLDTPartitioner(K, MCMLDTParams(pad=0.1)).fit(seq[0]).labels
 
 
-def inductions(snaps, part, margin_weight):
-    """Every kind of tree the pipeline induces, over ``snaps``: the
-    pure descriptor tree of each snapshot, one-shot and through a memo,
-    and the bounded reshaping tree over all its mesh nodes."""
-    memo = SubtreeMemo()
+def inductions(engine, snaps, part, margin_weight):
+    """Every kind of tree the pipeline induces, over ``snaps``, by
+    ``engine`` (the library's ``induction`` module or the oracle): the
+    pure descriptor tree of each snapshot, one-shot and through a memo
+    (with its ``n_grafted``), and the bounded reshaping tree over all
+    its mesh nodes."""
+    memo = engine.SubtreeMemo()
     out = []
     for snap in snaps:
         cn = snap.contact_nodes
         coords, labels = snap.mesh.nodes[cn], part[cn]
-        out.append(rows(induce_pure_tree(
+        out.append(rows(engine.induce_pure_tree(
             coords, labels, K, margin_weight=margin_weight
         )))
-        out.append(rows(induce_pure_tree(
+        out.append(rows(engine.induce_pure_tree(
             coords, labels, K, margin_weight=margin_weight, memo=memo
-        )))
+        ), memo.n_grafted))
         used = snap.mesh.used_nodes()
         max_p, max_i = suggested_bounds(len(used), K)
-        out.append(rows(induce_bounded_tree(
+        out.append(rows(engine.induce_bounded_tree(
             snap.mesh.nodes[used], part[used], K, max_p=max_p, max_i=max_i,
             margin_weight=margin_weight,
         )))
@@ -131,12 +132,11 @@ def inductions(snaps, part, margin_weight):
 # margin on (the oracle costs 0.1 s per snapshot)
 @pytest.mark.parametrize("margin_weight, stride", [(0.0, 1), (0.5, 10)])
 def test_every_tree_of_a_sequence_equals_the_oracles(
-    seq, part, margin_weight, stride, monkeypatch
+    seq, part, margin_weight, stride
 ):
     snaps = list(seq)[::stride]
-    got = inductions(snaps, part, margin_weight)
-    monkeypatch.setattr(induction, "best_split", ref.best_split)
-    want = inductions(snaps, part, margin_weight)
+    got = inductions(induction, snaps, part, margin_weight)
+    want = inductions(ref_induction, snaps, part, margin_weight)
     assert len(got) == 3 * len(snaps)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"snapshot {i // 3 * stride}, induction {i % 3}"

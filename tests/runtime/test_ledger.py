@@ -1,5 +1,7 @@
 """Tests for communication accounting."""
 
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,25 @@ class TestCommLedger:
         led = CommLedger()
         assert led.items("nope") == 0
         assert led.messages("nope") == 0
+
+    def test_copy_is_independent(self):
+        led = CommLedger()
+        led.record("fe", 0, 1, 10)
+        led.record("contact", 2, 1, 4)
+        point = led.copy()
+        assert point == led
+        assert point.summary() == led.summary()
+        assert isinstance(point.sent_by_rank, defaultdict)
+        assert isinstance(point.received_by_rank, defaultdict)
+        led.record("fe", 1, 0, 5)
+        led.record("new", 0, 3, 2)
+        assert point.summary() == {"contact": (1, 4), "fe": (1, 10)}
+        assert point.sent_by_rank == {("fe", 0): 10, ("contact", 2): 4}
+        assert point.received_by_rank == {("fe", 1): 10, ("contact", 1): 4}
+        # recording on the copy leaves the live ledger alone too
+        point.record("fe", 3, 0, 1)
+        assert led.items("fe") == 15
+        assert led.sent_by_rank[("fe", 3)] == 0
 
     def test_per_rank_accounting_symmetric(self):
         led = CommLedger()
