@@ -132,10 +132,25 @@ def choose_cuts(
     index = index_curves(lab, seg, start, counts)
     score = index
     if margin_weight > 0.0:
-        extent = c[:, start + size - 1] - c[:, start]
+        with np.errstate(over="ignore"):
+            extent = c[:, start + size - 1] - c[:, start]
+            gaps = c[:, 1:] - c[:, :-1]
+        wide = ~np.isfinite(extent)
+        redo = ~np.isfinite(gaps)
+        if wide.any() or redo.any():
+            # a difference of finite coordinates past the float64 range:
+            # take the segment's extent and gaps on halved coordinates,
+            # where none overflows and (all normal) the ratios are equal
+            half = c * 0.5
+            extent[wide] = (half[:, start + size - 1] - half[:, start])[wide]
+            redo |= wide[:, seg[:-1]]
+            gaps[redo] = (half[:, 1:] - half[:, :-1])[redo]
         # a constant dimension has no valid cut; any finite gap will do
         scale = np.where(extent > 0, extent, np.inf)[:, seg[:-1]]
-        gaps = (c[:, 1:] - c[:, :-1]) / scale
+        with np.errstate(over="ignore"):
+            # a gap within a segment is at most its extent; only a gap
+            # across two segments (never a valid cut) can overflow
+            gaps /= scale
         score = score.copy()
         score[:, :-1] += (margin_weight * size)[seg[:-1]] * gaps
     # a valid cut separates two distinct coordinates of one segment

@@ -168,12 +168,9 @@ class ResultCache:
         memory.  Unreadable disk entries are deleted and count as
         ``disk_corrupt`` misses.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
+        entry = self.get_memory(key)
+        if entry is not None:
+            return entry
         entry = self._load_disk(key)
         with self._lock:
             if entry is not None:
@@ -183,6 +180,20 @@ class ResultCache:
             else:
                 self.stats.misses += 1
         return entry
+
+    def get_memory(self, key: str) -> Optional[PartitionResult]:
+        """The memory tier's result for ``key``, or ``None``.
+
+        A hit counts and refreshes recency as in :meth:`get`; a miss
+        counts nothing (the caller falls back to :meth:`get`, which
+        counts it) and never reads the disk tier.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+            return entry
 
     def put(self, key: str, result: PartitionResult) -> PartitionResult:
         """Store a detached copy of ``result`` under ``key``; returns

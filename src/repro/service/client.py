@@ -1,8 +1,8 @@
 """Programmatic client for the partitioning service.
 
 :class:`ServiceClient` wraps the HTTP API in typed helpers over
-:mod:`http.client` (stdlib only, one short-lived connection per call —
-the server closes connections anyway):
+:mod:`http.client` (stdlib only, one kept-alive connection per calling
+thread):
 
     with ServerThread() as srv:
         client = ServiceClient(srv.address)
@@ -10,6 +10,12 @@ the server closes connections anyway):
                                source={"kind": "impact", "n_steps": 4})
         result = client.result(record["id"], wait_s=30.0)
         labels = result["labels"]
+
+A job the service answered at submission (a memory cache hit) comes
+back with its result inside the ``POST`` response; :meth:`submit` keeps
+that document and the next :meth:`result` for the job returns it
+without a second request.  Any other job's :meth:`result` asks (and
+long-polls) over ``GET``.
 
 Non-2xx responses raise :class:`ServiceError` carrying the HTTP status
 and the server's JSON error body, so callers can branch on
@@ -22,6 +28,7 @@ import http.client
 import json
 import socket
 import threading
+from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.service.schemas import (
@@ -31,6 +38,11 @@ from repro.service.schemas import (
 )
 
 __all__ = ["ServiceClient", "ServiceError"]
+
+#: result documents kept from ``POST`` responses until read; beyond it
+#: the oldest unread one is dropped (its ``result()`` then asks the
+#: server)
+STORED_RESULTS = 64
 
 
 class ServiceError(RuntimeError):
@@ -65,7 +77,7 @@ class ServiceClient:
 
     Thread-safe: each calling thread gets its own persistent
     connection.  :meth:`close` (or leaving a ``with`` block) closes
-    them all.
+    them all and drops the stored results.
     """
 
     def __init__(self, address: str, timeout_s: float = 60.0) -> None:
@@ -81,12 +93,16 @@ class ServiceClient:
         self._connections: Dict[
             threading.Thread, http.client.HTTPConnection
         ] = {}
+        #: result documents that came with their job's POST, by job id
+        self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Close every thread's connection (a later call reconnects)."""
+        """Close every thread's connection (a later call reconnects)
+        and drop the stored results."""
         with self._lock:
             connections, self._connections = self._connections, {}
+            self._results.clear()
         for conn in connections.values():
             conn.close()
 
@@ -178,7 +194,8 @@ class ServiceClient:
         deadline_s: Optional[float] = None,
         cache: bool = True,
     ) -> Dict[str, Any]:
-        """Submit a job; returns the (schema-checked) job record."""
+        """Submit a job; returns the (schema-checked) job record.  A
+        result that came with it is kept for :meth:`result`."""
         document: Dict[str, Any] = {
             "schema": SCHEMA_VERSION,
             "kind": kind,
@@ -191,15 +208,21 @@ class ServiceClient:
             "deadline_s": deadline_s,
             "cache": cache,
         }
-        return validate_job_record(
-            self.request("POST", "/v1/jobs", document)
-        )
+        return self.submit_document(document)
 
     def submit_document(self, document: Mapping[str, Any]) -> Dict[str, Any]:
-        """Submit a pre-built request document verbatim."""
-        return validate_job_record(
+        """Submit a pre-built request document verbatim (see
+        :meth:`submit`)."""
+        record = validate_job_record(
             self.request("POST", "/v1/jobs", dict(document))
         )
+        result = record.pop("result", None)
+        if result is not None:
+            with self._lock:
+                self._results[record["id"]] = result
+                while len(self._results) > STORED_RESULTS:
+                    self._results.popitem(last=False)
+        return record
 
     def status(
         self, job_id: str, wait_s: Optional[float] = None
@@ -222,7 +245,12 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """The result document once the job is done (409 before);
         ``wait_s`` long-polls with a widened socket timeout (see
-        :meth:`status`)."""
+        :meth:`status`).  A result that came with the job's POST is
+        returned, once, without a request."""
+        with self._lock:
+            stored = self._results.pop(job_id, None)
+        if stored is not None:
+            return stored
         path = f"/v1/jobs/{job_id}/result"
         if wait_s is not None:
             path += f"?wait={wait_s:g}"

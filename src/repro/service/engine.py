@@ -23,7 +23,20 @@ Two protections sit at the submission edge:
   identical concurrent submissions therefore run the partitioner
   exactly once (``coalesced_total`` proves it).
 
-Every executed job records its spans into a per-job
+A cacheable partition request whose scene and content key are
+already memoised, and whose result is in the memory tier of the cache,
+is answered *at submission*: :meth:`ServiceEngine.submit` registers the
+job and takes it ``queued → running → done`` (``cache: "hit"``) on the
+event loop, without the queue or an executor thread.  Everything else
+— a disk-tier-only hit, an unmemoised scene or key, ``cache: false``,
+a follower of an in-flight leader — takes the queue.
+
+A partition result document is a :class:`ResultDocument`: the members
+that do not depend on the job (``method``, ``k``, ``content_key``,
+``labels``, ``diagnostics``) are JSON-encoded once per cache entry, and
+each job's document splices its own ``id`` and ``cache`` around them.
+
+Every job records its spans into a per-job
 :class:`~repro.obs.tracer.Tracer` (thread-confined, so concurrent
 workers never share a span stack) which is merged into one
 service-level span tree; :meth:`ServiceEngine.run_report` snapshots
@@ -34,9 +47,11 @@ that tree plus all cache/queue/engine counters into a standard
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -76,8 +91,10 @@ from repro.sim.projectile import ImpactConfig
 __all__ = [
     "EngineConfig",
     "RateLimitedError",
+    "ResultDocument",
     "ServiceEngine",
     "UnknownJobError",
+    "json_body",
 ]
 
 
@@ -200,6 +217,82 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
+def _compact(value: Any) -> bytes:
+    """Compact JSON (the C encoder; ``indent`` forces the Python one)."""
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def json_body(payload: Any) -> bytes:
+    """``payload`` as one line of compact JSON; a
+    :class:`ResultDocument`, alone or as a job record's ``result``, is
+    spliced from its once-encoded body."""
+    if isinstance(payload, ResultDocument):
+        return payload.json_bytes()
+    result = payload.get("result") if isinstance(payload, dict) else None
+    if isinstance(result, ResultDocument):
+        record = {key: value for key, value in payload.items()
+                  if key != "result"}
+        return b"".join(
+            (_compact(record)[:-1], b',"result":', result.json_bytes(), b"}")
+        )
+    return _compact(payload)
+
+
+class _Body:
+    """The job-independent members of a partition result document, as
+    values and as compact JSON, built once per result: ``head``
+    (``method``, ``k``) goes before the job's ``cache`` member,
+    ``tail`` (``content_key``, ``labels``, ``diagnostics``) after it."""
+
+    __slots__ = ("head", "tail", "head_json", "tail_json")
+
+    def __init__(self, result: PartitionResult, key: str) -> None:
+        self.head = {"method": result.method, "k": result.k}
+        self.tail = {
+            "content_key": key,
+            "labels": result.labels.tolist(),
+            "diagnostics": {
+                name: _json_safe(value)
+                for name, value in result.diagnostics.items()
+            },
+        }
+        self.head_json = _compact(self.head)[1:-1]
+        self.tail_json = _compact(self.tail)[1:-1]
+
+
+class ResultDocument(Dict[str, Any]):
+    """A partition result document: a plain ``dict`` to every reader,
+    whose compact JSON text (:meth:`json_bytes`) splices the job's own
+    members into a body encoded once per cache entry.
+
+    Treat it as read-only: its ``labels`` list and ``diagnostics`` are
+    shared by every document of the same cache entry.
+    """
+
+    __slots__ = ("_body",)
+
+    @classmethod
+    def build(cls, body: _Body, job_id: str, cache: str) -> "ResultDocument":
+        doc = cls(schema=SCHEMA_VERSION, id=job_id, kind="partition",
+                  **body.head, cache=cache, **body.tail)
+        doc._body = body
+        return doc
+
+    def for_job(self, job_id: str, cache: str) -> "ResultDocument":
+        """The same result as another job's document."""
+        return ResultDocument.build(self._body, job_id, cache)
+
+    def json_bytes(self) -> bytes:
+        """``json.dumps(self, separators=(",", ":"))``, byte for byte."""
+        return b"".join((
+            b'{"schema":', _compact(self["schema"]),
+            b',"id":', _compact(self["id"]),
+            b',"kind":"partition",', self._body.head_json,
+            b',"cache":', _compact(self["cache"]),
+            b",", self._body.tail_json, b"}",
+        ))
+
+
 class ServiceEngine:
     """Asynchronous partitioning service (see module docstring).
 
@@ -237,6 +330,17 @@ class ServiceEngine:
         #: each with the result cache keys computed against it, by
         #: canonical request text — hashing a scene costs most of a hit
         self._sources: "OrderedDict[str, _Source]" = OrderedDict()
+        #: encoded result bodies, one per live cache entry
+        self._bodies: "weakref.WeakKeyDictionary[PartitionResult, _Body]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._body_lock = threading.Lock()
+        #: the span trees of jobs answered at submission, folded into
+        #: one tree under ``_edge_lock`` (held for one fold, never across
+        #: a merge) and merged into ``_spans`` by the next merge: the
+        #: loop never waits on ``_exec_lock``, and memory stays fixed
+        self._edge_spans = Span("job")
+        self._edge_lock = threading.Lock()
         self._exec_lock = threading.Lock()  # cache/counter/span merges
         self._source_lock = threading.Lock()
         self._backend_lock = threading.Lock()  # pooled backend is shared
@@ -283,9 +387,11 @@ class ServiceEngine:
     # submission edge
     # ------------------------------------------------------------------
     def submit(self, document: object) -> Job:
-        """Validate, rate-limit, coalesce, and enqueue one request.
+        """Validate, rate-limit, coalesce, and answer from memory or
+        enqueue one request.
 
-        Returns the (possibly follower) job.  Raises
+        Returns the job: a follower, one already ``done`` (a memory
+        hit, see :meth:`_answer_from_memory`), or a queued one.  Raises
         :class:`~repro.service.schemas.ServiceSchemaError`,
         :class:`RateLimitedError`, or
         :class:`~repro.service.queue.QueueFullError`.
@@ -311,8 +417,49 @@ class ServiceEngine:
             self._followers.setdefault(key, []).append(follower)
             self.coalesced_total += 1
             return follower
+        job = self._answer_from_memory(request, key)
+        if job is not None:
+            return job
         job = self.queue.submit(request, deadline_s=request["deadline_s"])
         self._inflight[key] = job
+        return job
+
+    def _answer_from_memory(
+        self, request: Dict[str, Any], text: str
+    ) -> Optional[Job]:
+        """A ``done`` job for a cacheable partition request whose scene
+        and content key are memoised and whose result is in the memory
+        tier; ``None`` sends the request to the queue.
+
+        Runs on the event loop: no disk I/O, no scene hashing or
+        simulation, and no ``_exec_lock`` — the job's spans are left
+        for the next merge.  A memory miss here counts nothing in
+        ``cache.stats``; the worker's lookup counts it.
+        """
+        if request["kind"] != "partition" or not request["cache"]:
+            return None
+        tracer = Tracer("job")
+        with tracer.span("source"):
+            entry = self._memoised_source(
+                canonical_request_text(request["source"])
+            )
+            key = None if entry is None else entry[1].get(text)
+        if key is None:
+            return None
+        with tracer.span("cache-lookup"):
+            cached = self.cache.get_memory(key)
+        if cached is None:
+            return None
+        tracer.count("cache_hits")
+        job = self.queue.create(request, deadline_s=request["deadline_s"])
+        self.queue.register(job)
+        job.transition("running")
+        job.cache = "hit"
+        job.result = self._partition_payload(job, cached, key, "hit")
+        job.transition("done")
+        root = tracer.finish()
+        with self._edge_lock:
+            accumulate_span(self._edge_spans, root)
         return job
 
     def _check_mesh_root(self, source: Dict[str, Any]) -> None:
@@ -398,7 +545,12 @@ class ServiceEngine:
     async def wait(
         self, job_id: str, timeout_s: Optional[float] = None
     ) -> Job:
-        """Block until the job reaches a terminal state."""
+        """Block until the job reaches a terminal state.
+
+        A partition job's ``result`` is a :class:`ResultDocument` that
+        shares its members with every job of the same cache entry:
+        treat it as read-only.
+        """
         job = self.job(job_id)
         if not job.terminal:
             await asyncio.wait_for(job.done_event.wait(), timeout_s)
@@ -429,6 +581,7 @@ class ServiceEngine:
         """Snapshot the merged job spans, the service ledger, and every
         counter into a standard :class:`RunReport`."""
         with self._exec_lock:
+            self._merge_edge_spans()
             root = Span("service")
             root.n_calls = 1
             accumulate_span(root, self._spans)
@@ -521,10 +674,11 @@ class ServiceEngine:
                 self.queue.mark_expired(follower)
                 continue
             if job.state == "done":
-                payload = dict(job.result or {})
-                payload["id"] = follower.id
-                if payload.get("kind") == "partition":
-                    payload["cache"] = "coalesced"
+                if isinstance(job.result, ResultDocument):
+                    payload = job.result.for_job(follower.id, "coalesced")
+                else:
+                    payload = dict(job.result or {})
+                    payload["id"] = follower.id
                 follower.cache = "coalesced"
                 follower.result = payload
                 follower.transition("running")
@@ -552,10 +706,24 @@ class ServiceEngine:
         finally:
             root = tracer.finish()
             with self._exec_lock:
-                kind = self._spans.child(job.request["kind"])
-                accumulate_span(kind, root)
-                # the per-job root counts one call per *attempt*
-                kind.n_calls = max(kind.n_calls - 1, 1)
+                self._merge_edge_spans()
+                self._merge_spans(job.request["kind"], root)
+
+    def _merge_spans(self, kind_name: str, root: Span, jobs: int = 1) -> None:
+        """Fold the span tree of ``jobs`` jobs in (call under
+        ``_exec_lock``)."""
+        kind = self._spans.child(kind_name)
+        accumulate_span(kind, root)
+        # the per-job root counts one call per *attempt*
+        kind.n_calls = max(kind.n_calls - jobs, 1)
+
+    def _merge_edge_spans(self) -> None:
+        """Fold in the jobs answered at submission since the last merge
+        (call under ``_exec_lock``)."""
+        with self._edge_lock:
+            root, self._edge_spans = self._edge_spans, Span("job")
+        if root.n_calls:
+            self._merge_spans("partition", root, jobs=root.n_calls)
 
     def _execute_partition(
         self, job: Job, tracer: Tracer
@@ -601,21 +769,16 @@ class ServiceEngine:
         result: PartitionResult,
         key: str,
         cache_state: str,
-    ) -> Dict[str, Any]:
-        return {
-            "schema": SCHEMA_VERSION,
-            "id": job.id,
-            "kind": "partition",
-            "method": result.method,
-            "k": result.k,
-            "cache": cache_state,
-            "content_key": key,
-            "labels": result.labels.tolist(),
-            "diagnostics": {
-                name: _json_safe(value)
-                for name, value in result.diagnostics.items()
-            },
-        }
+    ) -> ResultDocument:
+        """``job``'s document for ``result`` (stored under ``key``), on
+        the body encoded once for that result object."""
+        with self._body_lock:
+            body = self._bodies.get(result)
+        if body is None:
+            body = _Body(result, key)
+            with self._body_lock:
+                body = self._bodies.setdefault(result, body)
+        return ResultDocument.build(body, job.id, cache_state)
 
     def _execute_contact_step(
         self, job: Job, tracer: Tracer
@@ -678,15 +841,22 @@ class ServiceEngine:
             self._backend = build_backend(self.config.backend or "serial")
         return self._backend
 
-    def _sequence(self, source: Dict[str, Any]) -> _Source:
-        """Memoised source materialisation (LRU of 4 scenes): the
-        sequence, its arrays read-only, and its cache-key memo."""
-        key = canonical_request_text(source)
+    def _memoised_source(self, key: str) -> Optional[_Source]:
+        """The memoised scene under canonical source text ``key``
+        (refreshing its recency), or ``None``."""
         with self._source_lock:
             entry = self._sources.get(key)
             if entry is not None:
                 self._sources.move_to_end(key)
-                return entry
+            return entry
+
+    def _sequence(self, source: Dict[str, Any]) -> _Source:
+        """Memoised source materialisation (LRU of 4 scenes): the
+        sequence, its arrays read-only, and its cache-key memo."""
+        key = canonical_request_text(source)
+        entry = self._memoised_source(key)
+        if entry is not None:
+            return entry
         if source["kind"] == "impact":
             config = ImpactConfig(
                 n_steps=source["n_steps"], refine=source["refine"]

@@ -12,6 +12,7 @@ response.  Endpoints:
 method   path                        behaviour
 =======  ==========================  =====================================
 POST     ``/v1/jobs``                submit a job request → 202 + record
+                                     (+ ``result`` when already done)
 GET      ``/v1/jobs/<id>``           poll the job record (``?wait=SECS``
                                      long-polls until terminal)
 GET      ``/v1/jobs/<id>/result``    the result document (409 + record
@@ -22,7 +23,9 @@ GET      ``/healthz``                liveness + job-state counts
 GET      ``/metrics``                Prometheus text exposition
 =======  ==========================  =====================================
 
-Every JSON body is one compact line.  Error mapping: schema violations
+Every JSON body is one compact line (:func:`~repro.service.engine.json_body`);
+a partition result's is spliced from its once-encoded body, also
+inline in a ``POST`` answered from memory.  Error mapping: schema violations
 → 400 (with the JSON path in the body), a ``Content-Length`` that is
 not a decimal byte count → 400, one over :data:`MAX_BODY_BYTES` → 413,
 rate limiting → 429 (+ ``Retry-After``), a full queue → 503, unknown
@@ -53,6 +56,7 @@ from repro.service.engine import (
     RateLimitedError,
     ServiceEngine,
     UnknownJobError,
+    json_body,
 )
 from repro.service.queue import QueueFullError
 from repro.service.schemas import JOB_STATES, ServiceSchemaError
@@ -88,8 +92,10 @@ READ_DEADLINE_S = 10.0
 
 
 def render_metrics(engine: ServiceEngine, server: Mapping[str, int]) -> str:
-    """The engine counters and the ``server``'s (connections accepted,
-    responses written) in Prometheus text exposition format."""
+    """The engine counters, the ``server``'s (connections accepted,
+    responses written) and the job-latency histogram
+    ``repro_service_job_seconds`` in Prometheus text exposition
+    format."""
     lines: List[str] = []
     for name, value in sorted({**engine.counters(), **server}.items()):
         metric = f"repro_service_{name}"
@@ -102,6 +108,14 @@ def render_metrics(engine: ServiceEngine, server: Mapping[str, int]) -> str:
         lines.append(
             f'repro_service_jobs{{state="{state}"}} {states[state]}'
         )
+    metric = "repro_service_job_seconds"
+    lines.append(f"# TYPE {metric} histogram")
+    for (kind, cache), buckets, total in engine.queue.latency.series():
+        labels = f'kind="{kind}",cache="{cache}"'
+        for le, count in buckets:
+            lines.append(f'{metric}_bucket{{{labels},le="{le}"}} {count}')
+        lines.append(f"{metric}_sum{{{labels}}} {total!r}")
+        lines.append(f"{metric}_count{{{labels}}} {buckets[-1][1]}")
     return "\n".join(lines) + "\n"
 
 
@@ -286,9 +300,7 @@ class ServiceServer:
             data = payload.encode("utf-8")
             ctype = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            # compact separators keep CPython on its C encoder
-            # (``indent`` forces the pure-Python one)
-            data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            data = json_body(payload)
             ctype = "application/json"
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
@@ -438,7 +450,10 @@ class ServiceServer:
             ) from None
         except QueueFullError as exc:
             raise _HttpError(503, {"error": str(exc)}) from None
-        return job.record()
+        record = job.record()
+        if job.state == "done" and job.result is not None:
+            record["result"] = job.result
+        return record
 
     async def _poll(
         self, job_id: str, query: Dict[str, str]

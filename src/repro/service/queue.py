@@ -24,10 +24,11 @@ resurrect a finished job.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.service.schemas import (
     JOB_STATES,
@@ -37,6 +38,7 @@ from repro.service.schemas import (
 __all__ = [
     "Job",
     "JobQueue",
+    "LatencyHistogram",
     "QueueFullError",
     "RetryPolicy",
 ]
@@ -111,6 +113,10 @@ class Job:
     result: Optional[Any] = None
     #: resolved when the job reaches a terminal state
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
+    #: ``time.monotonic()`` at creation: the start of the job's latency
+    created_mono: float = field(default_factory=time.monotonic)
+    #: called once with the job when it reaches a terminal state
+    on_terminal: Optional[Callable[["Job"], None]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -139,6 +145,8 @@ class Job:
         if state in _TERMINAL:
             self.finished_s = time.time()
             self.done_event.set()
+            if self.on_terminal is not None:
+                self.on_terminal(self)
 
     def record(self) -> Dict[str, Any]:
         """The job as a ``repro.service-job/1`` record document."""
@@ -157,6 +165,53 @@ class Job:
             "finished_s": self.finished_s,
             "request": self.request,
         }
+
+
+#: upper bounds (seconds) of the job-latency histogram buckets; a memory
+#: hit ends inside its submission (microseconds), a cold fit takes
+#: tenths of a second to minutes
+LATENCY_BUCKETS_S = (
+    1e-05, 2.5e-05, 5e-05, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
+    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+    30.0, 60.0, 120.0, 300.0,
+)
+
+
+class LatencyHistogram:
+    """Submit → terminal seconds per ``(kind, cache)`` label pair, in
+    the fixed :data:`LATENCY_BUCKETS_S` buckets (Prometheus semantics:
+    :meth:`series` reports cumulative counts, ``+Inf`` last)."""
+
+    def __init__(self) -> None:
+        #: per (kind, cache): the count in each bucket, ``+Inf`` last
+        self._counts: Dict[Tuple[str, str], List[int]] = {}
+        self._sums: Dict[Tuple[str, str], float] = {}
+
+    def observe(self, job: "Job") -> None:
+        """Record ``job``'s latency (its ``on_terminal`` hook)."""
+        seconds = max(0.0, time.monotonic() - job.created_mono)
+        labels = (job.request["kind"], job.cache or "none")
+        counts = self._counts.get(labels)
+        if counts is None:
+            counts = self._counts[labels] = [0] * (len(LATENCY_BUCKETS_S) + 1)
+        counts[bisect.bisect_left(LATENCY_BUCKETS_S, seconds)] += 1
+        self._sums[labels] = self._sums.get(labels, 0.0) + seconds
+
+    def series(
+        self,
+    ) -> List[Tuple[Tuple[str, str], List[Tuple[str, int]], float]]:
+        """``((kind, cache), [(le, cumulative count), ...], sum)`` per
+        label pair, sorted by labels; the ``+Inf`` bucket (last) is the
+        pair's count."""
+        bounds = [f"{b:g}" for b in LATENCY_BUCKETS_S] + ["+Inf"]
+        return [
+            (
+                labels,
+                list(zip(bounds, itertools.accumulate(self._counts[labels]))),
+                self._sums[labels],
+            )
+            for labels in sorted(self._counts)
+        ]
 
 
 class JobQueue:
@@ -179,6 +234,8 @@ class JobQueue:
         self._queue: "asyncio.Queue[Job]" = asyncio.Queue(maxsize=maxsize)
         self._jobs: Dict[str, Job] = {}
         self._counter = itertools.count()
+        #: submit → terminal latency of every registered job
+        self.latency = LatencyHistogram()
         #: monotonic counters for /metrics
         self.submitted = 0
         self.rejected = 0
@@ -192,18 +249,18 @@ class JobQueue:
         return job_id in self._jobs
 
     # ------------------------------------------------------------------
-    def submit(
+    def create(
         self,
         request: Dict[str, Any],
         deadline_s: Optional[float] = None,
     ) -> Job:
-        """Create a job for a *validated* request and enqueue it.
+        """A new ``queued`` job for a *validated* request, under the
+        next ``job-NNNNNN`` id; neither enqueued nor registered.
 
         ``deadline_s`` is the request's relative budget; it becomes an
-        absolute monotonic deadline here.  Raises
-        :class:`QueueFullError` when the queue is at capacity.
+        absolute monotonic deadline here.
         """
-        job = Job(
+        return Job(
             id=f"job-{next(self._counter):06d}",
             request=request,
             submitted_s=time.time(),
@@ -213,6 +270,16 @@ class JobQueue:
                 else time.monotonic() + deadline_s
             ),
         )
+
+    def submit(
+        self,
+        request: Dict[str, Any],
+        deadline_s: Optional[float] = None,
+    ) -> Job:
+        """Create a job (see :meth:`create`), enqueue and register it.
+        Raises :class:`QueueFullError` when the queue is at capacity.
+        """
+        job = self.create(request, deadline_s)
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
@@ -220,13 +287,13 @@ class JobQueue:
             raise QueueFullError(
                 f"queue full ({self.maxsize} jobs pending)"
             ) from None
-        self._jobs[job.id] = job
-        self.submitted += 1
-        self._prune()
+        self.register(job)
         return job
 
     def register(self, job: Job) -> None:
-        """Track a job that bypasses the FIFO (coalesced followers)."""
+        """Track a job; on its own, for one that bypasses the FIFO
+        (coalesced followers, memory hits answered at submission)."""
+        job.on_terminal = self.latency.observe
         self._jobs[job.id] = job
         self.submitted += 1
         self._prune()

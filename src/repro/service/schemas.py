@@ -26,8 +26,9 @@ apart by context (request body, job record, result body):
       "kind": ..., "client": ..., "cache": "hit"|"miss"|"coalesced"|null,
       "coalesced": bool, "retries": int >= 0, "error": str|null,
       "submitted_s": number, "started_s": number|null,
-      "finished_s": number|null, "request": <request>
-    }
+      "finished_s": number|null, "request": <request>,
+      "result": <result>                # optional: the job was done when
+    }                                   # its POST was answered
 
     <result:partition> = {
       "schema": ..., "id": str, "kind": "partition", "method": str,
@@ -349,6 +350,7 @@ _RECORD_KEYS = (
     "started_s",
     "finished_s",
     "request",
+    "result",
 )
 
 
@@ -376,6 +378,12 @@ def validate_job_record(document: object) -> Dict[str, Any]:
         if value is not None:
             _require_number(value, f"$.{key}")
     validate_job_request(doc.get("request"))
+    if "result" in doc:
+        result = validate_result(doc["result"], "$.result")
+        if doc["state"] != "done" or result["id"] != doc["id"]:
+            raise ServiceSchemaError(
+                "$.result", "only a done job carries its own result"
+            )
     return doc
 
 
@@ -438,33 +446,33 @@ _CONTACT_RESULT_KEYS = (
 )
 
 
-def validate_result(document: object) -> Dict[str, Any]:
-    """Check a result document (either kind); raises
+def validate_result(document: object, path: str = "$") -> Dict[str, Any]:
+    """Check a result document (either kind) found at ``path``; raises
     :class:`ServiceSchemaError`."""
-    doc = _require_object(document, "$")
-    _require_schema(doc, "$")
-    kind = _require_choice(doc.get("kind"), "$.kind", JOB_KINDS)
-    _require_str(doc.get("id"), "$.id")
-    _require_int(doc.get("k"), "$.k", minimum=1)
+    doc = _require_object(document, path)
+    _require_schema(doc, path)
+    kind = _require_choice(doc.get("kind"), f"{path}.kind", JOB_KINDS)
+    _require_str(doc.get("id"), f"{path}.id")
+    _require_int(doc.get("k"), f"{path}.k", minimum=1)
     if kind == "partition":
-        _reject_unknown(doc, _PARTITION_RESULT_KEYS, "$")
-        _require_str(doc.get("method"), "$.method")
-        _require_choice(doc.get("cache"), "$.cache", CACHE_STATES)
-        _require_str(doc.get("content_key"), "$.content_key")
+        _reject_unknown(doc, _PARTITION_RESULT_KEYS, path)
+        _require_str(doc.get("method"), f"{path}.method")
+        _require_choice(doc.get("cache"), f"{path}.cache", CACHE_STATES)
+        _require_str(doc.get("content_key"), f"{path}.content_key")
         labels = doc.get("labels")
         if not isinstance(labels, list):
-            raise ServiceSchemaError("$.labels", "must be an array")
+            raise ServiceSchemaError(f"{path}.labels", "must be an array")
         # one C-level type scan (``bool`` is its own type, so it fails
         # it); only a list that fails pays for the per-element check,
         # which names the first offender
         if not set(map(type, labels)) <= {int}:
             for i, value in enumerate(labels):
-                _require_int(value, f"$.labels[{i}]")
-        _validate_diagnostics(doc.get("diagnostics"), "$.diagnostics")
+                _require_int(value, f"{path}.labels[{i}]")
+        _validate_diagnostics(doc.get("diagnostics"), f"{path}.diagnostics")
         return doc
-    _reject_unknown(doc, _CONTACT_RESULT_KEYS, "$")
-    _require_int(doc.get("steps"), "$.steps", minimum=1)
-    _require_int(doc.get("n_candidates"), "$.n_candidates", minimum=0)
-    _require_str(doc.get("labels_digest"), "$.labels_digest")
-    _validate_comm(doc.get("comm"), "$.comm")
+    _reject_unknown(doc, _CONTACT_RESULT_KEYS, path)
+    _require_int(doc.get("steps"), f"{path}.steps", minimum=1)
+    _require_int(doc.get("n_candidates"), f"{path}.n_candidates", minimum=0)
+    _require_str(doc.get("labels_digest"), f"{path}.labels_digest")
+    _validate_comm(doc.get("comm"), f"{path}.comm")
     return doc

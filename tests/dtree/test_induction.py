@@ -15,6 +15,7 @@ from repro.dtree.induction import (
 )
 from repro.dtree.query import predict_partition
 from repro.geometry.bbox import bbox_of_points
+from tests.dtree import reference_induction as ref
 
 
 def three_clusters(n_per=15, seed=0):
@@ -168,6 +169,62 @@ class TestPureTree:
         with pytest.raises(ValueError, match="^points must be finite"):
             induce_pure_tree(pts, labels, 4, memo=memo)
         assert memo.rule is None and memo.n_grafted == 0
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_margin_term_on_spans_that_overflow(self, bounded):
+        # finite coordinates whose span exceeds the float64 range: the
+        # margin term's extent used to be inf, its score NaN, and a
+        # leaf of the tree impure
+        pts = np.array([[-1e308, 0, 0], [1e308, 0, 0],
+                        [-5e307, 1, 0], [5e307, 1, 1]])
+        labels = np.array([0, 1, 0, 1])
+
+        def induce(points):
+            if bounded:
+                return induce_bounded_tree(points, labels, 2, max_p=1,
+                                           max_i=1, margin_weight=1.0)
+            return induce_pure_tree(points, labels, 2, margin_weight=1.0)
+
+        with np.errstate(all="raise"):
+            tree, leaf_of = induce(pts)
+        tree.validate()
+        assert all(tree.nodes[leaf].is_pure for leaf in leaf_of)
+        assert [tree.nodes[leaf].label for leaf in leaf_of] == [0, 1, 0, 1]
+        # the gap / extent ratios do not depend on a power-of-two scale,
+        # so the same points far inside the range give the same tree
+        small, _ = induce(pts * 2.0 ** -1000)
+        assert [(n.dim, n.n_points, n.label) for n in tree.nodes] == [
+            (n.dim, n.n_points, n.label) for n in small.nodes
+        ]
+        assert [n.threshold for n in tree.nodes] == [
+            n.threshold * 2.0 ** 1000 for n in small.nodes
+        ]
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_margin_term_on_subnormal_spans_equals_the_oracle(self, bounded):
+        # halving 5e-324 gives 0.0: the margin term keeps the unhalved
+        # arithmetic wherever it does not overflow, so subnormal and
+        # sign-mirrored coordinates give the recursive engine's tree
+        pts = np.array([[-0.0, 0.0], [-5e-324, 0.0], [-5e-324, 0.0],
+                        [-0.0, 2.0], [-5e-324, 1.0], [-1.5e-323, 1.0]])
+        labels = np.array([0, 1, 1, 0, 0, 1])
+        pts = np.concatenate((pts, -pts))
+        labels = np.concatenate((labels, labels))
+        if bounded:
+            kwargs = dict(max_p=1, max_i=1, margin_weight=0.5)
+            got = induce_bounded_tree(pts, labels, 2, **kwargs)
+            want = ref.induce_bounded_tree(pts, labels, 2, **kwargs)
+        else:
+            got = induce_pure_tree(pts, labels, 2, margin_weight=0.5)
+            want = ref.induce_pure_tree(pts, labels, 2, margin_weight=0.5)
+        assert got[1].tolist() == want[1].tolist()
+        assert [
+            (n.n_points, n.label, n.dim, float(n.threshold).hex())
+            for n in got[0].nodes
+        ] == [
+            (n.n_points, n.label, n.dim, float(n.threshold).hex())
+            for n in want[0].nodes
+        ]
 
     @given(st.integers(0, 10**6), st.integers(1, 5))
     @settings(max_examples=30, deadline=None)

@@ -3,8 +3,10 @@
 Every blocking step of a job — the run report (it takes the engine's
 execution lock), closing the pooled backend, building a source (a
 simulation or a mesh file), reading and writing the result cache (its
-lock and its disk tier) and the fit itself — runs in an executor
-thread, so one slow request never stalls the others.  Each test spies
+disk tier) and the fit itself — runs in an executor thread, so one
+slow request never stalls the others.  (A memory hit answered at
+submission reads only the cache's memory tier on the loop;
+``test_memory_hits.py`` holds it to that.)  Each test spies
 on one of those steps and asserts the thread it ran on is not the
 loop's.  (The first two hops were found by the ASYNC001 lint code,
 which these tests replaced.)
@@ -104,7 +106,8 @@ class TestSourceAndCacheOffLoop:
     ):
         """A miss, then a hit read back from the disk tier: neither the
         source build nor a cache read or write may run on the loop (a
-        "serve hits early" lookup in ``submit`` would do all three)."""
+        hit only the disk tier has takes the queue, not the memory-hit
+        answer in ``submit``)."""
         seen = []
 
         def spy(owner, name):
