@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.contact_search import face_owner_partition
 from repro.core.partitioner import PartitionResult, make_result
@@ -45,7 +44,11 @@ def predict_contact_pairs(
 
     This is the oracle a simulation analyst provides in the first-class
     setting; here proximity in the initial geometry stands in for it.
+    SciPy's KD-tree is imported here, on first use, so importing the
+    package does not load SciPy.
     """
+    from scipy.spatial import cKDTree
+
     if radius <= 0:
         raise ValueError("radius must be > 0")
     cn = snapshot.contact_nodes

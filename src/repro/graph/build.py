@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
@@ -166,8 +165,12 @@ def random_geometric_graph(
 
     Vertices are uniform points; edges join pairs within ``radius``.
     Used to exercise the geometry-coupled code paths (RCB, decision
-    trees) on irregular inputs. Pair search is a KD-tree radius query.
+    trees) on irregular inputs. Pair search is a KD-tree radius query;
+    SciPy is imported here, on first use, so importing the package
+    does not load it.
     """
+    from scipy.spatial import cKDTree
+
     check_positive("n", n)
     check_positive("radius", radius)
     rng = as_rng(seed)

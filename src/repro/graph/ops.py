@@ -4,6 +4,8 @@
 leaf-collapse step that builds the refinement graph ``G'`` (paper
 §4.2), so it is fully vectorised: coarse edges are merged with one
 ``lexsort``/``reduceat`` pass instead of per-edge hashing.
+Connected components are NumPy only (min-label hooking and pointer
+jumping over the edge arrays), so nothing here imports SciPy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from repro.graph.csr import CSRGraph
 from repro.utils.arrays import sum_by_label
@@ -80,6 +81,38 @@ def induced_subgraph(
     return sub, vertices
 
 
+def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected components of the ``n``-vertex graph with edges
+    ``src[i] – dst[i]``; returns ``int64[n]`` of component ids.
+
+    Min-label hooking: every root takes the smallest root across its
+    edges (``np.minimum.at``), pointer jumping (``lab = lab[lab]``)
+    flattens the forest, and edges inside one label drop out, until no
+    edge joins two labels — O(log n) rounds in practice. Labels only
+    ever fall, so each component's root ends as its lowest vertex id,
+    and components are numbered in that order: the order a sweep over
+    ``range(n)`` first meets them. Either direction of an edge, or
+    both, may be given.
+    """
+    lab = np.arange(n, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    while len(src):
+        a, b = lab[src], lab[dst]
+        live = a != b
+        if not live.any():
+            break
+        src, dst, a, b = src[live], dst[live], a[live], b[live]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+    roots = np.cumsum(lab == np.arange(n, dtype=np.int64)) - 1
+    return roots[lab]
+
+
 def connected_components(graph: CSRGraph) -> np.ndarray:
     """Label connected components; returns ``int64[n]`` of component ids.
 
@@ -87,13 +120,11 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
     order a sweep over ``range(n)`` first meets them), which is what
     :func:`scipy.sparse.csgraph.connected_components` produces.
     """
-    n = graph.num_vertices
-    adjacency = csr_matrix(
-        (np.ones(len(graph.adjncy), dtype=np.int8), graph.adjncy, graph.xadj),
-        shape=(n, n),
+    src = graph.row_index
+    one_way = src < graph.adjncy
+    return label_components(
+        graph.num_vertices, src[one_way], graph.adjncy[one_way]
     )
-    _, comp = csgraph.connected_components(adjacency, directed=False)
-    return comp.astype(np.int64)
 
 
 def largest_component(graph: CSRGraph) -> Tuple[CSRGraph, np.ndarray]:

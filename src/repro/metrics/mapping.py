@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def overlap_matrix(
@@ -34,7 +33,13 @@ def optimal_relabel(
     labels_a: np.ndarray, labels_b: np.ndarray, k: int
 ) -> np.ndarray:
     """Permutation ``perm`` maximising agreement of ``perm[labels_b]``
-    with ``labels_a`` (maximal-weight bipartite matching)."""
+    with ``labels_a`` (maximal-weight bipartite matching).
+
+    SciPy is imported here, on first use, so importing the package
+    does not load it.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     overlap = overlap_matrix(labels_a, labels_b, k)
     rows, cols = linear_sum_assignment(overlap, maximize=True)
     perm = np.empty(k, dtype=np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.metrics import partition_weights
-from repro.graph.ops import connected_components, induced_subgraph
+from repro.graph.ops import label_components
 from repro.partition.balance import BalanceTracker, target_weights
 from repro.partition.config import PartitionOptions
 
@@ -32,15 +32,27 @@ def _fragments_of(
 ) -> Tuple[np.ndarray, list]:
     """Vertices of partition ``p`` and their connected components
     (list of index arrays into the *global* vertex space), largest
-    first."""
+    first.
+
+    Reads only the partition's own adjacency (``incident_edges``), so
+    a pass over all ``k`` partitions touches each edge once; one stable
+    argsort of the component ids splits the groups.
+    """
     verts = np.nonzero(part == p)[0]
     if len(verts) == 0:
         return verts, []
-    sub, ids = induced_subgraph(graph, verts)
-    comp = connected_components(sub)
-    groups = [
-        ids[comp == c] for c in range(comp.max() + 1)
-    ]
+    owner, edges = graph.incident_edges(verts)
+    far = graph.adjncy[edges]
+    inside = part[far] == p
+    comp = label_components(
+        len(verts), owner[inside], np.searchsorted(verts, far[inside])
+    )
+    n_comp = int(comp.max()) + 1
+    if n_comp == 1:
+        return verts, [verts]
+    order = np.argsort(comp, kind="stable")
+    bounds = np.cumsum(np.bincount(comp, minlength=n_comp))[:-1]
+    groups = np.split(verts[order], bounds)
     groups.sort(key=len, reverse=True)
     return verts, groups
 

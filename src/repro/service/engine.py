@@ -709,13 +709,12 @@ class ServiceEngine:
                 self._merge_edge_spans()
                 self._merge_spans(job.request["kind"], root)
 
-    def _merge_spans(self, kind_name: str, root: Span, jobs: int = 1) -> None:
-        """Fold the span tree of ``jobs`` jobs in (call under
-        ``_exec_lock``)."""
-        kind = self._spans.child(kind_name)
-        accumulate_span(kind, root)
-        # the per-job root counts one call per *attempt*
-        kind.n_calls = max(kind.n_calls - jobs, 1)
+    def _merge_spans(self, kind_name: str, root: Span) -> None:
+        """Fold a job's span tree in (call under ``_exec_lock``): the
+        per-kind span's ``n_calls`` grows by the root's, one per
+        executed attempt or per answered-at-submission hit folded into
+        ``root``."""
+        accumulate_span(self._spans.child(kind_name), root)
 
     def _merge_edge_spans(self) -> None:
         """Fold in the jobs answered at submission since the last merge
@@ -723,7 +722,7 @@ class ServiceEngine:
         with self._edge_lock:
             root, self._edge_spans = self._edge_spans, Span("job")
         if root.n_calls:
-            self._merge_spans("partition", root, jobs=root.n_calls)
+            self._merge_spans("partition", root)
 
     def _execute_partition(
         self, job: Job, tracer: Tracer

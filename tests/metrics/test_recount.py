@@ -9,7 +9,10 @@ shared by the vectorised helpers cannot hide in a comparison of the
 program with itself.  Default scene, step 0, k = 8 and 25, MCML+DT and
 ML+RCB; compared with ``PartitionResult.diagnostics``, ``SearchPlan``,
 the contact exchange's ledger, ``MLRCBPartitioner.m2m_comm_now()`` and
-the service's result document.
+the service's result document.  A whole MCML+DT sequence is recounted
+too: every step of a hybrid ``ContactStepDriver`` run, so steps whose
+tree grafts memoised subtrees and steps after a diffusion repartition
+are both checked.
 """
 
 import asyncio
@@ -20,17 +23,20 @@ import numpy as np
 import pytest
 
 from repro.core.contact_search import parallel_contact_search
+from repro.core.driver import ContactStepDriver
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.core.ml_rcb import MLRCBParams, MLRCBPartitioner
 from repro.core.weights import build_contact_graph
 from repro.graph.metrics import load_imbalance
 from repro.mesh.nodal_graph import nodal_graph
 from repro.metrics import fe_comm
+from repro.obs.tracer import Tracer
 from repro.runtime.ledger import CommLedger
 from repro.service.engine import EngineConfig, ServiceEngine
 from repro.service.schemas import SCHEMA_VERSION
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
+from repro.core.update import UpdateStrategy
 
 PAD = 0.1
 CASES = [("mcml-dt", 8), ("mcml-dt", 25), ("ml-rcb", 8), ("ml-rcb", 25)]
@@ -390,3 +396,79 @@ def test_imbalance_oracle_agrees_on_a_skewed_partition(snapshot):
     assert naive_imbalance(graph, part, 4) == load_imbalance(
         graph, part, 4
     ).tolist()
+
+
+# ----------------------------------------------------------------------
+# a whole sequence through the step driver
+# ----------------------------------------------------------------------
+
+SEQUENCE_K, SEQUENCE_STEPS, SEQUENCE_PERIOD = 8, 20, 5
+
+
+@pytest.fixture(scope="module")
+def hybrid_steps():
+    """Per step of a hybrid run (period 5): the snapshot, its
+    ``StepResult``, the descriptor tree the step searched with, the
+    labels after the step and the items the step's contact exchange
+    booked; plus the run's tracer report."""
+    seq = simulate_impact(ImpactConfig(n_steps=SEQUENCE_STEPS))
+    tracer = Tracer()
+    driver = ContactStepDriver(
+        SEQUENCE_K, MCMLDTParams(pad=PAD), strategy=UpdateStrategy.HYBRID,
+        repartition_period=SEQUENCE_PERIOD, backend="serial", tracer=tracer,
+    )
+    pt = driver.partitioner
+    trees = []
+    build = pt.build_descriptors
+
+    def recording(snapshot, tracer=None):
+        tree, leaf_of = build(snapshot, tracer=tracer)
+        trees.append(tree)
+        return tree, leaf_of
+
+    pt.build_descriptors = recording
+    driver.initialize(seq[0])
+    steps = []
+    for snapshot in seq:
+        before = driver.ledger.items("contact-exchange")
+        result = driver.step(snapshot)
+        steps.append((
+            snapshot, result, trees[-1], pt.part.copy(),
+            driver.ledger.items("contact-exchange") - before,
+        ))
+    return steps, tracer.finish()
+
+
+class TestSequenceRecount:
+    def test_the_run_grafts_and_repartitions(self, hybrid_steps):
+        steps, report = hybrid_steps
+        assert len(steps) == SEQUENCE_STEPS
+        induce = report.find("step/dtree-induce")
+        assert induce.counters["tree_nodes_reused"] > 0
+        # the fit counts as the last repartition: steps 4, 9, 14, 19
+        repartitioned = [r.step for _, r, _, _, _ in steps if r.repartitioned]
+        assert repartitioned == list(
+            range(SEQUENCE_PERIOD - 1, SEQUENCE_STEPS, SEQUENCE_PERIOD)
+        )
+        assert sum(r.n_moved for _, r, _, _, _ in steps) > 0
+
+    def test_every_step_n_remote_and_exchange(self, hybrid_steps):
+        steps, _ = hybrid_steps
+        for snapshot, result, tree, part, exchanged in steps:
+            nodes = snapshot.mesh.nodes.tolist()
+            faces = snapshot.contact_faces
+            boxes = naive_boxes(nodes, faces, PAD)
+            owners = naive_owner(faces, part.tolist())
+            expected = naive_n_remote_tree(tree, boxes, owners, SEQUENCE_K)
+            assert expected > 0
+            assert (result.n_remote, exchanged) == (expected, expected), (
+                result.step
+            )
+
+    def test_every_step_fe_comm(self, hybrid_steps):
+        steps, _ = hybrid_steps
+        for snapshot, result, _, part, _ in steps:
+            graph = build_contact_graph(
+                snapshot, MCMLDTParams(pad=PAD).contact_edge_weight
+            )
+            assert result.fe_comm == naive_fe_comm(graph, part), result.step

@@ -1,18 +1,25 @@
 """Differential tests: the incremental / batch-scored rebalancer, the
-scipy component labelling and the bincount fragment connectivity must
-reproduce the scalar oracles in :mod:`tests.partition.reference_kway`
-bit for bit — labels, move counts and the RNG state left behind."""
+NumPy component labelling (min-label hooking and pointer jumping), the
+per-partition fragment scan and the bincount fragment connectivity
+must reproduce the scalar oracles in
+:mod:`tests.partition.reference_kway` bit for bit — labels, move
+counts and the RNG state left behind.  The component labels are also
+checked against SciPy's ``csgraph.connected_components``, whose
+numbering (by lowest vertex id) they keep; SciPy is a test-side
+oracle here, the library does not import it."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 
 from repro.graph.build import from_edge_list, grid_graph, random_geometric_graph
 from repro.graph.metrics import boundary_vertices
-from repro.graph.ops import connected_components
+from repro.graph.ops import connected_components, label_components
 from repro.partition.config import PartitionOptions
-from repro.partition.fragments import absorb_fragments
+from repro.partition.fragments import _fragments_of, absorb_fragments
 from repro.partition.refine_kway import rebalance_kway
 from tests.partition.reference_kway import (
+    _fragments_of_reference,
     absorb_fragments_reference,
     boundary_vertices_reference,
     connected_components_reference,
@@ -173,30 +180,87 @@ class TestBoundaryMatchesReference:
         np.testing.assert_array_equal(got, exp)
 
 
+def scipy_components(graph):
+    n = graph.num_vertices
+    adjacency = csr_matrix(
+        (np.ones(len(graph.adjncy), dtype=np.int8), graph.adjncy, graph.xadj),
+        shape=(n, n),
+    )
+    return csgraph.connected_components(adjacency, directed=False)[1]
+
+
+def assert_components(graph):
+    got = connected_components(graph)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, connected_components_reference(graph))
+    np.testing.assert_array_equal(got, scipy_components(graph))
+    return got
+
+
+def relabelled(n, edges, perm):
+    """The graph on ``edges`` with vertex ``v`` renamed ``perm[v]``."""
+    return from_edge_list(n, perm[np.asarray(edges, dtype=np.int64)])
+
+
 class TestComponentsMatchReference:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_sparse_graphs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 120))
         edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
-        graph = from_edge_list(n, edges)
-        got = connected_components(graph)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(
-            got, connected_components_reference(graph)
-        )
+        assert_components(from_edge_list(n, edges))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_path_with_shuffled_ids(self, seed):
+        # a long path whose ids are not in path order takes several
+        # hooking rounds (7 for n = 2000, seed 0), not one
+        n = 2000
+        perm = np.random.default_rng(seed).permutation(n)
+        path = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+        comp = assert_components(relabelled(n, path, perm))
+        assert (comp == 0).all()
+
+    @pytest.mark.parametrize("centre", [0, 7, 39])
+    def test_star(self, centre):
+        leaves = np.delete(np.arange(40), centre)
+        edges = np.column_stack((np.full(39, centre), leaves))
+        comp = assert_components(from_edge_list(40, edges))
+        assert (comp == 0).all()
 
     def test_bodies_and_isolated_vertices(self):
         body = grid_graph(5, 4).edge_array()[:, :2]
         graph = from_edge_list(45, np.vstack((body + 3, body + 24)))
-        np.testing.assert_array_equal(
-            connected_components(graph),
-            connected_components_reference(graph),
-        )
+        comp = assert_components(graph)
+        assert comp.max() + 1 == 2 + 45 - 40  # two bodies, five singles
+
+    def test_shuffled_bodies_and_isolated_vertices(self):
+        rng = np.random.default_rng(4)
+        body = grid_graph(6, 5).edge_array()[:, :2]
+        edges = np.vstack((body, body + 30, body + 60))
+        perm = rng.permutation(100)
+        comp = assert_components(relabelled(100, edges, perm))
+        assert comp.max() + 1 == 3 + 10
 
     def test_edgeless_graph(self):
         graph = from_edge_list(4, np.empty((0, 2), dtype=np.int64))
-        assert connected_components(graph).tolist() == [0, 1, 2, 3]
+        assert assert_components(graph).tolist() == [0, 1, 2, 3]
+
+    def test_empty_graph(self):
+        graph = from_edge_list(0, np.empty((0, 2), dtype=np.int64))
+        assert connected_components(graph).tolist() == []
+
+    def test_either_edge_direction(self):
+        rng = np.random.default_rng(9)
+        edges = rng.integers(0, 60, size=(50, 2))
+        expected = connected_components(from_edge_list(60, edges))
+        for src, dst in ((edges[:, 0], edges[:, 1]),
+                         (edges[:, 1], edges[:, 0]),
+                         (np.concatenate((edges[:, 0], edges[:, 1])),
+                          np.concatenate((edges[:, 1], edges[:, 0])))):
+            np.testing.assert_array_equal(
+                label_components(60, src, dst), expected
+            )
+
 
 
 class TestAbsorbMatchesReference:
@@ -221,3 +285,27 @@ class TestAbsorbMatchesReference:
         np.testing.assert_array_equal(got_part, exp_part)
         assert got_moved == exp_moved
         assert got_moved > 0
+
+
+class TestFragmentsMatchReference:
+    """The per-partition scan returns the oracle's vertices and groups:
+    same arrays, same order (largest first, ties by lowest vertex)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_speckled_partitions(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 9))
+        graph = grid_graph(18, 14) if seed % 2 else two_bodies(12, 10)
+        n = graph.num_vertices
+        part = (np.arange(n) * k // n).astype(np.int64)
+        specks = rng.permutation(n)[: n // 6]
+        part[specks] = rng.integers(0, k, size=len(specks))
+        part[part == k - 1] = 0  # one empty partition
+        for p in range(k):
+            exp_verts, exp_groups = _fragments_of_reference(graph, part, p)
+            got_verts, got_groups = _fragments_of(graph, part, p)
+            np.testing.assert_array_equal(got_verts, exp_verts)
+            assert len(got_groups) == len(exp_groups)
+            for got, exp in zip(got_groups, exp_groups):
+                assert got.dtype == exp.dtype
+                np.testing.assert_array_equal(got, exp)

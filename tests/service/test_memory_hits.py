@@ -114,7 +114,7 @@ class TestEdgeEqualsWorkerPath:
         meta, spans = edge_report
         assert (meta["cache_hits"], meta["cache_misses"]) == (3, 1)
         assert meta["queue_submitted"] == 4
-        assert spans["service/partition"][1] == {"cache_hits": 3}
+        assert spans["service/partition"] == (4, {"cache_hits": 3})
         assert spans["service/partition/cache-lookup"][0] == 4
 
     def test_document_bytes_are_the_compact_encoding(self):
@@ -153,9 +153,29 @@ class TestEdgeEqualsWorkerPath:
         assert pending == [(5, 3), (55, 3)]
         meta, spans = report_shape(engine)
         assert meta["cache_hits"] == 55
-        assert spans["service/partition"] == (1, {"cache_hits": 55})
+        assert spans["service/partition"] == (56, {"cache_hits": 55})
         assert spans["service/partition/cache-lookup"][0] == 56
         assert engine._edge_spans.n_calls == 0
+
+    def test_kind_span_counts_every_job(self):
+        # five cold jobs through the workers, then three hits answered
+        # at submission: the per-kind span is entered once per job
+        async def scenario():
+            engine = ServiceEngine(EngineConfig(workers=2))
+            await engine.start()
+            try:
+                for k in range(2, 7):
+                    await engine.wait(engine.submit(request(k=k)).id, 120)
+                for _ in range(3):
+                    assert engine.submit(request(k=4)).state == "done"
+                return engine
+            finally:
+                await engine.stop()
+
+        meta, spans = report_shape(run(scenario()))
+        assert (meta["cache_misses"], meta["cache_hits"]) == (5, 3)
+        assert spans["service/partition"] == (8, {"cache_hits": 3})
+        assert spans["service/partition/fit"][0] == 5
 
     def test_hits_share_one_encoded_body(self):
         jobs, _, _ = hits_and_report(edge=True, n_hits=2)
