@@ -185,9 +185,6 @@ class MCMLDTPartitioner:
 
         with tracer.span(SPAN_COLLAPSE):
             # P': every point adopts its leaf's majority partition
-            node_labels = np.array(
-                [nd.label for nd in tree.nodes], dtype=np.int64
-            )
             leaf_idx, _ = relabel_contiguous(leaf_of)
             n_leaves = int(leaf_idx.max()) + 1
 
@@ -196,7 +193,7 @@ class MCMLDTPartitioner:
             sub, _ = induced_subgraph(graph, used)
             gprime = contract(sub, leaf_idx, n_leaves)
             leaf_part = np.empty(n_leaves, dtype=np.int64)
-            leaf_part[leaf_idx] = node_labels[leaf_of]  # majority per leaf
+            leaf_part[leaf_idx] = tree.label[leaf_of]  # majority per leaf
 
             p_prime = leaf_part[leaf_idx]
             diag.imbalance_reshaped = load_imbalance(

@@ -12,7 +12,7 @@ gini splitting index (Eq. 1), with two termination modes:
 """
 
 from repro.dtree.splitter import SplitResult, best_split, median_split
-from repro.dtree.tree import DecisionTree, TreeNode
+from repro.dtree.tree import DecisionTree
 from repro.dtree.induction import (
     SubtreeMemo,
     induce_bounded_tree,
@@ -30,7 +30,6 @@ __all__ = [
     "best_split",
     "median_split",
     "DecisionTree",
-    "TreeNode",
     "induce_pure_tree",
     "induce_bounded_tree",
     "SubtreeMemo",

@@ -13,7 +13,7 @@ are useful for visualisation and volume statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -28,27 +28,32 @@ def leaf_regions(
 
     Returns ``(leaf_ids, regions)`` with ``regions`` of shape
     ``(n_leaves, 2, d)``; region bounds come from the splits along the
-    root-to-leaf path, clipped to the domain box.
+    root-to-leaf path, clipped to the domain box. One level of the tree
+    is swept at a time. The leaves are listed by descending id, which
+    on an induced tree (ids in preorder) is right to left.
     """
     domain_box = np.asarray(domain_box, dtype=float)
     d = domain_box.shape[1]
-    leaf_ids: List[int] = []
-    regions: List[np.ndarray] = []
-    stack = [(tree.root, domain_box.copy())]
-    while stack:
-        nid, box = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            leaf_ids.append(nid)
-            regions.append(box)
-            continue
-        lbox = box.copy()
-        rbox = box.copy()
-        lbox[1, node.dim] = min(lbox[1, node.dim], node.threshold)
-        rbox[0, node.dim] = max(rbox[0, node.dim], node.threshold)
-        stack.append((node.left, lbox))
-        stack.append((node.right, rbox))
-    return np.asarray(leaf_ids, dtype=np.int64), np.asarray(regions)
+    leaf_ids = tree.leaf_ids()[::-1]
+    # a leaf's row in ``regions``: the number of leaves after it
+    row_of = np.cumsum(tree.is_leaf[::-1])[::-1] - 1
+    regions = np.empty((len(leaf_ids),) + domain_box.shape)
+    children = np.stack((tree.left, tree.right), axis=1)
+    node = np.zeros(1, dtype=np.int64)
+    box = domain_box[None]
+    while len(node):
+        leaf = tree.left[node] < 0
+        regions[row_of[node[leaf]]] = box[leaf]
+        node, box = node[~leaf], box[~leaf]
+        # both children start from the parent's box, clipped at its cut
+        pair = box.repeat(2, axis=0).reshape(len(node), 2, 2, d)
+        rows, dim = np.arange(len(node)), tree.dim[node]
+        t = tree.threshold[node]
+        pair[rows, 0, 1, dim] = np.minimum(pair[rows, 0, 1, dim], t)
+        pair[rows, 1, 0, dim] = np.maximum(pair[rows, 1, 0, dim], t)
+        node = children[node].ravel()
+        box = pair.reshape(-1, 2, d)
+    return leaf_ids, regions
 
 
 @dataclass
@@ -69,12 +74,12 @@ class SubdomainDescriptors:
     ) -> "SubdomainDescriptors":
         """Group leaf regions by their partition label."""
         leaf_ids, regions = leaf_regions(tree, domain_box)
-        labels = np.array(
-            [tree.nodes[i].label for i in leaf_ids], dtype=np.int64
+        labels = tree.label[leaf_ids]
+        order = labels.argsort(kind="stable")
+        parts, first = np.unique(labels[order], return_index=True)
+        regions_of: Dict[int, np.ndarray] = dict(
+            zip(parts.tolist(), np.split(regions[order], first[1:]))
         )
-        regions_of: Dict[int, np.ndarray] = {}
-        for p in np.unique(labels):
-            regions_of[int(p)] = regions[labels == p]
         return cls(tree=tree, domain_box=np.asarray(domain_box, float),
                    regions_of=regions_of)
 

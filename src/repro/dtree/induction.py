@@ -42,7 +42,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from repro.dtree.splitter import choose_cuts, median_cuts, narrow_labels
-from repro.dtree.tree import DecisionTree, TreeNode
+from repro.dtree.tree import DecisionTree
 from repro.utils.validation import (
     check_array,
     check_finite,
@@ -117,12 +117,12 @@ class SubtreeMemo:
     Nothing in it depends on where a node sits in the tree (child ids
     and leaf ids are stored relative to the node's own id), so a
     remembered subtree can be grafted at any position of the next
-    tree, and nothing in it is handed to a caller (node fields, points,
-    labels and leaf ids are the memo's own arrays), so no edit of a
-    returned tree or of the induced arrays reaches it. Each induction
-    replaces the contents with the tree it built: the memo holds one
-    tree — its node arrays and one record per point — and there is
-    nothing to invalidate, a changed input is a miss. ``rule`` is the
+    tree, and a caller can edit nothing in it (its node arrays are
+    read-only, as are the tree fields that view them, and points,
+    labels and leaf ids are its own copies). Each induction replaces the
+    contents with the tree it built: the memo holds one tree — its node
+    arrays and one record per point — and there is nothing to
+    invalidate, a changed input is a miss. ``rule`` is the
     ``(margin_weight, max_depth)`` that tree was induced under; an
     induction under another rule starts empty. One memo serves one
     inducer (it does not record the termination predicate).
@@ -585,23 +585,20 @@ def _induce(
         leaf_of_point[run.grafted] += run.relative
         n_grafted = int(nodes.ints[pre[run.hits.at], SIZE].sum())
 
+    # the memo keeps these and the tree's fields view them: read-only at
+    # the base, no view can be made writeable again
+    for field in nodes:
+        field.setflags(write=False)
     ints = nodes.ints
     node_id = np.arange(len(ints))
-    left = np.where(ints[:, LEFT] > 0, node_id + ints[:, LEFT], -1)
-    right = np.where(ints[:, RIGHT] > 0, node_id + ints[:, RIGHT], -1)
     tree = DecisionTree(
-        nodes=[
-            TreeNode(*row)
-            for row in zip(
-                ints[:, N_POINTS].tolist(),
-                ints[:, LABEL].tolist(),
-                (ints[:, PURE] > 0).tolist(),
-                ints[:, DIM].tolist(),
-                nodes.threshold.tolist(),
-                left.tolist(),
-                right.tolist(),
-            )
-        ],
+        n_points=ints[:, N_POINTS],
+        label=ints[:, LABEL],
+        is_pure=ints[:, PURE] > 0,
+        dim=ints[:, DIM],
+        threshold=nodes.threshold,
+        left=np.where(ints[:, LEFT] > 0, node_id + ints[:, LEFT], -1),
+        right=np.where(ints[:, RIGHT] > 0, node_id + ints[:, RIGHT], -1),
         k=k,
     )
     if memo is not None:

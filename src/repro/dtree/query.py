@@ -1,7 +1,8 @@
 """Decision-tree queries: point location and box traversal.
 
 Both queries are frontier sweeps over (item, node) pairs held in NumPy
-arrays — each iteration advances *all* items one level, so cost is
+arrays, indexing the tree's node arrays directly — each iteration
+advances *all* items one level, so cost is
 O(pairs · depth) with whole-array operations, not a Python recursion
 per item. Box queries can descend both branches when the box straddles
 a hyperplane, which is exactly how an element gets sent to multiple
@@ -10,7 +11,7 @@ subdomains.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -19,34 +20,11 @@ from repro.geometry.boxsearch import SearchPlan
 from repro.utils.validation import check_finite, check_labels
 
 
-def _node_arrays(tree: DecisionTree) -> Tuple[np.ndarray, ...]:
-    """Node fields as parallel arrays ``(dim, threshold, left, right,
-    label, is_pure)`` for vectorised sweeps.
-
-    Built from ``tree.nodes`` on every call and never kept on the tree:
-    a caller may edit a node in place, and a cached copy would not see
-    it. A query that sweeps more than once builds them once and passes
-    them on.
-    """
-    dim, thr, left, right, label, pure = zip(*[
-        (nd.dim, nd.threshold, nd.left, nd.right, nd.label, nd.is_pure)
-        for nd in tree.nodes
-    ])
-    return (
-        np.array(dim, dtype=np.int64),
-        np.array(thr, dtype=float),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(label, dtype=np.int64),
-        np.array(pure, dtype=bool),
-    )
-
-
 def assign_points(tree: DecisionTree, points: np.ndarray) -> np.ndarray:
     """Leaf id reached by each point, ``int64[n]``."""
     points = np.asarray(points, dtype=float)
-    dim, thr, left, right, _, _ = _node_arrays(tree)
-    cur = np.full(len(points), tree.root, dtype=np.int64)
+    dim, thr, left, right = tree.dim, tree.threshold, tree.left, tree.right
+    cur = np.zeros(len(points), dtype=np.int64)
     active = left[cur] >= 0
     while active.any():
         ids = np.nonzero(active)[0]
@@ -59,34 +37,27 @@ def assign_points(tree: DecisionTree, points: np.ndarray) -> np.ndarray:
 
 def predict_partition(tree: DecisionTree, points: np.ndarray) -> np.ndarray:
     """Partition label each point's leaf carries (majority label)."""
-    _, _, _, _, labels, _ = _node_arrays(tree)
-    return labels[assign_points(tree, points)]
+    return tree.label[assign_points(tree, points)]
 
 
 def box_query_pairs(
-    tree: DecisionTree,
-    boxes: np.ndarray,
-    arrays: Optional[Tuple[np.ndarray, ...]] = None,
+    tree: DecisionTree, boxes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All (box index, leaf id) incidences, each pair once.
 
     A box reaches a leaf iff its slab along every split on the path is
     compatible: at node (dim, t), boxes with ``lo[dim] <= t`` descend
     left and boxes with ``hi[dim] > t`` descend right (possibly both).
-    ``arrays`` are the tree's ``_node_arrays`` when the caller already
-    built them.
     """
     boxes = np.asarray(boxes, dtype=float)
     m = len(boxes)
-    if arrays is None:
-        arrays = _node_arrays(tree)
-    dim, thr, left, right, _, _ = arrays
+    dim, thr, left, right = tree.dim, tree.threshold, tree.left, tree.right
     # coordinate-major bounds: box b's bound on axis a sits at a * m + b
     lo_flat = np.ascontiguousarray(boxes[:, 0].T).ravel()
     hi_flat = np.ascontiguousarray(boxes[:, 1].T).ravel()
 
     box_idx = np.arange(m, dtype=np.int64)
-    node_idx = np.full(m, tree.root, dtype=np.int64)
+    node_idx = np.zeros(m, dtype=np.int64)
     out_boxes = []
     out_leaves = []
     while len(box_idx):
@@ -94,19 +65,19 @@ def box_query_pairs(
         if is_leaf.any():
             out_boxes.append(box_idx[is_leaf])
             out_leaves.append(node_idx[is_leaf])
-        box_idx, node_idx = box_idx[~is_leaf], node_idx[~is_leaf]
-        if len(box_idx) == 0:
-            break
+            inner = ~is_leaf
+            box_idx, node_idx = box_idx[inner], node_idx[inner]
         at = dim[node_idx] * m + box_idx
         t = thr[node_idx]
-        go_l = lo_flat.take(at) <= t
         go_r = hi_flat.take(at) > t
-        # a box not strictly right of the threshold that also fails the
-        # left test can only happen on NaN input; treat as both-ways
-        neither = ~(go_l | go_r)
-        go_l |= neither
-        nb = np.concatenate((box_idx[go_l], box_idx[go_r]))
-        nn = np.concatenate((left[node_idx[go_l]], right[node_idx[go_r]]))
+        # a box that fails both tests (only on NaN input) goes both ways
+        go_l = (lo_flat.take(at) <= t) | ~go_r
+        # the next level: the pairs that go left, then those that go right
+        n_l = np.count_nonzero(go_l)
+        nb = np.empty(n_l + np.count_nonzero(go_r), dtype=np.int64)
+        nn = np.empty_like(nb)
+        nb[:n_l], nb[n_l:] = box_idx[go_l], box_idx[go_r]
+        nn[:n_l], nn[n_l:] = left[node_idx[go_l]], right[node_idx[go_r]]
         box_idx, node_idx = nb, nn
     if out_boxes:
         return np.concatenate(out_boxes), np.concatenate(out_leaves)
@@ -138,9 +109,8 @@ def tree_filter_search(
     )
     element_boxes = check_finite("element_boxes", element_boxes)
 
-    arrays = _node_arrays(tree)
-    _, _, _, _, labels, pure = arrays
-    b_idx, leaf_idx = box_query_pairs(tree, element_boxes, arrays)
+    labels, pure = tree.label, tree.is_pure
+    b_idx, leaf_idx = box_query_pairs(tree, element_boxes)
 
     send = np.zeros((len(element_boxes), k), dtype=bool)
     if len(b_idx):

@@ -9,14 +9,41 @@ examples and debugging, not precision graphics.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.dtree.descriptors import leaf_regions
-from repro.dtree.tree import DecisionTree
+from repro.dtree.tree import DecisionTree, TreeNode
 
-_GLYPHS = "o^#*+x%@"
+_GLYPHS = np.array(list("o^#*+x%@"))
+
+
+def _cells(
+    xy: np.ndarray, lo: np.ndarray, span: np.ndarray, width: int, height: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid ``(row, column)`` of each 2D point, clipped to the grid; row
+    0 is the top."""
+    last = np.array([width - 1, height - 1])
+    col, up = np.clip((xy - lo) / span * last, 0, last).astype(np.int64).T
+    return height - 1 - up, col
+
+
+def _draw_points(
+    grid: np.ndarray,
+    points: np.ndarray,
+    labels: np.ndarray,
+    lo: np.ndarray,
+    span: np.ndarray,
+) -> None:
+    """Each point's partition glyph into its cell; of the points that
+    share a cell, the last one shows."""
+    height, width = grid.shape
+    row, col = _cells(points, lo, span, width, height)
+    cell = row * width + col
+    _, last = np.unique(cell[::-1], return_index=True)
+    last = len(cell) - 1 - last
+    grid.flat[cell[last]] = _GLYPHS[labels[last] % len(_GLYPHS)]
 
 
 def render_points(
@@ -29,16 +56,11 @@ def render_points(
     points = np.asarray(points, dtype=float)
     if points.shape[1] != 2:
         raise ValueError("render_points is 2D-only")
-    labels = np.asarray(labels, dtype=np.int64)
     lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    span = np.maximum(hi - lo, 1e-12)
-    grid = [[" "] * width for _ in range(height)]
-    for (x, y), lab in zip(points, labels):
-        cx = int((x - lo[0]) / span[0] * (width - 1))
-        cy = int((y - lo[1]) / span[1] * (height - 1))
-        grid[height - 1 - cy][cx] = _GLYPHS[lab % len(_GLYPHS)]
-    return "\n".join("".join(row) for row in grid)
+    span = np.maximum(points.max(axis=0) - lo, 1e-12)
+    grid = np.full((height, width), " ")
+    _draw_points(grid, points, np.asarray(labels, dtype=np.int64), lo, span)
+    return "\n".join("".join(row) for row in grid.tolist())
 
 
 def render_descriptors(
@@ -60,62 +82,40 @@ def render_descriptors(
     hi = points.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
 
-    def to_cell(x, y):
-        cx = int(np.clip((x - lo[0]) / span[0] * (width - 1), 0, width - 1))
-        cy = int(np.clip((y - lo[1]) / span[1] * (height - 1), 0, height - 1))
-        return height - 1 - cy, cx
-
-    grid = [[" "] * width for _ in range(height)]
-    domain = np.stack((lo, hi))
-    _, regions = leaf_regions(tree, domain)
-    for box in regions:
-        r0, c0 = to_cell(box[0, 0], box[1, 1])
-        r1, c1 = to_cell(box[1, 0], box[0, 1])
-        for c in range(min(c0, c1), max(c0, c1) + 1):
-            grid[r0][c] = "-"
-            grid[r1][c] = "-"
-        for r in range(min(r0, r1), max(r0, r1) + 1):
-            grid[r][c0] = "|"
-            grid[r][c1] = "|"
-    for (x, y), lab in zip(points, np.asarray(labels, dtype=np.int64)):
-        r, c = to_cell(x, y)
-        grid[r][c] = _GLYPHS[lab % len(_GLYPHS)]
-    return "\n".join("".join(row) for row in grid)
+    grid = np.full((height, width), " ")
+    _, regions = leaf_regions(tree, np.stack((lo, hi)))
+    # corners: (x lo, y hi) is the top left, (x hi, y lo) the bottom right
+    r0, c0 = _cells(regions[:, [0, 1], [0, 1]], lo, span, width, height)
+    r1, c1 = _cells(regions[:, [1, 0], [0, 1]], lo, span, width, height)
+    for r0, c0, r1, c1 in zip(r0.tolist(), c0.tolist(), r1.tolist(),
+                              c1.tolist()):
+        cols = slice(min(c0, c1), max(c0, c1) + 1)
+        rows = slice(min(r0, r1), max(r0, r1) + 1)
+        grid[r0, cols] = grid[r1, cols] = "-"
+        grid[rows, c0] = grid[rows, c1] = "|"
+    _draw_points(grid, points, np.asarray(labels, dtype=np.int64), lo, span)
+    return "\n".join("".join(row) for row in grid.tolist())
 
 
 def render_tree(tree: DecisionTree, dims: Sequence[str] = ("x", "y", "z")) -> str:
     """Figure 1(c): the decision tree with its hyperplane tests."""
+    n_points, label, is_pure, dim, threshold, left, right = (
+        getattr(tree, name).tolist() for name in TreeNode._fields
+    )
     lines: List[str] = []
 
-    def walk(nid: int, prefix: str, tail: bool) -> None:
-        node = tree.nodes[nid]
-        connector = "`- " if tail else "|- "
-        if node.is_leaf:
-            purity = "" if node.is_pure else " (impure)"
+    def walk(nid: int, lead: str, indent: str) -> None:
+        if left[nid] < 0:
+            purity = "" if is_pure[nid] else " (impure)"
             lines.append(
-                f"{prefix}{connector}leaf: partition {node.label}, "
-                f"{node.n_points} pts{purity}"
+                f"{lead}leaf: partition {label[nid]}, "
+                f"{n_points[nid]} pts{purity}"
             )
             return
-        dim_name = dims[node.dim] if node.dim < len(dims) else str(node.dim)
-        lines.append(
-            f"{prefix}{connector}{dim_name} <= {node.threshold:.3g}?"
-        )
-        child_prefix = prefix + ("   " if tail else "|  ")
-        walk(node.left, child_prefix, tail=False)
-        walk(node.right, child_prefix, tail=True)
+        name = dims[dim[nid]] if dim[nid] < len(dims) else str(dim[nid])
+        lines.append(f"{lead}{name} <= {threshold[nid]:.3g}?")
+        walk(left[nid], indent + "|- ", indent + "|  ")
+        walk(right[nid], indent + "`- ", indent + "   ")
 
-    root = tree.nodes[tree.root]
-    if root.is_leaf:
-        purity = "" if root.is_pure else " (impure)"
-        lines.append(
-            f"leaf: partition {root.label}, {root.n_points} pts{purity}"
-        )
-    else:
-        dim_name = (
-            dims[root.dim] if root.dim < len(dims) else str(root.dim)
-        )
-        lines.append(f"{dim_name} <= {root.threshold:.3g}?")
-        walk(root.left, "", tail=False)
-        walk(root.right, "", tail=True)
+    walk(0, "", "")
     return "\n".join(lines)

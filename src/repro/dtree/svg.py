@@ -85,10 +85,10 @@ def descriptors_svg(
     pad = 28
     top = 34 if title else 12
 
-    def sx(x: float) -> float:
+    def sx(x: np.ndarray) -> np.ndarray:
         return pad + (x - lo[0]) / span[0] * (width - 2 * pad)
 
-    def sy(y: float) -> float:
+    def sy(y: np.ndarray) -> np.ndarray:
         return (height - pad) - (y - lo[1]) / span[1] * (
             height - pad - top
         )
@@ -107,23 +107,26 @@ def descriptors_svg(
     # leaf regions (computed over the projected bounding box)
     domain = np.stack((lo, hi))
     leaf_ids, regions = leaf_regions(tree, domain)
-    for nid, box in zip(leaf_ids, regions):
-        label = tree.nodes[int(nid)].label
+    x0, y0 = sx(regions[:, 0, 0]), sy(regions[:, 1, 1])
+    rects = zip(
+        x0.tolist(), y0.tolist(), (sx(regions[:, 1, 0]) - x0).tolist(),
+        (sy(regions[:, 0, 1]) - y0).tolist(), tree.label[leaf_ids].tolist(),
+    )
+    for x, y, w, h, label in rects:
         color = PALETTE[label % len(PALETTE)]
-        x0, y0 = sx(box[0, 0]), sy(box[1, 1])
-        w = sx(box[1, 0]) - x0
-        h = sy(box[0, 1]) - y0
         parts.append(
-            f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{w:.2f}" '
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" '
             f'height="{h:.2f}" fill="{color}" fill-opacity="0.12" '
             f'stroke="{color}" stroke-width="1.2"/>'
         )
 
     # points
-    for (x, y), lab in zip(points, labels):
+    for x, y, lab in zip(
+        sx(points[:, 0]).tolist(), sy(points[:, 1]).tolist(), labels.tolist()
+    ):
         color = PALETTE[lab % len(PALETTE)]
         marker = _MARKERS[lab % len(_MARKERS)]
-        parts.append(_marker_svg(marker, sx(x), sy(y), 3.2, color))
+        parts.append(_marker_svg(marker, x, y, 3.2, color))
 
     parts.append("</svg>")
     return "\n".join(parts)

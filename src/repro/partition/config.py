@@ -63,7 +63,8 @@ class PartitionOptions:
             raise ValueError("coarsen_to must be at least 2")
         if not 0.0 < self.min_coarsen_ratio < 1.0:
             raise ValueError("min_coarsen_ratio must be in (0, 1)")
-        for name in ("n_init_trials", "fm_passes", "kway_passes", "matching_rounds"):
+        for name in ("n_init_trials", "fm_passes", "fm_neg_moves",
+                     "kway_passes", "matching_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 

@@ -93,7 +93,7 @@ def _rebalance(
         # labels depend on it: kind="stable" moves the k = 25 fit from
         # cut 7,045 to 7,169. Leave the expression verbatim; an explicit
         # tie-break is a quality change that re-pins the label digests
-        # (ROADMAP item 1(d)).
+        # (ROADMAP item 2(d)).
         top = cand[np.argsort(gains[cand])[::-1][:64]]
         best = None  # (delta, -gain, v)
         for v in top.tolist():

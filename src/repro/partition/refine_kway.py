@@ -243,6 +243,8 @@ def rebalance_kway(
     change), and the candidate × destination table is scored in one
     batch by :func:`_best_rebalance_move`.
     """
+    if sample_cap < 1:
+        raise ValueError(f"sample_cap must be >= 1 (got {sample_cap})")
     options = options or PartitionOptions()
     part = np.asarray(part, dtype=np.int64)
     tracker = _make_tracker(graph, part, k, options.ubfactor, fracs)

@@ -170,7 +170,8 @@ class TestPerfFlag:
             os.chdir(cwd)
         captured = capsys.readouterr()
         assert code == 0
-        assert "suppressed" in captured.err
+        # the baseline is empty: nothing is grandfathered
+        assert "suppressed" not in captured.err
         assert "no issues found" in captured.out
 
 

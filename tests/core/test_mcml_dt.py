@@ -107,7 +107,7 @@ class TestDescriptors:
         leaves = assign_points(tree, coords)
         assert np.array_equal(leaves, leaf_of)
         # every leaf pure -> classifies the partition labels exactly
-        labels = np.array([tree.nodes[l].label for l in leaves])
+        labels = tree.label[leaves]
         assert np.array_equal(labels, fitted.part[snap.contact_nodes])
 
     def test_descriptors_follow_moving_points(self, fitted, mid_sequence):

@@ -38,6 +38,7 @@ from repro.core.update import UpdateStrategy
 from repro.core.weights import ContactGraphBuilder, build_contact_graph
 from repro.dtree.induction import induce_pure_tree
 from repro.dtree.query import tree_filter_search
+from repro.dtree.tree import TreeNode
 from repro.geometry.bbox import element_bboxes
 from repro.graph.digest import digest_arrays
 from repro.graph.metrics import load_imbalance
@@ -125,7 +126,8 @@ def assert_step_is_from_scratch(driver, seen, snap, result):
 
     tree, leaf_of = seen["build_descriptors"]
     ref_tree, ref_leaf_of = induce_pure_tree(coords, part[cn], K)
-    assert tree.nodes == ref_tree.nodes  # dataclass ==: every field
+    for field in TreeNode._fields:  # every node field
+        assert np.array_equal(getattr(tree, field), getattr(ref_tree, field))
     assert np.array_equal(leaf_of, ref_leaf_of)
     assert result.nt_nodes == ref_tree.n_nodes
 

@@ -6,9 +6,10 @@ The bodies are verbatim copies of the old ``repro.dtree.induction``
 ``(depth, points.tobytes(), labels.tobytes())``, ``induce_pure_tree``
 and ``induce_bounded_tree``) and of the old ``repro.dtree.splitter``
 (the per-node ``_index_curves`` pass, ``split_index_curve``,
-``best_split`` and the per-dimension ``median_split``). Only
-:class:`~repro.dtree.splitter.SplitResult` and the tree classes are
-shared with ``src/`` (so results compare with ``==``).
+``best_split`` and the per-dimension ``median_split``), and of the old
+``repro.dtree.tree`` (``TreeNode`` and ``DecisionTree``, a list of node
+objects). Only :class:`~repro.dtree.splitter.SplitResult` is shared
+with ``src/`` (so split results compare with ``==``).
 ``test_induction_differential.py`` asserts the library's trees,
 ``leaf_of_point`` and ``n_grafted`` equal these node for node. Do not
 "fix" or speed these up.
@@ -16,13 +17,129 @@ shared with ``src/`` (so results compare with ``==``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dtree.splitter import SplitResult
-from repro.dtree.tree import DecisionTree, TreeNode
 from repro.utils.validation import check_array, check_labels, check_positive
+
+
+@dataclass
+class TreeNode:
+    """One decision-tree node (interior or leaf)."""
+
+    n_points: int
+    label: int = -1  # majority partition label (valid for leaves)
+    is_pure: bool = False
+    dim: int = -1  # split dimension (interior only)
+    threshold: float = 0.0  # split position (interior only)
+    left: int = -1  # child ids, -1 on leaves
+    right: int = -1
+
+    @property
+    def is_leaf(self) -> bool:
+        """True when the node has no children."""
+        return self.left < 0
+
+
+@dataclass
+class DecisionTree:
+    """Flat-array decision tree over a labelled point set.
+
+    ``k`` is the number of partition labels the tree discriminates.
+    """
+
+    nodes: List[TreeNode] = field(default_factory=list)
+    k: int = 0
+    root: int = 0
+
+    # ------------------------------------------------------------------
+    @property
+    def n_nodes(self) -> int:
+        """Total node count — the paper's **NTNodes** metric."""
+        return len(self.nodes)
+
+    @property
+    def n_leaves(self) -> int:
+        """Number of leaves (= rectangles/boxes in the descriptors)."""
+        return sum(1 for nd in self.nodes if nd.is_leaf)
+
+    def leaf_ids(self) -> np.ndarray:
+        """Ids of all leaf nodes."""
+        return np.array(
+            [i for i, nd in enumerate(self.nodes) if nd.is_leaf],
+            dtype=np.int64,
+        )
+
+    def depth(self) -> int:
+        """Maximum root-to-leaf edge count (0 for a single-leaf tree)."""
+        depths = {self.root: 0}
+        best = 0
+        stack = [self.root]
+        while stack:
+            nid = stack.pop()
+            node = self.nodes[nid]
+            if node.is_leaf:
+                best = max(best, depths[nid])
+                continue
+            for child in (node.left, node.right):
+                depths[child] = depths[nid] + 1
+                stack.append(child)
+        return best
+
+    def leaf_labels(self) -> np.ndarray:
+        """Majority partition label of each leaf, aligned with
+        :meth:`leaf_ids`."""
+        return np.array(
+            [nd.label for nd in self.nodes if nd.is_leaf], dtype=np.int64
+        )
+
+    def partitions_present(self) -> np.ndarray:
+        """Sorted unique partition labels among the leaves."""
+        return np.unique(self.leaf_labels())
+
+    def validate(self) -> None:
+        """Structural sanity checks (tests/debugging)."""
+        seen = np.zeros(len(self.nodes), dtype=bool)
+        stack = [self.root]
+        while stack:
+            nid = stack.pop()
+            if seen[nid]:
+                raise ValueError(f"node {nid} reachable twice (cycle?)")
+            seen[nid] = True
+            node = self.nodes[nid]
+            if node.is_leaf:
+                if node.right >= 0:
+                    raise ValueError(f"leaf {nid} has a right child")
+                if not 0 <= node.label < max(self.k, 1):
+                    raise ValueError(
+                        f"leaf {nid} label {node.label} out of range"
+                    )
+            else:
+                if node.right < 0:
+                    raise ValueError(f"interior node {nid} missing a child")
+                if node.dim < 0:
+                    raise ValueError(f"interior node {nid} has no split dim")
+                children_pts = (
+                    self.nodes[node.left].n_points
+                    + self.nodes[node.right].n_points
+                )
+                if children_pts != node.n_points:
+                    raise ValueError(
+                        f"node {nid} point count mismatch: "
+                        f"{node.n_points} != {children_pts}"
+                    )
+                stack.extend((node.left, node.right))
+        if not seen.all():
+            raise ValueError("unreachable nodes present")
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"DecisionTree(nodes={self.n_nodes}, leaves={self.n_leaves}, "
+            f"k={self.k})"
+        )
 
 
 def _index_curves(

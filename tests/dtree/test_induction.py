@@ -1,6 +1,8 @@
 """Tests for tree induction: purity, bounded termination, and the
 paper's Figure 1 / Figure 2 behaviours."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.dtree.induction import (
     suggested_bounds,
 )
 from repro.dtree.query import predict_partition
+from repro.dtree.tree import TreeNode
 from repro.geometry.bbox import bbox_of_points
 from tests.dtree import reference_induction as ref
 
@@ -60,9 +63,7 @@ class TestPureTree:
     def test_all_leaves_pure(self):
         pts, labels = three_clusters()
         tree, leaf_of = induce_pure_tree(pts, labels, 3)
-        for nd in tree.nodes:
-            if nd.is_leaf:
-                assert nd.is_pure
+        assert tree.is_pure[tree.is_leaf].all()
 
     def test_classifies_training_points_exactly(self):
         pts, labels = three_clusters()
@@ -73,8 +74,8 @@ class TestPureTree:
         pts, labels = three_clusters()
         tree, leaf_of = induce_pure_tree(pts, labels, 3)
         for i, leaf in enumerate(leaf_of):
-            assert tree.nodes[leaf].is_leaf
-            assert tree.nodes[leaf].label == labels[i]
+            assert tree.is_leaf[leaf]
+            assert tree.label[leaf] == labels[i]
 
     def test_figure1_three_clusters_small_tree(self):
         """Well-separated clusters need only a handful of rectangles
@@ -128,7 +129,7 @@ class TestPureTree:
         labels = np.array([0, 1, 0, 1])
         tree, _ = induce_pure_tree(pts, labels, 2)
         assert tree.n_nodes == 1
-        assert not tree.nodes[0].is_pure
+        assert not tree.is_pure[0]
 
     def test_adjacent_float_coordinates(self):
         """Coordinates one ULP apart: the midpoint rounds onto one of
@@ -188,17 +189,16 @@ class TestPureTree:
         with np.errstate(all="raise"):
             tree, leaf_of = induce(pts)
         tree.validate()
-        assert all(tree.nodes[leaf].is_pure for leaf in leaf_of)
-        assert [tree.nodes[leaf].label for leaf in leaf_of] == [0, 1, 0, 1]
+        assert tree.is_pure[leaf_of].all()
+        assert tree.label[leaf_of].tolist() == [0, 1, 0, 1]
         # the gap / extent ratios do not depend on a power-of-two scale,
         # so the same points far inside the range give the same tree
         small, _ = induce(pts * 2.0 ** -1000)
-        assert [(n.dim, n.n_points, n.label) for n in tree.nodes] == [
-            (n.dim, n.n_points, n.label) for n in small.nodes
-        ]
-        assert [n.threshold for n in tree.nodes] == [
-            n.threshold * 2.0 ** 1000 for n in small.nodes
-        ]
+        for field in ("dim", "n_points", "label"):
+            assert np.array_equal(getattr(tree, field), getattr(small, field))
+        assert tree.threshold.tolist() == (
+            small.threshold * 2.0 ** 1000
+        ).tolist()
 
     @pytest.mark.parametrize("bounded", [False, True])
     def test_margin_term_on_subnormal_spans_equals_the_oracle(self, bounded):
@@ -218,10 +218,10 @@ class TestPureTree:
             got = induce_pure_tree(pts, labels, 2, margin_weight=0.5)
             want = ref.induce_pure_tree(pts, labels, 2, margin_weight=0.5)
         assert got[1].tolist() == want[1].tolist()
-        assert [
-            (n.n_points, n.label, n.dim, float(n.threshold).hex())
-            for n in got[0].nodes
-        ] == [
+        assert list(zip(
+            got[0].n_points.tolist(), got[0].label.tolist(),
+            got[0].dim.tolist(), map(float.hex, got[0].threshold.tolist()),
+        )) == [
             (n.n_points, n.label, n.dim, float(n.threshold).hex())
             for n in want[0].nodes
         ]
@@ -246,7 +246,8 @@ class TestSubtreeMemo:
     @staticmethod
     def same(got, expected):
         (tree, leaf_of), (ref_tree, ref_leaf_of) = got, expected
-        assert tree.nodes == ref_tree.nodes  # dataclass ==: every field
+        for field in TreeNode._fields:  # every node field
+            assert np.array_equal(getattr(tree, field), getattr(ref_tree, field))
         assert tree.k == ref_tree.k
         assert np.array_equal(leaf_of, ref_leaf_of)
         tree.validate()
@@ -283,22 +284,29 @@ class TestSubtreeMemo:
         again = induce_pure_tree(pts, labels, 3, memo=memo)
         assert memo.n_grafted == first[0].n_nodes
         self.same(again, first)
-        assert again[0].nodes[0] is not first[0].nodes[0]
+        assert not np.shares_memory(again[0].threshold, first[0].threshold)
 
     def test_editing_a_returned_tree_does_not_reach_the_memo(self):
-        # a caller may rewrite ``tree.nodes`` in place
+        # the tree's arrays are read-only views of the memo's; the
+        # memo keeps its own copy of ``leaf_of``
         pts, labels = three_clusters()
         memo = SubtreeMemo()
         tree, leaf_of = induce_pure_tree(pts, labels, 3, memo=memo)
-        for nd in tree.nodes:
-            nd.left = nd.right = nd.label = 0
-            nd.threshold = -1.0
-        del tree.nodes[1:]
+        with pytest.raises(ValueError, match="read-only"):
+            tree.threshold[0] = 0.0
+        for field in TreeNode._fields:
+            values = getattr(tree, field)
+            with pytest.raises(ValueError, match="read-only"):
+                values[:] = 0
+            # a view of the memo's arrays cannot be made writeable again;
+            # the fields computed for the tree alone can
+            with contextlib.suppress(ValueError):
+                values.setflags(write=True)
+                values[:] = 0
         leaf_of[:] = -7
-        self.same(
-            induce_pure_tree(pts, labels, 3, memo=memo),
-            induce_pure_tree(pts, labels, 3),
-        )
+        again = induce_pure_tree(pts, labels, 3, memo=memo)
+        assert memo.n_grafted == tree.n_nodes  # the memo still grafts
+        self.same(again, induce_pure_tree(pts, labels, 3))
 
     def test_depth_cutoff_stays_exact(self):
         # the root's left child in the second call is the whole first
@@ -315,8 +323,8 @@ class TestSubtreeMemo:
             got = induce_pure_tree(
                 both, both_labels, 8, max_depth=max_depth, memo=memo
             )
-            root = got[0].nodes[0]
-            assert (root.dim, got[0].nodes[root.left].n_points) == (0, 64)
+            tree = got[0]
+            assert (tree.dim[0], tree.n_points[tree.left[0]]) == (0, 64)
             self.same(
                 got,
                 induce_pure_tree(both, both_labels, 8, max_depth=max_depth),
@@ -341,7 +349,7 @@ class TestSubtreeMemo:
             flat.reshape(4, 3), np.zeros(4, int), 2, memo=memo
         )
         assert memo.n_grafted == 0
-        assert got[0].nodes[0].n_points == 4
+        assert got[0].n_points[0] == 4
 
     def test_failed_call_leaves_the_memo_alone(self):
         pts, labels = three_clusters()
@@ -359,18 +367,14 @@ class TestBoundedTree:
         pts = np.random.default_rng(0).random((64, 2))
         labels = np.zeros(64, dtype=int)
         tree, _ = induce_bounded_tree(pts, labels, 1, max_p=10, max_i=5)
-        for nd in tree.nodes:
-            if nd.is_leaf:
-                assert nd.n_points < 10
+        assert (tree.n_points[tree.is_leaf] < 10).all()
 
     def test_impure_nodes_stop_below_max_i(self):
         rng = np.random.default_rng(1)
         pts = rng.random((100, 2))
         labels = rng.integers(0, 2, 100)  # thoroughly mixed
         tree, _ = induce_bounded_tree(pts, labels, 2, max_p=100, max_i=20)
-        for nd in tree.nodes:
-            if nd.is_leaf and not nd.is_pure:
-                assert nd.n_points < 20
+        assert (tree.n_points[tree.is_leaf & ~tree.is_pure] < 20).all()
 
     def test_impure_nodes_above_max_i_are_split(self):
         rng = np.random.default_rng(2)
@@ -378,7 +382,7 @@ class TestBoundedTree:
         labels = (pts[:, 0] > 0.5).astype(int)
         tree, _ = induce_bounded_tree(pts, labels, 2, max_p=500, max_i=10)
         # root was impure with 200 >= 10 points, so it must have split
-        assert not tree.nodes[tree.root].is_leaf
+        assert not tree.is_leaf[0]
 
     def test_smaller_bounds_give_bigger_trees(self):
         rng = np.random.default_rng(3)
@@ -394,7 +398,7 @@ class TestBoundedTree:
         tree, leaf_of = induce_bounded_tree(pts, labels, 2, max_p=10, max_i=10)
         # single leaf (5 < max_i); majority is class 1
         assert tree.n_nodes == 1
-        assert tree.nodes[0].label == 1
+        assert tree.label[0] == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):

@@ -62,18 +62,31 @@ def scenes(draw, max_n=60):
     return points, labels, k
 
 
-def rows(result, n_grafted=0):
-    """An induction result as comparable values, floats exact."""
-    tree, leaf_of_point = result
-    tree.validate()
-    return (
-        [
+def node_rows(tree):
+    """Per node ``(n_points, label, is_pure, dim, threshold, left,
+    right)``, the threshold as its exact hex string; ``tree`` is the
+    library's (node arrays) or the oracle's (node objects)."""
+    if isinstance(tree, ref.DecisionTree):
+        return [
             (
                 nd.n_points, nd.label, nd.is_pure, nd.dim,
                 float(nd.threshold).hex(), nd.left, nd.right,
             )
             for nd in tree.nodes
-        ],
+        ]
+    return list(zip(
+        tree.n_points.tolist(), tree.label.tolist(), tree.is_pure.tolist(),
+        tree.dim.tolist(), map(float.hex, tree.threshold.tolist()),
+        tree.left.tolist(), tree.right.tolist(),
+    ))
+
+
+def rows(result, n_grafted=0):
+    """An induction result as comparable values, floats exact."""
+    tree, leaf_of_point = result
+    tree.validate()
+    return (
+        node_rows(tree),
         leaf_of_point.tolist(),
         n_grafted,
     )
@@ -180,12 +193,8 @@ def scene_digest(seq, k):
     digest = hashlib.sha256()
 
     def add(tree, leaf_of_point, n_grafted=0):
-        for nd in tree.nodes:
-            digest.update(
-                f"{int(nd.n_points)},{int(nd.label)},{bool(nd.is_pure)},"
-                f"{int(nd.dim)},{float(nd.threshold).hex()},"
-                f"{int(nd.left)},{int(nd.right)};".encode()
-            )
+        for row in node_rows(tree):  # "n_points,label,...,right;"
+            digest.update((",".join(map(str, row)) + ";").encode())
         digest.update(np.asarray(leaf_of_point, dtype=np.int64).tobytes())
         digest.update(str(n_grafted).encode())
 

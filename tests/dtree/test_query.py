@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dtree.induction import induce_pure_tree
+from repro.dtree.tree import DecisionTree
 from repro.dtree.query import (
     assign_points,
     box_query_pairs,
@@ -15,10 +16,10 @@ from repro.dtree.query import (
 
 
 def recursive_point_assign(tree, point):
-    nid = tree.root
-    while not tree.nodes[nid].is_leaf:
-        nd = tree.nodes[nid]
-        nid = nd.left if point[nd.dim] <= nd.threshold else nd.right
+    nid = 0
+    while tree.left[nid] >= 0:
+        below = point[tree.dim[nid]] <= tree.threshold[nid]
+        nid = tree.left[nid] if below else tree.right[nid]
     return nid
 
 
@@ -26,16 +27,15 @@ def recursive_box_leaves(tree, box):
     out = set()
 
     def walk(nid):
-        nd = tree.nodes[nid]
-        if nd.is_leaf:
+        if tree.left[nid] < 0:
             out.add(nid)
             return
-        if box[0, nd.dim] <= nd.threshold:
-            walk(nd.left)
-        if box[1, nd.dim] > nd.threshold:
-            walk(nd.right)
+        if box[0, tree.dim[nid]] <= tree.threshold[nid]:
+            walk(tree.left[nid])
+        if box[1, tree.dim[nid]] > tree.threshold[nid]:
+            walk(tree.right[nid])
 
-    walk(tree.root)
+    walk(0)
     return out
 
 
@@ -58,31 +58,34 @@ class TestAssignPoints:
         tree, pts, _ = random_tree(1)
         far = np.array([[99.0, 99.0], [-99.0, -99.0]])
         leaves = assign_points(tree, far)
-        for leaf in leaves:
-            assert tree.nodes[leaf].is_leaf
+        assert tree.is_leaf[leaves].all()
 
     def test_single_leaf_tree(self):
         pts = np.random.default_rng(0).random((10, 2))
         tree, _ = induce_pure_tree(pts, np.zeros(10, int), 1)
-        assert (assign_points(tree, pts) == tree.root).all()
+        assert (assign_points(tree, pts) == 0).all()
 
-    def test_an_edited_node_is_seen_by_the_next_query(self):
-        # a caller may rewrite ``tree.nodes`` in place between queries
+    def test_a_tree_built_from_arrays_is_queried_as_built(self):
+        # the induced tree with its root's cut moved: every query reads
+        # the arrays it was given
         tree, pts, _ = random_tree(0)
-        root = tree.nodes[tree.root]
         probe = pts[:20].copy()
-        probe[:, root.dim] = root.threshold - 0.05
+        probe[:, tree.dim[0]] = tree.threshold[0] - 0.05
         before = assign_points(tree, probe)
-        assert all(tree.nodes[leaf].is_leaf for leaf in before)
-        root.threshold -= 0.1  # every probe now goes right at the root
-        after = assign_points(tree, probe)
+        assert tree.is_leaf[before].all()
+        threshold = tree.threshold.copy()
+        threshold[0] -= 0.1  # every probe now goes right at the root
+        moved = DecisionTree(
+            tree.n_points, tree.label, tree.is_pure, tree.dim, threshold,
+            tree.left, tree.right, tree.k,
+        )
+        after = assign_points(moved, probe)
         for i in range(len(probe)):
-            assert after[i] == recursive_point_assign(tree, probe[i])
+            assert after[i] == recursive_point_assign(moved, probe[i])
         assert not np.array_equal(after, before)
         box = np.stack((probe[:1], probe[:1]), axis=1)
-        _, leaves = box_query_pairs(tree, box)
+        _, leaves = box_query_pairs(moved, box)
         assert leaves.tolist() == [after[0]]
-        root.threshold += 0.1
         assert np.array_equal(assign_points(tree, probe), before)
 
     @given(st.integers(0, 10**6))

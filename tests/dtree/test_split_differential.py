@@ -22,6 +22,7 @@ from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
 from tests.dtree import reference_induction as ref_induction
 from tests.dtree import reference_split as ref
+from tests.dtree.test_induction_differential import node_rows
 
 K = 8
 
@@ -80,13 +81,7 @@ def rows(result, n_grafted=0):
     """An induction result as comparable values, floats exact."""
     tree, leaf_of_point = result
     return (
-        [
-            (
-                nd.n_points, nd.label, nd.is_pure, nd.dim,
-                float(nd.threshold).hex(), nd.left, nd.right,
-            )
-            for nd in tree.nodes
-        ],
+        node_rows(tree),
         leaf_of_point.tobytes(),
         n_grafted,
     )

@@ -118,18 +118,19 @@ def leaf_regions(tree):
     """Per leaf: ``(constraints, label, pure)``, the constraints read
     off its root-to-leaf path — ``(dim, t, "left")`` for ``x <= t``,
     ``(dim, t, "right")`` for ``x > t``."""
+    label, pure = tree.label.tolist(), tree.is_pure.tolist()
+    dim, threshold = tree.dim.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
     regions = []
-    stack = [(tree.root, [])]
+    stack = [(0, [])]
     while stack:
         node_id, path = stack.pop()
-        node = tree.nodes[node_id]
-        if node.is_leaf:
-            regions.append((path, node.label, node.is_pure))
+        if left[node_id] < 0:
+            regions.append((path, label[node_id], pure[node_id]))
             continue
-        stack.append((node.left, path + [(node.dim, node.threshold, "left")]))
-        stack.append(
-            (node.right, path + [(node.dim, node.threshold, "right")])
-        )
+        cut = (dim[node_id], threshold[node_id])
+        stack.append((left[node_id], path + [cut + ("left",)]))
+        stack.append((right[node_id], path + [cut + ("right",)]))
     return regions
 
 

@@ -103,3 +103,10 @@ class TestFMRefine:
         assert violation(pw, targets, opts.ubfactor) == 0.0
         frac0 = (out == 0).mean()
         assert 0.7 <= frac0 <= 0.8
+
+
+@pytest.mark.parametrize("bad", [0, -5])
+def test_fm_neg_moves_below_one_is_rejected(bad):
+    # a window of 0 would switch every FM and k-way FM hill-climb off
+    with pytest.raises(ValueError, match="fm_neg_moves must be >= 1"):
+        PartitionOptions(fm_neg_moves=bad)

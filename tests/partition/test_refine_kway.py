@@ -94,3 +94,12 @@ class TestRebalanceKway:
         before = part.copy()
         out, moved = rebalance_kway(g, part, 2, PartitionOptions(seed=0))
         assert moved == int(np.count_nonzero(out != before))
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_sample_cap_below_one_is_rejected(self, bad):
+        g = grid_graph(8, 8)
+        part = np.zeros(64, dtype=np.int64)
+        part[:16] = 1
+        with pytest.raises(ValueError, match="sample_cap must be >= 1"):
+            rebalance_kway(g, part, 2, PartitionOptions(seed=0),
+                           sample_cap=bad)

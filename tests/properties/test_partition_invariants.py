@@ -108,7 +108,7 @@ def test_property_descriptor_leaves_are_covering_boxes(seed, k, dim):
 
     # leaf_regions enumerates exactly the tree's leaves
     tree_leaves = {
-        i for i, node in enumerate(tree.nodes) if node.is_leaf
+        i for i, left in enumerate(tree.left.tolist()) if left < 0
     }
     assert set(leaf_ids.tolist()) == tree_leaves
 
@@ -133,7 +133,6 @@ def test_property_pure_leaves_match_labels(seed, k):
     labels = rng.integers(0, k, size=n)
     tree, leaf_of = induce_pure_tree(points, labels, k)
     for leaf in np.unique(leaf_of):
-        node = tree.nodes[int(leaf)]
         members = labels[leaf_of == leaf]
-        if node.is_pure:
-            assert (members == node.label).all()
+        if tree.is_pure[leaf]:
+            assert (members == tree.label[leaf]).all()

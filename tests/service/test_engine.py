@@ -135,6 +135,22 @@ class TestPartitionJobs:
         assert "/nope/missing.npz" in job.error
         assert not job.error.startswith("internal error")
 
+    def test_bad_config_value_fails_the_job(self):
+        async def scenario():
+            engine = ServiceEngine(
+                EngineConfig(workers=1, retry=RetryPolicy(max_retries=0))
+            )
+            await engine.start()
+            try:
+                job = engine.submit(request(config={"fm_neg_moves": 0}))
+                return await engine.wait(job.id, 60)
+            finally:
+                await engine.stop()
+
+        job = run(scenario())
+        assert job.state == "failed"
+        assert "fm_neg_moves must be >= 1" in job.error
+
 
 class TestPartitionPayload:
     """``_partition_payload`` hands the labels over as exact Python
