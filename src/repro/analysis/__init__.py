@@ -23,9 +23,7 @@ raises at runtime on the serial backend as on the pools.
 The ``perf`` family is performance-oriented (``repro-lint --perf``):
 the PERF rules (:mod:`repro.analysis.perf`) find the scalar-Python hot
 loops that block vectorisation — ranked by measured span self-times
-when a ``--trace-json`` run-report is supplied.  Pre-existing findings
-burn down through a committed baseline (:mod:`repro.analysis.baseline`)
-instead of blanket suppressions.
+when a ``--trace-json`` run-report is supplied.
 
 Run it as ``repro-lint src/repro`` or ``repro-contact lint``.
 """

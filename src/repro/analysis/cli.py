@@ -8,7 +8,6 @@ Examples::
     repro-lint --select VAL001,TIME001 src/repro
     repro-lint --perf src/repro       # + PERF family
     repro-lint --perf --trace-json smoke-trace.json src/repro
-    repro-lint --perf --baseline lint-baseline.json src/repro
     repro-lint --statistics src/repro
     repro-lint --list-rules
 
@@ -17,10 +16,9 @@ family runs by default; ``--perf`` adds the PERF family; ``--select``
 names the exact codes to run instead, from either family.  The target
 set is parsed once whatever the combination.  ``--trace-json`` takes
 a ``repro.run-report/1`` artifact and ranks the findings by measured
-span self-time; ``--baseline`` subtracts a committed baseline so only
-*new* findings fail.  Exit status: 0 when clean, 1 when diagnostics
-were found, 2 on usage errors (unknown rule code, nonexistent path,
-malformed baseline or trace).
+span self-time.  Exit status: 0 when clean, 1 when diagnostics were
+found, 2 on usage errors (unknown rule code, nonexistent path,
+malformed trace).
 """
 
 from __future__ import annotations
@@ -30,12 +28,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import LintEngine, all_rules, load_project
 from repro.analysis.perf import load_self_times, rank_diagnostics
 from repro.analysis.reporters import (
@@ -111,24 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "committed lint baseline (repro.lint-baseline/1); "
-            "baselined findings are subtracted so only new ones fail"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the current findings to PATH as a new baseline "
-            "and exit 0"
-        ),
-    )
-    parser.add_argument(
         "--statistics",
         action="store_true",
         help="append per-code counts (human format only)",
@@ -170,29 +144,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"repro-lint: {message}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        n = write_baseline(args.write_baseline, diagnostics)
-        print(
-            f"repro-lint: wrote {n} baseline entries to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.baseline is not None:
-        try:
-            known = load_baseline(args.baseline)
-        except (OSError, BaselineError) as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-        diagnostics, suppressed = apply_baseline(diagnostics, known)
-        if suppressed:
-            print(
-                f"repro-lint: {suppressed} baselined finding(s) "
-                f"suppressed via {args.baseline}",
-                file=sys.stderr,
-            )
 
     if args.trace_json is not None:
         try:

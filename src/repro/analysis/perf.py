@@ -14,9 +14,8 @@ PERF005   element-wise ``math.*`` where a NumPy ufunc exists
 ========  ==========================================================
 
 The family is **opt-in** (``repro-lint --perf``): a perf finding is a
-cost, not a correctness bug, so it gates CI only through the committed
-baseline (``lint-baseline.json``) — pre-existing findings are burned
-down incrementally while *new* ones fail immediately.
+cost, not a correctness bug, so it runs in its own CI job, where any
+finding fails.
 
 **Profile-guided ranking.**  ``--trace-json`` takes a
 ``repro.run-report/1`` artifact (the smoke-bench trace CI already

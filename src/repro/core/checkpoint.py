@@ -30,6 +30,9 @@ from repro.graph.digest import digest_arrays
 from repro.partition.config import PartitionOptions
 from repro.runtime.backends.base import BackendLike
 from repro.runtime.ledger import CommLedger, PhaseTotals
+from repro.utils.schema import SchemaError, array, boolean, choice, integer
+from repro.utils.schema import mapping, nullable, number, obj, scalar, string
+from repro.utils.schema import validate
 
 PathLike = Union[str, Path]
 Target = Union[str, Path, BinaryIO]
@@ -80,6 +83,55 @@ def _options_from_meta(pm: Dict[str, Any]) -> PartitionOptions:
             f"so it cannot be resumed bit-identically"
         )
     return PartitionOptions(**fields)
+
+
+def _options_valid(params: Dict[str, Any], path: str) -> None:
+    try:
+        _options_from_meta(params)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
+_RANK_ITEMS = array(array((string(), integer(0), integer(0))))
+
+#: the ``meta`` member of a checkpoint; ``part`` sits beside it. What
+#: v1 and earlier v2 files lack is optional.
+_META = obj(
+    {
+        "schema": choice(*_READABLE_SCHEMAS),
+        "k": integer(1),
+        "strategy": choice(*(s.value for s in UpdateStrategy)),
+        "repartition_period": integer(1),
+        "resolve_local": boolean(),
+        "steps_since_repartition": integer(0),
+        "steps_completed": integer(0),
+        "params": obj(
+            {
+                "contact_edge_weight": number(),
+                "max_p": nullable(integer(1)),
+                "max_i": nullable(integer(1)),
+                "margin_weight": number(),
+                "pad": number(),
+                "reshape": boolean(),
+                # the PartitionOptions fields, typed by their defaults
+                **{
+                    name: integer() if type(value) is int else number()
+                    for name, value in dataclasses.asdict(
+                        PartitionOptions()
+                    ).items()
+                },
+                "seed": nullable(scalar()),
+            },
+            optional=_OPTION_FIELDS,
+            check=_options_valid,
+        ),
+        "ledger": mapping(array((integer(0), integer(0)))),
+        "ledger_ranks": obj({"sent": _RANK_ITEMS, "received": _RANK_ITEMS}),
+        "backend": string(),
+        "part_digest": string(),
+    },
+    optional=("ledger_ranks", "backend", "part_digest"),
+)
 
 
 def save_driver(path: Target, driver: ContactStepDriver) -> None:
@@ -142,22 +194,25 @@ def dump_driver_bytes(driver: ContactStepDriver) -> bytes:
 
 
 def _read_checkpoint(source: Target) -> Tuple[Dict[str, Any], np.ndarray]:
-    """Load and schema-check a checkpoint; returns ``(meta, part)``."""
+    """Load and schema-check a checkpoint; returns ``(meta, part)``.
+
+    A malformed meta raises :class:`~repro.utils.schema.SchemaError`
+    naming its path; the checked meta is returned as written (its
+    numbers keep their JSON types).
+    """
     with np.load(_coerce_target(source), allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         part = data["part"]
-    if meta.get("schema") not in _READABLE_SCHEMAS:
-        raise ValueError(
-            f"unsupported checkpoint schema {meta.get('schema')!r}"
-        )
+    validate(_META, meta)
     expected = meta.get("part_digest")
     if expected is not None:
         actual = digest_arrays({"part": part})
         if actual != expected:
-            raise ValueError(
+            raise SchemaError(
+                "$.part_digest",
                 "checkpoint partition vector is corrupt: content "
                 f"digest {actual} does not match the recorded "
-                f"{expected}"
+                f"{expected}",
             )
     return meta, part
 
@@ -171,9 +226,9 @@ def _ledger_from_meta(meta: Dict[str, Any]) -> CommLedger:
         )
     ranks = meta.get("ledger_ranks", {})
     for phase, rank, items in ranks.get("sent", []):
-        ledger.sent_by_rank[(phase, int(rank))] = int(items)
+        ledger.sent_by_rank[(phase, rank)] = items
     for phase, rank, items in ranks.get("received", []):
-        ledger.received_by_rank[(phase, int(rank))] = int(items)
+        ledger.received_by_rank[(phase, rank)] = items
     return ledger
 
 

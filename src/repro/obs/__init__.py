@@ -7,7 +7,6 @@ and how to read a run report.
 from repro.obs.report import RunReport
 from repro.obs.schema import (
     SCHEMA_VERSION,
-    ReportSchemaError,
     validate_report,
 )
 from repro.obs.tracer import (
@@ -22,7 +21,6 @@ from repro.obs.tracer import (
 __all__ = [
     "RunReport",
     "SCHEMA_VERSION",
-    "ReportSchemaError",
     "validate_report",
     "NULL_TRACER",
     "NullTracer",

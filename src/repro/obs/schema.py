@@ -1,163 +1,49 @@
-"""The versioned run-report JSON schema and its validator.
-
-A serialized :class:`~repro.obs.report.RunReport` is a JSON object:
-
-.. code-block:: text
-
-    {
-      "schema":  "repro.run-report/1",
-      "meta":    { <string keys> : str | int | float | bool | null },
-      "spans":   <span>,
-      "comm":    { <phase> : {"n_messages": int, "n_items": int} }
-    }
-
-    <span> = {
-      "name":     str (non-empty),
-      "n_calls":  int  >= 0,
-      "total_s":  number >= 0,
-      "self_s":   number >= 0,           # optional: exclusive time
-      "counters": { <string keys> : number },
-      "children": [ <span>, ... ]        # sibling names unique
-    }
-
-``self_s`` is the span's wall time net of its direct children
-(``total_s - sum(child total_s)``), denormalised into the document so
-trace consumers (``repro-lint --perf --trace-json``) need not rebuild
-the tree arithmetic.  It is optional for backward compatibility with
-version-1 documents written before it existed.
-
-The validator is hand-rolled (no ``jsonschema`` dependency): it raises
-:class:`ReportSchemaError` carrying the JSON path of the first
-violation. Documented in ``docs/OBSERVABILITY.md``.
+"""The run-report JSON schema: :data:`REPORT` declares a serialized
+:class:`~repro.obs.report.RunReport` (``docs/OBSERVABILITY.md`` shows
+one). A span's optional ``self_s``, its time net of its children, spares
+trace consumers (``repro-lint --perf --trace-json``) the tree arithmetic;
+documents written before it existed still validate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, Set, cast
+
+from repro.utils.schema import SchemaError, Spec, array, const, integer
+from repro.utils.schema import mapping, number, obj, scalar, string, validate
 
 SCHEMA_VERSION = "repro.run-report/1"
 
-_META_SCALARS = (str, int, float, bool, type(None))
+#: per-phase message and item totals (a ``CommLedger`` summary); a
+#: contact-step job result's ``comm`` member has the same shape
+COMM = mapping(obj({"n_messages": integer(0), "n_items": integer(0)}))
 
 
-class ReportSchemaError(ValueError):
-    """A run-report document violates the schema.
-
-    ``path`` locates the offending element, e.g.
-    ``spans.children[2].total_s``.
-    """
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-def _require_number(value: object, path: str, minimum: float = 0.0) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ReportSchemaError(path, "must be a number")
-    if value < minimum:
-        raise ReportSchemaError(path, f"must be >= {minimum:g}")
-
-
-def _validate_span(span: object, path: str) -> None:
-    if not isinstance(span, dict):
-        raise ReportSchemaError(path, "span must be an object")
-    extra = set(span) - {
-        "name",
-        "n_calls",
-        "total_s",
-        "self_s",
-        "counters",
-        "children",
-    }
-    if extra:
-        raise ReportSchemaError(path, f"unknown span keys {sorted(extra)}")
-    name = span.get("name")
-    if not isinstance(name, str) or not name:
-        raise ReportSchemaError(f"{path}.name", "must be a non-empty string")
-    n_calls = span.get("n_calls")
-    if isinstance(n_calls, bool) or not isinstance(n_calls, int):
-        raise ReportSchemaError(f"{path}.n_calls", "must be an integer")
-    if n_calls < 0:
-        raise ReportSchemaError(f"{path}.n_calls", "must be >= 0")
-    _require_number(span.get("total_s"), f"{path}.total_s")
-    if "self_s" in span:
-        _require_number(span.get("self_s"), f"{path}.self_s")
-    counters = span.get("counters")
-    if not isinstance(counters, dict):
-        raise ReportSchemaError(f"{path}.counters", "must be an object")
-    for key, value in counters.items():
-        if not isinstance(key, str):
-            raise ReportSchemaError(f"{path}.counters", "keys must be strings")
-        _require_number(
-            value, f"{path}.counters[{key!r}]", minimum=float("-inf")
-        )
-    children = span.get("children")
-    if not isinstance(children, list):
-        raise ReportSchemaError(f"{path}.children", "must be an array")
-    seen: List[str] = []
-    for i, child in enumerate(children):
-        child_path = f"{path}.children[{i}]"
-        _validate_span(child, child_path)
-        child_name = child["name"]
-        if child_name in seen:
-            raise ReportSchemaError(
-                f"{child_path}.name", f"duplicate sibling name {child_name!r}"
+def _unique_children(span: Dict[str, Any], path: str) -> None:
+    seen: Set[str] = set()
+    for i, child in enumerate(span["children"]):
+        if child["name"] in seen:
+            raise SchemaError(
+                f"{path}.children[{i}].name",
+                f"duplicate sibling name {child['name']!r}",
             )
-        seen.append(child_name)
+        seen.add(child["name"])
 
 
-def _validate_comm(comm: object, path: str) -> None:
-    if not isinstance(comm, dict):
-        raise ReportSchemaError(path, "must be an object")
-    for phase, totals in comm.items():
-        if not isinstance(phase, str) or not phase:
-            raise ReportSchemaError(path, "phase names must be strings")
-        phase_path = f"{path}[{phase!r}]"
-        if not isinstance(totals, dict):
-            raise ReportSchemaError(phase_path, "must be an object")
-        if set(totals) != {"n_messages", "n_items"}:
-            raise ReportSchemaError(
-                phase_path, "must have exactly n_messages and n_items"
-            )
-        for key in ("n_messages", "n_items"):
-            value = totals[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ReportSchemaError(
-                    f"{phase_path}.{key}", "must be an integer"
-                )
-            if value < 0:
-                raise ReportSchemaError(f"{phase_path}.{key}", "must be >= 0")
+_SPAN: Spec = obj(
+    {"name": string(), "n_calls": integer(0), "total_s": number(0.0),
+     "self_s": number(0.0), "counters": mapping(number()),
+     "children": array(Spec(lambda value, path: _SPAN.walk(value, path)))},
+    optional=("self_s",),
+    check=_unique_children,
+)
+
+REPORT = obj({"schema": const(SCHEMA_VERSION), "meta": mapping(scalar()),
+              "spans": _SPAN, "comm": COMM})
 
 
 def validate_report(document: object) -> Dict[str, object]:
-    """Check ``document`` against the run-report schema.
-
-    Returns the document (narrowed to a dict) on success; raises
-    :class:`ReportSchemaError` at the first violation.
-    """
-    if not isinstance(document, dict):
-        raise ReportSchemaError("$", "report must be a JSON object")
-    extra = set(document) - {"schema", "meta", "spans", "comm"}
-    if extra:
-        raise ReportSchemaError("$", f"unknown top-level keys {sorted(extra)}")
-    schema = document.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ReportSchemaError(
-            "$.schema", f"expected {SCHEMA_VERSION!r}, got {schema!r}"
-        )
-    meta = document.get("meta")
-    if not isinstance(meta, dict):
-        raise ReportSchemaError("$.meta", "must be an object")
-    for key, value in meta.items():
-        if not isinstance(key, str):
-            raise ReportSchemaError("$.meta", "keys must be strings")
-        if not isinstance(value, _META_SCALARS):
-            raise ReportSchemaError(
-                f"$.meta[{key!r}]", "must be a scalar (str/number/bool/null)"
-            )
-    if "spans" not in document:
-        raise ReportSchemaError("$.spans", "missing")
-    _validate_span(document["spans"], "$.spans")
-    _validate_comm(document.get("comm"), "$.comm")
-    return document
+    """Check ``document`` against :data:`REPORT` and return it; raises
+    :class:`~repro.utils.schema.SchemaError` at the first violation."""
+    validate(REPORT, document)
+    return cast("Dict[str, object]", document)

@@ -3,7 +3,7 @@
 The serving layer over the unified
 :class:`~repro.core.partitioner.Partitioner` protocol (ROADMAP item 3).
 A :class:`~repro.service.engine.ServiceEngine` accepts versioned JSON
-job requests (``repro.service-job/1`` — :mod:`repro.service.schemas`),
+job requests (``repro.service-job/2`` — :mod:`repro.service.schemas`),
 queues them on a bounded async queue with per-job deadlines and
 bounded-backoff retries (:mod:`repro.service.queue`), executes them on
 one resolved execution backend with single-flight coalescing and
@@ -37,7 +37,6 @@ from repro.service.schemas import (
     JOB_KINDS,
     JOB_STATES,
     SCHEMA_VERSION,
-    ServiceSchemaError,
     validate_job_record,
     validate_job_request,
     validate_result,
@@ -56,7 +55,6 @@ __all__ = [
     "RetryPolicy",
     "SCHEMA_VERSION",
     "ServiceEngine",
-    "ServiceSchemaError",
     "UnknownJobError",
     "result_cache_key",
     "validate_job_record",

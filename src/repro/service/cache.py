@@ -38,7 +38,9 @@ import numpy as np
 
 from repro.core.partitioner import PartitionResult, make_result
 from repro.graph.digest import digest_arrays
+from repro.service.schemas import DIAGNOSTICS
 from repro.sim.sequence import ContactSnapshot
+from repro.utils.schema import const, integer, obj, string, validate
 
 __all__ = [
     "CacheStats",
@@ -48,6 +50,18 @@ __all__ = [
 
 #: bump when the on-disk entry layout changes
 _DISK_SCHEMA = 1
+
+#: the ``meta`` member of a disk entry; the arrays sit beside it
+_DISK_META = obj(
+    {
+        "schema": const(_DISK_SCHEMA),
+        "key": string(),
+        "method": string(),
+        "k": integer(1),
+        "diag_scalars": DIAGNOSTICS,
+        "labels_digest": string(),
+    }
+)
 
 
 def result_cache_key(
@@ -264,10 +278,8 @@ class ResultCache:
             return None
         try:
             with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"]))
-                if meta.get("schema") != _DISK_SCHEMA:
-                    raise ValueError("unknown disk-cache schema")
-                if meta.get("key") != key:
+                meta = validate(_DISK_META, json.loads(str(data["meta"])))
+                if meta["key"] != key:
                     raise ValueError("disk entry key mismatch")
                 labels = np.ascontiguousarray(data["labels"])
                 if (
@@ -275,14 +287,12 @@ class ResultCache:
                     != meta["labels_digest"]
                 ):
                     raise ValueError("disk entry payload digest mismatch")
-                diag: Dict[str, Any] = dict(meta["diag_scalars"])
+                diag: Dict[str, Any] = meta["diag_scalars"]
                 for name in data.files:
                     if name.startswith("diag_"):
                         diag[name[len("diag_"):]] = np.ascontiguousarray(
                             data[name]
                         )
-                method = str(meta["method"])
-                k = int(meta["k"])
         except (OSError, KeyError, ValueError) as exc:
             with self._lock:
                 self.stats.disk_corrupt += 1
@@ -290,8 +300,8 @@ class ResultCache:
             return None
         labels.setflags(write=False)
         return make_result(
-            method=method,
-            k=k,
+            method=meta["method"],
+            k=meta["k"],
             labels=labels,
             diagnostics=diag,
             ledger=None,

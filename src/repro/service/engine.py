@@ -76,7 +76,6 @@ from repro.service.queue import Job, JobQueue, RetryPolicy
 from repro.service.schemas import (
     OPTIONS_KEYS,
     SCHEMA_VERSION,
-    ServiceSchemaError,
     canonical_request_text,
     validate_job_request,
 )
@@ -87,6 +86,7 @@ from repro.sim.sequence import (
     simulate_impact,
 )
 from repro.sim.projectile import ImpactConfig
+from repro.utils.schema import SchemaError
 
 __all__ = [
     "EngineConfig",
@@ -392,7 +392,7 @@ class ServiceEngine:
 
         Returns the job: a follower, one already ``done`` (a memory
         hit, see :meth:`_answer_from_memory`), or a queued one.  Raises
-        :class:`~repro.service.schemas.ServiceSchemaError`,
+        :class:`~repro.utils.schema.SchemaError`,
         :class:`RateLimitedError`, or
         :class:`~repro.service.queue.QueueFullError`.
         """
@@ -478,7 +478,7 @@ class ServiceEngine:
         except ValueError:  # pragma: no cover - mixed drives on Windows
             inside = False
         if not inside:
-            raise ServiceSchemaError(
+            raise SchemaError(
                 "$.source.path",
                 f"must resolve under the configured mesh root {root!r}",
             )

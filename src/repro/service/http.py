@@ -59,7 +59,8 @@ from repro.service.engine import (
     json_body,
 )
 from repro.service.queue import QueueFullError
-from repro.service.schemas import JOB_STATES, ServiceSchemaError
+from repro.service.schemas import JOB_STATES, SCHEMA_VERSION
+from repro.utils.schema import SchemaError
 
 __all__ = [
     "ServerThread",
@@ -414,7 +415,7 @@ class ServiceServer:
                 200,
                 {
                     "status": "ok",
-                    "schema": "repro.service-job/1",
+                    "schema": SCHEMA_VERSION,
                     "jobs": engine.queue.states(),
                 },
                 {},
@@ -438,7 +439,7 @@ class ServiceServer:
             ) from None
         try:
             job = self.engine.submit(document)
-        except ServiceSchemaError as exc:
+        except SchemaError as exc:
             raise _HttpError(
                 400, {"error": str(exc), "path": exc.path}
             ) from None

@@ -149,7 +149,7 @@ class Job:
                 self.on_terminal(self)
 
     def record(self) -> Dict[str, Any]:
-        """The job as a ``repro.service-job/1`` record document."""
+        """The job as a ``repro.service-job/2`` record document."""
         return {
             "schema": SCHEMA_VERSION,
             "id": self.id,

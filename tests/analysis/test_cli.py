@@ -153,50 +153,19 @@ class TestPerfFlag:
         assert exc.value.code == 2
         assert "--kernel-audit" in capsys.readouterr().err
 
-    def test_perf_library_lints_clean_modulo_baseline(self, capsys):
-        """Acceptance: `repro-lint --perf --baseline lint-baseline.json
-        src/repro` exits 0 on the shipped tree (from the repo root, as
-        CI runs it — the baseline stores repo-relative paths)."""
-        import os
+    @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+    def test_baseline_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main([flag, "lint-baseline.json", str(PERF_FIXTURES)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
+    def test_perf_library_lints_clean(self, capsys):
+        """Acceptance: `repro-lint --perf src/repro` exits 0 on the
+        shipped tree: any PERF finding fails."""
         root = Path(__file__).resolve().parents[2]
-        cwd = os.getcwd()
-        os.chdir(root)
-        try:
-            code = lint_main([
-                "--perf", "--baseline", "lint-baseline.json", "src/repro",
-            ])
-        finally:
-            os.chdir(cwd)
-        captured = capsys.readouterr()
-        assert code == 0
-        # the baseline is empty: nothing is grandfathered
-        assert "suppressed" not in captured.err
-        assert "no issues found" in captured.out
-
-
-class TestBaselineFlags:
-    def test_write_then_apply_round_trip(self, tmp_path, capsys):
-        base = tmp_path / "baseline.json"
-        assert lint_main(
-            ["--perf", "--write-baseline", str(base), str(PERF_FIXTURES)]
-        ) == 0
-        capsys.readouterr()
-        # every PERF finding is suppressed
-        assert lint_main(
-            ["--perf", "--baseline", str(base), str(PERF_FIXTURES)]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "suppressed" in captured.err
-        assert "PERF" not in captured.out
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        assert lint_main(
-            ["--baseline", str(bad), str(PERF_FIXTURES)]
-        ) == 2
-        assert "baseline" in capsys.readouterr().err.lower()
+        assert lint_main(["--perf", str(root / "src" / "repro")]) == 0
+        assert "no issues found" in capsys.readouterr().out
 
 
 class TestTraceRanking:

@@ -315,22 +315,9 @@ class TestGoldenFixtures:
         golden = json.loads((GOLDEN / "perf_fixtures.sarif").read_text())
         assert as_sarif_payload(self._normalized()) == golden
 
-    def test_real_tree_is_clean_modulo_baseline(self):
-        from repro.analysis.baseline import apply_baseline, load_baseline
-
+    def test_real_tree_is_clean(self):
         root = Path(__file__).resolve().parents[2]
         diags = LintEngine(families=("perf",)).lint_paths(
             [root / "src" / "repro"]
         )
-        # the committed baseline records repo-relative paths (CI lints
-        # from the repo root); normalise before subtracting
-        diags = [
-            dataclasses.replace(
-                d, path=Path(d.path).relative_to(root).as_posix()
-            )
-            for d in diags
-        ]
-        baseline = load_baseline(root / "lint-baseline.json")
-        new, suppressed = apply_baseline(diags, baseline)
-        assert new == []
-        assert suppressed == sum(baseline.values())  # no stale entry
+        assert diags == []

@@ -14,6 +14,7 @@ from repro.core.driver import ContactStepDriver
 from repro.core.mcml_dt import MCMLDTParams
 from repro.core.update import UpdateStrategy
 from repro.partition.config import PartitionOptions
+from repro.utils.schema import SchemaError
 
 K = 4
 
@@ -208,6 +209,41 @@ class TestCheckpoint:
         )
         restored = load_driver(path)
         assert np.array_equal(restored.partitioner.part, part)
+
+
+def _with_meta(blob, edit):
+    """Checkpoint bytes whose meta was passed through ``edit``."""
+    import json
+
+    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        part = data["part"]
+    edit(meta)
+    out = io.BytesIO()
+    np.savez_compressed(out, part=part, meta=np.array(json.dumps(meta)))
+    return io.BytesIO(out.getvalue())
+
+
+class TestMalformedMeta:
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda meta: meta.pop("k"), "$.k"),
+            (lambda meta: meta.update(params=3), "$.params"),
+            (lambda meta: meta.update(ledger=[1]), "$.ledger"),
+            (lambda meta: meta.update(k="4"), "$.k"),
+        ],
+        ids=["k-missing", "params-number", "ledger-array", "k-string"],
+    )
+    def test_fails_typed_at_its_path(self, small_sequence, edit, path):
+        """A malformed meta is a SchemaError naming the member, not a
+        KeyError, TypeError or AttributeError from deep in the loader."""
+        driver = ContactStepDriver(K, params())
+        driver.initialize(small_sequence[0])
+        blob = dump_driver_bytes(driver)
+        with pytest.raises(SchemaError) as info:
+            load_driver(_with_meta(blob, edit))
+        assert info.value.path == path
 
 
 class TestCheckpointContentPinned:

@@ -6,12 +6,12 @@ import pytest
 
 from repro.obs import (
     SCHEMA_VERSION,
-    ReportSchemaError,
     RunReport,
     Tracer,
     validate_report,
 )
 from repro.runtime.ledger import CommLedger
+from repro.utils.schema import SchemaError
 
 
 def _sample_report() -> RunReport:
@@ -131,7 +131,7 @@ class TestSchema:
     def test_malformed_documents_rejected(self, mutate, path_hint):
         document = _sample_report().to_dict()
         mutate(document)
-        with pytest.raises(ReportSchemaError) as err:
+        with pytest.raises(SchemaError) as err:
             validate_report(document)
         assert path_hint in str(err.value)
 
@@ -142,11 +142,11 @@ class TestSchema:
             "counters": {}, "children": [],
         }
         document["spans"]["children"] = [child, dict(child)]
-        with pytest.raises(ReportSchemaError, match="dup"):
+        with pytest.raises(SchemaError, match="dup"):
             validate_report(document)
 
     def test_to_json_refuses_invalid_report(self):
         report = _sample_report()
         report.meta["bad"] = [1, 2]  # not a scalar: schema must refuse
-        with pytest.raises(ReportSchemaError):
+        with pytest.raises(SchemaError):
             report.to_json()

@@ -176,6 +176,38 @@ class TestResultCacheDisk:
         assert cache.get(key) is None
         assert cache.stats.disk_corrupt == 1
 
+    @pytest.mark.parametrize(
+        "member",
+        [{"diag_scalars": 5}, {"diag_scalars": [1, 2]}, {"k": [1]}],
+        ids=["diag-scalars-number", "diag-scalars-array", "k-array"],
+    )
+    def test_malformed_meta_is_corrupt_not_a_crash(
+        self, snapshot, fitted, tmp_path, member
+    ):
+        """A meta member of the wrong type is a corrupt entry: counted,
+        removed and recomputed, never an exception out of ``get``."""
+        import json
+
+        disk = str(tmp_path / "cache")
+        key = result_cache_key(snapshot, "mcml-dt", K, {})
+        cache = ResultCache(capacity=4, disk_dir=disk)
+        cache.put(key, fitted)
+        cache.clear()
+        path = tmp_path / "cache" / f"{key}.npz"
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+            meta = json.loads(str(arrays.pop("meta")))
+        meta.update(member)
+        np.savez_compressed(
+            path, meta=np.array(json.dumps(meta)), **arrays
+        )
+        assert cache.get(key) is None
+        assert cache.stats.disk_corrupt == 1
+        assert not path.exists()
+        cache.put(key, fitted)
+        cache.clear()
+        assert cache.get(key) is not None
+
 
 class TestCacheStats:
     def test_as_dict_is_plain(self):

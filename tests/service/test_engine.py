@@ -565,7 +565,7 @@ class TestAdmission:
     def test_mesh_root_restricts_source_paths(self, tmp_path):
         """With ``mesh_root`` set, mesh sources outside it are rejected
         at submission (HTTP 400), including traversal attempts."""
-        from repro.service.schemas import ServiceSchemaError
+        from repro.utils.schema import SchemaError
 
         async def scenario():
             root = tmp_path / "meshes"
@@ -577,7 +577,7 @@ class TestAdmission:
                 "/etc/passwd",
                 str(root / ".." / "secret.npz"),
             ):
-                with pytest.raises(ServiceSchemaError, match="mesh root"):
+                with pytest.raises(SchemaError, match="mesh root"):
                     engine.submit(
                         request(source={"kind": "mesh", "path": path})
                     )

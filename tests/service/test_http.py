@@ -17,6 +17,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import EngineConfig
 from repro.service.http import ServerThread
 from repro.service.queue import RetryPolicy
+from repro.service.schemas import SCHEMA_VERSION
 
 SOURCE = {"kind": "impact", "n_steps": 2, "refine": 0.5}
 
@@ -95,10 +96,24 @@ class TestLifecycle:
     def test_schema_error_400_with_path(self, client):
         with pytest.raises(ServiceError) as info:
             client.submit_document(
-                {"schema": "repro.service-job/1", "kind": "partition"}
+                {"schema": "repro.service-job/2", "kind": "partition"}
             )
         assert info.value.status == 400
         assert info.value.body["path"] == "$.k"
+
+    def test_version_1_request_is_refused_naming_both_ids(self, client):
+        """Version 2 added the record's ``result`` member; ``/healthz``
+        names the version the server speaks."""
+        assert client.health()["schema"] == SCHEMA_VERSION
+        with pytest.raises(ServiceError) as info:
+            client.submit_document(
+                {"schema": "repro.service-job/1", "kind": "partition",
+                 "k": 4}
+            )
+        assert info.value.status == 400
+        assert info.value.body["path"] == "$.schema"
+        assert "repro.service-job/1" in info.value.body["error"]
+        assert SCHEMA_VERSION in info.value.body["error"]
 
     def test_malformed_body_400(self, client):
         with pytest.raises(ServiceError) as info:
@@ -127,7 +142,7 @@ class TestObservability:
         document = client.report()
         validate_report(document)  # raises on violation
         assert document["meta"]["fits_total"] >= 1
-        assert document["meta"]["service_schema"] == "repro.service-job/1"
+        assert document["meta"]["service_schema"] == "repro.service-job/2"
 
 
 class TestClientTimeouts:

@@ -21,9 +21,9 @@ from repro.service.http import ServerThread
 from repro.service.queue import LATENCY_BUCKETS_S
 from repro.service.schemas import (
     SCHEMA_VERSION,
-    ServiceSchemaError,
     validate_job_record,
 )
+from repro.utils.schema import SchemaError
 
 SOURCE = {"kind": "impact", "n_steps": 2, "refine": 0.5}
 
@@ -445,7 +445,7 @@ class TestRecordSchema:
         assert validate_job_record(record) is record
 
     def test_the_result_is_checked_at_its_own_path(self):
-        with pytest.raises(ServiceSchemaError) as info:
+        with pytest.raises(SchemaError) as info:
             validate_job_record(self.record_with(self.result(labels=[0.5])))
         assert info.value.path == "$.result.labels[0]"
 
@@ -457,6 +457,6 @@ class TestRecordSchema:
         ],
     )
     def test_only_a_done_job_carries_its_own_result(self, record):
-        with pytest.raises(ServiceSchemaError) as info:
+        with pytest.raises(SchemaError) as info:
             validate_job_record(self.record_with(self.result(), **record))
         assert info.value.path == "$.result"

@@ -1,4 +1,4 @@
-"""Tests for the repro.service-job/1 schemas and validators."""
+"""Tests for the repro.service-job/2 schemas and validators."""
 
 import pytest
 
@@ -8,12 +8,12 @@ from repro.service.schemas import (
     OPTIONS_KEYS,
     PARTITIONER_NAMES,
     SCHEMA_VERSION,
-    ServiceSchemaError,
     canonical_request_text,
     validate_job_record,
     validate_job_request,
     validate_result,
 )
+from repro.utils.schema import SchemaError
 
 
 def request(**overrides):
@@ -44,23 +44,23 @@ class TestJobRequest:
         }
 
     def test_schema_tag_required(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.schema"):
+        with pytest.raises(SchemaError, match=r"\$\.schema"):
             validate_job_request(request(schema="repro.service-job/9"))
 
     def test_non_object_rejected(self):
-        with pytest.raises(ServiceSchemaError, match="JSON object"):
+        with pytest.raises(SchemaError, match="JSON object"):
             validate_job_request([1, 2, 3])
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ServiceSchemaError, match="unknown keys"):
+        with pytest.raises(SchemaError, match="unknown keys"):
             validate_job_request(request(surprise=1))
 
     def test_kind_and_k_checked(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.kind"):
+        with pytest.raises(SchemaError, match=r"\$\.kind"):
             validate_job_request(request(kind="laplace"))
-        with pytest.raises(ServiceSchemaError, match=r"\$\.k"):
+        with pytest.raises(SchemaError, match=r"\$\.k"):
             validate_job_request(request(k=0))
-        with pytest.raises(ServiceSchemaError, match=r"\$\.k"):
+        with pytest.raises(SchemaError, match=r"\$\.k"):
             validate_job_request(request(k=True))
 
     @pytest.mark.parametrize("name", PARTITIONER_NAMES)
@@ -73,13 +73,13 @@ class TestJobRequest:
 
     def test_config_rejects_foreign_knob(self):
         # a valid mcml-dt knob is not a valid ml-rcb knob
-        with pytest.raises(ServiceSchemaError, match="max_p"):
+        with pytest.raises(SchemaError, match="max_p"):
             validate_job_request(
                 request(partitioner="ml-rcb", config={"max_p": 3})
             )
 
     def test_config_rejects_non_scalars(self):
-        with pytest.raises(ServiceSchemaError, match="scalar"):
+        with pytest.raises(SchemaError, match="scalar"):
             validate_job_request(request(config={"seed": [1, 2]}))
 
     def test_options_keys_shared_by_all_methods(self):
@@ -88,16 +88,16 @@ class TestJobRequest:
                 assert key in CONFIG_KEYS[name]
 
     def test_impact_source_bounds(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.source\.n_steps"):
+        with pytest.raises(SchemaError, match=r"\$\.source\.n_steps"):
             validate_job_request(
                 request(source={"kind": "impact", "n_steps": 0})
             )
-        with pytest.raises(ServiceSchemaError, match=r"\$\.source\.refine"):
+        with pytest.raises(SchemaError, match=r"\$\.source\.refine"):
             validate_job_request(
                 request(source={"kind": "impact", "refine": 0})
             )
         with pytest.raises(
-            ServiceSchemaError, match=r"\$\.source\.snapshot"
+            SchemaError, match=r"\$\.source\.snapshot"
         ):
             validate_job_request(
                 request(
@@ -114,29 +114,38 @@ class TestJobRequest:
             "path": "scene.npz",
             "capture_radius": 3.0,
         }
-        with pytest.raises(ServiceSchemaError, match=r"\$\.source\.path"):
+        with pytest.raises(SchemaError, match=r"\$\.source\.path"):
             validate_job_request(request(source={"kind": "mesh"}))
 
     def test_contact_step_requires_mcml(self):
-        with pytest.raises(ServiceSchemaError, match="mcml-dt"):
+        with pytest.raises(SchemaError, match="mcml-dt"):
             validate_job_request(
                 request(kind="contact-step", partitioner="ml-rcb")
             )
 
     def test_contact_step_steps_bounded_by_source(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.steps"):
+        with pytest.raises(SchemaError, match=r"\$\.steps"):
             validate_job_request(request(kind="contact-step", steps=5))
         out = validate_job_request(request(kind="contact-step", steps=3))
         assert out["steps"] == 3
 
     def test_deadline_and_cache_checked(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.deadline_s"):
+        with pytest.raises(SchemaError, match=r"\$\.deadline_s"):
             validate_job_request(request(deadline_s=0))
-        with pytest.raises(ServiceSchemaError, match=r"\$\.cache"):
+        with pytest.raises(SchemaError, match=r"\$\.cache"):
             validate_job_request(request(cache="yes"))
         out = validate_job_request(request(deadline_s=2.5, cache=False))
         assert out["deadline_s"] == 2.5
         assert out["cache"] is False
+
+    def test_number_past_float_range_is_a_schema_error(self):
+        # a JSON integer literal json.loads accepts; it was an
+        # OverflowError (an HTTP 500) when normalised to a float
+        with pytest.raises(SchemaError) as info:
+            validate_job_request(
+                request(source={"kind": "impact", "refine": 10**400})
+            )
+        assert info.value.path == "$.source.refine"
 
 
 class TestCanonicalRequestText:
@@ -196,20 +205,20 @@ class TestJobRecord:
         assert validate_job_record(record())["id"] == "job-000001"
 
     def test_state_and_cache_vocabulary(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.state"):
+        with pytest.raises(SchemaError, match=r"\$\.state"):
             validate_job_record(record(state="sleeping"))
-        with pytest.raises(ServiceSchemaError, match=r"\$\.cache"):
+        with pytest.raises(SchemaError, match=r"\$\.cache"):
             validate_job_record(record(cache="warm"))
         assert validate_job_record(record(cache=None))
 
     def test_embedded_request_validated(self):
         bad = record()
         bad["request"] = {"schema": SCHEMA_VERSION}
-        with pytest.raises(ServiceSchemaError, match=r"\$\.kind"):
+        with pytest.raises(SchemaError, match=r"\$\.request\.kind"):
             validate_job_record(bad)
 
     def test_retries_and_timestamps(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.retries"):
+        with pytest.raises(SchemaError, match=r"\$\.retries"):
             validate_job_record(record(retries=-1))
         assert validate_job_record(
             record(started_s=None, finished_s=None, state="queued")
@@ -240,7 +249,7 @@ class TestResult:
         assert validate_result(self.partition_result())
 
     def test_labels_must_be_ints(self):
-        with pytest.raises(ServiceSchemaError, match=r"\$\.labels\[1\]"):
+        with pytest.raises(SchemaError, match=r"\$\.labels\[1\]"):
             validate_result(self.partition_result(labels=[0, "x"]))
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
@@ -252,7 +261,7 @@ class TestResult:
         labels[where] = bad
         if where < 4999:
             labels[-1] = "a later offender"
-        with pytest.raises(ServiceSchemaError) as info:
+        with pytest.raises(SchemaError) as info:
             validate_result(self.partition_result(labels=labels))
         assert info.value.path == f"$.labels[{where}]"
         assert str(info.value) == f"$.labels[{where}]: must be an integer"
@@ -266,7 +275,7 @@ class TestResult:
         assert validate_result(self.partition_result(labels=labels))
 
     def test_diagnostics_scalar_or_number_array(self):
-        with pytest.raises(ServiceSchemaError, match="diagnostics"):
+        with pytest.raises(SchemaError, match="diagnostics"):
             validate_result(
                 self.partition_result(diagnostics={"bad": {"deep": 1}})
             )
@@ -286,7 +295,7 @@ class TestResult:
         }
         assert validate_result(doc)
         doc["comm"]["fe-halo"] = {"n_messages": 4}
-        with pytest.raises(ServiceSchemaError, match="n_items"):
+        with pytest.raises(SchemaError, match="n_items"):
             validate_result(doc)
 
     def test_kind_vocabulary_closed(self):
