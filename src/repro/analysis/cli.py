@@ -5,20 +5,15 @@ Examples::
     repro-lint src/repro              # lint the library, human output
     repro-lint --format json src      # machine-readable diagnostics
     repro-lint --format sarif src > lint.sarif
-    repro-lint --select VAL001,TIME001 src/repro
-    repro-lint --perf src/repro       # + PERF family
-    repro-lint --perf --trace-json smoke-trace.json src/repro
+    repro-lint --select LOOP001,TIME001 src/repro
     repro-lint --statistics src/repro
     repro-lint --list-rules
 
-With no paths the installed ``repro`` package is linted.  The core
-family runs by default; ``--perf`` adds the PERF family; ``--select``
-names the exact codes to run instead, from either family.  The target
-set is parsed once whatever the combination.  ``--trace-json`` takes
-a ``repro.run-report/1`` artifact and ranks the findings by measured
-span self-time.  Exit status: 0 when clean, 1 when diagnostics were
-found, 2 on usage errors (unknown rule code, nonexistent path,
-malformed trace).
+With no paths the installed ``repro`` package is linted.  Every rule
+runs unless ``--select`` names the exact codes to run or ``--ignore``
+drops some; the target set is parsed once whatever the combination.
+Exit status: 0 when clean, 1 when diagnostics were found, 2 on usage
+errors (unknown rule code, nonexistent path).
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.engine import LintEngine, all_rules, load_project
-from repro.analysis.perf import load_self_times, rank_diagnostics
 from repro.analysis.reporters import (
     format_human,
     format_json,
@@ -87,22 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--perf",
-        action="store_true",
-        help=(
-            "also run the opt-in PERF performance family (PERF001-005)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-json",
-        metavar="PATH",
-        default=None,
-        help=(
-            "repro.run-report/1 artifact; PERF findings are annotated "
-            "and ranked by the measured span self-times"
-        ),
-    )
-    parser.add_argument(
         "--statistics",
         action="store_true",
         help="append per-code counts (human format only)",
@@ -132,26 +110,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         paths = [str(Path(repro.__file__).parent)]
 
-    families = ["core", "perf"] if args.perf else ["core"]
-
     try:
-        engine = LintEngine(
-            select=args.select, ignore=args.ignore, families=families
-        )
+        engine = LintEngine(select=args.select, ignore=args.ignore)
         project = load_project(paths, exclude=args.exclude)
         diagnostics = engine.lint_project(project)
     except (KeyError, FileNotFoundError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"repro-lint: {message}", file=sys.stderr)
         return 2
-
-    if args.trace_json is not None:
-        try:
-            self_times = load_self_times(args.trace_json)
-        except (OSError, ValueError) as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-        diagnostics = rank_diagnostics(diagnostics, self_times)
 
     if args.format == "json":
         print(format_json(diagnostics))

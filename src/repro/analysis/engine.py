@@ -1,10 +1,9 @@
-"""Pluggable AST lint engine — the only driver of every rule family.
+"""Pluggable AST lint engine — the only driver of every rule.
 
 A :class:`LintRule` overrides :meth:`~LintRule.check` and inspects one
 parsed file (a :class:`FileContext`) at a time.  Rules register
-themselves in a module-level registry via :func:`register_rule` and
-belong to a ``family`` (``core`` runs by default; ``perf`` is what
-``repro-lint --perf`` adds).
+themselves in a module-level registry via :func:`register_rule`, and
+every registered rule runs unless ``select``/``ignore`` say otherwise.
 
 :func:`load_project` walks the target paths and parses each file
 exactly once; the :class:`LintEngine` runs every selected rule over
@@ -147,10 +146,6 @@ class LintRule:
     description: str = ""
     #: dotted module-name prefixes this rule applies to ((), = all files)
     modules: Tuple[str, ...] = ()
-    #: ``core`` rules make up the default engine run; any other family
-    #: runs only when asked for — by an explicit ``--select`` or by the
-    #: ``repro-lint`` flag named after it (``--perf``)
-    family: str = "core"
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule should run on ``ctx`` (module scoping)."""
@@ -195,13 +190,9 @@ def register_rule(cls: Type[LintRule]) -> Type[LintRule]:
     return cls
 
 
-def all_rules(family: Optional[str] = None) -> List[LintRule]:
-    """Registered rules sorted by code (of one ``family`` when given)."""
-    return [
-        _REGISTRY[code]
-        for code in sorted(_REGISTRY)
-        if family is None or _REGISTRY[code].family == family
-    ]
+def all_rules() -> List[LintRule]:
+    """Registered rules sorted by code."""
+    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
 def get_rule(code: str) -> LintRule:
@@ -263,28 +254,6 @@ def _collect_suppressions(
     return per_line, per_file
 
 
-def _extend_decorator_suppressions(
-    tree: ast.Module, per_line: Dict[int, Set[str]]
-) -> None:
-    """A suppression comment on a decorator line also covers the
-    decorated ``def``/``class`` statement.
-
-    Rules anchor their diagnostics at the *definition* line (that is
-    where ``ast`` puts ``lineno``), but authors naturally write the
-    comment next to the decorator that prompted it; both placements
-    silence the finding.
-    """
-    for node in ast.walk(tree):
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        for dec in node.decorator_list:
-            codes = per_line.get(dec.lineno)
-            if codes:
-                per_line.setdefault(node.lineno, set()).update(codes)
-
-
 def build_file_context(
     source: str, module: str = "<string>", path: str = "<string>"
 ) -> FileContext:
@@ -292,7 +261,6 @@ def build_file_context(
     collected; raises ``SyntaxError`` on unparsable input."""
     tree = ast.parse(source)
     per_line, per_file = _collect_suppressions(source)
-    _extend_decorator_suppressions(tree, per_line)
     return FileContext(
         path=path,
         module=module,
@@ -348,16 +316,14 @@ def load_project(
 class LintEngine:
     """Run a set of rules over files, directories, or raw source.
 
-    ``families`` names the rule families of the run (default: ``core``
-    alone); ``select`` instead names the exact rule codes, from any
-    family; ``ignore`` drops codes from either.
+    Every registered rule runs unless ``select`` names the exact rule
+    codes; ``ignore`` drops codes.
     """
 
     def __init__(
         self,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        families: Sequence[str] = ("core",),
     ) -> None:
         chosen = all_rules()
         if select is not None:
@@ -366,8 +332,6 @@ class LintEngine:
             if unknown:
                 raise KeyError(f"unknown rule code(s): {sorted(unknown)}")
             chosen = [r for r in chosen if r.code in wanted]
-        else:
-            chosen = [r for r in chosen if r.family in families]
         if ignore is not None:
             dropped = set(ignore)
             chosen = [r for r in chosen if r.code not in dropped]

@@ -1,9 +1,4 @@
-"""Performance rule family: find the scalar-Python hot loops.
-
-ROADMAP open item 1 is blunt: parallel backends do not pay because the
-inner kernels are scalar Python (``run/global-search/search`` alone is
-~559 ms of a 566 ms serial smoke run).  This pass finds the loops
-that block vectorisation and ranks them by *measured* hotness:
+"""The PERF rules: scalar-Python loops that block vectorisation.
 
 ========  ==========================================================
 PERF001   scalar Python loop over NumPy array data
@@ -13,47 +8,25 @@ PERF003   repeated attribute/global lookup inside a hot loop
 PERF005   element-wise ``math.*`` where a NumPy ufunc exists
 ========  ==========================================================
 
-The family is **opt-in** (``repro-lint --perf``): a perf finding is a
-cost, not a correctness bug, so it runs in its own CI job, where any
-finding fails.
-
-**Profile-guided ranking.**  ``--trace-json`` takes a
-``repro.run-report/1`` artifact (the smoke-bench trace CI already
-emits) and uses per-span *self* times to rank findings: each diagnostic
-in a module reached by a hot span is annotated with the span's measured
-self time and sorted hottest-first, so the ``global-search/search``
-loops surface at the top instead of drowning in alphabetical order.
-The span→module correspondence is the declarative
-:data:`SPAN_MODULE_HINTS` table (single source, exercised by tests).
+They run with every other rule, scoped to the numeric modules
+(:data:`PERF_MODULES`); test and benchmark modules are exempt.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import Counter
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, Set, Tuple, Union
 
 from repro.analysis.engine import (
     Diagnostic,
     FileContext,
     LintRule,
-    module_name_for,
     register_rule,
 )
 from repro.analysis.rules import dotted_name, is_test_module
 
-#: the numeric stack — the only modules the PERF family inspects
+#: the numeric stack — the only modules the PERF rules inspect
 #: (analysis/obs/runtime walk ASTs and message queues, not arrays)
 PERF_MODULES: Tuple[str, ...] = (
     "repro.core",
@@ -66,39 +39,6 @@ PERF_MODULES: Tuple[str, ...] = (
     "repro.sim",
     "repro.utils",
 )
-
-#: span name → dotted module prefixes its self-time is attributed to.
-#: Spans are emitted by the code under these modules (see the tracer
-#: call sites); the ranking uses the hottest span naming each module.
-SPAN_MODULE_HINTS: Dict[str, Tuple[str, ...]] = {
-    "global-search": (
-        "repro.core.contact_search",
-        "repro.core.local_search",
-        "repro.geometry.boxsearch",
-        "repro.geometry.bbox",
-    ),
-    "search": (
-        "repro.core.contact_search",
-        "repro.geometry.boxsearch",
-        "repro.geometry.bbox",
-    ),
-    "exchange": ("repro.core.contact_search",),
-    "coarsen": ("repro.partition.coarsen", "repro.partition.matching"),
-    "initial": ("repro.partition.initial",),
-    "refine": ("repro.partition",),
-    "refine-G'": ("repro.partition",),
-    "absorb": ("repro.partition.fragments", "repro.graph.ops"),
-    "rebalance": ("repro.partition.refine_kway", "repro.partition.balance"),
-    "greedy": ("repro.partition.refine_kway",),
-    "fm": ("repro.partition.refine_kway_fm",),
-    "collapse": ("repro.partition.fragments",),
-    "dtree-induce": ("repro.dtree",),
-    "update": ("repro.dtree", "repro.partition.repartition"),
-    "map-transfer": ("repro.metrics", "repro.partition.repartition"),
-    "simulate": ("repro.sim", "repro.mesh"),
-    "partition": ("repro.partition",),
-    "rcb": ("repro.geometry.rcb",),
-}
 
 #: numpy calls whose results are provably array-valued (used as PERF001
 #: iteration evidence; scalar-returning np calls are deliberately absent)
@@ -233,9 +173,8 @@ class _ArrayEvidence:
 
 
 class PerfRule(LintRule):
-    """Base for the opt-in PERF family: numeric modules, no tests."""
+    """Base of the PERF rules: numeric modules, no tests."""
 
-    family = "perf"
     modules = PERF_MODULES
 
     def applies_to(self, ctx: FileContext) -> bool:
@@ -467,92 +406,3 @@ class MathUfuncRule(PerfRule):
                     if alias.name in _MATH_UFUNCS and alias.asname is None:
                         names.add(alias.name)
         return names
-
-
-# ----------------------------------------------------------------------
-# profile-guided ranking
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HotSpot:
-    """One module's measured hotness: the hottest span naming it."""
-
-    module: str
-    span_path: str
-    self_ms: float
-
-
-def load_self_times(trace_path: Union[str, Path]) -> Dict[str, float]:
-    """``{span path: self milliseconds}`` from a run-report artifact.
-
-    Accepts any ``repro.run-report/1`` document (``repro-contact trace
-    --trace-json`` or the CI smoke bench); raises ``ValueError`` on a
-    schema violation so a stale artifact fails loudly.
-    """
-    from repro.obs.report import RunReport
-
-    report = RunReport.load(trace_path)
-    return {
-        path: span.self_s * 1e3 for path, span in report.spans.walk()
-    }
-
-
-def module_hotness(self_times: Dict[str, float]) -> Dict[str, HotSpot]:
-    """Attribute span self-times to modules via :data:`SPAN_MODULE_HINTS`.
-
-    Each module gets the hottest single span that names it (max, not
-    sum — one span's time must not be double-counted across the many
-    modules it hints at).
-    """
-    hot: Dict[str, HotSpot] = {}
-    for path, self_ms in self_times.items():
-        leaf = path.rsplit("/", 1)[-1]
-        for prefix in SPAN_MODULE_HINTS.get(leaf, ()):
-            existing = hot.get(prefix)
-            if existing is None or self_ms > existing.self_ms:
-                hot[prefix] = HotSpot(
-                    module=prefix, span_path=path, self_ms=self_ms
-                )
-    return hot
-
-
-def hotness_of(module: str, hot: Dict[str, HotSpot]) -> Optional[HotSpot]:
-    """The hottest :class:`HotSpot` whose module prefix covers
-    ``module`` (``None`` when the profile never touched it)."""
-    best: Optional[HotSpot] = None
-    for prefix, spot in hot.items():
-        if module == prefix or module.startswith(prefix + "."):
-            if best is None or spot.self_ms > best.self_ms:
-                best = spot
-    return best
-
-
-def rank_diagnostics(
-    diagnostics: Sequence[Diagnostic],
-    self_times: Dict[str, float],
-) -> List[Diagnostic]:
-    """Order ``diagnostics`` hottest-first and annotate the hot ones.
-
-    Findings in modules a profiled span attributes time to come first
-    (descending measured self-time), each with a ``[hot: <span>
-    self=<ms>ms]`` suffix; cold findings follow in the usual
-    (path, line) order.
-    """
-    hot = module_hotness(self_times)
-    keyed: List[Tuple[float, Diagnostic]] = []
-    for d in diagnostics:
-        spot = hotness_of(module_name_for(d.path), hot)
-        if spot is not None and spot.self_ms > 0:
-            annotated = replace(
-                d,
-                message=(
-                    f"{d.message} "
-                    f"[hot: {spot.span_path} self={spot.self_ms:.1f}ms]"
-                ),
-            )
-            keyed.append((spot.self_ms, annotated))
-        else:
-            keyed.append((0.0, d))
-    keyed.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [d for _ms, d in keyed]

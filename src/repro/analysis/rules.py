@@ -5,7 +5,6 @@ on but Python cannot enforce (see ``docs/STATIC_ANALYSIS.md``):
 
 ========  ==========================================================
 ASSERT001 library validation must not rely on ``assert`` (python -O)
-VAL001    public entry points must validate their array inputs
 LOOP001   hot-path modules must not loop over ``xadj``/``adjncy``
 TIME001   deadline/backoff arithmetic must not read the wall clock
 ========  ==========================================================
@@ -27,28 +26,6 @@ from repro.analysis.engine import (
 #: modules where a Python-level loop over the adjacency is a perf bug
 HOT_PATH_MODULES: Tuple[str, ...] = ("repro.graph", "repro.partition")
 
-#: recognised validation helpers (``repro.utils.validation`` plus the
-#: ``.validate()`` method convention)
-VALIDATION_CALLEES = frozenset(
-    {
-        "check_array",
-        "check_csr_arrays",
-        "check_in_range",
-        "check_labels",
-        "check_positive",
-        "require",
-        "validate",
-    }
-)
-
-#: module → public functions that must validate their inputs (VAL001)
-ENTRY_POINTS: Dict[str, Tuple[str, ...]] = {
-    "repro.partition.kway": ("partition_kway",),
-    "repro.partition.recursive": ("recursive_bisection",),
-    "repro.partition.multilevel": ("multilevel_bisection",),
-    "repro.dtree.induction": ("induce_pure_tree", "induce_bounded_tree"),
-}
-
 
 def dotted_name(
     node: ast.AST, through_subscripts: bool = False
@@ -67,14 +44,6 @@ def dotted_name(
             return ".".join(reversed(parts))
         else:
             return None
-
-
-def _callee_tail(node: ast.Call) -> Optional[str]:
-    """Last component of the called name (``np.asarray`` → ``asarray``)."""
-    name = dotted_name(node.func)
-    if name is None:
-        return None
-    return name.rsplit(".", 1)[-1]
 
 
 def is_test_module(module: str) -> bool:
@@ -119,45 +88,6 @@ class NoBareAssertRule(LintRule):
                     "assert is stripped under python -O — raise "
                     "ValueError/RuntimeError with a message instead",
                 )
-
-
-@register_rule
-class ValidatedEntryPointRule(LintRule):
-    """VAL001 — public entry points that never validate their inputs.
-
-    The functions in :data:`ENTRY_POINTS` sit at the public boundary
-    and accept raw arrays; each must call a ``repro.utils.validation``
-    checker (or ``.validate()``) before handing data to the kernels.
-    """
-
-    code = "VAL001"
-    name = "validated-entry-point"
-    description = "public entry point without input validation"
-    modules = tuple(ENTRY_POINTS)
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        wanted = ENTRY_POINTS.get(ctx.module, ())
-        for node in ctx.tree.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if node.name not in wanted:
-                continue
-            if not self._calls_validator(node):
-                yield self.diag(
-                    ctx,
-                    node,
-                    f"public entry point {node.name}() never calls a "
-                    f"repro.utils.validation checker on its inputs",
-                )
-
-    @staticmethod
-    def _calls_validator(func: ast.FunctionDef) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                tail = _callee_tail(node)
-                if tail in VALIDATION_CALLEES:
-                    return True
-        return False
 
 
 @register_rule

@@ -295,7 +295,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     if args.mesh is not None:
         try:
             snapshot = _snapshot_from_mesh_file(args.mesh)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot load mesh {args.mesh!r}: {exc}",
                   file=sys.stderr)
             return 2

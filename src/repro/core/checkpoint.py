@@ -30,6 +30,7 @@ from repro.graph.digest import digest_arrays
 from repro.partition.config import PartitionOptions
 from repro.runtime.backends.base import BackendLike
 from repro.runtime.ledger import CommLedger, PhaseTotals
+from repro.utils.npz import read_npz
 from repro.utils.schema import SchemaError, array, boolean, choice, integer
 from repro.utils.schema import mapping, nullable, number, obj, scalar, string
 from repro.utils.schema import validate
@@ -196,13 +197,18 @@ def dump_driver_bytes(driver: ContactStepDriver) -> bytes:
 def _read_checkpoint(source: Target) -> Tuple[Dict[str, Any], np.ndarray]:
     """Load and schema-check a checkpoint; returns ``(meta, part)``.
 
-    A malformed meta raises :class:`~repro.utils.schema.SchemaError`
-    naming its path; the checked meta is returned as written (its
-    numbers keep their JSON types).
+    An archive that cannot be read (empty, truncated, a member missing,
+    a meta that is not JSON) raises
+    :class:`~repro.utils.schema.SchemaError` at ``$`` naming the cause,
+    and a malformed meta one naming its path; the checked meta is
+    returned as written (its numbers keep their JSON types).
     """
-    with np.load(_coerce_target(source), allow_pickle=False) as data:
+    try:
+        data = read_npz(_coerce_target(source), required=("meta", "part"))
         meta = json.loads(str(data["meta"]))
-        part = data["part"]
+    except ValueError as exc:
+        raise SchemaError("$", f"cannot read checkpoint: {exc}") from None
+    part = data["part"]
     validate(_META, meta)
     expected = meta.get("part_digest")
     if expected is not None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -127,9 +127,3 @@ def digest_graph(
         },
         extra=extra,
     )
-
-
-def digest_items(items: Iterable[Tuple[str, Any]]) -> str:
-    """Digest an iterable of ``(name, array)`` pairs (convenience for
-    call sites that build the bundle incrementally)."""
-    return digest_arrays(dict(items))

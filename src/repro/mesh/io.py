@@ -12,6 +12,7 @@ from typing import Union
 import numpy as np
 
 from repro.mesh.mesh import Mesh
+from repro.utils.npz import read_npz
 
 PathLike = Union[str, Path]
 
@@ -28,11 +29,17 @@ def save_mesh(path: PathLike, mesh: Mesh) -> None:
 
 
 def load_mesh(path: PathLike) -> Mesh:
-    """Read a mesh written by :func:`save_mesh`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        return Mesh(
-            nodes=data["nodes"],
-            elements=data["elements"],
-            elem_type=str(data["elem_type"]),
-            body_id=data["body_id"],
-        )
+    """Read a mesh written by :func:`save_mesh`.
+
+    A missing file raises ``FileNotFoundError``; an archive that cannot
+    be read or lacks a member raises ``ValueError`` naming the path.
+    """
+    data = read_npz(
+        Path(path), required=("nodes", "elements", "elem_type", "body_id")
+    )
+    return Mesh(
+        nodes=data["nodes"],
+        elements=data["elements"],
+        elem_type=str(data["elem_type"]),
+        body_id=data["body_id"],
+    )

@@ -79,12 +79,6 @@ class RunReport:
         node = self.spans.find(path)
         return node.self_s if node is not None else 0.0
 
-    def self_times(self) -> Dict[str, float]:
-        """``{span path: exclusive seconds}`` for every span in the
-        tree — the profile consumed by ``repro-lint --perf
-        --trace-json``."""
-        return {path: span.self_s for path, span in self.spans.walk()}
-
     def comm_items(self, phase: str) -> int:
         """Items moved in a ledger phase (0 for unknown phases)."""
         return self.comm.get(phase, (0, 0))[1]

@@ -1,8 +1,8 @@
 """The run-report JSON schema: :data:`REPORT` declares a serialized
 :class:`~repro.obs.report.RunReport` (``docs/OBSERVABILITY.md`` shows
 one). A span's optional ``self_s``, its time net of its children, spares
-trace consumers (``repro-lint --perf --trace-json``) the tree arithmetic;
-documents written before it existed still validate.
+trace consumers the tree arithmetic; documents written before it
+existed still validate.
 """
 
 from __future__ import annotations

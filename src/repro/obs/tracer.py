@@ -103,9 +103,8 @@ class Span:
         """Recursive plain-dict form (see ``repro.obs.schema``).
 
         ``self_s`` (exclusive time) is denormalised into the document
-        so consumers of the JSON artifact — notably ``repro-lint
-        --perf --trace-json`` — can rank spans without rebuilding the
-        tree arithmetic.
+        so consumers of the JSON artifact can see where the time went
+        without rebuilding the tree arithmetic.
         """
         return {
             "name": self.name,

@@ -101,16 +101,3 @@ def heavy_edge_matching(
     has_partner = partner_of_rep >= 0
     cmap[partner_of_rep[has_partner]] = cmap[reps[has_partner]]
     return cmap, len(reps)
-
-
-def random_matching(
-    graph: CSRGraph, seed: SeedLike = None
-) -> Tuple[np.ndarray, int]:
-    """Random maximal-ish matching (baseline / tie-breaking fallback).
-
-    Same handshaking machinery but proposals ignore edge weights, so it
-    produces worse coarse graphs than heavy-edge matching — kept for
-    ablation tests of the coarsening stage.
-    """
-    uniform = graph.with_adjwgt(np.ones_like(graph.adjwgt))
-    return heavy_edge_matching(uniform, rounds=4, seed=seed)

@@ -31,7 +31,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ from repro.core.partitioner import PartitionResult, make_result
 from repro.graph.digest import digest_arrays
 from repro.service.schemas import DIAGNOSTICS
 from repro.sim.sequence import ContactSnapshot
+from repro.utils.npz import read_npz
 from repro.utils.schema import const, integer, obj, string, validate
 
 __all__ = [
@@ -277,23 +278,18 @@ class ResultCache:
         if not os.path.exists(path):
             return None
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = validate(_DISK_META, json.loads(str(data["meta"])))
-                if meta["key"] != key:
-                    raise ValueError("disk entry key mismatch")
-                labels = np.ascontiguousarray(data["labels"])
-                if (
-                    digest_arrays({"labels": labels})
-                    != meta["labels_digest"]
-                ):
-                    raise ValueError("disk entry payload digest mismatch")
-                diag: Dict[str, Any] = meta["diag_scalars"]
-                for name in data.files:
-                    if name.startswith("diag_"):
-                        diag[name[len("diag_"):]] = np.ascontiguousarray(
-                            data[name]
-                        )
-        except (OSError, KeyError, ValueError) as exc:
+            data = read_npz(path, required=("meta", "labels"))
+            meta = validate(_DISK_META, json.loads(str(data["meta"])))
+            if meta["key"] != key:
+                raise ValueError("disk entry key mismatch")
+            labels = np.ascontiguousarray(data["labels"])
+            if digest_arrays({"labels": labels}) != meta["labels_digest"]:
+                raise ValueError("disk entry payload digest mismatch")
+            diag: Dict[str, Any] = meta["diag_scalars"]
+            for name, value in data.items():
+                if name.startswith("diag_"):
+                    diag[name[len("diag_"):]] = np.ascontiguousarray(value)
+        except (OSError, ValueError) as exc:
             with self._lock:
                 self.stats.disk_corrupt += 1
             self._discard_corrupt(path, exc)

@@ -19,7 +19,7 @@ class TestExitCodes:
     def test_violations_exit_nonzero(self, capsys):
         assert lint_main([str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "LOOP001" in out and "VAL001" in out
+        assert "LOOP001" in out and "ASSERT001" in out
 
     def test_clean_file_exits_zero(self, capsys):
         clean = FIXTURES / "repro" / "clean_ok.py"
@@ -35,7 +35,9 @@ class TestExitCodes:
         assert "no such file" in capsys.readouterr().err
 
     def test_deleted_codes_exit_two(self, capsys):
-        for code in ("SM001", "ASYNC002", "SPMD001", "ASYNC001", "ARR001"):
+        for code in (
+            "SM001", "ASYNC002", "SPMD001", "ASYNC001", "ARR001", "VAL001",
+        ):
             assert lint_main(["--select", code, str(SERVICE_FIXTURES)]) == 2
             assert code in capsys.readouterr().err
 
@@ -56,20 +58,20 @@ class TestExitCodes:
 
 class TestOptions:
     def test_select_narrows_output(self, capsys):
-        assert lint_main(["--select", "VAL001", str(FIXTURES)]) == 1
+        assert lint_main(["--select", "ASSERT001", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "VAL001" in out and "LOOP001" not in out
+        assert "ASSERT001" in out and "LOOP001" not in out
 
     def test_ignore_drops_rule(self, capsys):
-        lint_main(["--ignore", "VAL001", str(FIXTURES)])
-        assert "VAL001" not in capsys.readouterr().out
+        lint_main(["--ignore", "ASSERT001", str(FIXTURES)])
+        assert "ASSERT001" not in capsys.readouterr().out
 
     def test_json_format(self, capsys):
         assert lint_main(["--format", "json", str(FIXTURES)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 1
-        assert payload["count"] == payload["summary"]["VAL001"] + sum(
-            n for c, n in payload["summary"].items() if c != "VAL001"
+        assert payload["count"] == payload["summary"]["ASSERT001"] + sum(
+            n for c, n in payload["summary"].items() if c != "ASSERT001"
         )
         assert {d["code"] for d in payload["diagnostics"]} == set(
             payload["summary"]
@@ -77,9 +79,13 @@ class TestOptions:
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in ("ASSERT001", "VAL001", "LOOP001", "TIME001"):
-            assert code in out
+        listed = [
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+        ]
+        assert listed == [
+            "ASSERT001", "LOOP001", "PERF001", "PERF002", "PERF003",
+            "PERF005", "TIME001",
+        ]
 
     def test_list_rules_matches_the_documented_catalogue(self, capsys):
         import re
@@ -131,21 +137,24 @@ class TestOptions:
 
 
 class TestPerfFlag:
-    def test_perf_flag_finds_seeded_violations(self, capsys):
-        assert lint_main(["--perf", str(PERF_FIXTURES)]) == 1
+    """The PERF rules need no flag: a plain run applies them, and the
+    flags that once steered them are usage errors."""
+
+    def test_default_run_finds_seeded_violations(self, capsys):
+        assert lint_main([str(PERF_FIXTURES)]) == 1
         out = capsys.readouterr().out
         for code in ("PERF001", "PERF002", "PERF003", "PERF005"):
             assert code in out
 
-    def test_without_flag_fixtures_are_clean(self, capsys):
-        # PERF rules are opt-in; the default engine must not fire
-        assert lint_main([str(PERF_FIXTURES)]) == 0
-
-    def test_list_rules_includes_perf_family(self, capsys):
-        lint_main(["--list-rules"])
-        out = capsys.readouterr().out
-        for code in ("PERF001", "PERF002", "PERF003", "PERF005"):
-            assert code in out
+    @pytest.mark.parametrize(
+        "argv", [["--perf"], ["--trace-json", "trace.json"]],
+        ids=["--perf", "--trace-json"],
+    )
+    def test_perf_and_trace_json_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main([*argv, str(PERF_FIXTURES)])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
     def test_kernel_audit_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -160,50 +169,11 @@ class TestPerfFlag:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_perf_library_lints_clean(self, capsys):
-        """Acceptance: `repro-lint --perf src/repro` exits 0 on the
-        shipped tree: any PERF finding fails."""
-        root = Path(__file__).resolve().parents[2]
-        assert lint_main(["--perf", str(root / "src" / "repro")]) == 0
-        assert "no issues found" in capsys.readouterr().out
-
-
-class TestTraceRanking:
-    def _make_trace(self, tmp_path):
-        from repro.obs.report import RunReport
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-        with tracer.span("partition"):
-            with tracer.span("refine"):
-                pass
-        report = RunReport.from_run(tracer)
-        path = tmp_path / "trace.json"
-        report.save(path)
-        return path
-
-    def test_trace_json_annotates_hot_findings(self, tmp_path, capsys):
-        trace = self._make_trace(tmp_path)
-        code = lint_main([
-            "--perf", "--select", "PERF002",
-            "--trace-json", str(trace), str(PERF_FIXTURES),
-        ])
-        assert code == 1
-        # loop_alloc.py lives in repro.partition — covered by the
-        # refine span hint, so its findings carry hot markers
-        assert "[hot: " in capsys.readouterr().out
-
-    def test_missing_trace_exits_two(self, tmp_path, capsys):
-        assert lint_main([
-            "--perf", "--trace-json", str(tmp_path / "nope.json"),
-            str(PERF_FIXTURES),
-        ]) == 2
-        assert "trace" in capsys.readouterr().err.lower()
-
 
 class TestMetaSelfClean:
     def test_library_lints_clean(self, capsys):
-        """`repro-lint src/repro` must exit 0 on the shipped tree."""
+        """`repro-lint src/repro` must exit 0 on the shipped tree: any
+        finding of any rule, PERF included, fails."""
         assert lint_main([str(LIBRARY)]) == 0
         assert "no issues found" in capsys.readouterr().out
 

@@ -1,9 +1,9 @@
-"""The PERF rule family: per-rule cases, profile ranking, and golden
-output over the seeded fixture package.
+"""The PERF rules: per-rule cases and golden output over the seeded
+fixture package.
 
 ``perf_fixtures/`` mimics a ``repro/`` package root (the PERF rules
 are scoped to the numeric modules); the JSON and SARIF renderings of
-the full ``--perf`` run over it are pinned as golden files.
+a plain run over it, every rule included, are pinned as golden files.
 """
 
 import dataclasses
@@ -11,18 +11,8 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.engine import LintEngine, all_rules
-from repro.analysis.perf import (
-    SPAN_MODULE_HINTS,
-    HotSpot,
-    PerfRule,
-    hotness_of,
-    load_self_times,
-    module_hotness,
-    rank_diagnostics,
-)
+from repro.analysis.perf import PerfRule
 from repro.analysis.reporters import as_json_payload, as_sarif_payload
 
 FIXDIR = Path(__file__).parent / "perf_fixtures"
@@ -30,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def analyze(source, module="repro.core.m", path="m.py", **kwargs):
-    engine = LintEngine(families=("perf",), **kwargs)
+    engine = LintEngine(**kwargs)
     return engine.lint_source(
         textwrap.dedent(source), module=module, path=path
     )
@@ -212,88 +202,17 @@ class TestSelectIgnore:
         assert codes(self.SRC, ignore=["PERF002"]) == ["PERF001"]
 
     def test_rules_registered(self):
-        perf = [r for r in all_rules("perf") if isinstance(r, PerfRule)]
+        perf = [r for r in all_rules() if isinstance(r, PerfRule)]
         assert [r.code for r in perf] == [
             "PERF001", "PERF002", "PERF003", "PERF005",
         ]
-        assert not set(perf) & set(LintEngine().rules)
-
-
-class TestProfileRanking:
-    TIMES = {
-        "run": 0.0,
-        "run/global-search": 5.0,
-        "run/global-search/search": 120.0,
-        "run/fit/partition/refine": 900.0,
-        "run/unknown-span": 50.0,
-    }
-
-    def test_module_hotness_uses_max_span(self):
-        hot = module_hotness(self.TIMES)
-        cs = hot["repro.core.contact_search"]
-        assert cs.span_path == "run/global-search/search"
-        assert cs.self_ms == 120.0
-        assert hot["repro.partition"].self_ms == 900.0
-
-    def test_hotness_of_covers_submodules(self):
-        hot = module_hotness(self.TIMES)
-        spot = hotness_of("repro.partition.refine_fm", hot)
-        assert spot is not None and spot.self_ms == 900.0
-        assert hotness_of("repro.obs.tracer", hot) is None
-
-    def test_rank_orders_hot_first_and_annotates(self):
-        from repro.analysis.engine import Diagnostic
-
-        cold = Diagnostic(
-            path="src/repro/mesh/io.py", line=1, col=1,
-            code="PERF001", message="m",
-        )
-        hot = Diagnostic(
-            path="src/repro/partition/refine_fm.py", line=9, col=1,
-            code="PERF001", message="m",
-        )
-        ranked = rank_diagnostics([cold, hot], self.TIMES)
-        assert ranked[0].path.endswith("refine_fm.py")
-        assert "[hot: run/fit/partition/refine self=900.0ms]" in (
-            ranked[0].message
-        )
-        assert ranked[1].message == "m"  # cold findings unannotated
-
-    def test_span_hints_name_real_modules(self):
-        import importlib
-
-        for spans, prefixes in SPAN_MODULE_HINTS.items():
-            for prefix in prefixes:
-                head = prefix.rsplit(".", 1)[0]
-                assert importlib.import_module(head)
-
-    def test_load_self_times_round_trip(self, tmp_path):
-        from repro.obs.report import RunReport
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        report = RunReport.from_run(tracer)
-        path = tmp_path / "trace.json"
-        report.save(path)
-        times = load_self_times(path)
-        assert set(times) == {"run", "run/outer", "run/outer/inner"}
-        assert times["run/outer"] == pytest.approx(
-            report.span_self("outer") * 1e3
-        )
-
-    def test_load_self_times_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "nope"}')
-        with pytest.raises(ValueError):
-            load_self_times(bad)
+        # every run includes them: there is no opt-in rule set
+        assert set(perf) <= set(LintEngine().rules)
 
 
 class TestGoldenFixtures:
     def _normalized(self):
-        diags = LintEngine(families=("perf",)).lint_paths([FIXDIR])
+        diags = LintEngine().lint_paths([FIXDIR])
         return sorted(
             dataclasses.replace(d, path=Path(d.path).name) for d in diags
         )
@@ -317,7 +236,7 @@ class TestGoldenFixtures:
 
     def test_real_tree_is_clean(self):
         root = Path(__file__).resolve().parents[2]
-        diags = LintEngine(families=("perf",)).lint_paths(
+        diags = LintEngine().lint_paths(
             [root / "src" / "repro"]
         )
         assert diags == []

@@ -16,7 +16,7 @@ from repro.analysis.reporters import (
 
 DIAGS = [
     Diagnostic("a.py", 1, 0, "LOOP001", "first"),
-    Diagnostic("a.py", 9, 4, "VAL001", "second"),
+    Diagnostic("a.py", 9, 4, "ASSERT001", "second"),
     Diagnostic("b.py", 2, 0, "LOOP001", "third"),
 ]
 
@@ -29,7 +29,7 @@ class TestHumanReporter:
         out = format_human(DIAGS)
         lines = out.splitlines()
         assert lines[0] == "a.py:1:0: LOOP001 first"
-        assert lines[-1] == "repro-lint: 3 issues (LOOP001: 2, VAL001: 1)"
+        assert lines[-1] == "repro-lint: 3 issues (ASSERT001: 1, LOOP001: 2)"
 
     def test_singular_issue(self):
         out = format_human(DIAGS[:1])
@@ -42,7 +42,7 @@ class TestJsonReporter:
         assert set(payload) == {"version", "count", "summary", "diagnostics"}
         assert payload["version"] == JSON_SCHEMA_VERSION
         assert payload["count"] == 3
-        assert payload["summary"] == {"LOOP001": 2, "VAL001": 1}
+        assert payload["summary"] == {"ASSERT001": 1, "LOOP001": 2}
 
     def test_diagnostic_entries(self):
         payload = as_json_payload(DIAGS)
@@ -69,8 +69,8 @@ class TestJsonReporter:
 class TestStatistics:
     def test_per_code_counts_and_total(self):
         lines = format_statistics(DIAGS).splitlines()
-        assert lines[0].split()[:2] == ["2", "LOOP001"]
-        assert lines[1].split()[:2] == ["1", "VAL001"]
+        assert lines[0].split()[:2] == ["1", "ASSERT001"]
+        assert lines[1].split()[:2] == ["2", "LOOP001"]
         assert lines[-1].split() == ["3", "total"]
 
     def test_known_codes_carry_descriptions(self):
@@ -104,7 +104,7 @@ class TestSarifReporter:
     def test_rules_metadata_covers_present_codes(self):
         log = as_sarif_payload(DIAGS)
         rules = log["runs"][0]["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["LOOP001", "VAL001"]
+        assert [r["id"] for r in rules] == ["ASSERT001", "LOOP001"]
         assert all("shortDescription" in r for r in rules)
 
     def test_e999_gets_fallback_metadata(self):

@@ -6,8 +6,6 @@ one that must stay clean (including module-scoping negatives).
 
 import textwrap
 
-import pytest
-
 from repro.analysis.engine import LintEngine
 
 
@@ -35,33 +33,6 @@ class TestASSERT001:
                 return x
         """
         assert lint(src, "repro.core.foo", ["ASSERT001"]) == []
-
-
-class TestVAL001:
-    def test_flags_unvalidated_entry_point(self):
-        src = "def partition_kway(graph, k, options=None):\n    return None\n"
-        assert lint(src, "repro.partition.kway", ["VAL001"]) == ["VAL001"]
-
-    def test_passes_when_validated(self):
-        src = """
-            from repro.utils.validation import check_csr_arrays
-            def partition_kway(graph, k, options=None):
-                check_csr_arrays(graph)
-                return None
-        """
-        assert lint(src, "repro.partition.kway", ["VAL001"]) == []
-
-    def test_only_designated_functions(self):
-        src = "def _helper(graph):\n    return None\n"
-        assert lint(src, "repro.partition.kway", ["VAL001"]) == []
-
-    def test_only_designated_modules(self):
-        src = "def partition_kway(graph, k):\n    return None\n"
-        assert lint(src, "repro.partition.refine_kway", ["VAL001"]) == []
-
-    def test_dtree_entry_points(self):
-        src = "def induce_pure_tree(points, labels, k):\n    return None\n"
-        assert lint(src, "repro.dtree.induction", ["VAL001"]) == ["VAL001"]
 
 
 class TestLOOP001:
@@ -104,23 +75,20 @@ class TestLOOP001:
 class TestRuleMetadata:
     def test_every_rule_has_pass_and_fail_coverage(self):
         # guard: a new rule must extend this file's coverage (the PERF
-        # family is covered by test_perf.py, TIME001 by
+        # rules are covered by test_perf.py, TIME001 by
         # test_asynccheck.py)
         from repro.analysis.engine import all_rules
 
-        covered = {"ASSERT001", "VAL001", "LOOP001"}
+        covered = {"ASSERT001", "LOOP001"}
         perf = {"PERF001", "PERF002", "PERF003", "PERF005"}
         assert {r.code for r in all_rules()} == covered | perf | {"TIME001"}
 
-    def test_opt_in_rules_skipped_by_default(self):
-        # only the core family runs by default: the PERF family must
-        # be asked for, by family or by --select
-        from repro.analysis.engine import LintEngine, all_rules
+    def test_default_run_applies_every_rule(self):
+        # no rule is opt-in: the PERF rules run with the others, and
+        # --select still narrows to any one of them
+        from repro.analysis.engine import all_rules
 
-        default_codes = {r.code for r in LintEngine().rules}
-        opt_in = {r.code for r in all_rules() if r.family != "core"}
-        assert opt_in == {"PERF001", "PERF002", "PERF003", "PERF005"}
-        assert not (default_codes & opt_in)
+        assert LintEngine().rules == all_rules()
         selected = LintEngine(select=["PERF001"]).rules
         assert {r.code for r in selected} == {"PERF001"}
 

@@ -1,9 +1,9 @@
 """TIME001's service fixture tree and its goldens, and the self-clean
 gate (the unit cases are in ``test_asynccheck.py``).
 
-TIME001 is a core rule that reads one module at a time; its fixture
-tree mimics ``repro/service`` because the service is where deadline
-arithmetic first lived.
+TIME001 is an ordinary rule that reads one module at a time; its
+fixture tree mimics ``repro/service`` because the service is where
+deadline arithmetic first lived.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ SERVICE_CODES = ("TIME001",)
 
 class TestRegistry:
     def test_every_issue_rule_is_registered(self):
-        assert get_rule("TIME001").family == "core"
+        assert get_rule("TIME001").code == "TIME001"
         assert "TIME001" in {r.code for r in LintEngine().rules}
 
     def test_select_and_ignore_narrow_the_rule_set(self):

@@ -246,6 +246,38 @@ class TestMalformedMeta:
         assert info.value.path == path
 
 
+def _members(**arrays):
+    out = io.BytesIO()
+    np.savez_compressed(out, **arrays)
+    return out.getvalue()
+
+
+class TestUnreadableArchive:
+    @pytest.mark.parametrize(
+        "blob, cause",
+        [
+            (b"", "EOFError"),
+            (b"PK\x03\x04" + bytes(60), "BadZipFile"),
+            (_members(part=np.zeros(3, dtype=np.int64)), "'meta'"),
+            (_members(meta=np.array("{}")), "'part'"),
+            (
+                _members(
+                    meta=np.array("{not json"),
+                    part=np.zeros(3, dtype=np.int64),
+                ),
+                "JSON|Expecting",
+            ),
+        ],
+        ids=["empty", "truncated", "no-meta", "no-part", "meta-not-json"],
+    )
+    def test_fails_typed_at_the_root(self, blob, cause):
+        """An archive that cannot be read is a SchemaError at ``$``
+        naming the cause, not an EOFError, BadZipFile or KeyError."""
+        with pytest.raises(SchemaError, match=cause) as info:
+            load_driver(io.BytesIO(blob))
+        assert info.value.path == "$"
+
+
 class TestCheckpointContentPinned:
     def test_contents_after_repartition_steps_unchanged(self, small_sequence):
         """A checkpoint carries labels and counters, never the graph or

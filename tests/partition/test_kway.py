@@ -30,6 +30,43 @@ class TestRecursiveBisection:
         with pytest.raises(ValueError, match="k must be"):
             recursive_bisection(grid_graph(3, 3), 0)
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (lambda x, a, w, v: (x + 1, a, w, v), "start at 0"),
+            (lambda x, a, w, v: (x, a[:-2], w[:-2], v), "xadj\\[-1\\]"),
+            (lambda x, a, w, v: (x, a, w, v[:-1]), "rows"),
+            (lambda x, a, w, v: (x, a, w, -v), "non-negative"),
+            (
+                lambda x, a, w, v: (np.r_[x[0], x[2], x[1:-2], x[-1]], a, w, v),
+                "non-decreasing",
+            ),
+        ],
+        ids=[
+            "offset-xadj", "xadj-past-adjncy", "short-vwgts",
+            "negative-vwgts", "decreasing-xadj",
+        ],
+    )
+    def test_malformed_graph_is_refused_at_k_one(self, broken, message):
+        """At k = 1 no bisection runs, so the entry check is the only
+        one: without it every malformed graph gets labels back."""
+        from repro.graph.csr import CSRGraph
+
+        g = grid_graph(4, 4)
+        bad = CSRGraph(*broken(g.xadj, g.adjncy, g.adjwgt, g.vwgts))
+        with pytest.raises(ValueError, match=message):
+            recursive_bisection(bad, 1)
+
+    def test_malformed_graph_object_is_refused_at_k_one(self):
+        """A namespace of arrays is checked before any attribute is
+        read: the CSR check's error, not AttributeError."""
+        g = grid_graph(4, 4)
+        bad = types.SimpleNamespace(
+            xadj=g.xadj + 1, adjncy=g.adjncy, adjwgt=g.adjwgt, vwgts=g.vwgts
+        )
+        with pytest.raises(ValueError, match="start at 0"):
+            recursive_bisection(bad, 1)
+
 
 class TestPartitionKway:
     @pytest.mark.parametrize("k", [2, 3, 5, 8])

@@ -1,12 +1,11 @@
 """Tests for heavy-edge matching."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.build import from_edge_list, grid_graph
-from repro.partition.matching import heavy_edge_matching, random_matching
+from repro.partition.matching import heavy_edge_matching
 
 
 def check_valid_matching(graph, cmap, n_coarse):
@@ -69,11 +68,4 @@ class TestHeavyEdgeMatching:
         weights = rng.integers(1, 10, size=m)
         g = from_edge_list(n, edges, weights=weights)
         cmap, nc = heavy_edge_matching(g, seed=seed)
-        check_valid_matching(g, cmap, nc)
-
-
-class TestRandomMatching:
-    def test_valid(self):
-        g = grid_graph(7, 7)
-        cmap, nc = random_matching(g, seed=0)
         check_valid_matching(g, cmap, nc)

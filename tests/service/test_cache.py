@@ -137,6 +137,25 @@ class TestResultCacheDisk:
         cache.clear()
         assert cache.get(key) is not None
 
+    @pytest.mark.parametrize(
+        "blob", [b"PK\x03\x04" + bytes(60), b""], ids=["truncated", "empty"]
+    )
+    def test_unreadable_archive_is_corrupt_not_a_crash(
+        self, snapshot, tmp_path, blob
+    ):
+        """A truncated or empty entry is a counted, removed miss, and
+        the next ``get`` is a plain miss rather than the same error."""
+        disk = str(tmp_path / "cache")
+        key = result_cache_key(snapshot, "mcml-dt", K, {})
+        cache = ResultCache(capacity=4, disk_dir=disk)
+        path = tmp_path / "cache" / f"{key}.npz"
+        path.write_bytes(blob)
+        assert cache.get(key) is None
+        assert cache.stats.disk_corrupt == 1
+        assert not path.exists()
+        assert cache.get(key) is None
+        assert (cache.stats.disk_corrupt, cache.stats.misses) == (1, 2)
+
     def test_disk_write_failure_keeps_memory_entry(
         self, fitted, tmp_path, monkeypatch
     ):
