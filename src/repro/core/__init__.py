@@ -34,7 +34,7 @@ from repro.core.local_search import (
     penetration_summary,
     resolve_candidates,
 )
-from repro.core.driver import ContactStepDriver, RecoveryPolicy, StepResult
+from repro.core.driver import ContactStepDriver, StepResult
 from repro.core.update import UpdateStrategy
 from repro.core.pipeline import (
     SequenceResult,
@@ -63,7 +63,6 @@ __all__ = [
     "penetration_summary",
     "resolve_candidates",
     "ContactStepDriver",
-    "RecoveryPolicy",
     "StepResult",
     "UpdateStrategy",
     "SequenceResult",

@@ -8,9 +8,8 @@ pickled code, so checkpoints are portable across library versions that
 keep the schema).
 
 Targets may be paths or binary file objects (:func:`dump_driver_bytes`
-writes bytes). The driver's step-level fault recovery
-(``docs/FAULT_TOLERANCE.md``) keeps its in-memory recovery point as a
-copy and writes a checkpoint only to its ``checkpoint_path``.
+writes bytes). The driver writes no checkpoint itself: a caller that
+wants one per step calls :func:`save_driver` after each ``step``.
 """
 
 from __future__ import annotations
@@ -244,10 +243,8 @@ def restore_driver_state(
     """Roll a *live* driver back to a checkpoint, in place.
 
     Restores the partition vector, the accumulated ledger totals and
-    the update-strategy phase, and makes them the driver's in-memory
-    recovery point (its ``checkpoint_path`` file is rewritten only by
-    the next good step). Configuration (``k``, params, backend, tracer)
-    and step history are left alone.
+    the update-strategy phase. Configuration (``k``, params, backend,
+    tracer) and step history are left alone.
     """
     meta, part = _read_checkpoint(source)
     if meta["k"] != driver.k:
@@ -270,7 +267,6 @@ def load_driver(
     totals carry over), matching what a restarted production run needs.
     ``backend`` selects the restarted run's execution backend (default:
     the usual resolution — checkpoints restore state, not placement).
-    The loaded state is the driver's first recovery point.
     """
     meta, part = _read_checkpoint(path)
     pm = meta["params"]

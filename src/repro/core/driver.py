@@ -30,20 +30,18 @@ content and checked against from-scratch recomputation in
 checkpointed, or needs invalidating: after a restore, a re-executed
 step or an out-of-order snapshot the comparison simply fails or holds.
 
-Fault tolerance (``docs/FAULT_TOLERANCE.md``): the driver keeps a
-recovery point, a copy of its last good state. When a step's execution
-backend fails unrecoverably
-(:class:`~repro.runtime.backends.base.BackendError`), the driver
-restores the recovery point and re-executes the step, so a faulted run
-ends bit-identical to a clean one. Tune or disable with
-:class:`RecoveryPolicy`.
+A step runs once. A lost worker is recovered inside the execution
+backend's session (``docs/FAULT_TOLERANCE.md``); any other failure,
+a :class:`~repro.runtime.backends.base.BackendError` included,
+propagates out of :meth:`ContactStepDriver.step` and leaves
+``history`` untouched. A caller that wants a restart point per step
+writes one with :func:`repro.core.checkpoint.save_driver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -58,33 +56,10 @@ from repro.core.weights import ContactGraphBuilder
 from repro.obs.tracer import TracerBase, ensure_tracer
 from repro.partition.repartition import diffusion_repartition
 from repro.runtime.backends import resolve_backend
-from repro.runtime.backends.base import BackendError, BackendLike
+from repro.runtime.backends.base import BackendLike
 from repro.runtime.ledger import CommLedger
 from repro.sim.sequence import ContactSnapshot
 from repro.utils.validation import check_finite
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Step-level fault recovery knobs.
-
-    ``max_step_retries``
-        How many times a failed step is restored-and-re-executed
-        before the :class:`BackendError` propagates. ``0`` disables
-        recovery (and recovery-point upkeep).
-    ``checkpoint_path``
-        ``None`` (default) keeps recovery points in memory only; a
-        path additionally leaves the last good state on disk as a
-        digest-verified schema-v2 checkpoint, so an operator can
-        restart the whole process from it with ``load_driver``.
-    """
-
-    max_step_retries: int = 1
-    checkpoint_path: Optional[Union[str, Path]] = None
-
-    def __post_init__(self) -> None:
-        if self.max_step_retries < 0:
-            raise ValueError("max_step_retries must be >= 0")
 
 
 @dataclass
@@ -119,7 +94,6 @@ class ContactStepDriver:
         resolve_local: bool = True,
         tracer: Optional[TracerBase] = None,
         backend: BackendLike = None,
-        recovery: Optional[RecoveryPolicy] = None,
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -135,12 +109,9 @@ class ContactStepDriver:
         self.graphs = ContactGraphBuilder()
         self.ledger = CommLedger()
         self.tracer = ensure_tracer(tracer)
-        self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self.history: List[StepResult] = []
         self._initialized = False
         self._steps_since_repartition = 0
-        self._recovery_point: Optional[Tuple[np.ndarray, CommLedger, int]]
-        self._recovery_point = None
 
     # ------------------------------------------------------------------
     def initialize(self, snapshot: ContactSnapshot) -> "ContactStepDriver":
@@ -148,20 +119,15 @@ class ContactStepDriver:
         self.partitioner.fit(snapshot, tracer=self.tracer)
         self._initialized = True
         self._steps_since_repartition = 0
-        self._save_recovery_point()
         return self
 
     def step(self, snapshot: ContactSnapshot) -> StepResult:
         """Run one contact-detection time step.
 
-        If the execution backend fails unrecoverably mid-step, the
-        driver restores its last recovery point and re-executes the
-        step (up to ``recovery.max_step_retries`` times). A failed
-        attempt never reaches ``history``, and the re-execution starts
-        from exactly the pre-step state, so a recovered run is
-        bit-identical to one that never faulted. A snapshot with a
-        non-finite contact-node coordinate raises :class:`ValueError`
-        before anything is computed or booked.
+        A snapshot with a non-finite contact-node coordinate raises
+        :class:`ValueError` before anything is computed or booked. A
+        step that raises (a :class:`BackendError` included) appends
+        nothing to ``history``.
         """
         if not self._initialized:
             raise RuntimeError("call initialize() before step()")
@@ -172,50 +138,19 @@ class ContactStepDriver:
             snapshot.mesh.nodes[snapshot.contact_nodes],
         )
         with self.tracer.span("step"):
-            result = self._step_with_recovery(snapshot)
+            result = self._step_traced(snapshot)
         self.history.append(result)
-        self._save_recovery_point()
         return result
 
-    def _step_with_recovery(self, snapshot: ContactSnapshot) -> StepResult:
-        attempt = 0
-        while True:
-            try:
-                return self._step_traced(snapshot)
-            except BackendError:
-                attempt += 1
-                point = self._recovery_point
-                if attempt > self.recovery.max_step_retries or point is None:
-                    raise
-                with self.tracer.span("recovery"):
-                    self.tracer.count("step_recoveries", 1)
-                    self._set_state(*point)
-
-    # -- recovery-point plumbing (docs/FAULT_TOLERANCE.md) -------------
     def _set_state(
         self, part: np.ndarray, ledger: CommLedger, steps: int
     ) -> None:
-        """Install the state a checkpoint holds — partition vector,
-        ledger, steps since the last repartition — and keep a copy of it
-        as the in-memory recovery point (the disk file is left alone)."""
+        """Install the state a checkpoint holds: partition vector,
+        ledger, steps since the last repartition."""
         self.partitioner.part = part
         self.ledger = ledger
         self._steps_since_repartition = steps
         self._initialized = True
-        self._save_recovery_point(to_disk=False)
-
-    def _save_recovery_point(self, to_disk: bool = True) -> None:
-        if self.recovery.max_step_retries < 1:
-            return
-        self._recovery_point = (
-            self.partitioner.part.copy(),
-            self.ledger.copy(),
-            self._steps_since_repartition,
-        )
-        if to_disk and self.recovery.checkpoint_path is not None:
-            from repro.core.checkpoint import save_driver
-
-            save_driver(self.recovery.checkpoint_path, self)
 
     def _step_traced(self, snapshot: ContactSnapshot) -> StepResult:
         tracer = self.tracer

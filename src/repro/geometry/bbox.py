@@ -92,13 +92,6 @@ def bboxes_intersect_matrix(
     return np.ascontiguousarray(hits.T)
 
 
-def box_contains_points(box: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Which of ``points`` lie inside ``box`` (inclusive)? ``bool[n]``."""
-    box = np.asarray(box, dtype=float)
-    points = np.asarray(points, dtype=float)
-    return ((points >= box[0]) & (points <= box[1])).all(axis=1)
-
-
 def box_volume(box: np.ndarray) -> float:
     """Volume (area in 2D) of a box; inverted boxes report 0."""
     box = np.asarray(box, dtype=float)

@@ -138,10 +138,6 @@ class Mesh:
             )
         return Mesh(nodes, self.elements, self.elem_type, self.body_id)
 
-    def translated(self, offset: np.ndarray) -> "Mesh":
-        """Rigid translation of all nodes."""
-        return self.with_nodes(self.nodes + np.asarray(offset, dtype=float))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Mesh({self.elem_type}, nodes={self.num_nodes}, "

@@ -1,12 +1,10 @@
-"""Element measures: areas, volumes, simple statistics.
+"""Element measures: areas and volumes.
 
-Used by tests (generated meshes must tile their bounding volume
-exactly) and by the Figure-3 per-snapshot statistics.
+Tests use them as an oracle: generated meshes must tile their bounding
+volume exactly.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -54,18 +52,3 @@ def element_measures(mesh: Mesh) -> np.ndarray:
             vols += np.abs(_tet_volumes(corners[:, tet]))
         return vols
     raise ValueError(f"unsupported element type {mesh.elem_type!r}")
-
-
-def mesh_stats(mesh: Mesh) -> Dict[str, float]:
-    """Summary statistics for reporting (Figure-3 style tables)."""
-    measures = element_measures(mesh)
-    return {
-        "num_nodes": float(mesh.num_nodes),
-        "num_elements": float(mesh.num_elements),
-        "total_measure": float(measures.sum()),
-        "min_measure": float(measures.min()) if len(measures) else 0.0,
-        "max_measure": float(measures.max()) if len(measures) else 0.0,
-        "num_bodies": float(len(np.unique(mesh.body_id)))
-        if mesh.num_elements
-        else 0.0,
-    }

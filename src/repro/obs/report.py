@@ -23,8 +23,8 @@ from repro.runtime.ledger import CommLedger
 MetaValue = Union[str, int, float, bool, None]
 PathLike = Union[str, Path]
 
-#: counters the fault-tolerant runtime emits (chaos harness, supervised
-#: sessions, driver step recovery — docs/FAULT_TOLERANCE.md)
+#: counters the fault-tolerant runtime emits (chaos harness and
+#: supervised sessions — docs/FAULT_TOLERANCE.md)
 RECOVERY_COUNTERS = (
     "faults_injected",
     "step_retries",
@@ -32,7 +32,6 @@ RECOVERY_COUNTERS = (
     "deadline_timeouts",
     "worker_respawns",
     "ranks_degraded",
-    "step_recoveries",
 )
 
 #: counters supervised sessions emit on the process and tcp backends
@@ -72,12 +71,6 @@ class RunReport:
         the root (0.0 when the span was never entered)."""
         node = self.spans.find(path)
         return node.total_s if node is not None else 0.0
-
-    def span_self(self, path: str) -> float:
-        """Exclusive wall seconds of the span at ``path`` — its total
-        net of direct children (0.0 when the span was never entered)."""
-        node = self.spans.find(path)
-        return node.self_s if node is not None else 0.0
 
     def comm_items(self, phase: str) -> int:
         """Items moved in a ledger phase (0 for unknown phases)."""

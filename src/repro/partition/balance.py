@@ -58,13 +58,6 @@ def violation(
     return total
 
 
-def is_feasible(
-    pwgts: np.ndarray, targets: np.ndarray, ubfactor: float
-) -> bool:
-    """True when every partition satisfies every constraint bound."""
-    return violation(pwgts, targets, ubfactor) <= 1e-12
-
-
 def violation_delta(
     pwgts: np.ndarray,
     vwgt: np.ndarray,

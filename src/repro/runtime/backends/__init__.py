@@ -9,7 +9,6 @@ per-rank spans surface in run reports).
 from repro.runtime.backends.base import (
     BACKEND_ENV,
     BACKEND_NAMES,
-    CHAOS_INNER_ENV,
     FAULT_PLAN_ENV,
     MAX_RETRIES_ENV,
     STEP_DEADLINE_ENV,
@@ -34,7 +33,6 @@ from repro.runtime.backends.thread import ThreadBackend
 __all__ = [
     "BACKEND_ENV",
     "BACKEND_NAMES",
-    "CHAOS_INNER_ENV",
     "FAULT_PLAN_ENV",
     "MAX_RETRIES_ENV",
     "STEP_DEADLINE_ENV",

@@ -86,8 +86,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: fault plan injected by the ``chaos`` backend (see
 #: :mod:`repro.runtime.faults` for the grammar)
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-#: execution backend the ``chaos`` backend wraps (default ``process``)
-CHAOS_INNER_ENV = "REPRO_CHAOS_INNER"
 #: per-superstep deadline (seconds) for the supervised (process/tcp) backends
 STEP_DEADLINE_ENV = "REPRO_STEP_DEADLINE"
 #: per-superstep retry budget for the supervised (process/tcp) backends
@@ -251,21 +249,6 @@ class SpmdSession:
 
     def _close(self) -> None:
         """Release backend resources (hook; base is a no-op)."""
-
-    # -- rollback hooks (used by the chaos harness) --------------------
-    def _state_snapshot(self) -> Any:
-        """Snapshot per-rank state so a failed step can be retried.
-
-        Sessions that cannot roll back return ``None`` (the default);
-        :meth:`_state_restore` then refuses the retry.
-        """
-        return None
-
-    def _state_restore(self, snapshot: Any) -> None:
-        """Restore a snapshot taken by :meth:`_state_snapshot`."""
-        raise BackendError(
-            f"{type(self).__name__} cannot roll back per-rank state"
-        )
 
     # ------------------------------------------------------------------
     def step(self, fn: StepFn, arg: Any = None) -> List[Any]:
@@ -655,7 +638,6 @@ def _backend_from_env() -> Optional[Backend]:
             for var in (
                 WORKERS_ENV,
                 FAULT_PLAN_ENV,
-                CHAOS_INNER_ENV,
                 STEP_DEADLINE_ENV,
                 MAX_RETRIES_ENV,
             )

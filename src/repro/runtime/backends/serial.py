@@ -8,7 +8,6 @@ makes their results bit-identical to serial execution.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.tracer import TracerBase
@@ -50,12 +49,6 @@ class SerialSession(SpmdSession):
             )
             for rank in range(self.size)
         ]
-
-    def _state_snapshot(self) -> Any:
-        return copy.deepcopy(self._states)
-
-    def _state_restore(self, snapshot: Any) -> None:
-        self._states = snapshot
 
     def _close(self) -> None:
         self._states = []

@@ -8,11 +8,13 @@ stream socket.  Everything that does not depend on where the peers come
 from lives here, once:
 
 * :class:`SupervisedSession` — the coordinator-side state machine
-  (``pending`` → ``remote`` | ``local`` | ``failed``): lazy open,
-  deadline dispatch with dead/hung classification, replacement of lost
-  peers + deterministic history replay, retry with backoff, degradation
-  to in-process serial execution, mid-run adoption of new peers, and
-  the rollback hooks of the chaos harness;
+  (``pending`` → ``remote`` | ``local``): lazy open, deadline dispatch
+  with dead/hung classification, replacement of lost peers +
+  deterministic history replay, retry with backoff, degradation to
+  in-process serial execution, and mid-run adoption of new peers.
+  It is the only place a failed superstep is retried: a lost worker
+  is the one fault a retry can cure, since a superstep that raised
+  raises again;
 * :func:`serve_commands` — the peer-side command loop;
 * :class:`Channel` and :class:`Peer` — one framed message each way,
   with byte accounting and reply validation;
@@ -31,7 +33,6 @@ are bit-identical to :class:`~repro.runtime.backends.serial.SerialBackend`.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import os
 import pickle
@@ -100,11 +101,10 @@ class SupervisorConfig:
     ``shutdown_grace_s`` / ``kill_grace_s``
         Shutdown escalation budget: graceful join, then ``terminate``
         with another ``shutdown_grace_s`` join, then ``kill``.
-    ``degrade``
-        After the retry budget is exhausted: ``True`` degrades the
-        session to in-process serial execution (``RuntimeWarning``,
-        ledger accounting preserved); ``False`` raises
-        :class:`BackendError`.
+
+    Once the retry budget is exhausted the session degrades to
+    in-process serial execution (``RuntimeWarning``, ledger accounting
+    preserved).
     """
 
     step_deadline_s: Optional[float] = None
@@ -114,7 +114,6 @@ class SupervisorConfig:
     backoff_factor: float = 2.0
     shutdown_grace_s: float = 5.0
     kill_grace_s: float = 1.0
-    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.step_deadline_s is not None and self.step_deadline_s <= 0:
@@ -411,7 +410,7 @@ class SupervisedSession(SpmdSession):
     step, replay — classifies unresponsive peers as dead or hung and
     feeds one retry loop: replace the lost peers, rebuild the session
     by deterministic history replay, retry; degrade to local execution
-    (or fail) when the retry budget runs out.
+    when the retry budget runs out.
     """
 
     def __init__(
@@ -433,7 +432,7 @@ class SupervisedSession(SpmdSession):
         )
         self._local_shared = read_only_shared(self._shared_input)
         self._trace = bool(getattr(self.tracer, "enabled", False))
-        self._mode = "pending"  # -> "remote" | "local" | "failed"
+        self._mode = "pending"  # -> "remote" | "local"
         self._owners: List[Tuple[Peer, List[int]]] = []
         self._rank_owner: Dict[int, str] = {}
         self._local_states: List[Dict[str, Any]] = []
@@ -645,10 +644,6 @@ class SupervisedSession(SpmdSession):
         self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
     ) -> List[RankOutcome]:
         noun = self._pool.peer_noun
-        if self._mode == "failed":
-            raise BackendError(
-                f"session lost its {noun}s and cannot continue"
-            )
         if self._mode == "local":
             return self._run_local(fn, arg, inboxes)
         try:
@@ -682,7 +677,8 @@ class SupervisedSession(SpmdSession):
                         # the pool could not be rebuilt (e.g. every
                         # agent is gone and nobody reconnected)
                         return self._surrender(
-                            loss, fn, arg, inboxes, exc
+                            loss, fn, arg, inboxes,
+                            f"the pool cannot be rebuilt: {exc}",
                         )
                     delay *= cfg.backoff_factor
                     # injected one-shot faults (chaos harness) fire on
@@ -712,11 +708,7 @@ class SupervisedSession(SpmdSession):
                     continue
                 return self._surrender(
                     loss, fn, arg, inboxes,
-                    BackendError(
-                        f"superstep lost {len(loss.peers)} {noun}(s) "
-                        f"({loss}) and the retry budget "
-                        f"({cfg.max_retries}) is exhausted"
-                    ),
+                    f"the retry budget ({cfg.max_retries}) is exhausted",
                 )
             self._history.append(
                 (
@@ -768,23 +760,19 @@ class SupervisedSession(SpmdSession):
         fn: StepFn,
         arg: Any,
         inboxes: List[List[Message]],
-        error: BackendError,
+        reason: str,
     ) -> List[RankOutcome]:
-        """The retry budget is exhausted (or the pool is beyond
-        rebuilding): leave the pool healthy for other sessions, then
-        finish the step in-process (``degrade``) or fail the session
-        with ``error``."""
+        """The retry budget is exhausted or the pool is beyond
+        rebuilding (``reason`` says which): leave the pool healthy for
+        other sessions, then finish the step in-process."""
         pool = self._pool
-        cfg = pool.supervisor
-        if cfg.degrade:
-            warnings.warn(
-                f"{pool.name} backend: {len(loss.peers)} "
-                f"{pool.peer_noun}(s) unrecoverable after "
-                f"{cfg.max_retries} retr(y/ies); the session degrades "
-                "to in-process serial execution.",
-                RuntimeWarning,
-                stacklevel=6,
-            )
+        warnings.warn(
+            f"{pool.name} backend: superstep lost {len(loss.peers)} "
+            f"{pool.peer_noun}(s) ({loss}) and {reason}; the session "
+            "degrades to in-process serial execution.",
+            RuntimeWarning,
+            stacklevel=6,
+        )
         with self.tracer.span("recovery"):
             self._count_loss(loss)
             lost = loss.peers
@@ -792,39 +780,11 @@ class SupervisedSession(SpmdSession):
             self.tracer.count("reconnects", pool.replace(lost))
             self._drop_remote_state(lost)
             self._leave_pool()
-            if cfg.degrade:
-                self.tracer.count("ranks_degraded", self.size)
-                self._mode = "local"
-                self._rebuild_local_states()
-            else:
-                self._mode = "failed"
-        if cfg.degrade:
-            return self._run_local(fn, arg, inboxes)
-        raise error from None
-
-    # -- rollback hooks (chaos harness) --------------------------------
-    def _state_snapshot(self) -> Any:
-        if self._mode == "local":
-            return ("local", copy.deepcopy(self._local_states))
-        return (self._mode, None)
-
-    def _state_restore(self, snapshot: Any) -> None:
-        kind, payload = snapshot
-        if self._mode == "local":
-            if kind == "local":
-                self._local_states = payload
-            else:
-                # the session went local mid-attempt (degrade or pickle
-                # fallback); rebuild rank state from the step history
-                self._rebuild_local_states()
-            return
-        if self._mode == "failed":
-            raise BackendError(
-                f"session lost its {self._pool.peer_noun}s and cannot "
-                "roll back"
-            )
-        # pending/remote: a failed attempt never commits peer state
-        # (recovery replays the successful history), nothing to restore
+            self.tracer.count("ranks_degraded", self.size)
+            self._mode = "local"
+            self._rebuild_local_states()
+        # an injected fault fired on the remote attempt already
+        return self._run_local(_disarm_step(fn), arg, inboxes)
 
     # ------------------------------------------------------------------
     def _close(self) -> None:

@@ -16,7 +16,7 @@ a key raises instead of racing the others.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, List, Mapping, Optional
 
 from repro.obs.tracer import TracerBase
@@ -35,8 +35,8 @@ from repro.runtime.ledger import CommLedger
 
 
 class ThreadSession(SerialSession):
-    """A :class:`SerialSession` (same per-rank state, same rollback)
-    whose ranks run on the backend's thread pool."""
+    """A :class:`SerialSession` (same per-rank state) whose ranks run
+    on the backend's thread pool."""
 
     def __init__(
         self,
@@ -59,21 +59,10 @@ class ThreadSession(SerialSession):
             )
             for rank in range(self.size)
         ]
-        # collect in rank order, but wait for *every* future before
-        # propagating the first failure — a retrying caller (the chaos
-        # harness) must never roll back state while a rank still runs
-        outcomes: List[Optional[RankOutcome]] = []
-        first_exc: Optional[BaseException] = None
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_exc is None:
-                    first_exc = exc
-                outcomes.append(None)
-        if first_exc is not None:
-            raise first_exc
-        return [out for out in outcomes if out is not None]
+        # every rank finishes before the first failure (in rank order)
+        # propagates, so no rank still runs once the caller sees it
+        wait(futures)
+        return [future.result() for future in futures]
 
 
 class ThreadBackend(Backend):

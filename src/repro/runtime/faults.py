@@ -1,19 +1,19 @@
 """Deterministic fault injection for the SPMD runtime (`chaos`).
 
-The chaos backend wraps a real execution backend and injects faults —
-kill / hang / slow — into a chosen rank at a chosen superstep,
-according to a :class:`FaultPlan`.  Each fault fires exactly once
-(first dispatch attempt of its superstep), *before* the rank's
-superstep function runs, so a retried or replayed step re-executes
-from clean state and the run's results stay bit-identical to an
-uninjected run:
+The chaos backend wraps a supervised worker pool (``process`` or
+``tcp``) and injects faults — kill / hang / slow — into a chosen rank
+at a chosen superstep, according to a :class:`FaultPlan`.  Each fault
+fires exactly once (first dispatch attempt of its superstep), *before*
+the rank's superstep function runs, so the supervised session's retry
+or replay re-executes from clean state and the run's results stay
+bit-identical to an uninjected run:
 
-* ``kill`` — on a process-pool worker the rank's process exits hard
+* ``kill`` — the worker or agent process running the rank exits hard
   (``os._exit``), exercising the supervised respawn/replay path of
-  :class:`~repro.runtime.backends.process.ProcessBackend`; in-process
-  (serial/thread, or the process backend's local fallback) it
-  raises :class:`InjectedFault`, exercising the chaos harness's own
-  snapshot/rollback retry.
+  :class:`~repro.runtime.backends.supervised.SupervisedSession`.  A
+  kill aimed at a rank the calling process runs itself (a session that
+  has degraded, or fell back for an unpicklable first step) does
+  nothing: there is no worker to lose.
 * ``hang`` — the rank sleeps (default 30 s), long enough to blow the
   supervisor's per-step deadline where one is configured.
 * ``slow`` — the rank sleeps briefly (default 10 ms) without failing;
@@ -25,9 +25,9 @@ like ``kill@2.1`` targets the third superstep *of the run*.  Use
 :meth:`ChaosBackend.reset` to restart the counter and re-arm a plan.
 
 Selection: ``--backend chaos`` / ``REPRO_BACKEND=chaos`` with the plan
-in ``$REPRO_FAULT_PLAN`` and the wrapped backend in
-``$REPRO_CHAOS_INNER`` (default ``process``).  See
-``docs/FAULT_TOLERANCE.md``.
+in ``$REPRO_FAULT_PLAN``; the wrapped pool is ``process`` unless
+``chaos://?inner=tcp://…`` or ``ChaosBackend(inner=…)`` names another.
+See ``docs/FAULT_TOLERANCE.md``.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.obs.tracer import TracerBase
 from repro.runtime.backends.base import (
-    CHAOS_INNER_ENV,
     FAULT_PLAN_ENV,
     Backend,
-    BackendError,
     BackendSpec,
     Message,
     RankOutcome,
@@ -52,6 +50,7 @@ from repro.runtime.backends.base import (
     StepFn,
     build_backend,
 )
+from repro.runtime.backends.supervised import SupervisedBackend
 from repro.runtime.ledger import CommLedger
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "ChaosStep",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFault",
 ]
 
 #: recognised fault kinds
@@ -71,11 +69,6 @@ DEFAULT_SECONDS = {"kill": 0.0, "hang": 30.0, "slow": 0.01}
 
 #: exit status of a killed worker (EX_SOFTWARE)
 KILL_EXIT_CODE = 70
-
-
-class InjectedFault(BackendError):
-    """An injected fault fired in the calling process (in-process
-    ``kill``); the chaos session rolls back and retries."""
 
 
 def _in_worker() -> bool:
@@ -181,18 +174,6 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 
 
-def _trigger(kind: str, seconds: float, rank: int, step: int) -> None:
-    if kind in ("hang", "slow"):
-        time.sleep(seconds)
-        return
-    # kind == "kill" (FaultSpec validated the kind)
-    if _in_worker():
-        os._exit(KILL_EXIT_CODE)
-    raise InjectedFault(
-        f"injected kill of rank {rank} at superstep {step}"
-    )
-
-
 class ChaosStep:
     """Picklable wrapper around one superstep: triggers this attempt's
     armed faults *before* running the wrapped function, so a faulted
@@ -225,7 +206,10 @@ class ChaosStep:
         fault = self.faults.get(ctx.rank)
         if fault is not None:
             kind, seconds = fault
-            _trigger(kind, seconds, ctx.rank, self.step_index)
+            if kind != "kill":
+                time.sleep(seconds)
+            elif _in_worker():
+                os._exit(KILL_EXIT_CODE)
         return self.fn(ctx, arg)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -245,10 +229,7 @@ class ChaosSession(SpmdSession):
 
     The inner session is driven through its ``_run_step`` hook (never
     its public ``step``), so routing/ledger/span merging happens
-    exactly once, here, and failed attempts never pollute the run.
-    In-process ``kill`` faults raise :class:`InjectedFault`; the
-    session rolls the inner per-rank state back to the pre-attempt
-    snapshot and retries with the fault disarmed.
+    exactly once, here.
     """
 
     def __init__(
@@ -269,47 +250,25 @@ class ChaosSession(SpmdSession):
         self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
     ) -> List[RankOutcome]:
         step_index = self._backend._next_step()
-        max_attempts = len(self._backend.plan.faults) + 1
-        attempt = 0
-        while True:
-            armed = (
-                self._backend._arm(step_index, self.size)
-                if attempt == 0
-                else {}
-            )
-            wrapped: StepFn = fn
-            if armed:
-                self.tracer.count("faults_injected", len(armed))
-                wrapped = ChaosStep(fn, step_index, armed)
-            snapshot = self._inner._state_snapshot()
-            try:
-                return self._inner._run_step(wrapped, arg, inboxes)
-            except InjectedFault:
-                attempt += 1
-                if attempt >= max_attempts:  # pragma: no cover - guard
-                    raise
-                with self.tracer.span("recovery"):
-                    self.tracer.count("step_retries", 1)
-                    self._inner._state_restore(snapshot)
-
-    def _state_snapshot(self) -> Any:
-        return self._inner._state_snapshot()
-
-    def _state_restore(self, snapshot: Any) -> None:
-        self._inner._state_restore(snapshot)
+        armed = self._backend._arm(step_index, self.size)
+        if armed:
+            self.tracer.count("faults_injected", len(armed))
+            fn = ChaosStep(fn, step_index, armed)
+        return self._inner._run_step(fn, arg, inboxes)
 
     def _close(self) -> None:
         self._inner.close()
 
 
 class ChaosBackend(Backend):
-    """Deterministic fault-injection harness around a real backend.
+    """Deterministic fault-injection harness around a worker pool.
 
     ``plan`` is a :class:`FaultPlan` (or its text form; default
-    ``$REPRO_FAULT_PLAN``); ``inner`` is a backend instance or spec
-    string (default ``$REPRO_CHAOS_INNER``, then ``process``).  Every
-    fault fires at most once; the backend keeps a *global* superstep
-    counter across all its sessions.
+    ``$REPRO_FAULT_PLAN``); ``inner`` is a supervised backend
+    (``process`` or ``tcp``) as an instance or spec string (default
+    ``process``); any other inner backend is a :class:`ValueError`.
+    Every fault fires at most once; the backend keeps a *global*
+    superstep counter across all its sessions.
     """
 
     name = "chaos"
@@ -325,15 +284,13 @@ class ChaosBackend(Backend):
         elif isinstance(plan, str):
             plan = FaultPlan.parse(plan)
         self.plan = plan
-        if inner is None:
-            inner = os.environ.get(CHAOS_INNER_ENV) or "process"
-        if isinstance(inner, str):
-            if BackendSpec.parse(inner).scheme == "chaos":
-                raise ValueError("chaos backend cannot wrap itself")
-            inner = build_backend(inner, workers)
-        elif isinstance(inner, ChaosBackend):
-            raise ValueError("chaos backend cannot wrap itself")
-        self.inner: Backend = inner
+        inner = build_backend(inner or "process", workers)
+        if not isinstance(inner, SupervisedBackend):
+            raise ValueError(
+                f"chaos backend wraps a worker pool (process or tcp), "
+                f"not {inner.name!r}: only a pool recovers a killed rank"
+            )
+        self.inner: SupervisedBackend = inner
         self._step_counter = 0
         self._fired: Set[int] = set()
 

@@ -3,9 +3,9 @@
 The serving layer over the unified
 :class:`~repro.core.partitioner.Partitioner` protocol (ROADMAP item 3).
 A :class:`~repro.service.engine.ServiceEngine` accepts versioned JSON
-job requests (``repro.service-job/2`` — :mod:`repro.service.schemas`),
-queues them on a bounded async queue with per-job deadlines and
-bounded-backoff retries (:mod:`repro.service.queue`), executes them on
+job requests (``repro.service-job/3`` — :mod:`repro.service.schemas`),
+queues them on a bounded async queue with per-job deadlines
+(:mod:`repro.service.queue`), executes each once on
 one resolved execution backend with single-flight coalescing and
 per-client token-bucket rate limiting (:mod:`repro.service.engine`),
 and caches every ``PartitionResult`` in a content-addressed LRU+disk
@@ -31,7 +31,6 @@ from repro.service.queue import (
     Job,
     JobQueue,
     QueueFullError,
-    RetryPolicy,
 )
 from repro.service.schemas import (
     JOB_KINDS,
@@ -52,7 +51,6 @@ __all__ = [
     "QueueFullError",
     "RateLimitedError",
     "ResultCache",
-    "RetryPolicy",
     "SCHEMA_VERSION",
     "ServiceEngine",
     "UnknownJobError",

@@ -49,8 +49,9 @@ __all__ = [
     "result_cache_key",
 ]
 
-#: bump when the on-disk entry layout changes
-_DISK_SCHEMA = 1
+#: bump when the on-disk entry layout changes (2: one digest over every
+#: array of the entry, so a lost ``diag_*`` member is caught too)
+_DISK_SCHEMA = 2
 
 #: the ``meta`` member of a disk entry; the arrays sit beside it
 _DISK_META = obj(
@@ -60,7 +61,7 @@ _DISK_META = obj(
         "method": string(),
         "k": integer(1),
         "diag_scalars": DIAGNOSTICS,
-        "labels_digest": string(),
+        "arrays_digest": string(),
     }
 )
 
@@ -261,7 +262,7 @@ class ResultCache:
             "method": entry.method,
             "k": entry.k,
             "diag_scalars": scalars,
-            "labels_digest": digest_arrays({"labels": entry.labels}),
+            "arrays_digest": digest_arrays(arrays),
         }
         path = self._path(key)
         tmp = f"{path}.tmp-{os.getpid()}-{threading.get_ident()}"
@@ -282,9 +283,10 @@ class ResultCache:
             meta = validate(_DISK_META, json.loads(str(data["meta"])))
             if meta["key"] != key:
                 raise ValueError("disk entry key mismatch")
-            labels = np.ascontiguousarray(data["labels"])
-            if digest_arrays({"labels": labels}) != meta["labels_digest"]:
+            del data["meta"]
+            if digest_arrays(data) != meta["arrays_digest"]:
                 raise ValueError("disk entry payload digest mismatch")
+            labels = np.ascontiguousarray(data.pop("labels"))
             diag: Dict[str, Any] = meta["diag_scalars"]
             for name, value in data.items():
                 if name.startswith("diag_"):

@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from repro.service.engine import EngineConfig, ServiceEngine
 from repro.service.http import ServiceServer
-from repro.service.queue import RetryPolicy
 
 __all__ = ["build_parser", "main"]
 
@@ -81,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-client burst size for the token bucket",
     )
     parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retries per failed job attempt",
-    )
-    parser.add_argument(
         "--job-history",
         type=int,
         default=1024,
@@ -116,7 +109,6 @@ def config_from_args(args: argparse.Namespace) -> EngineConfig:
         backend=args.backend,
         rate_per_s=args.rate,
         rate_burst=args.burst,
-        retry=RetryPolicy(max_retries=args.max_retries),
         job_history=args.job_history,
         mesh_root=args.mesh_root,
     )

@@ -53,7 +53,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -72,7 +72,7 @@ from repro.runtime.backends import build_backend
 from repro.runtime.backends.base import Backend
 from repro.runtime.ledger import CommLedger, PhaseTotals
 from repro.service.cache import ResultCache, result_cache_key
-from repro.service.queue import Job, JobQueue, RetryPolicy
+from repro.service.queue import Job, JobQueue
 from repro.service.schemas import (
     OPTIONS_KEYS,
     SCHEMA_VERSION,
@@ -167,9 +167,6 @@ class EngineConfig:
         Bound on distinct per-client buckets kept in memory; beyond it
         refilled (idle) buckets are dropped first, then the stalest —
         arbitrary client strings cannot grow the service without bound.
-    ``retry``
-        Bounded-backoff retry policy for failed job attempts
-        (SupervisorConfig semantics).
     ``job_history``
         Bound on retained job records; the oldest *terminal* records
         beyond it are evicted (their ids then 404 on lookup).
@@ -189,7 +186,6 @@ class EngineConfig:
     rate_per_s: float = 0.0
     rate_burst: int = 8
     rate_clients_max: int = 1024
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     job_history: int = 1024
     mesh_root: Optional[str] = None
 
@@ -316,7 +312,6 @@ class ServiceEngine:
         self.steps_total = 0
         self.coalesced_total = 0
         self.rate_limited_total = 0
-        self.retries_total = 0
         self._workers: List["asyncio.Task[None]"] = []
         self._buckets: Dict[str, _TokenBucket] = {}
         self._inflight: Dict[str, Job] = {}
@@ -566,7 +561,6 @@ class ServiceEngine:
             "steps_total": self.steps_total,
             "coalesced_total": self.coalesced_total,
             "rate_limited_total": self.rate_limited_total,
-            "retries_total": self.retries_total,
             "queue_submitted": self.queue.submitted,
             "queue_rejected": self.queue.rejected,
             "queue_expired": self.queue.expired,
@@ -608,47 +602,30 @@ class ServiceEngine:
             except Exception as exc:  # last resort: fail the job, not the worker
                 if not job.terminal:
                     job.error = f"internal error: {exc}"
-                    if job.state == "queued":  # raised during a retry's backoff
-                        job.transition("running")
                     job.transition("failed")
                 self._settle(job)
 
     async def _run_job(self, job: Job) -> None:
-        loop = asyncio.get_event_loop()
-        policy = self.config.retry
-        while True:
-            if job.terminal:  # cancelled/expired before a worker got it
-                break
-            if job.expired():
-                self.queue.mark_expired(job)
-                break
+        """One attempt: the job's work is deterministic, so an attempt
+        that raised would raise again (a lost worker is recovered
+        inside the execution backend's session)."""
+        if not job.terminal:  # else cancelled/expired before a worker got it
             job.transition("running")
             try:
-                payload = await loop.run_in_executor(
+                payload = await asyncio.get_event_loop().run_in_executor(
                     None, self._execute, job
                 )
             except Exception as exc:
                 job.error = str(exc) or type(exc).__name__
-                if job.terminal:  # cancelled mid-attempt
-                    break
-                if job.expired():
-                    self.queue.mark_expired(job)
-                    break
-                if job.retries >= policy.max_retries:
-                    job.transition("failed")
-                    break
-                delay = policy.delay(job.retries)
-                job.retries += 1
-                self.retries_total += 1
-                job.transition("queued")
-                await asyncio.sleep(delay)
-                continue
-            if job.terminal:  # cancelled mid-attempt; drop the payload
-                break
-            job.result = payload
-            job.error = None
-            job.transition("done")
-            break
+                if not job.terminal:  # else cancelled mid-attempt
+                    if job.expired():
+                        self.queue.mark_expired(job)
+                    else:
+                        job.transition("failed")
+            else:
+                if not job.terminal:  # else cancelled mid-attempt: drop it
+                    job.result = payload
+                    job.transition("done")
         self._settle(job)
 
     def _settle(self, job: Job) -> None:
@@ -690,7 +667,6 @@ class ServiceEngine:
                 follower.error = (
                     f"coalesced leader {job.id} failed: {job.error}"
                 )
-                follower.retries = job.retries
                 follower.transition("running")
                 follower.transition("failed")
 

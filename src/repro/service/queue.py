@@ -1,18 +1,17 @@
-"""The bounded async job queue: admission, deadlines, retries.
+"""The bounded async job queue: admission and deadlines.
 
 The queue is the engine's pressure valve.  Submissions beyond
 ``maxsize`` fail fast with :class:`QueueFullError` (the HTTP layer
 turns that into ``503``) instead of buffering unboundedly; each
 :class:`Job` carries an absolute ``time.monotonic()`` deadline (from
-the request's ``deadline_s``) that is checked both before a worker starts
-the job and while it retries, so stale work is dropped as ``expired``
-rather than executed late.
+the request's ``deadline_s``) that is checked before a worker starts
+the job and when its attempt ends, so stale work is dropped as
+``expired`` rather than executed or answered late.
 
-Retries reuse the :class:`~repro.runtime.backends.supervised.SupervisorConfig`
-semantics verbatim — ``max_retries`` attempts after the first, with
-exponential backoff ``backoff_base_s * backoff_factor**n`` — via the
-standalone :class:`RetryPolicy` so the service and the SPMD runtime
-share one retry vocabulary.
+A job runs once: its work is a deterministic function of the request,
+so an attempt that raised would raise again.  The one fault a retry
+can cure, a lost worker, is recovered inside the execution backend's
+supervised session.
 
 Jobs are plain mutable records; all state transitions go through
 :meth:`Job.transition` which enforces the legal state machine
@@ -40,13 +39,12 @@ __all__ = [
     "JobQueue",
     "LatencyHistogram",
     "QueueFullError",
-    "RetryPolicy",
 ]
 
 #: legal state-machine edges (see module docstring)
 _TRANSITIONS = {
     "queued": ("running", "cancelled", "expired"),
-    "running": ("done", "failed", "expired", "cancelled", "queued"),
+    "running": ("done", "failed", "expired", "cancelled"),
     "done": (),
     "failed": (),
     "cancelled": (),
@@ -61,38 +59,6 @@ class QueueFullError(RuntimeError):
 
 
 @dataclass
-class RetryPolicy:
-    """Bounded exponential backoff, SupervisorConfig-compatible.
-
-    ``max_retries`` retries after the initial attempt; retry ``n``
-    (0-based) sleeps ``backoff_base_s * backoff_factor**n``, capped at
-    ``backoff_cap_s``.
-    """
-
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-
-    def delay(self, retry: int) -> float:
-        """Backoff before 0-based retry number ``retry``."""
-        if retry < 0:
-            raise ValueError("retry index must be >= 0")
-        return min(
-            self.backoff_base_s * self.backoff_factor ** retry,
-            self.backoff_cap_s,
-        )
-
-
-@dataclass
 class Job:
     """One submitted unit of work and its full lifecycle record."""
 
@@ -101,7 +67,6 @@ class Job:
     submitted_s: float
     deadline_s: Optional[float] = None  # absolute time.monotonic() deadline
     state: str = "queued"
-    retries: int = 0
     error: Optional[str] = None
     started_s: Optional[float] = None
     finished_s: Optional[float] = None
@@ -149,7 +114,7 @@ class Job:
                 self.on_terminal(self)
 
     def record(self) -> Dict[str, Any]:
-        """The job as a ``repro.service-job/2`` record document."""
+        """The job as a ``repro.service-job/3`` record document."""
         return {
             "schema": SCHEMA_VERSION,
             "id": self.id,
@@ -158,7 +123,6 @@ class Job:
             "client": self.request["client"],
             "cache": self.cache,
             "coalesced": self.coalesced,
-            "retries": self.retries,
             "error": self.error,
             "submitted_s": self.submitted_s,
             "started_s": self.started_s,
@@ -335,8 +299,8 @@ class JobQueue:
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a non-terminal job; ``False`` when unknown or
-        already terminal.  Running jobs finish their current attempt
-        but stop retrying."""
+        already terminal.  A running job finishes its attempt, whose
+        result is then discarded."""
         job = self._jobs.get(job_id)
         if job is None or job.terminal:
             return False

@@ -1,6 +1,7 @@
-"""The service-job JSON documents (``repro.service-job/2``: version 1
-plus the record's ``result``), declared as :data:`REQUEST`,
-:data:`RECORD` and :data:`RESULT`; ``docs/SERVICE.md`` has the grammar.
+"""The service-job JSON documents (``repro.service-job/3``: version 1
+plus the record's ``result``, less its ``retries``), declared as
+:data:`REQUEST`, :data:`RECORD` and :data:`RESULT`; ``docs/SERVICE.md``
+has the grammar.
 :func:`validate_job_request` returns a *normalised copy* with defaults
 filled in, so downstream code never branches on missing keys.
 """
@@ -15,7 +16,7 @@ from repro.utils.schema import SchemaError, Spec, array, boolean, choice
 from repro.utils.schema import const, integer, mapping, nullable, number, obj
 from repro.utils.schema import scalar, string, tagged, validate
 
-SCHEMA_VERSION = "repro.service-job/2"
+SCHEMA_VERSION = "repro.service-job/3"
 
 JOB_KINDS = ("partition", "contact-step")
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "expired")
@@ -159,7 +160,7 @@ RECORD = obj(
         "schema": _TAG, "id": string(), "state": choice(*JOB_STATES),
         "kind": choice(*JOB_KINDS), "client": string(),
         "cache": nullable(choice(*CACHE_STATES)), "coalesced": boolean(),
-        "retries": integer(0), "error": nullable(string()),
+        "error": nullable(string()),
         "submitted_s": number(), "started_s": nullable(number()),
         "finished_s": nullable(number()), "request": REQUEST,
         "result": RESULT,

@@ -18,13 +18,12 @@ import numpy as np
 
 from repro.mesh.generators import merge_meshes, structured_quad_mesh
 from repro.mesh.mesh import Mesh
-from repro.mesh.surface import FaceTable, boundary_faces
+from repro.mesh.surface import FaceTable
 from repro.obs.tracer import TracerBase
 from repro.sim.motion import ProjectileKinematics
 from repro.sim.sequence import (
     MeshSequence,
     Near,
-    contact_surface,
     snapshot_sequence,
 )
 from repro.utils.validation import check_positive
@@ -145,15 +144,6 @@ class Impact2DSimulator:
 def _within_halfwidth(capture_halfwidth: float) -> Near:
     """Edge midpoint within ``capture_halfwidth`` of the punch axis."""
     return lambda mid: np.abs(mid[:, 0]) <= capture_halfwidth
-
-
-def extract_contact_surface_2d(
-    mesh: Mesh, capture_halfwidth: float, punch_body: int = 0
-) -> tuple:
-    """Contact edges: all punch boundary edges + bar boundary edges
-    whose midpoint is within ``capture_halfwidth`` of the punch axis."""
-    near = _within_halfwidth(capture_halfwidth)
-    return contact_surface(mesh, *boundary_faces(mesh), punch_body, near)
 
 
 def simulate_impact_2d(

@@ -72,8 +72,3 @@ class ProjectileKinematics:
             zs[i + 1] = z
         # linear interpolation between the integer sub-steps
         return np.interp(times, np.arange(n_sub + 1, dtype=float), zs)
-
-    def tip_speed_at(self, time: float) -> float:
-        """Approximate speed at ``time`` (finite difference)."""
-        z = self.tip_at(np.array([time, time + 1.0]))
-        return float(z[0] - z[1])

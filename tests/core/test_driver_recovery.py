@@ -1,9 +1,11 @@
-"""Step-level recovery in the ContactStepDriver (the acceptance test).
+"""Fault recovery under the ContactStepDriver (the acceptance test).
 
-The contract under test: a chaos run that kills a rank — once per
-phase, or enough to defeat the runtime's own recovery — completes with
-partition labels, ledger, history, and final checkpoint bit-identical
-to an uninjected serial run, with the retries visible in the trace.
+The contract under test: a chaos run that kills a pool worker — once
+per phase, or often enough to spend the pool's retry budget —
+completes with partition labels, ledger, history, and final checkpoint
+bit-identical to an uninjected serial run. The pool's supervised
+session is the only layer that recovers; the driver steps once, and a
+:class:`BackendError` reaches its caller with ``history`` untouched.
 """
 
 import io
@@ -11,7 +13,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.core import ContactStepDriver, RecoveryPolicy
+from repro.core import ContactStepDriver
 from repro.core.checkpoint import (
     dump_driver_bytes,
     load_driver,
@@ -20,7 +22,11 @@ from repro.core.checkpoint import (
 )
 from repro.obs.report import RunReport
 from repro.obs.tracer import Tracer
-from repro.runtime.backends import BackendError, SupervisorConfig
+from repro.runtime.backends import (
+    BackendError,
+    SerialBackend,
+    SupervisorConfig,
+)
 from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.faults import ChaosBackend
 
@@ -39,6 +45,24 @@ def reference(snaps):
     driver = ContactStepDriver(K, backend="serial")
     driver.run(snaps)
     return driver
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """One supervised pool for the module (the default retry budget);
+    a ``ChaosBackend`` over it is not closed, which would close it."""
+    backend = ProcessBackend(
+        workers=2, supervisor=SupervisorConfig(backoff_base_s=0.01)
+    )
+    yield backend
+    backend.close()
+
+
+def _exhausted_pool():
+    """A pool whose first lost worker spends its whole retry budget."""
+    return ProcessBackend(
+        workers=2, supervisor=SupervisorConfig(max_retries=0)
+    )
 
 
 def _assert_equivalent(driver, reference):
@@ -68,112 +92,91 @@ def _counter_totals(tracer):
 
 
 class TestChaosAcceptance:
-    def test_kill_once_per_phase_is_bit_identical(self, snaps, reference):
-        """One injected kill in each early superstep window; the chaos
-        harness rolls back and retries, and the full driver run matches
-        the clean serial run bit for bit."""
+    def test_kill_once_per_phase_is_bit_identical(
+        self, snaps, reference, pool
+    ):
+        """One injected worker kill in each early superstep window; the
+        pool's session respawns, replays and retries, and the full
+        driver run matches the clean serial run bit for bit."""
         tracer = Tracer()
         chaos = ChaosBackend(
-            plan="kill@0.1,kill@1.0,kill@2.1,kill@3.0",
-            inner="serial",
+            plan="kill@0.1,kill@1.0,kill@2.1,kill@3.0", inner=pool
         )
         driver = ContactStepDriver(K, backend=chaos, tracer=tracer)
-        try:
-            driver.run(snaps)
-        finally:
-            chaos.close()
+        driver.run(snaps)
         _assert_equivalent(driver, reference)
         counters = _counter_totals(tracer)
         assert counters.get("faults_injected", 0) == 4
         assert counters.get("step_retries", 0) == 4
+        assert counters.get("worker_deaths", 0) == 4
 
-    def test_recovery_visible_in_run_report(self, snaps, reference):
+    def test_recovery_visible_in_run_report(self, snaps, reference, pool):
         tracer = Tracer()
-        chaos = ChaosBackend(plan="kill@1.0", inner="serial")
+        chaos = ChaosBackend(plan="kill@1.0", inner=pool)
         driver = ContactStepDriver(K, backend=chaos, tracer=tracer)
-        try:
-            driver.run(snaps)
-        finally:
-            chaos.close()
+        driver.run(snaps)
         report = RunReport.from_run(tracer, driver.ledger)
         totals = report.recovery_totals()
         assert totals.get("faults_injected") == 1
         assert totals.get("step_retries") == 1
+        assert totals.get("worker_deaths") == 1
         assert report.recovery_seconds() >= 0.0
         assert "Fault recovery" in report.render()
         # and the counters survive the JSON round-trip
         reloaded = RunReport.from_dict(report.to_dict())
         assert reloaded.recovery_totals() == totals
 
-
-class TestDriverCheckpointRecovery:
-    def test_backend_loss_restores_and_reruns(self, snaps, reference):
-        """An unsupervised pool (no retries, no degradation) loses its
-        workers to an injected kill; the BackendError reaches the
-        driver, which restores its recovery point and re-executes —
-        ending bit-identical to serial."""
+    def test_exhausted_pool_degrades_bit_identical(self, snaps, reference):
+        """A pool with no retry budget loses a worker; its session
+        finishes in-process with a RuntimeWarning, and the run still
+        ends bit-identical to serial: the session alone recovered it."""
         tracer = Tracer()
-        inner = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(max_retries=0, degrade=False),
-        )
-        chaos = ChaosBackend(plan="kill@1.0", inner=inner)
+        chaos = ChaosBackend(plan="kill@1.0", inner=_exhausted_pool())
         driver = ContactStepDriver(K, backend=chaos, tracer=tracer)
         try:
-            driver.run(snaps)
+            with pytest.warns(RuntimeWarning, match="degrades"):
+                driver.run(snaps)
         finally:
             chaos.close()
         _assert_equivalent(driver, reference)
         counters = _counter_totals(tracer)
-        assert counters.get("step_recoveries", 0) >= 1
+        assert counters.get("ranks_degraded", 0) > 0
         assert counters.get("worker_deaths", 0) >= 1
 
-    def test_recovery_point_is_isolated_from_live_state(
-        self, snaps, reference
-    ):
-        """The in-memory recovery point is a copy: after step 0 the
-        live partition vector is mutated in place and the live ledger
-        records a message, then step 1 loses a worker. The restore
-        brings back the values saved after step 0, not the mutated
-        ones, so the run still ends bit-identical to serial."""
-        tracer = Tracer()
-        inner = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(max_retries=0, degrade=False),
-        )
-        # supersteps 0 and 1 are step 0's exchange and search
-        chaos = ChaosBackend(plan="kill@2.0", inner=inner)
-        driver = ContactStepDriver(K, backend=chaos, tracer=tracer)
-        try:
-            driver.initialize(snaps[0])
-            driver.step(snaps[0])
-            part = driver.partitioner.part
-            part[: len(part) // 2] = 0
-            driver.ledger.record("contact-exchange", 0, 1, 999)
-            for snap in snaps[1:]:
-                driver.step(snap)
-        finally:
-            chaos.close()
-        assert _counter_totals(tracer).get("step_recoveries") == 1
-        _assert_equivalent(driver, reference)
+
+class _LostBackend(SerialBackend):
+    """A backend whose every session fails as a lost pool would."""
+
+    def open_session(self, size, ledger=None, tracer=None, shared=None):
+        raise BackendError("pool lost")
+
+
+class TestDriverCheckpointRecovery:
+    def test_backend_error_propagates(self, snaps):
+        """The driver steps once: a BackendError reaches the caller and
+        the failed step appends nothing to ``history``."""
+        driver = ContactStepDriver(K, backend="serial")
+        driver.initialize(snaps[0])
+        driver.step(snaps[0])
+        driver.backend = _LostBackend()
+        with pytest.raises(BackendError, match="pool lost"):
+            driver.step(snaps[1])
+        assert len(driver.history) == 1
 
     def test_loaded_driver_recovers_its_first_step(self, snaps, reference):
-        """``load_driver`` makes the loaded state the first recovery
-        point, so a worker lost in the restarted run's first step is
-        recovered rather than propagated."""
+        """A driver restarted with ``load_driver`` loses a worker in its
+        first step; the pool's session degrades and the run continues
+        where a clean one does."""
         first = ContactStepDriver(K, backend="serial")
         first.initialize(snaps[0])
         first.step(snaps[0])
-        inner = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(max_retries=0, degrade=False),
-        )
-        chaos = ChaosBackend(plan="kill@0.0", inner=inner)
+        chaos = ChaosBackend(plan="kill@0.0", inner=_exhausted_pool())
         driver = load_driver(
             io.BytesIO(dump_driver_bytes(first)), backend=chaos
         )
         try:
-            history = [driver.step(snap) for snap in snaps[1:]]
+            with pytest.warns(RuntimeWarning, match="degrades"):
+                history = [driver.step(snap) for snap in snaps[1:]]
         finally:
             chaos.close()
         assert [r.candidates for r in history] == [
@@ -183,84 +186,6 @@ class TestDriverCheckpointRecovery:
                               reference.partitioner.part)
         assert driver.ledger.phases == reference.ledger.phases
 
-    def test_recovery_disabled_propagates(self, snaps):
-        inner = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(max_retries=0, degrade=False),
-        )
-        chaos = ChaosBackend(plan="kill@1.0", inner=inner)
-        driver = ContactStepDriver(
-            K, backend=chaos, recovery=RecoveryPolicy(max_step_retries=0)
-        )
-        try:
-            with pytest.raises(BackendError):
-                driver.run(snaps)
-        finally:
-            chaos.close()
-
-    def test_on_disk_recovery_point(self, snaps, tmp_path, reference):
-        """With a checkpoint path the last good state is also left on
-        disk, loadable for a whole-process restart."""
-        path = tmp_path / "recovery.npz"
-        chaos = ChaosBackend(plan="kill@2.0", inner="serial")
-        driver = ContactStepDriver(
-            K, backend=chaos,
-            recovery=RecoveryPolicy(checkpoint_path=path),
-        )
-        try:
-            driver.run(snaps)
-        finally:
-            chaos.close()
-        _assert_equivalent(driver, reference)
-        restarted = load_driver(path, backend="serial")
-        assert np.array_equal(restarted.partitioner.part,
-                              driver.partitioner.part)
-        assert restarted.ledger.phases == driver.ledger.phases
-
-    def test_rollback_is_the_in_memory_point_only(self, snaps, tmp_path):
-        """Rolling a live driver back to an older checkpoint leaves the
-        newer last-good file on disk alone, and a worker lost in the
-        next step re-executes from the rolled-back state: the run ends
-        where a fault-free run of the same calls ends."""
-        path = tmp_path / "recovery.npz"
-
-        tracer = Tracer()
-
-        def run(backend, recovery=None):
-            driver = ContactStepDriver(
-                K, backend=backend, recovery=recovery,
-                tracer=tracer if recovery else None,
-            )
-            driver.initialize(snaps[0])
-            older = dump_driver_bytes(driver)
-            driver.step(snaps[0])
-            newest = path.read_bytes() if recovery else None
-            restore_driver_state(driver, io.BytesIO(older))
-            if recovery:
-                assert path.read_bytes() == newest
-            driver.step(snaps[1])
-            return driver
-
-        clean = run("serial")
-        inner = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(max_retries=0, degrade=False),
-        )
-        # supersteps 0 and 1 are step 0's exchange and search
-        chaos = ChaosBackend(plan="kill@2.0", inner=inner)
-        try:
-            faulted = run(chaos, RecoveryPolicy(checkpoint_path=path))
-        finally:
-            chaos.close()
-        assert _counter_totals(tracer).get("step_recoveries") == 1
-        assert np.array_equal(faulted.partitioner.part,
-                              clean.partitioner.part)
-        assert faulted.ledger.phases == clean.ledger.phases
-        assert faulted.ledger.sent_by_rank == clean.ledger.sent_by_rank
-        assert [r.candidates for r in faulted.history] == [
-            r.candidates for r in clean.history
-        ]
-
     def test_restore_rejects_k_mismatch(self, snaps):
         driver = ContactStepDriver(K, backend="serial")
         driver.initialize(snaps[0])
@@ -268,7 +193,3 @@ class TestDriverCheckpointRecovery:
         other = ContactStepDriver(K + 1, backend="serial")
         with pytest.raises(ValueError, match="k="):
             restore_driver_state(other, io.BytesIO(blob))
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="max_step_retries"):
-            RecoveryPolicy(max_step_retries=-1)

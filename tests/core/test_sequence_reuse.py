@@ -44,9 +44,6 @@ from repro.graph.digest import digest_arrays
 from repro.graph.metrics import load_imbalance
 from repro.metrics.comm import fe_comm
 from repro.obs.tracer import Tracer
-from repro.runtime.backends import SupervisorConfig
-from repro.runtime.backends.process import ProcessBackend
-from repro.runtime.faults import ChaosBackend
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
 from tests.graph.reference_build import CSR_ARRAYS, assert_same_arrays
@@ -259,47 +256,6 @@ class TestRestoreMidSequence:
             tail.append(driver.step(snap))
             assert_step_is_from_scratch(driver, seen, snap, tail[-1])
         assert outcome(driver, head + tail) == outcome(reference, ref_results)
-
-    def test_failed_step_reexecutes_against_a_warm_memo(
-        self, seq, fitted, hybrid_run
-    ):
-        """An unsupervised pool loses a worker in the search superstep
-        of a plain step and of the first repartition step — after the
-        attempt refilled the tree memo (and, there, changed the
-        labels). The driver restores its recovery point and re-executes
-        with the memos as the failed attempt left them."""
-        reference, ref_results, _ = hybrid_run
-        n = 14
-        inner = ProcessBackend(
-            workers=2,
-            supervisor=SupervisorConfig(max_retries=0, degrade=False),
-        )
-        # a driver step is two supersteps; the 10th step repartitions
-        chaos = ChaosBackend(plan="kill@7.1,kill@19.0", inner=inner)
-        tracer = Tracer()
-        driver = new_driver(
-            UpdateStrategy.HYBRID, fitted, backend=chaos, tracer=tracer
-        )
-        seen = watched(driver)
-        try:
-            results = []
-            for snap in seq.snapshots[:n]:
-                results.append(driver.step(snap))
-                assert_step_is_from_scratch(driver, seen, snap, results[-1])
-        finally:
-            chaos.close()
-        assert results[9].repartitioned
-        recoveries = sum(
-            span.counters.get("step_recoveries", 0)
-            for _, span in tracer.finish().walk()
-        )
-        assert recoveries == 2
-        assert [r.candidates for r in results] == [
-            r.candidates for r in ref_results[:n]
-        ]
-        assert [r.fe_comm for r in results] == [
-            r.fe_comm for r in ref_results[:n]
-        ]
 
 
 class TestReuseIsVisible:

@@ -9,7 +9,6 @@ from repro.geometry.bbox import (
     bbox_of_points,
     bboxes_intersect_matrix,
     bboxes_of_groups,
-    box_contains_points,
     box_volume,
     element_bboxes,
 )
@@ -124,13 +123,6 @@ class TestIntersectMatrix:
 
 
 class TestContainsAndVolume:
-    def test_contains_inclusive(self):
-        box = np.array([[0.0, 0.0], [1.0, 1.0]])
-        pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [1.01, 0.5]])
-        assert box_contains_points(box, pts).tolist() == [
-            True, True, True, False,
-        ]
-
     def test_volume(self):
         assert box_volume(np.array([[0.0, 0.0], [2.0, 3.0]])) == 6.0
 

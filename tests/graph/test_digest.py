@@ -158,12 +158,3 @@ class TestDigestGraph:
             assert digest_graph(relabelled) == digest_graph(graph)
         else:
             assert digest_graph(relabelled) != digest_graph(graph)
-
-    def test_io_round_trip(self, tmp_path, grid_16):
-        """A graph written to METIS text and reloaded digests
-        identically (the digest sees values, not storage)."""
-        from repro.graph.io import read_metis_graph, write_metis_graph
-
-        path = tmp_path / "g.graph"
-        write_metis_graph(path, grid_16)
-        assert digest_graph(read_metis_graph(path)) == digest_graph(grid_16)

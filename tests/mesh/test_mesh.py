@@ -97,10 +97,3 @@ class TestTransforms:
         m = structured_quad_mesh(2, 2)
         with pytest.raises(ValueError, match="shape"):
             m.with_nodes(np.zeros((3, 2)))
-
-    def test_translated(self):
-        m = structured_quad_mesh(1, 1)
-        t = m.translated([2.0, 3.0])
-        assert np.allclose(t.nodes.min(axis=0), [2.0, 3.0])
-        # original untouched
-        assert np.allclose(m.nodes.min(axis=0), [0.0, 0.0])

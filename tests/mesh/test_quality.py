@@ -5,7 +5,7 @@ import pytest
 
 from repro.mesh.generators import structured_box_mesh, structured_quad_mesh
 from repro.mesh.mesh import Mesh
-from repro.mesh.quality import element_measures, mesh_stats
+from repro.mesh.quality import element_measures
 
 
 class TestMeasures:
@@ -34,22 +34,3 @@ class TestMeasures:
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         cw = Mesh(nodes, np.array([[0, 2, 1]]), "tri")  # reversed
         assert element_measures(cw)[0] == pytest.approx(0.5)
-
-
-class TestMeshStats:
-    def test_keys_and_values(self):
-        m = structured_quad_mesh(2, 2, size=(2, 2))
-        stats = mesh_stats(m)
-        assert stats["num_elements"] == 4
-        assert stats["total_measure"] == pytest.approx(4.0)
-        assert stats["num_bodies"] == 1
-        assert stats["min_measure"] == pytest.approx(1.0)
-        assert stats["max_measure"] == pytest.approx(1.0)
-
-    def test_empty_mesh(self):
-        m = structured_quad_mesh(1, 1).with_elements(
-            np.array([], dtype=np.int64)
-        )
-        stats = mesh_stats(m)
-        assert stats["num_elements"] == 0
-        assert stats["min_measure"] == 0.0

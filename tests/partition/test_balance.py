@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.partition.balance import (
     BalanceTracker,
-    is_feasible,
     max_allowed,
     target_weights,
     violation,
@@ -44,11 +43,6 @@ class TestViolation:
         targets = np.array([[50.0, 0.0], [50.0, 0.0]])
         v = violation(np.array([[50, 3], [50, 0]]), targets, 1.05)
         assert v == 0.0
-
-    def test_is_feasible_consistent(self):
-        targets = target_weights(np.array([100]), np.array([0.5, 0.5]))
-        assert is_feasible(np.array([[50], [50]]), targets, 1.05)
-        assert not is_feasible(np.array([[90], [10]]), targets, 1.05)
 
 
 class TestMoveChecks:

@@ -39,12 +39,12 @@ def damaged(blob, data):
 
 @pytest.fixture(scope="module")
 def cache_entry(small_sequence, tmp_path_factory):
-    """``(dir, key, entry bytes, labels)`` of one disk-cache entry."""
+    """``(dir, key, entry bytes, result)`` of one disk-cache entry."""
     result = MCMLDTPartitioner(4).fit(small_sequence[0])
     disk = str(tmp_path_factory.mktemp("cache"))
     ResultCache(disk_dir=disk).put("entry", result)
     with open(os.path.join(disk, "entry.npz"), "rb") as fh:
-        return disk, "entry", fh.read(), result.labels
+        return disk, "entry", fh.read(), result
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ FUZZ = settings(max_examples=150, deadline=None)
 @FUZZ
 @given(data=st.data())
 def test_disk_cache_entry(cache_entry, data):
-    disk, key, blob, labels = cache_entry
+    disk, key, blob, written = cache_entry
     path = os.path.join(disk, f"{key}.npz")
     with open(path, "wb") as fh:
         fh.write(damaged(blob, data))
@@ -83,7 +83,10 @@ def test_disk_cache_entry(cache_entry, data):
         assert cache.stats.disk_corrupt == 1
         assert not os.path.exists(path)
     else:
-        assert np.array_equal(hit.labels, labels)
+        assert np.array_equal(hit.labels, written.labels)
+        assert hit.diagnostics.keys() == written.diagnostics.keys()
+        for name, value in written.diagnostics.items():
+            assert np.array_equal(hit.diagnostics[name], value), name
 
 
 @FUZZ

@@ -100,7 +100,7 @@ def record_document():
     return {
         "schema": SCHEMA_VERSION, "id": "job-000001", "state": "done",
         "kind": "partition", "client": "fuzz", "cache": "hit",
-        "coalesced": False, "retries": 0, "error": None,
+        "coalesced": False, "error": None,
         "submitted_s": 1.0, "started_s": 1.0, "finished_s": 1.5,
         "request": request,
         "result": {

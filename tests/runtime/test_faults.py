@@ -1,12 +1,13 @@
 """Tests for the deterministic fault-injection harness (`chaos`).
 
-The contract under test: a chaos run — any plan, any inner backend —
-produces results, ledgers, and per-rank state bit-identical to an
-uninjected serial run. Faults change *how long* a run takes, never
-*what it computes*.
+The contract under test: a chaos run — any plan, over a supervised
+worker pool — produces results, ledgers, and per-rank state
+bit-identical to an uninjected serial run. Faults change *how long* a
+run takes, never *what it computes*; the pool's supervised session is
+what recovers a killed worker.
 """
 
-import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.obs.tracer import Tracer
 from repro.runtime.backends import (
-    CHAOS_INNER_ENV,
     FAULT_PLAN_ENV,
     ProcessBackend,
     SerialBackend,
@@ -27,7 +27,6 @@ from repro.runtime.faults import (
     ChaosStep,
     FaultPlan,
     FaultSpec,
-    InjectedFault,
 )
 from repro.runtime.ledger import CommLedger
 
@@ -57,12 +56,25 @@ def _collect(ctx):
 PIPELINE = (_seed_state, _fold_inbox, _collect)
 
 
-def _run_pipeline(backend, tracer=None):
+def _run_pipeline(backend, tracer=None, pipeline=PIPELINE):
     ledger = CommLedger()
     results = spmd_run(
-        3, PIPELINE, ledger=ledger, backend=backend, tracer=tracer
+        3, pipeline, ledger=ledger, backend=backend, tracer=tracer
     )
     return results, ledger
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """One supervised process pool shared by the module's chaos runs
+    (a ``ChaosBackend`` over it is not closed: that would close the
+    pool)."""
+    backend = ProcessBackend(
+        workers=2,
+        supervisor=SupervisorConfig(max_retries=2, backoff_base_s=0.01),
+    )
+    yield backend
+    backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -117,35 +129,41 @@ class TestFaultPlan:
 
 class TestChaosBackendConstruction:
     def test_refuses_to_wrap_itself(self):
-        with pytest.raises(ValueError, match="wrap itself"):
+        with pytest.raises(ValueError, match="worker pool"):
             ChaosBackend(plan="", inner="chaos")
-        inner = ChaosBackend(plan="", inner="serial")
-        with pytest.raises(ValueError, match="wrap itself"):
+        inner = ChaosBackend(plan="", inner="process")
+        with pytest.raises(ValueError, match="worker pool"):
             ChaosBackend(plan="", inner=inner)
+
+    @pytest.mark.parametrize("inner", ["serial", "thread:2"])
+    def test_refuses_an_in_process_inner(self, inner):
+        """Only a pool has a worker to kill and a session to recover
+        it; an in-process inner backend is refused at construction."""
+        with pytest.raises(ValueError, match="worker pool"):
+            ChaosBackend(plan="kill@0.0", inner=inner)
 
     def test_env_defaults(self, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV, "kill@3.0")
-        monkeypatch.setenv(CHAOS_INNER_ENV, "serial")
         be = ChaosBackend()
-        assert isinstance(be.inner, SerialBackend)
+        assert isinstance(be.inner, ProcessBackend)
         assert be.plan.to_text() == "kill@3.0"
 
     def test_make_backend_chaos(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_INNER_ENV, "serial")
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        be = build_backend("chaos")
+        be = build_backend("chaos://?inner=process:2")
         assert isinstance(be, ChaosBackend)
+        assert be.inner.workers == 2
         be.close()
 
     def test_reset_rearms(self):
-        be = ChaosBackend(plan="kill@0.0", inner="serial")
+        be = ChaosBackend(plan="kill@0.0", inner="process")
         assert be._arm(0, 3)
         assert not be._arm(0, 3)  # one-shot
         be.reset()
         assert be._arm(0, 3)
 
     def test_fault_outside_session_not_consumed(self):
-        be = ChaosBackend(plan="kill@0.5", inner="serial")
+        be = ChaosBackend(plan="kill@0.5", inner="process")
         assert be._arm(0, 2) == {}  # rank 5 doesn't exist at size 2
         assert be._arm(0, 8)  # still armed for a big enough session
 
@@ -158,71 +176,79 @@ class TestChaosBackendConstruction:
 REFERENCE = _run_pipeline(SerialBackend())
 
 
-@pytest.mark.parametrize("inner", ["serial", "thread"])
-def test_chaos_kill_is_bit_identical(inner):
-    """An in-process kill rolls back and retries; results and ledger
-    match the clean serial run exactly."""
-    tracer = Tracer()
-    chaos = ChaosBackend(plan="kill@1.1", inner=inner, workers=2)
-    try:
-        results, ledger = _run_pipeline(chaos, tracer=tracer)
-    finally:
-        chaos.close()
-    ref_results, ref_ledger = REFERENCE
-    assert results == ref_results
-    assert ledger.phases == ref_ledger.phases
-    assert ledger.sent_by_rank == ref_ledger.sent_by_rank
-    counters = _counter_totals(tracer)
-    assert counters.get("faults_injected") == 1
-    assert counters.get("step_retries") == 1
-
-
-def test_chaos_kill_on_process_pool_is_bit_identical():
+def test_chaos_kill_on_process_pool_is_bit_identical(pool):
     """A pool-worker kill exercises the supervised respawn path and
     still matches serial."""
     tracer = Tracer()
-    inner = ProcessBackend(
-        workers=2,
-        supervisor=SupervisorConfig(max_retries=2, backoff_base_s=0.01),
-    )
-    chaos = ChaosBackend(plan="kill@1.0", inner=inner)
-    try:
-        results, ledger = _run_pipeline(chaos, tracer=tracer)
-    finally:
-        chaos.close()
+    chaos = ChaosBackend(plan="kill@1.0", inner=pool)
+    results, ledger = _run_pipeline(chaos, tracer=tracer)
     ref_results, ref_ledger = REFERENCE
     assert results == ref_results
     assert ledger.phases == ref_ledger.phases
     counters = _counter_totals(tracer)
+    assert counters.get("faults_injected") == 1
     assert counters.get("worker_deaths", 0) >= 1
     assert counters.get("worker_respawns", 0) >= 1
 
 
-def test_chaos_slow_is_bit_identical():
-    chaos = ChaosBackend(plan="slow@0.0:0.001,slow@2.2:0.001",
-                         inner="serial")
+def test_local_kill_is_a_no_op(pool):
+    """A session that fell back to in-process execution (its first
+    superstep is a closure, which does not pickle) runs the kill's
+    rank in the calling process: the fault is counted as injected and
+    does nothing, and no worker dies."""
+    tracer = Tracer()
+    chaos = ChaosBackend(plan="kill@1.1", inner=pool)
+    closures = [lambda ctx, f=f: f(ctx) for f in PIPELINE]
+    with pytest.warns(RuntimeWarning, match="not picklable"):
+        results, ledger = _run_pipeline(chaos, tracer, closures)
+    assert results == REFERENCE[0]
+    assert ledger.phases == REFERENCE[1].phases
+    assert ledger.sent_by_rank == REFERENCE[1].sent_by_rank
+    counters = _counter_totals(tracer)
+    assert counters.get("faults_injected") == 1
+    assert "worker_deaths" not in counters
+    assert "step_retries" not in counters  # nothing to roll back
+
+
+def test_degraded_step_runs_without_the_fault():
+    """A hang blows the deadline of a pool with no retry budget: the
+    session degrades and finishes the step in-process with the fault
+    disarmed — it fired once already — so nothing sleeps out the
+    hang's 60 s."""
+    inner = ProcessBackend(
+        workers=2,
+        supervisor=SupervisorConfig(step_deadline_s=1.0, max_retries=0),
+    )
+    chaos = ChaosBackend(plan="hang@1.0:60", inner=inner)
+    start = time.monotonic()
     try:
-        results, ledger = _run_pipeline(chaos)
+        with pytest.warns(RuntimeWarning, match="degrades"):
+            results, ledger = _run_pipeline(chaos)
     finally:
         chaos.close()
+    assert time.monotonic() - start < 30.0
+    assert results == REFERENCE[0]
+    assert ledger.phases == REFERENCE[1].phases
+
+
+def test_chaos_slow_is_bit_identical(pool):
+    chaos = ChaosBackend(plan="slow@0.0:0.001,slow@2.2:0.001", inner=pool)
+    results, ledger = _run_pipeline(chaos)
     assert (results, ledger.phases) == (REFERENCE[0], REFERENCE[1].phases)
 
 
-def test_empty_plan_is_passthrough():
-    chaos = ChaosBackend(plan="", inner="serial")
-    try:
-        results, ledger = _run_pipeline(chaos)
-    finally:
-        chaos.close()
+def test_empty_plan_is_passthrough(pool):
+    chaos = ChaosBackend(plan="", inner=pool)
+    results, ledger = _run_pipeline(chaos)
     assert results == REFERENCE[0]
 
 
-def test_injected_fault_raises_without_chaos_session():
-    """A ChaosStep fired outside a chaos session (no rollback layer)
-    surfaces the InjectedFault to the caller."""
-    step = ChaosStep(_collect, 0, {0: ("kill", 0.0)})
-    with pytest.raises(InjectedFault, match="rank 0"):
-        spmd_run(2, [lambda ctx: step(ctx, None)])
+def test_kill_in_the_calling_process_is_a_no_op():
+    """A ChaosStep fired outside any worker (here on the serial
+    backend) runs the plain superstep: there is no worker to lose."""
+    step = ChaosStep(lambda ctx, _: _collect(ctx), 1, {0: ("kill", 0.0)})
+    out = spmd_run(2, [_seed_state, lambda ctx: step(ctx, None)])
+    assert out[-1] == [(0, 1, [1]), (1, 2, [0])]
 
 
 def test_chaos_step_is_transparent():
@@ -242,19 +268,25 @@ def test_chaos_step_is_transparent():
     rank=st.integers(0, 3),
 )
 @settings(max_examples=25, deadline=None)
-def test_property_single_fault_never_changes_results(kind, step, rank):
+def test_property_single_fault_never_changes_results(
+    shared_chaos, kind, step, rank
+):
     """For ANY single fault (any kind, any step — including past the
     end of the run — any rank, including absent ranks) the chaos run's
     results and ledger equal the clean serial run's."""
-    plan = FaultPlan((FaultSpec(kind, step, rank, 0.0),))
-    chaos = ChaosBackend(plan=plan, inner="serial")
-    try:
-        results, ledger = _run_pipeline(chaos)
-    finally:
-        chaos.close()
+    shared_chaos.plan = FaultPlan((FaultSpec(kind, step, rank, 0.0),))
+    shared_chaos.reset()
+    results, ledger = _run_pipeline(shared_chaos)
     assert results == REFERENCE[0]
     assert ledger.phases == REFERENCE[1].phases
     assert ledger.received_by_rank == REFERENCE[1].received_by_rank
+
+
+@pytest.fixture(scope="module")
+def shared_chaos(pool):
+    """One chaos backend over the module's pool; each example installs
+    its plan and re-arms it with ``reset()``."""
+    return ChaosBackend(plan="", inner=pool)
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,7 @@ class TestEnvResolution:
 
     def test_env_cache_invalidates_on_spec_change(self, monkeypatch):
         monkeypatch.setenv(
-            "REPRO_BACKEND", "chaos://?inner=serial&plan=slow@1.0:0.001"
+            "REPRO_BACKEND", "chaos://?inner=process&plan=slow@1.0:0.001"
         )
         first = _backend_from_env()
         assert isinstance(first, ChaosBackend)
@@ -159,7 +159,7 @@ class TestEnvResolution:
         assert _backend_from_env() is first
         # an option change is visible in the parsed spec -> rebuild
         monkeypatch.setenv(
-            "REPRO_BACKEND", "chaos://?inner=serial&plan=slow@2.0:0.001"
+            "REPRO_BACKEND", "chaos://?inner=process&plan=slow@2.0:0.001"
         )
         second = _backend_from_env()
         assert second is not first

@@ -265,9 +265,7 @@ class DegradeCases:
         steps = (_bump, _die_always_rank1, _report)
         ref_results, ref_ledger = _reference(steps)
         tracer = Tracer()
-        backend = pool_backend(
-            self.transport, max_retries=1, degrade=True
-        )
+        backend = pool_backend(self.transport, max_retries=1)
         try:
             with pytest.warns(RuntimeWarning, match="degrades"):
                 results, ledger = _run(backend, steps, tracer=tracer)
@@ -282,18 +280,6 @@ class DegradeCases:
         assert ledger.phases == ref_ledger.phases
         counters = _counter_totals(tracer)
         assert counters.get("ranks_degraded") == 3
-
-    def test_degrade_disabled_raises(self):
-        backend = pool_backend(
-            self.transport, max_retries=0, degrade=False
-        )
-        try:
-            with pytest.raises(
-                BackendError, match=f"lost 1 {backend.peer_noun}"
-            ):
-                _run(backend, (_bump, _die_always_rank1, _report))
-        finally:
-            backend.close()
 
 
 def _ghost_step(monkeypatch):
@@ -527,6 +513,12 @@ class TestSupervisorConfig:
             SupervisorConfig(step_deadline_s=0.0)
         with pytest.raises(ValueError):
             SupervisorConfig(backoff_factor=0.5)
+
+    def test_degrading_is_not_optional(self):
+        """An exhausted retry budget always degrades; there is no
+        switch that turns a lost peer into a failed step instead."""
+        with pytest.raises(TypeError):
+            SupervisorConfig(degrade=False)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv(STEP_DEADLINE_ENV, "2.5")

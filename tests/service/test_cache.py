@@ -195,6 +195,54 @@ class TestResultCacheDisk:
         assert cache.get(key) is None
         assert cache.stats.disk_corrupt == 1
 
+    def test_lost_diagnostics_array_is_corrupt(
+        self, snapshot, fitted, tmp_path
+    ):
+        """An entry rewritten without one ``diag_*`` member fails the
+        digest over every array it holds: a counted miss, the file
+        removed, never a hit with part of its diagnostics."""
+        import json
+
+        disk = str(tmp_path / "cache")
+        key = result_cache_key(snapshot, "mcml-dt", K, {})
+        ResultCache(capacity=4, disk_dir=disk).put(key, fitted)
+        path = tmp_path / "cache" / f"{key}.npz"
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+            meta = json.loads(str(arrays.pop("meta")))
+        assert "diag_imbalance_final" in arrays
+        del arrays["diag_imbalance_final"]
+        np.savez_compressed(
+            path, meta=np.array(json.dumps(meta)), **arrays
+        )
+        cache = ResultCache(capacity=4, disk_dir=disk)
+        assert cache.get(key) is None
+        assert cache.stats.disk_corrupt == 1
+        assert not path.exists()
+
+    def test_entry_of_the_old_layout_is_a_counted_miss(
+        self, snapshot, fitted, tmp_path
+    ):
+        """A schema-1 entry (its digest covered ``labels`` only) is not
+        read: it is counted as corrupt and removed."""
+        import json
+
+        disk = str(tmp_path / "cache")
+        key = result_cache_key(snapshot, "mcml-dt", K, {})
+        ResultCache(capacity=4, disk_dir=disk).put(key, fitted)
+        path = tmp_path / "cache" / f"{key}.npz"
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+            meta = json.loads(str(arrays.pop("meta")))
+        meta["schema"] = 1
+        np.savez_compressed(
+            path, meta=np.array(json.dumps(meta)), **arrays
+        )
+        cache = ResultCache(capacity=4, disk_dir=disk)
+        assert cache.get(key) is None
+        assert cache.stats.disk_corrupt == 1
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "member",
         [{"diag_scalars": 5}, {"diag_scalars": [1, 2]}, {"k": [1]}],

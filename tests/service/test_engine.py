@@ -1,5 +1,5 @@
 """Tests for the service engine: caching, single-flight, rate limits,
-deadlines, retries."""
+deadlines, one attempt per job."""
 
 import asyncio
 from types import SimpleNamespace
@@ -15,7 +15,8 @@ from repro.service.engine import (
     ServiceEngine,
     UnknownJobError,
 )
-from repro.service.queue import QueueFullError, RetryPolicy
+from repro.service import engine as engine_module
+from repro.service.queue import QueueFullError
 from repro.service.schemas import SCHEMA_VERSION, validate_result
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
@@ -105,16 +106,27 @@ class TestPartitionJobs:
             assert job.state == "done", job.error
             assert job.result["method"] == job.request["partitioner"]
 
-    def test_failed_source_retries_then_fails(self):
+    def test_failed_source_fails_after_one_attempt(self, monkeypatch):
+        """A job's work is deterministic, so a failed attempt is final:
+        the mesh is opened once, nothing sleeps for a backoff, and the
+        job ends ``failed`` with the attempt's own error."""
+        opened, slept = [], []
+        real_load, real_sleep = engine_module.load_mesh, asyncio.sleep
+
+        def load_mesh(path):
+            opened.append(path)
+            return real_load(path)
+
+        async def sleep(delay, *args, **kwargs):
+            if delay > 0:
+                slept.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "load_mesh", load_mesh)
+        monkeypatch.setattr(asyncio, "sleep", sleep)
+
         async def scenario():
-            engine = ServiceEngine(
-                EngineConfig(
-                    workers=1,
-                    retry=RetryPolicy(
-                        max_retries=2, backoff_base_s=0.001
-                    ),
-                )
-            )
+            engine = ServiceEngine(EngineConfig(workers=1))
             await engine.start()
             try:
                 job = engine.submit(
@@ -122,24 +134,23 @@ class TestPartitionJobs:
                         source={"kind": "mesh", "path": "/nope/missing.npz"}
                     )
                 )
-                job = await engine.wait(job.id, 60)
-                return job, engine.retries_total
+                return await engine.wait(job.id, 60), engine.counters()
             finally:
                 await engine.stop()
 
-        job, retries_total = run(scenario())
+        job, counters = run(scenario())
         assert job.state == "failed"
-        assert job.retries == 2  # exhausted the budget
-        assert retries_total == 2
+        assert opened == ["/nope/missing.npz"]
+        assert slept == []
         # the attempt's own error, not the last-resort handler's
         assert "/nope/missing.npz" in job.error
         assert not job.error.startswith("internal error")
+        assert "retries" not in job.record()
+        assert not [name for name in counters if "retr" in name]
 
     def test_bad_config_value_fails_the_job(self):
         async def scenario():
-            engine = ServiceEngine(
-                EngineConfig(workers=1, retry=RetryPolicy(max_retries=0))
-            )
+            engine = ServiceEngine(EngineConfig(workers=1))
             await engine.start()
             try:
                 job = engine.submit(request(config={"fm_neg_moves": 0}))
@@ -268,9 +279,7 @@ class TestCacheKeys:
                 snapshot.mesh.nodes[0, 0] += 1.0
 
         async def scenario():
-            engine = ServiceEngine(
-                EngineConfig(workers=1, retry=RetryPolicy(max_retries=0))
-            )
+            engine = ServiceEngine(EngineConfig(workers=1))
             real = engine._make_partitioner
             engine._make_partitioner = lambda *args: Vandal()
             await engine.start()
@@ -308,19 +317,11 @@ class TestCacheKeys:
         )
 
 
-class _RaisingDelay(RetryPolicy):
-    """Backoff that raises while the job is still ``running``."""
+class _Unprintable(Exception):
+    """An error whose message cannot be built: reading it raises."""
 
-    def delay(self, retry):
-        raise RuntimeError("backoff policy broke")
-
-
-class _NonNumericDelay(RetryPolicy):
-    """Backoff that ``asyncio.sleep`` rejects — after the job has been
-    re-queued for its retry."""
-
-    def delay(self, retry):
-        return "x"
+    def __str__(self):
+        raise RuntimeError("message broke")
 
 
 class TestLastResortHandler:
@@ -328,18 +329,20 @@ class TestLastResortHandler:
     expect: the job fails, whoever waits on it wakes, and the worker
     lives on to run the next job."""
 
-    @pytest.mark.parametrize(
-        "policy, retries",
-        [
-            pytest.param(_RaisingDelay(max_retries=1), 0, id="running"),
-            pytest.param(_NonNumericDelay(max_retries=1), 1, id="queued"),
-        ],
-    )
-    def test_job_fails_and_the_worker_runs_the_next_job(
-        self, policy, retries
-    ):
+    def test_job_fails_and_the_worker_runs_the_next_job(self):
         async def scenario():
-            engine = ServiceEngine(EngineConfig(workers=1, retry=policy))
+            engine = ServiceEngine(EngineConfig(workers=1))
+            execute, calls = engine._execute, []
+
+            def first_attempt_breaks(job):
+                calls.append(job.id)
+                if len(calls) == 1:
+                    raise _Unprintable()
+                return execute(job)
+
+            # _run_job cannot record this attempt's error, so the
+            # exception leaves it while the job is running
+            engine._execute = first_attempt_breaks
             bad = request(
                 source={"kind": "mesh", "path": "/nope/missing.npz"}
             )
@@ -357,8 +360,7 @@ class TestLastResortHandler:
 
         job, follower, nxt = run(scenario())
         assert job.state == "failed"
-        assert job.error.startswith("internal error: ")
-        assert job.retries == retries  # 1: it had been re-queued
+        assert job.error == "internal error: message broke"
         assert follower.state == "failed"
         assert job.id in follower.error
         assert nxt.state == "done"  # the single worker survived
@@ -498,12 +500,7 @@ class TestSingleFlight:
 
     def test_follower_mirrors_leader_failure(self):
         async def scenario():
-            engine = ServiceEngine(
-                EngineConfig(
-                    workers=1,
-                    retry=RetryPolicy(max_retries=0),
-                )
-            )
+            engine = ServiceEngine(EngineConfig(workers=1))
             bad = request(
                 source={"kind": "mesh", "path": "/nope/missing.npz"}
             )
@@ -624,7 +621,7 @@ class TestAdmission:
         assert expired == 1
         record = job.record()
         assert record["state"] == "expired"
-        assert record["retries"] == 0
+        assert "retries" not in record
 
     def test_cancel_queued_job(self):
         async def scenario():

@@ -16,7 +16,6 @@ from repro.service import http
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import EngineConfig
 from repro.service.http import ServerThread
-from repro.service.queue import RetryPolicy
 from repro.service.schemas import SCHEMA_VERSION
 
 SOURCE = {"kind": "impact", "n_steps": 2, "refine": 0.5}
@@ -96,7 +95,7 @@ class TestLifecycle:
     def test_schema_error_400_with_path(self, client):
         with pytest.raises(ServiceError) as info:
             client.submit_document(
-                {"schema": "repro.service-job/2", "kind": "partition"}
+                {"schema": SCHEMA_VERSION, "kind": "partition"}
             )
         assert info.value.status == 400
         assert info.value.body["path"] == "$.k"
@@ -114,6 +113,20 @@ class TestLifecycle:
         assert info.value.body["path"] == "$.schema"
         assert "repro.service-job/1" in info.value.body["error"]
         assert SCHEMA_VERSION in info.value.body["error"]
+
+    def test_version_2_request_is_refused_naming_both_ids(self, client):
+        """Version 3 dropped the record's ``retries`` member: a job
+        runs once."""
+        assert client.health()["schema"] == "repro.service-job/3"
+        with pytest.raises(ServiceError) as info:
+            client.submit_document(
+                {"schema": "repro.service-job/2", "kind": "partition",
+                 "k": 4}
+            )
+        assert info.value.status == 400
+        assert info.value.body["path"] == "$.schema"
+        assert "repro.service-job/2" in info.value.body["error"]
+        assert "repro.service-job/3" in info.value.body["error"]
 
     def test_malformed_body_400(self, client):
         with pytest.raises(ServiceError) as info:
@@ -142,7 +155,8 @@ class TestObservability:
         document = client.report()
         validate_report(document)  # raises on violation
         assert document["meta"]["fits_total"] >= 1
-        assert document["meta"]["service_schema"] == "repro.service-job/2"
+        assert document["meta"]["service_schema"] == SCHEMA_VERSION
+        assert not [name for name in document["meta"] if "retr" in name]
 
 
 class TestClientTimeouts:
@@ -270,10 +284,8 @@ class TestRateLimiting:
 class TestDeadlines:
     def test_expired_job_record_over_http(self):
         """A job with an impossible deadline surfaces as 'expired' in
-        the polled record, retries intact."""
-        config = EngineConfig(
-            workers=1, retry=RetryPolicy(max_retries=2)
-        )
+        the polled record."""
+        config = EngineConfig(workers=1)
         with ServerThread(config) as srv:
             client = ServiceClient(srv.address)
             # occupy the single worker with a slower job so the
@@ -287,7 +299,6 @@ class TestDeadlines:
             final = client.status(record["id"], wait_s=120)
             assert final["state"] == "expired"
             assert "deadline" in final["error"]
-            assert final["retries"] == 0
             with pytest.raises(ServiceError) as info:
                 client.result(record["id"])
             assert info.value.status == 409

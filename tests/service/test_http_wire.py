@@ -438,7 +438,7 @@ class TestCompactBodies:
         hit = client.partition(4, SOURCE, wait_s=120)
         assert hit["cache"] == "hit"
         job = (
-            '{"schema":"repro.service-job/2","kind":"partition","k":3,'
+            '{"schema":"repro.service-job/3","kind":"partition","k":3,'
             '"source":{"kind":"impact","n_steps":2,"refine":0.5}}'
         ).encode()
         requests = [
@@ -453,7 +453,7 @@ class TestCompactBodies:
             b"GET /nowhere",
             b"GET /v1/jobs/" + done.encode() + b"?wait=soon",
         ]
-        posts = [job, b'{"schema":"repro.service-job/2"}', b"not json"]
+        posts = [job, b'{"schema":"repro.service-job/3"}', b"not json"]
         routed.clear()
         statuses = []
         for line in requests:

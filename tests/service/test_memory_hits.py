@@ -422,7 +422,7 @@ class TestRecordSchema:
         record = {
             "schema": SCHEMA_VERSION, "id": "job-000001", "state": "done",
             "kind": "partition", "client": "anonymous", "cache": "hit",
-            "coalesced": False, "retries": 0, "error": None,
+            "coalesced": False, "error": None,
             "submitted_s": 1.0, "started_s": 1.0, "finished_s": 1.0,
             "request": request(), "result": result,
         }

@@ -1,4 +1,4 @@
-"""Tests for the bounded job queue, retry policy, and job records."""
+"""Tests for the bounded job queue and job records."""
 
 import asyncio
 import time
@@ -11,7 +11,6 @@ from repro.service.queue import (
     Job,
     JobQueue,
     QueueFullError,
-    RetryPolicy,
 )
 from repro.service.schemas import (
     JOB_STATES,
@@ -34,27 +33,6 @@ def request(**overrides):
 
 def run(coro):
     return asyncio.run(coro)
-
-
-class TestRetryPolicy:
-    def test_exponential_with_cap(self):
-        policy = RetryPolicy(
-            max_retries=5, backoff_base_s=0.1, backoff_factor=2.0,
-            backoff_cap_s=0.5,
-        )
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(1) == pytest.approx(0.2)
-        assert policy.delay(2) == pytest.approx(0.4)
-        assert policy.delay(3) == pytest.approx(0.5)  # capped
-        assert policy.delay(10) == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError, match="retry index"):
-            RetryPolicy().delay(-1)
 
 
 class TestJobStateMachine:
@@ -80,11 +58,12 @@ class TestJobStateMachine:
         with pytest.raises(ValueError, match="illegal transition"):
             job.transition("running")
 
-    def test_retry_loop_allowed(self):
+    def test_running_never_returns_to_queued(self):
+        """A job runs once: there is no re-queue edge for a retry."""
         job = self.job()
         job.transition("running")
-        job.transition("queued")  # retry re-queue
-        job.transition("running")
+        with pytest.raises(ValueError, match="illegal transition"):
+            job.transition("queued")
         job.transition("failed")
         assert job.terminal
 

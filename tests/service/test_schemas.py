@@ -1,4 +1,4 @@
-"""Tests for the repro.service-job/2 schemas and validators."""
+"""Tests for the repro.service-job/3 schemas and validators."""
 
 import pytest
 
@@ -189,7 +189,6 @@ def record(**overrides):
         "client": "anonymous",
         "cache": "miss",
         "coalesced": False,
-        "retries": 0,
         "error": None,
         "submitted_s": 1.0,
         "started_s": 1.1,
@@ -218,8 +217,10 @@ class TestJobRecord:
             validate_job_record(bad)
 
     def test_retries_and_timestamps(self):
-        with pytest.raises(SchemaError, match=r"\$\.retries"):
-            validate_job_record(record(retries=-1))
+        """A job runs once: a ``/2`` record's ``retries`` member is an
+        unknown key in ``/3``."""
+        with pytest.raises(SchemaError, match=r"unknown keys \['retries'\]"):
+            validate_job_record(record(retries=0))
         assert validate_job_record(
             record(started_s=None, finished_s=None, state="queued")
         )

@@ -78,6 +78,3 @@ class TestValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             free_flight().tip_at(np.array([-1.0]))
-
-    def test_tip_speed_at(self):
-        assert free_flight().tip_speed_at(0.0) == pytest.approx(0.5)

@@ -223,10 +223,9 @@ class TestFaultPlan:
         "backend_args, ran",
         [
             ([], "chaos"),
-            (["--backend", "serial"], "chaos://?inner=serial"),
-            (["--backend", "thread:2"], "chaos://?inner=thread:2"),
+            (["--backend", "process:2"], "chaos://?inner=process:2"),
         ],
-        ids=["default", "serial", "thread:2"],
+        ids=["default", "process:2"],
     )
     def test_plan_fires_on_the_named_backend(
         self, tmp_path, monkeypatch, backend_args, ran
@@ -240,3 +239,19 @@ class TestFaultPlan:
         assert faulty.recovery_totals()["faults_injected"] == 1
         assert faulty.meta["backend"] == ran
         assert faulty.comm == clean.comm and clean.comm
+
+    @pytest.mark.parametrize("backend", ["serial", "thread:2"])
+    def test_plan_refuses_an_in_process_backend(
+        self, capsys, monkeypatch, backend
+    ):
+        """Faults are injected into pool workers only: a plan next to
+        an in-process backend is a usage error, not a silent no-op."""
+        from repro.runtime.backends import FAULT_PLAN_ENV
+
+        monkeypatch.setenv(FAULT_PLAN_ENV, "")  # main() overwrites it
+        code = main(
+            ["--backend", backend, "--fault-plan", "kill@0.0",
+             "trace", "--k", "4", "--trace-steps", "1"]
+        )
+        assert code == 2
+        assert "worker pool" in capsys.readouterr().err
