@@ -103,10 +103,25 @@ class BalanceTracker:
         self._inv_scale = [
             (1.0 / s) if s > 0 else 0.0 for s in scale.tolist()
         ]
+        #: the constraints a bound can bind (nonzero total weight)
+        self.binding = [
+            j for j, inv in enumerate(self._inv_scale) if inv > 0.0
+        ]
         self.pw = [row[:] for row in pwgts.tolist()]
         self.allowed = [row[:] for row in allowed.tolist()]
         # immutable array twin of the bounds for the *_many queries
         self._allowed_arr = allowed
+        self.resync()
+
+    def resync(self) -> None:
+        """Re-derive the violation rows and ``total`` from ``pw``.
+
+        For a loop that writes ``pw`` in place instead of calling
+        :meth:`apply_move` per move: the rows come out as
+        :meth:`apply_move` would have left them (each is a function of
+        its weights only); ``total`` as a fresh tracker's, without the
+        running sum's drift.
+        """
         self._viol = [self._violation_row(p) for p in range(self.k)]
         self.total = sum(self._viol)
 
@@ -158,9 +173,9 @@ class BalanceTracker:
 
     def fits(self, dst: int, vwgt) -> bool:
         """Would adding ``vwgt`` keep ``dst`` within every bound?"""
-        pw_d, al_d, inv = self.pw[dst], self.allowed[dst], self._inv_scale
-        for j in range(self.ncon):
-            if inv[j] > 0.0 and pw_d[j] + vwgt[j] > al_d[j]:
+        pw_d, al_d = self.pw[dst], self.allowed[dst]
+        for j in self.binding:
+            if pw_d[j] + vwgt[j] > al_d[j]:
                 return False
         return True
 
@@ -169,9 +184,8 @@ class BalanceTracker:
         against every destination: boolean ``(m, k)``."""
         pw, allowed = self.pwgts_array(), self._allowed_arr
         over = np.zeros((len(vwgts), self.k), dtype=bool)
-        for j, inv in enumerate(self._inv_scale):
-            if inv > 0.0:
-                over |= pw[:, j] + vwgts[:, j, None] > allowed[:, j]
+        for j in self.binding:
+            over |= pw[:, j] + vwgts[:, j, None] > allowed[:, j]
         return ~over
 
     def fits_each(self, dsts: np.ndarray, vwgts: np.ndarray) -> np.ndarray:
@@ -179,9 +193,8 @@ class BalanceTracker:
         into partition ``dsts[i]`` only: boolean ``(m,)``."""
         pw, allowed = self.pwgts_array(), self._allowed_arr
         over = np.zeros(len(dsts), dtype=bool)
-        for j, inv in enumerate(self._inv_scale):
-            if inv > 0.0:
-                over |= pw[dsts, j] + vwgts[:, j] > allowed[dsts, j]
+        for j in self.binding:
+            over |= pw[dsts, j] + vwgts[:, j] > allowed[dsts, j]
         return ~over
 
     def has_slack(self, j: int) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 Classic heap + lazy invalidation: updating an item pushes a fresh
 entry stamped with a running count; stale entries are discarded on
-peek/pop. Three loops run on it — the boundary queues of
-:func:`repro.partition.refine_fm._fm_pass` (one for both sides, the
-side folded into the priority) and of
-:func:`repro.partition.refine_kway_fm.kway_fm_refine`, and the
-frontier of :func:`repro.partition.initial.greedy_graph_growing` —
-with vertex ids as items and integer gains as priorities.
+peek/pop. Two loops run on it — the boundary queue of
+:func:`repro.partition.refine_kway_fm.kway_fm_refine` and the frontier
+of :func:`repro.partition.initial.greedy_graph_growing` — with vertex
+ids as items and integer gains as priorities. The bisection FM pass
+(:func:`repro.partition.refine_fm._fm_pass`) keeps the same entries
+and pop order on a bare ``heapq`` list, without a call per push or pop.
 
 Entries are ``(-priority, count, item)`` and the count is unique, so
 entries are totally ordered and the pop sequence depends only on the

@@ -66,8 +66,12 @@ def _recurse(
     k0 = (k + 1) // 2
     k1 = k - k0
     rng0, rng1, rng_bis = spawn_rngs(options.seed, 3)
-    # Imbalance compounds multiplicatively down the recursion, so each
-    # bisection gets the depth-th root of the overall tolerance.
+    # Imbalance compounds multiplicatively down the recursion. Each
+    # bisection gets the depth-th root of the tolerance, but ``depth``
+    # is this sub-problem's own and ``options.ubfactor`` is the root's,
+    # passed down unchanged: the bounds along a root-to-leaf path
+    # multiply to more than ``ubfactor`` (1.05 gives ≈ 1.094 at k = 8,
+    # up to ≈ 1.118 at k = 25), and k-way rebalancing takes up the rest.
     depth = int(np.ceil(np.log2(k)))
     level_ub = max(1.003, options.ubfactor ** (1.0 / depth))
     bis_options = replace(options, seed=rng_bis, ubfactor=level_ub)

@@ -14,13 +14,21 @@ Whole-graph state is array code: one same-side mask over the edge
 arrays per pass yields the gain vector, the boundary and the cut. The
 move loops are inherently sequential and run on Python ints — the
 graph through :attr:`~repro.graph.csr.CSRGraph.lists`, the hill-climb's
-sides and gains as lists kept in step with ``part``, locks in a
-``bytearray`` — and one :class:`~repro.partition.balance.BalanceTracker`
+sides and gains as lists, locks in a ``bytearray`` — and one :class:`~repro.partition.balance.BalanceTracker`
 per refinement call answers both phases' balance questions.
+
+The hill-climb is one flat loop with no call per move: its queue is a
+bare ``heapq`` list with a per-vertex live-entry count (the entries and
+pop order of :class:`~repro.partition.pqueue.MaxPQ`), it tests the fit
+and writes both side weights in the tracker's own rows, and at the end
+of the pass it writes the kept moves into ``part`` in one assignment
+and calls :meth:`~repro.partition.balance.BalanceTracker.resync` once
+to bring the violation rows up to date.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Tuple
 
 import numpy as np
@@ -29,7 +37,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.metrics import partition_weights
 from repro.partition.balance import BalanceTracker
 from repro.partition.config import PartitionOptions
-from repro.partition.pqueue import MaxPQ
 from repro.utils.arrays import sum_by_label
 
 
@@ -65,8 +72,9 @@ def _rebalance(
     only vertices carrying weight in that constraint; gains are
     maintained incrementally after each move.
     """
-    # the two rows are recomputed from the weights on every move, so
-    # their sum carries no drift from earlier passes (``total`` does)
+    # the two rows are re-derived from the weights after every move
+    # here and once per FM pass, so their sum carries no drift from
+    # earlier passes
     if tracker.violation_of(0) + tracker.violation_of(1) <= 1e-12:
         return
     gains, boundary, _ = _edge_state(graph, part)
@@ -148,45 +156,68 @@ def _fm_pass(
     tracker: BalanceTracker,
     options: PartitionOptions,
 ) -> bool:
-    """One FM hill-climbing pass. Returns True if the cut improved."""
-    gain_arr, boundary, start_cut = _edge_state(graph, part)
-    lists = graph.lists
-    start, nbr, wgt = lists.start, lists.nbr, lists.wgt
-    gains: List[int] = gain_arr.tolist()
-    sides: List[int] = part.tolist()  # mirror of ``part``, kept in step
-    locked = bytearray(graph.num_vertices)
+    """One FM hill-climbing pass. Returns True if the cut improved.
 
-    # One queue for both sides, keyed ``2 * gain + (1 - side)``: the
-    # larger gain leads, side 0 wins a gain tie, and a side's equal
-    # gains leave first-in first-out. The initial batch is heapified,
-    # boundary vertices ascending.
-    bnd = np.flatnonzero(boundary).tolist()
-    queue = MaxPQ((v, 2 * gains[v] + 1 - sides[v]) for v in bnd)
+    Writes the tracker's side weights in place and re-derives its
+    violation rows once, at the end (:meth:`BalanceTracker.resync`).
+    """
+    gain_arr, boundary, start_cut = _edge_state(graph, part)
+    start, nbr, wgt, vwgt, ncon = graph.lists
+    gains: List[int] = gain_arr.tolist()
+    sides: List[int] = part.tolist()  # ``part`` as the moves leave it
+    locked = bytearray(graph.num_vertices)
+    pw, allowed, binding = tracker.pw, tracker.allowed, tracker.binding
+    cons = range(ncon)
+
+    # One heap for both sides, entries ``(-(2 * gain + 1 - side), count,
+    # v)``: the larger gain leads, side 0 wins a gain tie, and a side's
+    # equal gains leave first-in first-out (``MaxPQ``'s order). The
+    # first batch is the boundary, ascending, heapified. ``ver[v]`` is
+    # the count of v's live entry (-1: none); every other entry is
+    # stale. A pop clears it, so a vertex that does not fit stays out
+    # until a neighbour's move pushes it again.
+    ver = [-1] * graph.num_vertices
+    heap: List[Tuple[int, int, int]] = []
+    for count, v in enumerate(np.flatnonzero(boundary).tolist()):
+        ver[v] = count
+        heap.append((-(2 * gains[v] + 1 - sides[v]), count, v))
+    heapq.heapify(heap)
+    count = len(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     cur_cut = best_cut = start_cut
-    moves: List[Tuple[int, int]] = []  # (v, from_side)
+    moves: List[int] = []  # moved vertices; each came from 1 - sides[v]
     best_len = 0
     since_best = 0
+    neg_moves = options.fm_neg_moves
 
-    while since_best < options.fm_neg_moves:
-        top = queue.pop()
-        if top is None:
-            break
-        v = top[0]
-        if locked[v]:
-            continue
+    while since_best < neg_moves and heap:
+        _, c, v = heappop(heap)
+        if ver[v] != c:
+            continue  # stale (locked vertices are never pushed)
+        ver[v] = -1
         side = sides[v]
         dst = 1 - side
-        vw = lists.weights(v)
-        if not tracker.fits(dst, vw):
+        base = v * ncon
+        pw_d, al_d = pw[dst], allowed[dst]
+        fits = True
+        for j in binding:
+            if pw_d[j] + vwgt[base + j] > al_d[j]:
+                fits = False
+                break
+        if not fits:
             continue  # discard for this pass
 
-        # execute the move
-        part[v] = sides[v] = dst
-        tracker.apply_move(side, dst, vw)
+        # execute the move (``part`` is written once, after the pass)
+        sides[v] = dst
+        pw_s = pw[side]
+        for j in cons:
+            w = vwgt[base + j]
+            pw_s[j] -= w
+            pw_d[j] += w
         locked[v] = 1
         cur_cut -= gains[v]
-        moves.append((v, side))
+        moves.append(v)
 
         if cur_cut < best_cut:
             best_cut = cur_cut
@@ -204,11 +235,21 @@ def _fm_pass(
                 gains[u] -= 2 * wgt[i]  # edge became internal
             else:
                 gains[u] += 2 * wgt[i]  # edge became external
-            queue.insert(u, 2 * gains[u] + 1 - sides[u])
+            ver[u] = count
+            heappush(heap, (-(2 * gains[u] + 1 - sides[u]), count, u))
+            count += 1
 
     # roll back past the best prefix
-    for v, side in reversed(moves[best_len:]):
-        part[v] = side
-        tracker.apply_move(1 - side, side, lists.weights(v))
+    for v in reversed(moves[best_len:]):
+        side = 1 - sides[v]
+        pw_now, pw_back = pw[1 - side], pw[side]
+        base = v * ncon
+        for j in cons:
+            w = vwgt[base + j]
+            pw_now[j] -= w
+            pw_back[j] += w
+    kept = moves[:best_len]  # each vertex moved at most once
+    part[kept] = 1 - part[kept]
+    tracker.resync()
 
     return best_cut < start_cut

@@ -108,6 +108,33 @@ class TestBalanceTracker:
         )
         assert tracker.total == pytest.approx(fresh.total, abs=1e-9)
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_property_resync_after_in_place_writes(self, seed):
+        # weights written straight into ``pw`` (no apply_move), then
+        # one resync: the state is exactly a fresh tracker's
+        pwgts, targets = self._random_case(seed)
+        tracker = BalanceTracker(pwgts, targets, 1.05)
+        rng = np.random.default_rng(seed + 3)
+        for _ in range(5):
+            src, dst = rng.choice(4, size=2, replace=False)
+            for j, w in enumerate(rng.integers(0, 5, size=2).tolist()):
+                tracker.pw[src][j] -= w
+                tracker.pw[dst][j] += w
+        tracker.resync()
+        fresh = BalanceTracker(tracker.pwgts_array(), targets, 1.05)
+        assert [tracker.violation_of(p) for p in range(4)] == [
+            fresh.violation_of(p) for p in range(4)
+        ]
+        assert tracker.worst() == fresh.worst()
+        assert tracker.total == fresh.total
+
+    def test_binding_skips_zero_total_constraints(self):
+        targets = np.array([[10.0, 0.0, 3.0], [10.0, 0.0, 3.0]])
+        tracker = BalanceTracker(np.zeros((2, 3)), targets, 1.05)
+        assert tracker.binding == [0, 2]
+        assert tracker.fits(0, [0.0, 99.0, 0.0])
+
     def test_worst_identifies_binding_constraint(self):
         targets = np.array([[10.0, 10.0], [10.0, 10.0]])
         pwgts = np.array([[10.0, 18.0], [10.0, 2.0]])

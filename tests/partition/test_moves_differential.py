@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.build import from_edge_list, grid_graph, random_geometric_graph
+from repro.graph.csr import CSRGraph
 from repro.graph.metrics import boundary_vertices, partition_weights
 from repro.partition import matching, refine_fm, refine_kway_fm
 from repro.partition.balance import BalanceTracker, target_weights
@@ -112,6 +113,13 @@ def assert_same_fm_pass(graph, part, targets, options):
     assert got_flag == exp_flag
     np.testing.assert_array_equal(got_part, exp_part)
     assert tracker.pwgts_array().tolist() == exp_pw.tolist()
+    # the pass writes the weights in place and resyncs once: the
+    # violation state is a fresh tracker's, exactly
+    fresh = new_tracker(graph, got_part, targets, options.ubfactor)
+    for p in (0, 1):
+        assert tracker.violation_of(p) == fresh.violation_of(p)
+    assert tracker.worst() == fresh.worst()
+    assert tracker.total == fresh.total
     return int(np.count_nonzero(got_part != part))
 
 
@@ -337,6 +345,35 @@ class TestGraphGrowingMatchesReference:
                         g, frac0, seed_vertex, constraint
                     )
                     assert got.dtype == exp.dtype
+                    np.testing.assert_array_equal(got, exp)
+
+    def test_parallel_edges_and_a_self_loop(self):
+        # a hand-built CSR (``validate`` rejects the self-loop, so no
+        # builder makes it): 0–1 twice with unequal weights, so the
+        # first push of the pair carries a partial gain, and a
+        # self-loop on 3, which only ever counts against absorbing 3
+        edges = [(0, 1, 2), (0, 1, 5), (1, 2, 1), (2, 3, 4), (3, 3, 3),
+                 (3, 4, 1), (4, 5, 2), (5, 0, 1), (1, 4, 3), (2, 5, 2)]
+        rows = [[] for _ in range(6)]
+        for a, b, w in edges:
+            rows[a].append((b, w))
+            if a != b:
+                rows[b].append((a, w))
+        g = CSRGraph(
+            xadj=np.cumsum([0] + [len(r) for r in rows]),
+            adjncy=[u for r in rows for u, _ in r],
+            adjwgt=[w for r in rows for _, w in r],
+            vwgts=[[3, 0], [1, 2], [2, 2], [1, 4], [4, 1], [2, 3]],
+        )
+        for frac0 in (0.3, 0.5, 0.8):
+            for seed_vertex in range(6):
+                for constraint in (-1, 0, 1):
+                    exp = ref.greedy_graph_growing(
+                        g, frac0, seed_vertex, constraint
+                    )
+                    got = greedy_graph_growing(
+                        g, frac0, seed_vertex, constraint
+                    )
                     np.testing.assert_array_equal(got, exp)
 
     def test_all_zero_weights_stop_at_once(self):
