@@ -230,7 +230,3 @@ class ContactStepDriver:
     def total_exchanged(self) -> int:
         """Surface elements shipped across the whole run."""
         return self.ledger.items("contact-exchange")
-
-    def total_redistributed(self) -> int:
-        """Vertices moved by repartitioning across the whole run."""
-        return self.ledger.items("repartition")

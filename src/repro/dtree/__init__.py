@@ -11,7 +11,6 @@ gini splitting index (Eq. 1), with two termination modes:
   partition into one with piecewise axis-parallel boundaries (§4.2).
 """
 
-from repro.dtree.splitter import SplitResult, best_split, median_split
 from repro.dtree.tree import DecisionTree
 from repro.dtree.induction import (
     SubtreeMemo,
@@ -26,9 +25,6 @@ from repro.dtree.query import (
 from repro.dtree.descriptors import SubdomainDescriptors, leaf_regions
 
 __all__ = [
-    "SplitResult",
-    "best_split",
-    "median_split",
     "DecisionTree",
     "induce_pure_tree",
     "induce_bounded_tree",

@@ -108,7 +108,3 @@ class SubdomainDescriptors:
                         if (hi > lo).all():
                             total += float(np.prod(hi - lo))
         return total
-
-    def n_regions(self) -> int:
-        """Total number of descriptor regions (= pure leaves)."""
-        return int(sum(len(r) for r in self.regions_of.values()))

@@ -411,7 +411,7 @@ class _Induction:
         those)."""
         n_pure = np.count_nonzero(pure) if self.median else 0
         if not n_pure:
-            dim, _, threshold, _ = choose_cuts(
+            dim, threshold = choose_cuts(
                 self.coords[ids + self.row], self.narrow[ids], seg, start,
                 size, counts, self.margin_weight,
             )
@@ -421,12 +421,12 @@ class _Induction:
         if n_pure < len(size):
             impure = ~pure
             i_seg, i_start, i_size, i_ids = _pack(impure, seg, size, ids)
-            dim[impure], _, threshold[impure], _ = choose_cuts(
+            dim[impure], threshold[impure] = choose_cuts(
                 self.coords[i_ids + self.row], self.narrow[i_ids], i_seg,
                 i_start, i_size, counts[impure], self.margin_weight,
             )
         p_seg, p_start, p_size, p_ids = _pack(pure, seg, size, ids)
-        dim[pure], _, threshold[pure] = median_cuts(
+        dim[pure], threshold[pure] = median_cuts(
             self.coords[p_ids + self.row], p_seg, p_start, p_size
         )
         return dim, threshold

@@ -93,12 +93,11 @@ def tree_filter_search(
     """MCML+DT global search: send each element to every partition whose
     descriptor leaves its box touches (minus its own).
 
-    Impure leaves (possible only under depth cut-off or coincident
-    mixed-label points) conservatively stand for *all* the partitions
-    whose points they contain — approximated here by their majority
-    label plus a "send to everyone touching" flag would overcount, so
-    we store per-leaf label and mark impure leaves as wildcards.
-    Owners outside ``[0, k)`` and non-finite ``element_boxes`` raise
+    A leaf is impure only under the depth cut-off or at coincident
+    points with mixed labels, and a leaf's label names just its
+    majority partition, so a box touching an impure leaf is sent to
+    every partition (but its own): no pair can be missed. Owners
+    outside ``[0, k)`` and non-finite ``element_boxes`` raise
     :class:`ValueError`.
     """
     element_owner = check_labels(

@@ -9,9 +9,10 @@ of the columns of a ``(d, m)`` block whose row ``j`` lists the node's
 points sorted by coordinate ``j`` (stably, ties in point order). A
 node costs no NumPy call of its own, because a tree has hundreds of
 nodes of a few dozen points each, where the number of calls and not the
-O(n log n) of the sorts is what a split costs. :func:`best_split`,
-:func:`median_split` and :func:`split_index_curve` are the one-segment
-calls of the same pass.
+O(n log n) of the sorts is what a split costs. Tree induction
+(:mod:`repro.dtree.induction`) calls :func:`choose_cuts` and
+:func:`median_cuts` once per tree level; a single node is the
+one-segment case of the same pass.
 
 The pass is independent of the number of partitions k: instead of an
 (n × k) prefix-count matrix it uses the occurrence-rank identity
@@ -41,21 +42,9 @@ its longest extent instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """A chosen hyperplane: ``points[:, dim] <= threshold`` go left."""
-
-    dim: int
-    threshold: float
-    index_value: float
-    n_left: int
-    n_right: int
 
 
 def narrow_labels(labels: np.ndarray, k: int) -> np.ndarray:
@@ -117,20 +106,18 @@ def choose_cuts(
     size: np.ndarray,
     counts: np.ndarray,
     margin_weight: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The Eq. 1 cut every segment takes.
 
     ``c`` is the ``(d, m)`` block of segment-sorted coordinates, the
     other arguments as in :func:`index_curves`, plus the segments'
-    ``size``. Returns ``(dim, pos, threshold, index)``: segment ``s``
-    is cut after column ``pos[s]`` of row ``dim[s]``, at
-    ``threshold[s]``, and ``index`` is :func:`index_curves`'s block
-    (exact at every chosen cut). A segment with no valid cut (one
-    point, or every coordinate constant) gets ``dim = 0``, ``pos =
-    start`` and ``threshold = +inf``: every point goes left.
+    ``size``. Returns ``(dim, threshold)``: segment ``s`` is cut in
+    row ``dim[s]`` at ``threshold[s]``, the midpoint between the two
+    coordinates the cut separates. A segment with no valid cut (one
+    point, or every coordinate constant) gets ``dim = 0`` and
+    ``threshold = +inf``: every point goes left.
     """
-    index = index_curves(lab, seg, start, counts)
-    score = index
+    score = index_curves(lab, seg, start, counts)
     if margin_weight > 0.0:
         with np.errstate(over="ignore"):
             extent = c[:, start + size - 1] - c[:, start]
@@ -151,10 +138,8 @@ def choose_cuts(
             # a gap within a segment is at most its extent; only a gap
             # across two segments (never a valid cut) can overflow
             gaps /= scale
-        score = score.copy()
         score[:, :-1] += (margin_weight * size)[seg[:-1]] * gaps
     # a valid cut separates two distinct coordinates of one segment
-    # (index itself is read only at valid cuts below)
     np.copyto(score[:, :-1], -np.inf, where=c[:, :-1] >= c[:, 1:])
     score[:, start[1:] - 1] = -np.inf
     score[:, -1] = -np.inf
@@ -174,16 +159,16 @@ def choose_cuts(
         np.not_equal(owner[1:], owner[:-1], out=first[1:])
         order = order[first]
         dim, pos, has = dim[order], pos[order], has[order]
-    return (*_cut_at(c, start, has, dim, pos), index)
+    return _cut_at(c, len(start), has, dim, pos)
 
 
 def median_cuts(
     c: np.ndarray, seg: np.ndarray, start: np.ndarray, size: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The §4.2 cut of pure segments: along the longest extent (among
     equal ones the higher dimension), the valid cut nearest the middle
-    (among two, the lower). Arguments and ``(dim, pos, threshold)`` as
-    in :func:`choose_cuts`."""
+    (among two, the lower). Arguments and ``(dim, threshold)`` as in
+    :func:`choose_cuts`."""
     d, m = c.shape
     extent = c[:, start + size - 1] - c[:, start]
     longest = d - 1 - extent[::-1].argmax(axis=0)
@@ -197,113 +182,21 @@ def median_cuts(
     key[-1] = never
     best = np.minimum.reduceat(key, start)
     has = np.flatnonzero(best < never)
-    dim, pos, threshold = _cut_at(c, start, has, longest[has], best[has] % m)
-    return dim, pos, threshold
+    return _cut_at(c, len(start), has, longest[has], best[has] % m)
 
 
 def _cut_at(
     c: np.ndarray,
-    start: np.ndarray,
+    n_seg: int,
     has: np.ndarray,
     dim: np.ndarray,
     pos: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per segment ``(dim, pos, threshold)`` from the cuts ``(dim,
-    pos)`` of segments ``has``; the rest get no cut."""
-    out_dim = np.zeros(len(start), dtype=np.int64)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per segment ``(dim, threshold)`` from the cuts after column
+    ``pos`` of row ``dim`` of segments ``has``; the rest get no cut."""
+    out_dim = np.zeros(n_seg, dtype=np.int64)
     out_dim[has] = dim
-    out_pos = start.copy()
-    out_pos[has] = pos
-    threshold = np.empty(len(start))
+    threshold = np.empty(n_seg)
     threshold.fill(np.inf)
     threshold[has] = 0.5 * (c[dim, pos] + c[dim, pos + 1])
-    return out_dim, out_pos, threshold
-
-
-def _one_segment(
-    points: np.ndarray, labels: np.ndarray, median: bool, margin_weight: float
-) -> Optional[SplitResult]:
-    """:func:`choose_cuts` or :func:`median_cuts` on one node, as a
-    :class:`SplitResult`."""
-    n = len(points)
-    if n < 2:
-        return None
-    order = points.T.argsort(axis=1, kind="stable")
-    c = np.take_along_axis(points.T, order, axis=1)
-    seg = np.zeros(n, dtype=np.int64)
-    start = np.zeros(1, dtype=np.int64)
-    size = np.array([n])
-    if median:
-        dim, pos, threshold = median_cuts(c, seg, start, size)
-    else:
-        counts = np.bincount(labels)[None, :]
-        dim, pos, threshold, index = choose_cuts(
-            c, narrow_labels(labels, counts.shape[1])[order], seg, start,
-            size, counts, margin_weight,
-        )
-    if threshold[0] == np.inf:
-        return None
-    j, i = int(dim[0]), int(pos[0])
-    return SplitResult(
-        dim=j,
-        threshold=float(threshold[0]),
-        index_value=float(n) if median else float(index[j, i]),
-        n_left=i + 1,
-        n_right=n - (i + 1),
-    )
-
-
-def split_index_curve(
-    coords: np.ndarray, labels: np.ndarray
-) -> tuple:
-    """Eq. 1 values for all candidate cuts along one dimension.
-
-    Returns ``(order, valid, index)`` where ``order`` sorts the points
-    by coordinate, ``valid[i]`` marks cut positions *after* sorted
-    point ``i`` (i.e. between distinct coordinates), and ``index[i]``
-    is the Eq. 1 value of that cut. The one-segment, one-dimension
-    call of :func:`index_curves`, exposed for tests.
-    """
-    coords = np.asarray(coords)
-    labels = np.asarray(labels)
-    order = coords.argsort(kind="stable")
-    counts = np.bincount(labels)[None, :]
-    index = index_curves(
-        narrow_labels(labels, counts.shape[1])[order][None, :],
-        np.zeros(len(order), dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        counts,
-    )
-    c = coords[order]
-    return order, c[:-1] < c[1:], index[0, :-1]
-
-
-def best_split(
-    points: np.ndarray,
-    labels: np.ndarray,
-    margin_weight: float = 0.0,
-) -> Optional[SplitResult]:
-    """Best Eq. 1 split over all dimensions, or ``None`` if every
-    dimension is constant (the node is geometrically unsplittable).
-
-    ``margin_weight > 0`` enables the paper's §6 extension: the score
-    is augmented by the (normalised) gap width between the two points
-    the hyperplane separates, preferring cuts through sparse regions.
-    Ties are broken toward the more size-balanced cut to keep trees
-    shallow, then toward the lower dimension and coordinate.
-    """
-    points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=np.int64)
-    return _one_segment(points, labels, False, margin_weight)
-
-
-def median_split(points: np.ndarray) -> Optional[SplitResult]:
-    """Balanced median cut along the longest extent.
-
-    Used for *pure* nodes in bounded induction (§4.2), where Eq. 1 is
-    indifferent (every cut of a single-class node scores the same) and
-    the goal is simply to produce compact, movable boxes. Among equal
-    extents the higher dimension is cut; ``index_value`` is ``n``.
-    """
-    points = np.asarray(points, dtype=float)
-    return _one_segment(points, np.zeros(0, dtype=np.int64), True, 0.0)
+    return out_dim, threshold

@@ -103,30 +103,6 @@ def _contained(
     return box_index, point_index
 
 
-def box_candidate_pairs(
-    boxes: np.ndarray,
-    points: np.ndarray,
-    box_index: np.ndarray,
-    point_index: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact containment over flattened (box, candidate point) pairs.
-
-    ``box_index``/``point_index`` are parallel ``int64`` arrays naming
-    candidate pairs (from any broad phase — uniform grid, dense
-    matrix, ...); the kernel keeps the pairs whose point lies inside
-    the (inclusive) box and returns the filtered index arrays, in
-    their input order. Coordinates are read coordinate-major, one
-    batch comparison per axis — no Python-level loop over pairs.
-    """
-    return _contained(
-        np.ascontiguousarray(boxes[:, 0].T),
-        np.ascontiguousarray(boxes[:, 1].T),
-        np.ascontiguousarray(points.T),
-        box_index,
-        point_index,
-    )
-
-
 def _grid_candidates(
     lo: np.ndarray,
     hi: np.ndarray,

@@ -17,7 +17,6 @@ from repro.graph.ops import (
     connected_components,
     contract,
     induced_subgraph,
-    largest_component,
 )
 from repro.graph.digest import (
     canonical_array,
@@ -27,7 +26,6 @@ from repro.graph.digest import (
 from repro.graph.metrics import (
     edge_cut,
     load_imbalance,
-    max_load_imbalance,
     partition_weights,
     total_comm_volume,
 )
@@ -41,13 +39,11 @@ __all__ = [
     "connected_components",
     "contract",
     "induced_subgraph",
-    "largest_component",
     "canonical_array",
     "digest_arrays",
     "digest_graph",
     "edge_cut",
     "load_imbalance",
-    "max_load_imbalance",
     "partition_weights",
     "total_comm_volume",
 ]

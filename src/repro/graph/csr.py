@@ -95,10 +95,6 @@ class CSRGraph:
         """Per-constraint total vertex weight, shape ``(ncon,)``."""
         return self.vwgts.sum(axis=0)
 
-    def degree(self, v: int) -> int:
-        """Number of neighbours of vertex ``v``."""
-        return int(self.xadj[v + 1] - self.xadj[v])
-
     def degrees(self) -> np.ndarray:
         """Vector of all vertex degrees."""
         return np.diff(self.xadj)

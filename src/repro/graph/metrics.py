@@ -66,11 +66,6 @@ def load_imbalance(
     return out
 
 
-def max_load_imbalance(graph: CSRGraph, part: np.ndarray, k: int) -> float:
-    """Worst imbalance across all constraints (scalar convenience)."""
-    return float(load_imbalance(graph, part, k).max())
-
-
 def external_degree(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
     """Per vertex, the number of adjacency entries that lead into
     another partition, ``int64[n]``."""

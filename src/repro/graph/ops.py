@@ -125,11 +125,3 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
     return label_components(
         graph.num_vertices, src[one_way], graph.adjncy[one_way]
     )
-
-
-def largest_component(graph: CSRGraph) -> Tuple[CSRGraph, np.ndarray]:
-    """Return the induced subgraph of the largest connected component."""
-    comp = connected_components(graph)
-    counts = np.bincount(comp)
-    keep = np.nonzero(comp == counts.argmax())[0]
-    return induced_subgraph(graph, keep)

@@ -3,7 +3,7 @@
 Meshes are stored as a node coordinate array plus a single-type element
 connectivity array (tri/quad in 2D, tet/hex in 3D) with per-element
 body ids for multi-body contact scenes. Derived structures — boundary
-surfaces, contact node sets, nodal and dual graphs — are computed here
+surfaces, contact node sets, the nodal graph — are computed here
 and feed the partitioner and the contact-search pipeline.
 """
 
@@ -16,7 +16,6 @@ from repro.mesh.surface import (
     surface_nodes,
 )
 from repro.mesh.nodal_graph import nodal_graph
-from repro.mesh.dual_graph import dual_graph
 from repro.mesh.generators import (
     structured_box_mesh,
     structured_quad_mesh,
@@ -34,7 +33,6 @@ __all__ = [
     "face_nodes",
     "surface_nodes",
     "nodal_graph",
-    "dual_graph",
     "structured_box_mesh",
     "structured_quad_mesh",
     "merge_meshes",

@@ -66,12 +66,6 @@ class RunReport:
         return cls(spans=tracer.finish(), comm=comm, meta=dict(meta))
 
     # ------------------------------------------------------------------
-    def span_total(self, path: str) -> float:
-        """Wall seconds of the span at ``/``-separated ``path`` under
-        the root (0.0 when the span was never entered)."""
-        node = self.spans.find(path)
-        return node.total_s if node is not None else 0.0
-
     def comm_items(self, phase: str) -> int:
         """Items moved in a ledger phase (0 for unknown phases)."""
         return self.comm.get(phase, (0, 0))[1]

@@ -31,6 +31,13 @@ def target_weights(
     return np.outer(fracs, np.asarray(total_vwgt, dtype=float))
 
 
+def equal_targets(total_vwgt: np.ndarray, k: int) -> np.ndarray:
+    """The targets of ``k`` equal shares (paper §2: ``total / k``) that
+    every k-way stage balances to, computed through ``1 / k``
+    fractions as :func:`target_weights`."""
+    return target_weights(total_vwgt, np.full(k, 1.0 / k, dtype=np.float64))
+
+
 def max_allowed(targets: np.ndarray, ubfactor: float) -> np.ndarray:
     """Upper weight bounds: ``ubfactor * target`` (zero targets stay 0
     but are never binding — see :func:`violation`)."""

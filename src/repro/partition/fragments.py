@@ -23,8 +23,14 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.metrics import partition_weights
 from repro.graph.ops import label_components
-from repro.partition.balance import BalanceTracker, target_weights
+from repro.partition.balance import BalanceTracker, equal_targets
 from repro.partition.config import PartitionOptions
+
+#: sweeps over the k partitions; absorbing can strand new fragments
+_MAX_PASSES = 3
+#: a fragment weighing at most this share of the mean target in every
+#: constraint moves even into a destination it overloads
+_FORCE_LIMIT = 0.5
 
 
 def _fragments_of(
@@ -62,35 +68,31 @@ def absorb_fragments(
     part: np.ndarray,
     k: int,
     options: Optional[PartitionOptions] = None,
-    fracs: Optional[np.ndarray] = None,
-    max_passes: int = 3,
-    force: bool = True,
-    force_limit: float = 0.5,
 ) -> Tuple[np.ndarray, int]:
     """Merge non-dominant partition fragments into their best
     neighbouring partition.
 
     A fragment moves to the foreign partition it shares the most edge
     weight with, preferring destinations within the balance bounds.
-    With ``force=True`` (METIS's EliminateComponents policy) a fragment
-    whose weight is below ``force_limit`` of the mean partition target
-    is moved to its most-connected neighbour *even when that overloads
-    it* — eliminating the fragment is worth a temporary imbalance that
-    the caller's subsequent rebalancing sweep repairs with cheap
-    single-vertex moves. Returns ``(part, n_vertices_moved)``.
+    As in METIS's EliminateComponents, a fragment weighing at most half
+    the mean partition target in every constraint (with a nonzero
+    target) is moved to its most-connected neighbour *even when that
+    overloads it* — eliminating the fragment is worth a temporary
+    imbalance that the caller's subsequent rebalancing sweep repairs
+    with cheap single-vertex moves. A heavier fragment with no destination that
+    fits moves only when that lowers the violation. Returns ``(part,
+    n_vertices_moved)``.
     """
     options = options or PartitionOptions()
     part = np.asarray(part, dtype=np.int64)
-    if fracs is None:
-        fracs = np.full(k, 1.0 / k, dtype=np.float64)
-    targets = target_weights(graph.total_vwgt, fracs)
+    targets = equal_targets(graph.total_vwgt, k)
     mean_target = targets.mean(axis=0)
     tracker = BalanceTracker(
         partition_weights(graph, part, k), targets, options.ubfactor
     )
 
     total_moved = 0
-    for _pass in range(max_passes):
+    for _pass in range(_MAX_PASSES):
         moved_this_pass = 0
         for p in range(k):
             verts, groups = _fragments_of(graph, part, p)
@@ -114,11 +116,11 @@ def absorb_fragments(
                     if tracker.fits(dst, frag_w.tolist()):
                         chosen = dst
                         break
-                if chosen is None and force:
+                if chosen is None:
                     small = True
                     for j in range(graph.ncon):
                         if mean_target[j] > 0 and (
-                            frag_w[j] > force_limit * mean_target[j]
+                            frag_w[j] > _FORCE_LIMIT * mean_target[j]
                         ):
                             small = False
                             break

@@ -55,11 +55,6 @@ def _edge_state(
     return gains, boundary, int(graph.adjwgt[~same].sum() // 2)
 
 
-def gain_vector(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
-    """FM gains for all vertices: external minus internal edge weight."""
-    return _edge_state(graph, part)[0]
-
-
 def _rebalance(
     graph: CSRGraph,
     part: np.ndarray,

@@ -46,7 +46,7 @@ from repro.graph.metrics import (
     external_degree,
     partition_weights,
 )
-from repro.partition.balance import BalanceTracker, target_weights
+from repro.partition.balance import BalanceTracker, equal_targets
 from repro.partition.config import PartitionOptions
 from repro.utils.rng import as_rng
 
@@ -99,17 +99,10 @@ def move_gain_cells(
 
 
 def _make_tracker(
-    graph: CSRGraph,
-    part: np.ndarray,
-    k: int,
-    ubfactor: float,
-    fracs: Optional[np.ndarray],
+    graph: CSRGraph, part: np.ndarray, k: int, ubfactor: float
 ) -> BalanceTracker:
-    if fracs is None:
-        fracs = np.full(k, 1.0 / k, dtype=np.float64)
-    targets = target_weights(graph.total_vwgt, fracs)
     pwgts = partition_weights(graph, part, k)
-    return BalanceTracker(pwgts, targets, ubfactor)
+    return BalanceTracker(pwgts, equal_targets(graph.total_vwgt, k), ubfactor)
 
 
 def greedy_kway_refine(
@@ -117,13 +110,12 @@ def greedy_kway_refine(
     part: np.ndarray,
     k: int,
     options: Optional[PartitionOptions] = None,
-    fracs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Refine a k-way partition in place; returns ``part``."""
     options = options or PartitionOptions()
     part = np.asarray(part, dtype=np.int64)
     rng = as_rng(options.seed)
-    tracker = _make_tracker(graph, part, k, options.ubfactor, fracs)
+    tracker = _make_tracker(graph, part, k, options.ubfactor)
     lists = graph.lists
     start, nbr = lists.start, lists.nbr
     labels: List[int] = part.tolist()  # mirror of ``part``, kept in step
@@ -225,7 +217,6 @@ def rebalance_kway(
     part: np.ndarray,
     k: int,
     options: Optional[PartitionOptions] = None,
-    fracs: Optional[np.ndarray] = None,
     max_moves: Optional[int] = None,
     sample_cap: int = 384,
 ) -> Tuple[np.ndarray, int]:
@@ -247,7 +238,7 @@ def rebalance_kway(
         raise ValueError(f"sample_cap must be >= 1 (got {sample_cap})")
     options = options or PartitionOptions()
     part = np.asarray(part, dtype=np.int64)
-    tracker = _make_tracker(graph, part, k, options.ubfactor, fracs)
+    tracker = _make_tracker(graph, part, k, options.ubfactor)
     vwgts = graph.vwgts
     carries = vwgts > 0
     if max_moves is None:

@@ -15,8 +15,10 @@ cells (:func:`~repro.partition.refine_kway.move_gain_cells`) and is
 heapified rather than pushed one by one; the loop after it stays
 scalar.
 
-Used as the per-level refiner of the direct multilevel k-way driver
-and as an optional stronger final polish for recursive bisection.
+:func:`repro.partition.kway.partition_kway` always ends with it, as
+the final polish after recursive bisection and the fragment, rebalance
+and greedy rounds; MCML+DT's §4.2 reshape ends with it too, on the
+collapsed leaf graph ``G'``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.graph.csr import AdjacencyLists, CSRGraph
 from repro.graph.metrics import boundary_vertices, edge_cut, partition_weights
-from repro.partition.balance import BalanceTracker, target_weights
+from repro.partition.balance import BalanceTracker, equal_targets
 from repro.partition.config import PartitionOptions
 from repro.partition.pqueue import MaxPQ
 from repro.partition.refine_kway import (
@@ -83,10 +85,10 @@ def kway_fm_refine(
     part: np.ndarray,
     k: int,
     options: Optional[PartitionOptions] = None,
-    fracs: Optional[np.ndarray] = None,
-    passes: Optional[int] = None,
 ) -> np.ndarray:
-    """FM-style k-way refinement in place; returns ``part``.
+    """FM-style k-way refinement in place; returns ``part``. Runs at
+    most ``options.kway_passes`` passes, stopping after the first one
+    that does not lower the cut.
 
     Requires a (near-)feasible input partition: moves never overload a
     destination, so infeasible inputs should go through
@@ -94,15 +96,12 @@ def kway_fm_refine(
     """
     options = options or PartitionOptions()
     part = np.asarray(part, dtype=np.int64)
-    if fracs is None:
-        fracs = np.full(k, 1.0 / k, dtype=np.float64)
-    targets = target_weights(graph.total_vwgt, fracs)
+    targets = equal_targets(graph.total_vwgt, k)
     lists = graph.lists
     start, nbr = lists.start, lists.nbr
     labels: List[int] = part.tolist()  # mirror of ``part``, kept in step
-    n_passes = passes if passes is not None else options.kway_passes
 
-    for _pass in range(n_passes):
+    for _pass in range(options.kway_passes):
         tracker = BalanceTracker(
             partition_weights(graph, part, k), targets, options.ubfactor
         )

@@ -654,8 +654,8 @@ def resolve_backend(
 ) -> Backend:
     """Normalise a backend argument to a usable instance.
 
-    The single backend-selection entry point (used by ``spmd_run``,
-    ``ContactStepDriver``, and the CLI).  Resolution order:
+    The single backend-selection entry point (used by
+    ``ContactStepDriver`` and the CLI).  Resolution order:
 
     1. an explicit :class:`Backend` instance — returned as-is
        (``workers`` is ignored; the instance already has its pool),
@@ -682,18 +682,3 @@ def resolve_backend(
     from repro.runtime.backends.serial import SerialBackend
 
     return SerialBackend()
-
-
-# ----------------------------------------------------------------------
-# adapters
-# ----------------------------------------------------------------------
-
-
-def call_without_arg(fn: Callable[[SpmdContext], Any],
-                     ctx: SpmdContext, arg: Any) -> Any:
-    """Adapter for legacy one-argument superstep functions.
-
-    Module-level (not a closure) so ``functools.partial`` of it stays
-    picklable whenever ``fn`` itself is.
-    """
-    return fn(ctx)

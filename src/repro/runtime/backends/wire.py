@@ -157,14 +157,3 @@ def read_stream(read_exact: Callable[[int], bytes]) -> Tuple[Any, int]:
     frames: List[Frame] = [read_exact(length) for length in lengths]
     total = _HEAD.size + _LEN.size * n_frames + frames_nbytes(frames)
     return from_frames(frames), total
-
-
-def peek_version(head: bytes) -> int:
-    """Protocol version claimed by a raw stream header (for handshake
-    diagnostics; raises :class:`WireError` on bad magic/size)."""
-    if len(head) < _HEAD.size:
-        raise WireError("short wire header")
-    magic, version, _n = _HEAD.unpack(head[: _HEAD.size])
-    if magic != WIRE_MAGIC:
-        raise WireError(f"bad wire magic {magic!r}")
-    return int(version)

@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_in_range,
     check_labels,
     check_positive,
-    require,
 )
 from repro.utils.arrays import (
     counts_per_label,
@@ -22,7 +21,6 @@ __all__ = [
     "check_in_range",
     "check_labels",
     "check_positive",
-    "require",
     "counts_per_label",
     "relabel_contiguous",
 ]

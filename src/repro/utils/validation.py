@@ -12,12 +12,6 @@ from typing import Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` unless ``condition``."""
-    if not condition:
-        raise ValueError(message)
-
-
 def check_positive(name: str, value: float, strict: bool = True) -> None:
     """Validate that a scalar parameter is positive (or non-negative)."""
     if strict and value <= 0:

@@ -108,7 +108,7 @@ class TestDriverStrategies:
         )
         results = driver.run(small_sequence)
         assert not any(r.repartitioned for r in results)
-        assert driver.total_redistributed() == 0
+        assert driver.ledger.items("repartition") == 0
 
     def test_hybrid_repartitions_on_period(self, small_sequence):
         driver = ContactStepDriver(

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.boxsearch import box_candidate_pairs, candidate_pairs
+from repro.geometry import boxsearch
+from repro.geometry.boxsearch import candidate_pairs
 
 
 def _pair_set(arrays):
@@ -73,13 +74,23 @@ class TestCandidatePairs:
         assert got == expect
 
 
-class TestBoxCandidatePairsKernel:
-    def test_filters_flattened_candidates(self):
+class TestContainmentPass:
+    def test_filters_grid_candidates(self):
+        """The grid hands the containment pass a point that shares a
+        cell with a box but lies outside it; the pass drops it."""
         boxes = np.array(
             [[[0.0, 0.0], [1.0, 1.0]], [[2.0, 2.0], [3.0, 3.0]]]
         )
-        pts = np.array([[0.5, 0.5], [2.5, 2.5], [5.0, 5.0]])
-        box_index = np.array([0, 0, 1, 1, 1], dtype=np.int64)
-        point_index = np.array([0, 2, 0, 1, 2], dtype=np.int64)
-        b, p = box_candidate_pairs(boxes, pts, box_index, point_index)
-        assert set(zip(b.tolist(), p.tolist())) == {(0, 0), (1, 1)}
+        pts = np.array([[0.5, 0.5], [1.5, 1.5], [2.5, 2.5], [5.0, 5.0]])
+        ids = np.array([10, 11, 12, 13])
+        lo, hi = (np.ascontiguousarray(boxes[:, i].T) for i in (0, 1))
+        origin = pts.min(axis=0)
+        # the smallest cell candidate_pairs uses: the span over
+        # ceil(n ** (1 / d)) = 2
+        b, p = boxsearch._grid_candidates(
+            lo, hi, np.ascontiguousarray(pts.T), origin,
+            (pts.max(axis=0) - origin) / 2.0,
+        )
+        assert (0, 1) in set(zip(b.tolist(), p.tolist()))
+        out = _pair_set(candidate_pairs(boxes, pts, ids))
+        assert out == {(0, 10), (1, 12)}

@@ -8,8 +8,7 @@ and ``induce_bounded_tree``) and of the old ``repro.dtree.splitter``
 (the per-node ``_index_curves`` pass, ``split_index_curve``,
 ``best_split`` and the per-dimension ``median_split``), and of the old
 ``repro.dtree.tree`` (``TreeNode`` and ``DecisionTree``, a list of node
-objects). Only :class:`~repro.dtree.splitter.SplitResult` is shared
-with ``src/`` (so split results compare with ``==``).
+objects), with the ``SplitResult`` record the old splitter returned.
 ``test_induction_differential.py`` asserts the library's trees,
 ``leaf_of_point`` and ``n_grafted`` equal these node for node. Do not
 "fix" or speed these up.
@@ -22,8 +21,18 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dtree.splitter import SplitResult
 from repro.utils.validation import check_array, check_labels, check_positive
+
+
+@dataclass(frozen=True)
+class SplitResult:
+    """A chosen hyperplane: ``points[:, dim] <= threshold`` go left."""
+
+    dim: int
+    threshold: float
+    index_value: float
+    n_left: int
+    n_right: int
 
 
 @dataclass

@@ -6,21 +6,32 @@ The bodies are verbatim copies of the old ``_occurrence_ranks``,
 ``repro.dtree.splitter``: one coordinate ``argsort`` per dimension,
 the occurrence ranks computed twice per dimension (prefix and reversed
 suffix), the per-dimension ``argmax`` / tie-break / lexicographic key
-loop. Only :class:`~repro.dtree.splitter.SplitResult` is shared with
-``src/`` (so results compare with ``==``). ``test_split_differential.py``
-asserts the library's ``best_split`` returns an equal ``SplitResult``
-— threshold and ``index_value`` bit for bit; whole trees are compared
-with the recursive engine in ``reference_induction.py``. Do not "fix"
-or speed these up.
+loop, and the ``SplitResult`` record they return; nothing is shared
+with ``src/``. ``test_split_differential.py`` asserts the root cut of
+the library's depth-1 pure tree equals ``best_split``'s — dimension,
+threshold bit for bit, and the points sent left; whole trees are
+compared with the recursive engine in ``reference_induction.py``. Do
+not "fix" or speed these up.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.dtree.splitter import SplitResult
+
+@dataclass(frozen=True)
+class SplitResult:
+    """A chosen hyperplane: ``points[:, dim] <= threshold`` go left."""
+
+    dim: int
+    threshold: float
+    index_value: float
+    n_left: int
+    n_right: int
+
 
 
 def _occurrence_ranks(labels: np.ndarray) -> np.ndarray:

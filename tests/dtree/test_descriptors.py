@@ -55,7 +55,8 @@ class TestSubdomainDescriptors:
         tree, _ = induce_pure_tree(pts, labels, 3)
         desc = SubdomainDescriptors.from_tree(tree, bbox_of_points(pts))
         assert set(desc.regions_of) == {0, 1, 2}
-        assert desc.n_regions() == tree.n_leaves
+        n_regions = sum(len(r) for r in desc.regions_of.values())
+        assert n_regions == tree.n_leaves
 
     def test_zero_overlap_invariant(self):
         """The paper's key geometric property: descriptor regions of

@@ -22,10 +22,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.dtree import induction
-from repro.dtree.splitter import best_split, median_split
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
 from tests.dtree import reference_induction as ref
+from tests.dtree.test_splitter import cut_of, eq1_cut, median_cut
 
 ONE = np.nextafter(1.0, 2.0)
 
@@ -167,11 +167,14 @@ def test_memo_sequence_equals_the_oracle(case, rule):
 @given(scenes(), st.sampled_from([0.0, 0.01, 0.5, 5.0]))
 @settings(max_examples=200, deadline=None)
 def test_one_segment_calls_equal_the_oracle(scene, margin_weight):
+    """A depth-1 tree's root cut is the oracle's per-node split: Eq. 1
+    on an impure node, the median on a pure one."""
     points, labels, _ = scene
-    assert best_split(points, labels, margin_weight) == (
-        ref.best_split(points, labels, margin_weight)
-    )
-    assert median_split(points) == ref.median_split(points)
+    want = None
+    if len(np.unique(labels)) > 1:
+        want = cut_of(ref.best_split(points, labels, margin_weight), points)
+    assert eq1_cut(points, labels, margin_weight) == want
+    assert median_cut(points) == cut_of(ref.median_split(points), points)
 
 
 # ----------------------------------------------------------------------

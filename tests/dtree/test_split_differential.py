@@ -1,12 +1,10 @@
-"""Differential tests: the batched split search must reproduce the
-verbatim per-dimension oracle in :mod:`tests.dtree.reference_split` —
-the same ``SplitResult`` with threshold and ``index_value`` bit for
-bit — and the level pass the verbatim recursive engine in
+"""Differential tests: the split search must reproduce the verbatim
+per-dimension oracle in :mod:`tests.dtree.reference_split` — the root
+cut of a depth-1 tree equals the oracle's best split, threshold bit
+for bit — and the level pass the verbatim recursive engine in
 :mod:`tests.dtree.reference_induction`: the same trees, node for node,
 the same ``leaf_of_point`` and the same ``n_grafted`` on every snapshot
 of an impact sequence."""
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -17,12 +15,12 @@ from hypothesis.extra import numpy as hnp
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.dtree import induction
 from repro.dtree.induction import suggested_bounds
-from repro.dtree.splitter import best_split
 from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import simulate_impact
 from tests.dtree import reference_induction as ref_induction
 from tests.dtree import reference_split as ref
 from tests.dtree.test_induction_differential import node_rows
+from tests.dtree.test_splitter import cut_of, eq1_cut
 
 K = 8
 
@@ -32,16 +30,6 @@ _coord = st.one_of(
     st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
-
-
-def bits(split):
-    """A ``SplitResult`` with its floats spelled out exactly."""
-    if split is None:
-        return None
-    return tuple(
-        v.hex() if isinstance(v, float) else v
-        for v in dataclasses.astuple(split)
-    )
 
 
 @st.composite
@@ -66,10 +54,13 @@ def split_inputs(draw):
 @given(split_inputs())
 @settings(max_examples=300, deadline=None)
 def test_best_split_equals_the_oracle(case):
+    """A depth-1 pure tree's root cut is the oracle's best split; a
+    pure node stays a leaf."""
     points, labels, margin_weight = case
-    want = ref.best_split(points, labels, margin_weight)
-    got = best_split(points, labels, margin_weight)
-    assert bits(got) == bits(want)
+    want = None
+    if len(np.unique(labels)) > 1:
+        want = cut_of(ref.best_split(points, labels, margin_weight), points)
+    assert eq1_cut(points, labels, margin_weight) == want
 
 
 # ----------------------------------------------------------------------

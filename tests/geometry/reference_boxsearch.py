@@ -3,8 +3,9 @@ dual-tree pass, kept verbatim as a differential oracle.
 
 Each box queried its own ball through ``cKDTree.query_ball_point``,
 which built one Python list per box; the ragged lists were flattened
-once and exact containment ran through the library's
-:func:`~repro.geometry.boxsearch.box_candidate_pairs`.
+once and exact containment ran over the flattened pairs
+(:func:`_contained`, written here so the oracle shares no code with
+:mod:`repro.geometry.boxsearch`).
 ``tests/geometry/test_boxsearch_differential.py`` asserts the library
 returns the same pair *set* as this body.
 """
@@ -17,7 +18,20 @@ from typing import Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from repro.geometry.boxsearch import box_candidate_pairs
+
+def _contained(
+    boxes: np.ndarray,
+    points: np.ndarray,
+    box_index: np.ndarray,
+    point_index: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (box, point) pairs, of the ones named, whose point lies in
+    the (inclusive) box, in their input order."""
+    p = points[point_index]
+    inside = (
+        (p >= boxes[box_index, 0]) & (p <= boxes[box_index, 1])
+    ).all(axis=1)
+    return box_index[inside], point_index[inside]
 
 
 def candidate_pairs(
@@ -47,7 +61,7 @@ def candidate_pairs(
     cand_index = np.fromiter(
         chain.from_iterable(hits), dtype=np.int64, count=total
     )
-    kept_boxes, kept_cands = box_candidate_pairs(
+    kept_boxes, kept_cands = _contained(
         boxes, points, box_index, cand_index
     )
     return kept_boxes, point_ids[kept_cands]

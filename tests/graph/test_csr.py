@@ -21,7 +21,6 @@ class TestBasics:
     def test_degrees(self):
         g = triangle()
         assert g.degrees().tolist() == [2, 2, 2]
-        assert g.degree(0) == 2
 
     def test_neighbors_sorted_structure(self):
         g = triangle()

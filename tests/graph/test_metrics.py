@@ -2,7 +2,6 @@
 brute-force references."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,6 @@ from repro.graph.metrics import (
     edge_cut,
     external_degree,
     load_imbalance,
-    max_load_imbalance,
     partition_weights,
     total_comm_volume,
 )
@@ -103,15 +101,6 @@ class TestWeightsAndImbalance:
         g = grid_graph(4, 1).with_vwgts(vw)
         imb = load_imbalance(g, np.array([0, 0, 1, 1]), 2)
         assert imb[1] == 1.0
-
-    def test_max_load_imbalance(self):
-        vw = np.ones((4, 2), dtype=int)
-        vw[0, 1] = 10
-        g = grid_graph(4, 1).with_vwgts(vw)
-        part = np.array([0, 0, 1, 1])
-        assert max_load_imbalance(g, part, 2) == pytest.approx(
-            load_imbalance(g, part, 2).max()
-        )
 
 
 class TestBoundary:

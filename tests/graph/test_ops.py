@@ -12,7 +12,6 @@ from repro.graph.ops import (
     connected_components,
     contract,
     induced_subgraph,
-    largest_component,
 )
 
 
@@ -135,9 +134,3 @@ class TestComponents:
         for cc in nx.connected_components(nxg):
             labels = {comp[v] for v in cc}
             assert len(labels) == 1
-
-    def test_largest_component(self):
-        g = from_edge_list(6, np.array([[0, 1], [1, 2], [4, 5]]))
-        sub, ids = largest_component(g)
-        assert sub.num_vertices == 3
-        assert sorted(ids.tolist()) == [0, 1, 2]

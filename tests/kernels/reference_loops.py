@@ -3,18 +3,21 @@ the five array routines of the contact search.
 
 ``_src_*`` re-implement :func:`repro.geometry.bbox.bboxes_intersect_matrix`,
 :func:`repro.geometry.bbox.bboxes_of_groups`,
-:func:`repro.geometry.boxsearch.box_candidate_pairs`,
+:func:`repro.geometry.boxsearch.candidate_pairs`,
 :func:`repro.core.contact_search.row_majority` and
-:func:`repro.dtree.splitter.split_index_curve` one element at a time,
+:func:`repro.dtree.splitter.index_curves` one element at a time,
 performing the same arithmetic per element (comparisons, int64
 cumulative sums, IEEE sqrt), so ``test_conformance.py`` can demand
 bit-identical results from the vectorised bodies.  ``_prep_*`` mirror
 each routine's signature (defaults included) and its input coercions,
-returning the positional tuple the loop form consumes.  The bodies are
-verbatim copies of the loop sources that used to live in
-``repro.runtime.compiled`` (``_src_bboxes_of_groups`` was written
-after them, in the same style); they share no code with ``src/``.  Do
-not "fix" or speed these up.
+returning the positional tuple the loop form consumes.  The bodies
+started as verbatim copies of the loop sources that used to live in
+``repro.runtime.compiled``; ``_src_bboxes_of_groups`` was written
+after them, in the same style, and ``_src_candidate_pairs`` (dense
+containment over every box and point) and ``_src_index_curves`` (the
+old one-dimension scan, run per row and per segment) now check the
+entry points the program calls.  They share no code with ``src/``.
+Do not "fix" or speed these up.
 """
 
 from __future__ import annotations
@@ -80,48 +83,38 @@ def _src_bboxes_of_groups(
     return out
 
 
-def _prep_box_candidate_pairs(
-    boxes: Any, points: Any, box_index: Any, point_index: Any
+def _prep_candidate_pairs(
+    boxes: Any, points: Any, point_ids: Any
 ) -> Tuple[Any, ...]:
     return (
-        np.asarray(boxes),
-        np.asarray(points),
-        np.asarray(box_index),
-        np.asarray(point_index),
+        np.asarray(boxes, dtype=np.float64),
+        np.asarray(points, dtype=np.float64),
+        np.asarray(point_ids, dtype=np.int64),
     )
 
 
-def _src_box_candidate_pairs(
-    boxes: np.ndarray,
-    points: np.ndarray,
-    box_index: np.ndarray,
-    point_index: np.ndarray,
+def _src_candidate_pairs(
+    boxes: np.ndarray, points: np.ndarray, point_ids: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    n_pairs = box_index.shape[0]
-    d = points.shape[1]
-    keep = np.empty(n_pairs, dtype=np.bool_)
-    n_kept = 0
-    for t in range(n_pairs):
-        b = box_index[t]
-        p = point_index[t]
-        inside = True
-        for dim in range(d):
-            v = points[p, dim]
-            if v < boxes[b, 0, dim] or v > boxes[b, 1, dim]:
-                inside = False
-                break
-        keep[t] = inside
-        if inside:
-            n_kept += 1
-    out_boxes = np.empty(n_kept, dtype=box_index.dtype)
-    out_points = np.empty(n_kept, dtype=point_index.dtype)
-    k = 0
-    for t in range(n_pairs):
-        if keep[t]:
-            out_boxes[k] = box_index[t]
-            out_points[k] = point_index[t]
-            k += 1
-    return out_boxes, out_points
+    m = boxes.shape[0]
+    n, d = points.shape
+    out_boxes = []
+    out_points = []
+    for b in range(m):
+        for p in range(n):
+            inside = True
+            for dim in range(d):
+                v = points[p, dim]
+                if v < boxes[b, 0, dim] or v > boxes[b, 1, dim]:
+                    inside = False
+                    break
+            if inside:
+                out_boxes.append(b)
+                out_points.append(point_ids[p])
+    return (
+        np.array(out_boxes, dtype=np.int64),
+        np.array(out_points, dtype=np.int64),
+    )
 
 
 def _prep_row_majority(labels: Any) -> Tuple[Any, ...]:
@@ -148,19 +141,33 @@ def _src_row_majority(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prep_split_index_curve(coords: Any, labels: Any) -> Tuple[Any, ...]:
-    return (np.asarray(coords), np.asarray(labels))
+def _prep_index_curves(
+    lab: Any, seg: Any, start: Any, counts: Any
+) -> Tuple[Any, ...]:
+    return (
+        np.asarray(lab), np.asarray(seg), np.asarray(start),
+        np.asarray(counts),
+    )
 
 
-def _src_split_index_curve(
-    coords: np.ndarray, labels: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = coords.shape[0]
-    # mergesort is stable, and stability fully determines the
-    # permutation — identical to the pure path's kind="stable"
-    order = np.argsort(coords, kind="mergesort")
-    c = coords[order]
-    lab = labels[order]
+def _src_index_curves(
+    lab: np.ndarray, seg: np.ndarray, start: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    d, m = lab.shape
+    out = np.empty((d, m), dtype=np.float64)
+    n_seg = start.shape[0]
+    for j in range(d):
+        for s in range(n_seg):
+            first = start[s]
+            last = start[s + 1] if s + 1 < n_seg else m
+            out[j, first:last] = _segment_curve(lab[j, first:last])
+    return out
+
+
+def _segment_curve(lab: np.ndarray) -> np.ndarray:
+    """Eq. 1 after every position of one segment's labels in sorted
+    order (after the last: of the whole segment)."""
+    n = lab.shape[0]
     # prefix sums of per-class squared counts via occurrence ranks:
     # sum_c left_c(i)^2 == sum_{j<=i} (2*rank_j - 1)
     idx = np.argsort(lab, kind="mergesort")
@@ -187,14 +194,11 @@ def _src_split_index_curve(
     rev_sq[0] = 0
     for t in range(n):
         rev_sq[t + 1] = rev_sq[t] + 2 * rranks[t] - 1
-    m = n - 1 if n > 0 else 0
-    idx_vals = np.empty(m, dtype=np.float64)
-    valid = np.empty(m, dtype=np.bool_)
-    for i in range(m):
+    idx_vals = np.empty(n, dtype=np.float64)
+    for i in range(n):
         # cut after sorted position i puts i+1 points left; the suffix
         # square-sum of the right side is rev_sq[n - (i + 1)]
         idx_vals[i] = np.sqrt(float(left_sq[i + 1])) + np.sqrt(
             float(rev_sq[n - (i + 1)])
         )
-        valid[i] = c[i] < c[i + 1]
-    return order, valid, idx_vals
+    return idx_vals

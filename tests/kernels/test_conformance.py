@@ -7,7 +7,8 @@ hypothesis-generated inputs run through the vectorised NumPy body in
 ``src/`` and through its independent per-pair / per-row loop form in
 ``reference_loops.py``, and the results must be **bit-identical** —
 exact ``np.array_equal`` with dtype and shape equality, never
-``allclose``.  The loop forms run as plain Python on every platform,
+``allclose`` (a routine whose pairs are a set, listed in ``UNORDERED``,
+is compared with both sides in pair order).  The loop forms run as plain Python on every platform,
 which proves the algorithm algebra, including stable-sort permutations
 under heavy ties.
 """
@@ -21,9 +22,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.contact_search import row_majority
-from repro.dtree.splitter import split_index_curve
+from repro.dtree.splitter import index_curves
 from repro.geometry.bbox import bboxes_intersect_matrix, bboxes_of_groups
-from repro.geometry.boxsearch import box_candidate_pairs
+from repro.geometry.boxsearch import candidate_pairs
 
 from . import reference_loops
 
@@ -32,12 +33,15 @@ KERNELS = {
     f"{fn.__module__}.{fn.__qualname__}": fn
     for fn in (
         row_majority,
-        split_index_curve,
+        index_curves,
         bboxes_intersect_matrix,
         bboxes_of_groups,
-        box_candidate_pairs,
+        candidate_pairs,
     )
 }
+
+#: routines returning parallel index arrays in unspecified order
+UNORDERED = {"repro.geometry.boxsearch.candidate_pairs"}
 
 CONFORMANCE_SETTINGS = settings(
     max_examples=25,
@@ -88,26 +92,22 @@ def _groups_inputs(draw):
 
 @st.composite
 def _boxsearch_inputs(draw):
+    """Boxes and points on tied coordinates (points on box faces), and
+    distinct point ids."""
     d = draw(st.integers(1, 3))
-    n_boxes = draw(st.integers(1, 5))
-    n_points = draw(st.integers(1, 6))
-    n_pairs = draw(st.integers(0, 12))
-    boxes = draw(
-        hnp.arrays(np.float64, (n_boxes, 2, d), elements=_coord)
-    )
+    n_boxes = draw(st.integers(0, 5))
+    n_points = draw(st.integers(0, 8))
+    coord = st.one_of(_coord, _tied_coord)
+    boxes = draw(hnp.arrays(np.float64, (n_boxes, 2, d), elements=coord))
     boxes.sort(axis=1)
-    points = draw(hnp.arrays(np.float64, (n_points, d), elements=_coord))
-    box_index = draw(
+    points = draw(hnp.arrays(np.float64, (n_points, d), elements=coord))
+    point_ids = draw(
         hnp.arrays(
-            np.int64, (n_pairs,), elements=st.integers(0, n_boxes - 1)
+            np.int64, (n_points,), elements=st.integers(0, 999),
+            unique=True,
         )
     )
-    point_index = draw(
-        hnp.arrays(
-            np.int64, (n_pairs,), elements=st.integers(0, n_points - 1)
-        )
-    )
-    return (boxes, points, box_index, point_index), {}
+    return (boxes, points, point_ids), {}
 
 
 @st.composite
@@ -121,26 +121,44 @@ def _row_majority_inputs(draw):
 
 
 @st.composite
-def _split_curve_inputs(draw):
-    n = draw(st.integers(1, 16))
-    coords = draw(hnp.arrays(np.float64, (n,), elements=_tied_coord))
-    labels = draw(
-        hnp.arrays(np.int64, (n,), elements=st.integers(0, 3))
-    )
-    return (coords, labels), {}
+def _index_curves_inputs(draw):
+    """A level of segments: narrow labels, row ``j`` of each segment a
+    permutation of the segment's labels (its order along coordinate
+    ``j``), and the segments' class counts."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    rows = [[] for _ in range(d)]
+    counts = np.zeros((len(sizes), k), dtype=np.int64)
+    for s, size in enumerate(sizes):
+        labels = draw(st.lists(st.integers(0, k - 1), min_size=size,
+                               max_size=size))
+        counts[s] = np.bincount(labels, minlength=k)
+        for row in rows:
+            row.extend(draw(st.permutations(labels)))
+    size = np.array(sizes)
+    start = np.cumsum(size) - size
+    seg = np.repeat(np.arange(len(sizes)), size)
+    return (np.array(rows, dtype=np.uint8), seg, start, counts), {}
 
 
 INPUTS = {
     "repro.geometry.bbox.bboxes_intersect_matrix": _bbox_inputs,
     "repro.geometry.bbox.bboxes_of_groups": _groups_inputs,
-    "repro.geometry.boxsearch.box_candidate_pairs": _boxsearch_inputs,
+    "repro.geometry.boxsearch.candidate_pairs": _boxsearch_inputs,
     "repro.core.contact_search.row_majority": _row_majority_inputs,
-    "repro.dtree.splitter.split_index_curve": _split_curve_inputs,
+    "repro.dtree.splitter.index_curves": _index_curves_inputs,
 }
 
 
 def _as_tuple(out):
     return out if isinstance(out, tuple) else (out,)
+
+
+def _in_pair_order(pairs):
+    """Parallel index arrays sorted by (first, second)."""
+    order = np.lexsort(pairs[::-1])
+    return tuple(a[order] for a in pairs)
 
 
 def _assert_bit_identical(name, want, got):
@@ -190,4 +208,6 @@ def test_interpreted_source_matches_pure(name, data):
     source = getattr(reference_loops, f"_src_{pure.__name__}")
     want = pure(*args, **kwargs)
     got = source(*prepare(*args, **kwargs))
+    if name in UNORDERED:
+        want, got = _in_pair_order(want), _in_pair_order(got)
     _assert_bit_identical(name, want, got)

@@ -1,9 +1,8 @@
-"""Tests for nodal and dual graph construction."""
+"""Tests for nodal graph construction."""
 
 import numpy as np
 import pytest
 
-from repro.mesh.dual_graph import dual_graph
 from repro.mesh.generators import structured_box_mesh, structured_quad_mesh
 from repro.mesh.nodal_graph import nodal_graph
 
@@ -52,30 +51,3 @@ class TestNodalGraph:
         with pytest.raises(ValueError, match="align"):
             nodal_graph(m, edge_weights=np.ones(3))
 
-
-class TestDualGraph:
-    def test_quad_strip(self):
-        m = structured_quad_mesh(4, 1)
-        g = dual_graph(m)
-        g.validate()
-        assert g.num_vertices == 4
-        assert g.num_edges == 3  # a path
-
-    def test_hex_block(self):
-        m = structured_box_mesh(3, 3, 3)
-        g = dual_graph(m)
-        # interior element has 6 dual neighbours
-        assert g.degrees().max() == 6
-        assert g.num_edges == 3 * (2 * 3 * 3)
-
-    def test_disconnected_bodies_stay_disconnected(self):
-        from repro.mesh.generators import merge_meshes
-
-        a = structured_box_mesh(2, 2, 2)
-        b = structured_box_mesh(2, 2, 2, origin=(10, 0, 0))
-        m = merge_meshes([a, b])
-        g = dual_graph(m)
-        from repro.graph.ops import connected_components
-
-        comp = connected_components(g)
-        assert len(np.unique(comp)) == 2

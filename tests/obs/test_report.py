@@ -35,11 +35,6 @@ class TestRunReport:
         assert report.comm_total_items() == 15
         assert report.meta == {"k": 4, "seed": 0}
 
-    def test_span_total_lookup(self):
-        report = _sample_report()
-        assert report.span_total("fit") >= report.span_total("fit/partition")
-        assert report.span_total("no/such/span") == 0.0
-
     def test_save_load_round_trip(self, tmp_path):
         report = _sample_report()
         path = tmp_path / "report.json"

@@ -68,6 +68,6 @@ class TestKwayFmRefine:
         part = np.repeat(np.arange(2), 50).astype(np.int64)
         np.random.default_rng(0).shuffle(part)
         out = kway_fm_refine(
-            g, part, 2, PartitionOptions(seed=0), passes=1
+            g, part, 2, PartitionOptions(seed=0, kway_passes=1)
         )
         assert len(out) == 100

@@ -29,8 +29,8 @@ from repro.runtime.backends import (
     resolve_backend,
     set_default_backend,
 )
-from repro.runtime.executor import spmd_run
 from repro.runtime.ledger import CommLedger
+from tests.runtime.spmd import run_supersteps
 
 
 # ----------------------------------------------------------------------
@@ -162,12 +162,6 @@ class TestValidation:
                 with pytest.raises(ValueError, match=">= 1"):
                     be.open_session(-3)
 
-    def test_spmd_run_size_validation(self):
-        with pytest.raises(ValueError, match="at least one rank"):
-            spmd_run(0, [_traced])
-        with pytest.raises(ValueError, match="size=-1"):
-            spmd_run(-1, [_traced])
-
     def test_send_validation(self):
         be = SerialBackend()
         with be.open_session(2) as sess:
@@ -190,7 +184,7 @@ class TestEquivalence:
         for be in _all_backends():
             with be:
                 ledger = CommLedger()
-                results = spmd_run(
+                results = run_supersteps(
                     4, [_ring_send, _ring_recv], ledger=ledger, backend=be
                 )
                 outcome = (results[1], ledger.summary())
@@ -217,7 +211,7 @@ class TestEquivalence:
     def test_state_persists_across_steps(self):
         for be in _all_backends():
             with be:
-                results = spmd_run(3, [_ring_send, _ring_recv], backend=be)
+                results = run_supersteps(3, [_ring_send, _ring_recv], backend=be)
                 for rank, sent_to, _got in results[1]:
                     assert sent_to == (rank + 1) % 3
 
@@ -226,7 +220,7 @@ class TestEquivalence:
             with be:
                 tracer = Tracer()
                 with tracer.span("run"):
-                    spmd_run(4, [_traced], backend=be, tracer=tracer)
+                    run_supersteps(4, [_traced], backend=be, tracer=tracer)
                 root = tracer.finish()
                 work = root.find("run/work")
                 assert work is not None, be.name
@@ -383,20 +377,20 @@ class TestProcessBackend:
 
         with ProcessBackend(workers=2) as be:
             with pytest.warns(RuntimeWarning, match="not picklable"):
-                results = spmd_run(3, [closure_step], backend=be)
+                results = run_supersteps(3, [closure_step], backend=be)
         assert results[0] == [0, 10, 20]
         assert captured["ranks"] == [0, 1, 2]  # ran in-process
 
     def test_worker_exception_propagates(self):
         with ProcessBackend(workers=2) as be:
             with pytest.raises(BackendError, match="rank 1 explodes"):
-                spmd_run(2, [_boom], backend=be)
+                run_supersteps(2, [_boom], backend=be)
 
     def test_pool_is_reused_across_sessions(self):
         with ProcessBackend(workers=2) as be:
-            spmd_run(2, [_traced], backend=be)
+            run_supersteps(2, [_traced], backend=be)
             first = {h.proc.pid for h in be._pool}
-            spmd_run(4, [_traced], backend=be)
+            run_supersteps(4, [_traced], backend=be)
             assert {h.proc.pid for h in be._pool} == first
 
     def test_backend_error_is_picklable(self):
@@ -406,7 +400,7 @@ class TestProcessBackend:
     def test_more_ranks_than_workers(self):
         with ProcessBackend(workers=2) as be:
             ledger = CommLedger()
-            results = spmd_run(
+            results = run_supersteps(
                 7, [_ring_send, _ring_recv], ledger=ledger, backend=be
             )
             assert [r for r, _s, _g in results[1]] == list(range(7))

@@ -1,15 +1,16 @@
-"""Tests for the SPMD executor."""
+"""Straight-line superstep programs on one session: results per step
+and rank, message delivery at the barrier, ledger accounting."""
 
 import numpy as np
 import pytest
 
-from repro.runtime.executor import spmd_run
 from repro.runtime.ledger import CommLedger
+from tests.runtime.spmd import run_supersteps
 
 
 class TestSpmdRun:
     def test_results_indexed_by_step_and_rank(self):
-        results = spmd_run(3, [lambda ctx: ctx.rank * 10])
+        results = run_supersteps(3, [lambda ctx: ctx.rank * 10])
         assert results == [[0, 10, 20]]
 
     def test_ring_exchange(self):
@@ -26,7 +27,7 @@ class TestSpmdRun:
             assert src == payload == (ctx.rank - 1) % ctx.size
             return payload
 
-        results = spmd_run(4, [send, receive])
+        results = run_supersteps(4, [send, receive])
         assert results[1] == [3, 0, 1, 2]
 
     def test_messages_not_visible_same_superstep(self):
@@ -34,7 +35,7 @@ class TestSpmdRun:
             ctx.send((ctx.rank + 1) % ctx.size, "x", "p", 1)
             return len(ctx.inbox())
 
-        results = spmd_run(2, [step])
+        results = run_supersteps(2, [step])
         assert results[0] == [0, 0]
 
     def test_ledger_threading(self):
@@ -45,7 +46,7 @@ class TestSpmdRun:
                 if dst != ctx.rank:
                     ctx.send(dst, None, "gossip", 2)
 
-        spmd_run(3, [chatter], led)
+        run_supersteps(3, [chatter], led)
         assert led.messages("gossip") == 6
         assert led.items("gossip") == 12
 
@@ -59,7 +60,7 @@ class TestSpmdRun:
                 if dst != ctx.rank:
                     ctx.send(dst, None, "sym", 5)
 
-        spmd_run(4, [exchange], led)
+        run_supersteps(4, [exchange], led)
         for r in range(4):
             assert led.sent_by_rank[("sym", r)] == 15
             assert led.received_by_rank[("sym", r)] == 15

@@ -21,7 +21,6 @@ from repro.runtime.backends import (
     SupervisorConfig,
     build_backend,
 )
-from repro.runtime.executor import spmd_run
 from repro.runtime.faults import (
     ChaosBackend,
     ChaosStep,
@@ -29,6 +28,7 @@ from repro.runtime.faults import (
     FaultSpec,
 )
 from repro.runtime.ledger import CommLedger
+from tests.runtime.spmd import run_supersteps
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +58,7 @@ PIPELINE = (_seed_state, _fold_inbox, _collect)
 
 def _run_pipeline(backend, tracer=None, pipeline=PIPELINE):
     ledger = CommLedger()
-    results = spmd_run(
+    results = run_supersteps(
         3, pipeline, ledger=ledger, backend=backend, tracer=tracer
     )
     return results, ledger
@@ -247,7 +247,9 @@ def test_kill_in_the_calling_process_is_a_no_op():
     """A ChaosStep fired outside any worker (here on the serial
     backend) runs the plain superstep: there is no worker to lose."""
     step = ChaosStep(lambda ctx, _: _collect(ctx), 1, {0: ("kill", 0.0)})
-    out = spmd_run(2, [_seed_state, lambda ctx: step(ctx, None)])
+    out = run_supersteps(
+        2, [_seed_state, lambda ctx: step(ctx, None)], backend="serial"
+    )
     assert out[-1] == [(0, 1, [1]), (1, 2, [0])]
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.backends import SerialBackend
-from repro.runtime.executor import spmd_run
 from repro.runtime.ledger import CommLedger
+from tests.runtime.spmd import run_supersteps
 
 
 def _send_mine(ctx, messages):
@@ -88,6 +88,6 @@ def test_supersteps_are_strictly_ordered():
         trace.append(("second", ctx.rank))
         assert len(ctx.inbox()) == 1
 
-    spmd_run(3, [first, second], backend="serial")
+    run_supersteps(3, [first, second], backend="serial")
     names = [t[0] for t in trace]
     assert names == ["first"] * 3 + ["second"] * 3

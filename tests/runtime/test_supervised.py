@@ -36,9 +36,9 @@ from repro.runtime.backends import (
     TCPBackend,
     build_backend,
 )
-from repro.runtime.executor import spmd_run
 from repro.runtime.faults import ChaosBackend
 from repro.runtime.ledger import CommLedger
+from tests.runtime.spmd import run_supersteps
 
 ACCEPT_TIMEOUT = 30.0  # generous: CI machines can be slow to fork
 
@@ -120,7 +120,7 @@ def _report_step(ctx, arg):
 
 def _run(backend, steps, shared=None, tracer=None):
     ledger = CommLedger()
-    results = spmd_run(
+    results = run_supersteps(
         3, steps, ledger=ledger, backend=backend, tracer=tracer,
         shared=shared,
     )

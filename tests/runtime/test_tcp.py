@@ -18,6 +18,7 @@ import struct
 import subprocess
 import sys
 import time
+from functools import partial
 
 import pytest
 
@@ -35,8 +36,8 @@ from repro.runtime.backends.wire import (
     read_stream,
     write_stream,
 )
-from repro.runtime.executor import spmd_run
 from repro.runtime.ledger import CommLedger
+from tests.runtime.spmd import run_supersteps, without_arg
 from tests.runtime import test_supervised as supervised
 
 ACCEPT_TIMEOUT = 30.0  # generous: CI machines can be slow to fork
@@ -70,7 +71,7 @@ PIPELINE = (_seed_state, _fold_inbox, _collect)
 
 def _run_pipeline(backend, tracer=None, size=3):
     ledger = CommLedger()
-    results = spmd_run(
+    results = run_supersteps(
         size, PIPELINE, ledger=ledger, backend=backend, tracer=tracer
     )
     return results, ledger
@@ -135,7 +136,7 @@ class TestDistributedRuns:
         ledger = CommLedger()
         backend = _tcp_backend(workers=2)
         try:
-            spmd_run(3, PIPELINE, ledger=ledger, backend=backend,
+            run_supersteps(3, PIPELINE, ledger=ledger, backend=backend,
                      tracer=tracer)
         finally:
             backend.close()
@@ -293,12 +294,8 @@ class TestElasticMembership:
             with backend.open_session(
                 4, ledger=ledger, tracer=tracer
             ) as session:
-                from functools import partial
-
-                from repro.runtime.backends.base import call_without_arg
-
                 results.append(
-                    session.step(partial(call_without_arg, _seed_state))
+                    session.step(partial(without_arg, _seed_state))
                 )
                 # a second agent dials in mid-run ...
                 backend._spawn_agent()
@@ -306,7 +303,7 @@ class TestElasticMembership:
                 # ... and is adopted at the next superstep boundary
                 for fn in PIPELINE[1:]:
                     results.append(
-                        session.step(partial(call_without_arg, fn))
+                        session.step(partial(without_arg, fn))
                     )
                 assert len(backend._connected()) == 2
         finally:

@@ -24,7 +24,6 @@ from repro.runtime.backends.wire import (
     WireError,
     WireVersionError,
     from_frames,
-    peek_version,
     read_stream,
     to_frames,
     write_stream,
@@ -111,12 +110,6 @@ class TestStreamTransport:
         with pytest.raises(WireError, match="frame count"):
             read_stream(io.BytesIO(head).read)
 
-    def test_peek_version(self):
-        buf = io.BytesIO()
-        write_stream(buf.write, "hi")
-        assert peek_version(buf.getvalue()) == WIRE_VERSION
-        with pytest.raises(WireError, match="short wire header"):
-            peek_version(b"RP")
 
 
 @pytest.fixture

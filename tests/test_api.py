@@ -1,8 +1,22 @@
 """Public-API surface tests: the README quickstart must work."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 
 import repro
+
+
+def packages_with_all():
+    """``repro`` and every subpackage that declares ``__all__``."""
+    found = [repro]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.ispkg:
+            module = importlib.import_module(info.name)
+            if hasattr(module, "__all__"):
+                found.append(module)
+    return found
 
 
 class TestPublicApi:
@@ -10,8 +24,12 @@ class TestPublicApi:
         assert repro.__version__
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        packages = packages_with_all()
+        # repro, its 13 subpackages and repro.runtime.backends
+        assert len(packages) >= 15
+        for package in packages:
+            for name in package.__all__:
+                assert hasattr(package, name), f"{package.__name__}.{name}"
 
     def test_quickstart_flow(self):
         """The exact flow the README shows."""

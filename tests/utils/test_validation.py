@@ -9,17 +9,7 @@ from repro.utils.validation import (
     check_array,
     check_in_range,
     check_positive,
-    require,
 )
-
-
-class TestRequire:
-    def test_passes_silently(self):
-        require(True, "never raised")
-
-    def test_raises_with_message(self):
-        with pytest.raises(ValueError, match="broken invariant"):
-            require(False, "broken invariant")
 
 
 class TestCheckPositive:
