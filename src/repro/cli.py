@@ -16,14 +16,16 @@ runs the installation self-check.
 for any experiment command; the ``trace`` subcommand additionally
 prints the report to the terminal.
 
-``--backend {chaos,process,serial,tcp,thread}`` and ``--workers N``
-(global, also accepted after the subcommand) select the SPMD execution
-backend for every parallel stage in the run (``docs/PARALLELISM.md``);
-results are bit-identical across backends. ``--fault-plan PLAN``
-(e.g. ``kill@2.1,hang@5.0:12``) injects deterministic worker faults
-through the chaos harness, wrapped around the ``--backend`` given (or
-its own default inner backend when none is), to exercise the recovery
-machinery (``docs/FAULT_TOLERANCE.md``).
+``--backend SPEC`` (global, also accepted after the subcommand) names
+the SPMD execution backend for every parallel stage in the run — a
+name (``serial``, ``thread``, ``process``, ``tcp``), ``name:N`` for N
+workers, or a URI with options (``docs/PARALLELISM.md``); without it
+the run uses ``$REPRO_BACKEND``, else ``serial``, and the run report
+records the spec that ran. Results are bit-identical across backends.
+A pool's ``faults=`` option injects deterministic worker faults to
+exercise the recovery machinery, e.g.
+``--backend 'process://?workers=2&faults=kill@2.1,hang@5.0:12'``
+(``docs/FAULT_TOLERANCE.md``).
 """
 
 from __future__ import annotations
@@ -93,28 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "execution backend spec for the parallel stages: a "
             "backend name ('serial', 'process:4') or a URI "
-            "('tcp://host:port?workers=4&deadline=30'); default: "
+            "('tcp://host:port?workers=4&deadline=30', "
+            "'process://?workers=2&faults=kill@2.1'); default: "
             "$REPRO_BACKEND or serial (see docs/PARALLELISM.md)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "worker count for the thread/process backend (default: "
-            "$REPRO_WORKERS or the CPU count); implies --backend process"
-        ),
-    )
-    parser.add_argument(
-        "--fault-plan",
-        metavar="PLAN",
-        default=None,
-        help=(
-            "deterministic fault-injection plan, e.g. "
-            "'kill@2.1,hang@5.0:12' (KIND@STEP.RANK[:SECONDS]); runs "
-            "--backend inside the chaos harness (docs/FAULT_TOLERANCE.md)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,19 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "execution backend spec (name or URI) for the "
                 "parallel stages"
             ),
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            metavar="N",
-            default=argparse.SUPPRESS,
-            help="worker count (implies --backend process)",
-        )
-        p.add_argument(
-            "--fault-plan",
-            metavar="PLAN",
-            default=argparse.SUPPRESS,
-            help="fault-injection plan (wraps --backend in chaos)",
         )
 
     t1 = sub.add_parser("table1", help="regenerate Table 1")
@@ -357,40 +327,30 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = _build_parser().parse_args(argv)
 
-    # install the requested execution backend as the process default so
-    # every parallel stage in the run picks it up (--workers alone
-    # implies a process pool; --fault-plan wraps whatever was asked for
-    # in the chaos harness)
-    backend_name = getattr(args, "backend", None)
-    workers = getattr(args, "workers", None)
-    fault_plan = getattr(args, "fault_plan", None)
+    # one backend for every parallel stage of the run: --backend, else
+    # $REPRO_BACKEND, else serial; the run report records its spec
+    from repro.runtime.backends import (
+        BACKEND_ENV,
+        build_backend,
+        set_default_backend,
+    )
+
+    args.backend = args.backend or os.environ.get(BACKEND_ENV) or "serial"
     try:
-        if fault_plan is not None:
-            from urllib.parse import quote
-
-            from repro.runtime.backends import FAULT_PLAN_ENV, BackendSpec
-
-            # an explicit `--backend chaos...` reads the plan from here
-            os.environ[FAULT_PLAN_ENV] = fault_plan
-            if backend_name is None:
-                backend_name = "chaos"
-            elif BackendSpec.parse(backend_name).scheme != "chaos":
-                inner = quote(backend_name, safe=":/")
-                backend_name = f"chaos://?inner={inner}"
-        elif workers is not None and backend_name is None:
-            backend_name = "process"
-        if backend_name is not None:
-            from repro.runtime.backends import (
-                resolve_backend,
-                set_default_backend,
-            )
-
-            set_default_backend(resolve_backend(backend_name, workers))
+        backend = build_backend(args.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args.backend = backend_name or "serial"
+    set_default_backend(backend)
+    try:
+        return _run_command(args)
+    finally:
+        set_default_backend(None)
+        backend.close()
 
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the parsed command on the installed backend."""
     if args.command == "lint":  # reached via global options before `lint`
         return _run_lint(list(args.lint_args))
     if args.command == "serve":  # reached via global options too

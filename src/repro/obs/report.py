@@ -23,8 +23,9 @@ from repro.runtime.ledger import CommLedger
 MetaValue = Union[str, int, float, bool, None]
 PathLike = Union[str, Path]
 
-#: counters the fault-tolerant runtime emits (chaos harness and
-#: supervised sessions — docs/FAULT_TOLERANCE.md)
+#: counters the fault-tolerant runtime emits (the supervised sessions
+#: of the worker pools, injected faults included —
+#: docs/FAULT_TOLERANCE.md)
 RECOVERY_COUNTERS = (
     "faults_injected",
     "step_retries",

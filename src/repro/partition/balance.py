@@ -11,8 +11,6 @@ leaf-majority reassignment).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 

@@ -9,10 +9,6 @@ per-rank spans surface in run reports).
 from repro.runtime.backends.base import (
     BACKEND_ENV,
     BACKEND_NAMES,
-    FAULT_PLAN_ENV,
-    MAX_RETRIES_ENV,
-    STEP_DEADLINE_ENV,
-    WORKERS_ENV,
     Backend,
     BackendError,
     BackendLike,
@@ -33,10 +29,6 @@ from repro.runtime.backends.thread import ThreadBackend
 __all__ = [
     "BACKEND_ENV",
     "BACKEND_NAMES",
-    "FAULT_PLAN_ENV",
-    "MAX_RETRIES_ENV",
-    "STEP_DEADLINE_ENV",
-    "WORKERS_ENV",
     "Backend",
     "BackendError",
     "BackendLike",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import importlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -78,18 +78,9 @@ Message = Tuple[int, Any]
 #: a superstep: ``fn(ctx, arg) -> per-rank result``
 StepFn = Callable[["SpmdContext", Any], Any]
 
-#: environment variable selecting the default backend (e.g. ``process``
-#: or ``process:4``); read by :func:`resolve_backend`
+#: environment variable selecting the default backend by its spec (e.g.
+#: ``process:4``); read by :func:`resolve_backend`
 BACKEND_ENV = "REPRO_BACKEND"
-#: environment variable with the default worker count
-WORKERS_ENV = "REPRO_WORKERS"
-#: fault plan injected by the ``chaos`` backend (see
-#: :mod:`repro.runtime.faults` for the grammar)
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-#: per-superstep deadline (seconds) for the supervised (process/tcp) backends
-STEP_DEADLINE_ENV = "REPRO_STEP_DEADLINE"
-#: per-superstep retry budget for the supervised (process/tcp) backends
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 
 class BackendError(RuntimeError):
     """An execution backend failed (worker crash, protocol misuse)."""
@@ -365,11 +356,8 @@ def _parse_workers(text: str, source: str) -> int:
 
 
 def default_workers() -> int:
-    """Worker count used when none is requested: ``REPRO_WORKERS`` if
-    set, else the machine's CPU count (at least 1)."""
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return _parse_workers(env, f"${WORKERS_ENV}")
+    """Worker count used when a spec names none: the machine's CPU
+    count (at least 1)."""
     return max(1, os.cpu_count() or 1)
 
 
@@ -388,7 +376,7 @@ class BackendSpec:
       backend name, the authority carries host/port (a trailing ``:N``
       authority segment is an alternative worker count:
       ``tcp://127.0.0.1:0:2``), and query parameters become
-      :attr:`options`, validated against the backend's option schema.
+      :attr:`options`, validated by the backend's factory.
 
     Instances are hashable (options are a sorted tuple of pairs), so a
     spec can key caches — :func:`_backend_from_env` keys its memo on
@@ -485,8 +473,9 @@ class BackendSpec:
     def typed_options(
         self, schema: Mapping[str, Callable[[str], Any]]
     ) -> Dict[str, Any]:
-        """Options converted through ``schema`` (the backend's option
-        schema); unknown keys raise."""
+        """Options converted through ``schema`` (the options the
+        backend accepts, each with its converter); unknown keys
+        raise."""
         out: Dict[str, Any] = {}
         for key, raw in self.options:
             convert = schema.get(key)
@@ -503,10 +492,6 @@ class BackendSpec:
                     f"{key!r}: {exc}"
                 ) from None
         return out
-
-    def with_workers(self, workers: Optional[int]) -> "BackendSpec":
-        """A copy with ``workers`` replaced."""
-        return replace(self, workers=workers)
 
     def to_text(self) -> str:
         """Canonical textual form (parses back to an equal spec)."""
@@ -533,66 +518,38 @@ class BackendSpec:
 # the built-in backends
 # ----------------------------------------------------------------------
 
-#: per-option converters validating a spec's query parameters
-SpecSchema = Mapping[str, Callable[[str], Any]]
-
-#: name -> (``module:function`` building the backend from its parsed
-#: spec — imported on first use, so nothing loads eagerly — and the URI
-#: query options the backend accepts)
-_BACKENDS: Dict[str, Tuple[str, SpecSchema]] = {
-    "serial": ("repro.runtime.backends.serial:serial_from_spec", {}),
-    "thread": ("repro.runtime.backends.thread:thread_from_spec", {}),
-    "process": ("repro.runtime.backends.process:process_from_spec", {}),
-    "chaos": (
-        "repro.runtime.faults:chaos_from_spec",
-        {"plan": str, "inner": str},
-    ),
-    "tcp": (
-        "repro.runtime.backends.tcp:tcp_from_spec",
-        {
-            "deadline": float,
-            "spawn": str,
-            "accept_timeout": float,
-            "heartbeat": float,
-            "retries": int,
-        },
-    ),
+#: name -> ``module:function`` building the backend from its parsed spec
+#: (imported on first use, so nothing loads eagerly); each factory
+#: validates the spec's query options itself
+_BACKENDS: Dict[str, str] = {
+    "serial": "repro.runtime.backends.serial:serial_from_spec",
+    "thread": "repro.runtime.backends.thread:thread_from_spec",
+    "process": "repro.runtime.backends.process:process_from_spec",
+    "tcp": "repro.runtime.backends.tcp:tcp_from_spec",
 }
 
 #: the backend names, sorted
 BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_BACKENDS))
 
 
-def build_backend(
-    spec: Union[str, BackendSpec, Backend],
-    workers: Optional[int] = None,
-) -> Backend:
+def build_backend(spec: Union[str, BackendSpec, Backend]) -> Backend:
     """Build one of the built-in backends from its spec.
 
     ``spec`` is a spec string (any :meth:`BackendSpec.parse` form), a
     parsed :class:`BackendSpec`, or an already-built :class:`Backend`
     (passed through untouched — the instance already has its pool).
-    ``workers`` applies only when the spec embeds no count.  Query
-    options are validated against the backend's option schema before
-    its factory runs.
+    An unknown name or query option is a :class:`ValueError` raised
+    before any worker starts.
     """
     if isinstance(spec, Backend):
         return spec
     parsed = spec if isinstance(spec, BackendSpec) else BackendSpec.parse(spec)
-    if workers is not None and parsed.workers is None:
-        if workers < 1:
-            raise ValueError(
-                f"worker count must be >= 1, got {workers}"
-            )
-        parsed = parsed.with_workers(workers)
-    entry = _BACKENDS.get(parsed.scheme)
-    if entry is None:
+    factory_path = _BACKENDS.get(parsed.scheme)
+    if factory_path is None:
         raise ValueError(
             f"unknown backend {parsed.scheme!r}; "
             f"expected one of {BACKEND_NAMES}"
         )
-    factory_path, schema = entry
-    parsed.typed_options(schema)
     module_name, _, attr = factory_path.partition(":")
     return getattr(importlib.import_module(module_name), attr)(parsed)
 
@@ -606,7 +563,7 @@ BackendLike = Union[None, str, BackendSpec, Backend]
 
 _default_backend: Optional[Backend] = None
 _env_backend: Optional[Backend] = None
-_env_backend_key: Optional[Tuple[Any, ...]] = None
+_env_spec: Optional[BackendSpec] = None
 
 
 def set_default_backend(backend: BackendLike) -> None:
@@ -622,58 +579,38 @@ def _backend_from_env() -> Optional[Backend]:
     """Backend selected by ``$REPRO_BACKEND``.
 
     The built instance is memoised on the **parsed**
-    :class:`BackendSpec` (plus the auxiliary env vars every backend
-    may read), so any change visible in the spec — URI query options
-    included — invalidates the cache.
+    :class:`BackendSpec`, so any change visible in the spec — URI query
+    options included — invalidates the cache.
     """
-    global _env_backend, _env_backend_key
+    global _env_backend, _env_spec
     text = os.environ.get(BACKEND_ENV)
     if not text:
         return None
     spec = BackendSpec.parse(text)
-    key: Tuple[Any, ...] = (
-        spec,
-        tuple(
-            os.environ.get(var, "")
-            for var in (
-                WORKERS_ENV,
-                FAULT_PLAN_ENV,
-                STEP_DEADLINE_ENV,
-                MAX_RETRIES_ENV,
-            )
-        ),
-    )
-    if _env_backend is None or _env_backend_key != key:
+    if _env_backend is None or _env_spec != spec:
         _env_backend = build_backend(spec)
-        _env_backend_key = key
+        _env_spec = spec
     return _env_backend
 
 
-def resolve_backend(
-    backend: BackendLike = None, workers: Optional[int] = None
-) -> Backend:
+def resolve_backend(backend: BackendLike = None) -> Backend:
     """Normalise a backend argument to a usable instance.
 
     The single backend-selection entry point (used by
     ``ContactStepDriver`` and the CLI).  Resolution order:
 
-    1. an explicit :class:`Backend` instance — returned as-is
-       (``workers`` is ignored; the instance already has its pool),
+    1. an explicit :class:`Backend` instance — returned as-is,
     2. an explicit spec — a string (``name`` / ``name:count`` /
        ``scheme://host:port?workers=N``) or a parsed
-       :class:`BackendSpec` — built via :func:`build_backend`;
-       ``workers`` applies when the spec embeds no count,
-    3. ``workers`` alone — implies a ``process`` pool of that size,
-    4. the default installed with :func:`set_default_backend`,
-    5. ``$REPRO_BACKEND`` (with ``$REPRO_WORKERS``),
-    6. a fresh :class:`SerialBackend`.
+       :class:`BackendSpec` — built via :func:`build_backend`,
+    3. the default installed with :func:`set_default_backend`,
+    4. ``$REPRO_BACKEND``,
+    5. a fresh :class:`SerialBackend`.
     """
     if isinstance(backend, Backend):
         return backend
     if isinstance(backend, (str, BackendSpec)):
-        return build_backend(backend, workers)
-    if workers is not None:
-        return build_backend("process", workers)
+        return build_backend(backend)
     if _default_backend is not None:
         return _default_backend
     env = _backend_from_env()

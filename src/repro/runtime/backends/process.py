@@ -35,6 +35,7 @@ from repro.runtime.backends.supervised import (
     Peer,
     SupervisedBackend,
     SupervisorConfig,
+    pool_options,
     serve_commands,
 )
 
@@ -96,7 +97,8 @@ class _WorkerHandle(Peer):
 
 class ProcessBackend(SupervisedBackend):
     """Persistent ``multiprocessing`` worker pool backend (supervised:
-    see :class:`SupervisorConfig`)."""
+    see :class:`SupervisorConfig`; ``faults`` is a fault-plan text,
+    see :mod:`repro.runtime.faults`)."""
 
     name = "process"
     peer_noun = "worker"
@@ -106,8 +108,9 @@ class ProcessBackend(SupervisedBackend):
         self,
         workers: Optional[int] = None,
         supervisor: Optional[SupervisorConfig] = None,
+        faults: str = "",
     ) -> None:
-        super().__init__(workers, supervisor)
+        super().__init__(workers, supervisor, faults)
         # fork (where available) keeps pool startup in the low
         # milliseconds, which is what lets per-step sessions win
         self._ctx: BaseContext
@@ -154,5 +157,6 @@ class ProcessBackend(SupervisedBackend):
 
 
 def process_from_spec(spec: BackendSpec) -> ProcessBackend:
-    """Spec factory for ``process``."""
-    return ProcessBackend(workers=spec.workers)
+    """Spec factory for ``process`` (URI form:
+    ``process://?workers=2&deadline=60&faults=kill@2.1``)."""
+    return ProcessBackend(workers=spec.workers, **pool_options(spec))

@@ -71,5 +71,6 @@ class SerialBackend(Backend):
 
 def serial_from_spec(spec: BackendSpec) -> SerialBackend:
     """Spec factory for ``serial`` (ranks have no pool, so the
-    spec's worker count is irrelevant and ignored)."""
+    spec's worker count is irrelevant and ignored; no options)."""
+    spec.typed_options({})
     return SerialBackend()

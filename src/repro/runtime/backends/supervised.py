@@ -18,7 +18,9 @@ from lives here, once:
 * :func:`serve_commands` — the peer-side command loop;
 * :class:`Channel` and :class:`Peer` — one framed message each way,
   with byte accounting and reply validation;
-* :class:`SupervisorConfig` — the supervision policy.
+* :class:`SupervisorConfig` — the supervision policy, and
+  :func:`pool_options` — the spec options both pools accept
+  (``deadline=``, ``faults=``).
 
 A backend supplies only the *pool* (:class:`SupervisedBackend`:
 ``members`` / ``replace`` / ``joined``) and, where it owns the peer's
@@ -34,7 +36,6 @@ are bit-identical to :class:`~repro.runtime.backends.serial.SerialBackend`.
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
 import socket
 import threading
@@ -56,10 +57,9 @@ from typing import (
 
 from repro.obs.tracer import Span, TracerBase
 from repro.runtime.backends.base import (
-    MAX_RETRIES_ENV,
-    STEP_DEADLINE_ENV,
     Backend,
     BackendError,
+    BackendSpec,
     Message,
     RankOutcome,
     SpmdSession,
@@ -73,6 +73,7 @@ from repro.runtime.backends.wire import (
     read_stream,
     write_stream,
 )
+from repro.runtime.faults import ChaosStep, FaultPlan
 from repro.runtime.ledger import CommLedger
 
 # ----------------------------------------------------------------------
@@ -123,41 +124,26 @@ class SupervisorConfig:
         if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
             raise ValueError("invalid backoff configuration")
 
-    @classmethod
-    def from_env(cls) -> "SupervisorConfig":
-        """Policy from ``$REPRO_STEP_DEADLINE`` / ``$REPRO_MAX_RETRIES``
-        (unset variables keep the defaults)."""
-        kwargs: Dict[str, Any] = {}
-        deadline = os.environ.get(STEP_DEADLINE_ENV)
-        if deadline:
-            try:
-                value = float(deadline)
-            except ValueError:
-                raise ValueError(
-                    f"invalid ${STEP_DEADLINE_ENV}={deadline!r}; "
-                    "expected seconds as a float"
-                ) from None
-            kwargs["step_deadline_s"] = value if value > 0 else None
-        retries = os.environ.get(MAX_RETRIES_ENV)
-        if retries:
-            try:
-                kwargs["max_retries"] = max(0, int(retries))
-            except ValueError:
-                raise ValueError(
-                    f"invalid ${MAX_RETRIES_ENV}={retries!r}; "
-                    "expected an integer"
-                ) from None
-        return cls(**kwargs)
 
+def pool_options(
+    spec: BackendSpec, **extra: Callable[[str], Any]
+) -> Dict[str, Any]:
+    """Keyword arguments for a pool from its spec's query options.
 
-def _disarm_step(fn: StepFn) -> StepFn:
-    """Strip a one-shot fault wrapper (the chaos harness's
-    ``ChaosStep``) so retries and history replays run the plain
-    superstep — injected faults fire on the first attempt only."""
-    disarm = getattr(fn, "disarm", None)
-    if callable(disarm):
-        return disarm()  # type: ignore[no-any-return]
-    return fn
+    Both pools accept ``deadline=SECONDS`` (the per-superstep deadline;
+    ``0`` means none) and ``faults=PLAN`` (a :class:`FaultPlan` text);
+    ``extra`` names the pool's own options with their converters.  An
+    unknown option or a malformed value is a :class:`ValueError`.
+    """
+    opts = spec.typed_options(
+        {"deadline": float, "faults": str, **extra}
+    )
+    if "deadline" in opts:
+        deadline = opts.pop("deadline")
+        opts["supervisor"] = SupervisorConfig(
+            step_deadline_s=deadline if deadline > 0 else None
+        )
+    return opts
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +320,7 @@ class SupervisedBackend(Backend):
         self,
         workers: Optional[int],
         supervisor: Optional[SupervisorConfig],
+        faults: str,
     ) -> None:
         if workers is None:
             workers = default_workers()
@@ -341,9 +328,12 @@ class SupervisedBackend(Backend):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.supervisor = (
-            supervisor if supervisor is not None
-            else SupervisorConfig.from_env()
+            supervisor if supervisor is not None else SupervisorConfig()
         )
+        #: the injected faults (:mod:`repro.runtime.faults`) and the
+        #: global superstep index they are scheduled against
+        self.faults = FaultPlan.parse(faults)
+        self._steps = itertools.count()
         #: coordinator-side ``repro.wire/1`` traffic and pool churn
         self.bytes_sent = 0
         self.bytes_recv = 0
@@ -365,6 +355,17 @@ class SupervisedBackend(Backend):
         """Peers that joined the pool since the last call (a pool of
         fixed membership never has any)."""
         return []
+
+    def _arm(self, step: int, size: int) -> Dict[int, Tuple[str, float]]:
+        """The faults scheduled for global superstep ``step``, by rank;
+        one aimed at a rank outside the ``size``-rank session is
+        skipped.  Each step index comes up once, so a fault fires at
+        most once."""
+        return {
+            spec.rank: (spec.kind, spec.seconds)
+            for spec in self.faults.faults
+            if spec.step == step and spec.rank < size
+        }
 
     # ------------------------------------------------------------------
     def _connected(self) -> List[Peer]:
@@ -436,7 +437,7 @@ class SupervisedSession(SpmdSession):
         self._owners: List[Tuple[Peer, List[int]]] = []
         self._rank_owner: Dict[int, str] = {}
         self._local_states: List[Dict[str, Any]] = []
-        # (disarmed fn, arg, per-rank inbox copies) of every successful
+        # (plain fn, arg, per-rank inbox copies) of every successful
         # step — replayed into fresh peers to rebuild rank state
         self._history: List[
             Tuple[StepFn, Any, List[List[Message]]]
@@ -641,16 +642,23 @@ class SupervisedSession(SpmdSession):
 
     # -- supersteps ----------------------------------------------------
     def _run_step(
-        self, fn: StepFn, arg: Any, inboxes: List[List[Message]]
+        self, plain: StepFn, arg: Any, inboxes: List[List[Message]]
     ) -> List[RankOutcome]:
         noun = self._pool.peer_noun
+        # injected faults fire on the first attempt only: retries,
+        # replays and a degraded finish run the plain superstep
+        fn = plain
+        armed = self._pool._arm(next(self._pool._steps), self.size)
+        if armed:
+            self.tracer.count("faults_injected", len(armed))
+            fn = ChaosStep(plain, armed)
         if self._mode == "local":
             return self._run_local(fn, arg, inboxes)
         try:
             pickle.dumps((fn, arg), protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             if self._mode == "pending":
-                self._fall_back_local(fn, exc)
+                self._fall_back_local(plain, exc)
                 return self._run_local(fn, arg, inboxes)
             raise BackendError(
                 "superstep function/argument is not picklable and the "
@@ -677,14 +685,11 @@ class SupervisedSession(SpmdSession):
                         # the pool could not be rebuilt (e.g. every
                         # agent is gone and nobody reconnected)
                         return self._surrender(
-                            loss, fn, arg, inboxes,
+                            loss, plain, arg, inboxes,
                             f"the pool cannot be rebuilt: {exc}",
                         )
                     delay *= cfg.backoff_factor
-                    # injected one-shot faults (chaos harness) fire on
-                    # the first attempt only — retries run the plain
-                    # superstep
-                    fn = _disarm_step(fn)
+                    fn = plain
                 outcomes = self._dispatch(fn, arg, inboxes)
             except _StepUndecodable as exc:
                 if self._history:
@@ -698,7 +703,8 @@ class SupervisedSession(SpmdSession):
                 self._drop_remote_state(set())
                 self._leave_pool()
                 self._fall_back_local(
-                    fn, f"its module is not importable on the {noun} hosts"
+                    plain,
+                    f"its module is not importable on the {noun} hosts",
                 )
                 return self._run_local(fn, arg, inboxes)
             except PeerLoss as exc:
@@ -707,15 +713,11 @@ class SupervisedSession(SpmdSession):
                 if attempt <= cfg.max_retries:
                     continue
                 return self._surrender(
-                    loss, fn, arg, inboxes,
+                    loss, plain, arg, inboxes,
                     f"the retry budget ({cfg.max_retries}) is exhausted",
                 )
             self._history.append(
-                (
-                    _disarm_step(fn),
-                    arg,
-                    [list(box) for box in inboxes],
-                )
+                (plain, arg, [list(box) for box in inboxes])
             )
             return outcomes
 
@@ -783,8 +785,9 @@ class SupervisedSession(SpmdSession):
             self.tracer.count("ranks_degraded", self.size)
             self._mode = "local"
             self._rebuild_local_states()
-        # an injected fault fired on the remote attempt already
-        return self._run_local(_disarm_step(fn), arg, inboxes)
+        # ``fn`` is the plain superstep: an injected fault fired on the
+        # remote attempt already
+        return self._run_local(fn, arg, inboxes)
 
     # ------------------------------------------------------------------
     def _close(self) -> None:

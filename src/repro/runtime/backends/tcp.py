@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import dataclasses
 import itertools
 import os
 import socket
@@ -60,6 +59,7 @@ from repro.runtime.backends.supervised import (
     PeerTimeout,
     SupervisedBackend,
     SupervisorConfig,
+    pool_options,
     serve_commands,
 )
 from repro.runtime.backends.wire import (
@@ -83,9 +83,9 @@ _AGENT_BOOTSTRAP = (
     "sys.exit(agent_main(sys.argv[1:]))"
 )
 
-#: name prefix shared with the process backend's pool — the chaos
-#: harness identifies "am I a worker?" by this prefix, so ``kill``
-#: faults fire inside agents exactly like inside pooled workers
+#: name prefix shared with the process backend's pool — fault injection
+#: identifies "am I a worker?" by this prefix, so ``kill`` faults fire
+#: inside agents exactly like inside pooled workers
 AGENT_NAME_PREFIX = "repro-spmd-agent"
 
 
@@ -109,8 +109,9 @@ class TCPBackend(SupervisedBackend):
         spawn: Optional[str] = None,
         supervisor: Optional[SupervisorConfig] = None,
         accept_timeout: float = ACCEPT_TIMEOUT_S,
+        faults: str = "",
     ) -> None:
-        super().__init__(workers, supervisor)
+        super().__init__(workers, supervisor, faults)
         if spawn is None:
             spawn = (
                 "local"
@@ -395,35 +396,11 @@ class TCPBackend(SupervisedBackend):
 def tcp_from_spec(spec: BackendSpec) -> TCPBackend:
     """Spec factory for ``tcp`` (URI form:
     ``tcp://host:port:workers?deadline=30&spawn=external``)."""
-    opts = spec.typed_options(
-        {
-            "deadline": float,
-            "spawn": str,
-            "accept_timeout": float,
-            "heartbeat": float,
-            "retries": int,
-        }
-    )
-    overrides: Dict[str, Any] = {}
-    if "deadline" in opts:
-        deadline = float(opts["deadline"])
-        overrides["step_deadline_s"] = deadline if deadline > 0 else None
-    if "heartbeat" in opts:
-        overrides["heartbeat_timeout_s"] = float(opts["heartbeat"])
-    if "retries" in opts:
-        overrides["max_retries"] = max(0, int(opts["retries"]))
-    supervisor = dataclasses.replace(
-        SupervisorConfig.from_env(), **overrides
-    )
     return TCPBackend(
         host=spec.host or "127.0.0.1",
         port=spec.port or 0,
         workers=spec.workers,
-        spawn=opts.get("spawn"),
-        supervisor=supervisor,
-        accept_timeout=float(
-            opts.get("accept_timeout", ACCEPT_TIMEOUT_S)
-        ),
+        **pool_options(spec, spawn=str, accept_timeout=float),
     )
 
 
@@ -490,7 +467,7 @@ def agent_main(argv: Optional[List[str]] = None) -> int:
     if not host or not port_text.isdigit():
         parser.error(f"--connect expects HOST:PORT, got {args.connect!r}")
     name = args.name or f"{AGENT_NAME_PREFIX}-{os.getpid()}"
-    # the chaos harness identifies workers by process name — adopt the
+    # fault injection identifies workers by process name — adopt the
     # worker prefix so `kill@STEP.RANK` faults fire inside the agent
     import multiprocessing
 

@@ -107,5 +107,7 @@ class ThreadBackend(Backend):
 
 
 def thread_from_spec(spec: BackendSpec) -> ThreadBackend:
-    """Spec factory for ``thread``."""
+    """Spec factory for ``thread`` (no options: ``faults=`` needs a
+    worker to lose, so only the pools accept it)."""
+    spec.typed_options({})
     return ThreadBackend(workers=spec.workers)

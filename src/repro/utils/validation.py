@@ -7,7 +7,7 @@ much cheaper than debugging a shape error five levels down.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Tuple
 
 import numpy as np
 

@@ -56,31 +56,37 @@ def rng():
     return np.random.default_rng(1234)
 
 
+#: the ``spmd_backend`` rows, by test id: each backend at two workers,
+#: plus ``chaos`` — a process pool that kills one worker at the run's
+#: third superstep and slows a rank at the sixth
+SPMD_BACKENDS = {
+    "serial": "serial",
+    "thread": "thread:2",
+    "process": "process:2",
+    "chaos": "process://?workers=2&faults=kill@2.1,slow@5.0:0.02",
+    "tcp": "tcp://127.0.0.1:0:2?accept_timeout=30",
+}
+
+
 @pytest.fixture(
     scope="session",
-    params=[
-        "serial",
-        "thread",
-        "process",
-        "chaos",
-        "tcp://127.0.0.1:0?accept_timeout=30",
-    ],
-    ids=lambda spec: "tcp" if spec.startswith("tcp:") else spec,
+    params=list(SPMD_BACKENDS.values()),
+    ids=list(SPMD_BACKENDS),
 )
 def spmd_backend(request):
-    """Each execution backend, session-scoped so the process backend's
-    worker pool is spun up once for the whole run.  Tests using this
-    fixture assert backend-independence: identical results and ledgers
-    on every backend, where ``ctx.shared`` is read-only (a superstep
-    that writes it raises on every row); the ``chaos`` variant
-    exercises the fault-injection harness (a passthrough unless
-    ``$REPRO_FAULT_PLAN`` schedules faults — the chaos CI job does,
-    and results must STILL be identical).  The ``tcp`` variant runs
-    the distributed coordinator against two locally spawned
-    ``repro-agent`` processes over loopback sockets — the full
-    ``repro.wire/1`` stack, same bit-identical results."""
+    """Each execution backend, session-scoped so a pool is spun up once
+    for the whole run.  Tests using this fixture assert
+    backend-independence: identical results and ledgers on every
+    backend, where ``ctx.shared`` is read-only (a superstep that writes
+    it raises on every row).  The ``chaos`` row is a process pool built
+    with a ``faults=`` plan: its one worker kill goes through whichever
+    test reaches the run's third superstep, and results must STILL be
+    identical.  The ``tcp`` row runs the distributed coordinator
+    against two locally spawned ``repro-agent`` processes over loopback
+    sockets — the full ``repro.wire/1`` stack, same bit-identical
+    results."""
     from repro.runtime.backends import build_backend
 
-    backend = build_backend(request.param, workers=2)
+    backend = build_backend(request.param)
     yield backend
     backend.close()

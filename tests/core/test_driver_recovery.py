@@ -1,7 +1,8 @@
 """Fault recovery under the ContactStepDriver (the acceptance test).
 
-The contract under test: a chaos run that kills a pool worker — once
-per phase, or often enough to spend the pool's retry budget —
+The contract under test: a run on a pool whose fault plan kills a
+worker — once per phase, or often enough to spend the pool's retry
+budget —
 completes with partition labels, ledger, history, and final checkpoint
 bit-identical to an uninjected serial run. The pool's supervised
 session is the only layer that recovers; the driver steps once, and a
@@ -28,7 +29,6 @@ from repro.runtime.backends import (
     SupervisorConfig,
 )
 from repro.runtime.backends.process import ProcessBackend
-from repro.runtime.faults import ChaosBackend
 
 K = 4
 N_STEPS = 4
@@ -47,21 +47,21 @@ def reference(snaps):
     return driver
 
 
-@pytest.fixture(scope="module")
-def pool():
-    """One supervised pool for the module (the default retry budget);
-    a ``ChaosBackend`` over it is not closed, which would close it."""
-    backend = ProcessBackend(
-        workers=2, supervisor=SupervisorConfig(backoff_base_s=0.01)
-    )
-    yield backend
-    backend.close()
-
-
-def _exhausted_pool():
-    """A pool whose first lost worker spends its whole retry budget."""
+def _pool(faults):
+    """A two-worker pool injecting ``faults`` (the default retry
+    budget)."""
     return ProcessBackend(
-        workers=2, supervisor=SupervisorConfig(max_retries=0)
+        workers=2, supervisor=SupervisorConfig(backoff_base_s=0.01),
+        faults=faults,
+    )
+
+
+def _exhausted_pool(faults):
+    """A pool injecting ``faults`` whose first lost worker spends its
+    whole retry budget."""
+    return ProcessBackend(
+        workers=2, supervisor=SupervisorConfig(max_retries=0),
+        faults=faults,
     )
 
 
@@ -92,29 +92,25 @@ def _counter_totals(tracer):
 
 
 class TestChaosAcceptance:
-    def test_kill_once_per_phase_is_bit_identical(
-        self, snaps, reference, pool
-    ):
+    def test_kill_once_per_phase_is_bit_identical(self, snaps, reference):
         """One injected worker kill in each early superstep window; the
         pool's session respawns, replays and retries, and the full
         driver run matches the clean serial run bit for bit."""
         tracer = Tracer()
-        chaos = ChaosBackend(
-            plan="kill@0.1,kill@1.0,kill@2.1,kill@3.0", inner=pool
-        )
-        driver = ContactStepDriver(K, backend=chaos, tracer=tracer)
-        driver.run(snaps)
+        with _pool("kill@0.1,kill@1.0,kill@2.1,kill@3.0") as pool:
+            driver = ContactStepDriver(K, backend=pool, tracer=tracer)
+            driver.run(snaps)
         _assert_equivalent(driver, reference)
         counters = _counter_totals(tracer)
         assert counters.get("faults_injected", 0) == 4
         assert counters.get("step_retries", 0) == 4
         assert counters.get("worker_deaths", 0) == 4
 
-    def test_recovery_visible_in_run_report(self, snaps, reference, pool):
+    def test_recovery_visible_in_run_report(self, snaps, reference):
         tracer = Tracer()
-        chaos = ChaosBackend(plan="kill@1.0", inner=pool)
-        driver = ContactStepDriver(K, backend=chaos, tracer=tracer)
-        driver.run(snaps)
+        with _pool("kill@1.0") as pool:
+            driver = ContactStepDriver(K, backend=pool, tracer=tracer)
+            driver.run(snaps)
         report = RunReport.from_run(tracer, driver.ledger)
         totals = report.recovery_totals()
         assert totals.get("faults_injected") == 1
@@ -131,13 +127,10 @@ class TestChaosAcceptance:
         finishes in-process with a RuntimeWarning, and the run still
         ends bit-identical to serial: the session alone recovered it."""
         tracer = Tracer()
-        chaos = ChaosBackend(plan="kill@1.0", inner=_exhausted_pool())
-        driver = ContactStepDriver(K, backend=chaos, tracer=tracer)
-        try:
+        with _exhausted_pool("kill@1.0") as pool:
+            driver = ContactStepDriver(K, backend=pool, tracer=tracer)
             with pytest.warns(RuntimeWarning, match="degrades"):
                 driver.run(snaps)
-        finally:
-            chaos.close()
         _assert_equivalent(driver, reference)
         counters = _counter_totals(tracer)
         assert counters.get("ranks_degraded", 0) > 0
@@ -170,15 +163,12 @@ class TestDriverCheckpointRecovery:
         first = ContactStepDriver(K, backend="serial")
         first.initialize(snaps[0])
         first.step(snaps[0])
-        chaos = ChaosBackend(plan="kill@0.0", inner=_exhausted_pool())
-        driver = load_driver(
-            io.BytesIO(dump_driver_bytes(first)), backend=chaos
-        )
-        try:
+        with _exhausted_pool("kill@0.0") as pool:
+            driver = load_driver(
+                io.BytesIO(dump_driver_bytes(first)), backend=pool
+            )
             with pytest.warns(RuntimeWarning, match="degrades"):
                 history = [driver.step(snap) for snap in snaps[1:]]
-        finally:
-            chaos.close()
         assert [r.candidates for r in history] == [
             r.candidates for r in reference.history[1:]
         ]

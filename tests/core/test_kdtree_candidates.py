@@ -2,7 +2,6 @@
 search (the uniform-grid broad phase in repro.geometry.boxsearch)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

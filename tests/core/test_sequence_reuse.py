@@ -15,7 +15,7 @@ Scale: ``ImpactConfig()`` — 100 snapshots, 5,325 nodes, k = 8, pad
 0.1, repartition every 10 — the ``steps_paper`` workload's shape at
 the default resolution. The drivers take the default execution
 backend, so the CI jobs that set ``$REPRO_BACKEND`` (process, tcp,
-chaos with a kill plan) run these sequences on theirs.
+a process pool with a kill plan) run these sequences on theirs.
 """
 
 import io

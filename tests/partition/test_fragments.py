@@ -1,10 +1,9 @@
 """Tests for fragment absorption."""
 
 import numpy as np
-import pytest
 
 from repro.graph.build import from_edge_list, grid_graph
-from repro.graph.metrics import load_imbalance, total_comm_volume
+from repro.graph.metrics import total_comm_volume
 from repro.partition.config import PartitionOptions
 from repro.partition.fragments import absorb_fragments, count_fragments
 

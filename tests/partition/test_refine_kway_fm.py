@@ -1,7 +1,6 @@
 """Tests for priority-queue k-way FM refinement."""
 
 import numpy as np
-import pytest
 
 from repro.graph.build import grid_graph
 from repro.graph.metrics import edge_cut, load_imbalance

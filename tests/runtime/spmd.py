@@ -5,7 +5,8 @@ functions through one session, the way the program's own callers use
 :meth:`~repro.runtime.backends.base.Backend.open_session` and
 :meth:`~repro.runtime.backends.base.SpmdSession.step`. ``backend=None``
 resolves the configured default, so ``$REPRO_BACKEND`` runs the same
-tests on the process, chaos and tcp pools.
+tests on the process and tcp pools, a pool with a ``faults=`` plan
+included.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ process backends must be indistinguishable from it.
 
 import os
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from repro.obs.tracer import Tracer
 from repro.runtime.backends import (
     BACKEND_ENV,
     BACKEND_NAMES,
-    WORKERS_ENV,
     Backend,
     BackendError,
     ProcessBackend,
@@ -110,9 +108,7 @@ class TestResolution:
         be = ThreadBackend(workers=1)
         try:
             assert build_backend(be) is be
-            # workers is ignored for instances — no hidden re-pooling
-            assert build_backend(be, workers=7) is be
-            assert resolve_backend(be, workers=7) is be
+            assert resolve_backend(be) is be
         finally:
             be.close()
 
@@ -142,13 +138,6 @@ class TestResolution:
         monkeypatch.setenv(BACKEND_ENV, "thread:2")
         resolved = resolve_backend(None)
         assert isinstance(resolved, ThreadBackend)
-
-    def test_env_workers(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        resolved = resolve_backend(None)
-        assert isinstance(resolved, ProcessBackend)
-        assert resolved.workers == 5
 
 
 class TestValidation:
@@ -293,17 +282,12 @@ class TestMultiRoundProtocol:
         assert _run_ring_protocol(spmd_backend) == reference
 
     def test_identical_under_the_chaos_ci_fault_plan(self):
-        from repro.runtime.faults import ChaosBackend
-
-        chaos = ChaosBackend(
-            plan="kill@2.1,slow@5.0:0.02", inner="process", workers=2
-        )
         tracer = Tracer()
-        try:
+        with build_backend(
+            "process://?workers=2&faults=kill@2.1,slow@5.0:0.02"
+        ) as pool:
             with tracer.span("run"):
-                outcome = _run_ring_protocol(chaos, tracer=tracer)
-        finally:
-            chaos.close()
+                outcome = _run_ring_protocol(pool, tracer=tracer)
         assert outcome == _run_ring_protocol(SerialBackend())
         # the kill at global step 2 and the slow-down at step 5 both fired
         assert tracer.finish().find("run").counters["faults_injected"] == 2

@@ -1,9 +1,6 @@
 """Straight-line superstep programs on one session: results per step
 and rank, message delivery at the barrier, ledger accounting."""
 
-import numpy as np
-import pytest
-
 from repro.runtime.ledger import CommLedger
 from tests.runtime.spmd import run_supersteps
 

@@ -1,6 +1,6 @@
-"""Tests for the deterministic fault-injection harness (`chaos`).
+"""Tests for deterministic fault injection (a pool's ``faults=``).
 
-The contract under test: a chaos run — any plan, over a supervised
+The contract under test: a faulted run — any plan, on a supervised
 worker pool — produces results, ledgers, and per-rank state
 bit-identical to an uninjected serial run. Faults change *how long* a
 run takes, never *what it computes*; the pool's supervised session is
@@ -8,6 +8,7 @@ what recovers a killed worker.
 """
 
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,18 +16,12 @@ from hypothesis import strategies as st
 
 from repro.obs.tracer import Tracer
 from repro.runtime.backends import (
-    FAULT_PLAN_ENV,
     ProcessBackend,
     SerialBackend,
     SupervisorConfig,
     build_backend,
 )
-from repro.runtime.faults import (
-    ChaosBackend,
-    ChaosStep,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.runtime.faults import ChaosStep, FaultPlan, FaultSpec
 from repro.runtime.ledger import CommLedger
 from tests.runtime.spmd import run_supersteps
 
@@ -64,17 +59,13 @@ def _run_pipeline(backend, tracer=None, pipeline=PIPELINE):
     return results, ledger
 
 
-@pytest.fixture(scope="module")
-def pool():
-    """One supervised process pool shared by the module's chaos runs
-    (a ``ChaosBackend`` over it is not closed: that would close the
-    pool)."""
-    backend = ProcessBackend(
-        workers=2,
-        supervisor=SupervisorConfig(max_retries=2, backoff_base_s=0.01),
+def faulted_pool(faults, **supervisor):
+    """A two-worker process pool injecting ``faults`` (its superstep
+    count starts at 0), with fast retries."""
+    supervisor.setdefault("backoff_base_s", 0.01)
+    return ProcessBackend(
+        workers=2, supervisor=SupervisorConfig(**supervisor), faults=faults
     )
-    yield backend
-    backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -116,72 +107,51 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="seconds"):
             FaultSpec("hang", 0, 0, -1.0)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "kill@0.0")
-        assert FaultPlan.from_env().faults[0].kind == "kill"
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        assert not FaultPlan.from_env()
-
     def test_bool(self):
         assert not FaultPlan()
         assert FaultPlan.parse("slow@0.0")
 
 
-class TestChaosBackendConstruction:
-    def test_refuses_to_wrap_itself(self):
-        with pytest.raises(ValueError, match="worker pool"):
-            ChaosBackend(plan="", inner="chaos")
-        inner = ChaosBackend(plan="", inner="process")
-        with pytest.raises(ValueError, match="worker pool"):
-            ChaosBackend(plan="", inner=inner)
-
-    @pytest.mark.parametrize("inner", ["serial", "thread:2"])
-    def test_refuses_an_in_process_inner(self, inner):
+class TestPoolFaults:
+    @pytest.mark.parametrize(
+        "spec",
+        ["serial://?faults=kill@0.0", "thread://?workers=2&faults=kill@0.0"],
+        ids=["serial", "thread:2"],
+    )
+    def test_in_process_backends_refuse_faults(self, spec):
         """Only a pool has a worker to kill and a session to recover
-        it; an in-process inner backend is refused at construction."""
-        with pytest.raises(ValueError, match="worker pool"):
-            ChaosBackend(plan="kill@0.0", inner=inner)
+        it; an in-process backend refuses ``faults=`` as an unknown
+        option."""
+        with pytest.raises(ValueError, match="does not accept option"):
+            build_backend(spec)
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PLAN_ENV, "kill@3.0")
-        be = ChaosBackend()
-        assert isinstance(be.inner, ProcessBackend)
-        assert be.plan.to_text() == "kill@3.0"
-
-    def test_make_backend_chaos(self, monkeypatch):
-        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        be = build_backend("chaos://?inner=process:2")
-        assert isinstance(be, ChaosBackend)
-        assert be.inner.workers == 2
+    def test_spec_builds_a_faulted_pool(self):
+        be = build_backend("process://?workers=2&faults=kill@3.0")
+        assert isinstance(be, ProcessBackend)
+        assert be.workers == 2
+        assert be.faults.to_text() == "kill@3.0"
         be.close()
 
-    def test_reset_rearms(self):
-        be = ChaosBackend(plan="kill@0.0", inner="process")
-        assert be._arm(0, 3)
-        assert not be._arm(0, 3)  # one-shot
-        be.reset()
-        assert be._arm(0, 3)
-
     def test_fault_outside_session_not_consumed(self):
-        be = ChaosBackend(plan="kill@0.5", inner="process")
+        be = faulted_pool("kill@0.5")
         assert be._arm(0, 2) == {}  # rank 5 doesn't exist at size 2
-        assert be._arm(0, 8)  # still armed for a big enough session
+        assert be._arm(0, 8) == {5: ("kill", 0.0)}
 
 
 # ----------------------------------------------------------------------
-# equivalence: chaos == clean serial, on every inner backend
+# equivalence: a faulted pool == clean serial
 # ----------------------------------------------------------------------
 
 
 REFERENCE = _run_pipeline(SerialBackend())
 
 
-def test_chaos_kill_on_process_pool_is_bit_identical(pool):
+def test_chaos_kill_on_process_pool_is_bit_identical():
     """A pool-worker kill exercises the supervised respawn path and
     still matches serial."""
     tracer = Tracer()
-    chaos = ChaosBackend(plan="kill@1.0", inner=pool)
-    results, ledger = _run_pipeline(chaos, tracer=tracer)
+    with faulted_pool("kill@1.0") as pool:
+        results, ledger = _run_pipeline(pool, tracer=tracer)
     ref_results, ref_ledger = REFERENCE
     assert results == ref_results
     assert ledger.phases == ref_ledger.phases
@@ -191,16 +161,16 @@ def test_chaos_kill_on_process_pool_is_bit_identical(pool):
     assert counters.get("worker_respawns", 0) >= 1
 
 
-def test_local_kill_is_a_no_op(pool):
+def test_local_kill_is_a_no_op():
     """A session that fell back to in-process execution (its first
     superstep is a closure, which does not pickle) runs the kill's
     rank in the calling process: the fault is counted as injected and
     does nothing, and no worker dies."""
     tracer = Tracer()
-    chaos = ChaosBackend(plan="kill@1.1", inner=pool)
     closures = [lambda ctx, f=f: f(ctx) for f in PIPELINE]
-    with pytest.warns(RuntimeWarning, match="not picklable"):
-        results, ledger = _run_pipeline(chaos, tracer, closures)
+    with faulted_pool("kill@1.1") as pool:
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            results, ledger = _run_pipeline(pool, tracer, closures)
     assert results == REFERENCE[0]
     assert ledger.phases == REFERENCE[1].phases
     assert ledger.sent_by_rank == REFERENCE[1].sent_by_rank
@@ -215,38 +185,33 @@ def test_degraded_step_runs_without_the_fault():
     session degrades and finishes the step in-process with the fault
     disarmed — it fired once already — so nothing sleeps out the
     hang's 60 s."""
-    inner = ProcessBackend(
-        workers=2,
-        supervisor=SupervisorConfig(step_deadline_s=1.0, max_retries=0),
-    )
-    chaos = ChaosBackend(plan="hang@1.0:60", inner=inner)
     start = time.monotonic()
-    try:
+    with faulted_pool(
+        "hang@1.0:60", step_deadline_s=1.0, max_retries=0
+    ) as pool:
         with pytest.warns(RuntimeWarning, match="degrades"):
-            results, ledger = _run_pipeline(chaos)
-    finally:
-        chaos.close()
+            results, ledger = _run_pipeline(pool)
     assert time.monotonic() - start < 30.0
     assert results == REFERENCE[0]
     assert ledger.phases == REFERENCE[1].phases
 
 
-def test_chaos_slow_is_bit_identical(pool):
-    chaos = ChaosBackend(plan="slow@0.0:0.001,slow@2.2:0.001", inner=pool)
-    results, ledger = _run_pipeline(chaos)
+def test_chaos_slow_is_bit_identical():
+    with faulted_pool("slow@0.0:0.001,slow@2.2:0.001") as pool:
+        results, ledger = _run_pipeline(pool)
     assert (results, ledger.phases) == (REFERENCE[0], REFERENCE[1].phases)
 
 
-def test_empty_plan_is_passthrough(pool):
-    chaos = ChaosBackend(plan="", inner=pool)
-    results, ledger = _run_pipeline(chaos)
+def test_empty_plan_is_passthrough():
+    with faulted_pool("") as pool:
+        results, ledger = _run_pipeline(pool)
     assert results == REFERENCE[0]
 
 
 def test_kill_in_the_calling_process_is_a_no_op():
     """A ChaosStep fired outside any worker (here on the serial
     backend) runs the plain superstep: there is no worker to lose."""
-    step = ChaosStep(lambda ctx, _: _collect(ctx), 1, {0: ("kill", 0.0)})
+    step = ChaosStep(lambda ctx, _: _collect(ctx), {0: ("kill", 0.0)})
     out = run_supersteps(
         2, [_seed_state, lambda ctx: step(ctx, None)], backend="serial"
     )
@@ -254,9 +219,9 @@ def test_kill_in_the_calling_process_is_a_no_op():
 
 
 def test_chaos_step_is_transparent():
-    step = ChaosStep(_seed_state, 4, {})
-    assert step.__name__ == "_seed_state"
-    assert step.disarm() is _seed_state
+    """A rank with no fault armed runs the plain step."""
+    step = ChaosStep(lambda ctx, arg: (ctx.rank, arg), {1: ("kill", 0.0)})
+    assert step(SimpleNamespace(rank=0), "x") == (0, "x")
 
 
 # ----------------------------------------------------------------------
@@ -270,25 +235,16 @@ def test_chaos_step_is_transparent():
     rank=st.integers(0, 3),
 )
 @settings(max_examples=25, deadline=None)
-def test_property_single_fault_never_changes_results(
-    shared_chaos, kind, step, rank
-):
+def test_property_single_fault_never_changes_results(kind, step, rank):
     """For ANY single fault (any kind, any step — including past the
-    end of the run — any rank, including absent ranks) the chaos run's
-    results and ledger equal the clean serial run's."""
-    shared_chaos.plan = FaultPlan((FaultSpec(kind, step, rank, 0.0),))
-    shared_chaos.reset()
-    results, ledger = _run_pipeline(shared_chaos)
+    end of the run — any rank, including absent ranks) the faulted
+    run's results and ledger equal the clean serial run's."""
+    plan = FaultPlan((FaultSpec(kind, step, rank, 0.0),))
+    with faulted_pool(plan.to_text()) as pool:
+        results, ledger = _run_pipeline(pool)
     assert results == REFERENCE[0]
     assert ledger.phases == REFERENCE[1].phases
     assert ledger.received_by_rank == REFERENCE[1].received_by_rank
-
-
-@pytest.fixture(scope="module")
-def shared_chaos(pool):
-    """One chaos backend over the module's pool; each example installs
-    its plan and re-arms it with ``reset()``."""
-    return ChaosBackend(plan="", inner=pool)
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,9 @@
 Every textual selection (``--backend``, ``$REPRO_BACKEND``, service
 requests) parses into a frozen :class:`BackendSpec` and resolves
 through :func:`build_backend` against the table of built-ins.  These
-tests pin the three spec text forms, the option schema validation and
-the env-cache invalidation rules.
+tests pin the three spec text forms, each factory's option validation
+and the env-cache invalidation rules.
 """
-
-import os
 
 import pytest
 
@@ -15,12 +13,13 @@ from repro.runtime.backends import (
     BACKEND_NAMES,
     BackendSpec,
     build_backend,
+    process,
     resolve_backend,
+    tcp,
 )
 from repro.runtime.backends.base import _backend_from_env
+from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.backends.serial import SerialBackend
-from repro.runtime.backends.thread import ThreadBackend
-from repro.runtime.faults import ChaosBackend
 
 
 class TestBackendSpecParse:
@@ -92,9 +91,9 @@ class TestBackendSpecParse:
         assert a != c
 
     def test_typed_options_converts_and_rejects_unknown(self):
-        spec = BackendSpec.parse("tcp://h:1?deadline=30&retries=2")
-        opts = spec.typed_options({"deadline": float, "retries": int})
-        assert opts == {"deadline": 30.0, "retries": 2}
+        spec = BackendSpec.parse("tcp://h:1?deadline=30&spawn=external")
+        opts = spec.typed_options({"deadline": float, "spawn": str})
+        assert opts == {"deadline": 30.0, "spawn": "external"}
         with pytest.raises(ValueError, match="does not accept option"):
             spec.typed_options({"deadline": float})
         bad = BackendSpec.parse("tcp://h:1?deadline=soon")
@@ -104,9 +103,7 @@ class TestBackendSpecParse:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert BACKEND_NAMES == (
-            "chaos", "process", "serial", "tcp", "thread",
-        )
+        assert BACKEND_NAMES == ("process", "serial", "tcp", "thread")
 
     def test_deleted_backend_is_unknown(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown backend 'sentinel'"):
@@ -119,12 +116,43 @@ class TestRegistry:
         with pytest.raises(ValueError, match="does not accept option"):
             build_backend("serial://?bogus=1")
 
-    def test_embedded_workers_beat_argument(self):
-        with build_backend("thread:5", workers=2) as embedded:
-            assert isinstance(embedded, ThreadBackend)
-            assert embedded.workers == 5
-        with build_backend("thread", workers=2) as argued:
-            assert argued.workers == 2
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "thread://?faults=kill@0.0",
+            "process://?faults=boom@1.0",
+            "process://?deadline=soon",
+            "tcp://127.0.0.1:0?retries=2",
+        ],
+    )
+    def test_bad_option_refused_before_any_peer_starts(
+        self, monkeypatch, spec
+    ):
+        """An option a backend does not take (``faults=`` on an
+        in-process backend, the tcp URI's old ``retries=``) or a value
+        that does not parse is a ``ValueError`` from ``build_backend``,
+        raised before a worker is forked or an agent spawned."""
+
+        def no_peers(*_args, **_kwargs):
+            raise AssertionError("a peer was started")
+
+        monkeypatch.setattr(process._WorkerHandle, "__init__", no_peers)
+        monkeypatch.setattr(tcp.TCPBackend, "_spawn_agent", no_peers)
+        monkeypatch.setattr(tcp.TCPBackend, "_ensure_server", no_peers)
+        with pytest.raises(ValueError):
+            build_backend(spec)
+
+    def test_pool_options_from_the_spec(self):
+        backend = build_backend(
+            "process://?workers=2&deadline=60&faults=kill@2.1,slow@5.0:0.02"
+        )
+        assert isinstance(backend, ProcessBackend)
+        assert backend.workers == 2
+        assert backend.supervisor.step_deadline_s == 60.0
+        assert backend.faults.to_text() == "kill@2.1,slow@5.0:0.02"
+        assert build_backend(
+            "process://?deadline=0"
+        ).supervisor.step_deadline_s is None
 
     def test_backend_instance_passes_through(self):
         backend = SerialBackend()
@@ -150,20 +178,16 @@ class TestEnvResolution:
         assert _backend_from_env() is _backend_from_env()
 
     def test_env_cache_invalidates_on_spec_change(self, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_BACKEND", "chaos://?inner=process&plan=slow@1.0:0.001"
-        )
+        monkeypatch.setenv("REPRO_BACKEND", "process://?faults=slow@1.0:0.001")
         first = _backend_from_env()
-        assert isinstance(first, ChaosBackend)
+        assert isinstance(first, ProcessBackend)
         # same text -> same memoised instance
         assert _backend_from_env() is first
         # an option change is visible in the parsed spec -> rebuild
-        monkeypatch.setenv(
-            "REPRO_BACKEND", "chaos://?inner=process&plan=slow@2.0:0.001"
-        )
+        monkeypatch.setenv("REPRO_BACKEND", "process://?faults=slow@2.0:0.001")
         second = _backend_from_env()
         assert second is not first
-        assert second.plan.to_text() == "slow@2.0:0.001"
+        assert second.faults.to_text() == "slow@2.0:0.001"
 
     def test_explicit_spec_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "thread")

@@ -27,31 +27,29 @@ import pytest
 from repro.obs.report import RunReport
 from repro.obs.tracer import Tracer
 from repro.runtime.backends import (
-    MAX_RETRIES_ENV,
-    STEP_DEADLINE_ENV,
-    BackendError,
     ProcessBackend,
     SerialBackend,
     SupervisorConfig,
     TCPBackend,
     build_backend,
 )
-from repro.runtime.faults import ChaosBackend
 from repro.runtime.ledger import CommLedger
 from tests.runtime.spmd import run_supersteps
 
 ACCEPT_TIMEOUT = 30.0  # generous: CI machines can be slow to fork
 
 
-def pool_backend(transport, **supervisor):
-    """A two-peer backend on ``transport`` with fast test timings."""
+def pool_backend(transport, faults="", **supervisor):
+    """A two-peer backend on ``transport`` injecting ``faults``, with
+    fast test timings."""
     supervisor.setdefault("backoff_base_s", 0.01)
     supervisor.setdefault("shutdown_grace_s", 1.0)
     cfg = SupervisorConfig(**supervisor)
     if transport == "process":
-        return ProcessBackend(workers=2, supervisor=cfg)
+        return ProcessBackend(workers=2, supervisor=cfg, faults=faults)
     return TCPBackend(
-        workers=2, supervisor=cfg, accept_timeout=ACCEPT_TIMEOUT
+        workers=2, supervisor=cfg, accept_timeout=ACCEPT_TIMEOUT,
+        faults=faults,
     )
 
 
@@ -216,19 +214,18 @@ class RespawnCases:
         assert counters.get("worker_respawns", 0) >= 1
 
     def test_killed_agent_respawned_bit_identical(self):
-        """A chaos-plan kill inside a peer surfaces in the run report's
+        """A fault-plan kill inside a peer surfaces in the run report's
         recovery and distributed totals, and nowhere else."""
         ref_results, ref_ledger = _reference((_bump, _bump, _report))
-        inner = pool_backend(self.transport)
-        chaos = ChaosBackend(plan="kill@1.1", inner=inner, workers=2)
+        backend = pool_backend(self.transport, faults="kill@1.1")
         tracer = Tracer()
         try:
             results, ledger = _run(
-                chaos, (_bump, _bump, _report), tracer=tracer
+                backend, (_bump, _bump, _report), tracer=tracer
             )
-            assert inner.reconnects >= 1
+            assert backend.reconnects >= 1
         finally:
-            chaos.close()
+            backend.close()
         assert results == ref_results
         assert ledger.summary() == ref_ledger.summary()
         report = RunReport.from_run(tracer, ledger)
@@ -239,18 +236,18 @@ class RespawnCases:
 
     def test_hung_agent_hits_deadline_and_recovers(self):
         ref_results, _ = _reference((_bump, _bump, _report))
-        inner = pool_backend(
-            self.transport, step_deadline_s=1.5, heartbeat_timeout_s=2.0
+        backend = pool_backend(
+            self.transport, faults="hang@1.0:60",
+            step_deadline_s=1.5, heartbeat_timeout_s=2.0,
         )
-        chaos = ChaosBackend(plan="hang@1.0:60", inner=inner, workers=2)
         tracer = Tracer()
         try:
             results, _ledger = _run(
-                chaos, (_bump, _bump, _report), tracer=tracer
+                backend, (_bump, _bump, _report), tracer=tracer
             )
-            assert inner.reconnects >= 1
+            assert backend.reconnects >= 1
         finally:
-            chaos.close()
+            backend.close()
         assert results == ref_results
         report = RunReport.from_run(tracer, CommLedger())
         assert report.recovery_totals()["deadline_timeouts"] >= 1
@@ -520,20 +517,25 @@ class TestSupervisorConfig:
         with pytest.raises(TypeError):
             SupervisorConfig(degrade=False)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(STEP_DEADLINE_ENV, "2.5")
-        monkeypatch.setenv(MAX_RETRIES_ENV, "4")
-        cfg = SupervisorConfig.from_env()
-        assert cfg.step_deadline_s == pytest.approx(2.5)
-        assert cfg.max_retries == 4
+    POOLS = pytest.mark.parametrize(
+        "pool", ["process://", "tcp://127.0.0.1:0"], ids=["process", "tcp"]
+    )
 
-    def test_from_env_deadline_disabled(self, monkeypatch):
-        monkeypatch.setenv(STEP_DEADLINE_ENV, "0")
-        assert SupervisorConfig.from_env().step_deadline_s is None
+    @POOLS
+    def test_deadline_from_spec(self, pool):
+        """Both pools read ``deadline=`` the same way."""
+        supervisor = build_backend(f"{pool}?deadline=2.5").supervisor
+        assert supervisor.step_deadline_s == 2.5
 
-    def test_from_env_defaults(self, monkeypatch):
-        monkeypatch.delenv(STEP_DEADLINE_ENV, raising=False)
-        monkeypatch.delenv(MAX_RETRIES_ENV, raising=False)
-        cfg = SupervisorConfig.from_env()
-        assert cfg.step_deadline_s is None
-        assert cfg.max_retries == 2
+    @POOLS
+    def test_deadline_zero_disables(self, pool):
+        """``deadline=0`` means no deadline."""
+        supervisor = build_backend(f"{pool}?deadline=0").supervisor
+        assert supervisor.step_deadline_s is None
+
+    @POOLS
+    def test_deadline_default(self, pool):
+        """A pool spec without ``deadline=`` has the default policy."""
+        plain = build_backend(pool).supervisor
+        assert plain == SupervisorConfig()
+        assert (plain.step_deadline_s, plain.max_retries) == (None, 2)

@@ -148,15 +148,15 @@ class TestDistributedRuns:
 
     def test_spec_uri_configures_supervision(self):
         backend = build_backend(
-            "tcp://127.0.0.1:0?workers=2&deadline=0&retries=1"
-            "&accept_timeout=30"
+            "tcp://127.0.0.1:0?workers=2&deadline=0&accept_timeout=30"
+            "&faults=slow@0.0"
         )
         try:
             assert isinstance(backend, TCPBackend)
             assert backend.workers == 2
             assert backend.supervisor.step_deadline_s is None  # <=0
-            assert backend.supervisor.max_retries == 1
             assert backend.accept_timeout == 30.0
+            assert backend.faults.to_text() == "slow@0.0"
         finally:
             backend.close()
 
@@ -378,7 +378,7 @@ class TestExternalAgents:
 
         # agent_main renames its process to the worker prefix; undo it
         # here or every later "am I a pool worker?" check in this
-        # pytest process (chaos kills, the supervised suite) says yes
+        # pytest process (injected kills, the supervised suite) says yes
         me = multiprocessing.current_process()
         monkeypatch.setattr(me, "name", me.name)
         # a bound-but-unaccepting port refuses quickly on loopback

@@ -196,62 +196,69 @@ class TestTraceCommand:
         assert "trace written" in capsys.readouterr().out
 
 
+FAULTED = "process://?workers=2&faults=kill@0.0"
+
+
 class TestFaultPlan:
-    """``--fault-plan`` injects on whichever backend the run uses (it
-    used to be ignored, silently, next to an explicit ``--backend``)."""
+    """A pool's ``faults=`` plan injects on the run's backend, named by
+    ``--backend`` or by ``$REPRO_BACKEND``, and the run report records
+    the spec that ran."""
 
     @staticmethod
-    def _trace(tmp_path, monkeypatch, *global_args):
-        from repro.runtime.backends import FAULT_PLAN_ENV, base
-
-        monkeypatch.setenv(FAULT_PLAN_ENV, "")  # main() overwrites it
+    def _trace(tmp_path, *global_args):
         out_path = tmp_path / "trace.json"
-        try:
-            assert main(
-                ["--refine", "0.5", *global_args, "trace", "--k", "4",
-                 "--trace-steps", "1", "--no-baseline",
-                 "--trace-json", str(out_path)]
-            ) == 0
-        finally:
-            installed = base._default_backend
-            base.set_default_backend(None)
-            if installed is not None:
-                installed.close()
+        assert main(
+            ["--refine", "0.5", *global_args, "trace", "--k", "4",
+             "--trace-steps", "1", "--no-baseline",
+             "--trace-json", str(out_path)]
+        ) == 0
         return RunReport.load(out_path)
 
-    @pytest.mark.parametrize(
-        "backend_args, ran",
-        [
-            ([], "chaos"),
-            (["--backend", "process:2"], "chaos://?inner=process:2"),
-        ],
-        ids=["default", "process:2"],
-    )
+    @pytest.mark.parametrize("named_by", ["default", "process:2"])
     def test_plan_fires_on_the_named_backend(
-        self, tmp_path, monkeypatch, backend_args, ran
+        self, tmp_path, monkeypatch, named_by
     ):
-        clean = self._trace(tmp_path, monkeypatch, *backend_args)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        clean = self._trace(tmp_path, "--backend", "process:2")
         assert "faults_injected" not in clean.recovery_totals()
-        faulty = self._trace(
-            tmp_path, monkeypatch, *backend_args,
-            "--fault-plan", "kill@0.0",
-        )
+        if named_by == "default":
+            monkeypatch.setenv("REPRO_BACKEND", FAULTED)
+            faulty = self._trace(tmp_path)
+        else:
+            faulty = self._trace(tmp_path, "--backend", FAULTED)
         assert faulty.recovery_totals()["faults_injected"] == 1
-        assert faulty.meta["backend"] == ran
+        assert faulty.recovery_totals()["worker_deaths"] == 1
+        assert faulty.meta["backend"] == FAULTED
         assert faulty.comm == clean.comm and clean.comm
 
     @pytest.mark.parametrize("backend", ["serial", "thread:2"])
-    def test_plan_refuses_an_in_process_backend(
-        self, capsys, monkeypatch, backend
-    ):
-        """Faults are injected into pool workers only: a plan next to
-        an in-process backend is a usage error, not a silent no-op."""
-        from repro.runtime.backends import FAULT_PLAN_ENV
-
-        monkeypatch.setenv(FAULT_PLAN_ENV, "")  # main() overwrites it
+    def test_plan_refuses_an_in_process_backend(self, capsys, backend):
+        """Faults are injected into pool workers only: a plan on an
+        in-process backend is a usage error, not a silent no-op."""
+        name, _, workers = backend.partition(":")
+        spec = f"{name}://?faults=kill@0.0" + (
+            f"&workers={workers}" if workers else ""
+        )
         code = main(
-            ["--backend", backend, "--fault-plan", "kill@0.0",
-             "trace", "--k", "4", "--trace-steps", "1"]
+            ["--backend", spec, "trace", "--k", "4", "--trace-steps", "1"]
         )
         assert code == 2
-        assert "worker pool" in capsys.readouterr().err
+        assert "does not accept option 'faults'" in capsys.readouterr().err
+
+    def test_report_names_the_env_backend(self, tmp_path, monkeypatch):
+        """With no ``--backend`` the run uses ``$REPRO_BACKEND`` and
+        the report says so (it used to say ``serial``)."""
+        monkeypatch.setenv("REPRO_BACKEND", "thread:2")
+        assert self._trace(tmp_path).meta["backend"] == "thread:2"
+        monkeypatch.delenv("REPRO_BACKEND")
+        assert self._trace(tmp_path).meta["backend"] == "serial"
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--fault-plan", "kill@0.0"]]
+    )
+    def test_removed_flags_are_usage_errors(self, flag):
+        """``--backend SPEC`` is the one backend flag."""
+        for argv in ([*flag, "trace"], ["trace", *flag]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2

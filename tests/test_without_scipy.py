@@ -21,8 +21,7 @@ BLOCK = "import sys; sys.modules['scipy'] = None\n"
 def run_python(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    for name in ("REPRO_BACKEND", "REPRO_WORKERS"):
-        env.pop(name, None)
+    env.pop("REPRO_BACKEND", None)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, timeout=600,
