@@ -18,8 +18,6 @@ approaches and first penetrations appearing at impact.
 Run:  python examples/full_contact_step.py
 """
 
-import numpy as np
-
 from repro import ImpactConfig, simulate_impact
 from repro.core.contact_search import parallel_contact_search
 from repro.core.local_search import penetration_summary, resolve_candidates

@@ -15,7 +15,7 @@ from repro.dtree import induce_pure_tree
 from repro.dtree.query import predict_partition
 from repro.geometry.rcb import rcb_partition
 from repro.graph import grid_graph
-from repro.graph.build import grid_coords, random_geometric_graph
+from repro.graph.build import grid_coords
 from repro.graph.metrics import edge_cut, load_imbalance, total_comm_volume
 from repro.partition import PartitionOptions, partition_kway
 from repro.partition.repartition import diffusion_repartition

@@ -10,8 +10,6 @@ rectangles around them — at three stages of the punch's travel.
 Run:  python examples/punch_2d.py
 """
 
-import numpy as np
-
 from repro.core.mcml_dt import MCMLDTParams, MCMLDTPartitioner
 from repro.dtree.render import render_descriptors
 from repro.partition.config import PartitionOptions

@@ -10,8 +10,6 @@ search filtered through them.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import (
     ImpactConfig,
     MCMLDTParams,
@@ -75,7 +73,7 @@ def main() -> None:
         f"   {len(snap.contact_faces)} surface elements; "
         f"{plan.n_remote} element-sends to remote partitions (NRemote)"
     )
-    recv = plan.per_partition_receive_counts(k)
+    recv = plan.per_partition_receive_counts()
     for p in range(k):
         print(f"   partition {p} receives {recv[p]} remote elements")
 

@@ -15,7 +15,7 @@ between prediction-aware and prediction-free decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

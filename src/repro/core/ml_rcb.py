@@ -28,7 +28,6 @@ from repro.core.partitioner import PartitionResult, make_result
 from repro.geometry.bbox import element_bboxes
 from repro.geometry.boxsearch import SearchPlan, bbox_filter_search
 from repro.geometry.rcb import RCBTree, rcb_partition
-from repro.graph.csr import CSRGraph
 from repro.mesh.nodal_graph import nodal_graph
 from repro.metrics.mapping import m2m_comm, update_comm
 from repro.obs.tracer import SPAN_MAP_TRANSFER, TracerBase, ensure_tracer

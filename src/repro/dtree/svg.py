@@ -9,7 +9,7 @@ point sets can be projected with :func:`project_2d` first.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 

@@ -102,10 +102,6 @@ class DecisionTree:
         :meth:`leaf_ids`."""
         return self.label[self.is_leaf]
 
-    def partitions_present(self) -> np.ndarray:
-        """Sorted unique partition labels among the leaves."""
-        return np.unique(self.leaf_labels())
-
     def _levels(self) -> Iterator[np.ndarray]:
         """The node ids of each depth, from the root's down; a split
         node's children are adjacent, left first."""

@@ -29,8 +29,8 @@ from repro.utils.validation import check_finite, check_labels
 class SearchPlan:
     """Result of a global-search filter.
 
-    ``sends[e]`` lists the remote partitions element ``e`` must be sent
-    to; ``n_remote`` is the total send count (NRemote).
+    ``send_matrix[e]`` marks the remote partitions element ``e`` must
+    be sent to; ``n_remote`` is the total send count (NRemote).
     """
 
     send_matrix: np.ndarray  # bool[m_elements, k]
@@ -41,11 +41,7 @@ class SearchPlan:
         """Total (element, remote partition) send pairs."""
         return int(self.send_matrix.sum())
 
-    def sends_for(self, element: int) -> np.ndarray:
-        """Remote partitions element ``element`` is sent to."""
-        return np.nonzero(self.send_matrix[element])[0]
-
-    def per_partition_receive_counts(self, k: int) -> np.ndarray:
+    def per_partition_receive_counts(self) -> np.ndarray:
         """How many remote elements each partition receives."""
         return self.send_matrix.sum(axis=0).astype(np.int64)
 

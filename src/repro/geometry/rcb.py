@@ -16,7 +16,7 @@ The geometric partitioner ML+RCB applies to the contact points
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

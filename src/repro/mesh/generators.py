@@ -10,7 +10,7 @@ through shared nodes).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

@@ -11,8 +11,6 @@ k×k overlap matrix.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 

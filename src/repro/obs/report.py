@@ -42,7 +42,6 @@ DISTRIBUTED_COUNTERS = (
     "bytes_recv",
     "reconnects",
     "ranks_migrated",
-    "agents_joined",
 )
 
 

@@ -13,7 +13,7 @@ boundaries stay close to axis-parallel without the P→P'→P'' detour.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -21,7 +21,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.partition.balance import target_weights
 from repro.partition.pqueue import MaxPQ
 from repro.utils.rng import SeedLike, as_rng
 

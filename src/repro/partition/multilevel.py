@@ -8,7 +8,7 @@ hierarchy with an FM refinement pass at every level.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

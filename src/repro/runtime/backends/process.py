@@ -1,15 +1,12 @@
 """Process-pool backend: forked workers behind socketpairs.
 
-The backend owns a persistent pool of worker processes (created lazily,
-reused across sessions so per-step runs amortise startup).  Its
-sessions are :class:`~repro.runtime.backends.supervised.SupervisedSession`s
-— supervision, recovery, the worker command loop and the
+The pool, supervision, recovery, the worker command loop and the
 ``repro.wire/1`` :class:`~repro.runtime.backends.supervised.Channel`
 live in :mod:`repro.runtime.backends.supervised`, shared with the tcp
-backend; this module supplies only the **pool**: ``workers`` fixed
-slots, each a forked process on the far end of a
-:func:`socket.socketpair` — a lost worker is terminated (escalating to
-kill) and a fresh one forked into the same slot.
+backend; this module says only how a child starts: a forked process on
+the far end of a :func:`socket.socketpair`, named after its slot.  The
+pool is created lazily and reused across sessions, so per-step runs
+amortise startup.
 
 A session's ``shared`` mapping rides inline in its ``open`` message
 (NumPy arrays as raw out-of-band frames); each superstep then ships
@@ -22,12 +19,10 @@ in-process fallback.
 
 from __future__ import annotations
 
-import atexit
 import socket
 from multiprocessing import get_context
 from multiprocessing.context import BaseContext
-from multiprocessing.process import BaseProcess
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.runtime.backends.base import BackendSpec
 from repro.runtime.backends.supervised import (
@@ -49,50 +44,6 @@ def _worker_main(sock: socket.socket, parent_end: socket.socket) -> None:
     chan = Channel(sock)
     serve_commands(chan)
     chan.close()
-
-
-class _WorkerHandle(Peer):
-    """Parent-side handle to one pooled worker process."""
-
-    def __init__(
-        self, ctx: BaseContext, index: int, backend: "ProcessBackend"
-    ) -> None:
-        self.index = index
-        ours, theirs = socket.socketpair()
-        self.proc: BaseProcess = ctx.Process(
-            target=_worker_main,
-            args=(theirs, ours),
-            name=f"repro-spmd-{index}",
-            daemon=True,
-        )
-        self.proc.start()
-        theirs.close()
-        super().__init__(self.proc.name, backend, Channel(ours))
-
-    def _status(self) -> str:
-        return f" (exitcode={self.proc.exitcode})"
-
-    def ping(self, timeout: float) -> bool:
-        return self.proc.is_alive() and super().ping(timeout)
-
-    def stop(self) -> None:
-        """Graceful shutdown, escalating join → terminate → kill."""
-        try:
-            self.chan.send(("shutdown",))
-        except OSError:
-            pass
-        self.proc.join(timeout=self.backend.supervisor.shutdown_grace_s)
-        self.destroy()
-
-    def destroy(self) -> None:
-        cfg = self.backend.supervisor
-        super().destroy()
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=cfg.shutdown_grace_s)
-            if self.proc.is_alive():  # pragma: no cover - wedged worker
-                self.proc.kill()
-                self.proc.join(timeout=cfg.kill_grace_s)
 
 
 class ProcessBackend(SupervisedBackend):
@@ -118,39 +69,22 @@ class ProcessBackend(SupervisedBackend):
             self._ctx = get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
             self._ctx = get_context()
-        self._pool: Optional[List[_WorkerHandle]] = None
-        self._atexit_registered = False
 
-    def members(self) -> List[Peer]:
-        if self._pool is None:
-            self._pool = [
-                _WorkerHandle(self._ctx, i, self)
-                for i in range(self.workers)
-            ]
-            if not self._atexit_registered:
-                atexit.register(self.close)
-                self._atexit_registered = True
-        return list(self._pool)
-
-    def replace(self, lost: Set[Peer]) -> int:
-        """Fork a fresh worker into the slot of every lost one (the old
-        process is terminated, escalating to kill).  Handles another
-        session already rotated out of the pool need nothing."""
-        replaced = 0
-        pool = self._pool or []
-        for slot, worker in enumerate(pool):
-            if worker in lost:
-                worker.destroy()
-                pool[slot] = _WorkerHandle(self._ctx, worker.index, self)
-                replaced += 1
-        self.reconnects += replaced
-        return replaced
-
-    def close(self) -> None:
-        if self._pool is not None:
-            for worker in self._pool:
-                worker.stop()
-            self._pool = None
+    def _start(self, slots: List[int]) -> List[Peer]:
+        """Fork one worker per slot, each behind its own socketpair."""
+        peers: List[Peer] = []
+        for slot in slots:
+            ours, theirs = socket.socketpair()
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(theirs, ours),
+                name=f"repro-spmd-{slot}",
+                daemon=True,
+            )
+            proc.start()
+            theirs.close()
+            peers.append(Peer(proc.name, self, Channel(ours), proc))
+        return peers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessBackend(workers={self.workers})"

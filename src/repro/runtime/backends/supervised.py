@@ -1,30 +1,34 @@
-"""Supervised SPMD sessions over a pool of remote peers.
+"""Supervised SPMD sessions over a pool of child peers.
 
 The ``process`` and ``tcp`` backends run a session's ranks on *peers* —
-forked pool workers or dialled-in agents — that all speak the same
+child processes of the coordinator that all speak the same
 ``repro.wire/1`` commands (``open`` / ``step`` / ``replay`` / ``close``
 / ``ping`` / ``shutdown``) over the same :class:`Channel`, a connected
-stream socket.  Everything that does not depend on where the peers come
-from lives here, once:
+stream socket.  Everything that does not depend on how a child starts
+lives here, once:
 
+* :class:`SupervisedBackend` — the pool: ``workers`` slots, each
+  holding one child or nothing.  :meth:`~SupervisedBackend.members`
+  starts a child in every empty slot, :meth:`~SupervisedBackend.replace`
+  destroys lost children and starts fresh ones in their slots,
+  :meth:`~SupervisedBackend.close` stops every child;
 * :class:`SupervisedSession` — the coordinator-side state machine
   (``pending`` → ``remote`` | ``local``): lazy open, deadline dispatch
   with dead/hung classification, replacement of lost peers +
-  deterministic history replay, retry with backoff, degradation to
-  in-process serial execution, and mid-run adoption of new peers.
-  It is the only place a failed superstep is retried: a lost worker
-  is the one fault a retry can cure, since a superstep that raised
-  raises again;
+  deterministic history replay, retry with backoff and degradation to
+  in-process serial execution.  It is the only place a failed
+  superstep is retried: a lost worker is the one fault a retry can
+  cure, since a superstep that raised raises again;
 * :func:`serve_commands` — the peer-side command loop;
 * :class:`Channel` and :class:`Peer` — one framed message each way,
-  with byte accounting and reply validation;
+  with byte accounting and reply validation, and the child process
+  the peer owns;
 * :class:`SupervisorConfig` — the supervision policy, and
   :func:`pool_options` — the spec options both pools accept
   (``deadline=``, ``faults=``).
 
-A backend supplies only the *pool* (:class:`SupervisedBackend`:
-``members`` / ``replace`` / ``joined``) and, where it owns the peer's
-process, that process's lifecycle.  See ``docs/FAULT_TOLERANCE.md``
+A backend supplies only how a child starts
+(:meth:`SupervisedBackend._start`).  See ``docs/FAULT_TOLERANCE.md``
 ("Supervised sessions").
 
 Determinism: peers never talk to each other — all routing and ledger
@@ -35,6 +39,7 @@ are bit-identical to :class:`~repro.runtime.backends.serial.SerialBackend`.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import pickle
 import socket
@@ -81,9 +86,17 @@ from repro.runtime.ledger import CommLedger
 # ----------------------------------------------------------------------
 
 
+#: each retry sleeps this many times longer than the one before
+BACKOFF_FACTOR = 2.0
+
+#: how long a killed child is waited for, after ``terminate`` and
+#: ``shutdown_grace_s`` did not end it
+KILL_GRACE_S = 1.0
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Supervision policy for a pool of remote peers.
+    """Supervision policy for a pool of child peers.
 
     ``step_deadline_s``
         Wall-clock budget for one superstep dispatch; a peer that has
@@ -96,12 +109,14 @@ class SupervisorConfig:
         How many times a failed superstep is retried (with the lost
         peers replaced and the session history replayed) before the
         session gives up.
-    ``backoff_base_s`` / ``backoff_factor``
+    ``backoff_base_s``
         Exponential backoff between retries: the first retry sleeps
-        ``backoff_base_s``, each further retry multiplies the delay.
-    ``shutdown_grace_s`` / ``kill_grace_s``
-        Shutdown escalation budget: graceful join, then ``terminate``
-        with another ``shutdown_grace_s`` join, then ``kill``.
+        ``backoff_base_s``, each further retry :data:`BACKOFF_FACTOR`
+        times longer.
+    ``shutdown_grace_s``
+        Shutdown escalation budget: a stopped child is waited for this
+        long, then terminated and waited for as long again, then killed
+        (:data:`KILL_GRACE_S`).
 
     Once the retry budget is exhausted the session degrades to
     in-process serial execution (``RuntimeWarning``, ledger accounting
@@ -112,17 +127,15 @@ class SupervisorConfig:
     heartbeat_timeout_s: float = 2.0
     max_retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     shutdown_grace_s: float = 5.0
-    kill_grace_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.step_deadline_s is not None and self.step_deadline_s <= 0:
             raise ValueError("step_deadline_s must be positive or None")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("invalid backoff configuration")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be >= 0")
 
 
 def pool_options(
@@ -228,51 +241,59 @@ class Channel:
 
 
 class Peer:
-    """Coordinator-side handle to one remote peer: a named
-    :class:`Channel`.
+    """Coordinator-side handle to one child peer: the child process and
+    the :class:`Channel` to its command loop.
 
     The handle turns channel failures into :class:`BackendError`,
     validates the reply shape and accounts the traffic on its backend.
-    Its lifecycle is that of a connection; a pool that also owns the
-    peer's process extends :meth:`stop` / :meth:`destroy`.
+    ``proc`` answers what a :class:`multiprocessing.Process` answers:
+    ``is_alive()``, ``join(timeout)``, ``terminate()``, ``kill()`` and
+    ``exitcode``.
     """
 
     def __init__(
-        self, name: str, backend: "SupervisedBackend", chan: Channel
+        self, name: str, backend: "SupervisedBackend", chan: Channel,
+        proc: Any,
     ) -> None:
         self.name = name
         self.backend = backend
         self.chan = chan
+        self.proc = proc
 
     @property
     def noun(self) -> str:
         """What the backend calls its peers in messages."""
         return self.backend.peer_noun
 
-    def _status(self) -> str:
-        """Extra detail for "peer is gone" messages."""
-        return ""
-
     def stop(self) -> None:
-        """Graceful shutdown: tell the peer to exit, close the
-        channel."""
+        """Graceful shutdown: tell the child to exit, wait up to
+        ``shutdown_grace_s`` for it, then :meth:`destroy` it."""
         try:
             self.chan.send(("shutdown",))
         except OSError:
             pass
+        self.proc.join(timeout=self.backend.supervisor.shutdown_grace_s)
         self.destroy()
 
     def destroy(self) -> None:
-        """Forcible teardown of a dead or hung peer (no shutdown
-        handshake — its command loop may never read it)."""
+        """Forcible teardown of a dead or hung child (no shutdown
+        handshake — its command loop may never read it): close the
+        channel, then terminate the child and finally kill it."""
         self.chan.close()
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(timeout=self.backend.supervisor.shutdown_grace_s)
+            if self.proc.is_alive():  # pragma: no cover - wedged child
+                self.proc.kill()
+                self.proc.join(timeout=KILL_GRACE_S)
 
     def send(self, msg: Any) -> int:
         try:
             nbytes = self.chan.send(msg)
         except OSError as exc:
             raise BackendError(
-                f"{self.noun} {self.name} is gone{self._status()}"
+                f"{self.noun} {self.name} is gone "
+                f"(exitcode={self.proc.exitcode})"
             ) from exc
         self.backend.bytes_sent += nbytes
         return nbytes
@@ -284,7 +305,8 @@ class Peer:
             reply, nbytes = self.chan.recv(timeout)
         except (EOFError, OSError, WireError) as exc:
             raise BackendError(
-                f"{self.noun} {self.name} died{self._status()}"
+                f"{self.noun} {self.name} died "
+                f"(exitcode={self.proc.exitcode})"
             ) from exc
         self.backend.bytes_recv += nbytes
         if (
@@ -297,6 +319,8 @@ class Peer:
 
     def ping(self, timeout: float) -> bool:
         """Request/reply heartbeat (only valid between supersteps)."""
+        if not self.proc.is_alive():
+            return False
         try:
             self.send(("ping",))
             tag, payload = self.recv(timeout)
@@ -306,10 +330,11 @@ class Peer:
 
 
 class SupervisedBackend(Backend):
-    """A backend whose sessions run on a pool of remote peers.
+    """A backend whose sessions run on a pool of child peers.
 
-    Subclasses are the *pool*: they create the peers and answer the
-    three questions a :class:`SupervisedSession` asks of it.
+    The pool is ``workers`` slots, each holding one child or nothing.
+    A subclass says only how children start (:meth:`_start`); starting,
+    replacing and stopping them is done here.
     """
 
     #: how messages name one peer and the pool
@@ -339,22 +364,52 @@ class SupervisedBackend(Backend):
         self.bytes_recv = 0
         self.reconnects = 0
         self._sids = itertools.count()
+        self._pool: List[Optional[Peer]] = [None] * workers
+        self._atexit_registered = False
 
-    # -- the pool interface --------------------------------------------
+    # -- the pool ------------------------------------------------------
+    def _start(self, slots: List[int]) -> List[Peer]:
+        """Start one child for each of ``slots``; returns their peers
+        in the same order.  A child that cannot be brought up raises
+        :class:`BackendError`, after whatever was started is stopped."""
+        raise NotImplementedError
+
+    def _fill(self, slots: List[int]) -> None:
+        if not slots:
+            return
+        if not self._atexit_registered:
+            atexit.register(self.close)
+            self._atexit_registered = True
+        for slot, peer in zip(slots, self._start(slots)):
+            self._pool[slot] = peer
+
     def members(self) -> List[Peer]:
-        """The live pool in slot order, brought up first if need be
-        (raises :class:`BackendError` when there is nobody)."""
-        raise NotImplementedError
+        """The pool in slot order, after a child was started in every
+        empty slot."""
+        self._fill(
+            [slot for slot, peer in enumerate(self._pool) if peer is None]
+        )
+        return [peer for peer in self._pool if peer is not None]
 
-    def replace(self, lost: Set[Peer]) -> int:
-        """Tear down ``lost`` peers and refill their slots; returns how
-        many replacements joined the pool."""
-        raise NotImplementedError
+    def replace(self, lost: AbstractSet[Peer]) -> int:
+        """Destroy every lost child still in the pool and start a fresh
+        one in its slot; returns how many were replaced.  A peer that
+        another session already replaced needs nothing."""
+        slots: List[int] = []
+        for slot, peer in enumerate(self._pool):
+            if peer is not None and peer in lost:
+                self._pool[slot] = None
+                peer.destroy()
+                slots.append(slot)
+        self._fill(slots)
+        self.reconnects += len(slots)
+        return len(slots)
 
-    def joined(self) -> List[Peer]:
-        """Peers that joined the pool since the last call (a pool of
-        fixed membership never has any)."""
-        return []
+    def close(self) -> None:
+        for slot, peer in enumerate(self._pool):
+            if peer is not None:
+                self._pool[slot] = None
+                peer.stop()
 
     def _arm(self, step: int, size: int) -> Dict[int, Tuple[str, float]]:
         """The faults scheduled for global superstep ``step``, by rank;
@@ -368,19 +423,15 @@ class SupervisedBackend(Backend):
         }
 
     # ------------------------------------------------------------------
-    def _connected(self) -> List[Peer]:
-        """The peers :meth:`health_check` pings."""
-        return self.members()
-
     def health_check(
         self, timeout: Optional[float] = None
     ) -> Dict[str, bool]:
-        """Heartbeat every connected peer (request/reply ping; only
+        """Heartbeat every peer of the pool (request/reply ping; only
         valid between supersteps).  Returns ``{peer name: alive}``."""
         if timeout is None:
             timeout = self.supervisor.heartbeat_timeout_s
         return {
-            peer.name: peer.ping(timeout) for peer in self._connected()
+            peer.name: peer.ping(timeout) for peer in self.members()
         }
 
     def open_session(
@@ -583,7 +634,7 @@ class SupervisedSession(SpmdSession):
 
     def _establish(self, lost: Set[Peer]) -> int:
         """(Re)build the session on the pool — the one path behind the
-        first open, recovery and adoption: quiesce the surviving
+        first open and recovery: quiesce the surviving
         owners, replace ``lost`` peers, re-map the ranks, open, and
         replay the history so every owner's per-rank state is
         indistinguishable from having been there all along.  A peer
@@ -623,19 +674,6 @@ class SupervisedSession(SpmdSession):
         self._mode = "remote"
         return migrated
 
-    def _join_pool(self) -> None:
-        """Before a step's first attempt: open the session on the pool
-        (first step), or adopt peers that joined since the last step."""
-        if self._mode == "pending":
-            self._establish(set())
-            return
-        fresh = self._pool.joined()
-        if fresh:
-            migrated = self._establish(set())
-            with self.tracer.span("distributed"):
-                self.tracer.count("agents_joined", len(fresh))
-                self.tracer.count("ranks_migrated", migrated)
-
     def _leave_pool(self) -> None:
         self._owners = []
         self._rank_owner = {}
@@ -672,7 +710,8 @@ class SupervisedSession(SpmdSession):
         while True:
             try:
                 if loss is None:
-                    self._join_pool()
+                    if self._mode == "pending":
+                        self._establish(set())
                 else:
                     try:
                         with self.tracer.span("recovery"):
@@ -682,13 +721,13 @@ class SupervisedSession(SpmdSession):
                             self.tracer.count("ranks_migrated", migrated)
                             time.sleep(delay)
                     except BackendError as exc:
-                        # the pool could not be rebuilt (e.g. every
-                        # agent is gone and nobody reconnected)
+                        # the pool could not be rebuilt (a child could
+                        # not be started in a lost one's slot)
                         return self._surrender(
                             loss, plain, arg, inboxes,
                             f"the pool cannot be rebuilt: {exc}",
                         )
-                    delay *= cfg.backoff_factor
+                    delay *= BACKOFF_FACTOR
                     fn = plain
                 outcomes = self._dispatch(fn, arg, inboxes)
             except _StepUndecodable as exc:
@@ -779,7 +818,11 @@ class SupervisedSession(SpmdSession):
             self._count_loss(loss)
             lost = loss.peers
             self.tracer.count("worker_respawns", len(lost))
-            self.tracer.count("reconnects", pool.replace(lost))
+            try:
+                replaced = pool.replace(lost)
+            except BackendError:
+                replaced = 0  # the next members() refills the slots
+            self.tracer.count("reconnects", replaced)
             self._drop_remote_state(lost)
             self._leave_pool()
             self.tracer.count("ranks_degraded", self.size)
@@ -830,7 +873,7 @@ class _ServedSession:
 
 
 def serve_commands(chan: Channel) -> None:
-    """Command loop of one peer (runs in the worker/agent process).
+    """Command loop of one peer (runs in the child process).
 
     ``chan`` raises ``EOFError`` / ``OSError`` / ``WireError`` once the
     coordinator is gone, which ends the loop, as does a ``shutdown``
@@ -864,11 +907,10 @@ def serve_commands(chan: Channel) -> None:
                 sessions[sid] = _ServedSession(shared, size, trace)
                 reply = ("ok", None)
             elif tag == "replay":
-                # deterministic state reconstruction after a respawn /
-                # adoption: re-execute the session's successful step
-                # history for this peer's ranks, discarding the
-                # outcomes (they were already merged when the steps
-                # first succeeded)
+                # deterministic state reconstruction after a respawn:
+                # re-execute the session's successful step history for
+                # this peer's ranks, discarding the outcomes (they were
+                # already merged when the steps first succeeded)
                 _, sid, entries = msg
                 for fn, arg, tasks in entries:
                     sessions[sid].run(fn, arg, tasks, False)

@@ -70,10 +70,6 @@ class CommLedger:
         totals = self.phases.get(phase)
         return totals.n_messages if totals else 0
 
-    def total_items(self) -> int:
-        """Items moved across all phases."""
-        return sum(t.n_items for t in self.phases.values())
-
     def max_rank_send(self, phase: str, k: int) -> int:
         """Largest per-rank send volume in a phase (hot-spot check)."""
         return max(

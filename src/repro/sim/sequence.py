@@ -15,7 +15,7 @@ walls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional
 
 import numpy as np

@@ -8,7 +8,7 @@ from a single integer.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 

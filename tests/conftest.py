@@ -81,10 +81,9 @@ def spmd_backend(request):
     it raises on every row).  The ``chaos`` row is a process pool built
     with a ``faults=`` plan: its one worker kill goes through whichever
     test reaches the run's third superstep, and results must STILL be
-    identical.  The ``tcp`` row runs the distributed coordinator
-    against two locally spawned ``repro-agent`` processes over loopback
-    sockets — the full ``repro.wire/1`` stack, same bit-identical
-    results."""
+    identical.  The ``tcp`` row runs the coordinator against the two
+    agent processes it spawns, over loopback sockets — the full
+    ``repro.wire/1`` stack, same bit-identical results."""
     from repro.runtime.backends import build_backend
 
     backend = build_backend(request.param)

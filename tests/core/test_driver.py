@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.driver import ContactStepDriver, StepResult
+from repro.core.driver import ContactStepDriver
 from repro.core.mcml_dt import MCMLDTParams
 from repro.core.update import UpdateStrategy
 from repro.partition.config import PartitionOptions

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.local_search import (
-    ContactResolution,
     _closest_point_on_segments,
     _closest_point_on_triangles,
     penetration_summary,

@@ -1,6 +1,5 @@
 """Tests for the sequence-evaluation pipeline (Table-1 engine)."""
 
-import numpy as np
 import pytest
 
 from repro.core.mcml_dt import MCMLDTParams

@@ -2,12 +2,11 @@
 geometry (independent of the mesh workload)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dtree.induction import induce_pure_tree
-from repro.dtree.query import assign_points, tree_filter_search
+from repro.dtree.query import tree_filter_search
 from repro.geometry.boxsearch import bbox_filter_search
 
 
@@ -35,7 +34,7 @@ def test_property_tree_filter_never_misses(seed, k):
             (pts >= boxes[e, 0]) & (pts <= boxes[e, 1])
         ).all(axis=1)
         needed = set(labels[inside].tolist()) - {int(owner[e])}
-        got = set(plan.sends_for(e).tolist())
+        got = set(np.flatnonzero(plan.send_matrix[e]).tolist())
         assert needed <= got
 
 
@@ -59,7 +58,7 @@ def test_property_bbox_filter_never_misses(seed, k):
             (pts >= boxes[e, 0]) & (pts <= boxes[e, 1])
         ).all(axis=1)
         needed = set(labels[inside].tolist()) - {int(owner[e])}
-        got = set(plan.sends_for(e).tolist())
+        got = set(np.flatnonzero(plan.send_matrix[e]).tolist())
         assert needed <= got
 
 

@@ -105,10 +105,6 @@ class DecisionTree:
             [nd.label for nd in self.nodes if nd.is_leaf], dtype=np.int64
         )
 
-    def partitions_present(self) -> np.ndarray:
-        """Sorted unique partition labels among the leaves."""
-        return np.unique(self.leaf_labels())
-
     def validate(self) -> None:
         """Structural sanity checks (tests/debugging)."""
         seen = np.zeros(len(self.nodes), dtype=bool)

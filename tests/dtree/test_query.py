@@ -168,7 +168,7 @@ class TestTreeFilterSearch:
         owner = predict_partition(tree, pts[:5])
         plan = tree_filter_search(tree, boxes, owner, 3)
         for e in range(5):
-            assert owner[e] not in plan.sends_for(e)
+            assert not plan.send_matrix[e, owner[e]]
 
     def test_separated_clusters_zero_remote(self):
         rng = np.random.default_rng(9)
@@ -188,7 +188,7 @@ class TestTreeFilterSearch:
         tree, _ = induce_pure_tree(pts, labels, 2)
         box = np.array([[[0.5, -0.5], [3.5, 0.5]]])  # spans the cut
         plan = tree_filter_search(tree, box, np.array([0]), 2)
-        assert plan.sends_for(0).tolist() == [1]
+        assert np.flatnonzero(plan.send_matrix[0]).tolist() == [1]
 
     def test_impure_leaf_broadcasts(self):
         # coincident mixed points force an impure leaf
@@ -197,7 +197,7 @@ class TestTreeFilterSearch:
         tree, _ = induce_pure_tree(pts, labels, 3)
         box = np.array([[[-1.0, -1.0], [1.0, 1.0]]])
         plan = tree_filter_search(tree, box, np.array([0]), 3)
-        assert plan.sends_for(0).tolist() == [1, 2]
+        assert np.flatnonzero(plan.send_matrix[0]).tolist() == [1, 2]
 
     def test_length_mismatch(self):
         tree, pts, _ = random_tree(10)

@@ -43,7 +43,6 @@ class TestStructure:
         assert t.is_leaf.tolist() == [False, True, True]
         assert t.leaf_ids().tolist() == [1, 2]
         assert t.leaf_labels().tolist() == [0, 1]
-        assert t.partitions_present().tolist() == [0, 1]
 
     def test_single_leaf_tree(self):
         t = DecisionTree(n_points=[5], label=[0], is_pure=[True], dim=[-1],

@@ -29,13 +29,13 @@ class TestBboxFilterSearch:
     def test_local_elements_not_sent(self):
         boxes, owner, pts, part = two_cluster_setup()
         plan = bbox_filter_search(boxes, owner, pts, part, 2)
-        assert plan.sends_for(0).tolist() == []
-        assert plan.sends_for(1).tolist() == []
+        assert np.flatnonzero(plan.send_matrix[0]).tolist() == []
+        assert np.flatnonzero(plan.send_matrix[1]).tolist() == []
 
     def test_spanning_element_sent(self):
         boxes, owner, pts, part = two_cluster_setup()
         plan = bbox_filter_search(boxes, owner, pts, part, 2)
-        assert plan.sends_for(2).tolist() == [1]
+        assert np.flatnonzero(plan.send_matrix[2]).tolist() == [1]
         assert plan.n_remote == 1
 
     def test_false_positive_from_bbox_overlap(self):
@@ -68,7 +68,7 @@ class TestBboxFilterSearch:
     def test_receive_counts(self):
         boxes, owner, pts, part = two_cluster_setup()
         plan = bbox_filter_search(boxes, owner, pts, part, 2)
-        recv = plan.per_partition_receive_counts(2)
+        recv = plan.per_partition_receive_counts()
         assert recv.tolist() == [0, 1]
 
     def test_length_mismatch_rejected(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh.generators import structured_box_mesh, structured_quad_mesh
+from repro.mesh.generators import structured_box_mesh
 from repro.mesh.mesh import Mesh
 from repro.mesh.quality import element_measures
 

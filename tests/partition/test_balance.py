@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.partition.balance import (
     BalanceTracker,
-    max_allowed,
     target_weights,
     violation,
     violation_delta,

@@ -1,7 +1,6 @@
 """Tests for the coarsening driver."""
 
 import numpy as np
-import pytest
 
 from repro.graph.build import from_edge_list, grid_graph
 from repro.partition.coarsen import coarsen

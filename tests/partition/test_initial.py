@@ -1,7 +1,6 @@
 """Tests for the initial (greedy graph growing) bisection."""
 
 import numpy as np
-import pytest
 
 from repro.graph.build import from_edge_list, grid_graph
 from repro.partition.initial import greedy_graph_growing, initial_bisection

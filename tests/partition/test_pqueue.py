@@ -1,7 +1,5 @@
 """Tests for the updatable max-priority queue."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

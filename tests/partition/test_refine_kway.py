@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph.build import grid_graph
 from repro.graph.metrics import edge_cut, load_imbalance
-from repro.partition.balance import target_weights, violation
 from repro.partition.config import PartitionOptions
 from repro.partition.refine_kway import greedy_kway_refine, rebalance_kway
 

@@ -9,6 +9,8 @@ process backends must be indistinguishable from it.
 
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ import pytest
 from repro.obs.tracer import Tracer
 from repro.runtime.backends import (
     BACKEND_ENV,
-    BACKEND_NAMES,
     Backend,
     BackendError,
     ProcessBackend,
@@ -403,10 +404,24 @@ class TestBackendProtocol:
             sess.step(_traced)
 
     def test_env_propagates_to_subprocess(self):
-        # the documented way to run the whole suite on a backend:
-        # REPRO_BACKEND=process — resolution must read it at call time
-        env_before = os.environ.get(BACKEND_ENV)
-        assert env_before is None or env_before.split(":")[0] in BACKEND_NAMES
+        """The documented way to run the whole suite on a backend: a
+        child process started with ``$REPRO_BACKEND`` resolves that
+        backend (a thread backend starts no pool until a session)."""
+        env = dict(
+            os.environ,
+            **{BACKEND_ENV: "thread:2"},
+            PYTHONPATH=os.pathsep.join(sys.path),
+        )
+        child = subprocess.run(
+            [
+                sys.executable, "-c",
+                "from repro.runtime.backends import resolve_backend; "
+                "b = resolve_backend(); print(f'{b.name}:{b.workers}')",
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "thread:2"
 
 
 class TestSharedPlanReuse:

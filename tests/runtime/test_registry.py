@@ -91,9 +91,11 @@ class TestBackendSpecParse:
         assert a != c
 
     def test_typed_options_converts_and_rejects_unknown(self):
-        spec = BackendSpec.parse("tcp://h:1?deadline=30&spawn=external")
-        opts = spec.typed_options({"deadline": float, "spawn": str})
-        assert opts == {"deadline": 30.0, "spawn": "external"}
+        spec = BackendSpec.parse("tcp://h:1?deadline=30&accept_timeout=5")
+        opts = spec.typed_options(
+            {"deadline": float, "accept_timeout": float}
+        )
+        assert opts == {"deadline": 30.0, "accept_timeout": 5.0}
         with pytest.raises(ValueError, match="does not accept option"):
             spec.typed_options({"deadline": float})
         bad = BackendSpec.parse("tcp://h:1?deadline=soon")
@@ -123,22 +125,23 @@ class TestRegistry:
             "process://?faults=boom@1.0",
             "process://?deadline=soon",
             "tcp://127.0.0.1:0?retries=2",
+            "tcp://127.0.0.1:0?spawn=external",
         ],
     )
     def test_bad_option_refused_before_any_peer_starts(
         self, monkeypatch, spec
     ):
         """An option a backend does not take (``faults=`` on an
-        in-process backend, the tcp URI's old ``retries=``) or a value
-        that does not parse is a ``ValueError`` from ``build_backend``,
-        raised before a worker is forked or an agent spawned."""
+        in-process backend, the tcp URI's old ``retries=`` and
+        ``spawn=``) or a value that does not parse is a ``ValueError``
+        from ``build_backend``, raised before a worker is forked or an
+        agent spawned."""
 
         def no_peers(*_args, **_kwargs):
             raise AssertionError("a peer was started")
 
-        monkeypatch.setattr(process._WorkerHandle, "__init__", no_peers)
-        monkeypatch.setattr(tcp.TCPBackend, "_spawn_agent", no_peers)
-        monkeypatch.setattr(tcp.TCPBackend, "_ensure_server", no_peers)
+        monkeypatch.setattr(process.ProcessBackend, "_start", no_peers)
+        monkeypatch.setattr(tcp.TCPBackend, "_start", no_peers)
         with pytest.raises(ValueError):
             build_backend(spec)
 

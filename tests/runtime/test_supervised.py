@@ -55,14 +55,9 @@ def pool_backend(transport, faults="", **supervisor):
 
 def kill_one_peer(backend):
     """SIGKILL the first pooled peer and wait until it is gone."""
-    if isinstance(backend, ProcessBackend):
-        proc = backend._pool[0].proc
-        proc.kill()
-        proc.join(timeout=5)
-    else:
-        proc = backend._spawned[0]
-        proc.kill()
-        proc.wait(timeout=5)
+    proc = backend._pool[0].proc
+    proc.kill()
+    proc.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
@@ -418,8 +413,7 @@ class TestHealthCheck:
     def test_close_survives_dead_worker(self):
         backend = ProcessBackend(
             workers=2,
-            supervisor=SupervisorConfig(shutdown_grace_s=1.0,
-                                        kill_grace_s=0.5),
+            supervisor=SupervisorConfig(shutdown_grace_s=1.0),
         )
         try:
             _run(backend, (_bump, _report))
@@ -433,7 +427,6 @@ class TestHealthCheck:
         hanging the caller."""
         cfg = SupervisorConfig(
             heartbeat_timeout_s=0.5, shutdown_grace_s=1.0,
-            kill_grace_s=0.5,
         )
         backend = ProcessBackend(workers=2, supervisor=cfg)
         session = backend.open_session(3)
@@ -509,7 +502,7 @@ class TestSupervisorConfig:
         with pytest.raises(ValueError):
             SupervisorConfig(step_deadline_s=0.0)
         with pytest.raises(ValueError):
-            SupervisorConfig(backoff_factor=0.5)
+            SupervisorConfig(backoff_base_s=-0.5)
 
     def test_degrading_is_not_optional(self):
         """An exhausted retry budget always degrades; there is no

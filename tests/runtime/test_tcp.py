@@ -1,30 +1,26 @@
-"""Tests for the distributed tcp backend (coordinator + agents).
+"""Tests for the tcp backend (coordinator + spawned agents).
 
-The contract under test mirrors the other backends: a run on a fleet
+The contract under test mirrors the other backends: a run on a pool
 of socket-connected agent processes — including runs where agents are
-killed, hang past the deadline, or join mid-run — must produce
-results, ledgers, and merge order bit-identical to
-:class:`SerialBackend`.  On top of that the suite pins the
-``repro.wire/1`` handshake (version/schema rejection), elastic
-membership accounting and the external ``repro-agent`` entry point.
-Recovery, degradation and the local fallback are the transport-
-parametrised suite of ``test_supervised.py``, instantiated here for
-``tcp``.
+killed or hang past the deadline — must produce results, ledgers, and
+merge order bit-identical to :class:`SerialBackend`.  On top of that
+the suite pins the ``repro.wire/1`` handshake (version/schema/name
+rejection).  Recovery, degradation and the local fallback are the
+transport-parametrised suite of ``test_supervised.py``, instantiated
+here for ``tcp``.
 """
 
 import os
 import socket
 import struct
-import subprocess
-import sys
 import time
-from functools import partial
 
 import pytest
 
 from repro.obs.report import RunReport
 from repro.obs.tracer import Tracer
-from repro.runtime.backends import SerialBackend, build_backend
+from repro.runtime.backends import SerialBackend, build_backend, tcp
+from repro.runtime.backends.supervised import Channel
 from repro.runtime.backends.tcp import (
     AGENT_NAME_PREFIX,
     TCPBackend,
@@ -37,7 +33,7 @@ from repro.runtime.backends.wire import (
     write_stream,
 )
 from repro.runtime.ledger import CommLedger
-from tests.runtime.spmd import run_supersteps, without_arg
+from tests.runtime.spmd import run_supersteps
 from tests.runtime import test_supervised as supervised
 
 ACCEPT_TIMEOUT = 30.0  # generous: CI machines can be slow to fork
@@ -162,7 +158,7 @@ class TestDistributedRuns:
 
 
 # ----------------------------------------------------------------------
-# handshake: version / schema enforcement on the raw socket
+# handshake: version / schema / name enforcement
 # ----------------------------------------------------------------------
 
 
@@ -176,77 +172,123 @@ def _recv_exact(sock, n):
     return data
 
 
-def _dial_with_hello(backend, payload, *, version=WIRE_VERSION):
-    """Open a raw socket to the coordinator, send ``payload`` framed as
-    a ``version`` wire message, and return the coordinator's reply."""
-    host, port = backend.address
-    sock = socket.create_connection((host, port), timeout=10.0)
-    try:
-        chunks = []
-        write_stream(chunks.append, payload)
-        blob = bytearray(b"".join(bytes(c) for c in chunks))
-        blob[4:6] = struct.pack("<H", version)
-        sock.sendall(blob)
-        reply, _n = read_stream(lambda n: _recv_exact(sock, n))
-        return reply
-    finally:
-        sock.close()
+def _hello_bytes(payload, *, version=WIRE_VERSION):
+    """``payload`` framed as a wire message of ``version``."""
+    chunks = []
+    write_stream(chunks.append, payload)
+    blob = bytearray(b"".join(bytes(c) for c in chunks))
+    blob[4:6] = struct.pack("<H", version)
+    return bytes(blob)
 
 
 class TestHandshake:
-    @pytest.fixture()
-    def listening_backend(self):
-        # external spawn: the coordinator listens but starts no agents
-        backend = TCPBackend(
-            workers=1, spawn="external", accept_timeout=1.0
-        )
-        backend.address  # bind + start accepting
-        yield backend
-        backend.close()
+    """The coordinator's side of the handshake, driven over a socket
+    pair: the test writes the hello on one end, the coordinator reads
+    it and answers on the other."""
 
-    def test_version_mismatch_rejected(self, listening_backend):
+    @pytest.fixture()
+    def handshake(self):
+        backend = TCPBackend(workers=1)
+        ends = []
+
+        def run(raw, names=frozenset({"x"})):
+            ours, theirs = socket.socketpair()
+            ends.append(theirs)
+            theirs.sendall(raw)
+            return backend._handshake(Channel(ours), names, 10.0), theirs
+
+        yield run
+        for end in ends:
+            end.close()
+
+    @staticmethod
+    def _reply(sock):
+        return read_stream(lambda n: _recv_exact(sock, n))[0]
+
+    def test_version_mismatch_rejected(self, handshake):
         hello = ("hello", {"schema": WIRE_SCHEMA, "name": "x", "pid": 1})
-        reply = _dial_with_hello(
-            listening_backend, hello, version=WIRE_VERSION + 7
+        admitted, sock = handshake(
+            _hello_bytes(hello, version=WIRE_VERSION + 7)
         )
+        reply = self._reply(sock)
         assert reply[0] == "reject"
         assert "version" in reply[1]
-        assert listening_backend._member_count() == 0
+        assert admitted is None
 
-    def test_schema_mismatch_rejected(self, listening_backend):
+    def test_schema_mismatch_rejected(self, handshake):
         hello = ("hello", {"schema": "repro.wire/999", "name": "x"})
-        reply = _dial_with_hello(listening_backend, hello)
+        admitted, sock = handshake(_hello_bytes(hello))
+        reply = self._reply(sock)
         assert reply[0] == "reject"
         assert "schema mismatch" in reply[1]
-        assert listening_backend._member_count() == 0
+        assert admitted is None
 
-    def test_malformed_hello_rejected(self, listening_backend):
-        reply = _dial_with_hello(listening_backend, ("greetings", 42))
+    def test_malformed_hello_rejected(self, handshake):
+        admitted, sock = handshake(_hello_bytes(("greetings", 42)))
+        reply = self._reply(sock)
         assert reply[0] == "reject"
         assert "malformed hello" in reply[1]
-        assert listening_backend._member_count() == 0
+        assert admitted is None
 
-    def test_bad_magic_drops_connection(self, listening_backend):
-        host, port = listening_backend.address
-        sock = socket.create_connection((host, port), timeout=10.0)
+    def test_bad_magic_drops_connection(self, handshake):
+        admitted, sock = handshake(
+            b"GET / HTTP/1.1\r\n\r\n" + b"\x00" * 16
+        )
+        sock.settimeout(10.0)
         try:
-            sock.sendall(b"GET / HTTP/1.1\r\n\r\n" + b"\x00" * 16)
-            sock.settimeout(10.0)
-            assert sock.recv(1024) == b""  # closed, no reply
-        finally:
-            sock.close()
-        assert listening_backend._member_count() == 0
+            data = sock.recv(1024)
+        except ConnectionResetError:  # closed with the junk unread
+            data = b""
+        assert data == b""  # dropped, no reply
+        assert admitted is None
 
-    def test_good_hello_is_welcomed(self, listening_backend):
+    def test_good_hello_is_welcomed(self, handshake):
         hello = ("hello", {"schema": WIRE_SCHEMA, "name": "probe",
                            "pid": os.getpid()})
-        reply = _dial_with_hello(listening_backend, hello)
+        admitted, sock = handshake(
+            _hello_bytes(hello), names=frozenset({"probe"})
+        )
+        reply = self._reply(sock)
         assert reply[0] == "welcome"
         assert reply[1]["schema"] == WIRE_SCHEMA
         assert isinstance(reply[1]["sys_path"], list)
-        # dropping the connection right after the handshake must not
-        # wedge the coordinator (the dead member is culled on use)
+        assert admitted == "probe"
         assert WIRE_MAGIC == b"RPW\x01"
+
+
+def test_stranger_is_rejected_during_bring_up(monkeypatch):
+    """A connection that dials in while the pool comes up, with a
+    well-formed hello but a name the coordinator did not give any of
+    its agents, is refused and takes no slot; the run still matches
+    serial."""
+    expected, expected_ledger = _serial_baseline()
+    strangers = []
+    spawn = tcp._spawn_agent
+
+    def dial_in_first(host, port, name):
+        if not strangers:
+            sock = socket.create_connection((host, port), timeout=10.0)
+            strangers.append(sock)
+            hello = ("hello", {"schema": WIRE_SCHEMA, "name": "stranger",
+                               "pid": 1})
+            sock.sendall(_hello_bytes(hello))
+        return spawn(host, port, name)
+
+    monkeypatch.setattr(tcp, "_spawn_agent", dial_in_first)
+    backend = _tcp_backend(workers=2)
+    try:
+        results, ledger = _run_pipeline(backend)
+        names = [peer.name for peer in backend.members()]
+        reply = read_stream(lambda n: _recv_exact(strangers[0], n))[0]
+    finally:
+        backend.close()
+        for sock in strangers:
+            sock.close()
+    assert reply[0] == "reject" and "stranger" in reply[1]
+    assert len(names) == 2
+    assert all(name.startswith(AGENT_NAME_PREFIX) for name in names)
+    assert results == expected
+    assert ledger.summary() == expected_ledger.summary()
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +299,26 @@ class TestHandshake:
 class TestRecovery(supervised.RespawnCases):
     transport = "tcp"
 
+    def test_hung_agent_is_terminated_on_recovery(self):
+        """Replacing a hung agent ends its process within the shutdown
+        and kill graces (``destroy`` waits for it), instead of leaving
+        it asleep until its hang is over."""
+        steps = (supervised._bump, supervised._bump, supervised._report)
+        ref_results, _ = supervised._reference(steps)
+        backend = supervised.pool_backend(
+            "tcp", faults="hang@1.0:60", step_deadline_s=1.0
+        )
+        try:
+            hung = backend.members()[0].proc  # rank 0's agent
+            start = time.monotonic()
+            results, _ledger = supervised._run(backend, steps)
+            assert hung.exitcode is not None  # gone, not asleep
+            assert time.monotonic() - start < 20.0  # not the 60 s hang
+            assert backend.reconnects >= 1
+        finally:
+            backend.close()
+        assert results == ref_results
+
 
 class TestDegrade(supervised.DegradeCases):
     transport = "tcp"
@@ -264,129 +326,3 @@ class TestDegrade(supervised.DegradeCases):
 
 class TestLocalFallback(supervised.FallbackCases):
     transport = "tcp"
-
-
-# ----------------------------------------------------------------------
-# elastic membership
-# ----------------------------------------------------------------------
-
-
-def _wait_for_pending_join(backend):
-    """Block until an agent that dialed in after session open shows up
-    in the coordinator's pending list."""
-    deadline = time.monotonic() + ACCEPT_TIMEOUT
-    while time.monotonic() < deadline:
-        with backend._lock:
-            if backend._pending:
-                return
-        time.sleep(0.01)
-    pytest.fail("joining agent never connected")
-
-
-class TestElasticMembership:
-    def test_mid_run_join_adopted_and_backfilled(self):
-        expected, expected_ledger = _serial_baseline(size=4)
-        backend = _tcp_backend(workers=1)
-        tracer = Tracer()
-        ledger = CommLedger()
-        results = []
-        try:
-            with backend.open_session(
-                4, ledger=ledger, tracer=tracer
-            ) as session:
-                results.append(
-                    session.step(partial(without_arg, _seed_state))
-                )
-                # a second agent dials in mid-run ...
-                backend._spawn_agent()
-                _wait_for_pending_join(backend)
-                # ... and is adopted at the next superstep boundary
-                for fn in PIPELINE[1:]:
-                    results.append(
-                        session.step(partial(without_arg, fn))
-                    )
-                assert len(backend._connected()) == 2
-        finally:
-            backend.close()
-        assert results == expected
-        assert ledger.summary() == expected_ledger.summary()
-        report = RunReport.from_run(tracer, ledger)
-        totals = report.distributed_totals()
-        assert totals["agents_joined"] >= 1
-        assert totals["ranks_migrated"] >= 1
-        assert "Distributed" in report.render()
-
-
-# ----------------------------------------------------------------------
-# external agents (the `repro-agent` entry point)
-# ----------------------------------------------------------------------
-
-_AGENT_CMD = (
-    "import sys; from repro.runtime.backends.tcp import agent_main; "
-    "sys.exit(agent_main(sys.argv[1:]))"
-)
-
-
-def _agent_env():
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__
-    )))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    return env
-
-
-class TestExternalAgents:
-    def test_manually_started_agent_serves_a_run(self):
-        expected, _ = _serial_baseline(size=2)
-        backend = TCPBackend(
-            workers=1, spawn="external", accept_timeout=ACCEPT_TIMEOUT
-        )
-        host, port = backend.address
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _AGENT_CMD,
-             "--connect", f"{host}:{port}", "--name", "ext-agent-0"],
-            env=_agent_env(),
-        )
-        try:
-            results, _ledger = _run_pipeline(backend, size=2)
-            assert results == expected
-            assert "ext-agent-0" in backend.health_check()
-        finally:
-            backend.close()
-            try:
-                assert proc.wait(timeout=15) == 0  # orderly shutdown
-            finally:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=5)
-
-    def test_agent_main_rejects_bad_connect_argument(self):
-        from repro.runtime.backends.tcp import agent_main
-
-        with pytest.raises(SystemExit):
-            agent_main(["--connect", "no-port-here"])
-
-    def test_agent_main_reports_unreachable_coordinator(self, monkeypatch):
-        import multiprocessing
-
-        from repro.runtime.backends.tcp import agent_main
-
-        # agent_main renames its process to the worker prefix; undo it
-        # here or every later "am I a pool worker?" check in this
-        # pytest process (injected kills, the supervised suite) says yes
-        me = multiprocessing.current_process()
-        monkeypatch.setattr(me, "name", me.name)
-        # a bound-but-unaccepting port refuses quickly on loopback
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        rc = agent_main(
-            ["--connect", f"127.0.0.1:{port}", "--retries", "0"]
-        )
-        assert rc == 1

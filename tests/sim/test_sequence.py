@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mesh.surface import boundary_faces
-from repro.sim.projectile import ImpactConfig
 from repro.sim.sequence import (
     ContactSnapshot,
-    MeshSequence,
     extract_contact_surface,
     simulate_impact,
 )

@@ -9,7 +9,6 @@ covers).
 import pathlib
 import py_compile
 import runpy
-import sys
 
 import pytest
 
